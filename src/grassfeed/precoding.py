@@ -7,6 +7,17 @@ the left nullspace of the stacked other-user channel knowledge; zero
 forcing treats every receive antenna as its own user and beams orthogonally
 to all other M - 1 known columns.
 
+Both precoders are read off one inverse. With the knowledge stacked as the
+square matrix A = [H_1 ... H_K] (the antenna budget is fully loaded, so
+K N = M), W = inv(A^H) satisfies H_j^H W_k = 0 for j != k and
+H_k^H W_k = I, where W_k is the k-th N-column block of W. The left
+nullspace of the other users' M - N columns has dimension exactly N, and
+the N independent columns of W_k lie in it, so W_k spans that nullspace
+and BD orthonormalizes it. Each column of W is likewise orthogonal to the
+other M - 1 knowledge columns, so ZF normalizes it: up to phase it is the
+only unit vector in their one-dimensional complement (Spencer, Swindlehurst
+& Haardt, IEEE TSP 2004).
+
 Rates are evaluated as the difference of two log-dets,
 
     R_k = log2 det(I + c sum_j G_j G_j^H) - log2 det(I + c sum_{j!=k} ...)
@@ -22,14 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _backend
 from .ensembles import as_generator, gaussian_matrix
-from .errors import DimensionError, ParameterError
-from .linalg import (
-    left_nullspace_basis,
-    left_nullspace_basis_batch,
-    logdet_hermitian,
-    logdet_hermitian_batch,
-)
+from .errors import DimensionError, ParameterError, RankDeficient
+from .linalg import logdet_hermitian, logdet_hermitian_batch
 
 __all__ = [
     "SystemConfig",
@@ -102,15 +109,16 @@ def bd_precoders(cfg, knowledge):
     """Block-diagonalization precoders from per-user channel knowledge.
 
     V_k is an orthonormal basis of the left nullspace of the other users'
-    stacked knowledge matrices, so knowledge_j^H V_k = 0 for j != k. Any
-    basis gives the same rates (only V_k V_k^H enters them).
+    stacked knowledge matrices, so knowledge_j^H V_k = 0 for j != k. It is
+    the orthonormalized k-th N-column block of inv([H_1 ... H_K]^H): that
+    block's N independent columns lie in the N-dimensional nullspace, so
+    they span it. Any basis gives the same rates (only V_k V_k^H enters
+    them).
+
+    Raises RankDeficient if the stacked knowledge is singular.
     """
     know = _knowledge_stack(cfg, knowledge)
-    mats = np.empty_like(know)
-    for k in range(cfg.k):
-        others = np.concatenate([know[j] for j in range(cfg.k) if j != k], axis=1)
-        mats[k] = left_nullspace_basis(others)
-    return PrecoderSet(matrices=mats, scheme="bd")
+    return PrecoderSet(matrices=bd_precoders_batch(know[np.newaxis])[0], scheme="bd")
 
 
 def zf_precoders(cfg, knowledge):
@@ -118,16 +126,15 @@ def zf_precoders(cfg, knowledge):
 
     The M knowledge columns are treated as M single-antenna users; beam
     (k, i) is the unit vector orthogonal to all other M - 1 columns,
-    grouped N per user.
+    grouped N per user. It is the normalized matching column of
+    inv([H_1 ... H_K]^H), which is orthogonal to every other column and
+    spans their one-dimensional complement, so the beam is the same up to
+    phase.
+
+    Raises RankDeficient if the stacked knowledge is singular.
     """
     know = _knowledge_stack(cfg, knowledge)
-    cols = np.concatenate([know[k] for k in range(cfg.k)], axis=1)  # (M, K*N)
-    mats = np.empty((cfg.k, cfg.m, cfg.n), dtype=np.complex128)
-    for j in range(cfg.m):
-        others = np.delete(cols, j, axis=1)
-        beam = left_nullspace_basis(others)
-        mats[j // cfg.n, :, j % cfg.n] = beam[:, 0]
-    return PrecoderSet(matrices=mats, scheme="zf")
+    return PrecoderSet(matrices=zf_precoders_batch(know[np.newaxis])[0], scheme="zf")
 
 
 def instant_rate_per_user(cfg, h_k, precoders, k):
@@ -216,38 +223,44 @@ def analog_rate_loss_limit(m, n, beta):
     return n * math.log2(1.0 + (m - n) / m / beta)
 
 
+def _inverse_blocks(knowledge):
+    """inv(A^H) of the stacked knowledge A, as (T, K, M, N) column blocks."""
+    t, k, m, n = knowledge.shape
+    a_h = np.swapaxes(knowledge, -2, -1).conj().reshape(t, m, m)
+    try:
+        w = np.linalg.inv(a_h)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient("stacked channel knowledge is singular") from exc
+    return np.swapaxes(w.reshape(t, m, k, n), 1, 2)
+
+
 def bd_precoders_batch(knowledge):
     """Batched BD precoders for a (T, K, M, N) knowledge stack. Internal."""
-    t, k, m, n = knowledge.shape
-    mats = np.empty_like(knowledge)
-    for kk in range(k):
-        others = np.concatenate(
-            [knowledge[:, j] for j in range(k) if j != kk], axis=2
-        )
-        mats[:, kk] = left_nullspace_basis_batch(others)
-    return mats
+    return _backend.orthonormalize(_inverse_blocks(knowledge))
 
 
 def zf_precoders_batch(knowledge):
     """Batched ZF beams for a (T, K, M, N) knowledge stack. Internal."""
-    t, k, m, n = knowledge.shape
-    cols = np.concatenate([knowledge[:, j] for j in range(k)], axis=2)  # (T, M, M)
-    mats = np.empty((t, k, m, n), dtype=knowledge.dtype)
-    for j in range(m):
-        others = np.delete(cols, j, axis=2)
-        mats[:, j // n, :, j % n] = left_nullspace_basis_batch(others)[:, :, 0]
-    return mats
+    w = _inverse_blocks(knowledge)
+    return w / np.linalg.norm(w, axis=-2, keepdims=True)
 
 
 def rates_batch(p, channels, precoders):
-    """Per-user rates for a (T, K, M, N) channel and precoder stack. Internal."""
+    """Per-user rates for a (T, K, M, N) channel and precoder stack. Internal.
+
+    The interference matrix is summed from the other users' terms alone;
+    subtracting the own term from the full sum would cancel
+    catastrophically at high power and lose positive definiteness.
+    """
     t, k, m, n = channels.shape
     c = p / m
     g = np.einsum("tkmn,tjmp->tkjnp", channels.conj(), precoders)
     gram = np.einsum("tkjnp,tkjqp->tkjnq", g, g.conj())
-    eye = np.eye(n)
-    total = eye + c * gram.sum(axis=2)
-    diag = c * gram[:, np.arange(k), np.arange(k)]
-    full = logdet_hermitian_batch(total)
-    intf = logdet_hermitian_batch(total - diag)
-    return full - intf
+    total = gram[:, np.arange(k), np.arange(k)]  # own terms; advanced indexing copies
+    gram[:, np.arange(k), np.arange(k)] = 0.0
+    intf = gram.sum(axis=2)
+    intf *= c
+    intf += np.eye(n)
+    total *= c
+    total += intf
+    return logdet_hermitian_batch(total) - logdet_hermitian_batch(intf)

@@ -7,7 +7,8 @@ from grassfeed.ensembles import (
     isotropic_frame,
     isotropic_frame_in_nullspace,
 )
-from grassfeed.errors import DimensionError, ParameterError
+from grassfeed.errors import DimensionError, ParameterError, RankDeficient
+from grassfeed.linalg import left_nullspace_basis
 from grassfeed.precoding import (
     AnalogObservation,
     PrecoderSet,
@@ -24,6 +25,36 @@ from grassfeed.precoding import (
     zf_precoders_batch,
 )
 from grassfeed.quant_emulator import default_cond_sampler, emulate_batch
+
+
+def _bd_reference(h):
+    """Per-trial BD: a complete-QR nullspace of each user's complement."""
+    t, k, m, n = h.shape
+    out = np.empty_like(h)
+    for i in range(t):
+        for kk in range(k):
+            others = np.concatenate([h[i, j] for j in range(k) if j != kk], axis=1)
+            out[i, kk] = left_nullspace_basis(others)
+    return out
+
+
+def _zf_reference(h):
+    """Per-trial ZF: each beam from the nullspace of the other M - 1 columns."""
+    t, k, m, n = h.shape
+    out = np.empty_like(h)
+    for i in range(t):
+        cols = np.concatenate(list(h[i]), axis=1)
+        for j in range(m):
+            out[i, j // n, :, j % n] = left_nullspace_basis(np.delete(cols, j, axis=1))[:, 0]
+    return out
+
+
+def _cross_gains(h, v):
+    """|knowledge column^H beam| for every (column, beam) pair, (T, M, M)."""
+    t, k, m, n = h.shape
+    cols = np.swapaxes(h, -2, -1).reshape(t, m, m)
+    beams = np.swapaxes(v, -2, -1).reshape(t, m, m)
+    return np.abs(np.einsum("tim,tjm->tij", cols.conj(), beams))
 
 
 class TestSystemConfig:
@@ -101,6 +132,43 @@ class TestBdPrecoders:
         with pytest.raises(DimensionError):
             bd_precoders(cfg, np.zeros((3, 4, 2), dtype=complex))
 
+    @pytest.mark.parametrize("m,n", [(4, 2), (6, 2), (8, 2)])
+    def test_batch_leakage(self, m, n):
+        """max |H_j^H V_k| over j != k stays at rounding level on 4096
+        Gaussian trials, ill-conditioned draws included."""
+        gen = RngStream(41).child(100, m).generator()
+        h = gaussian_matrix(gen, m, n, batch=(4096, m // n))
+        gains = _cross_gains(h, bd_precoders_batch(h))
+        own = np.kron(np.eye(m // n, dtype=bool), np.ones((n, n), dtype=bool))
+        assert gains[:, ~own].max() <= 1e-9
+
+
+class TestSingularKnowledge:
+    """Singular stacked knowledge is a RankDeficient, never a numpy error."""
+
+    @staticmethod
+    def _cases():
+        eye = np.eye(4, dtype=complex)
+        zeros = np.zeros((2, 4, 2), dtype=complex)
+        shared = np.stack([eye[:, :2], eye[:, :2]])  # two users, one plane
+        return [zeros, shared]
+
+    @pytest.mark.parametrize("build", [bd_precoders, zf_precoders])
+    def test_scalar(self, build):
+        cfg = SystemConfig(4, 2, 1.0)
+        for know in self._cases():
+            with pytest.raises(RankDeficient):
+                build(cfg, know)
+
+    @pytest.mark.parametrize("build", [bd_precoders_batch, zf_precoders_batch])
+    def test_batch(self, build):
+        gen = RngStream(41).child(101).generator()
+        for know in self._cases():
+            stack = gaussian_matrix(gen, 4, 2, batch=(5, 2))
+            stack[3] = know
+            with pytest.raises(RankDeficient):
+                build(stack)
+
 
 class TestZfPrecoders:
     def test_identity_channel(self):
@@ -124,6 +192,16 @@ class TestZfPrecoders:
                 assert np.linalg.norm(beam) == pytest.approx(1.0, abs=1e-10)
                 others = np.delete(cols, j, axis=1)
                 assert np.abs(others.conj().T @ beam).max() <= 1e-9
+
+    @pytest.mark.parametrize("m,n", [(8, 1), (6, 2)])
+    def test_batch_leakage(self, m, n):
+        """max over i != j of |h_i^H v_j| on 4096 Gaussian trials."""
+        gen = RngStream(43).child(100, m).generator()
+        h = gaussian_matrix(gen, m, n, batch=(4096, m // n))
+        v = zf_precoders_batch(h)
+        gains = _cross_gains(h, v)
+        assert gains[:, ~np.eye(m, dtype=bool)].max() <= 1e-9
+        np.testing.assert_allclose(np.linalg.norm(v, axis=-2), 1.0, atol=1e-12)
 
     def test_zf_below_bd_under_perfect_csit(self):
         """Per-antenna nulling wastes degrees of freedom relative to
@@ -300,30 +378,50 @@ class TestRateLossBounds:
 
 
 class TestBatchParity:
+    """The inverse-based kernels against the per-trial nullspace loops
+    they replaced, at the benchmark shapes."""
+
     def test_bd_batch_matches_scalar(self):
-        cfg = SystemConfig(6, 2, 10.0)
-        gen = RngStream(49).child(0).generator()
-        h = gaussian_matrix(gen, 6, 2, batch=(20, 3))
-        batch = bd_precoders_batch(h)
-        for t in range(20):
-            single = bd_precoders(cfg, h[t]).matrices
-            for k in range(3):
-                pb = batch[t, k] @ batch[t, k].conj().T
-                ps = single[k] @ single[k].conj().T
-                np.testing.assert_allclose(pb, ps, atol=1e-9)
+        for m, n in ((6, 2), (8, 2)):
+            cfg = SystemConfig(m, n, 10.0)
+            gen = RngStream(49).child(0, m).generator()
+            h = gaussian_matrix(gen, m, n, batch=(20, cfg.k))
+            batch = bd_precoders_batch(h)
+            ref = _bd_reference(h)
+            for t in range(20):
+                np.testing.assert_array_equal(bd_precoders(cfg, h[t]).matrices, batch[t])
+                for k in range(cfg.k):
+                    pb = batch[t, k] @ batch[t, k].conj().T
+                    ps = ref[t, k] @ ref[t, k].conj().T
+                    np.testing.assert_allclose(pb, ps, atol=1e-9)
 
     def test_zf_batch_matches_scalar(self):
-        cfg = SystemConfig(4, 2, 10.0)
-        gen = RngStream(49).child(1).generator()
-        h = gaussian_matrix(gen, 4, 2, batch=(20, 2))
-        batch = zf_precoders_batch(h)
-        for t in range(20):
-            single = zf_precoders(cfg, h[t]).matrices
+        for m, n in ((4, 2), (8, 1), (6, 2)):
+            cfg = SystemConfig(m, n, 10.0)
+            gen = RngStream(49).child(1, m, n).generator()
+            h = gaussian_matrix(gen, m, n, batch=(20, cfg.k))
+            batch = zf_precoders_batch(h)
+            ref = _zf_reference(h)
+            for t in range(20):
+                np.testing.assert_array_equal(zf_precoders(cfg, h[t]).matrices, batch[t])
             # beams are unit vectors unique up to phase
-            for k in range(2):
-                for i in range(2):
-                    inner = np.abs(np.vdot(single[k][:, i], batch[t, k][:, i]))
-                    assert inner == pytest.approx(1.0, abs=1e-9)
+            inner = np.abs(np.sum(ref.conj() * batch, axis=-2))
+            np.testing.assert_allclose(inner, 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "scheme,m,n", [("bd", 6, 2), ("bd", 8, 2), ("zf", 8, 1), ("zf", 6, 2)]
+    )
+    def test_rates_match_nullspace_reference(self, scheme, m, n):
+        gen = RngStream(49).child(3, m, n).generator()
+        h = gaussian_matrix(gen, m, n, batch=(256, m // n))
+        if scheme == "bd":
+            got, ref = bd_precoders_batch(h), _bd_reference(h)
+        else:
+            got, ref = zf_precoders_batch(h), _zf_reference(h)
+        for p in (1.0, 1e3):
+            np.testing.assert_allclose(
+                rates_batch(p, h, got), rates_batch(p, h, ref), rtol=0, atol=1e-10
+            )
 
     def test_rates_batch_matches_scalar(self):
         cfg = SystemConfig(4, 2, 10.0)

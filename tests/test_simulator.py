@@ -262,6 +262,17 @@ class TestPerfectModeOracle:
         curve = run_experiment(_spec(trials=1))
         assert math.isinf(curve.points[0].ci99)
 
+    @pytest.mark.parametrize("precoder,m,n", [("bd", 6, 2), ("zf", 8, 1)])
+    def test_finite_at_extreme_snr(self, precoder, m, n):
+        """Interference-free streams keep PD interference matrices at any
+        power; each +30 dB then adds about M log2(10^3) bps/Hz."""
+        curve = run_experiment(
+            _spec(m=m, n=n, precoder=precoder, snr_grid_db=(170.0, 200.0), trials=64)
+        )
+        rates = curve.sum_rate
+        assert np.all(np.isfinite(rates))
+        assert rates[1] - rates[0] == pytest.approx(m * 3 * math.log2(10), abs=3.0)
+
 
 class TestCommonRandomNumbers:
     def test_quantization_only_hurts(self):
