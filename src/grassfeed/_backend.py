@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .errors import ParameterError, RankDeficient
-from .linalg import RANK_FLOOR
+from .linalg import RANK_FLOOR, thin_qr_batch
 
 __all__ = ["BACKEND", "orthonormalize", "scan_frames", "quantize_gaussians"]
 
@@ -40,27 +40,9 @@ _use_compiled = _kernels is not None and _choice != "python"
 BACKEND = "compiled" if _use_compiled else "python"
 
 
-def _orthonormalize_np(a):
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    ad = np.abs(d)
-    floor = RANK_FLOOR * np.linalg.norm(a, axis=(-2, -1))
-    if np.any(ad <= floor[..., np.newaxis]):
-        raise RankDeficient("rank deficient item in batch")
-    return q * (d / ad)[..., np.newaxis, :]
-
-
-def _scan_frames_np(hq, frames):
+def _scan_np(hq, w):
+    """(idx, d2, winner) of each (C, m, n) codebook w[t] against its frame hq[t]."""
     n = hq.shape[-1]
-    g = np.einsum("mn,cmp->cnp", hq.conj(), frames)
-    d2 = n - np.sum(np.abs(g) ** 2, axis=(-2, -1))
-    idx = int(np.argmin(d2))
-    return idx, float(d2[idx])
-
-
-def _quantize_gaussians_np(hq, gauss):
-    n = hq.shape[-1]
-    w = _orthonormalize_np(gauss)
     g = np.einsum("tmn,tcmp->tcnp", hq.conj(), w)
     d2 = n - np.sum(np.abs(g) ** 2, axis=(-2, -1))
     idx = np.argmin(d2, axis=1)
@@ -72,20 +54,13 @@ def _quantize_gaussians_np(hq, gauss):
 def orthonormalize(a):
     """Positive-diagonal thin-QR Q factors of a (..., m, n) stack."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
-    if _use_compiled and a.ndim == 3:
-        try:
-            return _kernels.orthonormalize_batch(a, RANK_FLOOR)
-        except ValueError as exc:
-            raise RankDeficient(str(exc)) from exc
-    if _use_compiled and a.ndim > 3:
-        lead = a.shape[:-2]
-        flat = a.reshape((-1,) + a.shape[-2:])
-        try:
-            q = _kernels.orthonormalize_batch(flat, RANK_FLOOR)
-        except ValueError as exc:
-            raise RankDeficient(str(exc)) from exc
-        return q.reshape(lead + a.shape[-2:])
-    return _orthonormalize_np(a)
+    if not _use_compiled:
+        return thin_qr_batch(a)[0]
+    try:
+        q = _kernels.orthonormalize_batch(a.reshape((-1,) + a.shape[-2:]), RANK_FLOOR)
+    except ValueError as exc:
+        raise RankDeficient(str(exc)) from exc
+    return q.reshape(a.shape)
 
 
 def scan_frames(hq, frames):
@@ -94,7 +69,8 @@ def scan_frames(hq, frames):
     frames = np.ascontiguousarray(frames, dtype=np.complex128)
     if _use_compiled:
         return _kernels.scan_frames(hq, frames)
-    return _scan_frames_np(hq, frames)
+    idx, d2, _ = _scan_np(hq[np.newaxis], frames[np.newaxis])
+    return int(idx[0]), float(d2[0])
 
 
 def quantize_gaussians(hq, gauss):
@@ -110,4 +86,4 @@ def quantize_gaussians(hq, gauss):
             return _kernels.quantize_gaussians(hq, gauss, RANK_FLOOR)
         except ValueError as exc:
             raise RankDeficient(str(exc)) from exc
-    return _quantize_gaussians_np(hq, gauss)
+    return _scan_np(hq, thin_qr_batch(gauss)[0])

@@ -36,6 +36,7 @@ guard_product         emulation validity threshold (default 40)
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -100,16 +101,18 @@ def _parse_bits_table(text):
     return table
 
 
-def _snr_grid(cfg):
-    start = _get(cfg, "snr_start", float, required=True)
-    stop = _get(cfg, "snr_stop", float, default=start)
-    step = _get(cfg, "snr_step", float, default=5.0)
-    if step <= 0:
-        raise ConfigError("snr_step must be positive")
-    if stop < start:
-        raise ConfigError("snr_stop must be >= snr_start")
+def _grid(start, stop, step):
+    """Inclusive SNR grid start, start + step, ..., stop."""
+    if not (math.isfinite(start) and math.isfinite(stop)) or not step > 0 or stop < start:
+        raise ConfigError("SNR range must be finite and run forward with a positive step")
     count = int((stop - start) / step + 1e-9) + 1
     return tuple(start + i * step for i in range(count))
+
+
+def _snr_grid(cfg):
+    start = _get(cfg, "snr_start", float, required=True)
+    return _grid(start, _get(cfg, "snr_stop", float, default=start),
+                 _get(cfg, "snr_step", float, default=5.0))
 
 
 def build_spec(cfg, seed_override=None):
@@ -162,10 +165,7 @@ def _scaling_grid(args):
         if args.snr_start is None or args.snr_stop is None:
             raise ConfigError("give either --snr start:stop:step or --snr-start/--snr-stop")
         start, stop, step = args.snr_start, args.snr_stop, args.snr_step
-    if step <= 0 or stop < start:
-        raise ConfigError("SNR range must run forward with a positive step")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    return _grid(start, stop, step)
 
 
 def cmd_scaling(args):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _backend
 from .errors import DimensionError, ParameterError
-from .linalg import left_nullspace_basis
+from .linalg import left_nullspace_basis_batch
 
 __all__ = [
     "RngStream",
@@ -90,19 +90,17 @@ def isotropic_frame(rng, m, n, batch=()):
     """
     if m < n:
         raise DimensionError(f"frame needs m >= n, got ({m}, {n})")
-    g = gaussian_matrix(rng, m, n, batch=batch)
-    if g.ndim == 2:
-        return _backend.orthonormalize(g[np.newaxis])[0]
-    return _backend.orthonormalize(g)
+    return _backend.orthonormalize(gaussian_matrix(rng, m, n, batch=batch))
 
 
 def isotropic_frame_in_nullspace(rng, a, n):
-    """Isotropic n-frame inside the left nullspace of a.
+    """Isotropic n-frame inside the left nullspace of a, or of each item of
+    a stack.
 
     Parameters
     ----------
-    a : (m, k) ndarray with m > k; the frame lives in the (m - k)-dim
-        orthogonal complement of its columns.
+    a : (..., m, k) ndarray with m > k; each frame lives in the (m - k)-dim
+        orthogonal complement of its matrix's columns.
     n : number of frame columns, n <= m - k.
 
     Notes
@@ -110,11 +108,11 @@ def isotropic_frame_in_nullspace(rng, a, n):
     Unitary invariance makes the result isotropic within the complement no
     matter which complement basis is used.
     """
-    a = np.asarray(a)
-    basis = left_nullspace_basis(a)
-    if n > basis.shape[1]:
-        raise DimensionError(f"nullspace dimension {basis.shape[1]} cannot hold an n={n} frame")
-    return basis @ isotropic_frame(rng, basis.shape[1], n)
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or n > a.shape[-2] - a.shape[-1]:
+        raise DimensionError(f"the left nullspace of a {a.shape} matrix cannot hold an n={n} frame")
+    basis = left_nullspace_basis_batch(a)
+    return basis @ isotropic_frame(rng, basis.shape[-1], n, batch=a.shape[:-2])
 
 
 def matrix_beta(rng, n, a, b):

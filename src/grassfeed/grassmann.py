@@ -39,6 +39,7 @@ __all__ = [
     "distortion_main_term",
     "distortion_samples",
     "empirical_distortion",
+    "scan_fresh_codebooks",
     "save_codebook",
     "load_codebook",
 ]
@@ -159,14 +160,20 @@ class QuantizationResult:
     entry: np.ndarray
 
 
-def random_codebook(rng, m, n, bits):
-    """Fresh random quantization codebook of 2^bits isotropic frames."""
-    gc = GrassmannConstants(m, n)
+def _codebook_size(bits):
+    """2^bits, once bits >= 0 and the entry cap are checked."""
     if bits < 0:
         raise ParameterError(f"bits must be >= 0, got {bits}")
     size = 2 ** bits
     if size > CODEBOOK_ENTRY_CAP:
         raise MemoryGuard(f"2^{bits} entries exceed the {CODEBOOK_ENTRY_CAP} cap")
+    return size
+
+
+def random_codebook(rng, m, n, bits):
+    """Fresh random quantization codebook of 2^bits isotropic frames."""
+    gc = GrassmannConstants(m, n)
+    size = _codebook_size(bits)
     gen = as_generator(rng)
     g = gaussian_matrix(gen, gc.m, gc.n, batch=(size,))
     return Codebook(gc.m, gc.n, bits, _backend.orthonormalize(g))
@@ -224,6 +231,27 @@ def distortion_bound(gc, bits, a=0.5):
     return distortion_main_term(gc, bits) + gc.n * math.exp(-(product ** (1.0 - a)))
 
 
+def scan_fresh_codebooks(gen, frames, count, m, n, bits, chunk_elems):
+    """Quantize ``count`` frames, each against its own fresh random codebook.
+
+    Runs in chunks of at most ``chunk_elems // (2^bits M N)`` trials (at
+    least one). Per chunk, ``frames(start, stop)`` returns the chunk's
+    (stop - start, M, N) orthonormal frames, possibly drawing from ``gen``;
+    then its 2^bits-entry Gaussian codebooks are drawn from ``gen`` and
+    scanned. Returns the (count,) minimum d^2 and (count, M, N) winners.
+    """
+    size = _codebook_size(bits)
+    per = max(1, int(chunk_elems // (size * m * n)))
+    d2 = np.empty(count)
+    won = np.empty((count, m, n), dtype=np.complex128)
+    for start in range(0, count, per):
+        stop = min(start + per, count)
+        hq = frames(start, stop)
+        g = gaussian_matrix(gen, m, n, batch=(stop - start, size))
+        _, d2[start:stop], won[start:stop] = _backend.quantize_gaussians(hq, g)
+    return d2, won
+
+
 def distortion_samples(rng, m, n, bits, trials, chunk_elems=2 ** 22):
     """Per-trial min d^2 values with a fresh random codebook every trial.
 
@@ -235,22 +263,12 @@ def distortion_samples(rng, m, n, bits, trials, chunk_elems=2 ** 22):
     GrassmannConstants(m, n)  # validates the shape
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    size = 2 ** bits
-    if size > CODEBOOK_ENTRY_CAP:
-        raise MemoryGuard(f"2^{bits} entries exceed the {CODEBOOK_ENTRY_CAP} cap")
     gen = as_generator(rng)
-    per_chunk = max(1, int(chunk_elems // (size * m * n)))
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        cur = min(per_chunk, trials - done)
-        h = gaussian_matrix(gen, m, n, batch=(cur,))
-        hq = _backend.orthonormalize(h)
-        g = gaussian_matrix(gen, m, n, batch=(cur, size))
-        _, d2, _ = _backend.quantize_gaussians(hq, g)
-        out[done:done + cur] = d2
-        done += cur
-    return out
+
+    def channels(start, stop):
+        return _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(stop - start,)))
+
+    return scan_fresh_codebooks(gen, channels, trials, m, n, bits, chunk_elems)[0]
 
 
 def empirical_distortion(rng, m, n, bits, trials, chunk_elems=2 ** 22):

@@ -83,19 +83,30 @@ def thin_qr(a):
     is what makes QR of a complex Gaussian matrix Haar distributed.
     """
     a = _as_matrix(a)
-    m, n = a.shape
-    if m < n:
+    if a.shape[0] < a.shape[1]:
         raise DimensionError(f"thin_qr needs m >= n, got {a.shape}")
-    q, r = np.linalg.qr(a, mode="reduced")
-    d = np.diagonal(r).copy()
-    floor = RANK_FLOOR * np.linalg.norm(a)
-    if not np.all(np.abs(d) > floor):
-        raise RankDeficient(f"column rank below floor {floor:g}")
-    phase = d / np.abs(d)
-    q = q * phase[np.newaxis, :]
-    r = phase.conj()[:, np.newaxis] * r
+    q, r = thin_qr_batch(a[np.newaxis])
+    return q[0], r[0]
+
+
+def thin_qr_batch(a):
+    """:func:`thin_qr` of every item of a tall (..., m, n) stack. Internal.
+
+    Raises RankDeficient if any item falls under the rank floor (NaN
+    input counts as rank deficient).
+    """
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    ad = np.abs(d)
+    floor = RANK_FLOOR * np.linalg.norm(a, axis=(-2, -1))
+    if not np.all(ad > floor[..., np.newaxis]):
+        raise RankDeficient(f"column rank below the {RANK_FLOOR:g} relative floor")
+    phase = d / ad
+    q = q * phase[..., np.newaxis, :]
+    r *= phase.conj()[..., :, np.newaxis]
     # force the diagonal exactly real
-    r[np.arange(n), np.arange(n)] = np.abs(d)
+    idx = np.arange(a.shape[-1])
+    r[..., idx, idx] = ad
     return q, r
 
 
@@ -138,32 +149,36 @@ def cholesky_upper(a):
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"square matrix required, got {a.shape}")
-    a = _check_hermitian(a)
-    n = a.shape[0]
-    try:
-        # a = U^H U  <=>  a^T = L L^H with L = U^T (plain transpose)
-        ell = np.linalg.cholesky(a.T)
-        return ell.T.copy()
-    except np.linalg.LinAlgError:
-        pass
-    w, v = np.linalg.eigh(a)
-    if w[0] < -NOT_PSD_TOL:
-        raise NotPSD(f"eigenvalue {w[0]:g} below -{NOT_PSD_TOL:g}")
-    w = np.clip(w, 0.0, None)
-    b = np.sqrt(w)[:, np.newaxis] * v.conj().T
-    _, r = np.linalg.qr(b, mode="reduced")
-    d = np.diagonal(r)
-    nz = np.abs(d) > 0
-    phase = np.where(nz, d / np.where(nz, np.abs(d), 1.0), 1.0)
-    r = phase.conj()[:, np.newaxis] * r
-    r[np.arange(n), np.arange(n)] = np.abs(d)
-    return r
+    return cholesky_upper_batch(_check_hermitian(a)[np.newaxis])[0]
 
 
 def cholesky_upper_batch(a):
-    """Batched U^H U = a for strictly PD input, no clamping. Internal."""
-    ell = np.linalg.cholesky(np.swapaxes(a, -2, -1))
-    return np.swapaxes(ell, -2, -1)
+    """:func:`cholesky_upper` of every item of a Hermitian (..., n, n) stack.
+
+    Internal. PD stacks take one batched Cholesky. If any item is not PD,
+    the whole stack is factored through the clamped eigendecomposition
+    instead.
+    """
+    try:
+        # a = U^H U  <=>  a^T = L L^H with L = U^T (plain transpose)
+        ell = np.linalg.cholesky(np.swapaxes(a, -2, -1))
+        return np.swapaxes(ell, -2, -1)
+    except np.linalg.LinAlgError:
+        pass
+    w, v = np.linalg.eigh(a)
+    if not np.all(w[..., 0] >= -NOT_PSD_TOL):
+        raise NotPSD(f"eigenvalue {np.min(w):g} below -{NOT_PSD_TOL:g}")
+    w = np.clip(w, 0.0, None)
+    b = np.sqrt(w)[..., :, np.newaxis] * np.conj(np.swapaxes(v, -2, -1))
+    _, r = np.linalg.qr(b)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    ad = np.abs(d)
+    nz = ad > 0
+    phase = np.where(nz, d / np.where(nz, ad, 1.0), 1.0)
+    r *= phase.conj()[..., :, np.newaxis]
+    idx = np.arange(a.shape[-1])
+    r[..., idx, idx] = ad
+    return r
 
 
 def left_nullspace_basis(a):
@@ -185,21 +200,22 @@ def left_nullspace_basis(a):
         If m <= n.
     """
     a = _as_matrix(a)
-    m, n = a.shape
-    if m <= n:
+    if a.shape[0] <= a.shape[1]:
         raise DimensionError(f"nullspace needs m > n, got {a.shape}")
-    q, r = np.linalg.qr(a, mode="complete")
-    d = np.diagonal(r[:n, :])
-    floor = RANK_FLOOR * np.linalg.norm(a)
-    if not np.all(np.abs(d) > floor):
-        raise RankDeficient(f"column rank below floor {floor:g}")
-    return q[:, n:]
+    return left_nullspace_basis_batch(a[np.newaxis])[0]
 
 
 def left_nullspace_basis_batch(a):
-    """Batched complement basis, full-rank input assumed. Internal."""
+    """:func:`left_nullspace_basis` of every item of a (..., m, n) stack.
+
+    Internal. Raises RankDeficient if any item falls under the rank floor.
+    """
     n = a.shape[-1]
     q, r = np.linalg.qr(a, mode="complete")
+    d = np.diagonal(r[..., :n, :], axis1=-2, axis2=-1)
+    floor = RANK_FLOOR * np.linalg.norm(a, axis=(-2, -1))
+    if not np.all(np.abs(d) > floor[..., np.newaxis]):
+        raise RankDeficient(f"column rank below the {RANK_FLOOR:g} relative floor")
     return q[..., n:]
 
 
@@ -219,16 +235,17 @@ def logdet_hermitian(a):
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"square matrix required, got {a.shape}")
-    a = _check_hermitian(a)
+    return float(logdet_hermitian_batch(_check_hermitian(a)[np.newaxis])[0])
+
+
+def logdet_hermitian_batch(a):
+    """:func:`logdet_hermitian` of every item of a Hermitian (..., n, n) stack.
+
+    Internal. Raises NotPD if any item is not positive definite.
+    """
     try:
         ell = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPD("matrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log2(np.real(np.diagonal(ell)))))
-
-
-def logdet_hermitian_batch(a):
-    """Batched log2 det for PD input, no checks. Internal."""
-    ell = np.linalg.cholesky(a)
     diag = np.real(np.diagonal(ell, axis1=-2, axis2=-1))
     return 2.0 * np.sum(np.log2(diag), axis=-1)

@@ -36,7 +36,7 @@ import numpy as np
 from . import _backend
 from .ensembles import as_generator, gaussian_matrix
 from .errors import DimensionError, ParameterError, RankDeficient
-from .linalg import logdet_hermitian, logdet_hermitian_batch
+from .linalg import logdet_hermitian_batch
 
 __all__ = [
     "SystemConfig",
@@ -140,27 +140,20 @@ def zf_precoders(cfg, knowledge):
 def instant_rate_per_user(cfg, h_k, precoders, k):
     """Instantaneous rate of user k under a full precoder set.
 
-    Treats user k's N receive antennas jointly; power P/M per stream.
+    Treats user k's N receive antennas jointly; power P/M per stream. This
+    validates its arguments and evaluates :func:`rates_batch` with h_k in
+    every user's slot, reading off user k.
     """
     h_k = np.asarray(h_k, dtype=np.complex128)
     if h_k.shape != (cfg.m, cfg.n):
         raise DimensionError(f"channel must be ({cfg.m}, {cfg.n}), got {h_k.shape}")
     mats = precoders.matrices
-    if mats.shape[0] != cfg.k:
-        raise DimensionError(f"precoder set has {mats.shape[0]} users, config says {cfg.k}")
+    if mats.shape[:2] != (cfg.k, cfg.m):
+        raise DimensionError(f"precoder set must be {cfg.k} matrices with {cfg.m} rows, got {mats.shape}")
     if not 0 <= k < cfg.k:
         raise ParameterError(f"user index {k} out of range 0..{cfg.k - 1}")
-    c = cfg.p / cfg.m
-    eye = np.eye(cfg.n)
-    full = eye.astype(np.complex128).copy()
-    intf = eye.astype(np.complex128).copy()
-    for j in range(cfg.k):
-        g = h_k.conj().T @ mats[j]
-        term = c * (g @ g.conj().T)
-        full += term
-        if j != k:
-            intf += term
-    return logdet_hermitian(full) - logdet_hermitian(intf)
+    channels = np.broadcast_to(h_k, (1, cfg.k, cfg.m, cfg.n))
+    return float(rates_batch(cfg.p, channels, mats[np.newaxis])[0, k])
 
 
 @dataclass(frozen=True)

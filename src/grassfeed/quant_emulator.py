@@ -30,7 +30,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
 from . import _backend
-from .ensembles import as_generator, gaussian_matrix, isotropic_frame, isotropic_frame_in_nullspace
+from .ensembles import as_generator, isotropic_frame, isotropic_frame_in_nullspace
 from .errors import (
     DegenerateProjection,
     DimensionError,
@@ -40,13 +40,14 @@ from .errors import (
     RankDeficient,
 )
 from .grassmann import GrassmannConstants, _check_frame
-from .linalg import cholesky_upper, cholesky_upper_batch, left_nullspace_basis, left_nullspace_basis_batch, thin_qr
+from .linalg import cholesky_upper_batch, left_nullspace_basis, thin_qr
 
 __all__ = [
     "DEFAULT_GUARD_PRODUCT",
     "QuantDecomposition",
     "CondEigSampler",
     "decompose",
+    "emulation_valid",
     "sample_min_d2",
     "sample_cond_eigs",
     "emulate_quantization",
@@ -223,15 +224,18 @@ def default_cond_sampler(m):
     return _sampler_cache[m]
 
 
-def _check_guard(gc, bits, guard_product):
+def emulation_valid(gc, bits, guard_product):
+    """The emulation guard 2^bits * C_MN >= guard_product, in the log domain.
+
+    The engine's mode choice and :func:`sample_min_d2` both decide by it.
+    Raises ParameterError for negative bits, or unless guard_product is
+    finite and positive.
+    """
     if bits < 0:
         raise ParameterError(f"bits must be >= 0, got {bits}")
-    # log domain: 2^B * C_MN >= guard without overflowing for large B
-    if bits + gc.log2_c < math.log2(guard_product):
-        raise FallbackRequired(
-            f"2^{bits} * C_MN < {guard_product:g}: closed-form min-d^2 CDF not valid, "
-            "use the exhaustive codebook path"
-        )
+    if not 0.0 < guard_product < math.inf:
+        raise ParameterError(f"guard_product must be finite and positive, got {guard_product}")
+    return bits + gc.log2_c >= math.log2(guard_product)
 
 
 def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None):
@@ -252,7 +256,11 @@ def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None)
     FallbackRequired
         If the guard fails; callers should run the exhaustive scan instead.
     """
-    _check_guard(gc, bits, guard_product)
+    if not emulation_valid(gc, bits, guard_product):
+        raise FallbackRequired(
+            f"2^{bits} * C_MN < {guard_product:g}: closed-form min-d^2 CDF not valid, "
+            "use the exhaustive codebook path"
+        )
     gen = as_generator(rng)
     uni = gen.random(size)
     uni = np.clip(uni, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
@@ -261,10 +269,20 @@ def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None)
 
 
 def _min_d2_from_uniform(gc, bits, u):
-    """Inverse-CDF map from uniform u to min d^2 (endpoints included)."""
+    """Inverse-CDF map from uniform u to min d^2 (endpoints included).
+
+    Past B = 1022, 2^-B is not a normal double, so F is taken as
+    2^-B * (-log(1 - u)), exact to double precision there, and x is formed
+    in the log domain; it underflows to 0 only below the smallest double.
+    """
     with np.errstate(divide="ignore"):  # log1p(-1) at u = 1; limit is x = 1
-        f_target = -np.expm1(2.0 ** (-bits) * np.log1p(-np.asarray(u, dtype=float)))
-    return np.minimum((f_target / gc.c) ** (1.0 / gc.t), 1.0)
+        log_surv = np.log1p(-np.asarray(u, dtype=float))
+        if bits <= -np.finfo(float).minexp:
+            f_target = -np.expm1(2.0 ** (-bits) * log_surv)
+            return np.minimum((f_target / gc.c) ** (1.0 / gc.t), 1.0)
+        # log2(0) = -inf at u = 0; the limit is x = 0
+        log2_f = np.log2(-log_surv) - bits
+    return np.minimum(np.exp2((log2_f - gc.log2_c) / gc.t), 1.0)
 
 
 def sample_cond_eigs(rng, sampler, z):
@@ -316,6 +334,8 @@ def emulate_quantization(rng, h_tilde, bits, sampler=None,
     H_hat = h_tilde X Y + S Z, where trace(Z^H Z) is the sampled minimum
     distortion, X is Haar, and S is isotropic in the left nullspace.
 
+    It checks the frame and runs :func:`emulate_batch` on a one-item stack.
+
     Parameters
     ----------
     rng : RngStream or Generator. Draw order is fixed: min d^2, then the
@@ -332,43 +352,28 @@ def emulate_quantization(rng, h_tilde, bits, sampler=None,
     (h_hat, d2) : the emulated quantized frame and its squared distance.
     """
     h_tilde = _check_frame(h_tilde, "h_tilde")
-    m, n = h_tilde.shape
-    if n not in (1, 2):
-        raise ParameterError(f"emulation supports N in {{1, 2}}, got N={n}")
-    if m < 2 * n:
-        raise DimensionError(f"need M >= 2N, got ({m}, {n})")
-    gc = GrassmannConstants(m, n)
-    gen = as_generator(rng)
-    z = sample_min_d2(gen, gc, bits, guard_product=guard_product)
-    if n == 1:
-        zmat = np.array([[math.sqrt(z)]], dtype=np.complex128)
-        y = np.array([[math.sqrt(1.0 - z)]], dtype=np.complex128)
-    else:
-        if sampler is None:
-            sampler = default_cond_sampler(m)
-        elif sampler.m != m:
-            raise ParameterError(f"sampler built for M={sampler.m}, channel has M={m}")
-        d1, d2p = sample_cond_eigs(gen, sampler, z)
-        evec = isotropic_frame(gen, 2, 2)
-        zgram = (evec * np.array([d1, d2p])) @ evec.conj().T
-        zmat = cholesky_upper(zgram)
-        y = cholesky_upper(np.eye(2) - zgram)
-    x = isotropic_frame(gen, n, n)
-    s = isotropic_frame_in_nullspace(gen, h_tilde, n)
-    h_hat = h_tilde @ (x @ y) + s @ zmat
-    return h_hat, z
+    h_hat, d2 = emulate_batch(rng, h_tilde[np.newaxis], bits, sampler=sampler,
+                              guard_product=guard_product)
+    return h_hat[0], float(d2[0])
 
 
 def emulate_batch(rng, hq, bits, sampler=None, guard_product=DEFAULT_GUARD_PRODUCT):
-    """Vectorized :func:`emulate_quantization` over a (T, M, N) frame stack.
+    """Emulated quantization of every frame of a (T, M, N) orthonormal stack.
 
-    Internal engine path; one generator drives the whole batch with the
-    draw order (z, u, eigenvectors, X, S) applied arraywise.
+    The implementation behind :func:`emulate_quantization` (see it for the
+    parameters): one generator drives the stack with its draw order
+    (z, u, eigenvectors, X, S) applied arraywise. Returns (T, M, N) frames
+    and (T,) d^2. Any bit budget works: a d^2 that underflows to 0 gives
+    Z = 0 and Y = I.
     """
     hq = np.asarray(hq, dtype=np.complex128)
     t, m, n = hq.shape
     if n not in (1, 2):
         raise ParameterError(f"emulation supports N in {{1, 2}}, got N={n}")
+    if m < 2 * n:
+        raise DimensionError(f"need M >= 2N, got ({m}, {n})")
+    if n == 2 and sampler is not None and sampler.m != m:
+        raise ParameterError(f"sampler built for M={sampler.m}, channel has M={m}")
     gc = GrassmannConstants(m, n)
     gen = as_generator(rng)
     z = sample_min_d2(gen, gc, bits, guard_product=guard_product, size=t)
@@ -388,8 +393,6 @@ def emulate_batch(rng, hq, bits, sampler=None, guard_product=DEFAULT_GUARD_PRODU
         eye = np.broadcast_to(np.eye(2), (t, 2, 2))
         y = cholesky_upper_batch(eye - zgram)
     x = isotropic_frame(gen, n, n, batch=(t,))
-    basis = left_nullspace_basis_batch(hq)
-    rot = isotropic_frame(gen, m - n, n, batch=(t,))
-    s = basis @ rot
+    s = isotropic_frame_in_nullspace(gen, hq, n)
     h_hat = hq @ (x @ y) + s @ zmat
     return h_hat, z

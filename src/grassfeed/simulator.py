@@ -47,9 +47,14 @@ from .errors import (
     NoOverlap,
     ParameterError,
 )
-from .grassmann import CODEBOOK_ENTRY_CAP, GrassmannConstants
+from .grassmann import CODEBOOK_ENTRY_CAP, GrassmannConstants, scan_fresh_codebooks
 from .precoding import bd_precoders_batch, rates_batch, zf_precoders_batch
-from .quant_emulator import DEFAULT_GUARD_PRODUCT, default_cond_sampler, emulate_batch
+from .quant_emulator import (
+    DEFAULT_GUARD_PRODUCT,
+    default_cond_sampler,
+    emulate_batch,
+    emulation_valid,
+)
 from .scaling import bd_3db_bits
 
 __all__ = [
@@ -69,6 +74,11 @@ CHUNK_TRIALS = 1024
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _MODES = ("perfect", "quantized_emulated", "quantized_exhaustive", "analog")
 _SCHEDULES = ("fixed", "scaled_3db", "custom")
+
+
+def _is_count(x):
+    """True for a nonnegative integer; bools and integral floats are not counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
 
 
 @dataclass(frozen=True)
@@ -96,20 +106,27 @@ class FeedbackPolicy:
         if quantized:
             if self.schedule not in _SCHEDULES:
                 raise IncompatiblePolicy(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
-            if self.schedule == "fixed" and (self.bits is None or self.bits < 0):
-                raise IncompatiblePolicy("fixed schedule needs bits >= 0")
-            if self.schedule == "custom" and not self.bits_table:
-                raise IncompatiblePolicy("custom schedule needs a bits_table")
+            if self.schedule == "fixed" and not _is_count(self.bits):
+                raise IncompatiblePolicy(f"fixed schedule needs integer bits >= 0, got {self.bits!r}")
+            if self.schedule == "custom":
+                if not self.bits_table:
+                    raise IncompatiblePolicy("custom schedule needs a bits_table")
+                if not all(_is_count(b) for b in self.bits_table.values()):
+                    raise IncompatiblePolicy("bits_table budgets must be integers >= 0")
             if self.beta is not None:
                 raise IncompatiblePolicy("beta only applies to analog mode")
         elif self.mode == "analog":
-            if self.beta is None or not self.beta >= 1.0:
-                raise IncompatiblePolicy("analog mode needs beta >= 1")
+            if self.beta is None or not 1.0 <= self.beta < math.inf:
+                raise IncompatiblePolicy(f"analog mode needs a finite beta >= 1, got {self.beta!r}")
             if self.bits is not None or self.bits_table is not None:
                 raise IncompatiblePolicy("bit budgets only apply to quantized modes")
         else:
             if self.bits is not None or self.bits_table is not None or self.beta is not None:
                 raise IncompatiblePolicy("perfect mode takes no feedback parameters")
+        if not 0.0 < self.guard_product < math.inf:
+            raise IncompatiblePolicy(
+                f"guard_product must be finite and positive, got {self.guard_product!r}"
+            )
 
     def resolve_bits(self, p_db, m, n):
         """Integer bit budget at one SNR point, or None for modes without bits."""
@@ -138,16 +155,21 @@ class ExperimentSpec:
     precoder: str = "bd"
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 2 * self.n or self.m % self.n != 0:
+        if (
+            not (_is_count(self.m) and _is_count(self.n))
+            or self.n < 1 or self.m < 2 * self.n or self.m % self.n != 0
+        ):
             raise ParameterError(f"need K = M/N >= 2 integer, got M={self.m}, N={self.n}")
         grid = tuple(float(p) for p in self.snr_grid_db)
         if len(grid) == 0:
             raise ParameterError("snr_grid_db grid is empty")
+        if not all(math.isfinite(p) for p in grid):
+            raise ParameterError(f"snr_grid_db points must be finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("snr_grid_db grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if not _is_count(self.trials) or self.trials < 1:
+            raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.precoder not in ("bd", "zf"):
             raise ParameterError(f"precoder must be 'bd' or 'zf', got {self.precoder!r}")
         if (
@@ -196,15 +218,12 @@ def _effective_mode(spec, bits):
                 f"2^{unit_bits} codebook entries exceed the {CODEBOOK_ENTRY_CAP} cap"
             )
         return mode
-    guard = spec.policy.guard_product
     if spec.precoder == "zf":
         # per-antenna budgets; the smallest group decides
-        low = bits // spec.n
-        gc = GrassmannConstants(spec.m, 1)
+        gc, low = GrassmannConstants(spec.m, 1), bits // spec.n
     else:
-        low = bits
-        gc = GrassmannConstants(spec.m, spec.n)
-    if low + gc.log2_c >= math.log2(guard):
+        gc, low = GrassmannConstants(spec.m, spec.n), bits
+    if emulation_valid(gc, low, spec.policy.guard_product):
         return "quantized_emulated"
     if 2 ** unit_bits <= CODEBOOK_ENTRY_CAP:
         return "quantized_exhaustive"
@@ -220,24 +239,16 @@ def _antenna_budgets(bits, n):
     return [base + 1 if i < rem else base for i in range(n)]
 
 
-def _quantize_directions(gen, h, bits, mode, guard_product, m):
-    """Quantize a stack of (M, 1) directions under a shared budget."""
-    count = h.shape[0]
+def _quantize(gen, h, bits, eff_mode, guard_product):
+    """Quantized knowledge of a (T, M, N) channel stack under one budget.
+
+    Under "quantized_emulated" the budget has already passed the guard.
+    """
     hq = _backend.orthonormalize(h)
-    if mode == "quantized_emulated" and bits >= 1 and bits + 0.0 >= math.log2(guard_product):
-        out, _ = emulate_batch(gen, hq, bits, guard_product=guard_product)
-        return out
-    size = 2 ** bits
-    per = max(1, int(2 ** 21 // (size * m)))
-    out = np.empty_like(hq)
-    done = 0
-    while done < count:
-        cur = min(per, count - done)
-        g = gaussian_matrix(gen, m, 1, batch=(cur, size))
-        _, _, qwin = _backend.quantize_gaussians(hq[done:done + cur], g)
-        out[done:done + cur] = qwin
-        done += cur
-    return out
+    if eff_mode == "quantized_emulated":
+        return emulate_batch(gen, hq, bits, guard_product=guard_product)[0]
+    t, m, n = hq.shape
+    return scan_fresh_codebooks(gen, lambda start, stop: hq[start:stop], t, m, n, bits, 2 ** 21)[1]
 
 
 def _chunk_sum_rates(spec, point_idx, chunk_idx, count, p_db, bits, eff_mode):
@@ -254,37 +265,17 @@ def _chunk_sum_rates(spec, point_idx, chunk_idx, count, p_db, bits, eff_mode):
         snr = spec.policy.beta * p
         noise = gaussian_matrix(gen, m, n, batch=(count, k))
         knowledge = math.sqrt(snr) / (1.0 + snr) * (math.sqrt(snr) * h + noise)
-    elif spec.precoder == "zf":
-        budgets = _antenna_budgets(bits, n)
-        flat = h.reshape(count * k, m, n)
-        know = np.empty_like(flat)
-        for i, b_ant in enumerate(budgets):
-            cols = flat[:, :, i:i + 1]
-            know[:, :, i:i + 1] = _quantize_directions(
-                gen, cols, b_ant, eff_mode, spec.policy.guard_product, m
-            )
-        knowledge = know.reshape(count, k, m, n)
     else:
+        guard = spec.policy.guard_product
         flat = h.reshape(count * k, m, n)
-        hq = _backend.orthonormalize(flat)
-        if eff_mode == "quantized_emulated":
-            h_hat, _ = emulate_batch(
-                gen, hq, bits,
-                sampler=default_cond_sampler(m) if n == 2 else None,
-                guard_product=spec.policy.guard_product,
-            )
+        if spec.precoder == "zf":
+            # each receive antenna's direction on G(M, 1), budget split evenly
+            know = np.empty_like(flat)
+            for i, b_ant in enumerate(_antenna_budgets(bits, n)):
+                know[:, :, i:i + 1] = _quantize(gen, flat[:, :, i:i + 1], b_ant, eff_mode, guard)
         else:
-            size = 2 ** bits
-            per = max(1, int(2 ** 21 // (size * m * n)))
-            h_hat = np.empty_like(hq)
-            done = 0
-            while done < count * k:
-                cur = min(per, count * k - done)
-                g = gaussian_matrix(gen, m, n, batch=(cur, size))
-                _, _, qwin = _backend.quantize_gaussians(hq[done:done + cur], g)
-                h_hat[done:done + cur] = qwin
-                done += cur
-        knowledge = h_hat.reshape(count, k, m, n)
+            know = _quantize(gen, flat, bits, eff_mode, guard)
+        knowledge = know.reshape(count, k, m, n)
 
     if spec.precoder == "zf":
         v = zf_precoders_batch(knowledge)

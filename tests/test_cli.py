@@ -172,6 +172,32 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path / "no.cfg"), "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bit_budget_past_underflow(self, tmp_path):
+        text = BASIC.replace("mode = perfect", "mode = quantized_emulated\nB = 1100")
+        out = str(tmp_path / "curve.csv")
+        assert main(["simulate", "--config", _write_config(tmp_path, text), "--out", out]) == 0
+        curve = read_curve_csv(out)
+        assert [pt.mode for pt in curve.points] == ["quantized_emulated"] * 3
+        assert np.all(np.isfinite(curve.sum_rate))
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("mode = perfect", "mode = quantized_emulated\nB = 8\nguard_product = 0"),
+            ("mode = perfect", "mode = quantized_emulated\nB = 8\nguard_product = nan"),
+            ("mode = perfect", "mode = analog\nbeta = inf"),
+            ("mode = perfect", "mode = quantized_exhaustive\nschedule = custom\n"
+                               "bits_table = 0:2, 5:-1, 10:3"),
+            ("snr_stop = 10", "snr_stop = inf"),
+            ("snr_start = 0", "snr_start = nan"),
+        ],
+    )
+    def test_rejected_input_exits_2(self, tmp_path, capsys, old, new):
+        cfg = _write_config(tmp_path, BASIC.replace(old, new))
+        out = str(tmp_path / "curve.csv")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestScalingCommand:
     def test_colon_syntax(self, capsys):

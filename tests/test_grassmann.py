@@ -24,7 +24,9 @@ from grassfeed.grassmann import (
     quantize,
     random_codebook,
     save_codebook,
+    scan_fresh_codebooks,
 )
+from grassfeed import _backend
 from tests.test_ensembles import restricted_ks
 
 
@@ -291,3 +293,28 @@ class TestEmpiricalDistortion:
         assert np.array_equal(a, b)
         assert a.shape == (500,)
         assert a.min() >= 0.0 and a.max() <= 2.0
+
+
+class TestScanFreshCodebooks:
+    def test_matches_per_trial_oracle(self):
+        """One trial per chunk: each trial's codebook is the next draw, and
+        the winner is the chordal-nearest of its entries, lowest index first."""
+        m, n, bits, trials = 4, 2, 3, 6
+        hq = isotropic_frame(RngStream(12).child(0), m, n, batch=(trials,))
+        d2, won = scan_fresh_codebooks(
+            RngStream(12).child(1).generator(), lambda a, b: hq[a:b], trials, m, n, bits, 1
+        )
+        gen = RngStream(12).child(1).generator()
+        for t in range(trials):
+            book = _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(1, 2 ** bits)))[0]
+            dists = [chordal_distance_sq(hq[t], e) for e in book]
+            best = int(np.argmin(dists))
+            assert d2[t] == pytest.approx(dists[best], abs=1e-12)
+            assert np.abs(won[t] - book[best]).max() <= 1e-12
+
+    def test_guards(self):
+        gen = RngStream(12).child(2).generator()
+        with pytest.raises(ParameterError):
+            scan_fresh_codebooks(gen, None, 1, 4, 2, -1, 2 ** 21)
+        with pytest.raises(MemoryGuard):
+            scan_fresh_codebooks(gen, None, 1, 4, 2, 25, 2 ** 21)

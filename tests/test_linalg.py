@@ -10,10 +10,14 @@ from grassfeed.errors import (
 )
 from grassfeed.linalg import (
     cholesky_upper,
+    cholesky_upper_batch,
     hermitian_eig,
     left_nullspace_basis,
+    left_nullspace_basis_batch,
     logdet_hermitian,
+    logdet_hermitian_batch,
     thin_qr,
+    thin_qr_batch,
 )
 
 
@@ -181,3 +185,64 @@ class TestLogdetHermitian:
     def test_not_pd(self):
         with pytest.raises(NotPD):
             logdet_hermitian(np.diag([1.0, 0.0]).astype(complex))
+
+
+class TestBatchKernels:
+    """The *_batch kernels the engine runs, on stacks with bad items."""
+
+    def test_thin_qr_batch_matches_scalar(self):
+        rng = np.random.default_rng(17)
+        a = np.stack([_complex_gaussian(rng, 6, 2) for _ in range(20)])
+        q, r = thin_qr_batch(a)
+        for i in range(20):
+            qi, ri = thin_qr(a[i])
+            np.testing.assert_array_equal(q[i], qi)
+            np.testing.assert_array_equal(r[i], ri)
+
+    def test_thin_qr_batch_nan_is_rank_deficient(self):
+        a = np.zeros((3, 4, 2), dtype=complex)
+        a[:] = np.eye(4)[:, :2]
+        a[1, 0, 0] = np.nan
+        with pytest.raises(RankDeficient):
+            thin_qr_batch(a)
+
+    def test_cholesky_psd_items(self):
+        """One PSD item sends the stack through the clamped path: a zero
+        matrix factors to 0, the identity to I, and a PD item still
+        round-trips."""
+        rng = np.random.default_rng(19)
+        b = _complex_gaussian(rng, 2, 2)
+        a = np.stack([np.zeros((2, 2)), np.eye(2), b.conj().T @ b, np.diag([1.0, -1e-13])]).astype(complex)
+        clamped = a.copy()
+        clamped[3, 1, 1] = 0.0
+        u = cholesky_upper_batch(a)
+        np.testing.assert_array_equal(u[0], 0.0)
+        np.testing.assert_allclose(u[1], np.eye(2), atol=1e-15)
+        for i in range(4):
+            assert np.linalg.norm(u[i].conj().T @ u[i] - clamped[i]) <= 1e-10 * max(np.linalg.norm(a[i]), 1)
+            assert np.allclose(u[i], np.triu(u[i]))
+            d = np.diagonal(u[i])
+            assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
+
+    def test_cholesky_pd_stack_takes_plain_cholesky(self):
+        rng = np.random.default_rng(20)
+        b = np.stack([_complex_gaussian(rng, 3, 3) for _ in range(10)])
+        a = b.conj().swapaxes(-2, -1) @ b
+        expect = np.swapaxes(np.linalg.cholesky(np.swapaxes(a, -2, -1)), -2, -1)
+        np.testing.assert_array_equal(cholesky_upper_batch(a), expect)
+
+    def test_cholesky_not_psd_item(self):
+        a = np.stack([np.eye(2), np.diag([1.0, -1e-6])]).astype(complex)
+        with pytest.raises(NotPSD):
+            cholesky_upper_batch(a)
+
+    def test_logdet_not_pd_item(self):
+        a = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
+        with pytest.raises(NotPD):
+            logdet_hermitian_batch(a)
+
+    def test_nullspace_rank_deficient_item(self):
+        rng = np.random.default_rng(21)
+        a = np.stack([_complex_gaussian(rng, 4, 2), np.ones((4, 2), dtype=complex)])
+        with pytest.raises(RankDeficient):
+            left_nullspace_basis_batch(a)

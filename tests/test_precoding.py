@@ -49,6 +49,21 @@ def _zf_reference(h):
     return out
 
 
+def _rate_reference(p, h_k, mats, k):
+    """User k's rate as the per-user difference of two Cholesky log-dets."""
+    c = p / h_k.shape[0]
+    full = np.eye(h_k.shape[1], dtype=complex)
+    intf = full.copy()
+    for j in range(mats.shape[0]):
+        g = h_k.conj().T @ mats[j]
+        term = c * (g @ g.conj().T)
+        full += term
+        if j != k:
+            intf += term
+    logdet = lambda a: 2.0 * np.sum(np.log2(np.real(np.diagonal(np.linalg.cholesky(a)))))
+    return logdet(full) - logdet(intf)
+
+
 def _cross_gains(h, v):
     """|knowledge column^H beam| for every (column, beam) pair, (T, M, M)."""
     t, k, m, n = h.shape
@@ -424,17 +439,20 @@ class TestBatchParity:
             )
 
     def test_rates_batch_matches_scalar(self):
+        """rates_batch and its scalar wrapper against a per-user log-det
+        loop, on precoders that leave interference."""
         cfg = SystemConfig(4, 2, 10.0)
         gen = RngStream(49).child(2).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(20, 2))
-        pre = bd_precoders_batch(h)
+        pre = bd_precoders_batch(h + 0.3 * gaussian_matrix(gen, 4, 2, batch=(20, 2)))
         rates = rates_batch(cfg.p, h, pre)
         assert rates.shape == (20, 2)
         for t in range(20):
             pset = PrecoderSet(matrices=pre[t], scheme="bd")
             for k in range(2):
-                expect = instant_rate_per_user(cfg, h[t, k], pset, k)
+                expect = _rate_reference(cfg.p, h[t, k], pre[t], k)
                 assert rates[t, k] == pytest.approx(expect, abs=1e-9)
+                assert instant_rate_per_user(cfg, h[t, k], pset, k) == pytest.approx(expect, abs=1e-9)
 
 
 class TestEffectiveChannelMoments:

@@ -113,6 +113,23 @@ class TestSampleMinD2:
         v = sample_min_d2(RngStream(23).child(1), gc, 500, size=100)
         assert np.all(v > 0) and np.all(v < 1e-30)
 
+    def test_log_domain_continues_the_direct_map(self):
+        """Past B = 1022, where 2^-B stops being a normal double, x keeps
+        scaling as 2^(-B/T): one bit shrinks it by 2^(-1/T), T bits halve it.
+        (At B = 1022 the direct map's F is subnormal for small u, so the
+        comparison there starts at u = 1e-3.)"""
+        gc = GrassmannConstants(6, 2)
+        u = np.array([1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-12])
+        direct = _min_d2_from_uniform(gc, 1022, u)
+        logdom = _min_d2_from_uniform(gc, 1023, u)
+        np.testing.assert_allclose(logdom / direct, 2.0 ** (-1.0 / gc.t), rtol=1e-12)
+        u[0] = 1e-12
+        far = _min_d2_from_uniform(gc, 5000 + gc.t, u)
+        np.testing.assert_allclose(far / _min_d2_from_uniform(gc, 5000, u), 0.5, rtol=1e-12)
+        assert _min_d2_from_uniform(gc, 5000, 0.0) == 0.0
+        assert _min_d2_from_uniform(gc, 5000, 1.0) == 1.0
+        assert np.all(_min_d2_from_uniform(gc, 10 ** 5, u) == 0.0)
+
     def test_mean_below_bound(self):
         gc = GrassmannConstants(4, 2)
         v = sample_min_d2(RngStream(23).child(2), gc, 20, size=100000)
@@ -289,6 +306,27 @@ class TestEmulateQuantization:
         h = _orth(gen, 4, 2)
         with pytest.raises(FallbackRequired):
             emulate_quantization(gen, h, 5)
+
+    def test_sampler_must_match_m(self):
+        gen = RngStream(29).child(4).generator()
+        h = _orth(gen, 6, 2)
+        with pytest.raises(ParameterError):
+            emulate_batch(gen, h[np.newaxis], 12, sampler=default_cond_sampler(4))
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (6, 2), (8, 1)])
+    def test_any_bit_budget(self, m, n):
+        """At B = 1100 the distortion is tiny but positive; at B = 10^5 it
+        underflows to 0, so Z = 0, Y = I and each frame spans its channel."""
+        gen = RngStream(29).child(5, m).generator()
+        h = isotropic_frame(gen, m, n, batch=(64,))
+        small, d2 = emulate_batch(gen, h, 1100)
+        assert np.all((d2 > 0.0) & (d2 < 1e-40))
+        frames, d2 = emulate_batch(gen, h, 10 ** 5)
+        assert np.all(d2 == 0.0)
+        for out in (small, frames):
+            overlap = np.einsum("tmi,tmj->tij", h.conj(), out)
+            gram = np.einsum("tki,tkj->tij", overlap.conj(), overlap)
+            assert np.abs(gram - np.eye(n)).max() <= 1e-12
 
     def test_three_column_needs_sampler_support(self):
         gen = RngStream(29).child(3).generator()

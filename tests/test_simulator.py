@@ -11,6 +11,9 @@ from grassfeed.errors import (
     NoOverlap,
     ParameterError,
 )
+from grassfeed import simulator
+from grassfeed.grassmann import GrassmannConstants
+from grassfeed.quant_emulator import sample_min_d2
 from grassfeed.simulator import (
     CHUNK_TRIALS,
     ExperimentSpec,
@@ -167,10 +170,89 @@ class TestEffectiveMode:
         with pytest.raises(FallbackRequired):
             _effective_mode(_spec(policy=pol), 60)
 
+    @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("bd", 8, 2), ("zf", 6, 2)])
+    @pytest.mark.parametrize("guard", [0.5, 1.0, 15.0, 40.0])
+    def test_one_guard_predicate(self, precoder, m, n, guard):
+        """The engine emulates exactly when sample_min_d2 accepts the
+        smallest budget it will be asked to emulate."""
+        gc = GrassmannConstants(m, 1 if precoder == "zf" else n)
+        for bits in range(0, 17):
+            pol = FeedbackPolicy(mode="quantized_emulated", bits=bits, guard_product=guard)
+            mode = _effective_mode(_spec(m=m, n=n, precoder=precoder, policy=pol), bits)
+            low = bits // n if precoder == "zf" else bits
+            try:
+                sample_min_d2(RngStream(1), gc, low, guard_product=guard)
+                accepted = True
+            except FallbackRequired:
+                accepted = False
+            assert (mode == "quantized_emulated") == accepted
+
     def test_antenna_budget_split(self):
         assert _antenna_budgets(13, 2) == [7, 6]
         assert _antenna_budgets(8, 2) == [4, 4]
         assert _antenna_budgets(7, 3) == [3, 2, 2]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(mode="quantized_emulated", bits=10, guard_product=0.0),
+            dict(mode="quantized_emulated", bits=10, guard_product=-1.0),
+            dict(mode="quantized_emulated", bits=10, guard_product=math.nan),
+            dict(mode="quantized_emulated", bits=10, guard_product=math.inf),
+            dict(mode="analog", beta=math.inf),
+            dict(mode="quantized_exhaustive", schedule="custom", bits_table={10.0: -1}),
+            dict(mode="quantized_exhaustive", schedule="custom", bits_table={10.0: 2.5}),
+            dict(mode="quantized_exhaustive", bits=2.5),
+        ],
+    )
+    def test_policy_rejects(self, kw):
+        with pytest.raises(IncompatiblePolicy):
+            FeedbackPolicy(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(snr_grid_db=(math.nan,)),
+            dict(snr_grid_db=(0.0, math.inf)),
+            dict(snr_grid_db=(-math.inf, 0.0)),
+            dict(trials=2.5),
+            dict(trials=True),
+            dict(m=4.0),
+        ],
+    )
+    def test_spec_rejects(self, kw):
+        with pytest.raises(ParameterError):
+            _spec(**kw)
+
+
+class TestAnyBitBudget:
+    @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("bd", 6, 2), ("zf", 8, 1)])
+    @pytest.mark.parametrize("bits", [1100, 10 ** 5])
+    def test_emulated_matches_perfect(self, precoder, m, n, bits):
+        """Budgets past 2^-B underflow still emulate. The distortion is then
+        at most 2^-(B/T) (0 at B = 10^5), so with the same channels the
+        rates are the perfect-CSI rates."""
+        grid = (10.0, 30.0)
+        pol = FeedbackPolicy(mode="quantized_emulated", bits=bits)
+        curve = run_experiment(_spec(m=m, n=n, precoder=precoder, policy=pol, snr_grid_db=grid))
+        perfect = run_experiment(_spec(m=m, n=n, precoder=precoder, snr_grid_db=grid))
+        assert [pt.mode for pt in curve.points] == ["quantized_emulated"] * 2
+        assert np.all(np.isfinite(curve.sum_rate))
+        np.testing.assert_allclose(curve.sum_rate, perfect.sum_rate, rtol=1e-9)
+
+    def test_zf_zero_bit_antenna_emulates(self, monkeypatch):
+        """Under guard_product <= 1 a 0-bit antenna passes the guard, so it
+        is emulated like the others, as the mode column says."""
+        def no_scan(*args, **kwargs):
+            raise AssertionError("exhaustive scan ran on an emulated point")
+
+        monkeypatch.setattr(simulator, "scan_fresh_codebooks", no_scan)
+        pol = FeedbackPolicy(mode="quantized_emulated", bits=1, guard_product=0.5)
+        curve = run_experiment(_spec(precoder="zf", policy=pol, trials=32))
+        assert curve.points[0].mode == "quantized_emulated"
+        assert np.isfinite(curve.points[0].sum_rate)
 
 
 class TestDeterminism:
