@@ -5,32 +5,29 @@ per trial, which caps usable feedback budgets. This module replaces the
 scan by sampling from the exact law of its outcome:
 
 1. The squared chordal distance of one random codebook entry has CDF
-   C_MN x^T on [0, 1]; the scan returns the minimum of 2^B independent
+   C_MN x^T on [0, 1]; the scan returns the minimum z of 2^B independent
    copies, sampled in closed form by inverse-CDF (:func:`sample_min_d2`).
-2. Given that minimum z, the two eigenvalues of Z^H Z (N = 2) follow the
-   conditional law of the matrix-variate Beta(N, M-N) eigenvalues given
-   their sum. The conditional density kernel is
-   (z - 2 d1)^2 (d1 (z - d1))^(M-4) on (0, z), which is homogeneous in z:
-   u = d1/z has a fixed density (1 - 2u)^2 (u(1-u))^(M-4) independent of z,
-   tabulated once per M by :class:`CondEigSampler`.
-3. The quantized frame is reassembled as H_hat = H_tilde X Y + S Z with X
-   Haar unitary and S isotropic in the left nullspace of H_tilde, the same
+2. The quantized frame is H_hat = H_tilde X Y + S Z with X Haar, S
+   isotropic in the left nullspace of H_tilde and trace(Z^H Z) = z, the
    split :func:`decompose` recovers from an explicit (H_tilde, H_hat) pair.
+   Given z, the eigenvalues of Z^H Z have density proportional to
+   Delta(d)^2 prod d_i^(M-2N) on the simplex sum d_i = z, with Haar
+   eigenvectors: the law of a complex Wishart matrix with M - N degrees of
+   freedom, scaled to trace z (James 1964). So S Z is sqrt(z) P / ||P||_F
+   with P = (I - H_tilde H_tilde^H) G for one M x N Gaussian G, and Y is
+   the Cholesky factor of I - Z^H Z.
 
 The emulated (H_hat, d^2) pair is equal in distribution to the exhaustive
-scan's output, at O(1) cost per trial for any B.
+scan's output, at O(1) cost per trial for any B and any N.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import beta as beta_fn
-from scipy.special import betainc
 
-from . import _backend
-from .ensembles import as_generator, isotropic_frame, isotropic_frame_in_nullspace
+from .ensembles import as_generator, gaussian_matrix, isotropic_frame
 from .errors import (
     DegenerateProjection,
     DimensionError,
@@ -55,10 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_GUARD_PRODUCT = 40.0
-_GRID_SIZE = 4097
-_CACHE_VERSION = 1
-# keep inverse-CDF inputs strictly inside (0, 1) so downstream Cholesky
-# factors of Z^H Z and I - Z^H Z stay well defined
+# keep the min-d^2 uniforms strictly inside (0, 1): d^2 < 1 at budgets that
+# pass the default guard, so I - Z^H Z keeps a positive definite factor
 _UNIFORM_EPS = 1e-12
 
 
@@ -130,98 +125,33 @@ def decompose(h_tilde, h_hat):
 class CondEigSampler:
     """Sampler for the eigenvalue split of Z^H Z given its trace (N = 2).
 
-    The conditional density of d1 given d1 + d2 = z <= 1 is proportional to
-    (z - 2 d1)^2 (d1 (z - d1))^(M-4) on (0, z). In the normalized variable
-    u = d1/z the density is (1 - 2u)^2 (u (1-u))^(M-4), z-independent, so a
-    single inverse-CDF table per M covers every z. CDF knots are exact
-    regularized incomplete beta combinations on a 4097-point grid; the
-    inverse is monotone cubic (PCHIP).
-
-    Attributes
-    ----------
-    m : ambient dimension M >= 4.
-    v_m : joint-density normalization (M-1)(M-2)^2(M-3)/2.
+    The split u = d1/z has density proportional to (1 - 2u)^2 (u(1-u))^(M-4)
+    on (0, 1) at every z: the eigenvalue share of a 2 x 2 complex Wishart
+    matrix W = G^H G with G an (M-2) x 2 Gaussian. Each draw takes the
+    eigenvalue nearer the first diagonal entry of W, a fair choice made by
+    the eigenvectors alone, so the pair is exchangeable. ``m`` is the
+    ambient dimension M >= 4.
     """
 
-    def __init__(self, m, grid_size=_GRID_SIZE):
+    def __init__(self, m):
         if m < 4:
             raise ParameterError(f"conditional eigenvalue sampler needs M >= 4, got {m}")
-        if grid_size < 16:
-            raise ParameterError(f"grid_size too small: {grid_size}")
         self.m = int(m)
-        self.grid_size = int(grid_size)
-        self.v_m = 0.5 * (m - 1) * (m - 2) ** 2 * (m - 3)
-        self.u_grid = np.linspace(0.0, 1.0, grid_size)
-        self.cdf_grid = self.cdf(self.u_grid)
-        self._build_inverse()
-
-    def _build_inverse(self):
-        keep = np.concatenate(([True], np.diff(self.cdf_grid) > 0))
-        self._inv = PchipInterpolator(self.cdf_grid[keep], self.u_grid[keep])
-
-    def cdf(self, u):
-        """Exact conditional CDF of u = d1/z.
-
-        Integral of (1-2s)^2 (s(1-s))^k = s^k (1-s)^k - 4 s^(k+1) (1-s)^(k+1)
-        with k = M - 4, expressed through regularized incomplete betas.
-        """
-        u = np.asarray(u, dtype=float)
-        k = self.m - 4
-        b1 = beta_fn(k + 1, k + 1)
-        b2 = beta_fn(k + 2, k + 2)
-        raw = b1 * betainc(k + 1, k + 1, u) - 4.0 * b2 * betainc(k + 2, k + 2, u)
-        return raw / (b1 - 4.0 * b2)
 
     def sample(self, rng, size=None):
-        """Draw u = d1/z by inverting the tabulated CDF, one uniform each."""
-        gen = as_generator(rng)
-        uni = gen.random(size)
-        uni = np.clip(uni, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
-        return np.clip(self._inv(uni), _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
-
-    def dump(self, path):
-        """Cache the table; keyed by (M, grid size, format version)."""
-        np.savez(
-            path,
-            version=_CACHE_VERSION,
-            m=self.m,
-            grid_size=self.grid_size,
-            u_grid=self.u_grid,
-            cdf_grid=self.cdf_grid,
-        )
-
-    @classmethod
-    def load(cls, path, m, grid_size=_GRID_SIZE):
-        """Load a cached table, validating the (M, grid size, version) key."""
-        with np.load(path) as data:
-            fields = {"version", "m", "grid_size", "u_grid", "cdf_grid"}
-            if not fields.issubset(data.files):
-                raise ParameterError(f"not a sampler cache file: {path}")
-            if int(data["version"]) != _CACHE_VERSION:
-                raise ParameterError(f"cache version {int(data['version'])} unsupported")
-            if int(data["m"]) != m or int(data["grid_size"]) != grid_size:
-                raise ParameterError(
-                    f"cache keyed (M={int(data['m'])}, grid={int(data['grid_size'])}), "
-                    f"requested (M={m}, grid={grid_size})"
-                )
-            obj = cls.__new__(cls)
-            obj.m = m
-            obj.grid_size = grid_size
-            obj.v_m = 0.5 * (m - 1) * (m - 2) ** 2 * (m - 3)
-            obj.u_grid = data["u_grid"].copy()
-            obj.cdf_grid = data["cdf_grid"].copy()
-        obj._build_inverse()
-        return obj
+        """Draw u = d1/z, one (M-2) x 2 Gaussian each."""
+        batch = () if size is None else tuple(np.atleast_1d(size))
+        g = gaussian_matrix(rng, self.m - 2, 2, batch=batch)
+        a = np.sum(np.abs(g[..., 0]) ** 2, axis=-1)
+        d = np.sum(np.abs(g[..., 1]) ** 2, axis=-1)
+        r = np.hypot(0.5 * (a - d), np.abs(np.sum(g[..., 0].conj() * g[..., 1], axis=-1)))
+        return 0.5 + np.copysign(r, a - d) / (a + d)
 
 
-_sampler_cache = {}
-
-
+@functools.lru_cache(maxsize=None)
 def default_cond_sampler(m):
-    """Shared per-M sampler instance (the table depends only on M)."""
-    if m not in _sampler_cache:
-        _sampler_cache[m] = CondEigSampler(m)
-    return _sampler_cache[m]
+    """Shared per-M sampler instance."""
+    return CondEigSampler(m)
 
 
 def emulation_valid(gc, bits, guard_product):
@@ -271,18 +201,23 @@ def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None)
 def _min_d2_from_uniform(gc, bits, u):
     """Inverse-CDF map from uniform u to min d^2 (endpoints included).
 
-    Past B = 1022, 2^-B is not a normal double, so F is taken as
-    2^-B * (-log(1 - u)), exact to double precision there, and x is formed
-    in the log domain; it underflows to 0 only below the smallest double.
+    Wherever F is subnormal (B near or past 1022, or small u), F is taken
+    as 2^-B * (-log(1 - u)), exact to double precision there, and x is
+    formed in the log domain; it underflows to 0 only below the smallest
+    double.
     """
-    with np.errstate(divide="ignore"):  # log1p(-1) at u = 1; limit is x = 1
+    # -inf logs at u = 0 and u = 1 give the limits x = 0 and 1; at u = 1 an
+    # underflowed 2^-B makes F NaN, which also takes the log domain
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_surv = np.log1p(-np.asarray(u, dtype=float))
-        if bits <= -np.finfo(float).minexp:
-            f_target = -np.expm1(2.0 ** (-bits) * log_surv)
-            return np.minimum((f_target / gc.c) ** (1.0 / gc.t), 1.0)
-        # log2(0) = -inf at u = 0; the limit is x = 0
+        f_target = -np.expm1(2.0 ** (-bits) * log_surv)
         log2_f = np.log2(-log_surv) - bits
-    return np.minimum(np.exp2((log2_f - gc.log2_c) / gc.t), 1.0)
+    x = np.where(
+        f_target >= np.finfo(float).tiny,
+        (f_target / gc.c) ** (1.0 / gc.t),
+        np.exp2((log2_f - gc.log2_c) / gc.t),
+    )
+    return np.minimum(x, 1.0)
 
 
 def sample_cond_eigs(rng, sampler, z):
@@ -338,13 +273,12 @@ def emulate_quantization(rng, h_tilde, bits, sampler=None,
 
     Parameters
     ----------
-    rng : RngStream or Generator. Draw order is fixed: min d^2, then the
-        eigenvalue split (N = 2), then the eigenvector rotation, then X,
-        then S.
-    h_tilde : (M, N) orthonormal frame, N in {1, 2}, M >= 2N.
+    rng : RngStream or Generator. Draw order is fixed: min d^2, then X,
+        then the M x N complement Gaussian.
+    h_tilde : (M, N) orthonormal frame, M >= 2N.
     bits : codebook size exponent B.
-    sampler : optional CondEigSampler for N = 2 (defaults to a shared
-        per-M instance).
+    sampler : optional CondEigSampler; it must be built for M and is
+        otherwise unused.
     guard_product : see :func:`sample_min_d2`.
 
     Returns
@@ -362,37 +296,23 @@ def emulate_batch(rng, hq, bits, sampler=None, guard_product=DEFAULT_GUARD_PRODU
 
     The implementation behind :func:`emulate_quantization` (see it for the
     parameters): one generator drives the stack with its draw order
-    (z, u, eigenvectors, X, S) applied arraywise. Returns (T, M, N) frames
-    and (T,) d^2. Any bit budget works: a d^2 that underflows to 0 gives
-    Z = 0 and Y = I.
+    (z, X, G) applied arraywise. With P = G - hq (hq^H G) and W = P^H P,
+    the error term is sqrt(s) P and Y = chol(I - s W), s = z / trace(W).
+    Returns (T, M, N) frames and (T,) d^2. Any bit budget works: a d^2
+    that underflows to 0 gives Z = 0 and Y = I.
     """
     hq = np.asarray(hq, dtype=np.complex128)
     t, m, n = hq.shape
-    if n not in (1, 2):
-        raise ParameterError(f"emulation supports N in {{1, 2}}, got N={n}")
     if m < 2 * n:
         raise DimensionError(f"need M >= 2N, got ({m}, {n})")
-    if n == 2 and sampler is not None and sampler.m != m:
+    if sampler is not None and sampler.m != m:
         raise ParameterError(f"sampler built for M={sampler.m}, channel has M={m}")
-    gc = GrassmannConstants(m, n)
     gen = as_generator(rng)
-    z = sample_min_d2(gen, gc, bits, guard_product=guard_product, size=t)
-    if n == 1:
-        zmat = np.sqrt(z).reshape(t, 1, 1).astype(np.complex128)
-        y = np.sqrt(1.0 - z).reshape(t, 1, 1).astype(np.complex128)
-    else:
-        if sampler is None:
-            sampler = default_cond_sampler(m)
-        u = sampler.sample(gen, size=t)
-        d1 = z * u
-        d2p = z - d1
-        evec = isotropic_frame(gen, 2, 2, batch=(t,))
-        eig = np.stack([d1, d2p], axis=-1)
-        zgram = (evec * eig[:, np.newaxis, :]) @ np.conj(np.swapaxes(evec, -2, -1))
-        zmat = cholesky_upper_batch(zgram)
-        eye = np.broadcast_to(np.eye(2), (t, 2, 2))
-        y = cholesky_upper_batch(eye - zgram)
+    z = sample_min_d2(gen, GrassmannConstants(m, n), bits, guard_product=guard_product, size=t)
     x = isotropic_frame(gen, n, n, batch=(t,))
-    s = isotropic_frame_in_nullspace(gen, hq, n)
-    h_hat = hq @ (x @ y) + s @ zmat
-    return h_hat, z
+    p = gaussian_matrix(gen, m, n, batch=(t,))
+    p -= hq @ (np.conj(np.swapaxes(hq, -2, -1)) @ p)
+    w = np.conj(np.swapaxes(p, -2, -1)) @ p
+    s = (z / np.trace(w, axis1=-2, axis2=-1).real)[:, np.newaxis, np.newaxis]
+    y = cholesky_upper_batch(np.eye(n) - s * w)
+    return hq @ (x @ y) + np.sqrt(s) * p, z

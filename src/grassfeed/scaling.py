@@ -18,10 +18,8 @@ the CLI layer only.
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import Infeasible, ParameterError
-from .grassmann import GrassmannConstants, distortion_main_term
+from .grassmann import GrassmannConstants
 
 __all__ = [
     "BitsResult",
@@ -68,8 +66,9 @@ def bits_for_rate_loss(m, n, p_db, b):
     -------
     BitsResult
         approx: the closed-form law above (3 dB per bit-triple slope).
-        exact: bisection inversion of the distortion bound's main term
-        over [0, 4 T (P_dB/3 + 10)] to 1e-6 bits.
+        exact: the bit count at which the distortion bound's main term
+        meets the target, i.e. approx with T log2 P in place of
+        T/3 P_dB, floored at zero.
 
     Raises
     ------
@@ -86,20 +85,7 @@ def bits_for_rate_loss(m, n, p_db, b):
         + t * math.log2(math.gamma(1.0 / t) / t)
         - gc.log2_c
     )
-    p = 10.0 ** (p_db / 10.0)
-    target = math.log2(b)
-
-    def loss_gap(bits):
-        return n * math.log2(1.0 + p / n * distortion_main_term(gc, bits)) - target
-
-    lo = 0.0
-    hi = max(64.0, 4.0 * t * (p_db / 3.0 + 10.0))
-    if loss_gap(lo) <= 0.0:
-        exact = lo
-    elif loss_gap(hi) > 0.0:
-        raise Infeasible(f"target not reachable within the bracket [0, {hi:g}] bits")
-    else:
-        exact = brentq(loss_gap, lo, hi, xtol=1e-6)
+    exact = max(0.0, approx + t * p_db * (math.log2(10.0) / 10.0 - 1.0 / 3.0))
     return BitsResult(approx=float(approx), exact=float(exact))
 
 

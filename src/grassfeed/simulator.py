@@ -49,12 +49,7 @@ from .errors import (
 )
 from .grassmann import CODEBOOK_ENTRY_CAP, GrassmannConstants, scan_fresh_codebooks
 from .precoding import bd_precoders_batch, rates_batch, zf_precoders_batch
-from .quant_emulator import (
-    DEFAULT_GUARD_PRODUCT,
-    default_cond_sampler,
-    emulate_batch,
-    emulation_valid,
-)
+from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
 from .scaling import bd_3db_bits
 
 __all__ = [
@@ -163,8 +158,12 @@ class ExperimentSpec:
         grid = tuple(float(p) for p in self.snr_grid_db)
         if len(grid) == 0:
             raise ParameterError("snr_grid_db grid is empty")
-        if not all(math.isfinite(p) for p in grid):
-            raise ParameterError(f"snr_grid_db points must be finite, got {grid}")
+        try:
+            top = 10.0 ** (max(grid) / 10.0)
+        except OverflowError:
+            top = math.inf
+        if not (all(map(math.isfinite, grid)) and math.isfinite(top)):
+            raise ParameterError(f"snr_grid_db points must be finite, as must 10^(P/10): {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("snr_grid_db grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -172,12 +171,8 @@ class ExperimentSpec:
             raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.precoder not in ("bd", "zf"):
             raise ParameterError(f"precoder must be 'bd' or 'zf', got {self.precoder!r}")
-        if (
-            self.policy.mode == "quantized_emulated"
-            and self.precoder == "bd"
-            and self.n > 2
-        ):
-            raise IncompatiblePolicy("emulated quantization supports N in {1, 2} (bd)")
+        if self.policy.mode == "analog" and not math.isfinite(self.policy.beta * top):
+            raise IncompatiblePolicy(f"analog beta * P overflows at {max(grid)} dB")
 
     @property
     def k(self):
@@ -307,8 +302,6 @@ def run_experiment(spec, threads=None):
     """
     if threads is None:
         threads = _worker_count()
-    if spec.n == 2 and spec.precoder == "bd" and spec.policy.mode == "quantized_emulated":
-        default_cond_sampler(spec.m)  # build the shared table before threading
     points = []
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     for point_idx, p_db in enumerate(spec.snr_grid_db):

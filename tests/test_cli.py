@@ -190,6 +190,9 @@ class TestSimulateCommand:
                                "bits_table = 0:2, 5:-1, 10:3"),
             ("snr_stop = 10", "snr_stop = inf"),
             ("snr_start = 0", "snr_start = nan"),
+            ("snr_start = 0\nsnr_stop = 10", "snr_start = 3083\nsnr_stop = 3083"),
+            ("snr_start = 0\nsnr_stop = 10\nsnr_step = 5\nmode = perfect",
+             "snr_start = 3080\nsnr_stop = 3080\nsnr_step = 5\nmode = analog\nbeta = 2"),
         ],
     )
     def test_rejected_input_exits_2(self, tmp_path, capsys, old, new):

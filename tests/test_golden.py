@@ -22,7 +22,7 @@ GOLDEN = {
     "emulated": (
         dict(m=4, n=2, trials=1100,
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "fbf06328d59b77a5b3cbe2a870c647bfad4fd0f3fdc5f1ac79297f5f635a95a0",
+        "6ce3a619f929ec8293502dc1dfdc0c8d469c10239fb353c7fb7bf36211a73956",
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
@@ -35,7 +35,7 @@ GOLDEN = {
     "zf_emulated": (
         dict(m=6, n=2, precoder="zf",
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "aca5c81d92ebb65a2b12fa38740c1ed4add54bf635a3706b1746ba6ce6b13f04",
+        "16e3bb74ea1eafbf7ee13d79155fd12e3bc47f89c91b6baa8a7e569dad5730ad",
     ),
 }
 

@@ -17,6 +17,7 @@ from grassfeed.grassmann import (
     chordal_distance_sq,
     distortion_bound,
     distortion_samples,
+    scan_fresh_codebooks,
 )
 from grassfeed.quant_emulator import (
     CondEigSampler,
@@ -130,6 +131,16 @@ class TestSampleMinD2:
         assert _min_d2_from_uniform(gc, 5000, 1.0) == 1.0
         assert np.all(_min_d2_from_uniform(gc, 10 ** 5, u) == 0.0)
 
+    def test_subnormal_f_takes_the_log_domain(self):
+        """At B = 1022 and u = 1e-12, F = 2^-1022 (-log(1 - u)) is subnormal;
+        x must still be exact: (L / C)^(1/T) 2^(-1022/T) with L = -log(1 - u)
+        formed in normal doubles."""
+        gc = GrassmannConstants(6, 2)
+        u = 1e-12
+        exact = (-math.log1p(-u) / gc.c) ** (1.0 / gc.t) * 2.0 ** (-1022 / gc.t)
+        got = float(_min_d2_from_uniform(gc, 1022, u))
+        assert abs(got / exact - 1.0) <= 1e-12
+
     def test_mean_below_bound(self):
         gc = GrassmannConstants(4, 2)
         v = sample_min_d2(RngStream(23).child(2), gc, 20, size=100000)
@@ -147,12 +158,34 @@ def _corrected_kernel(u, m):
     return (1.0 - 2.0 * u) ** 2 * (u * (1.0 - u)) ** (m - 4)
 
 
-class TestCondEigSampler:
-    def test_volume_factors(self):
-        assert CondEigSampler(4).v_m == pytest.approx(6.0)
-        assert CondEigSampler(5).v_m == pytest.approx(36.0)
-        assert CondEigSampler(6).v_m == pytest.approx(120.0)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+
+def _split_cdf(m):
+    """Exact CDF of the eigenvalue split u = d1/z: the kernel integrated
+    by Gauss-Legendre quadrature, exact for its degree 2M - 6 <= 14."""
+
+    def integral(u):
+        u = np.asarray(u, dtype=float)[..., np.newaxis]
+        nodes = 0.5 * u * (_GL_NODES + 1.0)
+        return 0.5 * u[..., 0] * np.sum(_GL_WEIGHTS * _corrected_kernel(nodes, m), axis=-1)
+
+    total = integral(1.0)
+    return lambda u: integral(u) / total
+
+
+def _overlap_laws(h, frames):
+    """Per-frame statistics of the overlap A = h^H frames: the trace of the
+    error Gram Z^H Z = I - A^H A, its smallest-eigenvalue share, |det A|
+    and |tr A| (the last sees the rotation X)."""
+    a = np.conj(np.swapaxes(h, -2, -1)) @ frames
+    ev = np.linalg.eigvalsh(np.eye(a.shape[-1]) - np.conj(np.swapaxes(a, -2, -1)) @ a)
+    tr = ev.sum(axis=-1)
+    return (tr, ev[:, 0] / tr, np.abs(np.linalg.det(a)),
+            np.abs(np.trace(a, axis1=-2, axis2=-1)))
+
+
+class TestCondEigSampler:
     def test_kernel_normalization_identity(self):
         """V_M * integral of the kernel = C_MN * T for every M, which pins
         the (u(1-u))^(M-4) form; the alternative (1-u)(1-z+zu) reading fails
@@ -169,28 +202,29 @@ class TestCondEigSampler:
             assert v_m * integral == pytest.approx(gc.c * gc.t, rel=1e-12)
 
     def test_cdf_against_quadrature(self):
-        """Sampler's tabulated CDF vs direct scipy quadrature of the
-        normalized kernel."""
+        """The split CDF used as the oracle below vs adaptive quadrature."""
         for m in (4, 5, 6, 8):
-            s = CondEigSampler(m)
+            cdf = _split_cdf(m)
             total, _ = integrate.quad(_corrected_kernel, 0, 1, args=(m,))
-            for u in (0.05, 0.2, 0.35, 0.5):
+            for u in (0.05, 0.2, 0.35, 0.5, 0.9):
                 part, _ = integrate.quad(_corrected_kernel, 0, u, args=(m,))
-                assert s.cdf(u) == pytest.approx(part / total, abs=1e-9)
-
-    def test_cdf_shape(self):
-        s = CondEigSampler(6)
-        grid = np.linspace(0, 1, 501)
-        vals = s.cdf(grid)
-        assert vals[0] == pytest.approx(0.0, abs=1e-12)
-        assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(vals) >= -1e-12)
+                assert float(cdf(u)) == pytest.approx(part / total, abs=1e-12)
 
     def test_draws_match_cdf(self):
-        s = CondEigSampler(5)
-        gen = RngStream(25).child(0).generator()
-        draws = s.sample(gen, 100000)
-        assert kstest(draws, s.cdf).pvalue > 0.01
+        for m in (4, 5, 6, 8):
+            gen = RngStream(25).child(0, m).generator()
+            draws = CondEigSampler(m).sample(gen, 20000)
+            assert kstest(draws, _split_cdf(m)).pvalue > 0.01
+
+    def test_emulated_split_matches_cdf(self):
+        """The eigenvalue split of emulate_batch's Z^H Z has the same law,
+        folded onto (0, 1/2) since the smaller share is taken."""
+        for m in (4, 5, 6, 8):
+            gen = RngStream(25).child(3, m).generator()
+            h = isotropic_frame(gen, m, 2, batch=(20000,))
+            frames, _ = emulate_batch(gen, h, 20)
+            cdf = _split_cdf(m)
+            assert kstest(_overlap_laws(h, frames)[1], lambda u: 2.0 * cdf(u)).pvalue > 0.01
 
     def test_symmetry_about_half(self):
         # the kernel is symmetric under u -> 1-u, so E[u] = 1/2
@@ -207,26 +241,6 @@ class TestCondEigSampler:
         center = np.mean((draws > 0.49) & (draws < 0.51))
         off = np.mean((draws > 0.24) & (draws < 0.26))
         assert center < 0.2 * off
-
-    def test_dump_load_roundtrip(self, tmp_path):
-        s = CondEigSampler(6)
-        path = tmp_path / "cond6.npz"
-        s.dump(path)
-        back = CondEigSampler.load(path, 6)
-        assert back.m == 6
-        grid = np.linspace(0, 1, 97)
-        np.testing.assert_allclose(back.cdf(grid), s.cdf(grid), atol=1e-12)
-
-    def test_load_rejects_mismatched_payload(self, tmp_path):
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, nonsense=np.arange(3))
-        with pytest.raises(ParameterError):
-            CondEigSampler.load(bad, 6)
-        # right format, wrong key
-        good = tmp_path / "cond4.npz"
-        CondEigSampler(4).dump(good)
-        with pytest.raises(ParameterError):
-            CondEigSampler.load(good, 6)
 
     def test_requires_two_column_geometry(self):
         with pytest.raises(ParameterError):
@@ -328,12 +342,6 @@ class TestEmulateQuantization:
             gram = np.einsum("tki,tkj->tij", overlap.conj(), overlap)
             assert np.abs(gram - np.eye(n)).max() <= 1e-12
 
-    def test_three_column_needs_sampler_support(self):
-        gen = RngStream(29).child(3).generator()
-        h = _orth(gen, 9, 3)
-        with pytest.raises(ParameterError):
-            emulate_quantization(gen, h, 30)
-
 
 class TestEmulatedMatchesExhaustive:
     """Reduced-size version of the distribution-equality check; the
@@ -351,6 +359,21 @@ class TestEmulatedMatchesExhaustive:
         assert ks_2samp(exh, emu).pvalue > 0.01
         rel = abs(exh.mean() - emu.mean()) / exh.mean()
         assert rel < 0.03
+
+    @pytest.mark.parametrize("m,n,bits,trials", [(4, 2, 8, 2000), (8, 1, 8, 2000),
+                                                 (6, 3, 11, 1000)])
+    def test_frames_match_exhaustive(self, m, n, bits, trials):
+        """Emulated vs scanned frames, through every statistic of
+        :func:`_overlap_laws`."""
+        base = RngStream(35).child(m, n, bits)
+        gen = base.child(0).generator()
+        h = isotropic_frame(gen, m, n, batch=(trials,))
+        exh = scan_fresh_codebooks(gen, lambda a, b: h[a:b], trials, m, n, bits, 2 ** 22)[1]
+        gen = base.child(1).generator()
+        h_emu = isotropic_frame(gen, m, n, batch=(trials,))
+        emu, _ = emulate_batch(gen, h_emu, bits)
+        for x, y in zip(_overlap_laws(h, exh), _overlap_laws(h_emu, emu)):
+            assert ks_2samp(x, y).pvalue > 0.01
 
     def test_batch_moments(self):
         """E[Z^H Z] = (D/2) I via I - A^H A with A = H~^H H^: off-diagonals

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +181,13 @@ class TestAnalogComparison:
             analog_vs_quantized_bounds(4, 2, 0.0, 10.0)
         with pytest.raises(ParameterError):
             analog_vs_quantized_bounds(4, 2, 1.0, 0.0)
+
+
+def test_import_loads_no_scipy():
+    """The library itself runs on numpy alone; scipy is for emu-selftest."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, grassfeed; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -130,13 +130,11 @@ class TestExperimentSpec:
         with pytest.raises(ParameterError):
             _spec(precoder="mrt")
 
-    def test_emulated_bd_needs_small_n(self):
+    def test_emulated_bd_any_n(self):
         pol = FeedbackPolicy(mode="quantized_emulated", bits=30)
-        with pytest.raises(IncompatiblePolicy):
-            _spec(m=9, n=3, policy=pol)
-        # per-antenna quantization sidesteps the N = 2 limit
-        spec = _spec(m=9, n=3, policy=pol, precoder="zf")
-        assert spec.k == 3
+        curve = run_experiment(_spec(m=9, n=3, policy=pol, trials=64))
+        assert [pt.mode for pt in curve.points] == ["quantized_emulated"] * len(curve.points)
+        assert np.all(np.isfinite(curve.sum_rate))
 
     def test_k_property(self):
         assert _spec(m=8, n=2).k == 4
@@ -220,11 +218,19 @@ class TestInputValidation:
             dict(trials=2.5),
             dict(trials=True),
             dict(m=4.0),
+            dict(snr_grid_db=(0.0, 3083.0)),
         ],
     )
     def test_spec_rejects(self, kw):
         with pytest.raises(ParameterError):
             _spec(**kw)
+
+    def test_analog_power_overflow(self):
+        """beta * P must stay a finite double: 3080 dB passes with beta = 1
+        and is rejected with beta = 2."""
+        _spec(snr_grid_db=(3080.0,), policy=FeedbackPolicy(mode="analog", beta=1.0))
+        with pytest.raises(IncompatiblePolicy):
+            _spec(snr_grid_db=(0.0, 3080.0), policy=FeedbackPolicy(mode="analog", beta=2.0))
 
 
 class TestAnyBitBudget:
