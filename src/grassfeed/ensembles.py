@@ -72,14 +72,19 @@ def gaussian_matrix(rng, m, n, batch=()):
     """Complex Gaussian matrix with unit-variance entries.
 
     Real and imaginary parts are independent N(0, 1/2), so E|h_ij|^2 = 1.
-    With batch=(..) a stacked (..., m, n) array is drawn in one shot.
+    With batch=(..) a stacked (..., m, n) array is drawn, all real parts
+    first and then all imaginary parts, through one real buffer.
     """
     if m < 1 or n < 1:
         raise DimensionError(f"matrix dimensions must be positive, got ({m}, {n})")
     gen = as_generator(rng)
     shape = tuple(batch) + (m, n)
-    z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    return z * np.sqrt(0.5)
+    z = np.empty(shape, dtype=np.complex128)
+    buf = np.empty(shape)
+    for part in (z.real, z.imag):
+        gen.standard_normal(out=buf)
+        np.multiply(buf, np.sqrt(0.5), out=part)
+    return z
 
 
 def isotropic_frame(rng, m, n, batch=()):

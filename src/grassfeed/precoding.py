@@ -244,6 +244,7 @@ def rates_batch(p, channels, precoders):
     The interference matrix is summed from the other users' terms alone;
     subtracting the own term from the full sum would cancel
     catastrophically at high power and lose positive definiteness.
+    Raises ParameterError if P/M times a gain leaves the double range.
     """
     t, k, m, n = channels.shape
     c = p / m
@@ -252,8 +253,14 @@ def rates_batch(p, channels, precoders):
     total = gram[:, np.arange(k), np.arange(k)]  # own terms; advanced indexing copies
     gram[:, np.arange(k), np.arange(k)] = 0.0
     intf = gram.sum(axis=2)
-    intf *= c
-    intf += np.eye(n)
-    total *= c
-    total += intf
+    try:
+        with np.errstate(over="raise"):
+            intf *= c
+            intf += np.eye(n)
+            total *= c
+            total += intf
+    except FloatingPointError as exc:
+        raise ParameterError(
+            f"rates overflow the double range at P = {10 * math.log10(p):.6g} dB"
+        ) from exc
     return logdet_hermitian_batch(total) - logdet_hermitian_batch(intf)

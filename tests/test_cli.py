@@ -191,6 +191,9 @@ class TestSimulateCommand:
             ("snr_stop = 10", "snr_stop = inf"),
             ("snr_start = 0", "snr_start = nan"),
             ("snr_start = 0\nsnr_stop = 10", "snr_start = 3083\nsnr_stop = 3083"),
+            ("snr_start = 0\nsnr_stop = 10", "snr_start = 3081\nsnr_stop = 3081"),
+            ("snr_start = 0\nsnr_stop = 10", "snr_start = 3082.5\nsnr_stop = 3082.5"),
+            ("snr_start = 0\nsnr_stop = 10", "snr_start = 3082\nsnr_stop = 3082\nprecoder = zf"),
             ("snr_start = 0\nsnr_stop = 10\nsnr_step = 5\nmode = perfect",
              "snr_start = 3080\nsnr_stop = 3080\nsnr_step = 5\nmode = analog\nbeta = 2"),
         ],

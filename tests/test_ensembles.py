@@ -55,6 +55,15 @@ class TestGaussianMatrix:
         g = gaussian_matrix(RngStream(0).child(1), 4, 2, batch=(5, 3))
         assert g.shape == (5, 3, 4, 2)
 
+    @pytest.mark.parametrize("m,n,batch", [(4, 2, (64, 256)), (8, 1, (3,)), (1, 1, ())])
+    def test_bytes_of_two_draws(self, m, n, batch):
+        """Same stream, same bytes as a real draw then an imaginary draw."""
+        gen = RngStream(5).child(m, n).generator()
+        shape = batch + (m, n)
+        want = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) * np.sqrt(0.5)
+        got = gaussian_matrix(RngStream(5).child(m, n), m, n, batch=batch)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
 
 class TestIsotropicFrame:
     def test_frame_valid(self):

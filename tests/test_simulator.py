@@ -232,6 +232,17 @@ class TestInputValidation:
         with pytest.raises(IncompatiblePolicy):
             _spec(snr_grid_db=(0.0, 3080.0), policy=FeedbackPolicy(mode="analog", beta=2.0))
 
+    @pytest.mark.parametrize("precoder,p_db", [("bd", 3081.0), ("bd", 3082.5), ("zf", 3082.0)])
+    def test_rate_overflow(self, precoder, p_db):
+        """10^(P/10) is finite here but P/M times a gain is not: the sweep
+        raises instead of returning infinite rates."""
+        with pytest.raises(ParameterError, match="overflow"):
+            run_experiment(_spec(precoder=precoder, snr_grid_db=(0.0, p_db)))
+
+    def test_rates_below_overflow_finite(self):
+        curve = run_experiment(_spec(snr_grid_db=(3000.0,)))
+        assert np.all(np.isfinite(curve.sum_rate))
+
 
 class TestAnyBitBudget:
     @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("bd", 6, 2), ("zf", 8, 1)])
