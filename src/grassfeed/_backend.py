@@ -28,7 +28,7 @@ import os
 import numpy as np
 
 from .errors import ParameterError, RankDeficient
-from .linalg import RANK_FLOOR, thin_qr_batch
+from .linalg import RANK_FLOOR, sumsq, thin_qr_batch
 
 __all__ = ["BACKEND", "orthonormalize", "scan_frames", "quantize_gaussians"]
 
@@ -89,12 +89,6 @@ def scan_frames(hq, frames):
     return int(idx[0]), float(d2[0])
 
 
-def _sumsq(x):
-    """Sum of |x|^2 over the last axis."""
-    v = x[..., np.newaxis].view(np.float64)
-    return np.einsum("...ij,...ij->...", v, v)
-
-
 def _gram_scores(hq, gauss):
     """||hq^H Q||_F^2 of every entry, Q = orth(G), without a QR.
 
@@ -105,7 +99,7 @@ def _gram_scores(hq, gauss):
     t, c, m, n = gauss.shape
     cols = [gauss[..., j] for j in range(n)]
     with np.errstate(over="ignore"):
-        diag = [_sumsq(col) for col in cols]
+        diag = [sumsq(col) for col in cols]
     trace = sum(diag)
     if not np.all((trace >= _TRACE_RANGE[0]) & (trace <= _TRACE_RANGE[1])):
         return None
@@ -130,7 +124,7 @@ def _gram_scores(hq, gauss):
             return None
         d.append(pivot)
         y.append(yj)
-        score += _sumsq(yj) / pivot
+        score += sumsq(yj) / pivot
     return score
 
 

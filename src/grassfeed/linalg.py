@@ -7,6 +7,11 @@ two conventions fixed here once:
   constraint the thin QR of a full-rank matrix is unique, so Gaussian
   matrices pushed through :func:`thin_qr` give Haar-distributed frames and
   the compiled and numpy backends compute the same mathematical function.
+  :func:`thin_qr_batch` computes it by two-pass classical Gram-Schmidt,
+  vectorized over the stack: each column is projected twice against the
+  earlier Q columns ("twice is enough", Giraud, Langou & Rozloznik 2005)
+  and R_jj is the real norm of what remains, so the diagonal is positive
+  by construction.
 * Eigenvalues are returned ascending.
 
 Tolerances are module constants, not arguments: 1e-10 relative for
@@ -40,6 +45,10 @@ ORTHO_TOL = 1e-10
 RANK_FLOOR = 1e-12
 PSD_CLAMP = 1e-12
 NOT_PSD_TOL = 1e-10
+# Gram-Schmidt squares entries; items whose ||a||_F^2 leaves this range are
+# first scaled by a power of two, which is exact, so nothing under- or
+# overflows.
+_SQUARE_RANGE = (1e-250, 1e250)
 
 
 def _as_matrix(a, name="a"):
@@ -92,22 +101,53 @@ def thin_qr(a):
 def thin_qr_batch(a):
     """:func:`thin_qr` of every item of a tall (..., m, n) stack. Internal.
 
-    Raises RankDeficient if any item falls under the rank floor (NaN
-    input counts as rank deficient).
+    Two-pass classical Gram-Schmidt over the n columns, vectorized over the
+    stack. Raises RankDeficient if any item falls under the rank floor;
+    non-finite input counts as rank deficient and is rejected before any
+    arithmetic.
     """
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    ad = np.abs(d)
-    floor = RANK_FLOOR * np.linalg.norm(a, axis=(-2, -1))
-    if not np.all(ad > floor[..., np.newaxis]):
-        raise RankDeficient(f"column rank below the {RANK_FLOOR:g} relative floor")
-    phase = d / ad
-    q = q * phase[..., np.newaxis, :]
-    r *= phase.conj()[..., :, np.newaxis]
-    # force the diagonal exactly real
-    idx = np.arange(a.shape[-1])
-    r[..., idx, idx] = ad
+    a = np.asarray(a, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise RankDeficient("non-finite entries have no column rank")
+    m, n = a.shape[-2:]
+    with np.errstate(over="ignore"):
+        total = sumsq(a.reshape(a.shape[:-2] + (m * n,)))
+    if np.all((total >= _SQUARE_RANGE[0]) & (total <= _SQUARE_RANGE[1])):
+        return _gram_schmidt(a, total)
+    # bring each item's largest entry into [0.5, 1), then scale R back
+    big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1))
+    e = np.frexp(big)[1][..., np.newaxis, np.newaxis]
+    a = np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128)
+    q, r = _gram_schmidt(a, sumsq(a.reshape(a.shape[:-2] + (m * n,))))
+    return q, np.ldexp(r.view(np.float64), e).view(np.complex128)
+
+
+def _gram_schmidt(a, total):
+    """Q, R of a (..., m, n) stack with squared Frobenius norms total."""
+    n = a.shape[-1]
+    floor = RANK_FLOOR * np.sqrt(total)
+    q = np.empty_like(a)
+    r = np.zeros(a.shape[:-2] + (n, n), dtype=np.complex128)
+    for j in range(n):
+        v = a[..., j]
+        if j:
+            qj, qjh = q[..., :j], q[..., :j].conj()
+            for _ in range(2):
+                c = np.einsum("...mi,...m->...i", qjh, v)
+                v = v - np.einsum("...mi,...i->...m", qj, c)
+                r[..., :j, j] += c
+        d = np.sqrt(sumsq(v))
+        if not np.all(d > floor):
+            raise RankDeficient(f"column rank below the {RANK_FLOOR:g} relative floor")
+        r[..., j, j] = d
+        q[..., j] = v / d[..., np.newaxis]
     return q, r
+
+
+def sumsq(x):
+    """Sum of |x|^2 over the last axis, through a real view. Internal."""
+    v = x[..., np.newaxis].view(np.float64)
+    return np.einsum("...ij,...ij->...", v, v)
 
 
 def hermitian_eig(a):

@@ -22,10 +22,12 @@ Rates are evaluated as the difference of two log-dets,
 
     R_k = log2 det(I + c sum_j G_j G_j^H) - log2 det(I + c sum_{j!=k} ...)
 
-with G_j = H_k^H V_j and c = P/M. When the precoders were built from
-perfect knowledge the interference term vanishes and the expression reduces
-to a single log-det; with quantized or analog knowledge the residual
-interference is what produces the rate loss studied here.
+with G_j = H_k^H V_j and c = P/M. All G_kj of a trial come from one
+matrix product, [H_1 ... H_K]^H [V_1 ... V_K]. When the precoders were
+built from perfect knowledge the interference term vanishes and the
+expression reduces to a single log-det; with quantized or analog
+knowledge the residual interference is what produces the rate loss
+studied here.
 """
 
 import math
@@ -36,7 +38,7 @@ import numpy as np
 from . import _backend
 from .ensembles import as_generator, gaussian_matrix
 from .errors import DimensionError, ParameterError, RankDeficient
-from .linalg import logdet_hermitian_batch
+from .linalg import logdet_hermitian_batch, sumsq
 
 __all__ = [
     "SystemConfig",
@@ -179,13 +181,20 @@ def analog_feedback(rng, cfg, h_k, beta):
     h_k = np.asarray(h_k, dtype=np.complex128)
     if h_k.shape != (cfg.m, cfg.n):
         raise DimensionError(f"channel must be ({cfg.m}, {cfg.n}), got {h_k.shape}")
-    gen = as_generator(rng)
     snr = beta * cfg.p
-    noise = gaussian_matrix(gen, cfg.m, cfg.n)
-    received = math.sqrt(snr) * h_k + noise
-    estimate = math.sqrt(snr) / (1.0 + snr) * received
+    received, estimate = analog_feedback_batch(as_generator(rng), h_k, snr)
     residual = math.sqrt(1.0 + snr) * (h_k - estimate)
     return AnalogObservation(beta=float(beta), received=received, estimate=estimate, residual=residual)
+
+
+def analog_feedback_batch(gen, h, snr):
+    """(received, MMSE estimate) of a (..., M, N) channel stack. Internal.
+
+    One unit-variance Gaussian noise draw shaped like h; snr = beta P.
+    """
+    noise = gaussian_matrix(gen, *h.shape[-2:], batch=h.shape[:-2])
+    received = math.sqrt(snr) * h + noise
+    return received, math.sqrt(snr) / (1.0 + snr) * received
 
 
 def rate_loss_bound(cfg, distortion):
@@ -235,24 +244,35 @@ def bd_precoders_batch(knowledge):
 def zf_precoders_batch(knowledge):
     """Batched ZF beams for a (T, K, M, N) knowledge stack. Internal."""
     w = _inverse_blocks(knowledge)
-    return w / np.linalg.norm(w, axis=-2, keepdims=True)
+    # the beams are w's columns; summing them as C-ordered rows is faster
+    beams = np.ascontiguousarray(np.swapaxes(w, -2, -1))
+    return w / np.sqrt(sumsq(beams))[..., np.newaxis, :]
 
 
 def rates_batch(p, channels, precoders):
     """Per-user rates for a (T, K, M, N) channel and precoder stack. Internal.
 
-    The interference matrix is summed from the other users' terms alone;
-    subtracting the own term from the full sum would cancel
-    catastrophically at high power and lose positive definiteness.
+    Every G_kj = H_k^H V_j comes from one (KN, M) x (M, KN) product per
+    trial. The own blocks G_kk are copied out and then zeroed, so user k's
+    interference Gram is its (N, KN) row block times its conjugate
+    transpose: a sum over the other users' terms alone. Subtracting the own
+    term from the full sum would cancel catastrophically at high power and
+    lose positive definiteness.
     Raises ParameterError if P/M times a gain leaves the double range.
     """
     t, k, m, n = channels.shape
     c = p / m
-    g = np.einsum("tkmn,tjmp->tkjnp", channels.conj(), precoders)
-    gram = np.einsum("tkjnp,tkjqp->tkjnq", g, g.conj())
-    total = gram[:, np.arange(k), np.arange(k)]  # own terms; advanced indexing copies
-    gram[:, np.arange(k), np.arange(k)] = 0.0
-    intf = gram.sum(axis=2)
+    # conjugating into a C-ordered buffer makes the (T, KN, M) reshape free
+    hh = np.empty((t, k, n, m), dtype=np.complex128)
+    np.conjugate(np.swapaxes(channels, -2, -1), out=hh)
+    g = np.matmul(hh.reshape(t, k * n, m), np.swapaxes(precoders, 1, 2).reshape(t, m, k * n))
+    blocks = g.reshape(t, k, n, k, n).transpose(0, 1, 3, 2, 4)  # [t, k, j] = G_kj
+    users = np.arange(k)
+    own = blocks[:, users, users]  # advanced indexing copies
+    blocks[:, users, users] = 0.0
+    rows = g.reshape(t, k, n, k * n)
+    intf = np.matmul(rows, np.swapaxes(rows, -2, -1).conj())
+    total = np.matmul(own, np.swapaxes(own, -2, -1).conj())
     try:
         with np.errstate(over="raise"):
             intf *= c

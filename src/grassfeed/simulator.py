@@ -48,7 +48,7 @@ from .errors import (
     ParameterError,
 )
 from .grassmann import CODEBOOK_ENTRY_CAP, GrassmannConstants, scan_fresh_codebooks
-from .precoding import bd_precoders_batch, rates_batch, zf_precoders_batch
+from .precoding import analog_feedback_batch, bd_precoders_batch, rates_batch, zf_precoders_batch
 from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
 from .scaling import bd_3db_bits
 
@@ -257,9 +257,7 @@ def _chunk_sum_rates(spec, point_idx, chunk_idx, count, p_db, bits, eff_mode):
     if eff_mode == "perfect":
         knowledge = h
     elif eff_mode == "analog":
-        snr = spec.policy.beta * p
-        noise = gaussian_matrix(gen, m, n, batch=(count, k))
-        knowledge = math.sqrt(snr) / (1.0 + snr) * (math.sqrt(snr) * h + noise)
+        knowledge = analog_feedback_batch(gen, h, spec.policy.beta * p)[1]
     else:
         guard = spec.policy.guard_product
         flat = h.reshape(count * k, m, n)

@@ -13,6 +13,7 @@ import math
 import shutil
 import subprocess
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import grassfeed
 from grassfeed import _backend
 from grassfeed.errors import RankDeficient
 from grassfeed.grassmann import chordal_distance_sq
-from grassfeed.linalg import thin_qr_batch
+from grassfeed.linalg import RANK_FLOOR, thin_qr_batch
 
 
 def _gauss(rng, *shape):
@@ -36,12 +37,67 @@ def _positive_qr_reference(a):
     return q * (d / np.abs(d))
 
 
-def test_orthonormalize_matches_thin_qr():
-    rng = np.random.default_rng(21)
-    a = _gauss(rng, 64, 6, 2)
+QR_SHAPES = [(6, 2), (4, 2), (8, 1), (6, 3), (2, 2)]
+
+
+@pytest.mark.parametrize("m,n", QR_SHAPES)
+def test_orthonormalize_matches_thin_qr(m, n):
+    rng = np.random.default_rng(21 + 10 * m + n)
+    a = _gauss(rng, 64, m, n)
     q = _backend.orthonormalize(a)
     for i in range(a.shape[0]):
         assert np.linalg.norm(q[i] - _positive_qr_reference(a[i])) <= 1e-10
+
+
+def _conditioned(rng, t, m, n, cond):
+    """(t, m, n) stack U diag(s) W^H whose singular values s run from 1 down
+    to 1/cond, with U (m, n) orthonormal and W (n, n) unitary."""
+    u = np.linalg.qr(_gauss(rng, t, m, n))[0]
+    w = np.linalg.qr(_gauss(rng, t, n, n))[0]
+    s = np.logspace(0.0, -np.log10(cond), n)
+    return (u * s) @ np.swapaxes(w, -2, -1).conj()
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+@pytest.mark.parametrize("m,n", QR_SHAPES)
+def test_thin_qr_ill_conditioned(m, n, cond):
+    """Two passes of Gram-Schmidt keep Q orthonormal and QR = A at rounding
+    level however far the columns are from orthogonal, short of the floor."""
+    rng = np.random.default_rng(27 + 10 * m + n)
+    a = _conditioned(rng, 64, m, n, cond)
+    q, r = thin_qr_batch(a)
+    assert np.abs(q.conj().swapaxes(-2, -1) @ q - np.eye(n)).max() <= 1e-10
+    resid = np.linalg.norm(q @ r - a, axis=(-2, -1)) / np.linalg.norm(a, axis=(-2, -1))
+    assert resid.max() <= 1e-10
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.all(d.imag == 0.0) and np.all(d.real > 0.0)
+    np.testing.assert_array_equal(r, np.triu(r))
+
+
+@pytest.mark.parametrize("factor,ok", [(1.5, True), (0.6, False)])
+def test_thin_qr_rank_floor_edge(factor, ok):
+    """A second column whose residual R_22 sits just above (passes) or just
+    below (raises) RANK_FLOOR * ||a||_F."""
+    rng = np.random.default_rng(28)
+    u = np.linalg.qr(_gauss(rng, 6, 2))[0]
+    delta = factor * RANK_FLOOR * np.sqrt(2.0)
+    a = u @ np.array([[1.0, 1.0], [0.0, delta]])
+    if ok:
+        r = thin_qr_batch(a[np.newaxis])[1][0]
+        assert abs(r[1, 1] - delta) <= 1e-3 * delta
+    else:
+        with pytest.raises(RankDeficient):
+            thin_qr_batch(a[np.newaxis])
+
+
+def test_orthonormalize_inf_is_rank_deficient():
+    rng = np.random.default_rng(29)
+    a = _gauss(rng, 8, 6, 2)
+    a[5, 2, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient):
+            _backend.orthonormalize(a)
 
 
 def test_orthonormalize_high_rank_batch_shape():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,33 @@ class TestBatchKernels:
         a[1, 0, 0] = np.nan
         with pytest.raises(RankDeficient):
             thin_qr_batch(a)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, 1j * np.inf])
+    def test_thin_qr_batch_inf_is_rank_deficient(self, bad):
+        """Rejected before any arithmetic, so no RuntimeWarning either."""
+        a = np.zeros((3, 4, 2), dtype=complex)
+        a[:] = np.eye(4)[:, :2]
+        a[2, 3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient, match="non-finite"):
+                thin_qr_batch(a)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_thin_qr_batch_extreme_scales(self, scale):
+        """Items whose squares would under- or overflow are rescaled by a
+        power of two first: Q matches the unit-scale item's Q and R scales
+        back. A unit-scale item in the same stack is untouched."""
+        rng = np.random.default_rng(23)
+        base = np.stack([_complex_gaussian(rng, 6, 2) for _ in range(2)])
+        a = base.copy()
+        a[1] *= scale
+        q, r = thin_qr_batch(a)
+        q_ref, r_ref = thin_qr_batch(base)
+        np.testing.assert_array_equal(q[0], q_ref[0])
+        np.testing.assert_array_equal(r[0], r_ref[0])
+        assert np.abs(q[1] - q_ref[1]).max() <= 1e-13
+        assert np.abs(r[1] / scale - r_ref[1]).max() <= 1e-13 * np.abs(r_ref[1]).max()
 
     def test_cholesky_psd_items(self):
         """One PSD item sends the stack through the clamped path: a zero

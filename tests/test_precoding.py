@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from grassfeed.ensembles import (
     isotropic_frame_in_nullspace,
 )
 from grassfeed.errors import DimensionError, ParameterError, RankDeficient
-from grassfeed.linalg import left_nullspace_basis
+from grassfeed.linalg import left_nullspace_basis, logdet_hermitian_batch
 from grassfeed.precoding import (
     AnalogObservation,
     PrecoderSet,
     SystemConfig,
     analog_feedback,
+    analog_feedback_batch,
     analog_rate_loss_bound,
     analog_rate_loss_limit,
     bd_precoders,
@@ -62,6 +65,20 @@ def _rate_reference(p, h_k, mats, k):
             intf += term
     logdet = lambda a: 2.0 * np.sum(np.log2(np.real(np.diagonal(np.linalg.cholesky(a)))))
     return logdet(full) - logdet(intf)
+
+
+def _rates_einsum(p, channels, precoders):
+    """The per-pair einsum contraction rates_batch used before it formed
+    every G_kj from one matmul; interference from the other users alone."""
+    t, k, m, n = channels.shape
+    c = p / m
+    g = np.einsum("tkmn,tjmp->tkjnp", channels.conj(), precoders)
+    gram = np.einsum("tkjnp,tkjqp->tkjnq", g, g.conj())
+    users = np.arange(k)
+    total = gram[:, users, users]
+    gram[:, users, users] = 0.0
+    intf = c * gram.sum(axis=2) + np.eye(n)
+    return logdet_hermitian_batch(c * total + intf) - logdet_hermitian_batch(intf)
 
 
 def _cross_gains(h, v):
@@ -318,6 +335,23 @@ class TestAnalogFeedback:
             obs.estimate, np.sqrt(snr) / (1 + snr) * obs.received, atol=1e-15
         )
 
+    def test_one_kernel_bytes(self):
+        """analog_feedback and the engine's batch draw share one kernel; both
+        equal the estimate written out, sqrt(s)/(1+s) (sqrt(s) H + W)."""
+        cfg = SystemConfig(4, 2, 4.0)
+        snr = 2.0 * cfg.p
+        h = gaussian_matrix(RngStream(47).child(5).generator(), 4, 2, batch=(3, 2))
+        for item in (h, h[1, 0]):
+            noise = gaussian_matrix(RngStream(47).child(6).generator(), 4, 2, batch=item.shape[:-2])
+            received, estimate = analog_feedback_batch(RngStream(47).child(6).generator(), item, snr)
+            np.testing.assert_array_equal(received, math.sqrt(snr) * item + noise)
+            np.testing.assert_array_equal(
+                estimate, math.sqrt(snr) / (1.0 + snr) * (math.sqrt(snr) * item + noise)
+            )
+        obs = analog_feedback(RngStream(47).child(6).generator(), cfg, h[1, 0], 2.0)
+        np.testing.assert_array_equal(obs.estimate, estimate)
+        np.testing.assert_array_equal(obs.residual, math.sqrt(1.0 + snr) * (h[1, 0] - estimate))
+
     def test_high_beta_recovers_channel(self):
         cfg = SystemConfig(4, 2, 1.0)
         gen = RngStream(47).child(1).generator()
@@ -437,6 +471,21 @@ class TestBatchParity:
             np.testing.assert_allclose(
                 rates_batch(p, h, got), rates_batch(p, h, ref), rtol=0, atol=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "scheme,m,n", [("bd", 6, 2), ("bd", 4, 2), ("zf", 8, 1), ("zf", 6, 2)]
+    )
+    def test_rates_match_einsum_contraction(self, scheme, m, n):
+        """The one-matmul contraction against the per-pair einsum, on
+        perturbed knowledge so every interference term is nonzero."""
+        gen = RngStream(49).child(4, m, n).generator()
+        h = gaussian_matrix(gen, m, n, batch=(256, m // n))
+        know = h + 0.3 * gaussian_matrix(gen, m, n, batch=(256, m // n))
+        pre = bd_precoders_batch(know) if scheme == "bd" else zf_precoders_batch(know)
+        for p in (1.0, 1e3):
+            want = _rates_einsum(p, h, pre)
+            got = rates_batch(p, h, pre)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_rates_batch_matches_scalar(self):
         """rates_batch and its scalar wrapper against a per-user log-det
