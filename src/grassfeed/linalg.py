@@ -106,6 +106,21 @@ def thin_qr_batch(a):
     non-finite input counts as rank deficient and is rejected before any
     arithmetic.
     """
+    a, total, e = _square_safe(a)
+    q, r = _gram_schmidt(a, total)
+    if e is None:
+        return q, r
+    return q, np.ldexp(r.view(np.float64), e).view(np.complex128)
+
+
+def _square_safe(a):
+    """(a, ||a||_F^2 per item, e) for a (..., m, n) stack, as complex128.
+
+    Non-finite input counts as rank deficient and is rejected before any
+    arithmetic. When some item's ||a||_F^2 leaves _SQUARE_RANGE, every item
+    is scaled by 2^-e, which brings its largest entry into [0.5, 1); e is
+    None when the stack is returned unscaled.
+    """
     a = np.asarray(a, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise RankDeficient("non-finite entries have no column rank")
@@ -113,13 +128,11 @@ def thin_qr_batch(a):
     with np.errstate(over="ignore"):
         total = sumsq(a.reshape(a.shape[:-2] + (m * n,)))
     if np.all((total >= _SQUARE_RANGE[0]) & (total <= _SQUARE_RANGE[1])):
-        return _gram_schmidt(a, total)
-    # bring each item's largest entry into [0.5, 1), then scale R back
+        return a, total, None
     big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1))
     e = np.frexp(big)[1][..., np.newaxis, np.newaxis]
     a = np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128)
-    q, r = _gram_schmidt(a, sumsq(a.reshape(a.shape[:-2] + (m * n,))))
-    return q, np.ldexp(r.view(np.float64), e).view(np.complex128)
+    return a, sumsq(a.reshape(a.shape[:-2] + (m * n,))), e
 
 
 def _gram_schmidt(a, total):
@@ -248,12 +261,16 @@ def left_nullspace_basis(a):
 def left_nullspace_basis_batch(a):
     """:func:`left_nullspace_basis` of every item of a (..., m, n) stack.
 
-    Internal. Raises RankDeficient if any item falls under the rank floor.
+    Internal. Raises RankDeficient if any item falls under the rank floor;
+    non-finite input counts as rank deficient and is rejected before any
+    arithmetic. Items are scaled as in :func:`thin_qr_batch`, exactly, so
+    the floor neither overflows nor underflows.
     """
+    a, total, _ = _square_safe(a)
     n = a.shape[-1]
     q, r = np.linalg.qr(a, mode="complete")
     d = np.diagonal(r[..., :n, :], axis1=-2, axis2=-1)
-    floor = RANK_FLOOR * np.linalg.norm(a, axis=(-2, -1))
+    floor = RANK_FLOOR * np.sqrt(total)
     if not np.all(np.abs(d) > floor[..., np.newaxis]):
         raise RankDeficient(f"column rank below the {RANK_FLOOR:g} relative floor")
     return q[..., n:]

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from grassfeed.ensembles import (
     RngStream,
+    gaussian_blocks,
     gaussian_matrix,
     isotropic_frame,
     isotropic_frame_in_nullspace,
     matrix_beta,
 )
-from grassfeed.errors import DimensionError, ParameterError
+from grassfeed.errors import DimensionError, ParameterError, RankDeficient
 from grassfeed.grassmann import GrassmannConstants, chordal_distance_sq
 
 
@@ -63,6 +66,24 @@ class TestGaussianMatrix:
         want = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) * np.sqrt(0.5)
         got = gaussian_matrix(RngStream(5).child(m, n), m, n, batch=batch)
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 10, 64])
+    def test_blocks_are_pieces_of_one_draw(self, block):
+        """Any block size consumes the stream as one gaussian_matrix call of
+        the whole stack and leaves the generator at the same position."""
+        shape = (10, 5, 4, 2)
+        gen = RngStream(6).generator()
+        want = gaussian_matrix(gen, 4, 2, batch=shape[:2])
+        after = gen.standard_normal(3)
+        gen = RngStream(6).generator()
+        got = [b.copy() for b in gaussian_blocks(gen, shape, block)]
+        assert [len(b) for b in got] == [min(block, 10 - i) for i in range(0, 10, block)]
+        assert np.array_equal(np.concatenate(got).view(np.float64), want.view(np.float64))
+        assert np.array_equal(gen.standard_normal(3), after)
+
+    def test_blocks_reuse_one_buffer(self):
+        blocks = list(gaussian_blocks(RngStream(6).generator(), (5, 2, 2), 2))
+        assert all(np.shares_memory(b, blocks[0]) for b in blocks)
 
 
 class TestIsotropicFrame:
@@ -125,6 +146,28 @@ class TestNullspaceFrame:
         anchor = np.eye(4, dtype=complex)[:, :2]
         with pytest.raises(DimensionError):
             isotropic_frame_in_nullspace(RngStream(4).child(3), anchor, 3)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_scale_anchor(self, scale):
+        """The nullspace's rank floor neither overflows nor underflows: a
+        scaled anchor stack gives, draw for draw, the unit-scale frames."""
+        anchor = isotropic_frame(RngStream(4).child(4), 6, 2, batch=(3,))
+        ref = isotropic_frame_in_nullspace(RngStream(4).child(5), anchor, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = isotropic_frame_in_nullspace(RngStream(4).child(5), anchor * scale, 2)
+        assert np.abs(got - ref).max() <= 1e-12
+        assert np.abs(got.conj().swapaxes(-2, -1) @ anchor).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_anchor_is_rank_deficient(self, bad):
+        anchor = np.zeros((2, 4, 2), dtype=complex)
+        anchor[:] = np.eye(4)[:, :2]
+        anchor[0, 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient, match="non-finite"):
+                isotropic_frame_in_nullspace(RngStream(4).child(6), anchor, 2)
 
 
 class TestMatrixBeta:

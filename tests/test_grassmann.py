@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,8 @@ from grassfeed.grassmann import (
     save_codebook,
     scan_fresh_codebooks,
 )
-from grassfeed import _backend
+from grassfeed.linalg import thin_qr_batch
+from grassfeed import _backend, grassmann
 from tests.test_ensembles import restricted_ks
 
 
@@ -318,3 +320,160 @@ class TestScanFreshCodebooks:
             scan_fresh_codebooks(gen, None, 1, 4, 2, -1, 2 ** 21)
         with pytest.raises(MemoryGuard):
             scan_fresh_codebooks(gen, None, 1, 4, 2, 25, 2 ** 21)
+
+
+def _whole_chunk_scan(gen, frames, count, m, n, bits, chunk_elems):
+    """The scan as one gaussian_matrix draw and one quantize_gaussians call
+    per chunk, with the chunk size scan_fresh_codebooks uses."""
+    size = 2 ** bits
+    per = max(1, chunk_elems // (size * m * n))
+    d2 = np.empty(count)
+    won = np.empty((count, m, n), dtype=np.complex128)
+    for start in range(0, count, per):
+        stop = min(start + per, count)
+        hq = frames(start, stop)
+        g = gaussian_matrix(gen, m, n, batch=(stop - start, size))
+        _, d2[start:stop], won[start:stop] = _backend.quantize_gaussians(hq, g)
+    return d2, won
+
+
+def _drawn_channels(gen, m, n):
+    """Frames callback that draws each chunk's channels from gen, as
+    distortion_samples does."""
+    def frames(start, stop):
+        return _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(stop - start,)))
+    return frames
+
+
+class _EditedGenerator(np.random.Generator):
+    """Philox generator whose standard_normal(out=...) calls pass each
+    filled buffer, flattened, with its offset in the stream of normals, to
+    edit(flat, offset)."""
+
+    def __init__(self, seed, edit):
+        super().__init__(np.random.Philox(seed))
+        self.edit = edit
+        self.offset = 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        res = super().standard_normal(size, dtype, out)
+        flat = np.asarray(res).reshape(-1)
+        self.edit(flat, self.offset)
+        self.offset += flat.size
+        return res
+
+
+def _entry_positions(count, size, m, n, trial, entry, col):
+    """Stream offsets of the real and imaginary parts of column col of one
+    codebook entry, for a single-chunk scan with fixed frames."""
+    shape = (count, size, m, n)
+    re = [np.ravel_multi_index((trial, entry, i, col), shape) for i in range(m)]
+    return re, [count * size * m * n + p for p in re]
+
+
+class TestStreamedScan:
+    """scan_fresh_codebooks draws each chunk's real parts whole and scores
+    the codebooks block by block as the imaginary parts are drawn. Its
+    output and stream position equal one whole-chunk draw and scan."""
+
+    @pytest.mark.parametrize("m,n,bits,count,per", [
+        (4, 2, 8, 250, 100),
+        (8, 1, 6, 700, 300),
+        (6, 3, 4, 1300, 600),
+        (4, 2, 0, 41000, 20000),
+    ])
+    def test_matches_whole_chunk_draw(self, m, n, bits, count, per):
+        elems = 2 ** bits * m * n
+        block = grassmann._SCAN_BLOCK_ELEMS // elems
+        # chunks and blocks both end mid-way through the count
+        assert 1 < block < per and per % block and count % per and count % block
+        seed = RngStream(13).child(m, n, bits)
+        gen, ref = seed.generator(), seed.generator()
+        d2, won = scan_fresh_codebooks(gen, _drawn_channels(gen, m, n), count, m, n, bits, per * elems)
+        d2_ref, won_ref = _whole_chunk_scan(ref, _drawn_channels(ref, m, n), count, m, n, bits, per * elems)
+        assert np.array_equal(d2, d2_ref)
+        assert np.array_equal(won.view(np.float64), won_ref.view(np.float64))
+        assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
+
+    def test_rank_deficient_in_later_block_raises(self):
+        """A zero column in an entry of the third block raises, as it does
+        from the whole-chunk scan."""
+        m, n, bits = 4, 2, 4
+        block = grassmann._SCAN_BLOCK_ELEMS // (2 ** bits * m * n)
+        count = 3 * block + 5
+        zeros = set().union(*_entry_positions(count, 2 ** bits, m, n, 2 * block + 3, 7, 1))
+
+        def edit(flat, offset):
+            for p in zeros:
+                if offset <= p < offset + flat.size:
+                    flat[p - offset] = 0.0
+
+        hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
+        for scan in (scan_fresh_codebooks, _whole_chunk_scan):
+            with pytest.raises(RankDeficient):
+                scan(_EditedGenerator(15, edit), lambda a, b: hq[a:b], count, m, n, bits, 2 ** 30)
+
+    def test_one_block_takes_exact_path(self, monkeypatch):
+        """Near-parallel columns in one entry of the second block put its
+        pivot under _PIVOT_MARGIN: that block alone is orthonormalized entry
+        by entry, and the output is still the whole-chunk scan's."""
+        m, n, bits = 4, 2, 4
+        size = 2 ** bits
+        block = grassmann._SCAN_BLOCK_ELEMS // (size * m * n)
+        count = 3 * block + 5
+        cols = [_entry_positions(count, size, m, n, block + 1, 3, j) for j in range(n)]
+        pairs = [(c0, c1) for part in range(2) for c0, c1 in zip(cols[0][part], cols[1][part])]
+
+        def edit(flat, offset):
+            for c0, c1 in pairs:
+                if offset <= c0 and c1 < offset + flat.size:
+                    flat[c1 - offset] = flat[c0 - offset] + 1e-5 * flat[c1 - offset]
+
+        seen = []
+
+        def spy(a):
+            seen.append(math.prod(a.shape[:-2]))
+            return thin_qr_batch(a)
+
+        hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
+        monkeypatch.setattr(_backend, "_use_compiled", False)
+        monkeypatch.setattr(_backend, "thin_qr_batch", spy)
+        gen = _EditedGenerator(15, edit)
+        d2, won = scan_fresh_codebooks(gen, lambda a, b: hq[a:b], count, m, n, bits, 2 ** 30)
+        # winners of blocks 0, 2 and 3; every entry of block 1
+        assert seen == [block, block * size, block, count - 3 * block]
+        d2_ref, won_ref = _whole_chunk_scan(_EditedGenerator(15, edit), lambda a, b: hq[a:b], count, m, n, bits, 2 ** 30)
+        assert np.array_equal(d2, d2_ref)
+        assert np.array_equal(won.view(np.float64), won_ref.view(np.float64))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanMemory:
+    def test_peak_below_complex_chunk(self):
+        """A (4, 2, B=8) chunk of 1024 trials is 32 MB of complex codebooks;
+        the streamed scan holds its 16 MB of real parts and one block."""
+        m, n, bits, count = 4, 2, 8, 1024
+        hq = isotropic_frame(RngStream(16), m, n, batch=(count,))
+        peak = _traced_peak(lambda: scan_fresh_codebooks(
+            RngStream(17).generator(), lambda a, b: hq[a:b], count, m, n, bits, 2 ** 21))
+        assert peak < count * 2 ** bits * m * n * 16
+
+    def test_one_entry_peak_no_higher(self):
+        """A one-entry scan of 3072 (6, 2) frames is one block; the real
+        parts (295 KB) are released before it is scored. The 4 KB of slack
+        is for Python objects alone: the suspended draw and two views."""
+        m, n, count = 6, 2, 3072
+        hq = isotropic_frame(RngStream(18), m, n, batch=(count,))
+        peaks = [
+            _traced_peak(lambda: scan(RngStream(19).generator(), lambda a, b: hq[a:b], count, m, n, 0, 2 ** 21))
+            for scan in (scan_fresh_codebooks, _whole_chunk_scan)
+        ]
+        assert peaks[0] <= peaks[1] + 4096

@@ -275,3 +275,46 @@ class TestBatchKernels:
         a = np.stack([_complex_gaussian(rng, 4, 2), np.ones((4, 2), dtype=complex)])
         with pytest.raises(RankDeficient):
             left_nullspace_basis_batch(a)
+
+
+class TestNullspaceExtremeScales:
+    """The nullspace rank floor comes from power-of-two-rescaled squares, so
+    it neither overflows nor underflows: a full-rank stack at any finite
+    scale passes, a nearly parallel pair still raises, and non-finite input
+    is rejected before any arithmetic. Warnings are errors throughout."""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_full_rank_passes(self, scale):
+        rng = np.random.default_rng(29)
+        a = np.stack([_complex_gaussian(rng, 4, 2) for _ in range(2)])
+        ref = left_nullspace_basis_batch(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = left_nullspace_basis_batch(a * scale)
+            one = left_nullspace_basis(a[1] * scale)
+        for b, r in ((got[0], ref[0]), (got[1], ref[1]), (one, ref[1])):
+            assert np.abs(b @ b.conj().T - r @ r.conj().T).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_nearly_parallel_raises(self, scale):
+        rng = np.random.default_rng(30)
+        c = _complex_gaussian(rng, 4, 1)
+        a = np.stack([_complex_gaussian(rng, 4, 2), np.hstack([c, c * (1 + 1e-14)])]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient, match="floor"):
+                left_nullspace_basis_batch(a)
+            with pytest.raises(RankDeficient, match="floor"):
+                left_nullspace_basis(a[1])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_is_rank_deficient(self, bad):
+        a = np.zeros((2, 4, 2), dtype=complex)
+        a[:] = np.eye(4)[:, :2]
+        a[1, 2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient, match="non-finite"):
+                left_nullspace_basis_batch(a)
+            with pytest.raises(RankDeficient, match="non-finite"):
+                left_nullspace_basis(a[1])
