@@ -13,9 +13,10 @@ transmitter degraded by quantized or analog feedback. It provides
 * feedback scaling laws relating bit budgets to SNR, and
 * a deterministic Monte Carlo engine with SNR-gap estimation and a CLI.
 
-Chordal-distance kernels run through a compiled extension when it is
-available; :data:`BACKEND` names the implementation in use (see
-``GRASSFEED_BACKEND`` in :mod:`grassfeed._backend` to force one).
+The package is pure Python over numpy. The hot kernels (batched
+orthonormalization and the fresh-codebook scan) live in
+:mod:`grassfeed._backend`; :data:`BACKEND` is always ``"python"`` and is
+kept only for the benchmark's environment record.
 """
 
 from ._backend import BACKEND

@@ -1,6 +1,4 @@
-"""Backend selection for the hot kernels.
-
-Two implementations of the same three contracts:
+"""The engine's hot kernels, in numpy.
 
 * ``orthonormalize(a)``: thin-QR Q factors (positive-diagonal R convention)
   of a stack of matrices.
@@ -9,42 +7,22 @@ Two implementations of the same three contracts:
 * ``quantize_gaussians(hq, gauss)``: fused per-trial codebook
   orthonormalization and scan, returning the winning index, d^2 and frame.
 
-The compiled module is used when importable; ``GRASSFEED_BACKEND=python``
-forces the numpy path and ``GRASSFEED_BACKEND=compiled`` makes a missing
-extension an error instead of a silent fallback. Both backends compute the
-same function: thin QR with a positive real R diagonal is unique for
-full-rank input, so results differ only in rounding.
-
-The numpy ``quantize_gaussians`` runs no QR per codebook entry. It scores
-every entry from its Gram matrix A = G^H G and B = hq^H G, takes the best
-score per trial and orthonormalizes only the T winners, whose d^2 and frame
-are then bit-identical to orthonormalizing every entry. A chunk with an
-entry near the rank floor, where the Gram is too coarse, takes that exact
-path instead, and so does every trial whose two best scores nearly tie.
+``quantize_gaussians`` runs no QR per codebook entry. It scores every entry
+from its Gram matrix A = G^H G and B = hq^H G, takes the best score per
+trial and orthonormalizes only the T winners, whose d^2 and frame are then
+bit-identical to orthonormalizing every entry. A chunk with an entry near
+the rank floor, where the Gram is too coarse, takes that exact path
+instead, and so does every trial whose two best scores nearly tie.
 """
-
-import os
 
 import numpy as np
 
-from .errors import ParameterError, RankDeficient
-from .linalg import RANK_FLOOR, sumsq, thin_qr_batch
+from .linalg import sumsq, thin_qr_batch
 
 __all__ = ["BACKEND", "orthonormalize", "scan_frames", "quantize_gaussians"]
 
-try:
-    from . import _kernels
-except ImportError:
-    _kernels = None
-
-_choice = os.environ.get("GRASSFEED_BACKEND", "").strip().lower()
-if _choice == "compiled" and _kernels is None:
-    raise ImportError("GRASSFEED_BACKEND=compiled but grassfeed._kernels is not built")
-if _choice not in ("", "python", "compiled"):
-    raise ParameterError(f"GRASSFEED_BACKEND must be 'python' or 'compiled', got {_choice!r}")
-
-_use_compiled = _kernels is not None and _choice != "python"
-BACKEND = "compiled" if _use_compiled else "python"
+BACKEND = "python"
+"""Always ``"python"``; kept only for the benchmark's environment record."""
 
 # The Gram squares the condition number, so it ranks entries only well away
 # from the rank floor: a pivot r_jj^2 at or below _PIVOT_MARGIN ||G||_F^2
@@ -69,22 +47,13 @@ def _scan_np(hq, w):
 
 def orthonormalize(a):
     """Positive-diagonal thin-QR Q factors of a (..., m, n) stack."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    if not _use_compiled:
-        return thin_qr_batch(a)[0]
-    try:
-        q = _kernels.orthonormalize_batch(a.reshape((-1,) + a.shape[-2:]), RANK_FLOOR)
-    except ValueError as exc:
-        raise RankDeficient(str(exc)) from exc
-    return q.reshape(a.shape)
+    return thin_qr_batch(np.ascontiguousarray(a, dtype=np.complex128))[0]
 
 
 def scan_frames(hq, frames):
     """(index, d^2) of the chordal-nearest frame in a (C, m, n) stack."""
     hq = np.ascontiguousarray(hq, dtype=np.complex128)
     frames = np.ascontiguousarray(frames, dtype=np.complex128)
-    if _use_compiled:
-        return _kernels.scan_frames(hq, frames)
     idx, d2, _ = _scan_np(hq[np.newaxis], frames[np.newaxis])
     return int(idx[0]), float(d2[0])
 
@@ -128,8 +97,18 @@ def _gram_scores(hq, gauss):
     return score
 
 
-def _quantize_np(hq, gauss):
-    """numpy :func:`quantize_gaussians`: Gram scores, then a QR of each winner."""
+def quantize_gaussians(hq, gauss):
+    """Fused codebook orthonormalization and nearest-frame scan.
+
+    hq: (T, m, n) orthonormal channel stack. gauss: (T, C, m, n) Gaussian
+    draws, one fresh C-entry codebook per trial. Returns (idx, d2, qwin).
+    Raises RankDeficient if any entry is under the rank floor.
+
+    Entries are scored by Gram matrix and only the winners are
+    orthonormalized; near the rank floor every entry gets a QR instead.
+    """
+    hq = np.ascontiguousarray(hq, dtype=np.complex128)
+    gauss = np.ascontiguousarray(gauss, dtype=np.complex128)
     # a one-entry codebook is its own winner: nothing to score
     score = _gram_scores(hq, gauss) if gauss.shape[1] > 1 else None
     if score is None:
@@ -145,23 +124,3 @@ def _quantize_np(hq, gauss):
     win = np.take_along_axis(gauss, idx[:, np.newaxis, np.newaxis, np.newaxis], axis=1)
     _, d2, qwin = _scan_np(hq, thin_qr_batch(win)[0])
     return idx.astype(np.int64), d2, qwin
-
-
-def quantize_gaussians(hq, gauss):
-    """Fused codebook orthonormalization and nearest-frame scan.
-
-    hq: (T, m, n) orthonormal channel stack. gauss: (T, C, m, n) Gaussian
-    draws, one fresh C-entry codebook per trial. Returns (idx, d2, qwin).
-    Raises RankDeficient if any entry is under the rank floor.
-
-    The numpy path scores entries by Gram matrix and orthonormalizes only
-    the winners; near the rank floor it falls back to a QR of every entry.
-    """
-    hq = np.ascontiguousarray(hq, dtype=np.complex128)
-    gauss = np.ascontiguousarray(gauss, dtype=np.complex128)
-    if _use_compiled:
-        try:
-            return _kernels.quantize_gaussians(hq, gauss, RANK_FLOOR)
-        except ValueError as exc:
-            raise RankDeficient(str(exc)) from exc
-    return _quantize_np(hq, gauss)

@@ -16,6 +16,7 @@ The codebook file format is flat binary, little endian:
 """
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +45,8 @@ __all__ = [
     "load_codebook",
 ]
 
-CODEBOOK_ENTRY_CAP = 2 ** 24
+_CAP_BITS = 24
+CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
 # complex elements of codebook per scored block (2 MiB, one core's L2 on a
 # 2 MiB-L2 Xeon); there the fastest of 2^14..2^18 for the draw plus scan
 # of a (4, 2, B=8) chunk
@@ -168,10 +170,10 @@ def _codebook_size(bits):
     """2^bits, once bits >= 0 and the entry cap are checked."""
     if bits < 0:
         raise ParameterError(f"bits must be >= 0, got {bits}")
-    size = 2 ** bits
-    if size > CODEBOOK_ENTRY_CAP:
+    # compared before exponentiating, so a huge bits fails at once
+    if bits > _CAP_BITS:
         raise MemoryGuard(f"2^{bits} entries exceed the {CODEBOOK_ENTRY_CAP} cap")
-    return size
+    return 2 ** bits
 
 
 def random_codebook(rng, m, n, bits):
@@ -304,16 +306,32 @@ def save_codebook(codebook, path):
 
 
 def load_codebook(path):
-    """Read a codebook written by :func:`save_codebook`."""
+    """Read a codebook written by :func:`save_codebook`.
+
+    Raises ParameterError if the header is foreign, truncated or names an
+    invalid shape or an over-cap B, or if the payload is not exactly
+    2^B M N complex doubles.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        header = np.frombuffer(fh.read(16), dtype="<u4")
-        version, m, n, bits = (int(x) for x in header)
+        raw = fh.read(16)
+        if len(raw) != 16:
+            raise ParameterError(f"{path}: header truncated at {4 + len(raw)} bytes")
+        version, m, n, bits = (int(x) for x in np.frombuffer(raw, dtype="<u4"))
         if version != _FORMAT_VERSION:
             raise ParameterError(f"unsupported format version {version}")
-        count = 2 ** bits
-        raw = fh.read(count * m * n * 16)
-        entries = np.frombuffer(raw, dtype="<c16").reshape(count, m, n)
+        try:
+            GrassmannConstants(m, n)
+            count = _codebook_size(bits)
+        except (ParameterError, MemoryGuard) as exc:
+            raise ParameterError(f"{path}: {exc}") from exc
+        expected = count * m * n * 16
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != expected:
+            raise ParameterError(
+                f"{path}: payload is {payload} bytes, (M, N, B) = ({m}, {n}, {bits}) needs {expected}"
+            )
+        entries = np.frombuffer(fh.read(expected), dtype="<c16").reshape(count, m, n)
     return Codebook(m, n, bits, entries.astype(np.complex128))

@@ -6,7 +6,7 @@ two conventions fixed here once:
 * QR factors carry a real, strictly positive R diagonal.  With that
   constraint the thin QR of a full-rank matrix is unique, so Gaussian
   matrices pushed through :func:`thin_qr` give Haar-distributed frames and
-  the compiled and numpy backends compute the same mathematical function.
+  any correct algorithm returns the same factors up to rounding.
   :func:`thin_qr_batch` computes it by two-pass classical Gram-Schmidt,
   vectorized over the stack: each column is projected twice against the
   earlier Q columns ("twice is enough", Giraud, Langou & Rozloznik 2005)

@@ -278,17 +278,21 @@ def _chunk_sum_rates(spec, point_idx, chunk_idx, count, p_db, bits, eff_mode):
     return rates.sum(axis=1)
 
 
-def _worker_count():
-    env = os.environ.get("GRASSFEED_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        val = int(env)
-    except ValueError as exc:
-        raise ParameterError(f"GRASSFEED_THREADS must be an integer, got {env!r}") from exc
-    if val < 1:
-        raise ParameterError(f"GRASSFEED_THREADS must be >= 1, got {val}")
-    return val
+def _worker_count(threads):
+    """The validated thread count: ``threads``, else GRASSFEED_THREADS, else 1."""
+    name = "threads"
+    if threads is None:
+        env = os.environ.get("GRASSFEED_THREADS", "").strip()
+        if not env:
+            return 1
+        name = "GRASSFEED_THREADS"
+        try:
+            threads = int(env)
+        except ValueError as exc:
+            raise ParameterError(f"GRASSFEED_THREADS must be an integer, got {env!r}") from exc
+    if not _is_count(threads) or threads < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {threads!r}")
+    return threads
 
 
 def run_experiment(spec, threads=None):
@@ -298,8 +302,7 @@ def run_experiment(spec, threads=None):
     unset). The thread count changes the execution schedule only, never the
     result bytes.
     """
-    if threads is None:
-        threads = _worker_count()
+    threads = _worker_count(threads)
     points = []
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     for point_idx, p_db in enumerate(spec.snr_grid_db):
@@ -392,16 +395,23 @@ def write_curve_csv(curve, path):
 
 
 def read_curve_csv(path):
-    """Read a curve written by :func:`write_curve_csv`."""
+    """Read a curve written by :func:`write_curve_csv`.
+
+    Raises ParameterError, naming the file and line, on a foreign header, a
+    row without six fields or a field that does not parse.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "p_db,sum_rate,per_user_rate,ci99,mode,bits_used":
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != "p_db,sum_rate,per_user_rate,ci99,mode,bits_used":
         raise ParameterError(f"{path} is not a rate-curve CSV")
     points = []
-    for ln in lines[1:]:
-        p_db, sum_rate, per_user, ci99, mode, bits = ln.split(",")
-        points.append(
-            RatePoint(
+    for lineno, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 6:
+            raise ParameterError(f"{path}, line {lineno}: expected 6 fields, got {len(fields)}")
+        p_db, sum_rate, per_user, ci99, mode, bits = fields
+        try:
+            point = RatePoint(
                 p_db=float(p_db),
                 sum_rate=float(sum_rate),
                 per_user_rate=float(per_user),
@@ -409,5 +419,7 @@ def read_curve_csv(path):
                 mode=mode,
                 bits_used=None if bits == "" else int(bits),
             )
-        )
+        except ValueError as exc:
+            raise ParameterError(f"{path}, line {lineno}: {exc}") from exc
+        points.append(point)
     return RateCurve(points=tuple(points))

@@ -277,6 +277,13 @@ class TestGapCommand:
                      "--test", str(tmp_path / "no2.csv")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("row", ["0,1,2", "0,abc,0.5,0.1,perfect,"])
+    def test_malformed_row_exits_2(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("p_db,sum_rate,per_user_rate,ci99,mode,bits_used\n" + row + "\n")
+        assert main(["gap", "--ref", str(bad), "--test", str(bad)]) == 2
+        assert "bad.csv, line 2" in capsys.readouterr().err
+
 
 class TestSelftestCommand:
     def test_single_config_passes(self, capsys):

@@ -219,6 +219,24 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             load_codebook(path)
 
+    @pytest.mark.parametrize("edit", ["truncated", "trailing", "short_header", "m_zero", "huge_bits"])
+    def test_rejects_malformed_file(self, tmp_path, edit):
+        """A (4, 2, B=3) file with its payload cut or padded, its header cut,
+        M set to 0, or B set to 2^32 - 1, which must fail before 2^B is formed."""
+        path = tmp_path / "cb.gfcb"
+        save_codebook(random_codebook(RngStream(7).child(0), 4, 2, 3), path)
+        raw = path.read_bytes()
+        header = np.frombuffer(raw[4:20], dtype="<u4").copy()  # version, M, N, B
+        if edit == "m_zero":
+            header[1] = 0
+        elif edit == "huge_bits":
+            header[3] = 2 ** 32 - 1
+        raw = raw[:4] + header.tobytes() + raw[20:]
+        cuts = {"truncated": raw[:-16], "trailing": raw + b"\x00" * 16, "short_header": raw[:12]}
+        path.write_bytes(cuts.get(edit, raw))
+        with pytest.raises(ParameterError):
+            load_codebook(path)
+
 
 class TestSingleSampleCdf:
     def test_closed_form_cdf(self):
@@ -436,7 +454,6 @@ class TestStreamedScan:
             return thin_qr_batch(a)
 
         hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
-        monkeypatch.setattr(_backend, "_use_compiled", False)
         monkeypatch.setattr(_backend, "thin_qr_batch", spy)
         gen = _EditedGenerator(15, edit)
         d2, won = scan_fresh_codebooks(gen, lambda a, b: hq[a:b], count, m, n, bits, 2 ** 30)

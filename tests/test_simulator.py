@@ -300,6 +300,10 @@ class TestDeterminism:
         monkeypatch.setenv("GRASSFEED_THREADS", "0")
         with pytest.raises(ParameterError):
             run_experiment(spec)
+        monkeypatch.delenv("GRASSFEED_THREADS")
+        for threads in ("2", 0, -3, 2.5, True):
+            with pytest.raises(ParameterError):
+                run_experiment(spec, threads=threads)
 
     def test_mode_column_reflects_fallback(self):
         """scaled_3db sweep crossing the guard: low points run exhaustive,
@@ -491,4 +495,13 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("power,rate\n1,2\n")
         with pytest.raises(ParameterError):
+            read_curve_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1,2", "0,abc,0.5,0.1,perfect,", "0,1,0.5,0.1,perfect,x",
+                                     "0,1,0.5,0.1,perfect,,"])
+    def test_rejects_malformed_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("p_db,sum_rate,per_user_rate,ci99,mode,bits_used\n"
+                        "10,3,1.5,0.01,perfect,\n\n" + row + "\n")
+        with pytest.raises(ParameterError, match=r"bad\.csv, line 4"):
             read_curve_csv(path)
