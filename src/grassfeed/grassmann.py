@@ -140,7 +140,11 @@ def principal_angles(a, b):
 
 @dataclass(frozen=True)
 class Codebook:
-    """2^B isotropic frames on G(M, N), index order significant."""
+    """2^B isotropic frames on G(M, N), index order significant.
+
+    bits is checked before 2^B is formed: negative bits raise
+    ParameterError and bits above the entry cap raise MemoryGuard.
+    """
 
     m: int
     n: int
@@ -148,8 +152,9 @@ class Codebook:
     entries: np.ndarray
 
     def __post_init__(self):
+        size = _codebook_size(self.bits)
         e = np.asarray(self.entries, dtype=np.complex128)
-        if e.shape != (2 ** self.bits, self.m, self.n):
+        if e.shape != (size, self.m, self.n):
             raise DimensionError(
                 f"entries shape {e.shape} does not match (2^{self.bits}, {self.m}, {self.n})"
             )

@@ -38,7 +38,7 @@ import numpy as np
 from . import _backend
 from .ensembles import as_generator, gaussian_matrix
 from .errors import DimensionError, ParameterError, RankDeficient
-from .linalg import logdet_hermitian_batch, sumsq
+from .linalg import gram_rows, logdet_hermitian_batch, sumsq
 
 __all__ = [
     "SystemConfig",
@@ -257,7 +257,10 @@ def rates_batch(p, channels, precoders):
     interference Gram is its (N, KN) row block times its conjugate
     transpose: a sum over the other users' terms alone. Subtracting the own
     term from the full sum would cancel catastrophically at high power and
-    lose positive definiteness.
+    lose positive definiteness. Both N x N Grams come from their
+    N(N+1)/2 upper entries, one vector operation over the whole stack each
+    (:func:`~grassfeed.linalg.gram_rows`), and both log-dets from a
+    vectorized LDL^H, so no per-user matmul or LAPACK call runs.
     Raises ParameterError if P/M times a gain leaves the double range.
     """
     t, k, m, n = channels.shape
@@ -270,9 +273,8 @@ def rates_batch(p, channels, precoders):
     users = np.arange(k)
     own = blocks[:, users, users]  # advanced indexing copies
     blocks[:, users, users] = 0.0
-    rows = g.reshape(t, k, n, k * n)
-    intf = np.matmul(rows, np.swapaxes(rows, -2, -1).conj())
-    total = np.matmul(own, np.swapaxes(own, -2, -1).conj())
+    intf = gram_rows(g.reshape(t, k, n, k * n))
+    total = gram_rows(own)
     try:
         with np.errstate(over="raise"):
             intf *= c

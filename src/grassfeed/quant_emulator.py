@@ -37,7 +37,7 @@ from .errors import (
     RankDeficient,
 )
 from .grassmann import GrassmannConstants, _check_frame
-from .linalg import cholesky_upper_batch, left_nullspace_basis, thin_qr
+from .linalg import cholesky_upper_batch, gram_rows, left_nullspace_basis, thin_qr
 
 __all__ = [
     "DEFAULT_GUARD_PRODUCT",
@@ -300,6 +300,14 @@ def emulate_batch(rng, hq, bits, sampler=None, guard_product=DEFAULT_GUARD_PRODU
     the error term is sqrt(s) P and Y = chol(I - s W), s = z / trace(W).
     Returns (T, M, N) frames and (T,) d^2. Any bit budget works: a d^2
     that underflows to 0 gives Z = 0 and Y = I.
+
+    The N x N products run as vector operations over the whole stack, not
+    as stacked matmuls, which pay a per-item cost at these sizes: hq^H G
+    entry by entry (one einsum over M each), W from its upper entries
+    (:func:`~grassfeed.linalg.gram_rows`), trace(W) as the sum of its real
+    diagonal, and the products hq (hq^H G), X Y and hq (X Y) as one column
+    multiply-add per entry of the right factor (:func:`_add_product`). G's
+    buffer becomes the returned frames.
     """
     hq = np.asarray(hq, dtype=np.complex128)
     t, m, n = hq.shape
@@ -311,8 +319,38 @@ def emulate_batch(rng, hq, bits, sampler=None, guard_product=DEFAULT_GUARD_PRODU
     z = sample_min_d2(gen, GrassmannConstants(m, n), bits, guard_product=guard_product, size=t)
     x = isotropic_frame(gen, n, n, batch=(t,))
     p = gaussian_matrix(gen, m, n, batch=(t,))
-    p -= hq @ (np.conj(np.swapaxes(hq, -2, -1)) @ p)
-    w = np.conj(np.swapaxes(p, -2, -1)) @ p
-    s = (z / np.trace(w, axis1=-2, axis2=-1).real)[:, np.newaxis, np.newaxis]
-    y = cholesky_upper_batch(np.eye(n) - s * w)
-    return hq @ (x @ y) + np.sqrt(s) * p, z
+    col = np.empty((t, m), dtype=np.complex128)
+    coef = np.empty((t, n, n), dtype=np.complex128)
+    for i in range(n):
+        np.conjugate(hq[..., :, i], out=col)
+        for j in range(n):
+            np.einsum("...m,...m->...", col, p[..., :, j], out=coef[..., i, j])
+    # P = G + hq (-hq^H G)
+    np.negative(coef, out=coef)
+    _add_product(p, hq, coef, col)
+    # W = P^H P is the transpose of the row Gram of P^T
+    w = np.swapaxes(gram_rows(np.swapaxes(p, -2, -1)), -2, -1)
+    s = z / np.diagonal(w, axis1=-2, axis2=-1).real.sum(axis=-1)
+    w *= -s[:, np.newaxis, np.newaxis]
+    w += np.eye(n)
+    y = cholesky_upper_batch(w)
+    xy = np.zeros_like(x)
+    _add_product(xy, x, y, np.empty((t, n), dtype=np.complex128))
+    p *= np.sqrt(s)[:, np.newaxis, np.newaxis]
+    _add_product(p, hq, xy, col)
+    return p, z
+
+
+def _add_product(out, a, b, col):
+    """out += a @ b for (T, r, k) and (T, k, n) stacks, in place.
+
+    One multiply-add of an r-column stack per entry of b, through the
+    reused (T, r) buffer ``col``. With k and n this small that beats a stacked
+    matmul, and also a broadcast over all n columns at once, whose
+    innermost loop would run over n alone.
+    """
+    for j in range(b.shape[-1]):
+        target = out[..., :, j]
+        for i in range(a.shape[-1]):
+            np.multiply(a[..., :, i], b[..., i, j, np.newaxis], out=col)
+            target += col

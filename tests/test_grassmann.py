@@ -158,6 +158,21 @@ class TestRandomCodebook:
         with pytest.raises(MemoryGuard):
             random_codebook(RngStream(3).child(2), 4, 2, 25)
 
+    def test_codebook_checks_bits_first(self):
+        """bits is validated before 2^bits is formed or shapes compared."""
+        entries = np.zeros((1, 4, 2), dtype=complex)
+        with pytest.raises(ParameterError):
+            Codebook(4, 2, -1, entries)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryGuard):
+                Codebook(4, 2, 2 ** 28, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2**(2**28) alone is a 32 MiB integer
+        assert peak < 2 ** 20
+
 
 class TestQuantize:
     def test_exact_member_wins(self):

@@ -13,6 +13,7 @@ from grassfeed.errors import (
 from grassfeed.linalg import (
     cholesky_upper,
     cholesky_upper_batch,
+    gram_rows,
     hermitian_eig,
     left_nullspace_basis,
     left_nullspace_basis_batch,
@@ -188,6 +189,18 @@ class TestLogdetHermitian:
         with pytest.raises(NotPD):
             logdet_hermitian(np.diag([1.0, 0.0]).astype(complex))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batch_matches_slogdet(self, n):
+        """The LDL^H pivots against LAPACK's slogdet on a (T, K, n, n)
+        stack whose conditioning spans eight orders of magnitude."""
+        rng = np.random.default_rng(40 + n)
+        b = (rng.standard_normal((64, 3, n, n + 2)) + 1j * rng.standard_normal((64, 3, n, n + 2)))
+        a = np.eye(n) + np.logspace(-4, 4, 64)[:, None, None, None] * (b @ b.conj().swapaxes(-2, -1))
+        want = np.linalg.slogdet(a)[1] / np.log(2.0)
+        got = logdet_hermitian_batch(a)
+        assert got.shape == (64, 3)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestBatchKernels:
     """The *_batch kernels the engine runs, on stacks with bad items."""
@@ -269,6 +282,38 @@ class TestBatchKernels:
         a = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
         with pytest.raises(NotPD):
             logdet_hermitian_batch(a)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[np.nan]],
+            [[np.inf]],
+            [[0.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[1e-300, 1e10], [1e10, 1.0]],
+        ],
+        ids=["nan", "inf", "zero", "nan-offdiag", "inf-offdiag", "indefinite", "overflowing"],
+    )
+    def test_logdet_bad_item_raises_without_warning(self, bad):
+        """A NaN, infinite, singular or indefinite item raises NotPD with
+        no warning, and no NaN or inf log-det comes back."""
+        bad = np.asarray(bad, dtype=complex)
+        a = np.stack([np.eye(bad.shape[0]), bad]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPD):
+                logdet_hermitian_batch(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gram_rows_matches_matmul(self, n):
+        rng = np.random.default_rng(22 + n)
+        x = rng.standard_normal((50, 2, n, 7)) + 1j * rng.standard_normal((50, 2, n, 7))
+        got = gram_rows(x)
+        want = x @ x.conj().swapaxes(-2, -1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        np.testing.assert_array_equal(got, got.conj().swapaxes(-2, -1))
 
     def test_nullspace_rank_deficient_item(self):
         rng = np.random.default_rng(21)

@@ -473,16 +473,17 @@ class TestBatchParity:
             )
 
     @pytest.mark.parametrize(
-        "scheme,m,n", [("bd", 6, 2), ("bd", 4, 2), ("zf", 8, 1), ("zf", 6, 2)]
+        "scheme,m,n", [("bd", 6, 2), ("bd", 4, 2), ("bd", 6, 3), ("zf", 8, 1), ("zf", 6, 2)]
     )
     def test_rates_match_einsum_contraction(self, scheme, m, n):
-        """The one-matmul contraction against the per-pair einsum, on
-        perturbed knowledge so every interference term is nonzero."""
+        """The one-matmul contraction and per-entry Grams against the
+        per-pair einsum, on perturbed knowledge so every interference term
+        is nonzero, from 0 to 200 dB."""
         gen = RngStream(49).child(4, m, n).generator()
         h = gaussian_matrix(gen, m, n, batch=(256, m // n))
         know = h + 0.3 * gaussian_matrix(gen, m, n, batch=(256, m // n))
         pre = bd_precoders_batch(know) if scheme == "bd" else zf_precoders_batch(know)
-        for p in (1.0, 1e3):
+        for p in (1.0, 1e3, 1e10, 1e20):
             want = _rates_einsum(p, h, pre)
             got = rates_batch(p, h, pre)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -502,6 +503,22 @@ class TestBatchParity:
                 expect = _rate_reference(cfg.p, h[t, k], pre[t], k)
                 assert rates[t, k] == pytest.approx(expect, abs=1e-9)
                 assert instant_rate_per_user(cfg, h[t, k], pset, k) == pytest.approx(expect, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "scheme,m,n", [("bd", 4, 2), ("bd", 6, 2), ("bd", 6, 3), ("zf", 8, 1)]
+    )
+    def test_rates_match_per_user_cholesky(self, scheme, m, n):
+        """rates_batch against the per-user LAPACK Cholesky log-dets of
+        _rate_reference, from 0 to 200 dB."""
+        gen = RngStream(49).child(5, m, n).generator()
+        h = gaussian_matrix(gen, m, n, batch=(16, m // n))
+        know = h + 0.3 * gaussian_matrix(gen, m, n, batch=(16, m // n))
+        pre = bd_precoders_batch(know) if scheme == "bd" else zf_precoders_batch(know)
+        for p in (1.0, 1e3, 1e10, 1e20):
+            rates = rates_batch(p, h, pre)
+            want = np.array([[_rate_reference(p, h[t, k], pre[t], k) for k in range(m // n)]
+                             for t in range(16)])
+            assert np.abs(rates - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestEffectiveChannelMoments:

@@ -19,6 +19,7 @@ from grassfeed.grassmann import (
     distortion_samples,
     scan_fresh_codebooks,
 )
+from grassfeed.linalg import cholesky_upper_batch
 from grassfeed.quant_emulator import (
     CondEigSampler,
     beta_trace_pdf,
@@ -35,6 +36,20 @@ from tests.test_ensembles import restricted_ks
 
 def _orth(gen, m, n):
     return isotropic_frame(gen, m, n)
+
+
+def _emulate_matmul(gen, hq, bits):
+    """emulate_batch as stacked matmuls and np.trace: the same draws in the
+    same order, with every N x N product a per-item matmul."""
+    t, m, n = hq.shape
+    z = sample_min_d2(gen, GrassmannConstants(m, n), bits, size=t)
+    x = isotropic_frame(gen, n, n, batch=(t,))
+    p = gaussian_matrix(gen, m, n, batch=(t,))
+    p -= hq @ (np.conj(np.swapaxes(hq, -2, -1)) @ p)
+    w = np.conj(np.swapaxes(p, -2, -1)) @ p
+    s = (z / np.trace(w, axis1=-2, axis2=-1).real)[:, np.newaxis, np.newaxis]
+    y = cholesky_upper_batch(np.eye(n) - s * w)
+    return hq @ (x @ y) + np.sqrt(s) * p, z
 
 
 class TestDecompose:
@@ -341,6 +356,18 @@ class TestEmulateQuantization:
             overlap = np.einsum("tmi,tmj->tij", h.conj(), out)
             gram = np.einsum("tki,tkj->tij", overlap.conj(), overlap)
             assert np.abs(gram - np.eye(n)).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("m,n,bits", [(4, 2, 12), (6, 2, 20), (8, 1, 12), (8, 3, 40)])
+    def test_matches_matmul_form(self, m, n, bits):
+        """Same generator, same z, and frames within 1e-14 of the matmul
+        form, also for the strided column slices the ZF path passes."""
+        wide = isotropic_frame(RngStream(29).child(6, m).generator(), m, n + 1, batch=(300,))
+        for h in (np.ascontiguousarray(wide[..., :n]), wide[..., 1:]):
+            want, z_want = _emulate_matmul(RngStream(29).child(7, m).generator(), h, bits)
+            got, z_got = emulate_batch(RngStream(29).child(7, m).generator(), h, bits)
+            np.testing.assert_array_equal(z_got, z_want)
+            assert np.abs(got - want).max() <= 1e-14
 
 
 class TestEmulatedMatchesExhaustive:
