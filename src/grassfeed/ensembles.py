@@ -21,7 +21,6 @@ from .linalg import left_nullspace_basis_batch
 
 __all__ = [
     "RngStream",
-    "gaussian_blocks",
     "gaussian_matrix",
     "isotropic_frame",
     "isotropic_frame_in_nullspace",
@@ -69,47 +68,23 @@ def as_generator(rng):
     raise ParameterError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def gaussian_blocks(rng, shape, block):
-    """Complex Gaussian stack of the given shape (a tuple), yielded in
-    blocks of at most ``block`` items along its first axis.
-
-    Real and imaginary parts are independent N(0, 1/2), so E|h_ij|^2 = 1.
-    This function owns the draw layout: every real part of the stack is
-    drawn first, in one call, then the imaginary parts block by block, so
-    the stream is the same whatever ``block`` is. Each block's real parts
-    are scaled into one reused complex buffer, its imaginary parts are
-    drawn into the real buffer's now-dead slice and scaled in, and the
-    real buffer is released before the last block is yielded. A yielded
-    block is overwritten by the next one, so consume it first.
-    """
-    gen = as_generator(rng)
-    count = shape[0]
-    z = np.empty((min(block, count),) + shape[1:], dtype=np.complex128)
-    re = np.empty(shape)
-    gen.standard_normal(out=re)
-    for start in range(0, count, block):
-        piece = re[start:start + block]
-        out = z[:piece.shape[0]]
-        real, imag = out.real, out.imag
-        np.multiply(piece, np.sqrt(0.5), out=real)
-        gen.standard_normal(out=piece)
-        np.multiply(piece, np.sqrt(0.5), out=imag)
-        if start + block >= count:
-            del re, piece
-        yield out
-
-
 def gaussian_matrix(rng, m, n, batch=()):
     """Complex Gaussian matrix with unit-variance entries.
 
     Real and imaginary parts are independent N(0, 1/2), so E|h_ij|^2 = 1.
-    With batch=(..) a stacked (..., m, n) array is drawn, all real parts
-    first and then all imaginary parts: the one-block case of
-    :func:`gaussian_blocks`, holding one real and one complex buffer.
+    With batch=(..) a stacked (..., m, n) array is drawn, every real part
+    first and then every imaginary part, through one real buffer that each
+    half is drawn into and one complex buffer that is returned.
     """
     if m < 1 or n < 1:
         raise DimensionError(f"matrix dimensions must be positive, got ({m}, {n})")
-    return next(gaussian_blocks(rng, (1,) + tuple(batch) + (m, n), 1))[0]
+    gen = as_generator(rng)
+    z = np.empty(tuple(batch) + (m, n), dtype=np.complex128)
+    part = np.empty(z.shape)
+    for out in (z.real, z.imag):
+        gen.standard_normal(out=part)
+        np.multiply(part, np.sqrt(0.5), out=out)
+    return z
 
 
 def isotropic_frame(rng, m, n, batch=()):

@@ -14,6 +14,7 @@ __all__ = [
     "NotPD",
     "DegenerateProjection",
     "DomainError",
+    "Infeasible",
     "FallbackRequired",
     "MemoryGuard",
     "IncompatiblePolicy",

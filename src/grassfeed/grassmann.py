@@ -4,7 +4,9 @@ Distances between column spaces are measured by the squared chordal
 distance d^2 = sum_j sin^2(theta_j), computed in trace form as
 N - ||A^H B||_F^2 (the principal-angle route is kept only as a test
 oracle). Random codebooks hold 2^B independent isotropic frames; a channel
-is quantized to the entry of minimum d^2, lowest index on ties.
+is quantized to the entry of minimum d^2, lowest index on ties. A scan of
+fresh codebooks, one per trial, draws and scores them in fixed-size blocks
+of trials, one Gaussian draw per block.
 
 The codebook file format is flat binary, little endian:
 
@@ -23,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _backend
-from .ensembles import as_generator, gaussian_blocks, gaussian_matrix
+from .ensembles import as_generator, gaussian_matrix
 from .errors import DimensionError, DomainError, MemoryGuard, ParameterError
 from .linalg import ORTHO_TOL
 
@@ -49,7 +51,9 @@ _CAP_BITS = 24
 CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
 # complex elements of codebook per scored block (2 MiB, one core's L2 on a
 # 2 MiB-L2 Xeon); there the fastest of 2^14..2^18 for the draw plus scan
-# of a (4, 2, B=8) chunk
+# of a (4, 2, B=8) chunk. Each block is one Gaussian draw, so this size
+# fixes how a multi-block scan consumes the random stream, as CHUNK_TRIALS
+# does for the engine: changing it changes the results.
 _SCAN_BLOCK_ELEMS = 2 ** 17
 _MAGIC = b"GFCB"
 _FORMAT_VERSION = 1
@@ -242,61 +246,58 @@ def distortion_bound(gc, bits, a=0.5):
     return distortion_main_term(gc, bits) + gc.n * math.exp(-(product ** (1.0 - a)))
 
 
-def scan_fresh_codebooks(gen, frames, count, m, n, bits, chunk_elems):
-    """Quantize ``count`` frames, each against its own fresh random codebook.
+def _scan_block(size, m, n):
+    """Trials per scan block: _SCAN_BLOCK_ELEMS complex codebook elements'
+    worth of 2^B-entry (M, N) codebooks, at least one."""
+    return max(1, _SCAN_BLOCK_ELEMS // (size * m * n))
 
-    Runs in chunks of at most ``chunk_elems // (2^bits M N)`` trials (at
-    least one). Per chunk, ``frames(start, stop)`` returns the chunk's
-    (stop - start, M, N) orthonormal frames, possibly drawing from ``gen``;
-    then its 2^bits-entry Gaussian codebooks are drawn from ``gen``, every
-    real part of the chunk first and then every imaginary part, as one
-    :func:`gaussian_matrix` call of the chunk would draw them. Returns the
-    (count,) minimum d^2 and (count, M, N) winners.
 
-    The codebooks are scanned in blocks of ``_SCAN_BLOCK_ELEMS`` complex
-    elements' worth of trials (at least one), each as soon as its imaginary
-    parts are drawn, so at peak the scan holds the chunk's real parts
-    (8 bytes per element) plus one block and its scoring temporaries, not
-    the chunk's complex codebooks and their Gram scores.
+def scan_fresh_codebooks(gen, hq, bits):
+    """Quantize each frame of a (T, M, N) orthonormal stack against its own
+    fresh random 2^bits-entry codebook.
+
+    The trials run in blocks of :func:`_scan_block` trials. Each block's
+    codebooks are one :func:`gaussian_matrix` draw from ``gen`` of shape
+    (trials, 2^bits, M, N), scored at once by the fused Gram scan, so the
+    scan holds one block and its scoring temporaries whatever T is.
+    Returns the (T,) minimum d^2 and (T, M, N) winners.
     """
     size = _codebook_size(bits)
-    per = max(1, int(chunk_elems // (size * m * n)))
-    block = max(1, _SCAN_BLOCK_ELEMS // (size * m * n))
-    d2 = np.empty(count)
-    won = np.empty((count, m, n), dtype=np.complex128)
-    for start in range(0, count, per):
-        stop = min(start + per, count)
-        hq = frames(start, stop)
-        lo = start
-        for g in gaussian_blocks(gen, (stop - start, size, m, n), block):
-            hi = lo + g.shape[0]
-            _, d2[lo:hi], won[lo:hi] = _backend.quantize_gaussians(hq[lo - start:hi - start], g)
-            lo = hi
+    t, m, n = hq.shape
+    block = _scan_block(size, m, n)
+    d2 = np.empty(t)
+    won = np.empty((t, m, n), dtype=np.complex128)
+    for lo in range(0, t, block):
+        hi = min(lo + block, t)
+        g = gaussian_matrix(gen, m, n, batch=(hi - lo, size))
+        _, d2[lo:hi], won[lo:hi] = _backend.quantize_gaussians(hq[lo:hi], g)
     return d2, won
 
 
-def distortion_samples(rng, m, n, bits, trials, chunk_elems=2 ** 22):
+def distortion_samples(rng, m, n, bits, trials):
     """Per-trial min d^2 values with a fresh random codebook every trial.
 
     Channels are unit-variance complex Gaussian, orthonormalized before the
-    scan. Trials are processed in chunks sized by ``chunk_elems`` and
-    returned in trial order; results are deterministic for a fixed
-    (rng, trials, chunk_elems) triple.
+    scan. Each scan block's channels are drawn just before its codebooks,
+    so memory stays that of one block; results come in trial order and are
+    deterministic for a fixed (rng, trials) pair.
     """
     GrassmannConstants(m, n)  # validates the shape
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    block = _scan_block(_codebook_size(bits), m, n)
     gen = as_generator(rng)
+    d2 = np.empty(trials)
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        hq = _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(hi - lo,)))
+        d2[lo:hi] = scan_fresh_codebooks(gen, hq, bits)[0]
+    return d2
 
-    def channels(start, stop):
-        return _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(stop - start,)))
 
-    return scan_fresh_codebooks(gen, channels, trials, m, n, bits, chunk_elems)[0]
-
-
-def empirical_distortion(rng, m, n, bits, trials, chunk_elems=2 ** 22):
+def empirical_distortion(rng, m, n, bits, trials):
     """Monte Carlo E[min d^2], the mean of :func:`distortion_samples`."""
-    return float(np.mean(distortion_samples(rng, m, n, bits, trials, chunk_elems)))
+    return float(np.mean(distortion_samples(rng, m, n, bits, trials)))
 
 
 def save_codebook(codebook, path):

@@ -13,10 +13,11 @@ two conventions fixed here once:
   and R_jj is the real norm of what remains, so the diagonal is positive
   by construction.
 * Eigenvalues are returned ascending.
-* Log-determinants of Hermitian positive definite matrices are the sum of
-  log2 pivots of a square-root-free LDL^H factorization, vectorized over
-  the stack with a Python loop over the n columns, never LAPACK per tiny
-  item and never a determinant expansion.
+* Log-determinants and Cholesky factors of Hermitian positive definite
+  matrices come from one square-root-free LDL^H factorization, vectorized
+  over the stack with a Python loop over the n columns: the sum of log2
+  pivots, and U = sqrt(D) L^H. Never LAPACK per tiny item and never a
+  determinant expansion.
 
 Tolerances are module constants, not arguments: 1e-10 relative for
 orthonormality and reconstruction checks, 1e-12 relative as the rank floor,
@@ -231,16 +232,20 @@ def cholesky_upper(a):
 def cholesky_upper_batch(a):
     """:func:`cholesky_upper` of every item of a Hermitian (..., n, n) stack.
 
-    Internal. PD stacks take one batched Cholesky. If any item is not PD,
-    the whole stack is factored through the clamped eigendecomposition
-    instead.
+    Internal. When every pivot of the stack's LDL^H factorization
+    (:func:`_ldl_batch`) lies in (0, inf), U = sqrt(D) L^H, formed entry
+    by entry over the stack. If any item is not PD, the whole stack is
+    factored through the clamped eigendecomposition instead.
     """
-    try:
-        # a = U^H U  <=>  a^T = L L^H with L = U^T (plain transpose)
-        ell = np.linalg.cholesky(np.swapaxes(a, -2, -1))
-        return np.swapaxes(ell, -2, -1)
-    except np.linalg.LinAlgError:
-        pass
+    d, ell = _ldl_batch(a)
+    if np.all((d > 0.0) & (d < np.inf)):
+        root = np.sqrt(d)
+        u = np.zeros(a.shape, dtype=np.complex128)
+        for j in range(a.shape[-1]):
+            u[..., j, j] = root[..., j]
+            if j < len(ell):
+                np.multiply(ell[j].conj(), root[..., j, np.newaxis], out=u[..., j, j + 1:])
+        return u
     w, v = np.linalg.eigh(a)
     if not np.all(w[..., 0] >= -NOT_PSD_TOL):
         raise NotPSD(f"eigenvalue {np.min(w):g} below -{NOT_PSD_TOL:g}")
@@ -322,23 +327,36 @@ def logdet_hermitian(a):
 def logdet_hermitian_batch(a):
     """:func:`logdet_hermitian` of every item of a Hermitian (..., n, n) stack.
 
-    Internal. Each step takes the pivot d_j and replaces the trailing block
-    by its Schur complement, A22 - a21 a21^H / d_j, for the whole stack at
-    once; only the lower triangle and the real part of the diagonal are
-    read. Raises NotPD, before any log, if any pivot is not positive and
-    finite. A NaN or infinite entry, or a Schur complement that overflows,
-    reaches the diagonal and ends in a NaN or infinite pivot.
+    Internal. Raises NotPD, before any log, if any pivot of
+    :func:`_ldl_batch` is not positive and finite. A NaN or infinite entry,
+    or a Schur complement that overflows, reaches the diagonal and ends in
+    a NaN or infinite pivot.
+    """
+    d, _ = _ldl_batch(a)
+    if not np.all((d > 0.0) & (d < np.inf)):
+        raise NotPD("matrix is not positive definite")
+    return np.sum(np.log2(d), axis=-1)
+
+
+def _ldl_batch(a):
+    """Square-root-free a = L D L^H of every item of a (..., n, n) stack.
+
+    Returns the (..., n) pivots d and, for each of the first n - 1 columns
+    j, the (..., n - 1 - j) entries of unit-lower L below its diagonal.
+    Each step takes the pivot d_j and replaces the trailing block by its
+    Schur complement, A22 - a21 a21^H / d_j, for the whole stack at once;
+    only the lower triangle and the real part of the diagonal are read.
+    Pivots are not checked: a non-PD item gives a pivot outside (0, inf).
     """
     n = a.shape[-1]
     d = np.empty(a.shape[:-1])
+    ell = []
     s = a
     with np.errstate(all="ignore"):
         for j in range(n - 1):
             d[..., j] = s[..., 0, 0].real
             col = s[..., 1:, 0]
-            ell = col / d[..., j, np.newaxis]
-            s = s[..., 1:, 1:] - ell[..., :, np.newaxis] * col.conj()[..., np.newaxis, :]
+            ell.append(col / d[..., j, np.newaxis])
+            s = s[..., 1:, 1:] - ell[j][..., :, np.newaxis] * col.conj()[..., np.newaxis, :]
         d[..., n - 1] = s[..., 0, 0].real
-    if not np.all((d > 0.0) & (d < np.inf)):
-        raise NotPD("matrix is not positive definite")
-    return np.sum(np.log2(d), axis=-1)
+    return d, ell

@@ -44,6 +44,8 @@ __all__ = [
     "QuantDecomposition",
     "CondEigSampler",
     "decompose",
+    "default_cond_sampler",
+    "emulate_batch",
     "emulation_valid",
     "sample_min_d2",
     "sample_cond_eigs",

@@ -43,11 +43,10 @@ from .ensembles import RngStream, gaussian_matrix
 from .errors import (
     FallbackRequired,
     IncompatiblePolicy,
-    MemoryGuard,
     NoOverlap,
     ParameterError,
 )
-from .grassmann import CODEBOOK_ENTRY_CAP, GrassmannConstants, scan_fresh_codebooks
+from .grassmann import _CAP_BITS, GrassmannConstants, _codebook_size, scan_fresh_codebooks
 from .precoding import analog_feedback_batch, bd_precoders_batch, rates_batch, zf_precoders_batch
 from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
 from .scaling import bd_3db_bits
@@ -203,24 +202,23 @@ class RateCurve:
 
 
 def _effective_mode(spec, bits):
-    """Resolve auto-fallback: returns the mode actually run at this point."""
-    mode = spec.policy.mode
-    # largest codebook any single quantization draws (per antenna under zf)
-    unit_bits = -(-bits // spec.n) if spec.precoder == "zf" else bits
-    if mode != "quantized_emulated":
-        if mode == "quantized_exhaustive" and 2 ** unit_bits > CODEBOOK_ENTRY_CAP:
-            raise MemoryGuard(
-                f"2^{unit_bits} codebook entries exceed the {CODEBOOK_ENTRY_CAP} cap"
-            )
-        return mode
+    """Resolve auto-fallback: returns the mode actually run at this point.
+
+    Only quantized modes reach here. The budget is compared against the
+    entry cap as an exponent, so 2^B is never formed.
+    """
     if spec.precoder == "zf":
-        # per-antenna budgets; the smallest group decides
-        gc, low = GrassmannConstants(spec.m, 1), bits // spec.n
+        # per-antenna codebooks on G(M, 1); the first antenna's is the largest
+        budgets = _antenna_budgets(bits, spec.n)
+        gc, low, high = GrassmannConstants(spec.m, 1), budgets[-1], budgets[0]
     else:
-        gc, low = GrassmannConstants(spec.m, spec.n), bits
+        gc, low, high = GrassmannConstants(spec.m, spec.n), bits, bits
+    if spec.policy.mode == "quantized_exhaustive":
+        _codebook_size(high)  # MemoryGuard above the cap
+        return "quantized_exhaustive"
     if emulation_valid(gc, low, spec.policy.guard_product):
         return "quantized_emulated"
-    if 2 ** unit_bits <= CODEBOOK_ENTRY_CAP:
+    if high <= _CAP_BITS:
         return "quantized_exhaustive"
     raise FallbackRequired(
         f"guard fails at B={bits} and the codebook would exceed the memory cap"
@@ -242,8 +240,7 @@ def _quantize(gen, h, bits, eff_mode, guard_product):
     hq = _backend.orthonormalize(h)
     if eff_mode == "quantized_emulated":
         return emulate_batch(gen, hq, bits, guard_product=guard_product)[0]
-    t, m, n = hq.shape
-    return scan_fresh_codebooks(gen, lambda start, stop: hq[start:stop], t, m, n, bits, 2 ** 21)[1]
+    return scan_fresh_codebooks(gen, hq, bits)[1]
 
 
 def _chunk_sum_rates(spec, point_idx, chunk_idx, count, p_db, bits, eff_mode):

@@ -186,6 +186,7 @@ class TestSimulateCommand:
             ("mode = perfect", "mode = quantized_emulated\nB = 8\nguard_product = 0"),
             ("mode = perfect", "mode = quantized_emulated\nB = 8\nguard_product = nan"),
             ("mode = perfect", "mode = analog\nbeta = inf"),
+            ("mode = perfect", "mode = quantized_exhaustive\nB = 1000000000000000000"),
             ("mode = perfect", "mode = quantized_exhaustive\nschedule = custom\n"
                                "bits_table = 0:2, 5:-1, 10:3"),
             ("snr_stop = 10", "snr_stop = inf"),

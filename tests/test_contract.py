@@ -1,11 +1,18 @@
 """Input contract of the engine: every spec it accepts gives finite rates,
 and everything else raises a GrassfeedError, never a raw numpy or Python
-error and never a silent NaN (RuntimeWarnings fail the suite)."""
+error and never a silent NaN (RuntimeWarnings fail the suite). Also the
+export contract: each name the package exports is in the ``__all__`` of
+the module it comes from."""
+
+import ast
+import importlib
+import inspect
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grassfeed
 from grassfeed.errors import GrassfeedError
 from grassfeed.simulator import ExperimentSpec, FeedbackPolicy, run_experiment
 
@@ -20,7 +27,7 @@ def _cases(draw):
     # budgets that either scan small codebooks, emulate, or hit a guard;
     # scans of 2^7..2^24 entries per trial would only cost time
     small = st.integers(0, 6)
-    large = st.integers(73, 10 ** 5) | st.sampled_from([1100, 10 ** 5])
+    large = st.integers(73, 10 ** 5) | st.sampled_from([1100, 10 ** 5, 10 ** 18])
     bits = draw(small | large)
     policy = {"mode": mode}
     if mode.startswith("quantized"):
@@ -51,3 +58,17 @@ def test_finite_rates_or_library_error(case):
         return
     assert np.all(np.isfinite(curve.sum_rate))
     assert all(np.isfinite(pt.per_user_rate) for pt in curve.points)
+
+
+def test_package_exports_are_module_exports():
+    tree = ast.parse(inspect.getsource(grassfeed))
+    source = {
+        alias.name: node.module
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    missing = [
+        name for name in grassfeed.__all__ if name != "__version__"
+        and name not in importlib.import_module(f"grassfeed.{source[name]}").__all__
+    ]
+    assert missing == []

@@ -5,7 +5,6 @@ import pytest
 
 from grassfeed.ensembles import (
     RngStream,
-    gaussian_blocks,
     gaussian_matrix,
     isotropic_frame,
     isotropic_frame_in_nullspace,
@@ -66,24 +65,6 @@ class TestGaussianMatrix:
         want = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) * np.sqrt(0.5)
         got = gaussian_matrix(RngStream(5).child(m, n), m, n, batch=batch)
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
-
-    @pytest.mark.parametrize("block", [1, 3, 7, 10, 64])
-    def test_blocks_are_pieces_of_one_draw(self, block):
-        """Any block size consumes the stream as one gaussian_matrix call of
-        the whole stack and leaves the generator at the same position."""
-        shape = (10, 5, 4, 2)
-        gen = RngStream(6).generator()
-        want = gaussian_matrix(gen, 4, 2, batch=shape[:2])
-        after = gen.standard_normal(3)
-        gen = RngStream(6).generator()
-        got = [b.copy() for b in gaussian_blocks(gen, shape, block)]
-        assert [len(b) for b in got] == [min(block, 10 - i) for i in range(0, 10, block)]
-        assert np.array_equal(np.concatenate(got).view(np.float64), want.view(np.float64))
-        assert np.array_equal(gen.standard_normal(3), after)
-
-    def test_blocks_reuse_one_buffer(self):
-        blocks = list(gaussian_blocks(RngStream(6).generator(), (5, 2, 2), 2))
-        assert all(np.shares_memory(b, blocks[0]) for b in blocks)
 
 
 class TestIsotropicFrame:

@@ -332,16 +332,14 @@ class TestEmpiricalDistortion:
 
 class TestScanFreshCodebooks:
     def test_matches_per_trial_oracle(self):
-        """One trial per chunk: each trial's codebook is the next draw, and
-        the winner is the chordal-nearest of its entries, lowest index first."""
+        """One block: the trials' codebooks are one draw, and each winner is
+        the chordal-nearest of its entries, lowest index first."""
         m, n, bits, trials = 4, 2, 3, 6
         hq = isotropic_frame(RngStream(12).child(0), m, n, batch=(trials,))
-        d2, won = scan_fresh_codebooks(
-            RngStream(12).child(1).generator(), lambda a, b: hq[a:b], trials, m, n, bits, 1
-        )
+        d2, won = scan_fresh_codebooks(RngStream(12).child(1).generator(), hq, bits)
         gen = RngStream(12).child(1).generator()
-        for t in range(trials):
-            book = _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(1, 2 ** bits)))[0]
+        books = _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(trials, 2 ** bits)))
+        for t, book in enumerate(books):
             dists = [chordal_distance_sq(hq[t], e) for e in book]
             best = int(np.argmin(dists))
             assert d2[t] == pytest.approx(dists[best], abs=1e-12)
@@ -349,33 +347,30 @@ class TestScanFreshCodebooks:
 
     def test_guards(self):
         gen = RngStream(12).child(2).generator()
+        hq = isotropic_frame(RngStream(12).child(3), 4, 2, batch=(1,))
         with pytest.raises(ParameterError):
-            scan_fresh_codebooks(gen, None, 1, 4, 2, -1, 2 ** 21)
+            scan_fresh_codebooks(gen, hq, -1)
         with pytest.raises(MemoryGuard):
-            scan_fresh_codebooks(gen, None, 1, 4, 2, 25, 2 ** 21)
+            scan_fresh_codebooks(gen, hq, 25)
 
 
-def _whole_chunk_scan(gen, frames, count, m, n, bits, chunk_elems):
-    """The scan as one gaussian_matrix draw and one quantize_gaussians call
-    per chunk, with the chunk size scan_fresh_codebooks uses."""
+def _per_block_scan(gen, m, n, bits, count, hq=None):
+    """The scan as one gaussian_matrix draw per block of trials, with every
+    entry orthonormalized and scanned. With hq None, each block's channels
+    are drawn just before its codebooks, as distortion_samples draws them."""
     size = 2 ** bits
-    per = max(1, chunk_elems // (size * m * n))
+    block = max(1, grassmann._SCAN_BLOCK_ELEMS // (size * m * n))
     d2 = np.empty(count)
     won = np.empty((count, m, n), dtype=np.complex128)
-    for start in range(0, count, per):
-        stop = min(start + per, count)
-        hq = frames(start, stop)
-        g = gaussian_matrix(gen, m, n, batch=(stop - start, size))
-        _, d2[start:stop], won[start:stop] = _backend.quantize_gaussians(hq, g)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        if hq is None:
+            frames = thin_qr_batch(gaussian_matrix(gen, m, n, batch=(hi - lo,)))[0]
+        else:
+            frames = hq[lo:hi]
+        g = gaussian_matrix(gen, m, n, batch=(hi - lo, size))
+        _, d2[lo:hi], won[lo:hi] = _backend._scan_np(frames, thin_qr_batch(g)[0])
     return d2, won
-
-
-def _drawn_channels(gen, m, n):
-    """Frames callback that draws each chunk's channels from gen, as
-    distortion_samples does."""
-    def frames(start, stop):
-        return _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(stop - start,)))
-    return frames
 
 
 class _EditedGenerator(np.random.Generator):
@@ -398,39 +393,48 @@ class _EditedGenerator(np.random.Generator):
 
 def _entry_positions(count, size, m, n, trial, entry, col):
     """Stream offsets of the real and imaginary parts of column col of one
-    codebook entry, for a single-chunk scan with fixed frames."""
-    shape = (count, size, m, n)
-    re = [np.ravel_multi_index((trial, entry, i, col), shape) for i in range(m)]
-    return re, [count * size * m * n + p for p in re]
+    codebook entry, for a scan with fixed frames: each block's draw holds
+    its real parts, then its imaginary parts."""
+    block = grassmann._SCAN_BLOCK_ELEMS // (size * m * n)
+    lo = trial - trial % block
+    shape = (min(block, count - lo), size, m, n)
+    re = [2 * lo * size * m * n + np.ravel_multi_index((trial - lo, entry, i, col), shape)
+          for i in range(m)]
+    return re, [p + math.prod(shape) for p in re]
 
 
 class TestStreamedScan:
-    """scan_fresh_codebooks draws each chunk's real parts whole and scores
-    the codebooks block by block as the imaginary parts are drawn. Its
-    output and stream position equal one whole-chunk draw and scan."""
+    """scan_fresh_codebooks draws and scores one block of trials at a time.
+    Its output and stream position equal one gaussian_matrix draw per block
+    with every entry orthonormalized and scanned."""
 
-    @pytest.mark.parametrize("m,n,bits,count,per", [
-        (4, 2, 8, 250, 100),
-        (8, 1, 6, 700, 300),
-        (6, 3, 4, 1300, 600),
-        (4, 2, 0, 41000, 20000),
+    @pytest.mark.parametrize("m,n,bits,count", [
+        (4, 2, 8, 250),
+        (8, 1, 6, 700),
+        (6, 3, 4, 1300),
+        (4, 2, 0, 41000),
     ])
-    def test_matches_whole_chunk_draw(self, m, n, bits, count, per):
-        elems = 2 ** bits * m * n
-        block = grassmann._SCAN_BLOCK_ELEMS // elems
-        # chunks and blocks both end mid-way through the count
-        assert 1 < block < per and per % block and count % per and count % block
+    def test_matches_per_block_draw(self, m, n, bits, count):
+        block = grassmann._SCAN_BLOCK_ELEMS // (2 ** bits * m * n)
+        # several blocks, the last one partial
+        assert 1 < block < count and count % block
         seed = RngStream(13).child(m, n, bits)
+        hq = isotropic_frame(seed.child(0), m, n, batch=(count,))
         gen, ref = seed.generator(), seed.generator()
-        d2, won = scan_fresh_codebooks(gen, _drawn_channels(gen, m, n), count, m, n, bits, per * elems)
-        d2_ref, won_ref = _whole_chunk_scan(ref, _drawn_channels(ref, m, n), count, m, n, bits, per * elems)
+        d2, won = scan_fresh_codebooks(gen, hq, bits)
+        d2_ref, won_ref = _per_block_scan(ref, m, n, bits, count, hq)
         assert np.array_equal(d2, d2_ref)
         assert np.array_equal(won.view(np.float64), won_ref.view(np.float64))
+        assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
+        # distortion_samples draws each block's channels before its codebooks
+        gen, ref = seed.generator(), seed.generator()
+        d2 = distortion_samples(gen, m, n, bits, count)
+        assert np.array_equal(d2, _per_block_scan(ref, m, n, bits, count)[0])
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
 
     def test_rank_deficient_in_later_block_raises(self):
         """A zero column in an entry of the third block raises, as it does
-        from the whole-chunk scan."""
+        from the per-entry scan."""
         m, n, bits = 4, 2, 4
         block = grassmann._SCAN_BLOCK_ELEMS // (2 ** bits * m * n)
         count = 3 * block + 5
@@ -442,14 +446,15 @@ class TestStreamedScan:
                     flat[p - offset] = 0.0
 
         hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
-        for scan in (scan_fresh_codebooks, _whole_chunk_scan):
-            with pytest.raises(RankDeficient):
-                scan(_EditedGenerator(15, edit), lambda a, b: hq[a:b], count, m, n, bits, 2 ** 30)
+        with pytest.raises(RankDeficient):
+            scan_fresh_codebooks(_EditedGenerator(15, edit), hq, bits)
+        with pytest.raises(RankDeficient):
+            _per_block_scan(_EditedGenerator(15, edit), m, n, bits, count, hq)
 
     def test_one_block_takes_exact_path(self, monkeypatch):
         """Near-parallel columns in one entry of the second block put its
         pivot under _PIVOT_MARGIN: that block alone is orthonormalized entry
-        by entry, and the output is still the whole-chunk scan's."""
+        by entry, and the output is still the per-entry scan's."""
         m, n, bits = 4, 2, 4
         size = 2 ** bits
         block = grassmann._SCAN_BLOCK_ELEMS // (size * m * n)
@@ -470,11 +475,10 @@ class TestStreamedScan:
 
         hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
         monkeypatch.setattr(_backend, "thin_qr_batch", spy)
-        gen = _EditedGenerator(15, edit)
-        d2, won = scan_fresh_codebooks(gen, lambda a, b: hq[a:b], count, m, n, bits, 2 ** 30)
+        d2, won = scan_fresh_codebooks(_EditedGenerator(15, edit), hq, bits)
         # winners of blocks 0, 2 and 3; every entry of block 1
         assert seen == [block, block * size, block, count - 3 * block]
-        d2_ref, won_ref = _whole_chunk_scan(_EditedGenerator(15, edit), lambda a, b: hq[a:b], count, m, n, bits, 2 ** 30)
+        d2_ref, won_ref = _per_block_scan(_EditedGenerator(15, edit), m, n, bits, count, hq)
         assert np.array_equal(d2, d2_ref)
         assert np.array_equal(won.view(np.float64), won_ref.view(np.float64))
 
@@ -490,22 +494,30 @@ def _traced_peak(fn):
 
 class TestScanMemory:
     def test_peak_below_complex_chunk(self):
-        """A (4, 2, B=8) chunk of 1024 trials is 32 MB of complex codebooks;
-        the streamed scan holds its 16 MB of real parts and one block."""
+        """1024 (4, 2, B=8) trials are 32 MB of complex codebooks; the scan
+        holds one 2 MB block at a time."""
         m, n, bits, count = 4, 2, 8, 1024
         hq = isotropic_frame(RngStream(16), m, n, batch=(count,))
-        peak = _traced_peak(lambda: scan_fresh_codebooks(
-            RngStream(17).generator(), lambda a, b: hq[a:b], count, m, n, bits, 2 ** 21))
+        peak = _traced_peak(lambda: scan_fresh_codebooks(RngStream(17).generator(), hq, bits))
         assert peak < count * 2 ** bits * m * n * 16
 
+    @pytest.mark.parametrize("count", [1024, 4096])
+    def test_peak_flat_in_trials(self, count):
+        """The scan's peak is a few blocks' worth (a block, its draw buffer,
+        its scores), whatever the trial count."""
+        m, n, bits = 4, 2, 8
+        hq = isotropic_frame(RngStream(16), m, n, batch=(count,))
+        peak = _traced_peak(lambda: scan_fresh_codebooks(RngStream(17).generator(), hq, bits))
+        assert peak < 4 * grassmann._SCAN_BLOCK_ELEMS * 16
+
     def test_one_entry_peak_no_higher(self):
-        """A one-entry scan of 3072 (6, 2) frames is one block; the real
-        parts (295 KB) are released before it is scored. The 4 KB of slack
-        is for Python objects alone: the suspended draw and two views."""
+        """A one-entry scan of 3072 (6, 2) frames is one block, drawn and
+        orthonormalized as the per-entry scan does it. The 4 KB of slack is
+        for Python objects alone."""
         m, n, count = 6, 2, 3072
         hq = isotropic_frame(RngStream(18), m, n, batch=(count,))
         peaks = [
-            _traced_peak(lambda: scan(RngStream(19).generator(), lambda a, b: hq[a:b], count, m, n, 0, 2 ** 21))
-            for scan in (scan_fresh_codebooks, _whole_chunk_scan)
+            _traced_peak(lambda: scan_fresh_codebooks(RngStream(19).generator(), hq, 0)),
+            _traced_peak(lambda: _per_block_scan(RngStream(19).generator(), m, n, 0, count, hq)),
         ]
         assert peaks[0] <= peaks[1] + 4096

@@ -267,11 +267,19 @@ class TestBatchKernels:
             assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
 
     def test_cholesky_pd_stack_takes_plain_cholesky(self):
+        """A PD stack takes the plain Cholesky path, not the clamped one:
+        U = sqrt(D) L^H from its LDL^H pivots, within 1e-14 relative of
+        LAPACK's factor, with U^H U within 1e-14 relative of the input."""
         rng = np.random.default_rng(20)
-        b = np.stack([_complex_gaussian(rng, 3, 3) for _ in range(10)])
-        a = b.conj().swapaxes(-2, -1) @ b
-        expect = np.swapaxes(np.linalg.cholesky(np.swapaxes(a, -2, -1)), -2, -1)
-        np.testing.assert_array_equal(cholesky_upper_batch(a), expect)
+        for n in (1, 2, 3):
+            b = np.stack([_complex_gaussian(rng, n + 1, n) for _ in range(10)])
+            a = b.conj().swapaxes(-2, -1) @ b
+            u = cholesky_upper_batch(a)
+            expect = np.swapaxes(np.linalg.cholesky(np.swapaxes(a, -2, -1)), -2, -1)
+            assert np.array_equal(u, np.triu(u))
+            for i in range(10):
+                assert np.linalg.norm(u[i] - expect[i]) <= 1e-14 * np.linalg.norm(expect[i])
+                assert np.linalg.norm(u[i].conj().T @ u[i] - a[i]) <= 1e-14 * np.linalg.norm(a[i])
 
     def test_cholesky_not_psd_item(self):
         a = np.stack([np.eye(2), np.diag([1.0, -1e-6])]).astype(complex)

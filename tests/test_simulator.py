@@ -155,6 +155,20 @@ class TestEffectiveMode:
         with pytest.raises(MemoryGuard):
             _effective_mode(_spec(policy=pol), 25)
 
+    @pytest.mark.parametrize("precoder", ["bd", "zf"])
+    @pytest.mark.parametrize("schedule", ["fixed", "custom"])
+    def test_huge_budget_guarded_at_once(self, precoder, schedule):
+        """B = 10^18 is compared with the cap as an exponent; forming 2^B
+        first would not return."""
+        bits = 10 ** 18
+        if schedule == "fixed":
+            pol = FeedbackPolicy(mode="quantized_exhaustive", bits=bits)
+        else:
+            pol = FeedbackPolicy(mode="quantized_exhaustive", schedule="custom",
+                                 bits_table={10.0: bits})
+        with pytest.raises(MemoryGuard):
+            run_experiment(_spec(policy=pol, precoder=precoder))
+
     def test_zf_cap_is_per_antenna(self):
         # B = 40 over 2 antennas: 2^20 entries each, under the cap
         pol = FeedbackPolicy(mode="quantized_exhaustive", bits=40)
@@ -284,13 +298,17 @@ class TestDeterminism:
         assert a == b
 
     def test_threads_do_not_change_bytes(self):
-        spec = _spec(
-            policy=FeedbackPolicy(mode="quantized_emulated", bits=10),
-            trials=3 * CHUNK_TRIALS + 100,
-        )
-        a = run_experiment(spec, threads=1)
-        b = run_experiment(spec, threads=4)
-        assert a == b
+        specs = [
+            _spec(policy=FeedbackPolicy(mode="quantized_emulated", bits=10),
+                  trials=3 * CHUNK_TRIALS + 100),
+            # each chunk's 2048 scans run as 32 blocks of 64
+            _spec(policy=FeedbackPolicy(mode="quantized_exhaustive", bits=8),
+                  trials=CHUNK_TRIALS + 100),
+        ]
+        for spec in specs:
+            a = run_experiment(spec, threads=1)
+            b = run_experiment(spec, threads=4)
+            assert a == b
 
     def test_threads_env_validation(self, monkeypatch):
         spec = _spec(trials=4)
