@@ -6,7 +6,10 @@ N - ||A^H B||_F^2 (the principal-angle route is kept only as a test
 oracle). Random codebooks hold 2^B independent isotropic frames; a channel
 is quantized to the entry of minimum d^2, lowest index on ties. A scan of
 fresh codebooks, one per trial, draws and scores them in fixed-size blocks
-of trials, one Gaussian draw per block.
+of trials. Each block's codebooks are drawn as one Gaussian draw would
+draw them, into a real and an imaginary plane with the entry index
+innermost; one workspace holds the planes and the draw buffer for every
+block of a scan, and the Gram scorer reads the planes as they are.
 
 The codebook file format is flat binary, little endian:
 
@@ -49,11 +52,12 @@ __all__ = [
 
 _CAP_BITS = 24
 CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
-# complex elements of codebook per scored block (2 MiB, one core's L2 on a
-# 2 MiB-L2 Xeon); there the fastest of 2^14..2^18 for the draw plus scan
-# of a (4, 2, B=8) chunk. Each block is one Gaussian draw, so this size
-# fixes how a multi-block scan consumes the random stream, as CHUNK_TRIALS
-# does for the engine: changing it changes the results.
+# complex codebook elements per scored block: a scan's workspace is the
+# block's real and imaginary planes (2 MiB) and its draw buffer (1 MiB),
+# which the scorer reuses for B = hq^H G. Each block draws all its real
+# parts, then all its imaginary parts, so this size fixes how a
+# multi-block scan consumes the random stream, as CHUNK_TRIALS does for
+# the engine: changing it changes the results.
 _SCAN_BLOCK_ELEMS = 2 ** 17
 _MAGIC = b"GFCB"
 _FORMAT_VERSION = 1
@@ -175,6 +179,11 @@ class QuantizationResult:
     entry: np.ndarray
 
 
+def _is_count(x):
+    """True for a nonnegative integer; bools and integral floats are not counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
+
+
 def _codebook_size(bits):
     """2^bits, once bits >= 0 and the entry cap are checked."""
     if bits < 0:
@@ -252,25 +261,71 @@ def _scan_block(size, m, n):
     return max(1, _SCAN_BLOCK_ELEMS // (size * m * n))
 
 
+def _draw_planes(gen, draw, planes):
+    """Fill (T, 2, M, N, C) planes with the real and imaginary parts of T
+    fresh C-entry codebooks, through a (T, C, M, N) draw buffer.
+
+    The normals are consumed as ``gaussian_matrix(gen, M, N, batch=(T, C))``
+    consumes them and scaled by the same sqrt(1/2), so the planes hold the
+    bytes of that draw, with the entry index innermost.
+    """
+    for half in range(2):
+        gen.standard_normal(out=draw)
+        # scaled in place, where it is contiguous: faster than scaling on
+        # the way into the planes through the transposed view
+        draw *= np.sqrt(0.5)
+        planes[:, half] = draw.transpose(0, 2, 3, 1)
+
+
+def _scan_blocks(gen, m, n, bits, count, hq=None):
+    """Yield (lo, hi, d2, winners) for each block of count trials, each
+    trial scanned against its own fresh 2^bits-entry codebook. With hq
+    None, each block's channels are drawn and orthonormalized just before
+    its codebooks."""
+    size = _codebook_size(bits)
+    block = _scan_block(size, m, n)
+    if size > 1:
+        # one workspace for every block, in one allocation: the planes, then
+        # the draw buffer that the scorer reuses for B once the planes are
+        # full. Freed as one piece, it raises glibc's mmap threshold past its
+        # own size, so later scans take it and their temporaries from the
+        # heap instead of faulting in fresh pages.
+        rows = min(block, count)
+        work = np.empty((3, rows * size * m * n))
+        planes = work[:2].reshape(rows, 2, m, n, size)
+        draw = work[2].reshape(rows, size, m, n)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        if hq is None:
+            frames = _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(hi - lo,)))
+        else:
+            frames = hq[lo:hi]
+        if size == 1:
+            res = _backend.quantize_gaussians(frames, gaussian_matrix(gen, m, n, batch=(hi - lo, 1)))
+        else:
+            _draw_planes(gen, draw[: hi - lo], planes[: hi - lo])
+            res = _backend.quantize_planes(frames, planes[: hi - lo], draw.reshape(-1))
+        yield lo, hi, res[1], res[2]
+
+
 def scan_fresh_codebooks(gen, hq, bits):
     """Quantize each frame of a (T, M, N) orthonormal stack against its own
     fresh random 2^bits-entry codebook.
 
     The trials run in blocks of :func:`_scan_block` trials. Each block's
-    codebooks are one :func:`gaussian_matrix` draw from ``gen`` of shape
-    (trials, 2^bits, M, N), scored at once by the fused Gram scan, so the
-    scan holds one block and its scoring temporaries whatever T is.
-    Returns the (T,) minimum d^2 and (T, M, N) winners.
+    codebooks are drawn from ``gen`` as one ``gaussian_matrix`` draw of
+    shape (trials, 2^bits, M, N) would be, into real and imaginary planes
+    that one workspace holds for every block, and scored at once by the
+    fused Gram scan. So the scan holds one block and its scoring
+    temporaries whatever T is. One-entry codebooks have nothing to score
+    and are drawn by ``gaussian_matrix`` itself. Returns the (T,) minimum
+    d^2 and (T, M, N) winners.
     """
-    size = _codebook_size(bits)
     t, m, n = hq.shape
-    block = _scan_block(size, m, n)
     d2 = np.empty(t)
     won = np.empty((t, m, n), dtype=np.complex128)
-    for lo in range(0, t, block):
-        hi = min(lo + block, t)
-        g = gaussian_matrix(gen, m, n, batch=(hi - lo, size))
-        _, d2[lo:hi], won[lo:hi] = _backend.quantize_gaussians(hq[lo:hi], g)
+    for lo, hi, block_d2, block_won in _scan_blocks(gen, m, n, bits, t, hq):
+        d2[lo:hi], won[lo:hi] = block_d2, block_won
     return d2, won
 
 
@@ -283,15 +338,13 @@ def distortion_samples(rng, m, n, bits, trials):
     deterministic for a fixed (rng, trials) pair.
     """
     GrassmannConstants(m, n)  # validates the shape
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    block = _scan_block(_codebook_size(bits), m, n)
-    gen = as_generator(rng)
+    if not _is_count(trials) or trials < 1:
+        raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_count(bits):
+        raise ParameterError(f"bits must be an integer >= 0, got {bits!r}")
     d2 = np.empty(trials)
-    for lo in range(0, trials, block):
-        hi = min(lo + block, trials)
-        hq = _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(hi - lo,)))
-        d2[lo:hi] = scan_fresh_codebooks(gen, hq, bits)[0]
+    for lo, hi, block_d2, _ in _scan_blocks(as_generator(rng), m, n, bits, trials):
+        d2[lo:hi] = block_d2
     return d2
 
 

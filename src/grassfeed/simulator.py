@@ -46,7 +46,7 @@ from .errors import (
     NoOverlap,
     ParameterError,
 )
-from .grassmann import _CAP_BITS, GrassmannConstants, _codebook_size, scan_fresh_codebooks
+from .grassmann import _CAP_BITS, GrassmannConstants, _codebook_size, _is_count, scan_fresh_codebooks
 from .precoding import analog_feedback_batch, bd_precoders_batch, rates_batch, zf_precoders_batch
 from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
 from .scaling import bd_3db_bits
@@ -68,11 +68,6 @@ CHUNK_TRIALS = 1024
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _MODES = ("perfect", "quantized_emulated", "quantized_exhaustive", "analog")
 _SCHEDULES = ("fixed", "scaled_3db", "custom")
-
-
-def _is_count(x):
-    """True for a nonnegative integer; bools and integral floats are not counts."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
 
 
 @dataclass(frozen=True)

@@ -222,13 +222,16 @@ class TestGramScan:
 
     @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32)])
     def test_scores_match_projection(self, m, n, c):
-        """Gram scores equal ||hq^H Q||_F^2 = n - d^2 from a QR per entry."""
+        """Gram scores of the planes equal ||hq^H Q||_F^2 = n - d^2 from a
+        QR per entry."""
         rng = np.random.default_rng(46 + m + n)
         hq = thin_qr_batch(_gauss(rng, 16, m, n))[0]
         gauss = _gauss(rng, 16, c, m, n)
         q = thin_qr_batch(gauss)[0]
         want = np.sum(np.abs(np.einsum("tmn,tcmp->tcnp", hq.conj(), q)) ** 2, axis=(-2, -1))
-        assert np.abs(_backend._gram_scores(hq, gauss) - want).max() <= 1e-12
+        planes = np.ascontiguousarray(np.stack([gauss.real, gauss.imag], axis=1).transpose(0, 1, 3, 4, 2))
+        got = _backend._plane_scores(hq, planes, np.empty(planes[:, 0].size))
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_orthonormalizes_winners_only(self, monkeypatch):
         seen = []
@@ -241,4 +244,20 @@ class TestGramScan:
         rng = np.random.default_rng(44)
         hq = thin_qr_batch(_gauss(rng, 32, 4, 2))[0]
         _backend.quantize_gaussians(hq, _gauss(rng, 32, 64, 4, 2))
+        assert seen == [32]
+
+    @pytest.mark.parametrize("m,n,c", [(2, 1, 64), (8, 1, 64), (6, 3, 32), (9, 3, 16)])
+    def test_gram_path_for_every_n(self, monkeypatch, m, n, c):
+        """Gaussian entries at every N are ranked by Gram: only the T
+        winners are orthonormalized."""
+        seen = []
+
+        def spy(a):
+            seen.append(math.prod(a.shape[:-2]))
+            return thin_qr_batch(a)
+
+        monkeypatch.setattr(_backend, "thin_qr_batch", spy)
+        rng = np.random.default_rng(47)
+        hq = thin_qr_batch(_gauss(rng, 32, m, n))[0]
+        _backend.quantize_gaussians(hq, _gauss(rng, 32, c, m, n))
         assert seen == [32]

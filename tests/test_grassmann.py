@@ -322,6 +322,16 @@ class TestEmpiricalDistortion:
             ci = 2.5758 * d2.std(ddof=1) / np.sqrt(d2.size)
             assert float(d2.mean()) <= distortion_bound(gc, bits) + ci
 
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": 2.5}, {"trials": True}, {"trials": 0}, {"bits": 2.5}, {"bits": True}, {"bits": -1},
+    ])
+    def test_non_count_arguments_raise(self, kwargs):
+        args = {"m": 4, "n": 2, "bits": 2, "trials": 8} | kwargs
+        with pytest.raises(ParameterError):
+            distortion_samples(RngStream(11), **args)
+        with pytest.raises(ParameterError):
+            empirical_distortion(RngStream(11), **args)
+
     def test_samples_deterministic(self):
         a = distortion_samples(RngStream(11).child(3), 4, 2, 6, 500)
         b = distortion_samples(RngStream(11).child(3), 4, 2, 6, 500)
@@ -411,7 +421,9 @@ class TestStreamedScan:
     @pytest.mark.parametrize("m,n,bits,count", [
         (4, 2, 8, 250),
         (8, 1, 6, 700),
+        (2, 1, 8, 1100),
         (6, 3, 4, 1300),
+        (6, 3, 7, 130),
         (4, 2, 0, 41000),
     ])
     def test_matches_per_block_draw(self, m, n, bits, count):
@@ -430,6 +442,20 @@ class TestStreamedScan:
         gen, ref = seed.generator(), seed.generator()
         d2 = distortion_samples(gen, m, n, bits, count)
         assert np.array_equal(d2, _per_block_scan(ref, m, n, bits, count)[0])
+        assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
+
+    @pytest.mark.parametrize("m,n,bits,count", [(4, 2, 8, 64), (6, 3, 2, 5), (8, 1, 4, 3)])
+    def test_planes_hold_gaussian_matrix_bytes(self, m, n, bits, count):
+        """The planes hold the real and imaginary parts of the
+        gaussian_matrix draw of the same shape, entry index innermost, and
+        the stream continues where that draw leaves it."""
+        size = 2 ** bits
+        gen, ref = RngStream(20).child(m, n).generator(), RngStream(20).child(m, n).generator()
+        planes = np.empty((count, 2, m, n, size))
+        grassmann._draw_planes(gen, np.empty((count, size, m, n)), planes)
+        want = gaussian_matrix(ref, m, n, batch=(count, size)).transpose(0, 2, 3, 1)
+        assert np.array_equal(planes[:, 0], want.real)
+        assert np.array_equal(planes[:, 1], want.imag)
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
 
     def test_rank_deficient_in_later_block_raises(self):

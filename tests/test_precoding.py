@@ -540,13 +540,10 @@ class TestEffectiveChannelMoments:
         gen = RngStream(51).child(1).generator()
         trials = 50000
         ref = isotropic_frame(gen, m, n, batch=(trials,))
-        acc = np.zeros((n, n), dtype=complex)
-        for i in range(trials):
-            s = isotropic_frame_in_nullspace(gen, ref[i], n)
-            v = isotropic_frame_in_nullspace(gen, ref[i], n)
-            g = v.conj().T @ s
-            acc += g @ g.conj().T
-        got = acc / trials
+        s = isotropic_frame_in_nullspace(gen, ref, n)
+        v = isotropic_frame_in_nullspace(gen, ref, n)
+        g = np.einsum("tmi,tmj->tij", v.conj(), s)
+        got = np.einsum("tik,tjk->ij", g, g.conj()) / trials
         target = n / (m - n)
         assert np.abs(got - target * np.eye(n)).max() < 0.02 * target
 
