@@ -13,10 +13,12 @@ transmitter degraded by quantized or analog feedback. It provides
 * feedback scaling laws relating bit budgets to SNR, and
 * a deterministic Monte Carlo engine with SNR-gap estimation and a CLI.
 
-The package is pure Python over numpy. The hot kernels (batched
-orthonormalization and the fresh-codebook scan) live in
-:mod:`grassfeed._backend`; :data:`BACKEND` is always ``"python"`` and is
-kept only for the benchmark's environment record.
+The package is pure Python over numpy. The hot kernels live where their
+contracts do: batched orthonormalization in :mod:`grassfeed.linalg` and
+the fresh-codebook scan in :mod:`grassfeed.grassmann`.
+:mod:`grassfeed._backend` only re-binds the names the benchmark traces,
+and :data:`BACKEND` is always ``"python"``, kept for the benchmark's
+environment record.
 """
 
 from ._backend import BACKEND
@@ -62,7 +64,6 @@ from .grassmann import (
 )
 from .linalg import (
     cholesky_upper,
-    hermitian_eig,
     left_nullspace_basis,
     logdet_hermitian,
     thin_qr,
@@ -81,14 +82,11 @@ from .precoding import (
 )
 from .quant_emulator import (
     DEFAULT_GUARD_PRODUCT,
-    CondEigSampler,
     QuantDecomposition,
     beta_trace_pdf,
     decompose,
-    default_cond_sampler,
     emulate_batch,
     emulate_quantization,
-    sample_cond_eigs,
     sample_min_d2,
 )
 from .scaling import (
@@ -158,7 +156,6 @@ __all__ = [
     "save_codebook",
     # linalg
     "cholesky_upper",
-    "hermitian_eig",
     "left_nullspace_basis",
     "logdet_hermitian",
     "thin_qr",
@@ -175,14 +172,11 @@ __all__ = [
     "zf_precoders",
     # quantization emulation
     "DEFAULT_GUARD_PRODUCT",
-    "CondEigSampler",
     "QuantDecomposition",
     "beta_trace_pdf",
     "decompose",
-    "default_cond_sampler",
     "emulate_batch",
     "emulate_quantization",
-    "sample_cond_eigs",
     "sample_min_d2",
     # scaling laws
     "BitsResult",

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .errors import DimensionError, ParameterError
-from .linalg import left_nullspace_basis_batch
+from .linalg import left_nullspace_basis_batch, orthonormalize
 
 __all__ = [
     "RngStream",
@@ -95,7 +94,7 @@ def isotropic_frame(rng, m, n, batch=()):
     """
     if m < n:
         raise DimensionError(f"frame needs m >= n, got ({m}, {n})")
-    return _backend.orthonormalize(gaussian_matrix(rng, m, n, batch=batch))
+    return orthonormalize(gaussian_matrix(rng, m, n, batch=batch))
 
 
 def isotropic_frame_in_nullspace(rng, a, n):

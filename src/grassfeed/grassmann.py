@@ -4,12 +4,27 @@ Distances between column spaces are measured by the squared chordal
 distance d^2 = sum_j sin^2(theta_j), computed in trace form as
 N - ||A^H B||_F^2 (the principal-angle route is kept only as a test
 oracle). Random codebooks hold 2^B independent isotropic frames; a channel
-is quantized to the entry of minimum d^2, lowest index on ties. A scan of
-fresh codebooks, one per trial, draws and scores them in fixed-size blocks
-of trials. Each block's codebooks are drawn as one Gaussian draw would
-draw them, into a real and an imaginary plane with the entry index
-innermost; one workspace holds the planes and the draw buffer for every
-block of a scan, and the Gram scorer reads the planes as they are.
+is quantized to the entry of minimum d^2, lowest index on ties.
+
+A scan of fresh codebooks, one per trial, draws and scores them in
+fixed-size blocks of trials. Each block's codebooks are drawn as one
+Gaussian draw would draw them, into planes: a (T, 2, M, N, C) float64
+array holding the real and then the imaginary parts of every entry, with
+the entry index innermost. One workspace holds the planes and the draw
+buffer for every block of a scan.
+
+The scan (:func:`quantize_planes`) runs no QR per codebook entry. It
+scores every entry from its Gram matrix A = G^H G and B = hq^H G, takes
+the best score per trial and orthonormalizes only the T winners, whose
+d^2 and frame are then bit-identical to orthonormalizing every entry. B of
+a trial's C entries is one real matrix product, and A and the LDL^H
+factorization run on real and imaginary (T, C) arrays, so every step reads
+contiguous vectors over the entries. A block with an entry near the rank
+floor, where the Gram is too coarse, takes the exact path instead, and so
+does every trial whose two best scores nearly tie; both rebuild the
+complex entries from the planes, which is exact. A one-entry codebook is
+its own winner: the scan draws it as one complex Gaussian and
+orthonormalizes it, with no planes and nothing to score.
 
 The codebook file format is flat binary, little endian:
 
@@ -27,10 +42,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _backend
 from .ensembles import as_generator, gaussian_matrix
 from .errors import DimensionError, DomainError, MemoryGuard, ParameterError
-from .linalg import ORTHO_TOL
+from .linalg import ORTHO_TOL, orthonormalize, thin_qr_batch
 
 __all__ = [
     "CODEBOOK_ENTRY_CAP",
@@ -59,6 +73,14 @@ CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
 # multi-block scan consumes the random stream, as CHUNK_TRIALS does for
 # the engine: changing it changes the results.
 _SCAN_BLOCK_ELEMS = 2 ** 17
+# The Gram squares the condition number, so it ranks entries only well away
+# from the rank floor: a pivot r_jj^2 at or below _PIVOT_MARGIN ||G||_F^2
+# (score error about 5e-9 there), or ||G||_F^2 outside _TRACE_RANGE, sends
+# the block down the exact path, which checks the floor itself. Trials whose
+# two best scores are within _TIE_GAP are rescanned exactly.
+_PIVOT_MARGIN = 1e-8
+_TRACE_RANGE = (1e-300, 1e250)
+_TIE_GAP = 1e-6
 _MAGIC = b"GFCB"
 _FORMAT_VERSION = 1
 
@@ -77,9 +99,9 @@ class GrassmannConstants:
     n: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 2 * self.n:
+        if not (_is_count(self.m) and _is_count(self.n)) or self.n < 1 or self.m < 2 * self.n:
             raise ParameterError(
-                f"need 1 <= N <= M/2, got M={self.m}, N={self.n}"
+                f"need integers 1 <= N <= M/2, got M={self.m!r}, N={self.n!r}"
             )
 
     @property
@@ -110,7 +132,8 @@ def _check_frame(a, name):
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionError(f"{name} must be a tall (m, n) frame, got {a.shape}")
     gram = a.conj().T @ a
-    if np.linalg.norm(gram - np.eye(a.shape[1])) > ORTHO_TOL * a.shape[1]:
+    # a NaN norm fails the comparison, so non-finite frames are rejected too
+    if not np.linalg.norm(gram - np.eye(a.shape[1])) <= ORTHO_TOL * a.shape[1]:
         raise ParameterError(f"{name} columns are not orthonormal within {ORTHO_TOL:g}")
     return a
 
@@ -197,10 +220,12 @@ def _codebook_size(bits):
 def random_codebook(rng, m, n, bits):
     """Fresh random quantization codebook of 2^bits isotropic frames."""
     gc = GrassmannConstants(m, n)
+    if not _is_count(bits):
+        raise ParameterError(f"bits must be an integer >= 0, got {bits!r}")
     size = _codebook_size(bits)
     gen = as_generator(rng)
     g = gaussian_matrix(gen, gc.m, gc.n, batch=(size,))
-    return Codebook(gc.m, gc.n, bits, _backend.orthonormalize(g))
+    return Codebook(gc.m, gc.n, bits, orthonormalize(g))
 
 
 def quantize(h, codebook):
@@ -213,8 +238,8 @@ def quantize(h, codebook):
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (codebook.m, codebook.n):
         raise DimensionError(f"channel shape {h.shape} does not match codebook ({codebook.m}, {codebook.n})")
-    hq = _backend.orthonormalize(h[np.newaxis])[0]
-    idx, d2 = _backend.scan_frames(hq, codebook.entries)
+    hq = orthonormalize(h[np.newaxis])[0]
+    idx, d2 = scan_frames(hq, codebook.entries)
     return QuantizationResult(int(idx), float(max(d2, 0.0)), codebook.entries[idx])
 
 
@@ -253,6 +278,134 @@ def distortion_bound(gc, bits, a=0.5):
     if product < 1.0:
         raise DomainError(f"2^B * C_MN = {product:g} < 1 is outside the bound's domain")
     return distortion_main_term(gc, bits) + gc.n * math.exp(-(product ** (1.0 - a)))
+
+
+def _scan_np(hq, w):
+    """(idx, d2, winner) of each (C, m, n) codebook w[t] against its frame hq[t]."""
+    n = hq.shape[-1]
+    g = np.einsum("tmn,tcmp->tcnp", hq.conj(), w)
+    d2 = n - np.sum(np.abs(g) ** 2, axis=(-2, -1))
+    idx = np.argmin(d2, axis=1)
+    d2min = np.take_along_axis(d2, idx[:, np.newaxis], axis=1)[:, 0]
+    qwin = np.take_along_axis(w, idx[:, np.newaxis, np.newaxis, np.newaxis], axis=1)[:, 0]
+    return idx.astype(np.int64), d2min, qwin
+
+
+def scan_frames(hq, frames):
+    """(index, d^2) of the chordal-nearest frame in a (C, m, n) stack."""
+    hq = np.ascontiguousarray(hq, dtype=np.complex128)
+    frames = np.ascontiguousarray(frames, dtype=np.complex128)
+    idx, d2, _ = _scan_np(hq[np.newaxis], frames[np.newaxis])
+    return int(idx[0]), float(d2[0])
+
+
+def _entries(planes):
+    """The (T, C, m, n) complex entries held by (T, 2, m, n, C) planes."""
+    t, _, m, n, c = planes.shape
+    z = np.empty((t, c, m, n), dtype=np.complex128)
+    z.real = planes[:, 0].transpose(0, 3, 1, 2)
+    z.imag = planes[:, 1].transpose(0, 3, 1, 2)
+    return z
+
+
+def _dot(x, y):
+    """Sum over the rows of x * y, per trial and entry, for (T, k, C) x and y."""
+    return np.einsum("tkc,tkc->tc", x, y)
+
+
+def _plane_scores(hq, planes, scratch):
+    """||hq^H Q||_F^2 of every entry, Q = orth(G), without a QR.
+
+    With A = G^H G = R^H R and B = hq^H G the score is ||B R^-1||_F^2.
+    scratch is a float64 array of at least T 2n n C elements, overwritten
+    with B. None when some entry's trace or pivot r_jj^2 leaves the range
+    where the Gram is accurate enough to rank entries.
+    """
+    t, _, m, n, c = planes.shape
+    re, im = planes[:, 0], planes[:, 1]
+    # column j of every entry, real parts over imaginary parts: (T, 2m, C)
+    cols = [planes[:, :, :, j].reshape(t, 2 * m, c) for j in range(n)]
+    with np.errstate(over="ignore"):
+        diag = [_dot(col, col) for col in cols]
+        trace = np.sum(diag, axis=0)
+    # min and max propagate NaN, which fails both comparisons
+    if not (_TRACE_RANGE[0] <= trace.min() and trace.max() <= _TRACE_RANGE[1]):
+        return None
+    floor = _PIVOT_MARGIN * trace
+    # [Re B; Im B] of a trial's entries is one product of [Re hq^T, Im hq^T;
+    # -Im hq^T, Re hq^T] with its planes, read as (2m, n C)
+    hqt = hq.transpose(0, 2, 1)
+    kern = np.empty((t, 2 * n, 2 * m))
+    kern[:, :n, :m] = kern[:, n:, m:] = hqt.real
+    kern[:, :n, m:] = hqt.imag
+    np.negative(hqt.imag, out=kern[:, n:, :m])
+    b = scratch[: t * 2 * n * n * c].reshape(t, 2 * n, n * c)
+    np.matmul(kern, planes.reshape(t, 2 * m, n * c), out=b)
+    b = b.reshape(t, 2, n, n, c)
+    # square-root-free Cholesky A = U^H D U (unit upper U, D the pivots
+    # r_jj^2) and Y = B U^-1, column by column: ||B R^-1||^2 = sum ||y_j||^2 / d_j.
+    # Each y_j is (T, 2, n, C), real parts over imaginary parts.
+    ur, ui = {}, {}
+    d, y = [], []
+    for j in range(n):
+        pivot, yj = diag[j], b[:, :, :, j]
+        for i in range(j):
+            sr = _dot(cols[i], cols[j])
+            si = _dot(re[:, :, i], im[:, :, j]) - _dot(im[:, :, i], re[:, :, j])
+            for k in range(i):
+                # conj(u_ki) d_k u_kj
+                sr -= d[k] * (ur[k, i] * ur[k, j] + ui[k, i] * ui[k, j])
+                si -= d[k] * (ur[k, i] * ui[k, j] - ui[k, i] * ur[k, j])
+            sr /= d[i]
+            si /= d[i]
+            ur[i, j], ui[i, j] = sr, si
+            pivot = pivot - d[i] * (ur[i, j] ** 2 + ui[i, j] ** 2)
+            vr, vi = ur[i, j][:, np.newaxis], ui[i, j][:, np.newaxis]
+            yr, yi = y[i][:, 0], y[i][:, 1]
+            prev, yj = yj, np.empty((t, 2, n, c))
+            np.subtract(prev[:, 0], yr * vr - yi * vi, out=yj[:, 0])
+            np.subtract(prev[:, 1], yr * vi + yi * vr, out=yj[:, 1])
+        if not np.all(pivot > floor):
+            return None
+        d.append(pivot)
+        y.append(yj)
+        yj = yj.reshape(t, 2 * n, c)
+        part = _dot(yj, yj)
+        part /= pivot
+        if j:
+            score += part
+        else:
+            score = part
+    return score
+
+
+def quantize_planes(hq, planes, scratch):
+    """Fused codebook orthonormalization and nearest-frame scan.
+
+    hq: (T, m, n) orthonormal channel stack. planes: (T, 2, m, n, C) real
+    and imaginary parts of one fresh C-entry codebook per trial, entry
+    index innermost. scratch: a float64 array of at least T 2n n C
+    elements, which the scan overwrites. Returns (idx, d2, qwin). Raises
+    RankDeficient if any entry is under the rank floor.
+
+    Entries are scored by Gram matrix and only the winners are
+    orthonormalized; near the rank floor every entry gets a QR instead.
+    """
+    score = _plane_scores(hq, planes, scratch)
+    if score is None:
+        return _scan_np(hq, thin_qr_batch(_entries(planes))[0])
+    rows = np.arange(score.shape[0])
+    idx = np.argmax(score, axis=1)
+    best = score[rows, idx]
+    score[rows, idx] = -np.inf
+    # near-ties resolve as the exact scan resolves them, lowest index first
+    near = ~(best - np.max(score, axis=1) > _TIE_GAP)
+    if np.any(near):
+        idx[near] = _scan_np(hq[near], thin_qr_batch(_entries(planes[near]))[0])[0]
+    # each trial's winner, as a one-entry codebook
+    win = _entries(planes[rows, :, :, :, idx][..., np.newaxis])
+    _, d2, qwin = _scan_np(hq, thin_qr_batch(win)[0])
+    return idx.astype(np.int64), d2, qwin
 
 
 def _scan_block(size, m, n):
@@ -297,15 +450,20 @@ def _scan_blocks(gen, m, n, bits, count, hq=None):
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         if hq is None:
-            frames = _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(hi - lo,)))
+            frames = orthonormalize(gaussian_matrix(gen, m, n, batch=(hi - lo,)))
         else:
             frames = hq[lo:hi]
         if size == 1:
-            res = _backend.quantize_gaussians(frames, gaussian_matrix(gen, m, n, batch=(hi - lo, 1)))
+            # a one-entry codebook is its own winner, with nothing to score.
+            # Drawn complex, it is orthonormalized as it is. Through planes
+            # it would be copied back to complex for the QR, with the
+            # workspace, 1.5 times the draw, held on top.
+            book = gaussian_matrix(gen, m, n, batch=(hi - lo, 1))
+            _, d2, won = _scan_np(frames, thin_qr_batch(book)[0])
         else:
             _draw_planes(gen, draw[: hi - lo], planes[: hi - lo])
-            res = _backend.quantize_planes(frames, planes[: hi - lo], draw.reshape(-1))
-        yield lo, hi, res[1], res[2]
+            _, d2, won = quantize_planes(frames, planes[: hi - lo], draw.reshape(-1))
+        yield lo, hi, d2, won
 
 
 def scan_fresh_codebooks(gen, hq, bits):

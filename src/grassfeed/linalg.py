@@ -12,7 +12,6 @@ two conventions fixed here once:
   earlier Q columns ("twice is enough", Giraud, Langou & Rozloznik 2005)
   and R_jj is the real norm of what remains, so the diagonal is positive
   by construction.
-* Eigenvalues are returned ascending.
 * Log-determinants and Cholesky factors of Hermitian positive definite
   matrices come from one square-root-free LDL^H factorization, vectorized
   over the stack with a Python loop over the n columns: the sum of log2
@@ -21,8 +20,8 @@ two conventions fixed here once:
 
 Tolerances are module constants, not arguments: 1e-10 relative for
 orthonormality and reconstruction checks, 1e-12 relative as the rank floor,
-and an absolute 1e-12 clamping window for almost-zero negative eigenvalues
-of nominally PSD matrices.
+and an absolute 1e-10 window below which an eigenvalue of a nominally PSD
+matrix is an error; above it, negative eigenvalues are clamped to 0.
 """
 
 import numpy as np
@@ -38,9 +37,7 @@ from .errors import (
 __all__ = [
     "ORTHO_TOL",
     "RANK_FLOOR",
-    "PSD_CLAMP",
     "thin_qr",
-    "hermitian_eig",
     "cholesky_upper",
     "left_nullspace_basis",
     "logdet_hermitian",
@@ -48,7 +45,6 @@ __all__ = [
 
 ORTHO_TOL = 1e-10
 RANK_FLOOR = 1e-12
-PSD_CLAMP = 1e-12
 NOT_PSD_TOL = 1e-10
 # Gram-Schmidt squares entries; items whose ||a||_F^2 leaves this range are
 # first scaled by a power of two, which is exact, so nothing under- or
@@ -118,6 +114,11 @@ def thin_qr_batch(a):
     return q, np.ldexp(r.view(np.float64), e).view(np.complex128)
 
 
+def orthonormalize(a):
+    """Positive-diagonal thin-QR Q factors of a (..., m, n) stack. Internal."""
+    return thin_qr_batch(np.ascontiguousarray(a, dtype=np.complex128))[0]
+
+
 def _square_safe(a):
     """(a, ||a||_F^2 per item, e) for a (..., m, n) stack, as complex128.
 
@@ -185,27 +186,6 @@ def gram_rows(x):
             np.einsum("...c,...c->...", x[..., a, :], x[..., b, :].conj(), out=upper)
             np.conjugate(upper, out=out[..., b, a])
     return out
-
-
-def hermitian_eig(a):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Returns
-    -------
-    w : (n,) real ndarray, ascending.
-    v : (n, n) unitary ndarray with eigenvectors in columns.
-
-    Raises
-    ------
-    NotHermitian
-        If ||a - a^H|| exceeds 1e-10 relative.
-    """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"square matrix required, got {a.shape}")
-    a = _check_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    return w, v
 
 
 def cholesky_upper(a):

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .ensembles import as_generator, gaussian_matrix
 from .errors import DimensionError, ParameterError, RankDeficient
-from .linalg import gram_rows, logdet_hermitian_batch, sumsq
+from .grassmann import _is_count
+from .linalg import gram_rows, logdet_hermitian_batch, orthonormalize, sumsq
 
 __all__ = [
     "SystemConfig",
@@ -152,8 +152,8 @@ def instant_rate_per_user(cfg, h_k, precoders, k):
     mats = precoders.matrices
     if mats.shape[:2] != (cfg.k, cfg.m):
         raise DimensionError(f"precoder set must be {cfg.k} matrices with {cfg.m} rows, got {mats.shape}")
-    if not 0 <= k < cfg.k:
-        raise ParameterError(f"user index {k} out of range 0..{cfg.k - 1}")
+    if not (_is_count(k) and k < cfg.k):
+        raise ParameterError(f"user index {k!r} is not an integer in 0..{cfg.k - 1}")
     channels = np.broadcast_to(h_k, (1, cfg.k, cfg.m, cfg.n))
     return float(rates_batch(cfg.p, channels, mats[np.newaxis])[0, k])
 
@@ -176,12 +176,12 @@ class AnalogObservation:
 
 def analog_feedback(rng, cfg, h_k, beta):
     """Observe a channel through beta M uses of an AWGN feedback link."""
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    snr = float(beta) * float(cfg.p)
+    if not (snr > 0 and snr < math.inf):
+        raise ParameterError(f"beta must be positive with beta P finite, got beta={beta}, P={cfg.p}")
     h_k = np.asarray(h_k, dtype=np.complex128)
     if h_k.shape != (cfg.m, cfg.n):
         raise DimensionError(f"channel must be ({cfg.m}, {cfg.n}), got {h_k.shape}")
-    snr = beta * cfg.p
     received, estimate = analog_feedback_batch(as_generator(rng), h_k, snr)
     residual = math.sqrt(1.0 + snr) * (h_k - estimate)
     return AnalogObservation(beta=float(beta), received=received, estimate=estimate, residual=residual)
@@ -238,7 +238,7 @@ def _inverse_blocks(knowledge):
 
 def bd_precoders_batch(knowledge):
     """Batched BD precoders for a (T, K, M, N) knowledge stack. Internal."""
-    return _backend.orthonormalize(_inverse_blocks(knowledge))
+    return orthonormalize(_inverse_blocks(knowledge))
 
 
 def zf_precoders_batch(knowledge):

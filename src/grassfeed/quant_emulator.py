@@ -21,7 +21,6 @@ The emulated (H_hat, d^2) pair is equal in distribution to the exhaustive
 scan's output, at O(1) cost per trial for any B and any N.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,11 +43,9 @@ __all__ = [
     "QuantDecomposition",
     "CondEigSampler",
     "decompose",
-    "default_cond_sampler",
     "emulate_batch",
     "emulation_valid",
     "sample_min_d2",
-    "sample_cond_eigs",
     "emulate_quantization",
     "beta_trace_pdf",
 ]
@@ -133,6 +130,10 @@ class CondEigSampler:
     eigenvalue nearer the first diagonal entry of W, a fair choice made by
     the eigenvectors alone, so the pair is exchangeable. ``m`` is the
     ambient dimension M >= 4.
+
+    The engine does not use it: :func:`emulate_batch` draws the whole
+    Z^H Z as a scaled Wishart. It is kept as a check of that law and for
+    the benchmark's tracer, which wraps :meth:`sample`.
     """
 
     def __init__(self, m):
@@ -148,12 +149,6 @@ class CondEigSampler:
         d = np.sum(np.abs(g[..., 1]) ** 2, axis=-1)
         r = np.hypot(0.5 * (a - d), np.abs(np.sum(g[..., 0].conj() * g[..., 1], axis=-1)))
         return 0.5 + np.copysign(r, a - d) / (a + d)
-
-
-@functools.lru_cache(maxsize=None)
-def default_cond_sampler(m):
-    """Shared per-M sampler instance."""
-    return CondEigSampler(m)
 
 
 def emulation_valid(gc, bits, guard_product):
@@ -222,25 +217,6 @@ def _min_d2_from_uniform(gc, bits, u):
     return np.minimum(x, 1.0)
 
 
-def sample_cond_eigs(rng, sampler, z):
-    """Split a trace z into the two conditional eigenvalues (N = 2).
-
-    Returns (d1, d2) with d1 + d2 = z exactly; the pair is exchangeable
-    (unordered).
-
-    Raises
-    ------
-    DomainError
-        If z is outside (0, 1].
-    """
-    z = float(z)
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"trace z must lie in (0, 1], got {z}")
-    u = float(sampler.sample(rng))
-    d1 = z * u
-    return d1, z - d1
-
-
 def beta_trace_pdf(m, z):
     """Density of one random d^2 draw on [0, 1] for N = 2 frames.
 
@@ -262,8 +238,7 @@ def beta_trace_pdf(m, z):
     return float(out) if out.ndim == 0 else out
 
 
-def emulate_quantization(rng, h_tilde, bits, sampler=None,
-                         guard_product=DEFAULT_GUARD_PRODUCT):
+def emulate_quantization(rng, h_tilde, bits, guard_product=DEFAULT_GUARD_PRODUCT):
     """Sample the quantized frame a fresh random codebook would return.
 
     Draws (H_hat, d^2) equal in distribution to quantizing h_tilde against
@@ -279,8 +254,6 @@ def emulate_quantization(rng, h_tilde, bits, sampler=None,
         then the M x N complement Gaussian.
     h_tilde : (M, N) orthonormal frame, M >= 2N.
     bits : codebook size exponent B.
-    sampler : optional CondEigSampler; it must be built for M and is
-        otherwise unused.
     guard_product : see :func:`sample_min_d2`.
 
     Returns
@@ -288,12 +261,11 @@ def emulate_quantization(rng, h_tilde, bits, sampler=None,
     (h_hat, d2) : the emulated quantized frame and its squared distance.
     """
     h_tilde = _check_frame(h_tilde, "h_tilde")
-    h_hat, d2 = emulate_batch(rng, h_tilde[np.newaxis], bits, sampler=sampler,
-                              guard_product=guard_product)
+    h_hat, d2 = emulate_batch(rng, h_tilde[np.newaxis], bits, guard_product=guard_product)
     return h_hat[0], float(d2[0])
 
 
-def emulate_batch(rng, hq, bits, sampler=None, guard_product=DEFAULT_GUARD_PRODUCT):
+def emulate_batch(rng, hq, bits, guard_product=DEFAULT_GUARD_PRODUCT):
     """Emulated quantization of every frame of a (T, M, N) orthonormal stack.
 
     The implementation behind :func:`emulate_quantization` (see it for the
@@ -315,8 +287,6 @@ def emulate_batch(rng, hq, bits, sampler=None, guard_product=DEFAULT_GUARD_PRODU
     t, m, n = hq.shape
     if m < 2 * n:
         raise DimensionError(f"need M >= 2N, got ({m}, {n})")
-    if sampler is not None and sampler.m != m:
-        raise ParameterError(f"sampler built for M={sampler.m}, channel has M={m}")
     gen = as_generator(rng)
     z = sample_min_d2(gen, GrassmannConstants(m, n), bits, guard_product=guard_product, size=t)
     x = isotropic_frame(gen, n, n, batch=(t,))

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _backend
 from .ensembles import RngStream, gaussian_matrix
 from .errors import (
     FallbackRequired,
@@ -47,6 +46,7 @@ from .errors import (
     ParameterError,
 )
 from .grassmann import _CAP_BITS, GrassmannConstants, _codebook_size, _is_count, scan_fresh_codebooks
+from .linalg import orthonormalize
 from .precoding import analog_feedback_batch, bd_precoders_batch, rates_batch, zf_precoders_batch
 from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
 from .scaling import bd_3db_bits
@@ -232,7 +232,7 @@ def _quantize(gen, h, bits, eff_mode, guard_product):
 
     Under "quantized_emulated" the budget has already passed the guard.
     """
-    hq = _backend.orthonormalize(h)
+    hq = orthonormalize(h)
     if eff_mode == "quantized_emulated":
         return emulate_batch(gen, hq, bits, guard_product=guard_product)[0]
     return scan_fresh_codebooks(gen, hq, bits)[1]

@@ -32,7 +32,6 @@ from grassfeed.precoding import (
 from grassfeed.quant_emulator import (
     beta_trace_pdf,
     decompose,
-    default_cond_sampler,
     emulate_batch,
     sample_min_d2,
 )
@@ -159,7 +158,6 @@ def test_criterion_05_structural_identities(record_criterion):
     m, n = 6, 2
     cfg = SystemConfig(m, n, 10.0)
     gen = RngStream(1005).child(0).generator()
-    sampler = default_cond_sampler(m)
     worst_bd = worst_rec = worst_tr = worst_orth = 0.0
     for _ in range(1000):
         h = gaussian_matrix(gen, m, n, batch=(cfg.k,))
@@ -169,7 +167,7 @@ def test_criterion_05_structural_identities(record_criterion):
                 if j != k:
                     worst_bd = max(worst_bd, float(np.abs(h[j].conj().T @ pre.matrices[k]).max()))
         tilde = isotropic_frame(gen, m, n)
-        hat, d2 = emulate_batch(gen, tilde[None], 12, sampler=sampler)
+        hat, d2 = emulate_batch(gen, tilde[None], 12)
         hat, d2 = hat[0], float(d2[0])
         dec = decompose(hat, tilde)
         rebuilt = tilde @ dec.x @ dec.y + dec.s @ dec.z
@@ -207,7 +205,7 @@ def test_criterion_06_moment_identities(record_criterion):
     # E[Z^H Z] = (D/N) I
     gen = RngStream(1006).child(1).generator()
     tilde = isotropic_frame(gen, 4, 2, batch=(60000,))
-    hat, d2 = emulate_batch(gen, tilde, 12, sampler=default_cond_sampler(4))
+    hat, d2 = emulate_batch(gen, tilde, 12)
     a = np.einsum("tmi,tmj->tij", tilde.conj(), hat)
     zhz = np.eye(2) - np.einsum("tki,tkj->tij", a.conj(), a).mean(axis=0)
     target = float(d2.mean()) / 2

@@ -1,9 +1,10 @@
-"""Kernel contract tests.
+"""Kernel contract tests: batched orthonormalization and the codebook scan.
 
 Thin QR with a positive real diagonal is unique for full-rank input, so
 the kernels are compared with per-matrix references at rounding-level
 tolerance, not just statistically. The Gram scan is checked bit for bit
-against the scan that orthonormalizes every codebook entry.
+against the scan that orthonormalizes every codebook entry. One case
+checks the benchmark's complex-codebook alias in ``_backend``.
 """
 
 import math
@@ -12,10 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from grassfeed import _backend
+from grassfeed import _backend, grassmann
 from grassfeed.errors import RankDeficient
-from grassfeed.grassmann import chordal_distance_sq
-from grassfeed.linalg import RANK_FLOOR, thin_qr_batch
+from grassfeed.grassmann import chordal_distance_sq, scan_frames
+from grassfeed.linalg import RANK_FLOOR, orthonormalize, thin_qr_batch
 
 
 def _gauss(rng, *shape):
@@ -36,7 +37,7 @@ QR_SHAPES = [(6, 2), (4, 2), (8, 1), (6, 3), (2, 2)]
 def test_orthonormalize_matches_thin_qr(m, n):
     rng = np.random.default_rng(21 + 10 * m + n)
     a = _gauss(rng, 64, m, n)
-    q = _backend.orthonormalize(a)
+    q = orthonormalize(a)
     for i in range(a.shape[0]):
         assert np.linalg.norm(q[i] - _positive_qr_reference(a[i])) <= 1e-10
 
@@ -89,13 +90,13 @@ def test_orthonormalize_inf_is_rank_deficient():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RankDeficient):
-            _backend.orthonormalize(a)
+            orthonormalize(a)
 
 
 def test_orthonormalize_high_rank_batch_shape():
     rng = np.random.default_rng(22)
     a = _gauss(rng, 3, 5, 4, 2)
-    q = _backend.orthonormalize(a)
+    q = orthonormalize(a)
     assert q.shape == a.shape
     gram = np.einsum("...mi,...mj->...ij", q.conj(), q)
     assert np.abs(gram - np.eye(2)).max() <= 1e-10
@@ -104,16 +105,16 @@ def test_orthonormalize_high_rank_batch_shape():
 def test_orthonormalize_rank_deficient():
     a = np.ones((4, 4, 2), dtype=complex)
     with pytest.raises(RankDeficient):
-        _backend.orthonormalize(a)
+        orthonormalize(a)
 
 
 def test_scan_frames_brute_force_oracle():
-    """Backend scan agrees with an index-by-index chordal-distance scan."""
+    """The scan agrees with an index-by-index chordal-distance scan."""
     rng = np.random.default_rng(23)
     for _ in range(50):
-        hq = _backend.orthonormalize(_gauss(rng, 4, 2))
-        frames = _backend.orthonormalize(_gauss(rng, 16, 4, 2))
-        idx, d2 = _backend.scan_frames(hq, frames)
+        hq = orthonormalize(_gauss(rng, 4, 2))
+        frames = orthonormalize(_gauss(rng, 16, 4, 2))
+        idx, d2 = scan_frames(hq, frames)
         dists = [chordal_distance_sq(hq, frames[c]) for c in range(16)]
         assert idx == int(np.argmin(dists))
         assert d2 == pytest.approx(min(dists), abs=1e-12)
@@ -121,21 +122,23 @@ def test_scan_frames_brute_force_oracle():
 
 def test_scan_frames_tie_breaks_low_index():
     rng = np.random.default_rng(24)
-    hq = _backend.orthonormalize(_gauss(rng, 4, 2))
-    frames = _backend.orthonormalize(_gauss(rng, 8, 4, 2))
-    winner, _ = _backend.scan_frames(hq, frames)
+    hq = orthonormalize(_gauss(rng, 4, 2))
+    frames = orthonormalize(_gauss(rng, 8, 4, 2))
+    winner, _ = scan_frames(hq, frames)
     dup = np.concatenate([frames[:2], frames[winner:winner + 1], frames], axis=0)
-    idx, _ = _backend.scan_frames(hq, dup)
+    idx, _ = scan_frames(hq, dup)
     assert idx == 2  # the first copy of the winning frame
 
+
 def test_quantize_gaussians_composes():
+    """The complex-codebook alias copies into planes and scans them."""
     rng = np.random.default_rng(25)
-    hq = _backend.orthonormalize(_gauss(rng, 8, 4, 2))
+    hq = orthonormalize(_gauss(rng, 8, 4, 2))
     gauss = _gauss(rng, 8, 32, 4, 2)
     idx, d2, qwin = _backend.quantize_gaussians(hq, gauss)
     for t in range(8):
-        frames = _backend.orthonormalize(gauss[t])
-        i_ref, d_ref = _backend.scan_frames(hq[t], frames)
+        frames = orthonormalize(gauss[t])
+        i_ref, d_ref = scan_frames(hq[t], frames)
         assert idx[t] == i_ref
         assert d2[t] == pytest.approx(d_ref, abs=1e-12)
         assert np.linalg.norm(qwin[t] - frames[i_ref]) <= 1e-10
@@ -143,7 +146,18 @@ def test_quantize_gaussians_composes():
 
 def _exact_scan(hq, gauss):
     """The scan with one QR per codebook entry."""
-    return _backend._scan_np(hq, thin_qr_batch(gauss)[0])
+    return grassmann._scan_np(hq, thin_qr_batch(gauss)[0])
+
+
+def _planes(gauss):
+    """(T, 2, m, n, C) planes of complex (T, C, m, n) codebooks."""
+    return np.ascontiguousarray(np.stack([gauss.real, gauss.imag], axis=1).transpose(0, 1, 3, 4, 2))
+
+
+def _quantize(hq, gauss):
+    """grassmann.quantize_planes of complex (T, C, m, n) codebooks."""
+    planes = _planes(gauss)
+    return grassmann.quantize_planes(hq, planes, np.empty(planes[:, 0].size))
 
 
 def _assert_same_scan(got, want):
@@ -156,12 +170,12 @@ class TestGramScan:
     """The scan ranks entries by Gram matrix and orthonormalizes only
     the winners; its output is bit-identical to a QR of every entry."""
 
-    @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32)])
+    @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32), (6, 2, 1)])
     def test_matches_exact_scan(self, m, n, c):
         rng = np.random.default_rng(40 + m + n)
         hq = thin_qr_batch(_gauss(rng, 64, m, n))[0]
         gauss = _gauss(rng, 64, c, m, n)
-        _assert_same_scan(_backend.quantize_gaussians(hq, gauss), _exact_scan(hq, gauss))
+        _assert_same_scan(_quantize(hq, gauss), _exact_scan(hq, gauss))
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     def test_ill_conditioned_entries(self, eps):
@@ -172,7 +186,7 @@ class TestGramScan:
         hq = thin_qr_batch(_gauss(rng, 32, 4, 2))[0]
         gauss = _gauss(rng, 32, 64, 4, 2)
         gauss[:, ::2, :, 1] = gauss[:, ::2, :, 0] + eps * gauss[:, ::2, :, 1]
-        _assert_same_scan(_backend.quantize_gaussians(hq, gauss), _exact_scan(hq, gauss))
+        _assert_same_scan(_quantize(hq, gauss), _exact_scan(hq, gauss))
 
     @pytest.mark.parametrize("scale", [1e-160, 1e150])
     def test_extreme_scales(self, scale):
@@ -180,7 +194,7 @@ class TestGramScan:
         rng = np.random.default_rng(45)
         hq = thin_qr_batch(_gauss(rng, 16, 4, 2))[0]
         gauss = scale * _gauss(rng, 16, 32, 4, 2)
-        _assert_same_scan(_backend.quantize_gaussians(hq, gauss), _exact_scan(hq, gauss))
+        _assert_same_scan(_quantize(hq, gauss), _exact_scan(hq, gauss))
 
     @pytest.mark.parametrize("defect", ["parallel", "zero", "nan"])
     def test_rank_deficient_loser_raises(self, defect):
@@ -198,7 +212,7 @@ class TestGramScan:
         else:
             bad[1, 1] = np.nan
         with pytest.raises(RankDeficient):
-            _backend.quantize_gaussians(hq, gauss)
+            _quantize(hq, gauss)
 
     @pytest.mark.parametrize("copy", ["exact", "rotated"])
     def test_tie_resolves_as_exact_scan(self, copy):
@@ -215,7 +229,7 @@ class TestGramScan:
         if copy == "rotated":
             win = win @ thin_qr_batch(_gauss(rng, 64, 2, 2))[0]
         dup = np.concatenate([gauss[:, :1], win[:, np.newaxis], gauss[:, 1:]], axis=1)
-        got = _backend.quantize_gaussians(hq, dup)
+        got = _quantize(hq, dup)
         _assert_same_scan(got, _exact_scan(hq, dup))
         if copy == "exact":
             assert np.array_equal(got[0], np.where(first == 0, 0, 1))
@@ -229,8 +243,8 @@ class TestGramScan:
         gauss = _gauss(rng, 16, c, m, n)
         q = thin_qr_batch(gauss)[0]
         want = np.sum(np.abs(np.einsum("tmn,tcmp->tcnp", hq.conj(), q)) ** 2, axis=(-2, -1))
-        planes = np.ascontiguousarray(np.stack([gauss.real, gauss.imag], axis=1).transpose(0, 1, 3, 4, 2))
-        got = _backend._plane_scores(hq, planes, np.empty(planes[:, 0].size))
+        planes = _planes(gauss)
+        got = grassmann._plane_scores(hq, planes, np.empty(planes[:, 0].size))
         assert np.abs(got - want).max() <= 1e-12
 
     def test_orthonormalizes_winners_only(self, monkeypatch):
@@ -240,10 +254,10 @@ class TestGramScan:
             seen.append(math.prod(a.shape[:-2]))
             return thin_qr_batch(a)
 
-        monkeypatch.setattr(_backend, "thin_qr_batch", spy)
+        monkeypatch.setattr(grassmann, "thin_qr_batch", spy)
         rng = np.random.default_rng(44)
         hq = thin_qr_batch(_gauss(rng, 32, 4, 2))[0]
-        _backend.quantize_gaussians(hq, _gauss(rng, 32, 64, 4, 2))
+        _quantize(hq, _gauss(rng, 32, 64, 4, 2))
         assert seen == [32]
 
     @pytest.mark.parametrize("m,n,c", [(2, 1, 64), (8, 1, 64), (6, 3, 32), (9, 3, 16)])
@@ -256,8 +270,8 @@ class TestGramScan:
             seen.append(math.prod(a.shape[:-2]))
             return thin_qr_batch(a)
 
-        monkeypatch.setattr(_backend, "thin_qr_batch", spy)
+        monkeypatch.setattr(grassmann, "thin_qr_batch", spy)
         rng = np.random.default_rng(47)
         hq = thin_qr_batch(_gauss(rng, 32, m, n))[0]
-        _backend.quantize_gaussians(hq, _gauss(rng, 32, c, m, n))
+        _quantize(hq, _gauss(rng, 32, c, m, n))
         assert seen == [32]

@@ -2,17 +2,21 @@
 and everything else raises a GrassfeedError, never a raw numpy or Python
 error and never a silent NaN (RuntimeWarnings fail the suite). Also the
 export contract: each name the package exports is in the ``__all__`` of
-the module it comes from."""
+the module it comes from, and every name the benchmark in ``perfbench/``
+binds exists."""
 
 import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grassfeed
+from grassfeed import _backend, linalg
 from grassfeed.errors import GrassfeedError
 from grassfeed.simulator import ExperimentSpec, FeedbackPolicy, run_experiment
 
@@ -72,3 +76,38 @@ def test_package_exports_are_module_exports():
         and name not in importlib.import_module(f"grassfeed.{source[name]}").__all__
     ]
     assert missing == []
+
+
+_NAN_FRAME = np.full((4, 2), np.nan, dtype=complex)
+_FRAME = np.eye(4, 2, dtype=complex)
+_CFG = grassfeed.SystemConfig(4, 2, 10.0)
+_BD = grassfeed.PrecoderSet(np.stack([np.eye(4, 2), np.eye(4, 2, -2)]).astype(complex), "bd")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: grassfeed.GrassmannConstants(4.5, 2),
+    lambda: grassfeed.random_codebook(grassfeed.RngStream(1), 4, 2, 2.5),
+    lambda: grassfeed.chordal_distance_sq(_NAN_FRAME, _NAN_FRAME),
+    lambda: grassfeed.principal_angles(_NAN_FRAME, _FRAME),
+    lambda: grassfeed.instant_rate_per_user(_CFG, _FRAME, _BD, 0.5),
+    lambda: grassfeed.analog_feedback(grassfeed.RngStream(1), _CFG, _FRAME, np.inf),
+], ids=["constants_float_m", "codebook_float_bits", "chordal_nan", "angles_nan",
+        "rate_float_user", "analog_inf_beta"])
+def test_public_entry_points_reject_bad_input(call):
+    with pytest.raises(GrassfeedError):
+        call()
+
+
+def test_benchmark_bindings_exist(monkeypatch):
+    """Every name the benchmark wraps or records is still bound, so a
+    deletion that would crash it at import fails here first."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    missing = [
+        name for owner, attr, name in tracer.LAYER_FUNCTIONS if attr not in vars(owner)
+    ]
+    assert missing == []
+    assert grassfeed.BACKEND == "python"
+    assert callable(_backend.quantize_gaussians)
+    # the same object, so wrapping it by identity wraps every engine call
+    assert _backend.orthonormalize is linalg.orthonormalize

@@ -27,8 +27,8 @@ from grassfeed.grassmann import (
     save_codebook,
     scan_fresh_codebooks,
 )
-from grassfeed.linalg import thin_qr_batch
-from grassfeed import _backend, grassmann
+from grassfeed.linalg import orthonormalize, thin_qr_batch
+from grassfeed import grassmann
 from tests.test_ensembles import restricted_ks
 
 
@@ -348,7 +348,7 @@ class TestScanFreshCodebooks:
         hq = isotropic_frame(RngStream(12).child(0), m, n, batch=(trials,))
         d2, won = scan_fresh_codebooks(RngStream(12).child(1).generator(), hq, bits)
         gen = RngStream(12).child(1).generator()
-        books = _backend.orthonormalize(gaussian_matrix(gen, m, n, batch=(trials, 2 ** bits)))
+        books = orthonormalize(gaussian_matrix(gen, m, n, batch=(trials, 2 ** bits)))
         for t, book in enumerate(books):
             dists = [chordal_distance_sq(hq[t], e) for e in book]
             best = int(np.argmin(dists))
@@ -379,7 +379,7 @@ def _per_block_scan(gen, m, n, bits, count, hq=None):
         else:
             frames = hq[lo:hi]
         g = gaussian_matrix(gen, m, n, batch=(hi - lo, size))
-        _, d2[lo:hi], won[lo:hi] = _backend._scan_np(frames, thin_qr_batch(g)[0])
+        _, d2[lo:hi], won[lo:hi] = grassmann._scan_np(frames, thin_qr_batch(g)[0])
     return d2, won
 
 
@@ -500,7 +500,7 @@ class TestStreamedScan:
             return thin_qr_batch(a)
 
         hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
-        monkeypatch.setattr(_backend, "thin_qr_batch", spy)
+        monkeypatch.setattr(grassmann, "thin_qr_batch", spy)
         d2, won = scan_fresh_codebooks(_EditedGenerator(15, edit), hq, bits)
         # winners of blocks 0, 2 and 3; every entry of block 1
         assert seen == [block, block * size, block, count - 3 * block]

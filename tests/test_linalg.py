@@ -14,7 +14,6 @@ from grassfeed.linalg import (
     cholesky_upper,
     cholesky_upper_batch,
     gram_rows,
-    hermitian_eig,
     left_nullspace_basis,
     left_nullspace_basis_batch,
     logdet_hermitian,
@@ -64,31 +63,6 @@ class TestThinQr:
     def test_wide_rejected(self):
         with pytest.raises(DimensionError):
             thin_qr(np.ones((2, 4), dtype=complex))
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, v = hermitian_eig(np.eye(2, dtype=complex))
-        np.testing.assert_allclose(w, [1.0, 1.0])
-        assert np.linalg.norm(v.conj().T @ v - np.eye(2)) <= 1e-12
-
-    def test_diagonal_sorted_ascending(self):
-        w, _ = hermitian_eig(np.diag([0.7, 0.2]).astype(complex))
-        np.testing.assert_allclose(w, [0.2, 0.7])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            b = _complex_gaussian(rng, 4, 4)
-            a = b.conj().T @ b
-            w, v = hermitian_eig(a)
-            err = np.linalg.norm(v @ np.diag(w) @ v.conj().T - a)
-            assert err <= 1e-10 * max(np.linalg.norm(a), 1.0)
-            assert np.all(np.diff(w) >= 0)
-
-    def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 class TestCholeskyUpper:

@@ -27,7 +27,7 @@ from grassfeed.precoding import (
     zf_precoders,
     zf_precoders_batch,
 )
-from grassfeed.quant_emulator import default_cond_sampler, emulate_batch
+from grassfeed.quant_emulator import emulate_batch
 
 
 def _bd_reference(h):
@@ -152,7 +152,7 @@ class TestBdPrecoders:
         gen = RngStream(41).child(9).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(2,))
         frames = np.stack([np.linalg.qr(h[k])[0] for k in range(2)])
-        quant, _ = emulate_batch(gen, frames, 8, sampler=default_cond_sampler(4))
+        quant, _ = emulate_batch(gen, frames, 8)
         pre = bd_precoders(cfg, quant)
         for k in range(2):
             j = 1 - k

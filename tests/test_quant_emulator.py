@@ -8,7 +8,6 @@ from scipy.stats import ks_2samp, kstest
 from grassfeed.ensembles import RngStream, gaussian_matrix, isotropic_frame
 from grassfeed.errors import (
     DegenerateProjection,
-    DomainError,
     FallbackRequired,
     ParameterError,
 )
@@ -24,10 +23,8 @@ from grassfeed.quant_emulator import (
     CondEigSampler,
     beta_trace_pdf,
     decompose,
-    default_cond_sampler,
     emulate_batch,
     emulate_quantization,
-    sample_cond_eigs,
     sample_min_d2,
     _min_d2_from_uniform,
 )
@@ -261,34 +258,6 @@ class TestCondEigSampler:
         with pytest.raises(ParameterError):
             CondEigSampler(3)
 
-    def test_default_sampler_cached(self):
-        assert default_cond_sampler(6) is default_cond_sampler(6)
-
-
-class TestSampleCondEigs:
-    def test_sum_is_exact(self):
-        s = default_cond_sampler(6)
-        gen = RngStream(27).child(0).generator()
-        for z in (0.01, 0.3, 0.77, 1.0):
-            d1, d2 = sample_cond_eigs(gen, s, z)
-            assert d1 + d2 == pytest.approx(z, abs=1e-15)
-            assert 0.0 < d1 < z and 0.0 < d2 < z
-
-    def test_domain(self):
-        s = default_cond_sampler(4)
-        gen = RngStream(27).child(1).generator()
-        for z in (0.0, -0.1, 1.2):
-            with pytest.raises(DomainError):
-                sample_cond_eigs(gen, s, z)
-
-    def test_scale_free_split(self):
-        """u = d1/z has the same law at every z (homogeneous kernel)."""
-        s = default_cond_sampler(6)
-        gen = RngStream(27).child(2).generator()
-        ua = np.array([sample_cond_eigs(gen, s, 0.1)[0] / 0.1 for _ in range(4000)])
-        ub = np.array([sample_cond_eigs(gen, s, 0.9)[0] / 0.9 for _ in range(4000)])
-        assert ks_2samp(ua, ub).pvalue > 0.01
-
 
 class TestBetaTracePdf:
     def test_integrates_to_density_constant(self):
@@ -315,9 +284,8 @@ class TestBetaTracePdf:
 class TestEmulateQuantization:
     def test_output_contract(self):
         gen = RngStream(29).child(0).generator()
-        s = default_cond_sampler(4)
         h = _orth(gen, 4, 2)
-        frame, d2 = emulate_quantization(gen, h, 12, sampler=s)
+        frame, d2 = emulate_quantization(gen, h, 12)
         gram = frame.conj().T @ frame
         assert np.abs(gram - np.eye(2)).max() <= 1e-9
         assert d2 == pytest.approx(chordal_distance_sq(h, frame), abs=1e-9)
@@ -335,12 +303,6 @@ class TestEmulateQuantization:
         h = _orth(gen, 4, 2)
         with pytest.raises(FallbackRequired):
             emulate_quantization(gen, h, 5)
-
-    def test_sampler_must_match_m(self):
-        gen = RngStream(29).child(4).generator()
-        h = _orth(gen, 6, 2)
-        with pytest.raises(ParameterError):
-            emulate_batch(gen, h[np.newaxis], 12, sampler=default_cond_sampler(4))
 
     @pytest.mark.parametrize("m,n", [(4, 2), (6, 2), (8, 1)])
     def test_any_bit_budget(self, m, n):
@@ -409,7 +371,7 @@ class TestEmulatedMatchesExhaustive:
         trials = 60000
         gen = RngStream(31).child(9).generator()
         h = isotropic_frame(gen, m, n, batch=(trials,))
-        frames, d2 = emulate_batch(gen, h, bits, sampler=default_cond_sampler(m))
+        frames, d2 = emulate_batch(gen, h, bits)
         a = np.einsum("tmi,tmj->tij", h.conj(), frames)
         zhz = np.eye(n) - np.einsum("tki,tkj->tij", a.conj(), a).mean(axis=0)
         target = d2.mean() / n
@@ -419,7 +381,7 @@ class TestEmulatedMatchesExhaustive:
     def test_batch_consistency_with_decompose(self):
         gen = RngStream(31).child(10).generator()
         h = isotropic_frame(gen, 4, 2, batch=(50,))
-        frames, d2 = emulate_batch(gen, h, 11, sampler=default_cond_sampler(4))
+        frames, d2 = emulate_batch(gen, h, 11)
         for i in range(50):
             dec = decompose(frames[i], h[i])
             assert abs(dec.d2 - d2[i]) <= 1e-9
