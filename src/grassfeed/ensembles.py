@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, _check_count
 from .linalg import left_nullspace_basis_batch, orthonormalize
 
 __all__ = [
@@ -44,8 +44,7 @@ class RngStream:
     stream: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_count("seed", self.seed)
         object.__setattr__(self, "stream", tuple(int(s) for s in self.stream))
 
     def generator(self):
@@ -75,6 +74,8 @@ def gaussian_matrix(rng, m, n, batch=()):
     first and then every imaginary part, through one real buffer that each
     half is drawn into and one complex buffer that is returned.
     """
+    _check_count("m", m)
+    _check_count("n", n)
     if m < 1 or n < 1:
         raise DimensionError(f"matrix dimensions must be positive, got ({m}, {n})")
     gen = as_generator(rng)
@@ -128,8 +129,9 @@ def matrix_beta(rng, n, a, b):
     the squared chordal distance Gram between a random channel direction
     and one random codebook frame.
     """
-    if n < 1 or a < n or b < n:
-        raise ParameterError(f"matrix_beta needs a >= n and b >= n, got n={n}, a={a}, b={b}")
+    _check_count("n", n, 1)
+    _check_count("a", a, n)
+    _check_count("b", b, n)
     gen = as_generator(rng)
     amb = a + b
     w = isotropic_frame(gen, amb, a)

@@ -43,7 +43,15 @@ from fractions import Fraction
 import numpy as np
 
 from .ensembles import as_generator, gaussian_matrix
-from .errors import DimensionError, DomainError, MemoryGuard, ParameterError
+from .errors import (
+    DimensionError,
+    DomainError,
+    MemoryGuard,
+    ParameterError,
+    _check_count,
+    _check_real,
+    _check_shape,
+)
 from .linalg import ORTHO_TOL, orthonormalize, thin_qr_batch
 
 __all__ = [
@@ -59,7 +67,6 @@ __all__ = [
     "distortion_main_term",
     "distortion_samples",
     "empirical_distortion",
-    "scan_fresh_codebooks",
     "save_codebook",
     "load_codebook",
 ]
@@ -99,10 +106,7 @@ class GrassmannConstants:
     n: int
 
     def __post_init__(self):
-        if not (_is_count(self.m) and _is_count(self.n)) or self.n < 1 or self.m < 2 * self.n:
-            raise ParameterError(
-                f"need integers 1 <= N <= M/2, got M={self.m!r}, N={self.n!r}"
-            )
+        _check_shape(self.m, self.n)
 
     @property
     def t(self):
@@ -127,15 +131,22 @@ class GrassmannConstants:
         return math.log2(frac.numerator) - math.log2(frac.denominator)
 
 
-def _check_frame(a, name):
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise DimensionError(f"{name} must be a tall (m, n) frame, got {a.shape}")
-    gram = a.conj().T @ a
-    # a NaN norm fails the comparison, so non-finite frames are rejected too
-    if not np.linalg.norm(gram - np.eye(a.shape[1])) <= ORTHO_TOL * a.shape[1]:
-        raise ParameterError(f"{name} columns are not orthonormal within {ORTHO_TOL:g}")
-    return a
+def _check_frames(**frames):
+    """The named frames as complex arrays, once each is a tall orthonormal
+    (m, n) frame and all have the first one's shape."""
+    out = []
+    for name, a in frames.items():
+        a = np.asarray(a, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] < a.shape[1]:
+            raise DimensionError(f"{name} must be a tall (m, n) frame, got {a.shape}")
+        gram = a.conj().T @ a
+        # a NaN norm fails the comparison, so non-finite frames are rejected too
+        if not np.linalg.norm(gram - np.eye(a.shape[1])) <= ORTHO_TOL * a.shape[1]:
+            raise ParameterError(f"{name} columns are not orthonormal within {ORTHO_TOL:g}")
+        if out and a.shape != out[0].shape:
+            raise DimensionError(f"frame shapes disagree: {out[0].shape} vs {a.shape}")
+        out.append(a)
+    return out
 
 
 def chordal_distance_sq(a, b):
@@ -145,10 +156,7 @@ def chordal_distance_sq(a, b):
     right-unitary rotation of either frame; rounding can push the trace form
     epsilon negative, which is clamped to 0.
     """
-    a = _check_frame(a, "a")
-    b = _check_frame(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"frame shapes disagree: {a.shape} vs {b.shape}")
+    a, b = _check_frames(a=a, b=b)
     n = a.shape[1]
     d2 = n - np.sum(np.abs(a.conj().T @ b) ** 2)
     return float(max(d2, 0.0))
@@ -161,10 +169,7 @@ def principal_angles(a, b):
     arccos. This is the reference route; production code uses the trace
     form in :func:`chordal_distance_sq`.
     """
-    a = _check_frame(a, "a")
-    b = _check_frame(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"frame shapes disagree: {a.shape} vs {b.shape}")
+    a, b = _check_frames(a=a, b=b)
     s = np.linalg.svd(a.conj().T @ b, compute_uv=False)
     return np.arccos(np.clip(s, 0.0, 1.0))
 
@@ -173,8 +178,9 @@ def principal_angles(a, b):
 class Codebook:
     """2^B isotropic frames on G(M, N), index order significant.
 
-    bits is checked before 2^B is formed: negative bits raise
-    ParameterError and bits above the entry cap raise MemoryGuard.
+    The shape and bits are checked before 2^B is formed: a shape off the
+    Grassmannian or bits other than an integer >= 0 raise ParameterError,
+    and bits above the entry cap raise MemoryGuard.
     """
 
     m: int
@@ -183,6 +189,7 @@ class Codebook:
     entries: np.ndarray
 
     def __post_init__(self):
+        _check_shape(self.m, self.n)
         size = _codebook_size(self.bits)
         e = np.asarray(self.entries, dtype=np.complex128)
         if e.shape != (size, self.m, self.n):
@@ -202,15 +209,9 @@ class QuantizationResult:
     entry: np.ndarray
 
 
-def _is_count(x):
-    """True for a nonnegative integer; bools and integral floats are not counts."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
-
-
 def _codebook_size(bits):
-    """2^bits, once bits >= 0 and the entry cap are checked."""
-    if bits < 0:
-        raise ParameterError(f"bits must be >= 0, got {bits}")
+    """2^bits, once bits is checked as an integer >= 0 within the entry cap."""
+    _check_count("bits", bits)
     # compared before exponentiating, so a huge bits fails at once
     if bits > _CAP_BITS:
         raise MemoryGuard(f"2^{bits} entries exceed the {CODEBOOK_ENTRY_CAP} cap")
@@ -220,8 +221,6 @@ def _codebook_size(bits):
 def random_codebook(rng, m, n, bits):
     """Fresh random quantization codebook of 2^bits isotropic frames."""
     gc = GrassmannConstants(m, n)
-    if not _is_count(bits):
-        raise ParameterError(f"bits must be an integer >= 0, got {bits!r}")
     size = _codebook_size(bits)
     gen = as_generator(rng)
     g = gaussian_matrix(gen, gc.m, gc.n, batch=(size,))
@@ -246,8 +245,9 @@ def quantize(h, codebook):
 def distortion_main_term(gc, bits):
     """Leading term of the expected-distortion bound: the metric-ball part.
 
-    (Gamma(1/T) / T) * C_MN^(-1/T) * 2^(-B/T).
+    (Gamma(1/T) / T) * C_MN^(-1/T) * 2^(-B/T), for any finite real B >= 0.
     """
+    _check_real("bits", bits, low=0, closed=True)
     t = gc.t
     return (math.gamma(1.0 / t) / t) * gc.c ** (-1.0 / t) * 2.0 ** (-bits / t)
 
@@ -260,7 +260,7 @@ def distortion_bound(gc, bits, a=0.5):
     Parameters
     ----------
     gc : GrassmannConstants
-    bits : codebook size exponent B >= 0.
+    bits : codebook size exponent B >= 0, any finite real.
     a : splitting exponent in (0, 1); 0.5 balances the two terms.
 
     Raises
@@ -268,16 +268,14 @@ def distortion_bound(gc, bits, a=0.5):
     DomainError
         If 2^B * C_MN < 1, where the ball-volume expansion is invalid.
     ParameterError
-        If a is outside (0, 1) or bits < 0.
+        If a is outside (0, 1), or bits is negative or not finite.
     """
-    if not 0.0 < a < 1.0:
-        raise ParameterError(f"a must lie in (0, 1), got {a}")
-    if bits < 0:
-        raise ParameterError(f"bits must be >= 0, got {bits}")
+    _check_real("a", a, low=0, high=1)
+    main = distortion_main_term(gc, bits)
     product = 2.0 ** bits * gc.c
     if product < 1.0:
         raise DomainError(f"2^B * C_MN = {product:g} < 1 is outside the bound's domain")
-    return distortion_main_term(gc, bits) + gc.n * math.exp(-(product ** (1.0 - a)))
+    return main + gc.n * math.exp(-(product ** (1.0 - a)))
 
 
 def _scan_np(hq, w):
@@ -495,11 +493,8 @@ def distortion_samples(rng, m, n, bits, trials):
     so memory stays that of one block; results come in trial order and are
     deterministic for a fixed (rng, trials) pair.
     """
-    GrassmannConstants(m, n)  # validates the shape
-    if not _is_count(trials) or trials < 1:
-        raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
-    if not _is_count(bits):
-        raise ParameterError(f"bits must be an integer >= 0, got {bits!r}")
+    _check_shape(m, n)
+    _check_count("trials", trials, 1)
     d2 = np.empty(trials)
     for lo, hi, block_d2, _ in _scan_blocks(as_generator(rng), m, n, bits, trials):
         d2[lo:hi] = block_d2

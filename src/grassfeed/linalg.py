@@ -35,8 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ORTHO_TOL",
-    "RANK_FLOOR",
     "thin_qr",
     "cholesky_upper",
     "left_nullspace_basis",
@@ -59,10 +57,13 @@ def _as_matrix(a, name="a"):
     return a.astype(np.complex128, copy=False)
 
 
-def _check_hermitian(a, name="a"):
+def _check_hermitian(a):
+    a = _as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"square matrix required, got {a.shape}")
     scale = np.linalg.norm(a)
     if np.linalg.norm(a - a.conj().T) > ORTHO_TOL * max(scale, 1.0):
-        raise NotHermitian(f"{name} is not Hermitian within {ORTHO_TOL:g} relative")
+        raise NotHermitian(f"a is not Hermitian within {ORTHO_TOL:g} relative")
     # symmetrize so eigh/cholesky see an exactly Hermitian matrix
     return 0.5 * (a + a.conj().T)
 
@@ -203,9 +204,6 @@ def cholesky_upper(a):
     NotHermitian
         If the input is not Hermitian within tolerance.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"square matrix required, got {a.shape}")
     return cholesky_upper_batch(_check_hermitian(a)[np.newaxis])[0]
 
 
@@ -298,9 +296,6 @@ def logdet_hermitian(a):
     NotHermitian
         If the input is not Hermitian within tolerance.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"square matrix required, got {a.shape}")
     return float(logdet_hermitian_batch(_check_hermitian(a)[np.newaxis])[0])
 
 

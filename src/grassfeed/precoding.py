@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import as_generator, gaussian_matrix
-from .errors import DimensionError, ParameterError, RankDeficient
-from .grassmann import _is_count
+from .errors import DimensionError, ParameterError, RankDeficient, _check_real, _check_shape, _is_count
 from .linalg import gram_rows, logdet_hermitian_batch, orthonormalize, sumsq
 
 __all__ = [
@@ -66,12 +65,8 @@ class SystemConfig:
     p: float
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 2 * self.n:
-            raise ParameterError(f"need 1 <= N <= M/2, got M={self.m}, N={self.n}")
-        if self.m % self.n != 0:
-            raise ParameterError(f"M must be a multiple of N, got M={self.m}, N={self.n}")
-        if not self.p > 0:
-            raise ParameterError(f"power must be positive, got {self.p}")
+        _check_shape(self.m, self.n, loaded=True)
+        _check_real("power P", self.p, low=0)
 
     @property
     def k(self):
@@ -98,13 +93,12 @@ class PrecoderSet:
         object.__setattr__(self, "matrices", m)
 
 
-def _knowledge_stack(cfg, knowledge):
-    k = np.asarray(knowledge, dtype=np.complex128)
-    if k.shape != (cfg.k, cfg.m, cfg.n):
-        raise DimensionError(
-            f"knowledge must be K={cfg.k} matrices of shape ({cfg.m}, {cfg.n}), got {k.shape}"
-        )
-    return k
+def _shaped(x, shape, what):
+    """x as a complex array, once its shape is ``shape``."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != shape:
+        raise DimensionError(f"{what} must have shape {shape}, got {x.shape}")
+    return x
 
 
 def bd_precoders(cfg, knowledge):
@@ -119,7 +113,7 @@ def bd_precoders(cfg, knowledge):
 
     Raises RankDeficient if the stacked knowledge is singular.
     """
-    know = _knowledge_stack(cfg, knowledge)
+    know = _shaped(knowledge, (cfg.k, cfg.m, cfg.n), "knowledge")
     return PrecoderSet(matrices=bd_precoders_batch(know[np.newaxis])[0], scheme="bd")
 
 
@@ -135,7 +129,7 @@ def zf_precoders(cfg, knowledge):
 
     Raises RankDeficient if the stacked knowledge is singular.
     """
-    know = _knowledge_stack(cfg, knowledge)
+    know = _shaped(knowledge, (cfg.k, cfg.m, cfg.n), "knowledge")
     return PrecoderSet(matrices=zf_precoders_batch(know[np.newaxis])[0], scheme="zf")
 
 
@@ -146,9 +140,7 @@ def instant_rate_per_user(cfg, h_k, precoders, k):
     validates its arguments and evaluates :func:`rates_batch` with h_k in
     every user's slot, reading off user k.
     """
-    h_k = np.asarray(h_k, dtype=np.complex128)
-    if h_k.shape != (cfg.m, cfg.n):
-        raise DimensionError(f"channel must be ({cfg.m}, {cfg.n}), got {h_k.shape}")
+    h_k = _shaped(h_k, (cfg.m, cfg.n), "channel")
     mats = precoders.matrices
     if mats.shape[:2] != (cfg.k, cfg.m):
         raise DimensionError(f"precoder set must be {cfg.k} matrices with {cfg.m} rows, got {mats.shape}")
@@ -176,12 +168,10 @@ class AnalogObservation:
 
 def analog_feedback(rng, cfg, h_k, beta):
     """Observe a channel through beta M uses of an AWGN feedback link."""
+    _check_real("beta", beta, low=0)
     snr = float(beta) * float(cfg.p)
-    if not (snr > 0 and snr < math.inf):
-        raise ParameterError(f"beta must be positive with beta P finite, got beta={beta}, P={cfg.p}")
-    h_k = np.asarray(h_k, dtype=np.complex128)
-    if h_k.shape != (cfg.m, cfg.n):
-        raise DimensionError(f"channel must be ({cfg.m}, {cfg.n}), got {h_k.shape}")
+    _check_real("beta P", snr, low=0)
+    h_k = _shaped(h_k, (cfg.m, cfg.n), "channel")
     received, estimate = analog_feedback_batch(as_generator(rng), h_k, snr)
     residual = math.sqrt(1.0 + snr) * (h_k - estimate)
     return AnalogObservation(beta=float(beta), received=received, estimate=estimate, residual=residual)
@@ -203,8 +193,7 @@ def rate_loss_bound(cfg, distortion):
     N log2(1 + (P/N) D) with D the expected quantization distortion
     E[min d^2].
     """
-    if distortion < 0:
-        raise ParameterError(f"distortion must be >= 0, got {distortion}")
+    _check_real("distortion", distortion, low=0, closed=True)
     return cfg.n * math.log2(1.0 + cfg.p / cfg.n * distortion)
 
 
@@ -213,26 +202,29 @@ def analog_rate_loss_bound(cfg, beta):
 
     N log2(1 + ((M-N)/M) P / (1 + beta P)).
     """
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    _check_real("beta", beta, low=0)
     frac = (cfg.m - cfg.n) / cfg.m
     return cfg.n * math.log2(1.0 + frac * cfg.p / (1.0 + beta * cfg.p))
 
+
 def analog_rate_loss_limit(m, n, beta):
     """High-power limit of the analog bound: N log2(1 + ((M-N)/M)/beta)."""
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    _check_shape(m, n, loaded=True)
+    _check_real("beta", beta, low=0)
     return n * math.log2(1.0 + (m - n) / m / beta)
 
 
 def _inverse_blocks(knowledge):
-    """inv(A^H) of the stacked knowledge A, as (T, K, M, N) column blocks."""
+    """inv(A^H) of the stacked knowledge A, as (T, K, M, N) column blocks.
+    RankDeficient if an A is singular or, as NaN knowledge is, not finite."""
     t, k, m, n = knowledge.shape
     a_h = np.swapaxes(knowledge, -2, -1).conj().reshape(t, m, m)
     try:
         w = np.linalg.inv(a_h)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient("stacked channel knowledge is singular") from exc
+    if not np.isfinite(w).all():
+        raise RankDeficient("stacked channel knowledge has a non-finite inverse")
     return np.swapaxes(w.reshape(t, m, k, n), 1, 2)
 
 

@@ -32,19 +32,18 @@ from .errors import (
     DimensionError,
     DomainError,
     FallbackRequired,
-    ParameterError,
     RankDeficient,
+    _check_count,
+    _check_real,
 )
-from .grassmann import GrassmannConstants, _check_frame
+from .grassmann import GrassmannConstants, _check_frames
 from .linalg import cholesky_upper_batch, gram_rows, left_nullspace_basis, thin_qr
 
 __all__ = [
     "DEFAULT_GUARD_PRODUCT",
     "QuantDecomposition",
-    "CondEigSampler",
     "decompose",
     "emulate_batch",
-    "emulation_valid",
     "sample_min_d2",
     "emulate_quantization",
     "beta_trace_pdf",
@@ -94,10 +93,7 @@ def decompose(h_tilde, h_hat):
         The single exception: a zero complement projection (identical
         spans) is accepted and returns z = 0.
     """
-    h_tilde = _check_frame(h_tilde, "h_tilde")
-    h_hat = _check_frame(h_hat, "h_hat")
-    if h_tilde.shape != h_hat.shape:
-        raise DimensionError(f"frame shapes disagree: {h_tilde.shape} vs {h_hat.shape}")
+    h_tilde, h_hat = _check_frames(h_tilde=h_tilde, h_hat=h_hat)
     m, n = h_tilde.shape
     if m < 2 * n:
         raise DimensionError(f"need M >= 2N for the complement frame, got ({m}, {n})")
@@ -137,8 +133,7 @@ class CondEigSampler:
     """
 
     def __init__(self, m):
-        if m < 4:
-            raise ParameterError(f"conditional eigenvalue sampler needs M >= 4, got {m}")
+        _check_count("M", m, 4)
         self.m = int(m)
 
     def sample(self, rng, size=None):
@@ -155,13 +150,11 @@ def emulation_valid(gc, bits, guard_product):
     """The emulation guard 2^bits * C_MN >= guard_product, in the log domain.
 
     The engine's mode choice and :func:`sample_min_d2` both decide by it.
-    Raises ParameterError for negative bits, or unless guard_product is
-    finite and positive.
+    Raises ParameterError unless bits is an integer >= 0 and guard_product
+    is finite and positive.
     """
-    if bits < 0:
-        raise ParameterError(f"bits must be >= 0, got {bits}")
-    if not 0.0 < guard_product < math.inf:
-        raise ParameterError(f"guard_product must be finite and positive, got {guard_product}")
+    _check_count("bits", bits)
+    _check_real("guard_product", guard_product, low=0)
     return bits + gc.log2_c >= math.log2(guard_product)
 
 
@@ -226,12 +219,12 @@ def beta_trace_pdf(m, z):
     Raises
     ------
     DomainError
-        If any z is outside [0, 1], where this expression is invalid.
+        If any z is outside [0, 1] (NaN included), where this expression is
+        invalid.
     """
-    if m < 4:
-        raise ParameterError(f"need M >= 4, got {m}")
+    _check_count("M", m, 4)
     z = np.asarray(z, dtype=float)
-    if np.any((z < 0.0) | (z > 1.0)):
+    if not np.all((z >= 0.0) & (z <= 1.0)):
         raise DomainError("beta_trace_pdf is only valid on [0, 1]")
     coeff = math.gamma(m) ** 2 / ((m - 1) * math.gamma(2 * m - 4))
     out = coeff * z ** (2 * m - 5)
@@ -253,14 +246,14 @@ def emulate_quantization(rng, h_tilde, bits, guard_product=DEFAULT_GUARD_PRODUCT
     rng : RngStream or Generator. Draw order is fixed: min d^2, then X,
         then the M x N complement Gaussian.
     h_tilde : (M, N) orthonormal frame, M >= 2N.
-    bits : codebook size exponent B.
+    bits : codebook size exponent B, an integer >= 0.
     guard_product : see :func:`sample_min_d2`.
 
     Returns
     -------
     (h_hat, d2) : the emulated quantized frame and its squared distance.
     """
-    h_tilde = _check_frame(h_tilde, "h_tilde")
+    h_tilde = _check_frames(h_tilde=h_tilde)[0]
     h_hat, d2 = emulate_batch(rng, h_tilde[np.newaxis], bits, guard_product=guard_product)
     return h_hat[0], float(d2[0])
 

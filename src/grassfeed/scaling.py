@@ -11,15 +11,16 @@ B = T/3 P_dB - log2(N^T C_MN): one bps/Hz lost per user antenna, a fixed
 treats the system as M single-antenna users and scales as (M-1)/3 P_dB per
 antenna.
 
-All functions return real-valued bit counts; integer ceiling is applied at
-the CLI layer only.
+All functions take and return real-valued bit counts; the CLI and
+FeedbackPolicy.resolve_bits take the integer ceiling.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import Infeasible, ParameterError
+from .errors import Infeasible, ParameterError, _check_real, _check_shape
 from .grassmann import GrassmannConstants
+from .precoding import SystemConfig, analog_rate_loss_bound
 
 __all__ = [
     "BitsResult",
@@ -73,11 +74,11 @@ def bits_for_rate_loss(m, n, p_db, b):
     Raises
     ------
     Infeasible
-        If b <= 1 (the loss target log2 b is not positive).
+        If b is not a finite real above 1 (log2 b must be positive).
     """
     gc = GrassmannConstants(m, n)
-    if not b > 1.0:
-        raise Infeasible(f"rate-loss target b must exceed 1, got {b}")
+    _check_real("p_db", p_db)
+    _check_real("rate-loss target b", b, low=1, error=Infeasible)
     t = gc.t
     approx = (
         t / 3.0 * p_db
@@ -96,6 +97,7 @@ def bd_3db_bits(m, n, p_db):
     a per-user rate loss of at most N bps/Hz at every power.
     """
     gc = GrassmannConstants(m, n)
+    _check_real("p_db", p_db)
     return gc.t / 3.0 * p_db - math.log2(c_prime(gc))
 
 
@@ -105,8 +107,8 @@ def zf_3db_bits(m, p_db):
     (M-1)/3 P_dB, the single-antenna-user law; an N-antenna user quantizing
     each antenna separately spends N times this.
     """
-    if m < 2:
-        raise ParameterError(f"need M >= 2, got {m}")
+    _check_shape(m, 1)
+    _check_real("p_db", p_db)
     return (m - 1) / 3.0 * p_db
 
 
@@ -118,10 +120,9 @@ def zf_bits_for_rate_loss(m, n, p_db, b):
     :func:`zf_3db_bits` at b = 2^N. Used for matched-target comparisons
     against :func:`bits_for_rate_loss`.
     """
-    if n < 1 or m < 2 * n:
-        raise ParameterError(f"need 1 <= N <= M/2, got M={m}, N={n}")
-    if not b > 1.0:
-        raise Infeasible(f"rate-loss target b must exceed 1, got {b}")
+    _check_shape(m, n)
+    _check_real("p_db", p_db)
+    _check_real("rate-loss target b", b, low=1, error=Infeasible)
     return n * (m - 1) / 3.0 * p_db - n * (m - 1) * math.log2(b ** (1.0 / n) - 1.0)
 
 
@@ -131,8 +132,7 @@ def bd_zf_rate_gap(m, n, k=None):
     K log2(e) sum_{j=1}^{N} (N - j)/j bps/Hz, independent of power. k is
     redundant (it must equal M/N) and accepted only as a cross-check.
     """
-    if n < 1 or m < 2 * n or m % n != 0:
-        raise ParameterError(f"need K = M/N >= 2 integer, got M={m}, N={n}")
+    _check_shape(m, n, loaded=True)
     if k is not None and k != m // n:
         raise ParameterError(f"K must equal M/N = {m // n}, got {k}")
     k = m // n
@@ -149,13 +149,10 @@ def analog_vs_quantized_bounds(m, n, beta, p):
         quant  = N log2(1 + P C'' / (1 + P)^beta)
         analog = N log2(1 + ((M-N)/M) P / (1 + beta P))
 
-    Returns (quant, analog).
+    Returns (quant, analog); the analog side is
+    :func:`~grassfeed.precoding.analog_rate_loss_bound`, which checks the
+    shape, beta and P.
     """
-    gc = GrassmannConstants(m, n)
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    if not p > 0:
-        raise ParameterError(f"power must be positive, got {p}")
-    quant = n * math.log2(1.0 + p * c_double_prime(gc) / (1.0 + p) ** beta)
-    analog = n * math.log2(1.0 + (m - n) / m * p / (1.0 + beta * p))
+    analog = analog_rate_loss_bound(SystemConfig(m, n, p), beta)
+    quant = n * math.log2(1.0 + p * c_double_prime(GrassmannConstants(m, n)) / (1.0 + p) ** beta)
     return quant, analog

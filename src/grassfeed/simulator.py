@@ -44,15 +44,18 @@ from .errors import (
     IncompatiblePolicy,
     NoOverlap,
     ParameterError,
+    _check_count,
+    _check_real,
+    _check_shape,
+    _is_count,
 )
-from .grassmann import _CAP_BITS, GrassmannConstants, _codebook_size, _is_count, scan_fresh_codebooks
+from .grassmann import _CAP_BITS, GrassmannConstants, _codebook_size, scan_fresh_codebooks
 from .linalg import orthonormalize
 from .precoding import analog_feedback_batch, bd_precoders_batch, rates_batch, zf_precoders_batch
 from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
 from .scaling import bd_3db_bits
 
 __all__ = [
-    "CHUNK_TRIALS",
     "FeedbackPolicy",
     "ExperimentSpec",
     "RatePoint",
@@ -105,17 +108,13 @@ class FeedbackPolicy:
             if self.beta is not None:
                 raise IncompatiblePolicy("beta only applies to analog mode")
         elif self.mode == "analog":
-            if self.beta is None or not 1.0 <= self.beta < math.inf:
-                raise IncompatiblePolicy(f"analog mode needs a finite beta >= 1, got {self.beta!r}")
+            _check_real("analog mode's beta", self.beta, low=1, closed=True, error=IncompatiblePolicy)
             if self.bits is not None or self.bits_table is not None:
                 raise IncompatiblePolicy("bit budgets only apply to quantized modes")
         else:
             if self.bits is not None or self.bits_table is not None or self.beta is not None:
                 raise IncompatiblePolicy("perfect mode takes no feedback parameters")
-        if not 0.0 < self.guard_product < math.inf:
-            raise IncompatiblePolicy(
-                f"guard_product must be finite and positive, got {self.guard_product!r}"
-            )
+        _check_real("guard_product", self.guard_product, low=0, error=IncompatiblePolicy)
 
     def resolve_bits(self, p_db, m, n):
         """Integer bit budget at one SNR point, or None for modes without bits."""
@@ -144,11 +143,7 @@ class ExperimentSpec:
     precoder: str = "bd"
 
     def __post_init__(self):
-        if (
-            not (_is_count(self.m) and _is_count(self.n))
-            or self.n < 1 or self.m < 2 * self.n or self.m % self.n != 0
-        ):
-            raise ParameterError(f"need K = M/N >= 2 integer, got M={self.m}, N={self.n}")
+        _check_shape(self.m, self.n, loaded=True)
         grid = tuple(float(p) for p in self.snr_grid_db)
         if len(grid) == 0:
             raise ParameterError("snr_grid_db grid is empty")
@@ -161,8 +156,7 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("snr_grid_db grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
-        if not _is_count(self.trials) or self.trials < 1:
-            raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
+        _check_count("trials", self.trials, 1)
         if self.precoder not in ("bd", "zf"):
             raise ParameterError(f"precoder must be 'bd' or 'zf', got {self.precoder!r}")
         if self.policy.mode == "analog" and not math.isfinite(self.policy.beta * top):
@@ -282,8 +276,7 @@ def _worker_count(threads):
             threads = int(env)
         except ValueError as exc:
             raise ParameterError(f"GRASSFEED_THREADS must be an integer, got {env!r}") from exc
-    if not _is_count(threads) or threads < 1:
-        raise ParameterError(f"{name} must be an integer >= 1, got {threads!r}")
+    _check_count(name, threads, 1)
     return threads
 
 

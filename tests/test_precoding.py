@@ -175,15 +175,18 @@ class TestBdPrecoders:
         assert gains[:, ~own].max() <= 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 class TestSingularKnowledge:
-    """Singular stacked knowledge is a RankDeficient, never a numpy error."""
+    """Singular or non-finite stacked knowledge is a RankDeficient, never a
+    numpy error or warning, for BD and ZF alike."""
 
     @staticmethod
     def _cases():
         eye = np.eye(4, dtype=complex)
         zeros = np.zeros((2, 4, 2), dtype=complex)
         shared = np.stack([eye[:, :2], eye[:, :2]])  # two users, one plane
-        return [zeros, shared]
+        nan = np.full((2, 4, 2), np.nan, dtype=complex)  # LAPACK inverts it to NaN silently
+        return [zeros, shared, nan]
 
     @pytest.mark.parametrize("build", [bd_precoders, zf_precoders])
     def test_scalar(self, build):

@@ -184,10 +184,16 @@ class TestAnalogComparison:
 
 
 def test_import_loads_no_scipy():
-    """The library itself runs on numpy alone; scipy is for emu-selftest."""
+    """The library itself runs on numpy alone; scipy is for emu-selftest.
+    In the same fresh interpreter, ``from grassfeed import *`` binds exactly
+    the names in ``grassfeed.__all__``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, grassfeed; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, grassfeed; ns = {}; exec('from grassfeed import *', ns); "
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')); "
+        "print(sorted(set(ns) - {'__builtins__'}) == sorted(grassfeed.__all__))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "True"]
