@@ -152,25 +152,18 @@ def cmd_simulate(args):
     return 0
 
 
-def _scaling_grid(args):
-    if args.snr is not None:
-        parts = args.snr.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"--snr wants start:stop:step, got {args.snr!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"--snr wants numbers, got {args.snr!r}") from exc
-    else:
-        if args.snr_start is None or args.snr_stop is None:
-            raise ConfigError("give either --snr start:stop:step or --snr-start/--snr-stop")
-        start, stop, step = args.snr_start, args.snr_stop, args.snr_step
+def _scaling_grid(text):
+    """The --snr grid, given as START:STOP:STEP."""
+    try:
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError as exc:
+        raise ConfigError(f"--snr wants three numbers start:stop:step, got {text!r}") from exc
     return _grid(start, stop, step)
 
 
 def cmd_scaling(args):
     GrassmannConstants(args.m, args.n)  # validates the shape
-    grid = _scaling_grid(args)
+    grid = _scaling_grid(args.snr)
     cols = ["p_db"]
     if args.mode in ("bd3db", "all"):
         cols += ["bd_3db_bits", "bd_3db_ceil"]
@@ -254,11 +247,8 @@ def build_parser():
     p_sca.add_argument("--N", "--n", dest="n", type=int, required=True)
     p_sca.add_argument("--mode", choices=("bd3db", "zf3db", "all"), default="all",
                        help="which budget law to tabulate")
-    p_sca.add_argument("--snr", default=None, metavar="START:STOP:STEP",
-                       help="SNR grid in dB, colon form (e.g. 0:30:5)")
-    p_sca.add_argument("--snr-start", type=float, default=None)
-    p_sca.add_argument("--snr-stop", type=float, default=None)
-    p_sca.add_argument("--snr-step", type=float, default=5.0)
+    p_sca.add_argument("--snr", required=True, metavar="START:STOP:STEP",
+                       help="inclusive SNR grid in dB (e.g. 0:30:5)")
     p_sca.add_argument("--offset", type=float, default=None,
                        help="also print budgets holding the rate offset at this factor b > 1")
     p_sca.set_defaults(func=cmd_scaling)
@@ -291,10 +281,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GrassfeedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GrassfeedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

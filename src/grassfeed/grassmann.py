@@ -71,6 +71,9 @@ __all__ = [
     "load_codebook",
 ]
 
+# complex elements (2^B entries times M w, w the frame width) a codebook may
+# hold: 256 MiB of entries, and about 400 MB of scan workspace (three float64
+# words per element) when one trial's codebook fills a scan block
 _CAP_BITS = 24
 CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
 # complex codebook elements per scored block: a scan's workspace is the
@@ -180,7 +183,7 @@ class Codebook:
 
     The shape and bits are checked before 2^B is formed: a shape off the
     Grassmannian or bits other than an integer >= 0 raise ParameterError,
-    and bits above the entry cap raise MemoryGuard.
+    and 2^B M N elements above :data:`CODEBOOK_ENTRY_CAP` raise MemoryGuard.
     """
 
     m: int
@@ -190,7 +193,7 @@ class Codebook:
 
     def __post_init__(self):
         _check_shape(self.m, self.n)
-        size = _codebook_size(self.bits)
+        size = _codebook_size(self.bits, self.m, self.n)
         e = np.asarray(self.entries, dtype=np.complex128)
         if e.shape != (size, self.m, self.n):
             raise DimensionError(
@@ -209,19 +212,22 @@ class QuantizationResult:
     entry: np.ndarray
 
 
-def _codebook_size(bits):
-    """2^bits, once bits is checked as an integer >= 0 within the entry cap."""
+def _codebook_size(bits, m, n):
+    """2^bits, once bits is checked as an integer >= 0 and 2^bits (m, n)
+    entries hold at most CODEBOOK_ENTRY_CAP complex elements."""
     _check_count("bits", bits)
-    # compared before exponentiating, so a huge bits fails at once
-    if bits > _CAP_BITS:
-        raise MemoryGuard(f"2^{bits} entries exceed the {CODEBOOK_ENTRY_CAP} cap")
+    # the exponent is compared first, so a huge bits fails at once
+    if bits > _CAP_BITS or 2 ** bits * m * n > CODEBOOK_ENTRY_CAP:
+        raise MemoryGuard(
+            f"2^{bits} entries of ({m}, {n}) exceed the cap of {CODEBOOK_ENTRY_CAP} complex elements"
+        )
     return 2 ** bits
 
 
 def random_codebook(rng, m, n, bits):
     """Fresh random quantization codebook of 2^bits isotropic frames."""
     gc = GrassmannConstants(m, n)
-    size = _codebook_size(bits)
+    size = _codebook_size(bits, gc.m, gc.n)
     gen = as_generator(rng)
     g = gaussian_matrix(gen, gc.m, gc.n, batch=(size,))
     return Codebook(gc.m, gc.n, bits, orthonormalize(g))
@@ -246,10 +252,12 @@ def distortion_main_term(gc, bits):
     """Leading term of the expected-distortion bound: the metric-ball part.
 
     (Gamma(1/T) / T) * C_MN^(-1/T) * 2^(-B/T), for any finite real B >= 0.
+    C_MN^(-1/T) is formed from log2 C_MN, which stays finite where C_MN
+    underflows a double.
     """
     _check_real("bits", bits, low=0, closed=True)
     t = gc.t
-    return (math.gamma(1.0 / t) / t) * gc.c ** (-1.0 / t) * 2.0 ** (-bits / t)
+    return (math.gamma(1.0 / t) / t) * 2.0 ** (-gc.log2_c / t) * 2.0 ** (-bits / t)
 
 
 def distortion_bound(gc, bits, a=0.5):
@@ -272,10 +280,12 @@ def distortion_bound(gc, bits, a=0.5):
     """
     _check_real("a", a, low=0, high=1)
     main = distortion_main_term(gc, bits)
-    product = 2.0 ** bits * gc.c
-    if product < 1.0:
-        raise DomainError(f"2^B * C_MN = {product:g} < 1 is outside the bound's domain")
-    return main + gc.n * math.exp(-(product ** (1.0 - a)))
+    # 2^B C_MN in the log domain, where neither factor over- or underflows
+    log2_product = bits + gc.log2_c
+    if log2_product < 0:
+        raise DomainError(f"2^B * C_MN = 2^{log2_product:g} < 1 is outside the bound's domain")
+    # past (2^B C_MN)^(1-a) = 2^10, exp(-1024) is already below the smallest double
+    return main + gc.n * math.exp(-(2.0 ** min((1.0 - a) * log2_product, 10.0)))
 
 
 def _scan_np(hq, w):
@@ -433,7 +443,7 @@ def _scan_blocks(gen, m, n, bits, count, hq=None):
     trial scanned against its own fresh 2^bits-entry codebook. With hq
     None, each block's channels are drawn and orthonormalized just before
     its codebooks."""
-    size = _codebook_size(bits)
+    size = _codebook_size(bits, m, n)
     block = _scan_block(size, m, n)
     if size > 1:
         # one workspace for every block, in one allocation: the planes, then
@@ -521,7 +531,7 @@ def load_codebook(path):
     """Read a codebook written by :func:`save_codebook`.
 
     Raises ParameterError if the header is foreign, truncated or names an
-    invalid shape or an over-cap B, or if the payload is not exactly
+    invalid shape or an over-cap codebook, or if the payload is not exactly
     2^B M N complex doubles.
     """
     with open(path, "rb") as fh:
@@ -536,7 +546,7 @@ def load_codebook(path):
             raise ParameterError(f"unsupported format version {version}")
         try:
             GrassmannConstants(m, n)
-            count = _codebook_size(bits)
+            count = _codebook_size(bits, m, n)
         except (ParameterError, MemoryGuard) as exc:
             raise ParameterError(f"{path}: {exc}") from exc
         expected = count * m * n * 16

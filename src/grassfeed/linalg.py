@@ -57,10 +57,15 @@ def _as_matrix(a, name="a"):
     return a.astype(np.complex128, copy=False)
 
 
-def _check_hermitian(a):
+def _check_hermitian(a, nonfinite):
+    """a as a complex square matrix, symmetrized, once it is finite (else
+    ``nonfinite`` is raised) and Hermitian within tolerance."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"square matrix required, got {a.shape}")
+    # before the Hermitian test, where an infinite entry would give inf - inf
+    if not np.isfinite(a).all():
+        raise nonfinite("matrix has a non-finite entry")
     scale = np.linalg.norm(a)
     if np.linalg.norm(a - a.conj().T) > ORTHO_TOL * max(scale, 1.0):
         raise NotHermitian(f"a is not Hermitian within {ORTHO_TOL:g} relative")
@@ -200,11 +205,11 @@ def cholesky_upper(a):
     Raises
     ------
     NotPSD
-        If an eigenvalue is below -1e-10.
+        If an entry is not finite, or an eigenvalue is below -1e-10.
     NotHermitian
         If the input is not Hermitian within tolerance.
     """
-    return cholesky_upper_batch(_check_hermitian(a)[np.newaxis])[0]
+    return cholesky_upper_batch(_check_hermitian(a, NotPSD)[np.newaxis])[0]
 
 
 def cholesky_upper_batch(a):
@@ -292,11 +297,11 @@ def logdet_hermitian(a):
     Raises
     ------
     NotPD
-        If a pivot is not positive and finite.
+        If an entry is not finite, or a pivot is not positive and finite.
     NotHermitian
         If the input is not Hermitian within tolerance.
     """
-    return float(logdet_hermitian_batch(_check_hermitian(a)[np.newaxis])[0])
+    return float(logdet_hermitian_batch(_check_hermitian(a, NotPD)[np.newaxis])[0])
 
 
 def logdet_hermitian_batch(a):

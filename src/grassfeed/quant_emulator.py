@@ -23,6 +23,7 @@ scan's output, at O(1) cost per trial for any B and any N.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -194,19 +195,20 @@ def _min_d2_from_uniform(gc, bits, u):
     Wherever F is subnormal (B near or past 1022, or small u), F is taken
     as 2^-B * (-log(1 - u)), exact to double precision there, and x is
     formed in the log domain; it underflows to 0 only below the smallest
-    double.
+    double. So is every x of a shape whose C_MN is subnormal.
     """
+    tiny = np.finfo(float).tiny
     # -inf logs at u = 0 and u = 1 give the limits x = 0 and 1; at u = 1 an
     # underflowed 2^-B makes F NaN, which also takes the log domain
     with np.errstate(divide="ignore", invalid="ignore"):
         log_surv = np.log1p(-np.asarray(u, dtype=float))
         f_target = -np.expm1(2.0 ** (-bits) * log_surv)
         log2_f = np.log2(-log_surv) - bits
-    x = np.where(
-        f_target >= np.finfo(float).tiny,
-        (f_target / gc.c) ** (1.0 / gc.t),
-        np.exp2((log2_f - gc.log2_c) / gc.t),
-    )
+        x = np.where(
+            (f_target >= tiny) & (gc.c >= tiny),
+            (f_target / gc.c) ** (1.0 / gc.t),
+            np.exp2((log2_f - gc.log2_c) / gc.t),
+        )
     return np.minimum(x, 1.0)
 
 
@@ -214,7 +216,8 @@ def beta_trace_pdf(m, z):
     """Density of one random d^2 draw on [0, 1] for N = 2 frames.
 
     f(z) = z^(2M-5) Gamma(M)^2 / ((M-1) Gamma(2M-4)); integrates to C_MN
-    over [0, 1].
+    over [0, 1]. The coefficient, (M-1)! (M-2)! / (2M-5)!, is rounded once
+    from exact integers, so no Gamma value overflows for large M.
 
     Raises
     ------
@@ -226,7 +229,7 @@ def beta_trace_pdf(m, z):
     z = np.asarray(z, dtype=float)
     if not np.all((z >= 0.0) & (z <= 1.0)):
         raise DomainError("beta_trace_pdf is only valid on [0, 1]")
-    coeff = math.gamma(m) ** 2 / ((m - 1) * math.gamma(2 * m - 4))
+    coeff = float(Fraction(math.factorial(m - 1) * math.factorial(m - 2), math.factorial(2 * m - 5)))
     out = coeff * z ** (2 * m - 5)
     return float(out) if out.ndim == 0 else out
 

@@ -18,7 +18,7 @@ FeedbackPolicy.resolve_bits take the integer ceiling.
 import math
 from dataclasses import dataclass
 
-from .errors import Infeasible, ParameterError, _check_real, _check_shape
+from .errors import DomainError, Infeasible, _check_real, _check_shape
 from .grassmann import GrassmannConstants
 from .precoding import SystemConfig, analog_rate_loss_bound
 
@@ -44,14 +44,22 @@ class BitsResult:
 
 
 def c_prime(gc):
-    """3-dB-law constant N^T * C_MN."""
-    return float(gc.n) ** gc.t * gc.c
+    """3-dB-law constant N^T * C_MN, rounded once from the exact fraction.
+
+    Raises DomainError where it exceeds the largest double; its log2 is
+    always finite (see :func:`bd_3db_bits`).
+    """
+    try:
+        return float(gc.n ** gc.t * gc.c_exact)
+    except OverflowError as exc:
+        raise DomainError(f"N^T C_MN of G({gc.m}, {gc.n}) exceeds the largest double") from exc
 
 
 def c_double_prime(gc):
-    """Analog-comparison constant Gamma(1/T) / (N^2 (M-N)) * C_MN^(1/T)."""
+    """Analog-comparison constant Gamma(1/T) / (N^2 (M-N)) * C_MN^(1/T),
+    with C_MN^(1/T) formed from log2 C_MN, finite where C_MN underflows."""
     t = gc.t
-    return math.gamma(1.0 / t) / (gc.n * t) * gc.c ** (1.0 / t)
+    return math.gamma(1.0 / t) / (gc.n * t) * 2.0 ** (gc.log2_c / t)
 
 
 def bits_for_rate_loss(m, n, p_db, b):
@@ -94,11 +102,12 @@ def bd_3db_bits(m, n, p_db):
     """Bits/user holding block diagonalization within 3 dB of perfect CSIT.
 
     T/3 P_dB - log2(N^T C_MN); that is N(M-N) bits per 3 dB, equivalently
-    a per-user rate loss of at most N bps/Hz at every power.
+    a per-user rate loss of at most N bps/Hz at every power. The constant
+    is summed in the log domain, so it is finite for every shape.
     """
     gc = GrassmannConstants(m, n)
     _check_real("p_db", p_db)
-    return gc.t / 3.0 * p_db - math.log2(c_prime(gc))
+    return gc.t / 3.0 * p_db - (gc.t * math.log2(gc.n) + gc.log2_c)
 
 
 def zf_3db_bits(m, p_db):
@@ -126,18 +135,15 @@ def zf_bits_for_rate_loss(m, n, p_db, b):
     return n * (m - 1) / 3.0 * p_db - n * (m - 1) * math.log2(b ** (1.0 / n) - 1.0)
 
 
-def bd_zf_rate_gap(m, n, k=None):
+def bd_zf_rate_gap(m, n):
     """High-power sum-rate advantage of BD over ZF with perfect CSIT.
 
-    K log2(e) sum_{j=1}^{N} (N - j)/j bps/Hz, independent of power. k is
-    redundant (it must equal M/N) and accepted only as a cross-check.
+    K log2(e) sum_{j=1}^{N} (N - j)/j bps/Hz with K = M/N users,
+    independent of power.
     """
     _check_shape(m, n, loaded=True)
-    if k is not None and k != m // n:
-        raise ParameterError(f"K must equal M/N = {m // n}, got {k}")
-    k = m // n
     s = sum((n - j) / j for j in range(1, n + 1))
-    return k * math.log2(math.e) * s
+    return m // n * math.log2(math.e) * s
 
 
 def analog_vs_quantized_bounds(m, n, beta, p):
@@ -151,8 +157,10 @@ def analog_vs_quantized_bounds(m, n, beta, p):
 
     Returns (quant, analog); the analog side is
     :func:`~grassfeed.precoding.analog_rate_loss_bound`, which checks the
-    shape, beta and P.
+    shape, beta and P. The quantized side takes P / (1 + P)^beta as
+    P / (1 + P) (1 + P)^(1 - beta), which cannot overflow.
     """
     analog = analog_rate_loss_bound(SystemConfig(m, n, p), beta)
-    quant = n * math.log2(1.0 + p * c_double_prime(GrassmannConstants(m, n)) / (1.0 + p) ** beta)
+    ratio = p / (1.0 + p) * (1.0 + p) ** (1.0 - beta)
+    quant = n * math.log2(1.0 + c_double_prime(GrassmannConstants(m, n)) * ratio)
     return quant, analog

@@ -26,9 +26,11 @@ quantized_exhaustive
 analog
     Unquantized MMSE channel estimates from beta M feedback channel uses.
 
-With the "zf" precoder and a quantized mode, each receive antenna's
-direction is quantized separately on G(M, 1) with the user budget split
-evenly (remainder to the first antennas).
+A quantized user feeds back one or more units: under BD its whole
+channel on G(M, N) with the user budget, under ZF each receive antenna's
+direction on G(M, 1) with the budget split evenly (remainder to the first
+antennas). :func:`run_experiment` resolves every point's budget and mode
+before it draws anything, so a point that cannot run raises at once.
 """
 
 import math
@@ -42,6 +44,7 @@ from .ensembles import RngStream, gaussian_matrix
 from .errors import (
     FallbackRequired,
     IncompatiblePolicy,
+    MemoryGuard,
     NoOverlap,
     ParameterError,
     _check_count,
@@ -49,7 +52,7 @@ from .errors import (
     _check_shape,
     _is_count,
 )
-from .grassmann import _CAP_BITS, GrassmannConstants, _codebook_size, scan_fresh_codebooks
+from .grassmann import GrassmannConstants, _codebook_size, scan_fresh_codebooks
 from .linalg import orthonormalize
 from .precoding import analog_feedback_batch, bd_precoders_batch, rates_batch, zf_precoders_batch
 from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
@@ -190,53 +193,56 @@ class RateCurve:
         return np.array([pt.sum_rate for pt in self.points])
 
 
+def _feedback_units(spec, bits):
+    """(width, budgets) of the frames a user quantizes under a B-bit budget.
+
+    BD quantizes the whole (M, N) channel with B bits: (N, [B]). ZF is BD
+    in which every receive antenna is its own user, so each antenna's line
+    is quantized on G(M, 1) with B split evenly, remainder to the first
+    antennas: (1, [ceil(B/N), ..., floor(B/N)]).
+    """
+    if spec.precoder == "zf":
+        base, rem = divmod(bits, spec.n)
+        return 1, [base + 1 if i < rem else base for i in range(spec.n)]
+    return spec.n, [bits]
+
+
 def _effective_mode(spec, bits):
     """Resolve auto-fallback: returns the mode actually run at this point.
 
-    Only quantized modes reach here. The budget is compared against the
-    entry cap as an exponent, so 2^B is never formed.
+    Only quantized modes reach here. The guard is checked on the smallest
+    unit budget and the codebook cap on the largest; the cap compares the
+    budget as an exponent first, so a huge B never forms 2^B.
     """
-    if spec.precoder == "zf":
-        # per-antenna codebooks on G(M, 1); the first antenna's is the largest
-        budgets = _antenna_budgets(bits, spec.n)
-        gc, low, high = GrassmannConstants(spec.m, 1), budgets[-1], budgets[0]
-    else:
-        gc, low, high = GrassmannConstants(spec.m, spec.n), bits, bits
-    if spec.policy.mode == "quantized_exhaustive":
-        _codebook_size(high)  # MemoryGuard above the cap
-        return "quantized_exhaustive"
-    if emulation_valid(gc, low, spec.policy.guard_product):
+    width, budgets = _feedback_units(spec, bits)
+    emulated = spec.policy.mode == "quantized_emulated"
+    gc = GrassmannConstants(spec.m, width)
+    if emulated and emulation_valid(gc, min(budgets), spec.policy.guard_product):
         return "quantized_emulated"
-    if high <= _CAP_BITS:
-        return "quantized_exhaustive"
-    raise FallbackRequired(
-        f"guard fails at B={bits} and the codebook would exceed the memory cap"
-    )
-
-
-def _antenna_budgets(bits, n):
-    """Split a per-user budget over n antennas, remainder to the first ones."""
-    base = bits // n
-    rem = bits % n
-    return [base + 1 if i < rem else base for i in range(n)]
+    try:
+        _codebook_size(max(budgets), spec.m, width)
+    except MemoryGuard as exc:
+        if emulated:
+            raise FallbackRequired(f"guard fails at B={bits} and {exc}") from exc
+        raise
+    return "quantized_exhaustive"
 
 
 def _quantize(gen, h, bits, eff_mode, guard_product):
-    """Quantized knowledge of a (T, M, N) channel stack under one budget.
-
-    Under "quantized_emulated" the budget has already passed the guard.
-    """
+    """Quantized knowledge of a (T, M, w) frame stack under one budget.
+    Under "quantized_emulated" the budget has already passed the guard."""
     hq = orthonormalize(h)
     if eff_mode == "quantized_emulated":
         return emulate_batch(gen, hq, bits, guard_product=guard_product)[0]
     return scan_fresh_codebooks(gen, hq, bits)[1]
 
 
-def _chunk_sum_rates(spec, point_idx, chunk_idx, count, p_db, bits, eff_mode):
+def _chunk_sum_rates(spec, point_idx, chunk_idx, p_db, bits, eff_mode):
     """Per-trial sum rates for one chunk. The chunk stream is derived from
     (seed, point index, chunk index); channels are always the first draw."""
     gen = RngStream(spec.seed).child(point_idx, chunk_idx).generator()
     m, n, k = spec.m, spec.n, spec.k
+    count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
     p = 10.0 ** (p_db / 10.0)
     h = gaussian_matrix(gen, m, n, batch=(count, k))
 
@@ -245,15 +251,14 @@ def _chunk_sum_rates(spec, point_idx, chunk_idx, count, p_db, bits, eff_mode):
     elif eff_mode == "analog":
         knowledge = analog_feedback_batch(gen, h, spec.policy.beta * p)[1]
     else:
-        guard = spec.policy.guard_product
+        width, budgets = _feedback_units(spec, bits)
         flat = h.reshape(count * k, m, n)
-        if spec.precoder == "zf":
-            # each receive antenna's direction on G(M, 1), budget split evenly
-            know = np.empty_like(flat)
-            for i, b_ant in enumerate(_antenna_budgets(bits, n)):
-                know[:, :, i:i + 1] = _quantize(gen, flat[:, :, i:i + 1], b_ant, eff_mode, guard)
-        else:
-            know = _quantize(gen, flat, bits, eff_mode, guard)
+        # one unit's result is the knowledge itself; only several are joined
+        units = [
+            _quantize(gen, flat[:, :, i * width:(i + 1) * width], b, eff_mode, spec.policy.guard_product)
+            for i, b in enumerate(budgets)
+        ]
+        know = units[0] if len(units) == 1 else np.concatenate(units, axis=-1)
         knowledge = know.reshape(count, k, m, n)
 
     if spec.precoder == "zf":
@@ -288,17 +293,16 @@ def run_experiment(spec, threads=None):
     result bytes.
     """
     threads = _worker_count(threads)
+    # every point's budget and mode, decided before anything is drawn, so a
+    # point that cannot run fails before the sweep starts
+    plan = []
+    for p_db in spec.snr_grid_db:
+        bits = spec.policy.resolve_bits(p_db, spec.m, spec.n)
+        plan.append((p_db, bits, spec.policy.mode if bits is None else _effective_mode(spec, bits)))
     points = []
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    for point_idx, p_db in enumerate(spec.snr_grid_db):
-        bits = spec.policy.resolve_bits(p_db, spec.m, spec.n)
-        eff_mode = _effective_mode(spec, bits) if bits is not None else spec.policy.mode
-        sizes = [
-            min(CHUNK_TRIALS, spec.trials - c * CHUNK_TRIALS) for c in range(n_chunks)
-        ]
-        args = [
-            (spec, point_idx, c, sizes[c], p_db, bits, eff_mode) for c in range(n_chunks)
-        ]
+    for point_idx, (p_db, bits, eff_mode) in enumerate(plan):
+        args = [(spec, point_idx, c, p_db, bits, eff_mode) for c in range(n_chunks)]
         if threads > 1 and n_chunks > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(lambda a: _chunk_sum_rates(*a), args))
@@ -310,16 +314,8 @@ def run_experiment(spec, threads=None):
             ci = Z99 * float(np.std(sum_rates, ddof=1)) / math.sqrt(spec.trials)
         else:
             ci = float("inf")
-        points.append(
-            RatePoint(
-                p_db=float(p_db),
-                sum_rate=mean,
-                per_user_rate=mean / spec.k,
-                ci99=ci,
-                mode=eff_mode,
-                bits_used=bits,
-            )
-        )
+        points.append(RatePoint(p_db=float(p_db), sum_rate=mean, per_user_rate=mean / spec.k,
+                                ci99=ci, mode=eff_mode, bits_used=bits))
     return RateCurve(points=tuple(points))
 
 

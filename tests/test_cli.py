@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from grassfeed.cli import (
     parse_config,
 )
 from grassfeed.errors import ConfigError
+from grassfeed.scaling import bd_3db_bits
 from grassfeed.simulator import read_curve_csv
 
 
@@ -218,16 +221,30 @@ class TestScalingCommand:
         assert float(row15[1]) == pytest.approx(35.807, abs=5e-4)
         assert row15[2] == "36"
 
-    def test_flag_syntax_matches_colon(self, capsys):
-        main(["scaling", "--mode", "zf3db", "--M", "6", "--N", "2",
-              "--snr", "5:30:5"])
-        colon = capsys.readouterr().out
-        main(["scaling", "--mode", "zf3db", "--M", "6", "--N", "2",
-              "--snr-start", "5", "--snr-stop", "30", "--snr-step", "5"])
-        flags = capsys.readouterr().out
-        assert colon == flags
-        ceils = [int(ln.split(",")[2]) for ln in colon.splitlines()[1:]]
+    def test_zf3db_ceilings(self, capsys):
+        assert main(["scaling", "--mode", "zf3db", "--M", "6", "--N", "2",
+                     "--snr", "5:30:5"]) == 0
+        out = capsys.readouterr().out
+        ceils = [int(ln.split(",")[2]) for ln in out.splitlines()[1:]]
         assert ceils == [9, 17, 25, 34, 42, 50]
+
+    def test_large_shape_is_finite(self, capsys):
+        """N^T C_MN of G(400, 200) overflows a double; the 3 dB law takes
+        its log2, so every budget prints as a finite number."""
+        assert main(["scaling", "--M", "400", "--N", "200", "--snr", "0:10:5"]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [0.0, 5.0, 10.0]
+        assert float(rows[2][1]) == pytest.approx(bd_3db_bits(400, 200, 10.0), rel=1e-5)
+        assert rows[2][2] == str(math.ceil(bd_3db_bits(400, 200, 10.0)))
+
+    def test_grid_has_one_spelling(self, capsys):
+        """The grid is --snr START:STOP:STEP only; the old per-field flags
+        are unknown options."""
+        with pytest.raises(SystemExit):
+            main(["scaling", "--M", "4", "--N", "2", "--snr-start", "5", "--snr-stop", "30"])
+        with pytest.raises(SystemExit):
+            main(["scaling", "--M", "4", "--N", "2"])
+        capsys.readouterr()
 
     def test_all_mode_with_offset(self, capsys):
         assert main(["scaling", "--M", "4", "--N", "2",

@@ -6,6 +6,7 @@ export contract: the package exports exactly its modules' ``__all__``
 lists, and every name the benchmark in ``perfbench/`` binds exists."""
 
 import importlib
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -107,6 +108,9 @@ _CFG = grassfeed.SystemConfig(4, 2, 10.0)
 _BD = grassfeed.PrecoderSet(np.stack([np.eye(4, 2), np.eye(4, 2, -2)]).astype(complex), "bd")
 _RNG = grassfeed.RngStream(1)
 _PERFECT = grassfeed.FeedbackPolicy(mode="perfect")
+_OVER_CAP = grassfeed.ExperimentSpec(
+    8, 4, (0.0,), grassfeed.FeedbackPolicy(mode="quantized_exhaustive", bits=24), 1, 1
+)
 _FALLING = grassfeed.RateCurve((
     grassfeed.RatePoint(0.0, 2.0, 1.0, 0.1, "perfect"),
     grassfeed.RatePoint(5.0, 1.0, 0.5, 0.1, "perfect"),
@@ -142,8 +146,10 @@ _BAD_CALLS = [
     # linalg
     ("thin_qr", "qr_nan", lambda: grassfeed.thin_qr(_NAN)),
     ("cholesky_upper", "cholesky_nan", lambda: grassfeed.cholesky_upper(np.full((2, 2), np.nan))),
+    ("cholesky_upper", "cholesky_inf", lambda: grassfeed.cholesky_upper([[np.inf, 0], [0, 1]])),
     ("left_nullspace_basis", "nullspace_nan", lambda: grassfeed.left_nullspace_basis(_NAN)),
     ("logdet_hermitian", "logdet_nan", lambda: grassfeed.logdet_hermitian(np.full((2, 2), np.nan))),
+    ("logdet_hermitian", "logdet_inf", lambda: grassfeed.logdet_hermitian([[np.inf, 0], [0, 1]])),
     # precoding
     ("SystemConfig", "config_inf_power", lambda: grassfeed.SystemConfig(4, 2, np.inf)),
     ("SystemConfig", "config_float_m", lambda: grassfeed.SystemConfig(4.0, 2, 10)),
@@ -182,6 +188,8 @@ _BAD_CALLS = [
      lambda: grassfeed.ExperimentSpec(4.0, 2, (0.0,), _PERFECT, 2, 1)),
     ("run_experiment", "run_zero_threads",
      lambda: grassfeed.run_experiment(grassfeed.ExperimentSpec(4, 2, (0.0,), _PERFECT, 2, 1), threads=0)),
+    # 2^24 entries of (8, 4) would take a 12 GiB scan workspace
+    ("run_experiment", "run_over_cap_scan", lambda: grassfeed.run_experiment(_OVER_CAP)),
     ("estimate_snr_gap", "gap_falling_reference", lambda: grassfeed.estimate_snr_gap(_FALLING, _FALLING)),
     ("read_curve_csv", "read_foreign_file", lambda: grassfeed.read_curve_csv(__file__)),
 ]
@@ -202,6 +210,50 @@ def test_public_entry_points_reject_bad_input(call):
         warnings.simplefilter("error")
         with pytest.raises(GrassfeedError):
             call()
+
+
+def test_over_cap_scan_allocates_nothing():
+    """The element cap is checked when the sweep is planned, before any
+    codebook or channel is drawn."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.MemoryGuard):
+            run_experiment(_OVER_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+# large but valid arguments of the closed forms: a finite value or a
+# DomainError, never a raw OverflowError or a RuntimeWarning
+_LARGE_GC = grassfeed.GrassmannConstants(400, 200)
+_LARGE_CALLS = [
+    ("bound_2000_bits", lambda: grassfeed.distortion_bound(_GC, 2000)),
+    ("bound_large_shape", lambda: grassfeed.distortion_bound(_LARGE_GC, 10 ** 6)),
+    ("main_term_large_shape", lambda: grassfeed.distortion_main_term(_LARGE_GC, 10)),
+    ("versus_huge_power", lambda: grassfeed.analog_vs_quantized_bounds(4, 2, 2.0, 1e300)),
+    ("versus_huge_beta", lambda: grassfeed.analog_vs_quantized_bounds(4, 2, 1e300, 1e3)),
+    ("versus_large_shape", lambda: grassfeed.analog_vs_quantized_bounds(400, 200, 2.0, 10.0)),
+    ("trace_pdf_m200", lambda: grassfeed.beta_trace_pdf(200, 0.5)),
+    ("bd_3db_large_shape", lambda: grassfeed.bd_3db_bits(400, 200, 10)),
+    ("c_prime_large_shape", lambda: grassfeed.c_prime(_LARGE_GC)),
+    ("c_double_prime_large_shape", lambda: grassfeed.c_double_prime(_LARGE_GC)),
+    ("min_d2_subnormal_c", lambda: grassfeed.sample_min_d2(
+        _RNG, grassfeed.GrassmannConstants(40, 20), 2000, size=4)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in _LARGE_CALLS], ids=[i for i, _ in _LARGE_CALLS])
+def test_closed_forms_on_large_arguments(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except errors.DomainError:
+            return
+    values = np.atleast_1d(np.asarray(value, dtype=float))
+    assert np.all(np.isfinite(values) & (values >= 0))
 
 
 def test_every_public_callable_has_a_bad_input_case():

@@ -15,6 +15,7 @@ from grassfeed.errors import (
 from grassfeed.grassmann import (
     Codebook,
     GrassmannConstants,
+    _codebook_size,
     chordal_distance_sq,
     distortion_bound,
     distortion_main_term,
@@ -158,6 +159,17 @@ class TestRandomCodebook:
         with pytest.raises(MemoryGuard):
             random_codebook(RngStream(3).child(2), 4, 2, 25)
 
+    def test_cap_counts_complex_elements(self):
+        """The cap bounds 2^B M N complex elements, not 2^B entries, so
+        wider frames get fewer bits; nothing is allocated to decide."""
+        assert _codebook_size(21, 4, 2) == 2 ** 21
+        assert _codebook_size(23, 2, 1) == 2 ** 23
+        for bits, m, n in [(22, 4, 2), (24, 2, 1), (20, 8, 4)]:
+            with pytest.raises(MemoryGuard):
+                _codebook_size(bits, m, n)
+        with pytest.raises(MemoryGuard):
+            random_codebook(RngStream(3).child(2), 8, 4, 20)
+
     def test_codebook_checks_bits_first(self):
         """bits is validated before 2^bits is formed or shapes compared."""
         entries = np.zeros((1, 4, 2), dtype=complex)
@@ -234,10 +246,13 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             load_codebook(path)
 
-    @pytest.mark.parametrize("edit", ["truncated", "trailing", "short_header", "m_zero", "huge_bits"])
+    @pytest.mark.parametrize(
+        "edit", ["truncated", "trailing", "short_header", "m_zero", "huge_bits", "over_cap_bits"]
+    )
     def test_rejects_malformed_file(self, tmp_path, edit):
         """A (4, 2, B=3) file with its payload cut or padded, its header cut,
-        M set to 0, or B set to 2^32 - 1, which must fail before 2^B is formed."""
+        M set to 0, B set to 2^32 - 1, which must fail before 2^B is formed,
+        or B set to 22, whose 2^22 (4, 2) entries exceed the element cap."""
         path = tmp_path / "cb.gfcb"
         save_codebook(random_codebook(RngStream(7).child(0), 4, 2, 3), path)
         raw = path.read_bytes()
@@ -246,6 +261,8 @@ class TestSerialization:
             header[1] = 0
         elif edit == "huge_bits":
             header[3] = 2 ** 32 - 1
+        elif edit == "over_cap_bits":
+            header[3] = 22
         raw = raw[:4] + header.tobytes() + raw[20:]
         cuts = {"truncated": raw[:-16], "trailing": raw + b"\x00" * 16, "short_header": raw[:12]}
         path.write_bytes(cuts.get(edit, raw))
@@ -286,6 +303,27 @@ class TestDistortionBound:
         gc = GrassmannConstants(8, 2)  # C = 1/132
         with pytest.raises(DomainError):
             distortion_bound(gc, 4)  # 16/132 < 1
+        # C_MN of G(400, 200) underflows a double; 2^B C_MN is judged by logs
+        with pytest.raises(DomainError):
+            distortion_bound(GrassmannConstants(400, 200), 10)
+
+    @pytest.mark.parametrize("bits", [1100, 2000, 1e300])
+    def test_budget_past_the_largest_double(self, bits):
+        """2^B overflows a double here; the exponential term is 0 and the
+        main term scales as 2^(-B/T)."""
+        gc = GrassmannConstants(4, 2)
+        expect = math.gamma(0.25) / 4.0 * 0.5 ** (-0.25) * 2.0 ** (-bits / 4)
+        assert distortion_bound(gc, bits) == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_large_shape(self):
+        """G(400, 200): C_MN = 2^log2_c underflows a double, but C_MN^(-1/T)
+        is about 83 and the bound is finite once 2^B C_MN >= 1."""
+        gc = GrassmannConstants(400, 200)
+        c_root = 2.0 ** (-gc.log2_c / gc.t)
+        assert 80 < c_root < 90
+        bits = 10 ** 6
+        expect = math.gamma(1 / gc.t) / gc.t * c_root * 2.0 ** (-bits / gc.t)
+        assert distortion_bound(gc, bits) == pytest.approx(expect, rel=1e-12)
 
     def test_a_parameter_validation(self):
         gc = GrassmannConstants(4, 2)

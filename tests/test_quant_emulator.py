@@ -153,6 +153,18 @@ class TestSampleMinD2:
         got = float(_min_d2_from_uniform(gc, 1022, u))
         assert abs(got / exact - 1.0) <= 1e-12
 
+    def test_subnormal_c_takes_the_log_domain(self):
+        """G(40, 20) has C_MN near 2^-1620, which a double holds as 0: the
+        map must use log2 C_MN, as the direct map does for a normal C_MN."""
+        gc = GrassmannConstants(40, 20)
+        assert gc.c == 0.0
+        bits = 2000
+        u = np.array([1e-3, 0.1, 0.5, 0.9])
+        log2_f = np.log2(-np.log1p(-u)) - bits
+        expect = np.exp2((log2_f - gc.log2_c) / gc.t)
+        np.testing.assert_allclose(_min_d2_from_uniform(gc, bits, u), expect, rtol=1e-12)
+        assert np.all((expect > 0) & (expect < 1))
+
     def test_mean_below_bound(self):
         gc = GrassmannConstants(4, 2)
         v = sample_min_d2(RngStream(23).child(2), gc, 20, size=100000)
@@ -279,6 +291,17 @@ class TestBetaTracePdf:
                 / ((m - 1) * math.gamma(2 * m - 4))
             )
             assert beta_trace_pdf(m, z) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [90, 200, 2000])
+    def test_large_m(self, m):
+        """Gamma(2M-4) overflows a double past M = 87; the coefficient is
+        (M-1)! (M-2)! / (2M-5)!, rounded once, and the density matches its
+        lgamma form (or underflows to 0 with it)."""
+        z = np.array([0.0, 0.5, 0.9, 1.0])
+        with np.errstate(divide="ignore"):
+            log_f = (2 * math.lgamma(m) - math.log(m - 1) - math.lgamma(2 * m - 4)
+                     + (2 * m - 5) * np.log(z))
+        np.testing.assert_allclose(beta_trace_pdf(m, z), np.exp(log_f), rtol=1e-9, atol=0)
 
 
 class TestEmulateQuantization:

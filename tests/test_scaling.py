@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from grassfeed.errors import Infeasible, ParameterError
+from grassfeed.errors import DomainError, Infeasible, ParameterError
 from grassfeed.grassmann import GrassmannConstants, distortion_main_term
 from grassfeed.scaling import (
     analog_vs_quantized_bounds,
@@ -52,6 +52,58 @@ class TestHandValues:
         assert bd_zf_rate_gap(6, 2) == pytest.approx(4.3281, abs=5e-5)
         assert bd_zf_rate_gap(9, 3) == pytest.approx(10.8202, abs=5e-5)
         assert bd_zf_rate_gap(4, 1) == 0.0
+
+
+class TestLargeShapes:
+    """G(400, 200) has C_MN near 2^-254616 and N^T C_MN near 2^51139: the
+    forms work from log2 C_MN, so nothing overflows or silently rounds to 0."""
+
+    GC = GrassmannConstants(400, 200)
+
+    def test_bd_3db_bits_finite(self):
+        gc = self.GC
+        log2_c_prime = gc.t * math.log2(200) + gc.log2_c
+        assert 51000 < log2_c_prime < 51300
+        assert bd_3db_bits(400, 200, 10.0) == pytest.approx(gc.t / 3 * 10 - log2_c_prime, rel=1e-12)
+
+    def test_c_prime_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            c_prime(self.GC)
+
+    def test_c_prime_rounds_the_exact_fraction(self):
+        for m, n in [(4, 2), (6, 2), (9, 3), (40, 20)]:
+            gc = GrassmannConstants(m, n)
+            assert c_prime(gc) == float(n ** gc.t * gc.c_exact)
+            # the 3 dB law at 0 dB is -log2 c', summed in the log domain
+            assert -bd_3db_bits(m, n, 0.0) == pytest.approx(math.log2(c_prime(gc)), rel=1e-12)
+
+    def test_c_double_prime_does_not_underflow(self):
+        gc = self.GC
+        assert gc.c == 0.0
+        c_root = 2.0 ** (gc.log2_c / gc.t)
+        assert c_double_prime(gc) == pytest.approx(math.gamma(1 / gc.t) / (200 * gc.t) * c_root, rel=1e-12)
+        assert c_double_prime(gc) > 1e-5
+        # where C_MN is a normal double the two forms agree
+        for m, n in [(4, 2), (8, 3), (12, 4)]:
+            g = GrassmannConstants(m, n)
+            old = math.gamma(1 / g.t) / (n * g.t) * g.c ** (1 / g.t)
+            assert c_double_prime(g) == pytest.approx(old, rel=1e-13)
+
+    @pytest.mark.parametrize("beta,p", [(2.0, 1e300), (1e300, 1e3), (0.5, 1e300)])
+    def test_analog_comparison_at_extreme_power(self, beta, p):
+        quant, analog = analog_vs_quantized_bounds(4, 2, beta, p)
+        assert math.isfinite(quant) and math.isfinite(analog)
+        assert quant >= 0.0 and analog >= 0.0
+        if beta == 0.5:
+            # quant = N log2(1 + C'' P^(1/2)) to first order
+            assert quant == pytest.approx(2 * math.log2(c_double_prime(GrassmannConstants(4, 2)) * 1e150),
+                                          rel=1e-9)
+
+    def test_analog_comparison_at_large_shape(self):
+        quant, _ = analog_vs_quantized_bounds(400, 200, 2.0, 10.0)
+        assert quant == pytest.approx(
+            200 * math.log2(1 + 10 * c_double_prime(self.GC) / 11 ** 2), rel=1e-12)
+        assert quant > 0.0
 
 
 class TestClosedFormStructure:
@@ -142,11 +194,6 @@ class TestZfComparison:
             zf_bits_for_rate_loss(3, 2, 10.0, 4.0)
         with pytest.raises(ParameterError):
             bd_zf_rate_gap(7, 2)
-        with pytest.raises(ParameterError):
-            bd_zf_rate_gap(6, 2, k=4)
-
-    def test_rate_gap_accepts_consistent_k(self):
-        assert bd_zf_rate_gap(6, 2, k=3) == bd_zf_rate_gap(6, 2)
 
 
 class TestAnalogComparison:

@@ -21,8 +21,8 @@ from grassfeed.simulator import (
     GapEstimate,
     RateCurve,
     RatePoint,
-    _antenna_budgets,
     _effective_mode,
+    _feedback_units,
     estimate_snr_gap,
     read_curve_csv,
     run_experiment,
@@ -200,9 +200,75 @@ class TestEffectiveMode:
             assert (mode == "quantized_emulated") == accepted
 
     def test_antenna_budget_split(self):
-        assert _antenna_budgets(13, 2) == [7, 6]
-        assert _antenna_budgets(8, 2) == [4, 4]
-        assert _antenna_budgets(7, 3) == [3, 2, 2]
+        def budgets(bits, n):
+            return _feedback_units(_spec(m=2 * n * 2, n=n, precoder="zf"), bits)[1]
+        assert budgets(13, 2) == [7, 6]
+        assert budgets(8, 2) == [4, 4]
+        assert budgets(7, 3) == [3, 2, 2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("precoder", ["bd", "zf"])
+    def test_feedback_units(self, precoder, n):
+        """BD quantizes one (M, N) frame with the whole budget; ZF one line
+        per antenna, the budget split with the remainder to the first."""
+        spec = _spec(m=3 * n, n=n, precoder=precoder)
+        for bits in (0, 1, 5, 13, 10 ** 18):
+            width, budgets = _feedback_units(spec, bits)
+            if precoder == "bd":
+                assert (width, budgets) == (n, [bits])
+            else:
+                assert width == 1 and len(budgets) == n and sum(budgets) == bits
+                assert budgets == sorted(budgets, reverse=True)
+                assert budgets[0] - budgets[-1] <= 1
+
+
+class TestSweepPlan:
+    """Every point's budget and mode is decided before any chunk runs, so a
+    sweep whose last point cannot run draws nothing."""
+
+    @pytest.mark.parametrize(
+        "precoder,policy,error",
+        [
+            ("bd", FeedbackPolicy(mode="quantized_emulated", schedule="custom",
+                                  bits_table={0.0: 12, 10.0: 12}), IncompatiblePolicy),
+            ("bd", FeedbackPolicy(mode="quantized_exhaustive", schedule="scaled_3db"), MemoryGuard),
+            ("zf", FeedbackPolicy(mode="quantized_exhaustive", schedule="custom",
+                                  bits_table={0.0: 2, 10.0: 4, 20.0: 60}), MemoryGuard),
+            ("bd", FeedbackPolicy(mode="quantized_emulated", schedule="custom",
+                                  bits_table={0.0: 80, 10.0: 80, 20.0: 60},
+                                  guard_product=2.0 ** 70), FallbackRequired),
+        ],
+        ids=["missing_entry", "over_cap", "zf_over_cap", "no_route"],
+    )
+    def test_last_point_fails_before_any_chunk(self, monkeypatch, precoder, policy, error):
+        calls = []
+        monkeypatch.setattr(simulator, "_chunk_sum_rates", lambda *a: calls.append(a))
+        spec = _spec(precoder=precoder, policy=policy, snr_grid_db=(0.0, 10.0, 20.0))
+        with pytest.raises(error):
+            run_experiment(spec)
+        assert calls == []
+
+    def test_plan_runs_as_decided(self, monkeypatch):
+        """The chunk loop runs each point with the planned budget and mode,
+        and each chunk with its own trial count."""
+        real, calls = simulator._chunk_sum_rates, []
+
+        def spy(spec, point_idx, chunk_idx, p_db, bits, mode):
+            rates = real(spec, point_idx, chunk_idx, p_db, bits, mode)
+            calls.append((point_idx, chunk_idx, bits, mode, len(rates)))
+            return rates
+
+        monkeypatch.setattr(simulator, "_chunk_sum_rates", spy)
+        pol = FeedbackPolicy(mode="quantized_emulated", schedule="custom",
+                             bits_table={0.0: 2, 10.0: 12})
+        curve = run_experiment(_spec(policy=pol, snr_grid_db=(0.0, 10.0), trials=CHUNK_TRIALS + 3))
+        assert calls == [
+            (0, 0, 2, "quantized_exhaustive", CHUNK_TRIALS), (0, 1, 2, "quantized_exhaustive", 3),
+            (1, 0, 12, "quantized_emulated", CHUNK_TRIALS), (1, 1, 12, "quantized_emulated", 3),
+        ]
+        assert [(pt.bits_used, pt.mode) for pt in curve.points] == [
+            (2, "quantized_exhaustive"), (12, "quantized_emulated"),
+        ]
 
 
 class TestInputValidation:
