@@ -24,6 +24,8 @@ and an absolute 1e-10 window below which an eigenvalue of a nominally PSD
 matrix is an error; above it, negative eigenvalues are clamped to 0.
 """
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -66,11 +68,18 @@ def _check_hermitian(a, nonfinite):
     # before the Hermitian test, where an infinite entry would give inf - inf
     if not np.isfinite(a).all():
         raise nonfinite("matrix has a non-finite entry")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > ORTHO_TOL * max(scale, 1.0):
+    # the norms square entries: take them of a copy scaled by a power of
+    # two (exact) that brings the largest entry into [0.5, 1), with the
+    # absolute floor of 1 scaled alike (capped where it dwarfs any norm)
+    big = float(np.maximum(np.abs(a.real), np.abs(a.imag)).max(initial=0.0))
+    e = math.frexp(big)[1]
+    s = np.ldexp(a.view(np.float64), -e).view(np.complex128)
+    floor = math.ldexp(1.0, min(-e, 1000))
+    if np.linalg.norm(s - s.conj().T) > ORTHO_TOL * max(np.linalg.norm(s), floor):
         raise NotHermitian(f"a is not Hermitian within {ORTHO_TOL:g} relative")
-    # symmetrize so eigh/cholesky see an exactly Hermitian matrix
-    return 0.5 * (a + a.conj().T)
+    # symmetrize so eigh/cholesky see an exactly Hermitian matrix; halving
+    # first keeps a + a^H from overflowing
+    return 0.5 * a + 0.5 * a.conj().T
 
 
 def thin_qr(a):

@@ -28,6 +28,16 @@ built from perfect knowledge the interference term vanishes and the
 expression reduces to a single log-det; with quantized or analog
 knowledge the residual interference is what produces the rate loss
 studied here.
+
+Next to each rate, :func:`rates_batch` returns the user's
+interference-free rate Y_k: log2 det(I + c G_kk G_kk^H) under BD and
+sum_i log2(1 + c |g_ii|^2) under ZF. The precoders serving user k are
+built from the other users' knowledge only, so G_kk is an N x N matrix of
+i.i.d. CN(0, 1) entries under BD, and each g_ii a CN(0, 1) gain under ZF,
+whatever that knowledge is. The mean of Y_k is therefore known in closed
+form (:func:`perfect_csi_sum_rate`): it is the perfect-CSI rate, Telatar's
+integral T_N(c) over ln 2 (Telatar 1999). The simulator regresses the
+rate on Y to take the fading variance out of its estimates.
 """
 
 import math
@@ -50,7 +60,10 @@ __all__ = [
     "rate_loss_bound",
     "analog_rate_loss_bound",
     "analog_rate_loss_limit",
+    "perfect_csi_sum_rate",
 ]
+
+_EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,7 @@ def instant_rate_per_user(cfg, h_k, precoders, k):
     if not (_is_count(k) and k < cfg.k):
         raise ParameterError(f"user index {k!r} is not an integer in 0..{cfg.k - 1}")
     channels = np.broadcast_to(h_k, (1, cfg.k, cfg.m, cfg.n))
-    return float(rates_batch(cfg.p, channels, mats[np.newaxis])[0, k])
+    return float(rates_batch(cfg.p, channels, mats[np.newaxis], precoders.scheme)[0][0, k])
 
 
 @dataclass(frozen=True)
@@ -214,6 +227,91 @@ def analog_rate_loss_limit(m, n, beta):
     return n * math.log2(1.0 + (m - n) / m / beta)
 
 
+def perfect_csi_sum_rate(cfg, scheme="bd"):
+    """Expected sum rate under perfect CSI, bps/Hz.
+
+    K T_N(P/M) / ln 2 for BD and M T_1(P/M) / ln 2 for ZF, where T_N(c) is
+    the mean of ln det(I + c G G^H) over N x N matrices G of i.i.d.
+    CN(0, 1) entries (:func:`_telatar`). It is also the mean of the
+    interference-free sum rate at any feedback, so the rate loss of a
+    simulated curve is this minus its sum rate.
+    """
+    if scheme not in ("bd", "zf"):
+        raise ParameterError(f"scheme must be 'bd' or 'zf', got {scheme!r}")
+    return _free_sum_rate_mean(cfg.m, cfg.n, cfg.p, scheme)
+
+
+def _free_sum_rate_mean(m, n, p, scheme):
+    """:func:`perfect_csi_sum_rate` for a shape and power already checked."""
+    c = p / m
+    if scheme == "zf":
+        return m * _telatar(1, c) / math.log(2.0)
+    return m // n * _telatar(n, c) / math.log(2.0)
+
+
+def _telatar(n, c):
+    """T_N(c) = E ln det(I + c G G^H) for G N x N with i.i.d. CN(0, 1)
+    entries, in nats, c >= 0.
+
+    With p(l) = sum_{k<N} L_k(l)^2 (Laguerre polynomials) the eigenvalue
+    density of G G^H gives T_N = int_0^inf ln(1 + c l) p(l) e^-l dl
+    (Telatar 1999). Write p(l) e^-l = sum_j b_j l^j e^-l / j!, whose
+    integer weights b_j sum to N, and phi_j = E ln(1 + c Gamma_{j+1}) for
+    a Gamma(j + 1, 1) variable. Integrating by parts gives
+    phi_j = phi_{j-1} + d_j with d_j = x^j e^x Gamma(-j, x), x = 1/c, and
+    phi_0 = d_0 = e^x E_1(x), so T_N = sum_j B_j d_j with the tail sums
+    B_j = sum_{i>=j} b_i. Every d_j is positive and comes without
+    cancellation: below x = 1 from the series of E_1 and the stable
+    recurrence d_j = (1 - x d_{j-1}) / j, from x = 1 up by Legendre's
+    continued fraction. The B_j alternate, so rounding grows with N:
+    against 50-digit quadrature it is within 2e-14 relative for N <= 4
+    and 4e-12 at N = 8, from -60 to 3000 dB. Below c = 1e-20 the
+    first-order term N^2 c is exact to double precision.
+    """
+    if c < 1e-20:
+        return n * n * c
+    b = [0] * (2 * n - 1)
+    for k in range(n):
+        for i in range(k + 1):
+            for j in range(k + 1):
+                b[i + j] += (-1) ** (i + j) * math.comb(k, i) * math.comb(k, j) * math.comb(i + j, i)
+    x = 1.0 / c
+    total = 0.0
+    for j in range(2 * n - 1):
+        if x >= 1.0:
+            d = _gamma_cf(j, x)
+        elif j:
+            d = (1.0 - x * d) / j
+        else:
+            series = sum((-x) ** i / (i * math.factorial(i)) for i in range(1, 30))
+            d = math.exp(x) * (-_EULER_GAMMA - math.log(x) - series)
+        total += sum(b[j:]) * d
+    return total
+
+
+def _gamma_cf(j, x):
+    """x^j e^x Gamma(-j, x) for x >= 1: Legendre's continued fraction
+    1/(x + 1 + j - 1(1 + j)/(x + 3 + j - 2(2 + j)/(x + 5 + j - ...))),
+    by the modified Lentz method."""
+    tiny = 1e-300
+    den = x + 1.0 + j
+    front, back = 1.0 / tiny, 1.0 / den
+    value = back
+    for i in range(1, 10000):
+        an = -i * (i + j)
+        den += 2.0
+        back = an * back + den
+        back = 1.0 / (back if abs(back) >= tiny else tiny)
+        front = den + an / front
+        if abs(front) < tiny:
+            front = tiny
+        step = back * front
+        value *= step
+        if abs(step - 1.0) <= 2.0 ** -52:
+            break
+    return value
+
+
 def _inverse_blocks(knowledge):
     """inv(A^H) of the stacked knowledge A, as (T, K, M, N) column blocks.
     RankDeficient if an A is singular or, as NaN knowledge is, not finite."""
@@ -241,8 +339,9 @@ def zf_precoders_batch(knowledge):
     return w / np.sqrt(sumsq(beams))[..., np.newaxis, :]
 
 
-def rates_batch(p, channels, precoders):
-    """Per-user rates for a (T, K, M, N) channel and precoder stack. Internal.
+def rates_batch(p, channels, precoders, scheme):
+    """(rates, free) per user for a (T, K, M, N) channel and precoder
+    stack, scheme "bd" or "zf". Internal.
 
     Every G_kj = H_k^H V_j comes from one (KN, M) x (M, KN) product per
     trial. The own blocks G_kk are copied out and then zeroed, so user k's
@@ -253,6 +352,10 @@ def rates_batch(p, channels, precoders):
     N(N+1)/2 upper entries, one vector operation over the whole stack each
     (:func:`~grassfeed.linalg.gram_rows`), and both log-dets from a
     vectorized LDL^H, so no per-user matmul or LAPACK call runs.
+
+    free is each user's interference-free rate, read off the same own
+    blocks: log2 det(I + c G_kk G_kk^H) under BD (one more LDL^H) and
+    sum_i log2(1 + c |g_ii|^2) under ZF, whose streams are separate users.
     Raises ParameterError if P/M times a gain leaves the double range.
     """
     t, k, m, n = channels.shape
@@ -272,9 +375,18 @@ def rates_batch(p, channels, precoders):
             intf *= c
             intf += np.eye(n)
             total *= c
+            alone = total + np.eye(n) if scheme == "bd" else None
             total += intf
     except FloatingPointError as exc:
         raise ParameterError(
             f"rates overflow the double range at P = {10 * math.log10(p):.6g} dB"
         ) from exc
-    return logdet_hermitian_batch(total) - logdet_hermitian_batch(intf)
+    if scheme == "bd":
+        free = logdet_hermitian_batch(alone)
+    else:
+        # c |g_ii|^2 is finite because its row's sum in total is; own has
+        # the layout of advanced indexing, and a C-ordered copy makes the
+        # chunk sum users in the same order as the rates
+        gain = sumsq(np.ascontiguousarray(np.diagonal(own, axis1=-2, axis2=-1))[..., np.newaxis])
+        free = np.log2(c * gain + 1.0).sum(axis=-1)
+    return logdet_hermitian_batch(total) - logdet_hermitian_batch(intf), free

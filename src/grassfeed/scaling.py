@@ -43,6 +43,18 @@ class BitsResult:
     exact: float
 
 
+def _finite_bits(bits):
+    """A bit count, once it is a finite double; else DomainError."""
+    if not math.isfinite(bits):
+        raise DomainError("the bit count exceeds the largest double")
+    return bits
+
+
+def _root_excess(b, n):
+    """b^(1/N) - 1 for b > 1, positive even where b^(1/N) rounds to 1."""
+    return math.expm1(math.log(b) / n)
+
+
 def c_prime(gc):
     """3-dB-law constant N^T * C_MN, rounded once from the exact fraction.
 
@@ -83,18 +95,21 @@ def bits_for_rate_loss(m, n, p_db, b):
     ------
     Infeasible
         If b is not a finite real above 1 (log2 b must be positive).
+    DomainError
+        If either bit count exceeds the largest double.
     """
     gc = GrassmannConstants(m, n)
     _check_real("p_db", p_db)
     _check_real("rate-loss target b", b, low=1, error=Infeasible)
     t = gc.t
-    approx = (
+    approx = _finite_bits(
         t / 3.0 * p_db
-        - t * math.log2(n * (b ** (1.0 / n) - 1.0))
+        - t * math.log2(n * _root_excess(b, n))
         + t * math.log2(math.gamma(1.0 / t) / t)
         - gc.log2_c
     )
-    exact = max(0.0, approx + t * p_db * (math.log2(10.0) / 10.0 - 1.0 / 3.0))
+    # the slope difference first, so T P_dB is never formed on its own
+    exact = max(0.0, _finite_bits(approx + p_db * (t * (math.log2(10.0) / 10.0 - 1.0 / 3.0))))
     return BitsResult(approx=float(approx), exact=float(exact))
 
 
@@ -107,7 +122,7 @@ def bd_3db_bits(m, n, p_db):
     """
     gc = GrassmannConstants(m, n)
     _check_real("p_db", p_db)
-    return gc.t / 3.0 * p_db - (gc.t * math.log2(gc.n) + gc.log2_c)
+    return _finite_bits(gc.t / 3.0 * p_db - (gc.t * math.log2(gc.n) + gc.log2_c))
 
 
 def zf_3db_bits(m, p_db):
@@ -118,7 +133,7 @@ def zf_3db_bits(m, p_db):
     """
     _check_shape(m, 1)
     _check_real("p_db", p_db)
-    return (m - 1) / 3.0 * p_db
+    return _finite_bits((m - 1) / 3.0 * p_db)
 
 
 def zf_bits_for_rate_loss(m, n, p_db, b):
@@ -132,7 +147,7 @@ def zf_bits_for_rate_loss(m, n, p_db, b):
     _check_shape(m, n)
     _check_real("p_db", p_db)
     _check_real("rate-loss target b", b, low=1, error=Infeasible)
-    return n * (m - 1) / 3.0 * p_db - n * (m - 1) * math.log2(b ** (1.0 / n) - 1.0)
+    return _finite_bits(n * (m - 1) / 3.0 * p_db - n * (m - 1) * math.log2(_root_excess(b, n)))
 
 
 def bd_zf_rate_gap(m, n):

@@ -4,6 +4,17 @@ An :class:`ExperimentSpec` fixes the system shape, an SNR grid, a feedback
 policy, a precoding scheme, a trial count and a seed; :func:`run_experiment`
 returns the averaged rate curve with 99% confidence half-widths.
 
+Estimator: every trial also yields its interference-free sum rate Y (each
+user's rate with the other users' streams removed), whose mean is known in
+closed form (:func:`~grassfeed.precoding.perfect_csi_sum_rate`) because the
+precoders serving a user never depend on that user's channel. Except in
+perfect mode, a point's sum rate is the regression estimate
+mean(R) - b (mean(Y) - mu) with b = cov(R, Y) / var(Y), and its ci99 the
+half-width of the residual R - b Y. The fading that moves R and Y together
+drops out, so the half-width is several times narrower than the plain
+mean's at the same trial count; the estimate stays unbiased, and nothing
+extra is drawn.
+
 Determinism contract: every (SNR point, trial chunk) pair consumes its own
 counter-based stream derived from (seed, point index, chunk index), chunks
 have a fixed size, and the reduction runs over the per-trial array in trial
@@ -54,7 +65,13 @@ from .errors import (
 )
 from .grassmann import GrassmannConstants, _codebook_size, scan_fresh_codebooks
 from .linalg import orthonormalize
-from .precoding import analog_feedback_batch, bd_precoders_batch, rates_batch, zf_precoders_batch
+from .precoding import (
+    _free_sum_rate_mean,
+    analog_feedback_batch,
+    bd_precoders_batch,
+    rates_batch,
+    zf_precoders_batch,
+)
 from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
 from .scaling import bd_3db_bits
 
@@ -238,8 +255,9 @@ def _quantize(gen, h, bits, eff_mode, guard_product):
 
 
 def _chunk_sum_rates(spec, point_idx, chunk_idx, p_db, bits, eff_mode):
-    """Per-trial sum rates for one chunk. The chunk stream is derived from
-    (seed, point index, chunk index); channels are always the first draw."""
+    """(count, 2) per-trial [sum rate, interference-free sum rate] for one
+    chunk. The chunk stream is derived from (seed, point index, chunk
+    index); channels are always the first draw."""
     gen = RngStream(spec.seed).child(point_idx, chunk_idx).generator()
     m, n, k = spec.m, spec.n, spec.k
     count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
@@ -265,8 +283,8 @@ def _chunk_sum_rates(spec, point_idx, chunk_idx, p_db, bits, eff_mode):
         v = zf_precoders_batch(knowledge)
     else:
         v = bd_precoders_batch(knowledge)
-    rates = rates_batch(p, h, v)
-    return rates.sum(axis=1)
+    rates, free = rates_batch(p, h, v, spec.precoder)
+    return np.stack([rates.sum(axis=1), free.sum(axis=1)], axis=1)
 
 
 def _worker_count(threads):
@@ -285,12 +303,50 @@ def _worker_count(threads):
     return threads
 
 
+def _estimate(rates, mean_free):
+    """(sum rate, 99% half-width) of one point from its (T, 2) per-trial
+    [R, Y] rates.
+
+    Y is the interference-free sum rate, whose mean mean_free is known, so
+    the estimate is mean(R) - b (mean(Y) - mean_free) with
+    b = cov(R, Y) / var(Y), and the half-width comes from the residual
+    R - b Y with two degrees of freedom spent. Without mean_free (perfect
+    mode, where R is Y up to rounding), with T <= 2, with var(Y) = 0 or
+    with a non-finite result it is the plain mean of R.
+    """
+    r = np.ascontiguousarray(rates[:, 0])
+    t = len(r)
+    mean = float(np.mean(r))
+    if t == 1:
+        return mean, math.inf
+    plain = mean, Z99 * float(np.std(r, ddof=1)) / math.sqrt(t)
+    if mean_free is None or t <= 2:
+        return plain
+    y = np.ascontiguousarray(rates[:, 1])
+    mean_y = float(np.mean(y))
+    dy = y - mean_y
+    var = float(dy @ dy)
+    if not var > 0.0:
+        return plain
+    with np.errstate(all="ignore"):
+        b = float((r - mean) @ dy) / var
+        est = mean - b * (mean_y - mean_free)
+        ci = Z99 * float(np.std(r - b * y, ddof=2)) / math.sqrt(t)
+    if not (math.isfinite(est) and math.isfinite(ci)):
+        return plain
+    return est, ci
+
+
 def run_experiment(spec, threads=None):
     """Run the sweep and return the averaged :class:`RateCurve`.
 
     threads defaults to the GRASSFEED_THREADS environment variable (1 if
     unset). The thread count changes the execution schedule only, never the
-    result bytes.
+    result bytes. Perfect points report the plain mean of the per-trial
+    sum rates; the others regress it on the interference-free sum rate,
+    whose mean is :func:`~grassfeed.precoding.perfect_csi_sum_rate`, which
+    takes the fading variance out of sum_rate and ci99 (see
+    :func:`_estimate`).
     """
     threads = _worker_count(threads)
     # every point's budget and mode, decided before anything is drawn, so a
@@ -308,12 +364,10 @@ def run_experiment(spec, threads=None):
                 parts = list(pool.map(lambda a: _chunk_sum_rates(*a), args))
         else:
             parts = [_chunk_sum_rates(*a) for a in args]
-        sum_rates = np.concatenate(parts)
-        mean = float(np.mean(sum_rates))
-        if spec.trials > 1:
-            ci = Z99 * float(np.std(sum_rates, ddof=1)) / math.sqrt(spec.trials)
-        else:
-            ci = float("inf")
+        mean_free = None
+        if eff_mode != "perfect":
+            mean_free = _free_sum_rate_mean(spec.m, spec.n, 10.0 ** (p_db / 10.0), spec.precoder)
+        mean, ci = _estimate(np.concatenate(parts), mean_free)
         points.append(RatePoint(p_db=float(p_db), sum_rate=mean, per_user_rate=mean / spec.k,
                                 ci99=ci, mode=eff_mode, bits_used=bits))
     return RateCurve(points=tuple(points))

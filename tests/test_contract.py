@@ -166,6 +166,8 @@ _BAD_CALLS = [
      lambda: grassfeed.analog_rate_loss_bound(_CFG, np.inf)),
     ("analog_rate_loss_limit", "analog_limit_nan_beta",
      lambda: grassfeed.analog_rate_loss_limit(4, 2, np.nan)),
+    ("perfect_csi_sum_rate", "perfect_rate_unknown_scheme",
+     lambda: grassfeed.perfect_csi_sum_rate(_CFG, "mmse")),
     # quant_emulator
     ("decompose", "decompose_nan", lambda: grassfeed.decompose(_NAN, _FRAME)),
     ("emulate_batch", "emulate_batch_float_bits",
@@ -241,6 +243,10 @@ _LARGE_CALLS = [
     ("c_double_prime_large_shape", lambda: grassfeed.c_double_prime(_LARGE_GC)),
     ("min_d2_subnormal_c", lambda: grassfeed.sample_min_d2(
         _RNG, grassfeed.GrassmannConstants(40, 20), 2000, size=4)),
+    ("perfect_rate_huge_power", lambda: grassfeed.perfect_csi_sum_rate(
+        grassfeed.SystemConfig(4, 2, 1e308))),
+    ("perfect_rate_subnormal_power", lambda: grassfeed.perfect_csi_sum_rate(
+        grassfeed.SystemConfig(8, 4, 5e-324), "zf")),
 ]
 
 

@@ -163,6 +163,20 @@ class TestLogdetHermitian:
         with pytest.raises(NotPD):
             logdet_hermitian(np.diag([1.0, 0.0]).astype(complex))
 
+    @pytest.mark.parametrize("big", [1e200, 1e307])
+    def test_large_entries_without_overflow(self, big):
+        """The Hermitian check takes its norms of a power-of-two rescaled
+        copy, so entries far past 1e154 neither warn nor lose the check."""
+        a = np.diag([big, 1.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logdet_hermitian(a) == pytest.approx(np.log2(big), rel=1e-15)
+            np.testing.assert_allclose(cholesky_upper(a), np.diag([np.sqrt(big), 1.0]), rtol=1e-15)
+            skew = a.copy()
+            skew[0, 1] = 1e-9 * big
+            with pytest.raises(NotHermitian):
+                logdet_hermitian(skew)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batch_matches_slogdet(self, n):
         """The LDL^H pivots against LAPACK's slogdet on a (T, K, n, n)

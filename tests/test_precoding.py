@@ -21,7 +21,9 @@ from grassfeed.precoding import (
     analog_rate_loss_limit,
     bd_precoders,
     bd_precoders_batch,
+    _telatar,
     instant_rate_per_user,
+    perfect_csi_sum_rate,
     rate_loss_bound,
     rates_batch,
     zf_precoders,
@@ -244,8 +246,8 @@ class TestZfPrecoders:
         cfg = SystemConfig(4, 2, 100.0)
         gen = RngStream(43).child(1).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(2000, 2))
-        bd = rates_batch(cfg.p, h, bd_precoders_batch(h)).sum(axis=1)
-        zf = rates_batch(cfg.p, h, zf_precoders_batch(h)).sum(axis=1)
+        bd = rates_batch(cfg.p, h, bd_precoders_batch(h), "bd")[0].sum(axis=1)
+        zf = rates_batch(cfg.p, h, zf_precoders_batch(h), "zf")[0].sum(axis=1)
         assert bd.mean() > zf.mean()
         # and not degenerately so
         assert zf.mean() > 0.5 * bd.mean()
@@ -429,6 +431,119 @@ class TestRateLossBounds:
         assert analog_rate_loss_bound(cfg, 1e9) < 1e-8
 
 
+def _scaled_e1(x):
+    """e^x E_1(x): scipy's exp1 while e^x stays finite, beyond that the
+    asymptotic series sum_k (-1)^k k! / x^(k+1), whose 30-term remainder is
+    below 1e-40 relative from x = 700 up."""
+    from scipy.special import exp1
+
+    if x <= 700.0:
+        return math.exp(x) * float(exp1(x))
+    return sum((-1) ** k * math.factorial(k) / x ** (k + 1) for k in range(30))
+
+
+class TestPerfectCsiMean:
+    """T_N(c) = E ln det(I + c G G^H) over N x N i.i.d. CN(0, 1) matrices,
+    and the perfect-CSI sum rate built on it."""
+
+    def test_t1_is_scaled_exponential_integral(self):
+        for p_db in np.arange(-60.0, 3000.1, 2.5):
+            c = 10.0 ** (p_db / 10.0)
+            want = _scaled_e1(1.0 / c)
+            assert _telatar(1, c) == pytest.approx(want, rel=1e-13, abs=0), p_db
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tn_against_quadrature(self, n):
+        from scipy import integrate
+        from scipy.special import eval_laguerre
+
+        def weight(lam):
+            return sum(eval_laguerre(k, lam) ** 2 for k in range(n)) * math.exp(-lam)
+
+        for c in np.logspace(-3.0, 4.0, 15):
+            # the log's knee sits at 1/c, the weight's mass below about 4n
+            cuts = sorted({0.0, min(1.0 / c, 50.0), 4.0 * n, 50.0})
+            want = sum(
+                integrate.quad(lambda lam: math.log1p(c * lam) * weight(lam), lo, hi,
+                               epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for lo, hi in zip(cuts, cuts[1:])
+            )
+            want += integrate.quad(lambda lam: math.log1p(c * lam) * weight(lam), 50.0, np.inf,
+                                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert _telatar(n, c) == pytest.approx(want, rel=1e-10), c
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tn_high_power_asymptote(self, n):
+        """N ln c + sum_{i<=N} psi(i), the mean log-det of G G^H, once the
+        O(ln c / c) remainder is gone."""
+        from scipy.special import digamma
+
+        for p_db in (300.0, 1000.0, 3000.0):
+            c = 10.0 ** (p_db / 10.0)
+            want = n * math.log(c) + sum(digamma(i) for i in range(1, n + 1))
+            assert _telatar(n, c) == pytest.approx(want, rel=1e-12), p_db
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_tn_at_vanishing_power(self, n):
+        """N^2 c to first order, and no inf from 1/c at c = 0 or subnormal c."""
+        for c in (0.0, 5e-324, 1e-300, 1e-21):
+            assert _telatar(n, c) == n * n * c
+        below, above = _telatar(n, 0.999e-20), _telatar(n, 1.001e-20)
+        assert below == pytest.approx(n * n * 0.999e-20, rel=1e-14)
+        assert above == pytest.approx(n * n * 1.001e-20, rel=1e-14)
+
+    def test_sum_rate_from_telatar(self):
+        for p in (0.5, 10.0, 1e3):
+            cfg = SystemConfig(6, 2, p)
+            bd = perfect_csi_sum_rate(cfg)
+            zf = perfect_csi_sum_rate(cfg, "zf")
+            assert bd == pytest.approx(3 * _telatar(2, p / 6) / math.log(2.0), rel=1e-15)
+            assert zf == pytest.approx(6 * _telatar(1, p / 6) / math.log(2.0), rel=1e-15)
+            assert zf < bd
+
+    def test_bd_zf_gap_at_high_power(self):
+        """The means differ by K log2(e) sum_j (N - j)/j at high power,
+        the gap :func:`bd_zf_rate_gap` states."""
+        from grassfeed.scaling import bd_zf_rate_gap
+
+        cfg = SystemConfig(6, 2, 1e12)
+        gap = perfect_csi_sum_rate(cfg) - perfect_csi_sum_rate(cfg, "zf")
+        assert gap == pytest.approx(bd_zf_rate_gap(6, 2), rel=1e-9)
+
+    @pytest.mark.parametrize("scheme,m,n", [("bd", 4, 2), ("bd", 6, 3), ("zf", 6, 2)])
+    def test_perfect_rates_average_to_it(self, scheme, m, n):
+        """Perfect-CSI rates of fresh channels average to the closed form."""
+        cfg = SystemConfig(m, n, 10.0)
+        gen = RngStream(53).child(m, n).generator()
+        h = gaussian_matrix(gen, m, n, batch=(4000, m // n))
+        pre = bd_precoders_batch(h) if scheme == "bd" else zf_precoders_batch(h)
+        rates, free = rates_batch(cfg.p, h, pre, scheme)
+        np.testing.assert_allclose(rates, free, rtol=1e-9, atol=1e-12)
+        total = rates.sum(axis=1)
+        se = total.std(ddof=1) / math.sqrt(len(total))
+        assert abs(total.mean() - perfect_csi_sum_rate(cfg, scheme)) <= 4 * se
+
+    def test_free_rates_hand_values(self):
+        """BD: log2 det(I + c G_kk G_kk^H); ZF: sum_i log2(1 + c |g_ii|^2),
+        on precoders that leave interference."""
+        gen = RngStream(53).child(0).generator()
+        h = gaussian_matrix(gen, 4, 2, batch=(8, 2))
+        pre = zf_precoders_batch(h + 0.3 * gaussian_matrix(gen, 4, 2, batch=(8, 2)))
+        _, bd = rates_batch(10.0, h, pre, "bd")
+        _, zf = rates_batch(10.0, h, pre, "zf")
+        for t in range(8):
+            for k in range(2):
+                g = h[t, k].conj().T @ pre[t, k]
+                want_bd = np.linalg.slogdet(np.eye(2) + 2.5 * g @ g.conj().T)[1] / math.log(2.0)
+                want_zf = np.sum(np.log2(1.0 + 2.5 * np.abs(np.diag(g)) ** 2))
+                assert bd[t, k] == pytest.approx(want_bd, abs=1e-12)
+                assert zf[t, k] == pytest.approx(want_zf, abs=1e-12)
+
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(ParameterError):
+            perfect_csi_sum_rate(SystemConfig(4, 2, 10.0), "mmse")
+
+
 class TestBatchParity:
     """The inverse-based kernels against the per-trial nullspace loops
     they replaced, at the benchmark shapes."""
@@ -472,7 +587,7 @@ class TestBatchParity:
             got, ref = zf_precoders_batch(h), _zf_reference(h)
         for p in (1.0, 1e3):
             np.testing.assert_allclose(
-                rates_batch(p, h, got), rates_batch(p, h, ref), rtol=0, atol=1e-10
+                rates_batch(p, h, got, scheme)[0], rates_batch(p, h, ref, scheme)[0], rtol=0, atol=1e-10
             )
 
     @pytest.mark.parametrize(
@@ -488,7 +603,7 @@ class TestBatchParity:
         pre = bd_precoders_batch(know) if scheme == "bd" else zf_precoders_batch(know)
         for p in (1.0, 1e3, 1e10, 1e20):
             want = _rates_einsum(p, h, pre)
-            got = rates_batch(p, h, pre)
+            got = rates_batch(p, h, pre, scheme)[0]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_rates_batch_matches_scalar(self):
@@ -498,7 +613,7 @@ class TestBatchParity:
         gen = RngStream(49).child(2).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(20, 2))
         pre = bd_precoders_batch(h + 0.3 * gaussian_matrix(gen, 4, 2, batch=(20, 2)))
-        rates = rates_batch(cfg.p, h, pre)
+        rates = rates_batch(cfg.p, h, pre, "bd")[0]
         assert rates.shape == (20, 2)
         for t in range(20):
             pset = PrecoderSet(matrices=pre[t], scheme="bd")
@@ -518,7 +633,7 @@ class TestBatchParity:
         know = h + 0.3 * gaussian_matrix(gen, m, n, batch=(16, m // n))
         pre = bd_precoders_batch(know) if scheme == "bd" else zf_precoders_batch(know)
         for p in (1.0, 1e3, 1e10, 1e20):
-            rates = rates_batch(p, h, pre)
+            rates = rates_batch(p, h, pre, scheme)[0]
             want = np.array([[_rate_reference(p, h[t, k], pre[t], k) for k in range(m // n)]
                              for t in range(16)])
             assert np.abs(rates - want).max() <= 1e-12 * np.abs(want).max()

@@ -155,6 +155,29 @@ class TestClosedFormStructure:
         vals = [bits_for_rate_loss(6, 2, p, 4.0).exact for p in (5.0, 15.0, 25.0)]
         assert vals[0] < vals[1] < vals[2]
 
+    def test_exact_at_huge_power(self):
+        """T P_dB alone overflows at 1e308 dB; exact must not fall to 0
+        through approx - inf, nor any law return inf at a finite power."""
+        res = bits_for_rate_loss(4, 2, 1e308, 4.0)
+        assert math.isfinite(res.exact) and res.exact > 1e307
+        assert res.exact < res.approx
+        with pytest.raises(DomainError):
+            bits_for_rate_loss(8, 4, 1e308, 4.0)
+        with pytest.raises(DomainError):
+            zf_bits_for_rate_loss(4, 2, 1e308, 4.0)
+        with pytest.raises(DomainError):
+            zf_3db_bits(8, 1e308)
+        with pytest.raises(DomainError):
+            bd_3db_bits(8, 4, 1e308)
+        assert bits_for_rate_loss(4, 2, -1e308, 4.0).exact == 0.0
+
+    def test_target_next_to_one(self):
+        """b^(1/N) rounds to 1 just above b = 1; the laws still return a
+        large finite budget instead of taking log2(0)."""
+        b = 1.0 + 2.0 ** -52
+        assert 200.0 < bits_for_rate_loss(4, 2, 10.0, b).approx < 300.0
+        assert 300.0 < zf_bits_for_rate_loss(4, 2, 10.0, b) < 400.0
+
     def test_zero_bits_when_target_already_met(self):
         # at tiny power even B = 0 meets a generous target
         res = bits_for_rate_loss(4, 2, -30.0, 16.0)

@@ -13,6 +13,7 @@ from grassfeed.errors import (
 )
 from grassfeed import simulator
 from grassfeed.grassmann import GrassmannConstants
+from grassfeed.precoding import SystemConfig, perfect_csi_sum_rate
 from grassfeed.quant_emulator import sample_min_d2
 from grassfeed.simulator import (
     CHUNK_TRIALS,
@@ -329,15 +330,19 @@ class TestAnyBitBudget:
     @pytest.mark.parametrize("bits", [1100, 10 ** 5])
     def test_emulated_matches_perfect(self, precoder, m, n, bits):
         """Budgets past 2^-B underflow still emulate. The distortion is then
-        at most 2^-(B/T) (0 at B = 10^5), so with the same channels the
-        rates are the perfect-CSI rates."""
+        at most 2^-(B/T) (0 at B = 10^5), so with the same channels every
+        trial's rate is its perfect-CSI rate."""
         grid = (10.0, 30.0)
         pol = FeedbackPolicy(mode="quantized_emulated", bits=bits)
-        curve = run_experiment(_spec(m=m, n=n, precoder=precoder, policy=pol, snr_grid_db=grid))
-        perfect = run_experiment(_spec(m=m, n=n, precoder=precoder, snr_grid_db=grid))
+        spec = _spec(m=m, n=n, precoder=precoder, policy=pol, snr_grid_db=grid)
+        perfect = _spec(m=m, n=n, precoder=precoder, snr_grid_db=grid)
+        curve = run_experiment(spec)
         assert [pt.mode for pt in curve.points] == ["quantized_emulated"] * 2
         assert np.all(np.isfinite(curve.sum_rate))
-        np.testing.assert_allclose(curve.sum_rate, perfect.sum_rate, rtol=1e-9)
+        for i, p_db in enumerate(grid):
+            got = simulator._chunk_sum_rates(spec, i, 0, p_db, bits, "quantized_emulated")[:, 0]
+            want = simulator._chunk_sum_rates(perfect, i, 0, p_db, None, "perfect")[:, 0]
+            np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zf_zero_bit_antenna_emulates(self, monkeypatch):
         """Under guard_product <= 1 a 0-bit antenna passes the guard, so it
@@ -373,8 +378,8 @@ class TestDeterminism:
         ]
         for spec in specs:
             a = run_experiment(spec, threads=1)
-            b = run_experiment(spec, threads=4)
-            assert a == b
+            for threads in (2, 4):
+                assert run_experiment(spec, threads=threads) == a
 
     def test_threads_env_validation(self, monkeypatch):
         spec = _spec(trials=4)
@@ -478,11 +483,13 @@ class TestCommonRandomNumbers:
             assert pp.sum_rate > qp.sum_rate
 
     def test_generous_analog_feedback_tracks_perfect(self):
-        perfect = run_experiment(_spec(trials=400))
-        analog = run_experiment(
-            _spec(trials=400, policy=FeedbackPolicy(mode="analog", beta=200.0))
-        )
-        diff = perfect.points[0].sum_rate - analog.points[0].sum_rate
+        """Same channels, trial by trial: generous analog feedback loses a
+        little of the perfect-CSI rate on average."""
+        perfect = _spec(trials=400)
+        analog = _spec(trials=400, policy=FeedbackPolicy(mode="analog", beta=200.0))
+        want = simulator._chunk_sum_rates(perfect, 0, 0, 10.0, None, "perfect")[:, 0]
+        got = simulator._chunk_sum_rates(analog, 0, 0, 10.0, None, "analog")[:, 0]
+        diff = float(np.mean(want - got))
         assert 0.0 < diff < 0.2
 
     def test_exhaustive_and_emulated_statistically_equal(self):
@@ -499,6 +506,100 @@ class TestCommonRandomNumbers:
         )
         e, x = emu.points[0], exh.points[0]
         assert abs(e.sum_rate - x.sum_rate) <= e.ci99 + x.ci99
+
+
+class TestRegressionEstimator:
+    """Non-perfect points regress the sum rate R on the interference-free
+    sum rate Y, whose mean is the closed-form perfect-CSI sum rate."""
+
+    @staticmethod
+    def _plain(rates):
+        r = rates[:, 0]
+        return float(np.mean(r)), simulator.Z99 * float(np.std(r, ddof=1)) / math.sqrt(len(r))
+
+    @pytest.mark.parametrize("precoder,m,n", [("bd", 6, 2), ("bd", 8, 4), ("zf", 8, 1), ("zf", 6, 2)])
+    @pytest.mark.parametrize("mode", ["quantized_emulated", "quantized_exhaustive", "analog"])
+    def test_free_rate_mean_is_closed_form(self, precoder, m, n, mode):
+        """The precoders serving a user come from the other users' feedback
+        alone, so mean(Y) is the perfect-CSI sum rate whatever the feedback."""
+        seed, kw = {"quantized_emulated": (61, dict(bits=64)),
+                    "quantized_exhaustive": (62, dict(bits=4)),
+                    "analog": (63, dict(beta=1.0))}[mode]
+        policy = FeedbackPolicy(mode=mode, **kw)
+        spec = _spec(m=m, n=n, precoder=precoder, policy=policy, snr_grid_db=(0.0, 20.0),
+                     trials=CHUNK_TRIALS, seed=seed)
+        for i, p_db in enumerate(spec.snr_grid_db):
+            bits = policy.resolve_bits(p_db, m, n)
+            eff = mode if bits is None else _effective_mode(spec, bits)
+            assert eff == mode
+            y = simulator._chunk_sum_rates(spec, i, 0, p_db, bits, eff)[:, 1]
+            mu = perfect_csi_sum_rate(SystemConfig(m, n, 10.0 ** (p_db / 10.0)), precoder)
+            z = (np.mean(y) - mu) / (np.std(y, ddof=1) / math.sqrt(len(y)))
+            assert abs(z) <= 3.5, (p_db, z)
+
+    def test_unbiased_over_seeds(self):
+        """Over 24 independent seeds the regression estimates and the plain
+        means of the same trials agree within their pooled 99% half-widths."""
+        policy = FeedbackPolicy(mode="quantized_emulated", bits=10)
+        est, plain, ci_est, ci_plain = [], [], [], []
+        for seed in range(24):
+            spec = _spec(policy=policy, snr_grid_db=(20.0,), trials=200, seed=300 + seed)
+            pt = run_experiment(spec).points[0]
+            mean, ci = self._plain(simulator._chunk_sum_rates(spec, 0, 0, 20.0, 10, pt.mode))
+            est.append(pt.sum_rate)
+            ci_est.append(pt.ci99)
+            plain.append(mean)
+            ci_plain.append(ci)
+        pooled = math.sqrt(np.sum(np.square(ci_est))) / 24 + math.sqrt(np.sum(np.square(ci_plain))) / 24
+        assert abs(np.mean(est) - np.mean(plain)) <= pooled
+        # the residual varies less than R itself
+        assert np.mean(ci_est) < np.mean(ci_plain)
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_few_trials_take_the_plain_mean(self, trials):
+        spec = _spec(policy=FeedbackPolicy(mode="quantized_emulated", bits=12), trials=trials)
+        pt = run_experiment(spec).points[0]
+        rates = simulator._chunk_sum_rates(spec, 0, 0, 10.0, 12, pt.mode)
+        assert pt.sum_rate == float(np.mean(rates[:, 0]))
+        if trials == 1:
+            assert math.isinf(pt.ci99)
+        else:
+            assert pt.ci99 == self._plain(rates)[1]
+
+    def test_constant_free_rate_takes_the_plain_mean(self):
+        """At -300 dB every 1 + c g underflows to 1, so Y is 0 in every
+        trial and has no variance to regress on."""
+        spec = _spec(policy=FeedbackPolicy(mode="analog", beta=2.0), snr_grid_db=(-300.0,))
+        rates = simulator._chunk_sum_rates(spec, 0, 0, -300.0, None, "analog")
+        assert np.all(rates[:, 1] == 0.0)
+        pt = run_experiment(spec).points[0]
+        assert (pt.sum_rate, pt.ci99) == self._plain(rates)
+        assert math.isfinite(pt.sum_rate) and math.isfinite(pt.ci99)
+
+    def test_non_finite_slope_takes_the_plain_mean(self):
+        """A subnormal var(Y) under a large cov(R, Y) overflows b."""
+        r = np.array([1e150, -1e150, 1e150, -1e150])
+        y = np.array([1e-160, -1e-160, 1e-160, -1e-160])
+        rates = np.column_stack([r, y])
+        assert simulator._estimate(rates, 0.0) == self._plain(rates)
+
+    @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("bd", 6, 2), ("zf", 8, 1)])
+    def test_exact_feedback_has_zero_ci(self, precoder, m, n):
+        """At B = 10^5 the feedback is exact, R is Y in every trial, b = 1,
+        and the estimate is the closed-form mean with a zero half-width."""
+        pol = FeedbackPolicy(mode="quantized_emulated", bits=10 ** 5)
+        curve = run_experiment(_spec(m=m, n=n, precoder=precoder, policy=pol,
+                                     snr_grid_db=(10.0, 30.0)))
+        for pt in curve.points:
+            assert pt.ci99 == 0.0
+            mu = perfect_csi_sum_rate(SystemConfig(m, n, 10.0 ** (pt.p_db / 10.0)), precoder)
+            assert pt.sum_rate == pytest.approx(mu, rel=1e-14)
+
+    def test_perfect_mode_keeps_the_plain_mean(self):
+        spec = _spec(trials=300)
+        pt = run_experiment(spec).points[0]
+        assert (pt.sum_rate, pt.ci99) == self._plain(
+            simulator._chunk_sum_rates(spec, 0, 0, 10.0, None, "perfect"))
 
 
 class TestGapEstimate:
