@@ -254,10 +254,54 @@ def distortion_main_term(gc, bits):
     (Gamma(1/T) / T) * C_MN^(-1/T) * 2^(-B/T), for any finite real B >= 0.
     C_MN^(-1/T) is formed from log2 C_MN, which stays finite where C_MN
     underflows a double.
+
+    It is an upper bound on the exact mean of the metric-ball law,
+    :func:`_mean_min_d2`, which it exceeds by the factor
+    Gamma(2^B + 1 + 1/T) / (2^(B/T) Gamma(2^B + 1)) >= 1 (Gautschi's
+    inequality); the factor tends to 1 as B grows.
     """
     _check_real("bits", bits, low=0, closed=True)
     t = gc.t
     return (math.gamma(1.0 / t) / t) * 2.0 ** (-gc.log2_c / t) * 2.0 ** (-bits / t)
+
+
+def _stirling_tail(z):
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi)/2), from five terms of
+    Stirling's series; the first omitted term is below 1e-16 for z >= 16."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w * (1.0 / 1680 - w / 1188)))) / z
+
+
+def _mean_min_d2(gc, bits):
+    """E[min d^2] over 2^bits independent entries whose d^2 has CDF
+    C_MN x^T. Internal.
+
+    With n = 2^bits and a = 1/T it is the Beta integral
+    C_MN^(-a) Gamma(1 + a) Gamma(n + 1) / Gamma(n + 1 + a):
+    :func:`distortion_main_term` times rho = n^a Gamma(n + 1) / Gamma(n + 1 + a),
+    formed in O(1) at any B. ln rho comes from lgamma while n < 16 and
+    from Stirling's series at x = n + 1 above, as
+    a - (x - 1/2) log1p(a/x) - a log1p((1 + a)/n) - (tail(x + a) - tail(x)),
+    whose terms are all of order a, so only its absolute error, a few
+    ulps, reaches rho. Past n = 2^64, ln rho is below 2^-64 and is taken as 0.
+
+    For G(M, 1) the law holds on all of [0, 1], so this is the exact mean
+    of the scan at every B. For wider frames it holds for d^2 <= 1 only,
+    and the mean is exact to within N e^-40 where the emulation guard
+    2^B C_MN >= 40 holds.
+    """
+    a = 1.0 / gc.t
+    if bits < 4:
+        n = 2 ** bits
+        log_rho = a * math.log(n) + math.lgamma(n + 1) - math.lgamma(n + 1 + a)
+    elif bits <= 64:
+        n = 2.0 ** bits
+        x = n + 1.0
+        log_rho = (a - (x - 0.5) * math.log1p(a / x) - a * math.log1p((1.0 + a) / n)
+                   - (_stirling_tail(x + a) - _stirling_tail(x)))
+    else:
+        log_rho = 0.0
+    return distortion_main_term(gc, bits) * math.exp(log_rho)
 
 
 def distortion_bound(gc, bits, a=0.5):

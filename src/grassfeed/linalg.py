@@ -335,7 +335,10 @@ def _ldl_batch(a):
     Each step takes the pivot d_j and replaces the trailing block by its
     Schur complement, A22 - a21 a21^H / d_j, for the whole stack at once;
     only the lower triangle and the real part of the diagonal are read.
-    Pivots are not checked: a non-PD item gives a pivot outside (0, inf).
+    The column is divided by the real pivot part by part: numpy's complex
+    division would multiply by 1/d_j, which is infinite for a subnormal
+    pivot. Pivots are not checked: a non-PD item gives a pivot outside
+    (0, inf).
     """
     n = a.shape[-1]
     d = np.empty(a.shape[:-1])
@@ -345,7 +348,10 @@ def _ldl_batch(a):
         for j in range(n - 1):
             d[..., j] = s[..., 0, 0].real
             col = s[..., 1:, 0]
-            ell.append(col / d[..., j, np.newaxis])
+            pivot = d[..., j, np.newaxis]
+            ell.append(np.empty(col.shape, dtype=np.complex128))
+            np.divide(col.real, pivot, out=ell[j].real)
+            np.divide(col.imag, pivot, out=ell[j].imag)
             s = s[..., 1:, 1:] - ell[j][..., :, np.newaxis] * col.conj()[..., np.newaxis, :]
         d[..., n - 1] = s[..., 0, 0].real
     return d, ell

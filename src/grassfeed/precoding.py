@@ -36,8 +36,11 @@ built from the other users' knowledge only, so G_kk is an N x N matrix of
 i.i.d. CN(0, 1) entries under BD, and each g_ii a CN(0, 1) gain under ZF,
 whatever that knowledge is. The mean of Y_k is therefore known in closed
 form (:func:`perfect_csi_sum_rate`): it is the perfect-CSI rate, Telatar's
-integral T_N(c) over ln 2 (Telatar 1999). The simulator regresses the
-rate on Y to take the fading variance out of its estimates.
+integral T_N(c) over ln 2 (Telatar 1999). It also returns the user's
+multi-user leakage L_k = sum_{j!=k} ||H_k^H V_j||_F^2, the interference
+power before it is scaled by c, whose mean the simulator knows in closed
+form too. The simulator regresses the rate on Y and L to take the fading
+and leakage variance out of its estimates.
 """
 
 import math
@@ -340,8 +343,8 @@ def zf_precoders_batch(knowledge):
 
 
 def rates_batch(p, channels, precoders, scheme):
-    """(rates, free) per user for a (T, K, M, N) channel and precoder
-    stack, scheme "bd" or "zf". Internal.
+    """(rates, free, leak) per user for a (T, K, M, N) channel and
+    precoder stack, scheme "bd" or "zf". Internal.
 
     Every G_kj = H_k^H V_j comes from one (KN, M) x (M, KN) product per
     trial. The own blocks G_kk are copied out and then zeroed, so user k's
@@ -356,6 +359,8 @@ def rates_batch(p, channels, precoders, scheme):
     free is each user's interference-free rate, read off the same own
     blocks: log2 det(I + c G_kk G_kk^H) under BD (one more LDL^H) and
     sum_i log2(1 + c |g_ii|^2) under ZF, whose streams are separate users.
+    leak is each user's leakage L_k = sum_{j!=k} ||G_kj||_F^2, the real
+    trace of the interference Gram, taken before it is scaled by c.
     Raises ParameterError if P/M times a gain leaves the double range.
     """
     t, k, m, n = channels.shape
@@ -369,6 +374,7 @@ def rates_batch(p, channels, precoders, scheme):
     own = blocks[:, users, users]  # advanced indexing copies
     blocks[:, users, users] = 0.0
     intf = gram_rows(g.reshape(t, k, n, k * n))
+    leak = np.diagonal(intf, axis1=-2, axis2=-1).real.sum(axis=-1)
     total = gram_rows(own)
     try:
         with np.errstate(over="raise"):
@@ -389,4 +395,4 @@ def rates_batch(p, channels, precoders, scheme):
         # chunk sum users in the same order as the rates
         gain = sumsq(np.ascontiguousarray(np.diagonal(own, axis1=-2, axis2=-1))[..., np.newaxis])
         free = np.log2(c * gain + 1.0).sum(axis=-1)
-    return logdet_hermitian_batch(total) - logdet_hermitian_batch(intf), free
+    return logdet_hermitian_batch(total) - logdet_hermitian_batch(intf), free, leak

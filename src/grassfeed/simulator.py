@@ -4,16 +4,27 @@ An :class:`ExperimentSpec` fixes the system shape, an SNR grid, a feedback
 policy, a precoding scheme, a trial count and a seed; :func:`run_experiment`
 returns the averaged rate curve with 99% confidence half-widths.
 
-Estimator: every trial also yields its interference-free sum rate Y (each
-user's rate with the other users' streams removed), whose mean is known in
-closed form (:func:`~grassfeed.precoding.perfect_csi_sum_rate`) because the
-precoders serving a user never depend on that user's channel. Except in
-perfect mode, a point's sum rate is the regression estimate
-mean(R) - b (mean(Y) - mu) with b = cov(R, Y) / var(Y), and its ci99 the
-half-width of the residual R - b Y. The fading that moves R and Y together
-drops out, so the half-width is several times narrower than the plain
-mean's at the same trial count; the estimate stays unbiased, and nothing
-extra is drawn.
+Estimator: every trial also yields two controls whose means are known in
+closed form, because the precoders serving a user never depend on that
+user's channel:
+
+- the interference-free sum rate Y (each user's rate with the other
+  users' streams removed), with the perfect-CSI mean
+  :func:`~grassfeed.precoding.perfect_csi_sum_rate`;
+- the multi-user leakage L = sum_k sum_{j!=k} ||H_k^H V_j||_F^2, with mean
+  K M (M - N)/(M - w) sum_i E[min d^2(M, w, b_i)] over a user's feedback
+  units of width w and budgets b_i (K M E[min d^2] under BD), and
+  K N (M - N)/(1 + beta P) under analog feedback, whose MMSE error is
+  independent of the estimate (:func:`_leakage_mean`).
+
+Except in perfect mode, a point's sum rate is the regression estimate
+mean(R) - b_Y (mean(Y) - mu_Y) - b_L (mean(L) - mu_L), with (b_Y, b_L)
+the least-squares fit of R on (Y, L), and its ci99 the half-width of the
+residual R - b_Y Y - b_L L. Where mu_L is not exact (a quantized unit of
+width 2 or more whose budget fails the default emulation guard), R is
+regressed on Y alone. The fading and the leakage that move R drop out, so
+the half-width is several times narrower than the plain mean's at the
+same trial count; the estimate stays unbiased, and nothing extra is drawn.
 
 Determinism contract: every (SNR point, trial chunk) pair consumes its own
 counter-based stream derived from (seed, point index, chunk index), chunks
@@ -63,7 +74,7 @@ from .errors import (
     _check_shape,
     _is_count,
 )
-from .grassmann import GrassmannConstants, _codebook_size, scan_fresh_codebooks
+from .grassmann import GrassmannConstants, _codebook_size, _mean_min_d2, scan_fresh_codebooks
 from .linalg import orthonormalize
 from .precoding import (
     _free_sum_rate_mean,
@@ -89,6 +100,10 @@ __all__ = [
 
 CHUNK_TRIALS = 1024
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+# Below this 1 - corr(Y, L)^2 the two controls are taken as collinear and
+# R is regressed on Y alone; Cramer's rule still leaves b about seven
+# correct digits at the threshold.
+_COLLINEAR = 1e-9
 _MODES = ("perfect", "quantized_emulated", "quantized_exhaustive", "analog")
 _SCHEDULES = ("fixed", "scaled_3db", "custom")
 
@@ -254,10 +269,37 @@ def _quantize(gen, h, bits, eff_mode, guard_product):
     return scan_fresh_codebooks(gen, hq, bits)[1]
 
 
+def _leakage_mean(spec, p, bits, eff_mode):
+    """Closed-form mean of a trial's summed leakage L at power p, or None
+    where it has none that is exact.
+
+    The part of a quantized unit's channel H_i (width w, budget b) that is
+    orthogonal to its fed-back frame has mean squared norm M E[min d^2]
+    and is isotropic in those M - w dimensions, where the other users'
+    M - N unit-norm streams lie. So a user's leakage has
+    mean M (M - N)/(M - w) sum_i E[min d^2(M, w, b_i)], which is Jindal's
+    interference lemma for ZF; E[min d^2] is :func:`_mean_min_d2`, exact
+    for w = 1 and, where the default emulation guard holds, for wider
+    units. Under analog feedback the streams are orthogonal to the MMSE
+    estimate and independent of its error, whose entries have variance
+    1/(1 + beta P): K N (M - N)/(1 + beta P).
+    """
+    m, n, k = spec.m, spec.n, spec.k
+    if eff_mode == "perfect":
+        return None
+    if eff_mode == "analog":
+        return k * n * (m - n) / (1.0 + spec.policy.beta * p)
+    width, budgets = _feedback_units(spec, bits)
+    gc = GrassmannConstants(m, width)
+    if width > 1 and not emulation_valid(gc, min(budgets), DEFAULT_GUARD_PRODUCT):
+        return None
+    return k * m * (m - n) / (m - width) * sum(_mean_min_d2(gc, b) for b in budgets)
+
+
 def _chunk_sum_rates(spec, point_idx, chunk_idx, p_db, bits, eff_mode):
-    """(count, 2) per-trial [sum rate, interference-free sum rate] for one
-    chunk. The chunk stream is derived from (seed, point index, chunk
-    index); channels are always the first draw."""
+    """(count, 3) per-trial [sum rate R, interference-free sum rate Y,
+    leakage L] for one chunk. The chunk stream is derived from (seed,
+    point index, chunk index); channels are always the first draw."""
     gen = RngStream(spec.seed).child(point_idx, chunk_idx).generator()
     m, n, k = spec.m, spec.n, spec.k
     count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
@@ -283,8 +325,8 @@ def _chunk_sum_rates(spec, point_idx, chunk_idx, p_db, bits, eff_mode):
         v = zf_precoders_batch(knowledge)
     else:
         v = bd_precoders_batch(knowledge)
-    rates, free = rates_batch(p, h, v, spec.precoder)
-    return np.stack([rates.sum(axis=1), free.sum(axis=1)], axis=1)
+    rates, free, leak = rates_batch(p, h, v, spec.precoder)
+    return np.stack([rates.sum(axis=1), free.sum(axis=1), leak.sum(axis=1)], axis=1)
 
 
 def _worker_count(threads):
@@ -303,16 +345,22 @@ def _worker_count(threads):
     return threads
 
 
-def _estimate(rates, mean_free):
-    """(sum rate, 99% half-width) of one point from its (T, 2) per-trial
-    [R, Y] rates.
+def _estimate(rates, mean_free, mean_leak=None):
+    """(sum rate, 99% half-width) of one point from its (T, 3) per-trial
+    [R, Y, L] columns.
 
-    Y is the interference-free sum rate, whose mean mean_free is known, so
-    the estimate is mean(R) - b (mean(Y) - mean_free) with
-    b = cov(R, Y) / var(Y), and the half-width comes from the residual
-    R - b Y with two degrees of freedom spent. Without mean_free (perfect
-    mode, where R is Y up to rounding), with T <= 2, with var(Y) = 0 or
-    with a non-finite result it is the plain mean of R.
+    Y is the interference-free sum rate and L the leakage, with known means
+    mean_free and mean_leak. The estimate is
+    mean(R) - b_Y (mean(Y) - mean_free) - b_L (mean(L) - mean_leak), with
+    (b_Y, b_L) solving the 2 x 2 normal equations of R on (Y, L) in Python
+    floats, and the half-width comes from the residual R - b_Y Y - b_L L
+    with three degrees of freedom spent. Without mean_leak, with T <= 3,
+    with var(L) = 0, with 1 - corr(Y, L)^2 below _COLLINEAR or with a
+    non-finite result it regresses on Y alone: mean(R) - b (mean(Y) -
+    mean_free) with b = cov(R, Y) / var(Y) and two degrees of freedom
+    spent. Without mean_free (perfect mode, where R is Y up to rounding),
+    with T <= 2, with var(Y) = 0 or with a non-finite result there too it
+    is the plain mean of R.
     """
     r = np.ascontiguousarray(rates[:, 0])
     t = len(r)
@@ -328,8 +376,24 @@ def _estimate(rates, mean_free):
     var = float(dy @ dy)
     if not var > 0.0:
         return plain
+    dr = r - mean
     with np.errstate(all="ignore"):
-        b = float((r - mean) @ dy) / var
+        cov = float(dr @ dy)
+        if mean_leak is not None and t > 3:
+            leak = np.ascontiguousarray(rates[:, 2])
+            mean_l = float(np.mean(leak))
+            dl = leak - mean_l
+            var_l, cov_l, cross = float(dl @ dl), float(dr @ dl), float(dy @ dl)
+            det = var * var_l - cross * cross
+            # False for var(L) = 0, and for products that overflow to NaN
+            if det > _COLLINEAR * var * var_l:
+                b_y = (cov * var_l - cov_l * cross) / det
+                b_l = (cov_l * var - cov * cross) / det
+                est = mean - b_y * (mean_y - mean_free) - b_l * (mean_l - mean_leak)
+                ci = Z99 * float(np.std(r - b_y * y - b_l * leak, ddof=3)) / math.sqrt(t)
+                if math.isfinite(est) and math.isfinite(ci):
+                    return est, ci
+        b = cov / var
         est = mean - b * (mean_y - mean_free)
         ci = Z99 * float(np.std(r - b * y, ddof=2)) / math.sqrt(t)
     if not (math.isfinite(est) and math.isfinite(ci)):
@@ -344,9 +408,10 @@ def run_experiment(spec, threads=None):
     unset). The thread count changes the execution schedule only, never the
     result bytes. Perfect points report the plain mean of the per-trial
     sum rates; the others regress it on the interference-free sum rate,
-    whose mean is :func:`~grassfeed.precoding.perfect_csi_sum_rate`, which
-    takes the fading variance out of sum_rate and ci99 (see
-    :func:`_estimate`).
+    whose mean is :func:`~grassfeed.precoding.perfect_csi_sum_rate`, and,
+    where its mean is exact, on the multi-user leakage
+    (:func:`_leakage_mean`), which takes the fading and leakage variance
+    out of sum_rate and ci99 (see :func:`_estimate`).
     """
     threads = _worker_count(threads)
     # every point's budget and mode, decided before anything is drawn, so a
@@ -364,10 +429,11 @@ def run_experiment(spec, threads=None):
                 parts = list(pool.map(lambda a: _chunk_sum_rates(*a), args))
         else:
             parts = [_chunk_sum_rates(*a) for a in args]
+        p = 10.0 ** (p_db / 10.0)
         mean_free = None
         if eff_mode != "perfect":
-            mean_free = _free_sum_rate_mean(spec.m, spec.n, 10.0 ** (p_db / 10.0), spec.precoder)
-        mean, ci = _estimate(np.concatenate(parts), mean_free)
+            mean_free = _free_sum_rate_mean(spec.m, spec.n, p, spec.precoder)
+        mean, ci = _estimate(np.concatenate(parts), mean_free, _leakage_mean(spec, p, bits, eff_mode))
         points.append(RatePoint(p_db=float(p_db), sum_rate=mean, per_user_rate=mean / spec.k,
                                 ci99=ci, mode=eff_mode, bits_used=bits))
     return RateCurve(points=tuple(points))

@@ -1,6 +1,9 @@
 """Golden CSV digests: the exact bytes ``write_curve_csv`` produces for one
 small spec per mode, plus ZF under emulation. Perfect points are plain
-means; the others are regression estimates on the interference-free rate.
+means; the others are regression estimates on the interference-free rate
+and, where its mean is exact, the multi-user leakage. The exhaustive
+spec's 4-bit G(4, 2) budget fails the emulation guard, so its points
+regress on the interference-free rate alone.
 
 These pin determinism across processes and machines, not just within one
 run. A change to any digest changes what users get for a fixed seed; it
@@ -23,7 +26,7 @@ GOLDEN = {
     "emulated": (
         dict(m=4, n=2, trials=1100,
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "9be6b33fa7c8aa89e1665dfa76f05858b725deb0206611c98c754d0f19aea923",
+        "f98c8134bac1afcb203fc3863f6b1452a2077f200089a660099f027d1cd2af71",
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
@@ -31,12 +34,12 @@ GOLDEN = {
     ),
     "analog": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="analog", beta=2.0)),
-        "8686729ad08aff2ac969c9a86b0897e5c491fcb761c2316688e949a81b856ac1",
+        "0889ba2c79ae5b01e24ff387ea2cde29f81ecead74157544d6417dd481edb485",
     ),
     "zf_emulated": (
         dict(m=6, n=2, precoder="zf",
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "96e6a1198f6f417e57d103eb45301b61bc4c941bc63a34d7dbdc8b8c6a1de69e",
+        "447a7907ef92e2f689c1cf9f32a36cf25f22a5ce5160a818e1d764f329b40afc",
     ),
 }
 

@@ -339,6 +339,54 @@ class TestDistortionBound:
             assert distortion_bound(gc, 12, a=a) >= main
 
 
+def _mean_min_d2_reference(gc, bits):
+    """C_MN^(-1/T) Gamma(1 + 1/T) Gamma(n + 1) / Gamma(n + 1 + 1/T), n = 2^B,
+    from mpmath log-gammas at enough digits to resolve their difference."""
+    import mpmath
+
+    with mpmath.workdps(30 + int(bits * 0.30103)):
+        n = mpmath.mpf(2) ** bits
+        a = mpmath.mpf(1) / gc.t
+        c = mpmath.mpf(gc.c_exact.numerator) / gc.c_exact.denominator
+        ratio = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(n + 1 + a))
+        return float(c ** (-a) * mpmath.gamma(1 + a) * ratio)
+
+
+class TestMeanMinD2:
+    """The exact mean of the minimum of 2^B draws of the metric-ball law."""
+
+    @pytest.mark.parametrize("m,n", [(4, 1), (8, 1), (4, 2), (6, 2), (8, 4), (12, 2)])
+    def test_against_log_gamma_reference(self, m, n):
+        gc = GrassmannConstants(m, n)
+        for bits in list(range(65)) + [100, 1000, 2000]:
+            got = grassmann._mean_min_d2(gc, bits)
+            assert got == pytest.approx(_mean_min_d2_reference(gc, bits), rel=1e-12, abs=0), bits
+            # the main term bounds it from above, and is its limit
+            assert got <= distortion_main_term(gc, bits)
+        assert got == distortion_main_term(gc, 2000)
+
+    def test_hand_values(self):
+        """G(M, 1), where d^2 has CDF x^T with T = M - 1. One entry:
+        E[d^2] = 1 - 1/M. Two: int (1 - x^T)^2 dx = 2T^2/((T + 1)(2T + 1))."""
+        for m in (2, 4, 8):
+            gc = GrassmannConstants(m, 1)
+            t = m - 1
+            assert grassmann._mean_min_d2(gc, 0) == pytest.approx(1 - 1 / m, rel=1e-15)
+            assert grassmann._mean_min_d2(gc, 1) == pytest.approx(
+                2 * t * t / ((t + 1) * (2 * t + 1)), rel=1e-15)
+
+    @pytest.mark.parametrize("m,n", [(4, 1), (4, 2), (12, 2)])
+    def test_underflows_at_huge_budgets(self, m, n):
+        assert grassmann._mean_min_d2(GrassmannConstants(m, n), 10 ** 5) == 0.0
+
+    def test_matches_scan_sample_mean(self):
+        """The scan's min d^2 of G(4, 1) at B = 3 averages to it."""
+        gc = GrassmannConstants(4, 1)
+        d2 = distortion_samples(RngStream(11).child(4), 4, 1, 3, 20000)
+        se = d2.std(ddof=1) / math.sqrt(d2.size)
+        assert abs(d2.mean() - grassmann._mean_min_d2(gc, 3)) <= 3.5 * se
+
+
 class TestEmpiricalDistortion:
     def test_unquantized_scalar_beta_mean(self):
         # B=0, M=2, N=1: single random entry, d^2 ~ Beta(1,1), mean 1/2

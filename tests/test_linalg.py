@@ -177,6 +177,19 @@ class TestLogdetHermitian:
             with pytest.raises(NotHermitian):
                 logdet_hermitian(skew)
 
+    def test_subnormal_pivots(self):
+        """A subnormal pivot divides the column part by part; complex
+        division would multiply by 1/d = inf and lose the factorization."""
+        tiny = 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logdet_hermitian(np.diag([tiny, tiny]).astype(complex)) == pytest.approx(
+                2 * np.log2(tiny), rel=1e-15)
+            a = np.array([[tiny, 0.1j * tiny], [-0.1j * tiny, tiny]])
+            assert logdet_hermitian(a) == pytest.approx(2 * np.log2(tiny) + np.log2(0.99), rel=1e-12)
+            np.testing.assert_allclose(cholesky_upper(np.diag([tiny, tiny]).astype(complex)),
+                                       np.diag([np.sqrt(tiny)] * 2), rtol=1e-12)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batch_matches_slogdet(self, n):
         """The LDL^H pivots against LAPACK's slogdet on a (T, K, n, n)

@@ -517,27 +517,32 @@ class TestPerfectCsiMean:
         gen = RngStream(53).child(m, n).generator()
         h = gaussian_matrix(gen, m, n, batch=(4000, m // n))
         pre = bd_precoders_batch(h) if scheme == "bd" else zf_precoders_batch(h)
-        rates, free = rates_batch(cfg.p, h, pre, scheme)
+        rates, free, leak = rates_batch(cfg.p, h, pre, scheme)
         np.testing.assert_allclose(rates, free, rtol=1e-9, atol=1e-12)
+        assert np.all(leak < 1e-20)
         total = rates.sum(axis=1)
         se = total.std(ddof=1) / math.sqrt(len(total))
         assert abs(total.mean() - perfect_csi_sum_rate(cfg, scheme)) <= 4 * se
 
     def test_free_rates_hand_values(self):
-        """BD: log2 det(I + c G_kk G_kk^H); ZF: sum_i log2(1 + c |g_ii|^2),
-        on precoders that leave interference."""
+        """BD: log2 det(I + c G_kk G_kk^H); ZF: sum_i log2(1 + c |g_ii|^2);
+        the leakage sum_{j!=k} ||H_k^H V_j||_F^2 under both, on precoders
+        that leave interference."""
         gen = RngStream(53).child(0).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(8, 2))
         pre = zf_precoders_batch(h + 0.3 * gaussian_matrix(gen, 4, 2, batch=(8, 2)))
-        _, bd = rates_batch(10.0, h, pre, "bd")
-        _, zf = rates_batch(10.0, h, pre, "zf")
+        _, bd, leak_bd = rates_batch(10.0, h, pre, "bd")
+        _, zf, leak_zf = rates_batch(10.0, h, pre, "zf")
+        np.testing.assert_array_equal(leak_bd, leak_zf)
         for t in range(8):
             for k in range(2):
                 g = h[t, k].conj().T @ pre[t, k]
                 want_bd = np.linalg.slogdet(np.eye(2) + 2.5 * g @ g.conj().T)[1] / math.log(2.0)
                 want_zf = np.sum(np.log2(1.0 + 2.5 * np.abs(np.diag(g)) ** 2))
+                other = h[t, k].conj().T @ pre[t, 1 - k]
                 assert bd[t, k] == pytest.approx(want_bd, abs=1e-12)
                 assert zf[t, k] == pytest.approx(want_zf, abs=1e-12)
+                assert leak_bd[t, k] == pytest.approx(np.sum(np.abs(other) ** 2), rel=1e-13)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ParameterError):

@@ -602,6 +602,110 @@ class TestRegressionEstimator:
             simulator._chunk_sum_rates(spec, 0, 0, 10.0, None, "perfect"))
 
 
+class TestLeakageControl:
+    """Where its mean is exact, non-perfect points also regress on the
+    multi-user leakage L: M E[min d^2] per quantized unit, times
+    (M - N)/(M - 1) under ZF, and N (M - N)/(1 + beta P) per user under
+    analog feedback."""
+
+    @staticmethod
+    def _leak_z(spec, point_idx, p_db, bits, eff, scale=1.0):
+        leak = simulator._chunk_sum_rates(spec, point_idx, 0, p_db, bits, eff)[:, 2]
+        mu = scale * simulator._leakage_mean(spec, 10.0 ** (p_db / 10.0), bits, eff)
+        return (np.mean(leak) - mu) / (np.std(leak, ddof=1) / math.sqrt(len(leak)))
+
+    @pytest.mark.parametrize("precoder,m,n", [
+        ("bd", 4, 2), ("bd", 6, 2), ("bd", 8, 4), ("zf", 8, 1), ("zf", 6, 2), ("zf", 8, 2),
+    ])
+    @pytest.mark.parametrize("mode", ["quantized_emulated", "analog"])
+    def test_leakage_mean_is_closed_form(self, precoder, m, n, mode):
+        kw = dict(bits=24) if mode == "quantized_emulated" else dict(beta=1.0)
+        policy = FeedbackPolicy(mode=mode, **kw)
+        spec = _spec(m=m, n=n, precoder=precoder, policy=policy, snr_grid_db=(0.0, 20.0),
+                     trials=CHUNK_TRIALS, seed=71)
+        for i, p_db in enumerate(spec.snr_grid_db):
+            bits = policy.resolve_bits(p_db, m, n)
+            eff = mode if bits is None else _effective_mode(spec, bits)
+            assert eff == mode
+            z = self._leak_z(spec, i, p_db, bits, eff)
+            assert abs(z) <= 3.5, (p_db, z)
+
+    @pytest.mark.parametrize("precoder,m,n,bits", [
+        ("zf", 8, 1, 0), ("zf", 8, 1, 1), ("zf", 8, 1, 2),
+        ("zf", 6, 2, 0), ("zf", 6, 2, 1), ("zf", 6, 2, 2),
+        ("bd", 4, 2, 8),
+    ])
+    def test_exhaustive_leakage_mean(self, precoder, m, n, bits):
+        """Width-1 units at every budget, wider ones once the guard holds."""
+        spec = _spec(m=m, n=n, precoder=precoder, trials=CHUNK_TRIALS, seed=72,
+                     policy=FeedbackPolicy(mode="quantized_exhaustive", bits=bits))
+        z = self._leak_z(spec, 0, 10.0, bits, "quantized_exhaustive")
+        assert abs(z) <= 3.5, z
+
+    @pytest.mark.parametrize("m,n", [(6, 2), (8, 2)])
+    def test_zf_counts_only_the_other_users_beams(self, m, n):
+        """An antenna leaks into the M - N beams of the other users, not
+        into all M - 1 beams orthogonal to its feedback."""
+        spec = _spec(m=m, n=n, precoder="zf", trials=CHUNK_TRIALS, seed=73,
+                     policy=FeedbackPolicy(mode="quantized_emulated", bits=24))
+        assert abs(self._leak_z(spec, 0, 10.0, 24, "quantized_emulated")) <= 3.5
+        assert abs(self._leak_z(spec, 0, 10.0, 24, "quantized_emulated", (m - 1) / (m - n))) > 10
+
+    @pytest.mark.parametrize("policy,bits", [
+        (FeedbackPolicy(mode="quantized_exhaustive", bits=4), 4),
+        # emulated below the default guard: the d^2 tail past 1 is clamped
+        (FeedbackPolicy(mode="quantized_emulated", bits=4, guard_product=1.0), 4),
+        (FeedbackPolicy(mode="perfect"), None),
+    ])
+    def test_without_exact_mean_regress_on_y_alone(self, policy, bits):
+        spec = _spec(policy=policy, trials=300)
+        pt = run_experiment(spec).points[0]
+        assert simulator._leakage_mean(spec, 10.0, bits, pt.mode) is None
+        rates = simulator._chunk_sum_rates(spec, 0, 0, 10.0, bits, pt.mode)
+        mu = None if pt.mode == "perfect" else perfect_csi_sum_rate(SystemConfig(4, 2, 10.0))
+        assert (pt.sum_rate, pt.ci99) == simulator._estimate(rates[:, :2], mu)
+
+    def test_two_controls_match_least_squares(self):
+        rng = np.random.default_rng(5)
+        y, leak = rng.standard_normal((2, 500))
+        r = 2.0 + 0.7 * y - 1.3 * leak + 0.1 * rng.standard_normal(500)
+        x = np.column_stack([np.ones(500), y, leak])
+        coef = np.linalg.lstsq(x, r, rcond=None)[0]
+        est, ci = simulator._estimate(np.column_stack([r, y, leak]), 0.2, -0.1)
+        assert est == pytest.approx(coef[0] + 0.2 * coef[1] - 0.1 * coef[2], rel=1e-12)
+        resid = r - x @ coef
+        assert ci == pytest.approx(simulator.Z99 * resid.std(ddof=3) / math.sqrt(500), rel=1e-10)
+
+    def test_fallbacks_to_y_alone(self):
+        """T <= 3, a constant leakage, a leakage collinear with Y, and a
+        non-finite two-control estimate all give the Y-only estimate."""
+        rng = np.random.default_rng(6)
+        y, leak, noise = rng.standard_normal((3, 200))
+        r = y - 3.0 * leak + noise
+        cases = [
+            (np.column_stack([r, y, leak])[:3], 0.0),
+            (np.column_stack([r, y, np.full(200, 0.5)]), 0.5),
+            (np.column_stack([r, y, 3.0 * y + 1.0]), 1.0),
+            (np.column_stack([r, y, leak]), 1e308),
+        ]
+        for rates, mean_leak in cases:
+            want = simulator._estimate(rates[:, :2], 0.0)
+            assert all(map(math.isfinite, want))
+            assert simulator._estimate(rates, 0.0, mean_leak) == want
+
+    def test_narrows_interference_limited_points(self):
+        """On the scaled ZF sweep at 30 dB the leakage carries most of what
+        Y leaves of the variance."""
+        spec = _spec(m=8, n=1, precoder="zf", snr_grid_db=(30.0,), trials=2048, seed=74,
+                     policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db"))
+        pt = run_experiment(spec).points[0]
+        rates = np.concatenate([
+            simulator._chunk_sum_rates(spec, 0, c, 30.0, pt.bits_used, pt.mode) for c in range(2)
+        ])
+        _, ci_free = simulator._estimate(rates, perfect_csi_sum_rate(SystemConfig(8, 1, 1e3), "zf"))
+        assert (ci_free / pt.ci99) ** 2 > 4.0
+
+
 class TestGapEstimate:
     @staticmethod
     def _curve(p_db, rates):
