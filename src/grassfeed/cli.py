@@ -200,9 +200,34 @@ def cmd_gap(args):
 _SELFTEST_DEFAULTS = ((4, 2, 8), (6, 2, 8), (4, 1, 10))
 
 
-def cmd_selftest(args):
-    from scipy.stats import ks_2samp
+def _ks_2samp(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic D and its asymptotic p-value.
 
+    D is the largest gap between the two empirical CDFs, which is reached
+    at a pooled sample point. The p-value is Kolmogorov's limiting
+    distribution Q(x) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 x^2) at
+    x = D sqrt(n1 n2 / (n1 + n2)); below x = 1, where that series converges
+    slowly, it is the equal theta-function form
+    1 - sqrt(2 pi)/x sum_{j>=1} exp(-(2j - 1)^2 pi^2 / (8 x^2)).
+    """
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / len(a)
+    cdf_b = np.searchsorted(b, pooled, side="right") / len(b)
+    d = float(np.max(np.abs(cdf_a - cdf_b)))
+    x = d * math.sqrt(len(a) * len(b) / (len(a) + len(b)))
+    j = np.arange(1, 101)
+    if x == 0.0:
+        return d, 1.0
+    if x < 1.0:
+        tail = np.sum(np.exp(-(((2 * j - 1) * math.pi / x) ** 2) / 8.0))
+        p = 1.0 - math.sqrt(2.0 * math.pi) / x * float(tail)
+    else:
+        p = 2.0 * float(np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * (j * x) ** 2)))
+    return d, min(1.0, max(0.0, p))
+
+
+def cmd_selftest(args):
     if (args.m is None) != (args.n is None) or (args.m is None) != (args.bits is None):
         raise ConfigError("--m, --n and --bits must be given together")
     configs = _SELFTEST_DEFAULTS if args.m is None else ((args.m, args.n, args.bits),)
@@ -214,14 +239,14 @@ def cmd_selftest(args):
         emu = sample_min_d2(emu_rng, gc, bits, guard_product=args.guard_product,
                             size=args.samples)
         exh = distortion_samples(exh_rng, m, n, bits, args.samples)
-        ks = ks_2samp(emu, exh)
+        _, ks_p = _ks_2samp(emu, exh)
         mean_exh = float(np.mean(exh))
         rel_err = abs(float(np.mean(emu)) - mean_exh) / mean_exh
-        ok = ks.pvalue >= 0.01 and rel_err < 0.02
+        ok = ks_p >= 0.01 and rel_err < 0.02
         all_ok = all_ok and ok
         print(
             f"[{'PASS' if ok else 'FAIL'}] M={m} N={n} B={bits}: "
-            f"ks_p={ks.pvalue:.4g} mean_rel_err={100 * rel_err:.3g}%"
+            f"ks_p={ks_p:.4g} mean_rel_err={100 * rel_err:.3g}%"
         )
     return 0 if all_ok else 1
 

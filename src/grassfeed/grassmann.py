@@ -509,9 +509,10 @@ def _scan_blocks(gen, m, n, bits, count, hq=None):
             # a one-entry codebook is its own winner, with nothing to score.
             # Drawn complex, it is orthonormalized as it is. Through planes
             # it would be copied back to complex for the QR, with the
-            # workspace, 1.5 times the draw, held on top.
-            book = gaussian_matrix(gen, m, n, batch=(hi - lo, 1))
-            _, d2, won = _scan_np(frames, thin_qr_batch(book)[0])
+            # workspace, 1.5 times the draw, held on top. The draw itself is
+            # freed once its Q factor is formed.
+            book = thin_qr_batch(gaussian_matrix(gen, m, n, batch=(hi - lo, 1)))[0]
+            _, d2, won = _scan_np(frames, book)
         else:
             _draw_planes(gen, draw[: hi - lo], planes[: hi - lo])
             _, d2, won = quantize_planes(frames, planes[: hi - lo], draw.reshape(-1))

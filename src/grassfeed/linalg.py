@@ -166,9 +166,10 @@ def _gram_schmidt(a, total):
         v = a[..., j]
         if j:
             qj, qjh = q[..., :j], q[..., :j].conj()
+            v = v.copy()  # both passes update one copy in place
             for _ in range(2):
                 c = np.einsum("...mi,...m->...i", qjh, v)
-                v = v - np.einsum("...mi,...i->...m", qj, c)
+                v -= np.einsum("...mi,...i->...m", qj, c)
                 r[..., :j, j] += c
         d = np.sqrt(sumsq(v))
         if not np.all(d > floor):

@@ -331,15 +331,17 @@ def _inverse_blocks(knowledge):
 
 def bd_precoders_batch(knowledge):
     """Batched BD precoders for a (T, K, M, N) knowledge stack. Internal."""
-    return orthonormalize(_inverse_blocks(knowledge))
+    # copied out whole, the inverse is freed before the Gram-Schmidt runs
+    return orthonormalize(np.ascontiguousarray(_inverse_blocks(knowledge)))
 
 
 def zf_precoders_batch(knowledge):
     """Batched ZF beams for a (T, K, M, N) knowledge stack. Internal."""
     w = _inverse_blocks(knowledge)
-    # the beams are w's columns; summing them as C-ordered rows is faster
-    beams = np.ascontiguousarray(np.swapaxes(w, -2, -1))
-    return w / np.sqrt(sumsq(beams))[..., np.newaxis, :]
+    # the beams are w's columns; summing them as C-ordered rows is faster,
+    # and the rows are freed before the beams are normalized
+    norms = np.sqrt(sumsq(np.ascontiguousarray(np.swapaxes(w, -2, -1))))
+    return w / norms[..., np.newaxis, :]
 
 
 def rates_batch(p, channels, precoders, scheme):

@@ -26,18 +26,23 @@ regressed on Y alone. The fading and the leakage that move R drop out, so
 the half-width is several times narrower than the plain mean's at the
 same trial count; the estimate stays unbiased, and nothing extra is drawn.
 
-Determinism contract: every (SNR point, trial chunk) pair consumes its own
-counter-based stream derived from (seed, point index, chunk index), chunks
-have a fixed size, and the reduction runs over the per-trial array in trial
-order. Results are therefore byte-identical across runs and across worker
-thread counts. Channels are the first draw in every chunk, so two
-experiments differing only in feedback policy see identical channel
-realizations for the same seed (paired comparisons come for free).
+Determinism contract: trials run in fixed-size chunks. A chunk's channels
+are the only draw of its stream (seed, chunk index) and serve every SNR
+point. A point's knowledge comes from a substream keyed by what it
+depends on besides P: the effective mode and bit budget of a quantized
+point, the mode of the analog noise; perfect points draw nothing. So
+points with equal mode and budget quantize once per chunk, and a point's
+result does not depend on the rest of its grid. The reduction runs over
+the per-trial array in trial order, so results are byte-identical across
+runs and worker thread counts, and experiments with the same seed see the
+same channels whatever their policies (paired comparisons come free).
 
 Modes
 -----
 perfect
-    Precoders built from the true channels.
+    Precoders built from the true channels. They null the other users'
+    streams exactly, so a trial's sum rate is its interference-free sum
+    rate Y, at any power.
 quantized_emulated
     Each user's channel direction is replaced by an emulated codebook
     quantization (O(1) per trial in B). Points whose bit budget fails the
@@ -58,7 +63,7 @@ before it draws anything, so a point that cannot run raises at once.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,15 +265,6 @@ def _effective_mode(spec, bits):
     return "quantized_exhaustive"
 
 
-def _quantize(gen, h, bits, eff_mode, guard_product):
-    """Quantized knowledge of a (T, M, w) frame stack under one budget.
-    Under "quantized_emulated" the budget has already passed the guard."""
-    hq = orthonormalize(h)
-    if eff_mode == "quantized_emulated":
-        return emulate_batch(gen, hq, bits, guard_product=guard_product)[0]
-    return scan_fresh_codebooks(gen, hq, bits)[1]
-
-
 def _leakage_mean(spec, p, bits, eff_mode):
     """Closed-form mean of a trial's summed leakage L at power p, or None
     where it has none that is exact.
@@ -296,37 +292,59 @@ def _leakage_mean(spec, p, bits, eff_mode):
     return k * m * (m - n) / (m - width) * sum(_mean_min_d2(gc, b) for b in budgets)
 
 
-def _chunk_sum_rates(spec, point_idx, chunk_idx, p_db, bits, eff_mode):
-    """(count, 3) per-trial [sum rate R, interference-free sum rate Y,
-    leakage L] for one chunk. The chunk stream is derived from (seed,
-    point index, chunk index); channels are always the first draw."""
-    gen = RngStream(spec.seed).child(point_idx, chunk_idx).generator()
-    m, n, k = spec.m, spec.n, spec.k
-    count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
-    p = 10.0 ** (p_db / 10.0)
-    h = gaussian_matrix(gen, m, n, batch=(count, k))
-
+def _precoders(spec, stream, h, frames, bits, eff_mode, snr):
+    """Precoders built from one point's knowledge of a chunk's (T, K, M, N)
+    channels h, whose feedback units ``frames`` are orthonormal."""
     if eff_mode == "perfect":
         knowledge = h
-    elif eff_mode == "analog":
-        knowledge = analog_feedback_batch(gen, h, spec.policy.beta * p)[1]
     else:
-        width, budgets = _feedback_units(spec, bits)
-        flat = h.reshape(count * k, m, n)
-        # one unit's result is the knowledge itself; only several are joined
-        units = [
-            _quantize(gen, flat[:, :, i * width:(i + 1) * width], b, eff_mode, spec.policy.guard_product)
-            for i, b in enumerate(budgets)
-        ]
-        know = units[0] if len(units) == 1 else np.concatenate(units, axis=-1)
-        knowledge = know.reshape(count, k, m, n)
+        gen = stream.child(_MODES.index(eff_mode), 0 if bits is None else bits + 1).generator()
+        if eff_mode == "analog":
+            knowledge = analog_feedback_batch(gen, h, snr)[1]
+        else:
+            # an emulated budget has already passed the guard
+            emulated = eff_mode == "quantized_emulated"
+            units = [emulate_batch(gen, f, b, guard_product=spec.policy.guard_product)[0]
+                     if emulated else scan_fresh_codebooks(gen, f, b)[1]
+                     for f, b in zip(frames, _feedback_units(spec, bits)[1])]
+            # one unit's result is the knowledge itself; only several are joined
+            know = units[0] if len(units) == 1 else np.concatenate(units, axis=-1)
+            knowledge = know.reshape(h.shape)
+    return (zf_precoders_batch if spec.precoder == "zf" else bd_precoders_batch)(knowledge)
 
-    if spec.precoder == "zf":
-        v = zf_precoders_batch(knowledge)
-    else:
-        v = bd_precoders_batch(knowledge)
-    rates, free, leak = rates_batch(p, h, v, spec.precoder)
-    return np.stack([rates.sum(axis=1), free.sum(axis=1), leak.sum(axis=1)], axis=1)
+
+def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
+    """(points, count, 3) per-trial [sum rate R, interference-free sum
+    rate Y, leakage L] of every planned (p_db, bits, mode) point in one
+    chunk, written into ``out`` when it is given.
+
+    The channels are the chunk stream's only draw; a point's knowledge
+    comes from its substream (mode, 0 if bits is None else bits + 1).
+    Feedback units are orthonormalized once per chunk, and a run of points
+    with equal knowledge (mode and bits, or beta P) shares its precoders.
+    """
+    m, n, k = spec.m, spec.n, spec.k
+    count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
+    if out is None:
+        out = np.empty((len(plan), count, 3))
+    stream = RngStream(spec.seed).child(chunk_idx)
+    h = gaussian_matrix(stream.generator(), m, n, batch=(count, k))
+    frames = key = None
+    if spec.policy.mode.startswith("quantized"):
+        # (units, T K, M, w): every user's feedback units, the same at any budget
+        width = _feedback_units(spec, 0)[0]
+        frames = orthonormalize(h.reshape(count * k, m, n // width, width).transpose(2, 0, 1, 3))
+    for row, (p_db, bits, eff_mode) in zip(out, plan):
+        p = 10.0 ** (p_db / 10.0)
+        snr = spec.policy.beta * p if eff_mode == "analog" else None
+        if key != (eff_mode, bits, snr):
+            key, v = (eff_mode, bits, snr), None  # the last precoders go before the next
+            v = _precoders(spec, stream, h, frames, bits, eff_mode, snr)
+        rates, free, leak = rates_batch(p, h, v, spec.precoder)
+        np.sum(free if eff_mode == "perfect" else rates, axis=1, out=row[:, 0])
+        np.sum(free, axis=1, out=row[:, 1])
+        np.sum(leak, axis=1, out=row[:, 2])
+    return out
 
 
 def _worker_count(threads):
@@ -405,9 +423,10 @@ def run_experiment(spec, threads=None):
     """Run the sweep and return the averaged :class:`RateCurve`.
 
     threads defaults to the GRASSFEED_THREADS environment variable (1 if
-    unset). The thread count changes the execution schedule only, never the
-    result bytes. Perfect points report the plain mean of the per-trial
-    sum rates; the others regress it on the interference-free sum rate,
+    unset). Threads take whole chunks of every point; their count changes
+    the execution schedule only, never the result bytes. Perfect points
+    report the plain mean of the per-trial sum rates (equal to Y); the
+    others regress it on the interference-free sum rate Y,
     whose mean is :func:`~grassfeed.precoding.perfect_csi_sum_rate`, and,
     where its mean is exact, on the multi-user leakage
     (:func:`_leakage_mean`), which takes the fading and leakage variance
@@ -420,20 +439,24 @@ def run_experiment(spec, threads=None):
     for p_db in spec.snr_grid_db:
         bits = spec.policy.resolve_bits(p_db, spec.m, spec.n)
         plan.append((p_db, bits, spec.policy.mode if bits is None else _effective_mode(spec, bits)))
-    points = []
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    for point_idx, (p_db, bits, eff_mode) in enumerate(plan):
-        args = [(spec, point_idx, c, p_db, bits, eff_mode) for c in range(n_chunks)]
-        if threads > 1 and n_chunks > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda a: _chunk_sum_rates(*a), args))
-        else:
-            parts = [_chunk_sum_rates(*a) for a in args]
+    rows = np.empty((len(plan), spec.trials, 3))
+
+    def run_chunk(c):
+        _chunk_sum_rates(spec, plan, c, rows[:, c * CHUNK_TRIALS:(c + 1) * CHUNK_TRIALS])
+
+    if threads > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_chunk, range(n_chunks)))
+    else:
+        list(map(run_chunk, range(n_chunks)))
+    points = []
+    for (p_db, bits, eff_mode), rates in zip(plan, rows):
         p = 10.0 ** (p_db / 10.0)
         mean_free = None
         if eff_mode != "perfect":
             mean_free = _free_sum_rate_mean(spec.m, spec.n, p, spec.precoder)
-        mean, ci = _estimate(np.concatenate(parts), mean_free, _leakage_mean(spec, p, bits, eff_mode))
+        mean, ci = _estimate(rates, mean_free, _leakage_mean(spec, p, bits, eff_mode))
         points.append(RatePoint(p_db=float(p_db), sum_rate=mean, per_user_rate=mean / spec.k,
                                 ci99=ci, mode=eff_mode, bits_used=bits))
     return RateCurve(points=tuple(points))

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from grassfeed import cli
 from grassfeed.cli import (
     _parse_bits_table,
     _snr_grid,
@@ -315,6 +320,59 @@ class TestSelftestCommand:
     def test_partial_flags_exit_2(self, capsys):
         assert main(["emu-selftest", "--m", "4", "--samples", "100"]) == 2
         assert "together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n1,n2,ties", [(7, 5, False), (300, 1000, False), (2000, 2000, True)])
+    def test_ks_matches_scipy(self, n1, n2, ties):
+        """The statistic is scipy's, and the p-value is Kolmogorov's
+        limiting survival function at D sqrt(n1 n2 / (n1 + n2))."""
+        from scipy.stats import ks_2samp, kstwobign
+
+        rng = np.random.default_rng(n1)
+        a, b = rng.standard_normal(n1), 1.1 * rng.standard_normal(n2) + 0.05
+        if ties:
+            a, b = np.round(a, 1), np.round(b, 1)
+        d, p = cli._ks_2samp(a, b)
+        # the exact method rounds D onto its lattice, the asymptotic one does not
+        assert d == ks_2samp(a, b, method="asymp").statistic
+        assert d == pytest.approx(ks_2samp(a, b).statistic, rel=1e-12)
+        x = d * math.sqrt(n1 * n2 / (n1 + n2))
+        assert p == pytest.approx(kstwobign.sf(x), rel=1e-12, abs=1e-15)
+
+    def test_ks_extremes(self):
+        a = np.arange(50.0)
+        assert cli._ks_2samp(a, a) == (0.0, 1.0)
+        d, p = cli._ks_2samp(a, a + 100.0)
+        assert d == 1.0 and 0.0 <= p < 1e-20
+
+    def test_default_verdicts_match_scipy(self, monkeypatch, capsys):
+        """On the default trio, scipy's exact p-values give the same PASS
+        verdicts as the asymptotic ones."""
+        from scipy.stats import ks_2samp
+
+        real, seen = cli._ks_2samp, []
+
+        def spy(a, b):
+            d, p = real(a, b)
+            ref = ks_2samp(a, b)
+            seen.append((d == pytest.approx(ref.statistic, rel=1e-12), p >= 0.01, ref.pvalue >= 0.01))
+            return d, p
+
+        monkeypatch.setattr(cli, "_ks_2samp", spy)
+        assert main(["emu-selftest"]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 3
+        assert seen == [(True, True, True)] * 3
+
+    def test_runs_without_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys; sys.modules['scipy'] = None; from grassfeed.cli import main; "
+            "sys.exit(main(['emu-selftest', '--m', '4', '--n', '1', '--bits', '4', "
+            "'--samples', '500']))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("[PASS] M=4 N=1 B=4:")
 
     def test_deterministic_output(self, capsys):
         args = ["emu-selftest", "--m", "4", "--n", "1", "--bits", "10",

@@ -1,9 +1,9 @@
 """Golden CSV digests: the exact bytes ``write_curve_csv`` produces for one
 small spec per mode, plus ZF under emulation. Perfect points are plain
-means; the others are regression estimates on the interference-free rate
-and, where its mean is exact, the multi-user leakage. The exhaustive
-spec's 4-bit G(4, 2) budget fails the emulation guard, so its points
-regress on the interference-free rate alone.
+means of the interference-free rate; the others are regression estimates
+on it and, where its mean is exact, on the multi-user leakage. The
+exhaustive spec's 4-bit G(4, 2) budget fails the emulation guard, so its
+points regress on the interference-free rate alone.
 
 These pin determinism across processes and machines, not just within one
 run. A change to any digest changes what users get for a fixed seed; it
@@ -20,26 +20,26 @@ from grassfeed.simulator import ExperimentSpec, FeedbackPolicy, run_experiment, 
 GOLDEN = {
     "perfect": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="perfect")),
-        "c565d6771ab95d4f2171db3fb792d13a55e3d27dabe57cc211bd67019ac5c8b8",
+        "30034a44822e5cc636d7f0b7f04bf188dba9a712b2c41eed1cb030337c522f74",
     ),
     # 0 dB gets a 0-bit budget and falls back to the scan; 1100 trials span two chunks
     "emulated": (
         dict(m=4, n=2, trials=1100,
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "f98c8134bac1afcb203fc3863f6b1452a2077f200089a660099f027d1cd2af71",
+        "346a26129eee6f3d88c5b9f3fb751afe9a7e5b476c2c21492921c3b4cb92afc5",
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
-        "848213cc59aff29597655e1fa2ee7d5a3572370327be14176809f3d10c85165e",
+        "23b338702ce70f79a47f831117ff45a8e9078c3cf1497453403bb82476ca4a07",
     ),
     "analog": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="analog", beta=2.0)),
-        "0889ba2c79ae5b01e24ff387ea2cde29f81ecead74157544d6417dd481edb485",
+        "c398e2903f81e66e907312c8a38b62f93ba1544f06b7a4e9df0c09c46a05b759",
     ),
     "zf_emulated": (
         dict(m=6, n=2, precoder="zf",
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "447a7907ef92e2f689c1cf9f32a36cf25f22a5ce5160a818e1d764f329b40afc",
+        "1dbf98809404d7ac1078a5e130e7452135e3e236020d85f551ca43001faf3468",
     ),
 }
 

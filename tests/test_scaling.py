@@ -254,7 +254,7 @@ class TestAnalogComparison:
 
 
 def test_import_loads_no_scipy():
-    """The library itself runs on numpy alone; scipy is for emu-selftest.
+    """The library itself runs on numpy alone; scipy is for the tests.
     In the same fresh interpreter, ``from grassfeed import *`` binds exactly
     the names in ``grassfeed.__all__``."""
     src = str(Path(__file__).resolve().parents[1] / "src")

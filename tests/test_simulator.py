@@ -31,6 +31,11 @@ from grassfeed.simulator import (
 )
 
 
+def _one_point(spec, chunk_idx, p_db, bits, mode):
+    """(count, 3) per-trial [R, Y, L] of one chunk of a one-point plan."""
+    return simulator._chunk_sum_rates(spec, [(p_db, bits, mode)], chunk_idx)[0]
+
+
 def _spec(**kw):
     base = dict(
         m=4,
@@ -250,23 +255,21 @@ class TestSweepPlan:
         assert calls == []
 
     def test_plan_runs_as_decided(self, monkeypatch):
-        """The chunk loop runs each point with the planned budget and mode,
-        and each chunk with its own trial count."""
+        """The chunk loop runs every chunk once, with the whole plan of
+        planned budgets and modes and its own trial count."""
         real, calls = simulator._chunk_sum_rates, []
 
-        def spy(spec, point_idx, chunk_idx, p_db, bits, mode):
-            rates = real(spec, point_idx, chunk_idx, p_db, bits, mode)
-            calls.append((point_idx, chunk_idx, bits, mode, len(rates)))
+        def spy(spec, plan, chunk_idx, out=None):
+            rates = real(spec, plan, chunk_idx, out)
+            calls.append((chunk_idx, list(plan), rates.shape[:2]))
             return rates
 
         monkeypatch.setattr(simulator, "_chunk_sum_rates", spy)
         pol = FeedbackPolicy(mode="quantized_emulated", schedule="custom",
                              bits_table={0.0: 2, 10.0: 12})
         curve = run_experiment(_spec(policy=pol, snr_grid_db=(0.0, 10.0), trials=CHUNK_TRIALS + 3))
-        assert calls == [
-            (0, 0, 2, "quantized_exhaustive", CHUNK_TRIALS), (0, 1, 2, "quantized_exhaustive", 3),
-            (1, 0, 12, "quantized_emulated", CHUNK_TRIALS), (1, 1, 12, "quantized_emulated", 3),
-        ]
+        plan = [(0.0, 2, "quantized_exhaustive"), (10.0, 12, "quantized_emulated")]
+        assert calls == [(0, plan, (2, CHUNK_TRIALS)), (1, plan, (2, 3))]
         assert [(pt.bits_used, pt.mode) for pt in curve.points] == [
             (2, "quantized_exhaustive"), (12, "quantized_emulated"),
         ]
@@ -339,9 +342,9 @@ class TestAnyBitBudget:
         curve = run_experiment(spec)
         assert [pt.mode for pt in curve.points] == ["quantized_emulated"] * 2
         assert np.all(np.isfinite(curve.sum_rate))
-        for i, p_db in enumerate(grid):
-            got = simulator._chunk_sum_rates(spec, i, 0, p_db, bits, "quantized_emulated")[:, 0]
-            want = simulator._chunk_sum_rates(perfect, i, 0, p_db, None, "perfect")[:, 0]
+        for p_db in grid:
+            got = _one_point(spec, 0, p_db, bits, "quantized_emulated")[:, 0]
+            want = _one_point(perfect, 0, p_db, None, "perfect")[:, 0]
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zf_zero_bit_antenna_emulates(self, monkeypatch):
@@ -416,7 +419,7 @@ class TestPerfectModeOracle:
         spec = _spec(trials=200, snr_grid_db=(12.0,), seed=99)
         curve = run_experiment(spec)
 
-        gen = RngStream(99).child(0, 0).generator()
+        gen = RngStream(99).child(0).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(200, 2))
         p = 10.0 ** 1.2
         c = p / 4.0
@@ -465,6 +468,79 @@ class TestPerfectModeOracle:
         assert np.all(np.isfinite(rates))
         assert rates[1] - rates[0] == pytest.approx(m * 3 * math.log2(10), abs=3.0)
 
+    @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("zf", 8, 1)])
+    def test_rate_tracks_power_far_past_rounding(self, precoder, m, n):
+        """Perfect knowledge has no leakage at all, so the sum rate keeps
+        rising by M log2(10)/10 bps/Hz per dB where a rounding-level
+        leakage times P/M would have pinned it."""
+        curve = run_experiment(
+            _spec(m=m, n=n, precoder=precoder, snr_grid_db=(400.0, 2000.0), trials=64))
+        slope = (curve.sum_rate[1] - curve.sum_rate[0]) / 1600.0
+        assert slope == pytest.approx(m * math.log2(10) / 10, rel=1e-9)
+
+
+class TestChunkSharing:
+    """Each chunk draws its channels once for the whole sweep, and each
+    point's knowledge from a substream keyed by mode and bits, so a point
+    does not depend on the rest of its grid and points that know the same
+    share one quantization and one set of precoders."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(policy=FeedbackPolicy(mode="perfect")),
+        dict(policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
+        dict(policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
+        dict(policy=FeedbackPolicy(mode="analog", beta=2.0)),
+        dict(m=6, n=2, precoder="zf",
+             policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
+    ], ids=["perfect", "exhaustive", "emulated", "analog", "zf_emulated"])
+    def test_point_does_not_depend_on_its_grid(self, kw):
+        kw = dict(trials=CHUNK_TRIALS + 40, seed=11, **kw)
+        sweep = run_experiment(_spec(snr_grid_db=(0.0, 10.0, 20.0), **kw))
+        alone = run_experiment(_spec(snr_grid_db=(10.0,), **kw))
+        assert sweep.points[1] == alone.points[0]
+
+    def test_multi_point_bytes_do_not_depend_on_threads(self):
+        spec = _spec(m=6, n=2, snr_grid_db=(0.0, 10.0, 20.0), trials=3 * CHUNK_TRIALS + 100,
+                     policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db"))
+
+        def raw(curve):
+            return np.array([(pt.sum_rate, pt.ci99) for pt in curve.points]).tobytes()
+
+        want = raw(run_experiment(spec, threads=1))
+        for threads in (2, 4):
+            assert raw(run_experiment(spec, threads=threads)) == want
+
+    def test_fixed_budget_scans_once_per_chunk(self, monkeypatch):
+        real, calls = simulator.scan_fresh_codebooks, []
+
+        def spy(gen, hq, bits):
+            calls.append((len(hq), bits))
+            return real(gen, hq, bits)
+
+        monkeypatch.setattr(simulator, "scan_fresh_codebooks", spy)
+        pol = FeedbackPolicy(mode="quantized_exhaustive", bits=4)
+        run_experiment(_spec(policy=pol, snr_grid_db=(0.0, 10.0, 20.0), trials=CHUNK_TRIALS + 5))
+        assert calls == [(2 * CHUNK_TRIALS, 4), (2 * 5, 4)]
+
+    @pytest.mark.parametrize("policy,shared", [
+        (FeedbackPolicy(mode="quantized_emulated", schedule="custom",
+                        bits_table={0.0: 10, 10.0: 12, 20.0: 12}), [False, True]),
+        (FeedbackPolicy(mode="analog", beta=2.0), [False, False]),
+    ], ids=["bits", "analog"])
+    def test_only_equal_knowledge_shares_precoders(self, monkeypatch, policy, shared):
+        """A point reuses the precoders of the point before it only when it
+        has the same bits, and analog points at different P never do."""
+        real, seen = simulator.rates_batch, []
+
+        def spy(p, channels, precoders, scheme):
+            seen.append(precoders)
+            return real(p, channels, precoders, scheme)
+
+        monkeypatch.setattr(simulator, "rates_batch", spy)
+        run_experiment(_spec(policy=policy, snr_grid_db=(0.0, 10.0, 20.0), trials=50))
+        assert [b is a for a, b in zip(seen, seen[1:])] == shared
+        assert [np.array_equal(a, b) for a, b in zip(seen, seen[1:])] == shared
+
 
 class TestCommonRandomNumbers:
     def test_quantization_only_hurts(self):
@@ -487,8 +563,8 @@ class TestCommonRandomNumbers:
         little of the perfect-CSI rate on average."""
         perfect = _spec(trials=400)
         analog = _spec(trials=400, policy=FeedbackPolicy(mode="analog", beta=200.0))
-        want = simulator._chunk_sum_rates(perfect, 0, 0, 10.0, None, "perfect")[:, 0]
-        got = simulator._chunk_sum_rates(analog, 0, 0, 10.0, None, "analog")[:, 0]
+        want = _one_point(perfect, 0, 10.0, None, "perfect")[:, 0]
+        got = _one_point(analog, 0, 10.0, None, "analog")[:, 0]
         diff = float(np.mean(want - got))
         assert 0.0 < diff < 0.2
 
@@ -528,11 +604,11 @@ class TestRegressionEstimator:
         policy = FeedbackPolicy(mode=mode, **kw)
         spec = _spec(m=m, n=n, precoder=precoder, policy=policy, snr_grid_db=(0.0, 20.0),
                      trials=CHUNK_TRIALS, seed=seed)
-        for i, p_db in enumerate(spec.snr_grid_db):
+        for p_db in spec.snr_grid_db:
             bits = policy.resolve_bits(p_db, m, n)
             eff = mode if bits is None else _effective_mode(spec, bits)
             assert eff == mode
-            y = simulator._chunk_sum_rates(spec, i, 0, p_db, bits, eff)[:, 1]
+            y = _one_point(spec, 0, p_db, bits, eff)[:, 1]
             mu = perfect_csi_sum_rate(SystemConfig(m, n, 10.0 ** (p_db / 10.0)), precoder)
             z = (np.mean(y) - mu) / (np.std(y, ddof=1) / math.sqrt(len(y)))
             assert abs(z) <= 3.5, (p_db, z)
@@ -545,7 +621,7 @@ class TestRegressionEstimator:
         for seed in range(24):
             spec = _spec(policy=policy, snr_grid_db=(20.0,), trials=200, seed=300 + seed)
             pt = run_experiment(spec).points[0]
-            mean, ci = self._plain(simulator._chunk_sum_rates(spec, 0, 0, 20.0, 10, pt.mode))
+            mean, ci = self._plain(_one_point(spec, 0, 20.0, 10, pt.mode))
             est.append(pt.sum_rate)
             ci_est.append(pt.ci99)
             plain.append(mean)
@@ -559,7 +635,7 @@ class TestRegressionEstimator:
     def test_few_trials_take_the_plain_mean(self, trials):
         spec = _spec(policy=FeedbackPolicy(mode="quantized_emulated", bits=12), trials=trials)
         pt = run_experiment(spec).points[0]
-        rates = simulator._chunk_sum_rates(spec, 0, 0, 10.0, 12, pt.mode)
+        rates = _one_point(spec, 0, 10.0, 12, pt.mode)
         assert pt.sum_rate == float(np.mean(rates[:, 0]))
         if trials == 1:
             assert math.isinf(pt.ci99)
@@ -570,7 +646,7 @@ class TestRegressionEstimator:
         """At -300 dB every 1 + c g underflows to 1, so Y is 0 in every
         trial and has no variance to regress on."""
         spec = _spec(policy=FeedbackPolicy(mode="analog", beta=2.0), snr_grid_db=(-300.0,))
-        rates = simulator._chunk_sum_rates(spec, 0, 0, -300.0, None, "analog")
+        rates = _one_point(spec, 0, -300.0, None, "analog")
         assert np.all(rates[:, 1] == 0.0)
         pt = run_experiment(spec).points[0]
         assert (pt.sum_rate, pt.ci99) == self._plain(rates)
@@ -599,7 +675,7 @@ class TestRegressionEstimator:
         spec = _spec(trials=300)
         pt = run_experiment(spec).points[0]
         assert (pt.sum_rate, pt.ci99) == self._plain(
-            simulator._chunk_sum_rates(spec, 0, 0, 10.0, None, "perfect"))
+            _one_point(spec, 0, 10.0, None, "perfect"))
 
 
 class TestLeakageControl:
@@ -609,8 +685,8 @@ class TestLeakageControl:
     analog feedback."""
 
     @staticmethod
-    def _leak_z(spec, point_idx, p_db, bits, eff, scale=1.0):
-        leak = simulator._chunk_sum_rates(spec, point_idx, 0, p_db, bits, eff)[:, 2]
+    def _leak_z(spec, p_db, bits, eff, scale=1.0):
+        leak = _one_point(spec, 0, p_db, bits, eff)[:, 2]
         mu = scale * simulator._leakage_mean(spec, 10.0 ** (p_db / 10.0), bits, eff)
         return (np.mean(leak) - mu) / (np.std(leak, ddof=1) / math.sqrt(len(leak)))
 
@@ -623,11 +699,11 @@ class TestLeakageControl:
         policy = FeedbackPolicy(mode=mode, **kw)
         spec = _spec(m=m, n=n, precoder=precoder, policy=policy, snr_grid_db=(0.0, 20.0),
                      trials=CHUNK_TRIALS, seed=71)
-        for i, p_db in enumerate(spec.snr_grid_db):
+        for p_db in spec.snr_grid_db:
             bits = policy.resolve_bits(p_db, m, n)
             eff = mode if bits is None else _effective_mode(spec, bits)
             assert eff == mode
-            z = self._leak_z(spec, i, p_db, bits, eff)
+            z = self._leak_z(spec, p_db, bits, eff)
             assert abs(z) <= 3.5, (p_db, z)
 
     @pytest.mark.parametrize("precoder,m,n,bits", [
@@ -639,7 +715,7 @@ class TestLeakageControl:
         """Width-1 units at every budget, wider ones once the guard holds."""
         spec = _spec(m=m, n=n, precoder=precoder, trials=CHUNK_TRIALS, seed=72,
                      policy=FeedbackPolicy(mode="quantized_exhaustive", bits=bits))
-        z = self._leak_z(spec, 0, 10.0, bits, "quantized_exhaustive")
+        z = self._leak_z(spec, 10.0, bits, "quantized_exhaustive")
         assert abs(z) <= 3.5, z
 
     @pytest.mark.parametrize("m,n", [(6, 2), (8, 2)])
@@ -648,8 +724,8 @@ class TestLeakageControl:
         into all M - 1 beams orthogonal to its feedback."""
         spec = _spec(m=m, n=n, precoder="zf", trials=CHUNK_TRIALS, seed=73,
                      policy=FeedbackPolicy(mode="quantized_emulated", bits=24))
-        assert abs(self._leak_z(spec, 0, 10.0, 24, "quantized_emulated")) <= 3.5
-        assert abs(self._leak_z(spec, 0, 10.0, 24, "quantized_emulated", (m - 1) / (m - n))) > 10
+        assert abs(self._leak_z(spec, 10.0, 24, "quantized_emulated")) <= 3.5
+        assert abs(self._leak_z(spec, 10.0, 24, "quantized_emulated", (m - 1) / (m - n))) > 10
 
     @pytest.mark.parametrize("policy,bits", [
         (FeedbackPolicy(mode="quantized_exhaustive", bits=4), 4),
@@ -661,7 +737,7 @@ class TestLeakageControl:
         spec = _spec(policy=policy, trials=300)
         pt = run_experiment(spec).points[0]
         assert simulator._leakage_mean(spec, 10.0, bits, pt.mode) is None
-        rates = simulator._chunk_sum_rates(spec, 0, 0, 10.0, bits, pt.mode)
+        rates = _one_point(spec, 0, 10.0, bits, pt.mode)
         mu = None if pt.mode == "perfect" else perfect_csi_sum_rate(SystemConfig(4, 2, 10.0))
         assert (pt.sum_rate, pt.ci99) == simulator._estimate(rates[:, :2], mu)
 
@@ -700,7 +776,7 @@ class TestLeakageControl:
                      policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db"))
         pt = run_experiment(spec).points[0]
         rates = np.concatenate([
-            simulator._chunk_sum_rates(spec, 0, c, 30.0, pt.bits_used, pt.mode) for c in range(2)
+            _one_point(spec, c, 30.0, pt.bits_used, pt.mode) for c in range(2)
         ])
         _, ci_free = simulator._estimate(rates, perfect_csi_sum_rate(SystemConfig(8, 1, 1e3), "zf"))
         assert (ci_free / pt.ci99) ** 2 > 4.0
