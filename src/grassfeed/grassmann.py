@@ -506,13 +506,13 @@ def _scan_blocks(gen, m, n, bits, count, hq=None):
         else:
             frames = hq[lo:hi]
         if size == 1:
-            # a one-entry codebook is its own winner, with nothing to score.
-            # Drawn complex, it is orthonormalized as it is. Through planes
-            # it would be copied back to complex for the QR, with the
-            # workspace, 1.5 times the draw, held on top. The draw itself is
-            # freed once its Q factor is formed.
-            book = thin_qr_batch(gaussian_matrix(gen, m, n, batch=(hi - lo, 1)))[0]
-            _, d2, won = _scan_np(frames, book)
+            # a one-entry codebook is its own winner, drawn complex with
+            # nothing to score. d^2 is _scan_np's; conjugating the winners in
+            # place conjugates hq^H Q exactly, with no copy of the frames.
+            won = thin_qr_batch(gaussian_matrix(gen, m, n, batch=(hi - lo,)))[0]
+            np.conjugate(won, out=won)
+            d2 = n - np.sum(np.abs(np.einsum("tmn,tmp->tnp", frames, won)) ** 2, axis=(-2, -1))
+            np.conjugate(won, out=won)
         else:
             _draw_planes(gen, draw[: hi - lo], planes[: hi - lo])
             _, d2, won = quantize_planes(frames, planes[: hi - lo], draw.reshape(-1))

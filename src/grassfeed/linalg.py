@@ -175,7 +175,7 @@ def _gram_schmidt(a, total):
         if not np.all(d > floor):
             raise RankDeficient(f"column rank below the {RANK_FLOOR:g} relative floor")
         r[..., j, j] = d
-        q[..., j] = v / d[..., np.newaxis]
+        np.divide(v, d[..., np.newaxis], out=q[..., j])  # no stack-sized temporary
     return q, r
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import as_generator, gaussian_matrix
+from .ensembles import gaussian_matrix
 from .errors import DimensionError, ParameterError, RankDeficient, _check_real, _check_shape, _is_count
 from .linalg import gram_rows, logdet_hermitian_batch, orthonormalize, sumsq
 
@@ -188,17 +188,14 @@ def analog_feedback(rng, cfg, h_k, beta):
     snr = float(beta) * float(cfg.p)
     _check_real("beta P", snr, low=0)
     h_k = _shaped(h_k, (cfg.m, cfg.n), "channel")
-    received, estimate = analog_feedback_batch(as_generator(rng), h_k, snr)
+    received, estimate = analog_feedback_batch(gaussian_matrix(rng, cfg.m, cfg.n), h_k, snr)
     residual = math.sqrt(1.0 + snr) * (h_k - estimate)
     return AnalogObservation(beta=float(beta), received=received, estimate=estimate, residual=residual)
 
 
-def analog_feedback_batch(gen, h, snr):
-    """(received, MMSE estimate) of a (..., M, N) channel stack. Internal.
-
-    One unit-variance Gaussian noise draw shaped like h; snr = beta P.
-    """
-    noise = gaussian_matrix(gen, *h.shape[-2:], batch=h.shape[:-2])
+def analog_feedback_batch(noise, h, snr):
+    """(received, MMSE estimate) of a (..., M, N) channel stack h observed
+    through the unit-variance Gaussian ``noise``; snr = beta P. Internal."""
     received = math.sqrt(snr) * h + noise
     return received, math.sqrt(snr) / (1.0 + snr) * received
 

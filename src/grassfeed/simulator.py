@@ -15,7 +15,7 @@ user's channel:
   K M (M - N)/(M - w) sum_i E[min d^2(M, w, b_i)] over a user's feedback
   units of width w and budgets b_i (K M E[min d^2] under BD), and
   K N (M - N)/(1 + beta P) under analog feedback, whose MMSE error is
-  independent of the estimate (:func:`_leakage_mean`).
+  independent of the estimate (:func:`_plan`).
 
 Except in perfect mode, a point's sum rate is the regression estimate
 mean(R) - b_Y (mean(Y) - mu_Y) - b_L (mean(L) - mu_L), with (b_Y, b_L)
@@ -56,8 +56,10 @@ analog
 A quantized user feeds back one or more units: under BD its whole
 channel on G(M, N) with the user budget, under ZF each receive antenna's
 direction on G(M, 1) with the budget split evenly (remainder to the first
-antennas). :func:`run_experiment` resolves every point's budget and mode
-before it draws anything, so a point that cannot run raises at once.
+antennas). :func:`run_experiment` plans every point before it draws
+anything: its budget, mode, unit budgets, precoder-sharing key and
+control means. So a point that cannot run raises at once, and the chunk
+loop decides nothing.
 """
 
 import math
@@ -230,44 +232,32 @@ class RateCurve:
         return np.array([pt.sum_rate for pt in self.points])
 
 
-def _feedback_units(spec, bits):
-    """(width, budgets) of the frames a user quantizes under a B-bit budget.
+@dataclass(frozen=True)
+class _Point:
+    """One SNR point as :func:`_plan` fixes it before anything is drawn.
 
-    BD quantizes the whole (M, N) channel with B bits: (N, [B]). ZF is BD
-    in which every receive antenna is its own user, so each antenna's line
-    is quantized on G(M, 1) with B split evenly, remainder to the first
-    antennas: (1, [ceil(B/N), ..., floor(B/N)]).
+    mode is the mode that runs; bits is None and budgets is empty for modes
+    without bits. Points with equal ``key`` (mode, bits, beta P) share
+    precoders; ``substream`` keys the stream their knowledge is drawn
+    from. mean_free and mean_leak are the closed-form means of Y and L,
+    None where there is none that is exact.
     """
-    if spec.precoder == "zf":
-        base, rem = divmod(bits, spec.n)
-        return 1, [base + 1 if i < rem else base for i in range(spec.n)]
-    return spec.n, [bits]
+
+    p_db: float
+    p: float
+    bits: int
+    mode: str
+    budgets: tuple
+    key: tuple
+    substream: tuple
+    mean_free: float
+    mean_leak: float
 
 
-def _effective_mode(spec, bits):
-    """Resolve auto-fallback: returns the mode actually run at this point.
-
-    Only quantized modes reach here. The guard is checked on the smallest
-    unit budget and the codebook cap on the largest; the cap compares the
-    budget as an exponent first, so a huge B never forms 2^B.
-    """
-    width, budgets = _feedback_units(spec, bits)
-    emulated = spec.policy.mode == "quantized_emulated"
-    gc = GrassmannConstants(spec.m, width)
-    if emulated and emulation_valid(gc, min(budgets), spec.policy.guard_product):
-        return "quantized_emulated"
-    try:
-        _codebook_size(max(budgets), spec.m, width)
-    except MemoryGuard as exc:
-        if emulated:
-            raise FallbackRequired(f"guard fails at B={bits} and {exc}") from exc
-        raise
-    return "quantized_exhaustive"
-
-
-def _leakage_mean(spec, p, bits, eff_mode):
-    """Closed-form mean of a trial's summed leakage L at power p, or None
-    where it has none that is exact.
+def _plan(spec):
+    """Every point's :class:`_Point`. The policy's guard is checked on the
+    smallest unit budget and the codebook cap on the largest; the cap
+    compares the budget as an exponent first, so a huge B never forms 2^B.
 
     The part of a quantized unit's channel H_i (width w, budget b) that is
     orthogonal to its fed-back frame has mean squared norm M E[min d^2]
@@ -280,48 +270,67 @@ def _leakage_mean(spec, p, bits, eff_mode):
     estimate and independent of its error, whose entries have variance
     1/(1 + beta P): K N (M - N)/(1 + beta P).
     """
-    m, n, k = spec.m, spec.n, spec.k
-    if eff_mode == "perfect":
-        return None
-    if eff_mode == "analog":
-        return k * n * (m - n) / (1.0 + spec.policy.beta * p)
-    width, budgets = _feedback_units(spec, bits)
+    m, n, k, policy = spec.m, spec.n, spec.k, spec.policy
+    width = 1 if spec.precoder == "zf" else n
     gc = GrassmannConstants(m, width)
-    if width > 1 and not emulation_valid(gc, min(budgets), DEFAULT_GUARD_PRODUCT):
-        return None
-    return k * m * (m - n) / (m - width) * sum(_mean_min_d2(gc, b) for b in budgets)
+    plan = []
+    for p_db in spec.snr_grid_db:
+        p = 10.0 ** (p_db / 10.0)
+        bits = policy.resolve_bits(p_db, m, n)
+        mode, budgets, snr, mean_leak = policy.mode, (), None, None
+        if mode == "analog":
+            snr = policy.beta * p
+            mean_leak = k * n * (m - n) / (1.0 + snr)
+        elif bits is not None:
+            base, rem = divmod(bits, n // width)
+            budgets = tuple(base + 1 if i < rem else base for i in range(n // width))
+            emulated = mode == "quantized_emulated"
+            if not (emulated and emulation_valid(gc, min(budgets), policy.guard_product)):
+                try:
+                    _codebook_size(max(budgets), m, width)
+                except MemoryGuard as exc:
+                    if emulated:
+                        raise FallbackRequired(f"guard fails at B={bits} and {exc}") from exc
+                    raise
+                mode = "quantized_exhaustive"
+            if width == 1 or emulation_valid(gc, min(budgets), DEFAULT_GUARD_PRODUCT):
+                mean_leak = k * m * (m - n) / (m - width) * sum(_mean_min_d2(gc, b) for b in budgets)
+        mean_free = None if mode == "perfect" else _free_sum_rate_mean(m, n, p, spec.precoder)
+        substream = (_MODES.index(mode), 0 if bits is None else bits + 1)
+        plan.append(_Point(p_db, p, bits, mode, budgets, (mode, bits, snr), substream,
+                           mean_free, mean_leak))
+    return plan
 
 
-def _precoders(spec, stream, h, frames, bits, eff_mode, snr):
-    """Precoders built from one point's knowledge of a chunk's (T, K, M, N)
-    channels h, whose feedback units ``frames`` are orthonormal."""
-    if eff_mode == "perfect":
+def _precoders(spec, pt, stream, h, frames, noise):
+    """Precoders built from point pt's knowledge of a chunk's (T, K, M, N)
+    channels h, whose analog feedback noise is ``noise`` and whose
+    feedback units ``frames`` are orthonormal."""
+    if pt.mode == "perfect":
         knowledge = h
+    elif pt.mode == "analog":
+        knowledge = analog_feedback_batch(noise, h, pt.key[2])[1]  # key[2] is beta P
     else:
-        gen = stream.child(_MODES.index(eff_mode), 0 if bits is None else bits + 1).generator()
-        if eff_mode == "analog":
-            knowledge = analog_feedback_batch(gen, h, snr)[1]
-        else:
-            # an emulated budget has already passed the guard
-            emulated = eff_mode == "quantized_emulated"
-            units = [emulate_batch(gen, f, b, guard_product=spec.policy.guard_product)[0]
-                     if emulated else scan_fresh_codebooks(gen, f, b)[1]
-                     for f, b in zip(frames, _feedback_units(spec, bits)[1])]
-            # one unit's result is the knowledge itself; only several are joined
-            know = units[0] if len(units) == 1 else np.concatenate(units, axis=-1)
-            knowledge = know.reshape(h.shape)
+        gen = stream.child(*pt.substream).generator()
+        # an emulated budget has already passed the guard
+        units = [emulate_batch(gen, f, b, guard_product=spec.policy.guard_product)[0]
+                 if pt.mode == "quantized_emulated" else scan_fresh_codebooks(gen, f, b)[1]
+                 for f, b in zip(frames, pt.budgets)]
+        # one unit's result is the knowledge itself; only several are joined
+        know = units[0] if len(units) == 1 else np.concatenate(units, axis=-1)
+        knowledge = know.reshape(h.shape)
     return (zf_precoders_batch if spec.precoder == "zf" else bd_precoders_batch)(knowledge)
 
 
 def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
     """(points, count, 3) per-trial [sum rate R, interference-free sum
-    rate Y, leakage L] of every planned (p_db, bits, mode) point in one
-    chunk, written into ``out`` when it is given.
+    rate Y, leakage L] of every planned :class:`_Point` in one chunk,
+    written into ``out`` when it is given.
 
     The channels are the chunk stream's only draw; a point's knowledge
-    comes from its substream (mode, 0 if bits is None else bits + 1).
-    Feedback units are orthonormalized once per chunk, and a run of points
-    with equal knowledge (mode and bits, or beta P) shares its precoders.
+    comes from its substream. Feedback units are orthonormalized and the
+    analog noise is drawn once per chunk, and a run of points with equal
+    keys shares its precoders.
     """
     m, n, k = spec.m, spec.n, spec.k
     count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
@@ -329,19 +338,20 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
         out = np.empty((len(plan), count, 3))
     stream = RngStream(spec.seed).child(chunk_idx)
     h = gaussian_matrix(stream.generator(), m, n, batch=(count, k))
-    frames = key = None
-    if spec.policy.mode.startswith("quantized"):
+    frames = noise = key = None
+    if spec.policy.mode == "analog":
+        # every analog point's noise, the same at any beta P
+        noise = gaussian_matrix(stream.child(*plan[0].substream).generator(), m, n, batch=(count, k))
+    elif spec.policy.mode.startswith("quantized"):
         # (units, T K, M, w): every user's feedback units, the same at any budget
-        width = _feedback_units(spec, 0)[0]
-        frames = orthonormalize(h.reshape(count * k, m, n // width, width).transpose(2, 0, 1, 3))
-    for row, (p_db, bits, eff_mode) in zip(out, plan):
-        p = 10.0 ** (p_db / 10.0)
-        snr = spec.policy.beta * p if eff_mode == "analog" else None
-        if key != (eff_mode, bits, snr):
-            key, v = (eff_mode, bits, snr), None  # the last precoders go before the next
-            v = _precoders(spec, stream, h, frames, bits, eff_mode, snr)
-        rates, free, leak = rates_batch(p, h, v, spec.precoder)
-        np.sum(free if eff_mode == "perfect" else rates, axis=1, out=row[:, 0])
+        units = len(plan[0].budgets)
+        frames = orthonormalize(h.reshape(count * k, m, units, n // units).transpose(2, 0, 1, 3))
+    for row, pt in zip(out, plan):
+        if key != pt.key:
+            key, v = pt.key, None  # the last precoders go before the next
+            v = _precoders(spec, pt, stream, h, frames, noise)
+        rates, free, leak = rates_batch(pt.p, h, v, spec.precoder)
+        np.sum(free if pt.mode == "perfect" else rates, axis=1, out=row[:, 0])
         np.sum(free, axis=1, out=row[:, 1])
         np.sum(leak, axis=1, out=row[:, 2])
     return out
@@ -426,19 +436,12 @@ def run_experiment(spec, threads=None):
     unset). Threads take whole chunks of every point; their count changes
     the execution schedule only, never the result bytes. Perfect points
     report the plain mean of the per-trial sum rates (equal to Y); the
-    others regress it on the interference-free sum rate Y,
-    whose mean is :func:`~grassfeed.precoding.perfect_csi_sum_rate`, and,
-    where its mean is exact, on the multi-user leakage
-    (:func:`_leakage_mean`), which takes the fading and leakage variance
-    out of sum_rate and ci99 (see :func:`_estimate`).
+    others regress it on the controls whose means :func:`_plan` fixes,
+    which takes the fading and leakage variance out of sum_rate and ci99
+    (see :func:`_estimate`).
     """
     threads = _worker_count(threads)
-    # every point's budget and mode, decided before anything is drawn, so a
-    # point that cannot run fails before the sweep starts
-    plan = []
-    for p_db in spec.snr_grid_db:
-        bits = spec.policy.resolve_bits(p_db, spec.m, spec.n)
-        plan.append((p_db, bits, spec.policy.mode if bits is None else _effective_mode(spec, bits)))
+    plan = _plan(spec)
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     rows = np.empty((len(plan), spec.trials, 3))
 
@@ -451,14 +454,10 @@ def run_experiment(spec, threads=None):
     else:
         list(map(run_chunk, range(n_chunks)))
     points = []
-    for (p_db, bits, eff_mode), rates in zip(plan, rows):
-        p = 10.0 ** (p_db / 10.0)
-        mean_free = None
-        if eff_mode != "perfect":
-            mean_free = _free_sum_rate_mean(spec.m, spec.n, p, spec.precoder)
-        mean, ci = _estimate(rates, mean_free, _leakage_mean(spec, p, bits, eff_mode))
-        points.append(RatePoint(p_db=float(p_db), sum_rate=mean, per_user_rate=mean / spec.k,
-                                ci99=ci, mode=eff_mode, bits_used=bits))
+    for pt, rates in zip(plan, rows):
+        mean, ci = _estimate(rates, pt.mean_free, pt.mean_leak)
+        points.append(RatePoint(p_db=pt.p_db, sum_rate=mean, per_user_rate=mean / spec.k,
+                                ci99=ci, mode=pt.mode, bits_used=pt.bits))
     return RateCurve(points=tuple(points))
 
 

@@ -5,6 +5,7 @@ holds at least one malformed call for every public callable. Also the
 export contract: the package exports exactly its modules' ``__all__``
 lists, and every name the benchmark in ``perfbench/`` binds exists."""
 
+import dataclasses
 import importlib
 import tracemalloc
 import warnings
@@ -285,6 +286,17 @@ def test_benchmark_bindings_exist(monkeypatch):
         name for owner, attr, name in tracer.LAYER_FUNCTIONS if attr not in vars(owner)
     ]
     assert missing == []
+    # what the harness, the workloads and the reference builder call
+    used = [
+        (simulator, "CHUNK_TRIALS"), (simulator, "run_experiment"),
+        (simulator, "write_curve_csv"), (simulator, "ExperimentSpec"),
+        (simulator, "FeedbackPolicy"), (ensembles, "RngStream"), (ensembles, "gaussian_matrix"),
+        (grassfeed, "ExperimentSpec"), (grassfeed, "FeedbackPolicy"), (grassfeed, "run_experiment"),
+    ]
+    assert [name for owner, name in used if name not in vars(owner)] == []
+    # the point fields the harness's correctness gate reads
+    fields = {f.name for f in dataclasses.fields(simulator.RatePoint)}
+    assert {"p_db", "sum_rate", "per_user_rate", "ci99", "mode", "bits_used"} <= fields
     assert grassfeed.BACKEND == "python"
     assert callable(_backend.quantize_gaussians)
     # the same object, so wrapping it by identity wraps every engine call

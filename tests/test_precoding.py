@@ -348,7 +348,7 @@ class TestAnalogFeedback:
         h = gaussian_matrix(RngStream(47).child(5).generator(), 4, 2, batch=(3, 2))
         for item in (h, h[1, 0]):
             noise = gaussian_matrix(RngStream(47).child(6).generator(), 4, 2, batch=item.shape[:-2])
-            received, estimate = analog_feedback_batch(RngStream(47).child(6).generator(), item, snr)
+            received, estimate = analog_feedback_batch(noise, item, snr)
             np.testing.assert_array_equal(received, math.sqrt(snr) * item + noise)
             np.testing.assert_array_equal(
                 estimate, math.sqrt(snr) / (1.0 + snr) * (math.sqrt(snr) * item + noise)

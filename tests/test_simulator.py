@@ -11,7 +11,7 @@ from grassfeed.errors import (
     NoOverlap,
     ParameterError,
 )
-from grassfeed import simulator
+from grassfeed import precoding, simulator
 from grassfeed.grassmann import GrassmannConstants
 from grassfeed.precoding import SystemConfig, perfect_csi_sum_rate
 from grassfeed.quant_emulator import sample_min_d2
@@ -22,8 +22,6 @@ from grassfeed.simulator import (
     GapEstimate,
     RateCurve,
     RatePoint,
-    _effective_mode,
-    _feedback_units,
     estimate_snr_gap,
     read_curve_csv,
     run_experiment,
@@ -31,9 +29,15 @@ from grassfeed.simulator import (
 )
 
 
-def _one_point(spec, chunk_idx, p_db, bits, mode):
+def _point(spec, p_db=10.0):
+    """The planned record of spec's point at p_db."""
+    (pt,) = [pt for pt in simulator._plan(spec) if pt.p_db == p_db]
+    return pt
+
+
+def _one_point(spec, chunk_idx, pt):
     """(count, 3) per-trial [R, Y, L] of one chunk of a one-point plan."""
-    return simulator._chunk_sum_rates(spec, [(p_db, bits, mode)], chunk_idx)[0]
+    return simulator._chunk_sum_rates(spec, [pt], chunk_idx)[0]
 
 
 def _spec(**kw):
@@ -150,16 +154,16 @@ class TestEffectiveMode:
     def test_emulated_guard_fallback(self):
         # 2^6 * 0.5 = 32 < 40 but the codebook fits: silently run exhaustive
         pol = FeedbackPolicy(mode="quantized_emulated", bits=6)
-        assert _effective_mode(_spec(policy=pol), 6) == "quantized_exhaustive"
+        assert _point(_spec(policy=pol)).mode == "quantized_exhaustive"
 
     def test_emulated_guard_pass(self):
         pol = FeedbackPolicy(mode="quantized_emulated", bits=11)
-        assert _effective_mode(_spec(policy=pol), 11) == "quantized_emulated"
+        assert _point(_spec(policy=pol)).mode == "quantized_emulated"
 
     def test_exhaustive_over_cap(self):
         pol = FeedbackPolicy(mode="quantized_exhaustive", bits=25)
         with pytest.raises(MemoryGuard):
-            _effective_mode(_spec(policy=pol), 25)
+            simulator._plan(_spec(policy=pol))
 
     @pytest.mark.parametrize("precoder", ["bd", "zf"])
     @pytest.mark.parametrize("schedule", ["fixed", "custom"])
@@ -179,14 +183,14 @@ class TestEffectiveMode:
         # B = 40 over 2 antennas: 2^20 entries each, under the cap
         pol = FeedbackPolicy(mode="quantized_exhaustive", bits=40)
         spec = _spec(policy=pol, precoder="zf")
-        assert _effective_mode(spec, 40) == "quantized_exhaustive"
+        assert _point(spec).mode == "quantized_exhaustive"
 
     def test_no_route(self):
         pol = FeedbackPolicy(
             mode="quantized_emulated", bits=60, guard_product=2.0 ** 70
         )
         with pytest.raises(FallbackRequired):
-            _effective_mode(_spec(policy=pol), 60)
+            simulator._plan(_spec(policy=pol))
 
     @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("bd", 8, 2), ("zf", 6, 2)])
     @pytest.mark.parametrize("guard", [0.5, 1.0, 15.0, 40.0])
@@ -196,7 +200,7 @@ class TestEffectiveMode:
         gc = GrassmannConstants(m, 1 if precoder == "zf" else n)
         for bits in range(0, 17):
             pol = FeedbackPolicy(mode="quantized_emulated", bits=bits, guard_product=guard)
-            mode = _effective_mode(_spec(m=m, n=n, precoder=precoder, policy=pol), bits)
+            mode = _point(_spec(m=m, n=n, precoder=precoder, policy=pol)).mode
             low = bits // n if precoder == "zf" else bits
             try:
                 sample_min_d2(RngStream(1), gc, low, guard_product=guard)
@@ -207,7 +211,8 @@ class TestEffectiveMode:
 
     def test_antenna_budget_split(self):
         def budgets(bits, n):
-            return _feedback_units(_spec(m=2 * n * 2, n=n, precoder="zf"), bits)[1]
+            pol = FeedbackPolicy(mode="quantized_emulated", bits=bits)
+            return list(_point(_spec(m=2 * n * 2, n=n, precoder="zf", policy=pol)).budgets)
         assert budgets(13, 2) == [7, 6]
         assert budgets(8, 2) == [4, 4]
         assert budgets(7, 3) == [3, 2, 2]
@@ -217,9 +222,10 @@ class TestEffectiveMode:
     def test_feedback_units(self, precoder, n):
         """BD quantizes one (M, N) frame with the whole budget; ZF one line
         per antenna, the budget split with the remainder to the first."""
-        spec = _spec(m=3 * n, n=n, precoder=precoder)
         for bits in (0, 1, 5, 13, 10 ** 18):
-            width, budgets = _feedback_units(spec, bits)
+            pol = FeedbackPolicy(mode="quantized_emulated", bits=bits)
+            budgets = list(_point(_spec(m=3 * n, n=n, precoder=precoder, policy=pol)).budgets)
+            width = n // len(budgets)
             if precoder == "bd":
                 assert (width, budgets) == (n, [bits])
             else:
@@ -261,7 +267,7 @@ class TestSweepPlan:
 
         def spy(spec, plan, chunk_idx, out=None):
             rates = real(spec, plan, chunk_idx, out)
-            calls.append((chunk_idx, list(plan), rates.shape[:2]))
+            calls.append((chunk_idx, [(pt.p_db, pt.bits, pt.mode) for pt in plan], rates.shape[:2]))
             return rates
 
         monkeypatch.setattr(simulator, "_chunk_sum_rates", spy)
@@ -272,6 +278,48 @@ class TestSweepPlan:
         assert calls == [(0, plan, (2, CHUNK_TRIALS)), (1, plan, (2, 3))]
         assert [(pt.bits_used, pt.mode) for pt in curve.points] == [
             (2, "quantized_exhaustive"), (12, "quantized_emulated"),
+        ]
+
+    def test_closed_forms_once_per_sweep(self, monkeypatch):
+        """The guard and both control means are evaluated while planning,
+        never in the chunk loop: three chunks make as many calls as one."""
+        counts = {}
+        for name in ("emulation_valid", "_mean_min_d2", "_free_sum_rate_mean"):
+            def spy(*args, _real=getattr(simulator, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(simulator, name, spy)
+        pol = FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")
+        seen = []
+        for trials in (CHUNK_TRIALS, 2 * CHUNK_TRIALS + 7):
+            counts.clear()
+            run_experiment(_spec(m=6, n=2, policy=pol, snr_grid_db=(0.0, 10.0, 20.0),
+                                 trials=trials))
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert sorted(seen[0]) == ["_free_sum_rate_mean", "_mean_min_d2", "emulation_valid"]
+
+    @pytest.mark.parametrize("precoder,policy", [
+        ("bd", FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
+        ("zf", FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
+        ("bd", FeedbackPolicy(mode="analog", beta=2.0)),
+        ("bd", FeedbackPolicy(mode="perfect")),
+    ], ids=["bd_emulated", "zf_emulated", "analog", "perfect"])
+    def test_points_report_their_record(self, monkeypatch, precoder, policy):
+        """Each point's reported mode and budget are those of the record
+        the chunk loop ran."""
+        real, plans = simulator._chunk_sum_rates, []
+
+        def spy(spec, plan, chunk_idx, out=None):
+            plans.append(plan)
+            return real(spec, plan, chunk_idx, out)
+
+        monkeypatch.setattr(simulator, "_chunk_sum_rates", spy)
+        curve = run_experiment(_spec(m=6, n=2, precoder=precoder, policy=policy,
+                                     snr_grid_db=(0.0, 10.0, 20.0), trials=20))
+        (plan,) = plans
+        assert [(pt.mode, pt.bits_used) for pt in curve.points] == [
+            (rec.mode, rec.bits) for rec in plan
         ]
 
 
@@ -343,8 +391,8 @@ class TestAnyBitBudget:
         assert [pt.mode for pt in curve.points] == ["quantized_emulated"] * 2
         assert np.all(np.isfinite(curve.sum_rate))
         for p_db in grid:
-            got = _one_point(spec, 0, p_db, bits, "quantized_emulated")[:, 0]
-            want = _one_point(perfect, 0, p_db, None, "perfect")[:, 0]
+            got = _one_point(spec, 0, _point(spec, p_db))[:, 0]
+            want = _one_point(perfect, 0, _point(perfect, p_db))[:, 0]
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zf_zero_bit_antenna_emulates(self, monkeypatch):
@@ -522,6 +570,19 @@ class TestChunkSharing:
         run_experiment(_spec(policy=pol, snr_grid_db=(0.0, 10.0, 20.0), trials=CHUNK_TRIALS + 5))
         assert calls == [(2 * CHUNK_TRIALS, 4), (2 * 5, 4)]
 
+    def test_analog_noise_drawn_once_per_chunk(self, monkeypatch):
+        """An analog sweep draws a chunk's channels and its noise once each,
+        whatever the number of points."""
+        calls = []
+        for module in (simulator, precoding):
+            def spy(*args, _real=module.gaussian_matrix, **kw):
+                calls.append(kw.get("batch"))
+                return _real(*args, **kw)
+            monkeypatch.setattr(module, "gaussian_matrix", spy)
+        pol = FeedbackPolicy(mode="analog", beta=2.0)
+        run_experiment(_spec(policy=pol, snr_grid_db=(0.0, 10.0, 20.0), trials=CHUNK_TRIALS + 5))
+        assert calls == [(CHUNK_TRIALS, 2)] * 2 + [(5, 2)] * 2
+
     @pytest.mark.parametrize("policy,shared", [
         (FeedbackPolicy(mode="quantized_emulated", schedule="custom",
                         bits_table={0.0: 10, 10.0: 12, 20.0: 12}), [False, True]),
@@ -563,8 +624,8 @@ class TestCommonRandomNumbers:
         little of the perfect-CSI rate on average."""
         perfect = _spec(trials=400)
         analog = _spec(trials=400, policy=FeedbackPolicy(mode="analog", beta=200.0))
-        want = _one_point(perfect, 0, 10.0, None, "perfect")[:, 0]
-        got = _one_point(analog, 0, 10.0, None, "analog")[:, 0]
+        want = _one_point(perfect, 0, _point(perfect))[:, 0]
+        got = _one_point(analog, 0, _point(analog))[:, 0]
         diff = float(np.mean(want - got))
         assert 0.0 < diff < 0.2
 
@@ -604,14 +665,12 @@ class TestRegressionEstimator:
         policy = FeedbackPolicy(mode=mode, **kw)
         spec = _spec(m=m, n=n, precoder=precoder, policy=policy, snr_grid_db=(0.0, 20.0),
                      trials=CHUNK_TRIALS, seed=seed)
-        for p_db in spec.snr_grid_db:
-            bits = policy.resolve_bits(p_db, m, n)
-            eff = mode if bits is None else _effective_mode(spec, bits)
-            assert eff == mode
-            y = _one_point(spec, 0, p_db, bits, eff)[:, 1]
-            mu = perfect_csi_sum_rate(SystemConfig(m, n, 10.0 ** (p_db / 10.0)), precoder)
+        for pt in simulator._plan(spec):
+            assert pt.mode == mode
+            y = _one_point(spec, 0, pt)[:, 1]
+            mu = perfect_csi_sum_rate(SystemConfig(m, n, 10.0 ** (pt.p_db / 10.0)), precoder)
             z = (np.mean(y) - mu) / (np.std(y, ddof=1) / math.sqrt(len(y)))
-            assert abs(z) <= 3.5, (p_db, z)
+            assert abs(z) <= 3.5, (pt.p_db, z)
 
     def test_unbiased_over_seeds(self):
         """Over 24 independent seeds the regression estimates and the plain
@@ -621,7 +680,7 @@ class TestRegressionEstimator:
         for seed in range(24):
             spec = _spec(policy=policy, snr_grid_db=(20.0,), trials=200, seed=300 + seed)
             pt = run_experiment(spec).points[0]
-            mean, ci = self._plain(_one_point(spec, 0, 20.0, 10, pt.mode))
+            mean, ci = self._plain(_one_point(spec, 0, _point(spec, 20.0)))
             est.append(pt.sum_rate)
             ci_est.append(pt.ci99)
             plain.append(mean)
@@ -635,7 +694,7 @@ class TestRegressionEstimator:
     def test_few_trials_take_the_plain_mean(self, trials):
         spec = _spec(policy=FeedbackPolicy(mode="quantized_emulated", bits=12), trials=trials)
         pt = run_experiment(spec).points[0]
-        rates = _one_point(spec, 0, 10.0, 12, pt.mode)
+        rates = _one_point(spec, 0, _point(spec))
         assert pt.sum_rate == float(np.mean(rates[:, 0]))
         if trials == 1:
             assert math.isinf(pt.ci99)
@@ -646,7 +705,7 @@ class TestRegressionEstimator:
         """At -300 dB every 1 + c g underflows to 1, so Y is 0 in every
         trial and has no variance to regress on."""
         spec = _spec(policy=FeedbackPolicy(mode="analog", beta=2.0), snr_grid_db=(-300.0,))
-        rates = _one_point(spec, 0, -300.0, None, "analog")
+        rates = _one_point(spec, 0, _point(spec, -300.0))
         assert np.all(rates[:, 1] == 0.0)
         pt = run_experiment(spec).points[0]
         assert (pt.sum_rate, pt.ci99) == self._plain(rates)
@@ -675,7 +734,7 @@ class TestRegressionEstimator:
         spec = _spec(trials=300)
         pt = run_experiment(spec).points[0]
         assert (pt.sum_rate, pt.ci99) == self._plain(
-            _one_point(spec, 0, 10.0, None, "perfect"))
+            _one_point(spec, 0, _point(spec)))
 
 
 class TestLeakageControl:
@@ -685,9 +744,9 @@ class TestLeakageControl:
     analog feedback."""
 
     @staticmethod
-    def _leak_z(spec, p_db, bits, eff, scale=1.0):
-        leak = _one_point(spec, 0, p_db, bits, eff)[:, 2]
-        mu = scale * simulator._leakage_mean(spec, 10.0 ** (p_db / 10.0), bits, eff)
+    def _leak_z(spec, pt, scale=1.0):
+        leak = _one_point(spec, 0, pt)[:, 2]
+        mu = scale * pt.mean_leak
         return (np.mean(leak) - mu) / (np.std(leak, ddof=1) / math.sqrt(len(leak)))
 
     @pytest.mark.parametrize("precoder,m,n", [
@@ -699,12 +758,10 @@ class TestLeakageControl:
         policy = FeedbackPolicy(mode=mode, **kw)
         spec = _spec(m=m, n=n, precoder=precoder, policy=policy, snr_grid_db=(0.0, 20.0),
                      trials=CHUNK_TRIALS, seed=71)
-        for p_db in spec.snr_grid_db:
-            bits = policy.resolve_bits(p_db, m, n)
-            eff = mode if bits is None else _effective_mode(spec, bits)
-            assert eff == mode
-            z = self._leak_z(spec, p_db, bits, eff)
-            assert abs(z) <= 3.5, (p_db, z)
+        for pt in simulator._plan(spec):
+            assert pt.mode == mode
+            z = self._leak_z(spec, pt)
+            assert abs(z) <= 3.5, (pt.p_db, z)
 
     @pytest.mark.parametrize("precoder,m,n,bits", [
         ("zf", 8, 1, 0), ("zf", 8, 1, 1), ("zf", 8, 1, 2),
@@ -715,7 +772,9 @@ class TestLeakageControl:
         """Width-1 units at every budget, wider ones once the guard holds."""
         spec = _spec(m=m, n=n, precoder=precoder, trials=CHUNK_TRIALS, seed=72,
                      policy=FeedbackPolicy(mode="quantized_exhaustive", bits=bits))
-        z = self._leak_z(spec, 10.0, bits, "quantized_exhaustive")
+        pt = _point(spec)
+        assert pt.mode == "quantized_exhaustive"
+        z = self._leak_z(spec, pt)
         assert abs(z) <= 3.5, z
 
     @pytest.mark.parametrize("m,n", [(6, 2), (8, 2)])
@@ -724,8 +783,10 @@ class TestLeakageControl:
         into all M - 1 beams orthogonal to its feedback."""
         spec = _spec(m=m, n=n, precoder="zf", trials=CHUNK_TRIALS, seed=73,
                      policy=FeedbackPolicy(mode="quantized_emulated", bits=24))
-        assert abs(self._leak_z(spec, 10.0, 24, "quantized_emulated")) <= 3.5
-        assert abs(self._leak_z(spec, 10.0, 24, "quantized_emulated", (m - 1) / (m - n))) > 10
+        pt = _point(spec)
+        assert pt.mode == "quantized_emulated"
+        assert abs(self._leak_z(spec, pt)) <= 3.5
+        assert abs(self._leak_z(spec, pt, (m - 1) / (m - n))) > 10
 
     @pytest.mark.parametrize("policy,bits", [
         (FeedbackPolicy(mode="quantized_exhaustive", bits=4), 4),
@@ -736,8 +797,10 @@ class TestLeakageControl:
     def test_without_exact_mean_regress_on_y_alone(self, policy, bits):
         spec = _spec(policy=policy, trials=300)
         pt = run_experiment(spec).points[0]
-        assert simulator._leakage_mean(spec, 10.0, bits, pt.mode) is None
-        rates = _one_point(spec, 0, 10.0, bits, pt.mode)
+        planned = _point(spec)
+        assert (planned.bits, planned.mode) == (bits, pt.mode)
+        assert planned.mean_leak is None
+        rates = _one_point(spec, 0, planned)
         mu = None if pt.mode == "perfect" else perfect_csi_sum_rate(SystemConfig(4, 2, 10.0))
         assert (pt.sum_rate, pt.ci99) == simulator._estimate(rates[:, :2], mu)
 
@@ -776,7 +839,7 @@ class TestLeakageControl:
                      policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db"))
         pt = run_experiment(spec).points[0]
         rates = np.concatenate([
-            _one_point(spec, c, 30.0, pt.bits_used, pt.mode) for c in range(2)
+            _one_point(spec, c, _point(spec, 30.0)) for c in range(2)
         ])
         _, ci_free = simulator._estimate(rates, perfect_csi_sum_rate(SystemConfig(8, 1, 1e3), "zf"))
         assert (ci_free / pt.ci99) ** 2 > 4.0
