@@ -28,8 +28,8 @@ schedule              fixed | scaled_3db | custom (quantized modes only)
 B                     bits per user per coherence block (fixed schedule)
 bits_table            comma list of p_db:bits pairs (custom schedule)
 beta                  feedback channel uses per coefficient (analog mode)
-trials                Monte Carlo trials per SNR point
-seed                  RNG seed; the --seed flag overrides it
+trials                Monte Carlo trials per point; perfect mode runs none
+seed                  RNG seed (--seed overrides); perfect mode draws none
 precoder              bd | zf (default bd)
 guard_product         emulation validity threshold (default 40)
 ====================  =====================================================

@@ -265,7 +265,7 @@ def _telatar(n, c):
     recurrence d_j = (1 - x d_{j-1}) / j, from x = 1 up by Legendre's
     continued fraction. The B_j alternate, so rounding grows with N:
     against 50-digit quadrature it is within 2e-14 relative for N <= 4
-    and 4e-12 at N = 8, from -60 to 3000 dB. Below c = 1e-20 the
+    and 4e-12 at N = 8, from -60 to 3082.5 dB. Below c = 1e-20 the
     first-order term N^2 c is exact to double precision.
     """
     if c < 1e-20:

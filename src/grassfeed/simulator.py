@@ -17,20 +17,20 @@ user's channel:
   K N (M - N)/(1 + beta P) under analog feedback, whose MMSE error is
   independent of the estimate (:func:`_plan`).
 
-Except in perfect mode, a point's sum rate is the regression estimate
-mean(R) - b_Y (mean(Y) - mu_Y) - b_L (mean(L) - mu_L), with (b_Y, b_L)
-the least-squares fit of R on (Y, L), and its ci99 the half-width of the
-residual R - b_Y Y - b_L L. Where mu_L is not exact (a quantized unit of
-width 2 or more whose budget fails the default emulation guard), R is
-regressed on Y alone. The fading and the leakage that move R drop out, so
-the half-width is several times narrower than the plain mean's at the
-same trial count; the estimate stays unbiased, and nothing extra is drawn.
+A perfect point is mu_Y, with ci99 = 0. Any other point's sum rate is the
+regression estimate mean(R) - b_Y (mean(Y) - mu_Y) - b_L (mean(L) - mu_L),
+with (b_Y, b_L) the least-squares fit of R on (Y, L), and its ci99 the
+half-width of the residual R - b_Y Y - b_L L. Where mu_L is not exact (a
+quantized unit of width 2 or more whose budget fails the default emulation
+guard), R is regressed on Y alone. The fading and the leakage that move R
+drop out, so the half-width is several times narrower than the plain
+mean's at the same trial count; the estimate stays unbiased.
 
 Determinism contract: trials run in fixed-size chunks. A chunk's channels
 are the only draw of its stream (seed, chunk index) and serve every SNR
 point. A point's knowledge comes from a substream keyed by what it
 depends on besides P: the effective mode and bit budget of a quantized
-point, the mode of the analog noise; perfect points draw nothing. So
+point, the mode of the analog noise; a perfect sweep draws nothing. So
 points with equal mode and budget quantize once per chunk, and a point's
 result does not depend on the rest of its grid. The reduction runs over
 the per-trial array in trial order, so results are byte-identical across
@@ -40,9 +40,9 @@ same channels whatever their policies (paired comparisons come free).
 Modes
 -----
 perfect
-    Precoders built from the true channels. They null the other users'
-    streams exactly, so a trial's sum rate is its interference-free sum
-    rate Y, at any power.
+    Precoders that know the true channels null the other users' streams
+    exactly, so the sum rate is Y at any power. The point reports its
+    closed-form mean mu_Y with ci99 = 0, and no trial runs.
 quantized_emulated
     Each user's channel direction is replaced by an emulated codebook
     quantization (O(1) per trial in B). Points whose bit budget fails the
@@ -239,8 +239,8 @@ class _Point:
     mode is the mode that runs; bits is None and budgets is empty for modes
     without bits. Points with equal ``key`` (mode, bits, beta P) share
     precoders; ``substream`` keys the stream their knowledge is drawn
-    from. mean_free and mean_leak are the closed-form means of Y and L,
-    None where there is none that is exact.
+    from. mean_free and mean_leak are the closed-form means of Y and L;
+    mean_leak is None where it is not exact, and for perfect points.
     """
 
     p_db: float
@@ -295,10 +295,9 @@ def _plan(spec):
                 mode = "quantized_exhaustive"
             if width == 1 or emulation_valid(gc, min(budgets), DEFAULT_GUARD_PRODUCT):
                 mean_leak = k * m * (m - n) / (m - width) * sum(_mean_min_d2(gc, b) for b in budgets)
-        mean_free = None if mode == "perfect" else _free_sum_rate_mean(m, n, p, spec.precoder)
         substream = (_MODES.index(mode), 0 if bits is None else bits + 1)
         plan.append(_Point(p_db, p, bits, mode, budgets, (mode, bits, snr), substream,
-                           mean_free, mean_leak))
+                           _free_sum_rate_mean(m, n, p, spec.precoder), mean_leak))
     return plan
 
 
@@ -306,9 +305,7 @@ def _precoders(spec, pt, stream, h, frames, noise):
     """Precoders built from point pt's knowledge of a chunk's (T, K, M, N)
     channels h, whose analog feedback noise is ``noise`` and whose
     feedback units ``frames`` are orthonormal."""
-    if pt.mode == "perfect":
-        knowledge = h
-    elif pt.mode == "analog":
+    if pt.mode == "analog":
         knowledge = analog_feedback_batch(noise, h, pt.key[2])[1]  # key[2] is beta P
     else:
         gen = stream.child(*pt.substream).generator()
@@ -342,7 +339,7 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
     if spec.policy.mode == "analog":
         # every analog point's noise, the same at any beta P
         noise = gaussian_matrix(stream.child(*plan[0].substream).generator(), m, n, batch=(count, k))
-    elif spec.policy.mode.startswith("quantized"):
+    else:
         # (units, T K, M, w): every user's feedback units, the same at any budget
         units = len(plan[0].budgets)
         frames = orthonormalize(h.reshape(count * k, m, units, n // units).transpose(2, 0, 1, 3))
@@ -351,7 +348,7 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
             key, v = pt.key, None  # the last precoders go before the next
             v = _precoders(spec, pt, stream, h, frames, noise)
         rates, free, leak = rates_batch(pt.p, h, v, spec.precoder)
-        np.sum(free if pt.mode == "perfect" else rates, axis=1, out=row[:, 0])
+        np.sum(rates, axis=1, out=row[:, 0])
         np.sum(free, axis=1, out=row[:, 1])
         np.sum(leak, axis=1, out=row[:, 2])
     return out
@@ -386,9 +383,8 @@ def _estimate(rates, mean_free, mean_leak=None):
     with var(L) = 0, with 1 - corr(Y, L)^2 below _COLLINEAR or with a
     non-finite result it regresses on Y alone: mean(R) - b (mean(Y) -
     mean_free) with b = cov(R, Y) / var(Y) and two degrees of freedom
-    spent. Without mean_free (perfect mode, where R is Y up to rounding),
-    with T <= 2, with var(Y) = 0 or with a non-finite result there too it
-    is the plain mean of R.
+    spent. With T <= 2, with var(Y) = 0 or with a non-finite result there
+    too it is the plain mean of R.
     """
     r = np.ascontiguousarray(rates[:, 0])
     t = len(r)
@@ -396,7 +392,7 @@ def _estimate(rates, mean_free, mean_leak=None):
     if t == 1:
         return mean, math.inf
     plain = mean, Z99 * float(np.std(r, ddof=1)) / math.sqrt(t)
-    if mean_free is None or t <= 2:
+    if t <= 2:
         return plain
     y = np.ascontiguousarray(rates[:, 1])
     mean_y = float(np.mean(y))
@@ -434,30 +430,32 @@ def run_experiment(spec, threads=None):
 
     threads defaults to the GRASSFEED_THREADS environment variable (1 if
     unset). Threads take whole chunks of every point; their count changes
-    the execution schedule only, never the result bytes. Perfect points
-    report the plain mean of the per-trial sum rates (equal to Y); the
-    others regress it on the controls whose means :func:`_plan` fixes,
-    which takes the fading and leakage variance out of sum_rate and ci99
-    (see :func:`_estimate`).
+    the execution schedule only, never the result bytes. A perfect point is
+    :func:`~grassfeed.precoding.perfect_csi_sum_rate` with ci99 = 0 and
+    runs no trial; the others regress the per-trial sum rate on controls
+    whose means :func:`_plan` fixes, which takes the fading and leakage
+    variance out of sum_rate and ci99 (see :func:`_estimate`).
     """
     threads = _worker_count(threads)
     plan = _plan(spec)
-    n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    rows = np.empty((len(plan), spec.trials, 3))
-
-    def run_chunk(c):
-        _chunk_sum_rates(spec, plan, c, rows[:, c * CHUNK_TRIALS:(c + 1) * CHUNK_TRIALS])
-
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
+    if spec.policy.mode == "perfect":
+        estimates = [(pt.mean_free, 0.0) for pt in plan]
     else:
-        list(map(run_chunk, range(n_chunks)))
-    points = []
-    for pt, rates in zip(plan, rows):
-        mean, ci = _estimate(rates, pt.mean_free, pt.mean_leak)
-        points.append(RatePoint(p_db=pt.p_db, sum_rate=mean, per_user_rate=mean / spec.k,
-                                ci99=ci, mode=pt.mode, bits_used=pt.bits))
+        n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+        rows = np.empty((len(plan), spec.trials, 3))
+
+        def run_chunk(c):
+            _chunk_sum_rates(spec, plan, c, rows[:, c * CHUNK_TRIALS:(c + 1) * CHUNK_TRIALS])
+
+        if threads > 1 and n_chunks > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(run_chunk, range(n_chunks)))
+        else:
+            list(map(run_chunk, range(n_chunks)))
+        estimates = [_estimate(rates, pt.mean_free, pt.mean_leak) for pt, rates in zip(plan, rows)]
+    points = [RatePoint(p_db=pt.p_db, sum_rate=mean, per_user_rate=mean / spec.k, ci99=ci,
+                        mode=pt.mode, bits_used=pt.bits)
+              for pt, (mean, ci) in zip(plan, estimates)]
     return RateCurve(points=tuple(points))
 
 

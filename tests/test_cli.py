@@ -39,6 +39,12 @@ seed = 11
 """
 
 
+# BASIC's grid and mode lines, and the tail of a quantized sweep whose rates
+# overflow the double range from 3081 dB
+GRID_AND_MODE = "snr_start = 0\nsnr_stop = 10\nsnr_step = 5\nmode = perfect"
+OVERFLOWING = "snr_step = 5\nmode = quantized_exhaustive\nB = 4"
+
+
 class TestParseConfig:
     def test_basic(self, tmp_path):
         cfg = parse_config(_write_config(tmp_path, BASIC))
@@ -163,7 +169,8 @@ class TestSimulateCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_seed_flag_changes_result(self, tmp_path):
-        cfg = _write_config(tmp_path, BASIC)
+        text = BASIC.replace("mode = perfect", "mode = quantized_emulated\nB = 10")
+        cfg = _write_config(tmp_path, text)
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["simulate", "--config", cfg, "--out", out1])
         main(["simulate", "--config", cfg, "--out", out2, "--seed", "12"])
@@ -200,9 +207,10 @@ class TestSimulateCommand:
             ("snr_stop = 10", "snr_stop = inf"),
             ("snr_start = 0", "snr_start = nan"),
             ("snr_start = 0\nsnr_stop = 10", "snr_start = 3083\nsnr_stop = 3083"),
-            ("snr_start = 0\nsnr_stop = 10", "snr_start = 3081\nsnr_stop = 3081"),
-            ("snr_start = 0\nsnr_stop = 10", "snr_start = 3082.5\nsnr_stop = 3082.5"),
-            ("snr_start = 0\nsnr_stop = 10", "snr_start = 3082\nsnr_stop = 3082\nprecoder = zf"),
+            (GRID_AND_MODE, "snr_start = 3081\nsnr_stop = 3081\n" + OVERFLOWING),
+            (GRID_AND_MODE, "snr_start = 3082.5\nsnr_stop = 3082.5\n" + OVERFLOWING),
+            (GRID_AND_MODE, "snr_start = 3082\nsnr_stop = 3082\n" + OVERFLOWING
+             + "\nprecoder = zf"),
             ("snr_start = 0\nsnr_stop = 10\nsnr_step = 5\nmode = perfect",
              "snr_start = 3080\nsnr_stop = 3080\nsnr_step = 5\nmode = analog\nbeta = 2"),
         ],
@@ -211,7 +219,20 @@ class TestSimulateCommand:
         cfg = _write_config(tmp_path, BASIC.replace(old, new))
         out = str(tmp_path / "curve.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if OVERFLOWING in new:
+            assert "overflow" in err
+
+    @pytest.mark.parametrize("p_db,precoder", [("3081", "bd"), ("3082.5", "bd"), ("3082", "zf")])
+    def test_perfect_at_the_spec_limit(self, tmp_path, p_db, precoder):
+        """Where quantized rates overflow, perfect points are their closed form."""
+        text = BASIC.replace("snr_start = 0\nsnr_stop = 10",
+                             f"snr_start = {p_db}\nsnr_stop = {p_db}\nprecoder = {precoder}")
+        out = str(tmp_path / "curve.csv")
+        assert main(["simulate", "--config", _write_config(tmp_path, text), "--out", out]) == 0
+        (pt,) = read_curve_csv(out).points
+        assert pt.mode == "perfect" and math.isfinite(pt.sum_rate) and pt.ci99 == 0.0
 
 
 class TestScalingCommand:

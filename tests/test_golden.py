@@ -1,9 +1,10 @@
 """Golden CSV digests: the exact bytes ``write_curve_csv`` produces for one
-small spec per mode, plus ZF under emulation. Perfect points are plain
-means of the interference-free rate; the others are regression estimates
-on it and, where its mean is exact, on the multi-user leakage. The
-exhaustive spec's 4-bit G(4, 2) budget fails the emulation guard, so its
-points regress on the interference-free rate alone.
+small spec per mode, plus ZF under emulation. Perfect points are the
+closed-form mean of the interference-free rate and draw nothing; the
+others are regression estimates on that rate and, where its mean is exact,
+on the multi-user leakage. The exhaustive spec's 4-bit G(4, 2) budget
+fails the emulation guard, so its points regress on the interference-free
+rate alone.
 
 These pin determinism across processes and machines, not just within one
 run. A change to any digest changes what users get for a fixed seed; it
@@ -20,7 +21,7 @@ from grassfeed.simulator import ExperimentSpec, FeedbackPolicy, run_experiment, 
 GOLDEN = {
     "perfect": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="perfect")),
-        "30034a44822e5cc636d7f0b7f04bf188dba9a712b2c41eed1cb030337c522f74",
+        "0c40643e39db3e41745b8ee1bf53d91bcfb2edeb1a4cf3c31a4d5b1a5edda8ff",
     ),
     # 0 dB gets a 0-bit budget and falls back to the scan; 1100 trials span two chunks
     "emulated": (

@@ -40,6 +40,16 @@ def _one_point(spec, chunk_idx, pt):
     return simulator._chunk_sum_rates(spec, [pt], chunk_idx)[0]
 
 
+def _perfect_rates(spec, p_db=10.0):
+    """(rates, free, leak) of precoders built on the true channels that
+    chunk 0 of spec draws, at p_db."""
+    count = min(spec.trials, CHUNK_TRIALS)
+    h = gaussian_matrix(RngStream(spec.seed).child(0).generator(), spec.m, spec.n,
+                        batch=(count, spec.k))
+    build = precoding.zf_precoders_batch if spec.precoder == "zf" else precoding.bd_precoders_batch
+    return precoding.rates_batch(10.0 ** (p_db / 10.0), h, build(h), spec.precoder)
+
+
 def _spec(**kw):
     base = dict(
         m=4,
@@ -303,8 +313,7 @@ class TestSweepPlan:
         ("bd", FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
         ("zf", FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
         ("bd", FeedbackPolicy(mode="analog", beta=2.0)),
-        ("bd", FeedbackPolicy(mode="perfect")),
-    ], ids=["bd_emulated", "zf_emulated", "analog", "perfect"])
+    ], ids=["bd_emulated", "zf_emulated", "analog"])
     def test_points_report_their_record(self, monkeypatch, precoder, policy):
         """Each point's reported mode and budget are those of the record
         the chunk loop ran."""
@@ -368,11 +377,25 @@ class TestInputValidation:
     def test_rate_overflow(self, precoder, p_db):
         """10^(P/10) is finite here but P/M times a gain is not: the sweep
         raises instead of returning infinite rates."""
+        pol = FeedbackPolicy(mode="quantized_exhaustive", bits=4)
         with pytest.raises(ParameterError, match="overflow"):
-            run_experiment(_spec(precoder=precoder, snr_grid_db=(0.0, p_db)))
+            run_experiment(_spec(precoder=precoder, policy=pol, snr_grid_db=(0.0, p_db)))
+
+    @pytest.mark.parametrize("precoder,m,n,p_db", [
+        ("bd", 4, 2, 3081.0), ("bd", 4, 2, 3082.5), ("zf", 4, 2, 3082.0), ("zf", 8, 1, 3082.5),
+    ])
+    def test_perfect_rate_at_the_spec_limit(self, precoder, m, n, p_db):
+        """Where quantized rates overflow, a perfect point is still its
+        finite closed form."""
+        (pt,) = run_experiment(_spec(m=m, n=n, precoder=precoder, snr_grid_db=(p_db,))).points
+        mu = perfect_csi_sum_rate(SystemConfig(m, n, 10.0 ** (p_db / 10.0)), precoder)
+        assert math.isfinite(mu) and pt.sum_rate == mu
+        if (precoder, m, p_db) == ("bd", 4, 3082.5):
+            assert pt.sum_rate == pytest.approx(4087.4917, abs=1e-4)
 
     def test_rates_below_overflow_finite(self):
-        curve = run_experiment(_spec(snr_grid_db=(3000.0,)))
+        pol = FeedbackPolicy(mode="quantized_exhaustive", bits=4)
+        curve = run_experiment(_spec(policy=pol, snr_grid_db=(3000.0,)))
         assert np.all(np.isfinite(curve.sum_rate))
 
 
@@ -381,18 +404,17 @@ class TestAnyBitBudget:
     @pytest.mark.parametrize("bits", [1100, 10 ** 5])
     def test_emulated_matches_perfect(self, precoder, m, n, bits):
         """Budgets past 2^-B underflow still emulate. The distortion is then
-        at most 2^-(B/T) (0 at B = 10^5), so with the same channels every
-        trial's rate is its perfect-CSI rate."""
+        at most 2^-(B/T) (0 at B = 10^5), so every trial's rate is the rate
+        of precoders built on its true channels."""
         grid = (10.0, 30.0)
         pol = FeedbackPolicy(mode="quantized_emulated", bits=bits)
         spec = _spec(m=m, n=n, precoder=precoder, policy=pol, snr_grid_db=grid)
-        perfect = _spec(m=m, n=n, precoder=precoder, snr_grid_db=grid)
         curve = run_experiment(spec)
         assert [pt.mode for pt in curve.points] == ["quantized_emulated"] * 2
         assert np.all(np.isfinite(curve.sum_rate))
         for p_db in grid:
             got = _one_point(spec, 0, _point(spec, p_db))[:, 0]
-            want = _one_point(perfect, 0, _point(perfect, p_db))[:, 0]
+            want = _perfect_rates(spec, p_db)[0].sum(axis=1)
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zf_zero_bit_antenna_emulates(self, monkeypatch):
@@ -461,19 +483,22 @@ class TestDeterminism:
 
 
 class TestPerfectModeOracle:
+    """A perfect point is the closed-form mean of Y and runs nothing; the
+    per-trial rates of precoders built on the true channels come from
+    ``rates_batch``, which the scalar reimplementation below checks."""
+
     def test_matches_scalar_reimplementation(self):
-        """Rebuild the exact chunk stream, then compute the same statistic
-        with plain numpy SVD nullspaces and slogdet rates."""
+        """Rebuild chunk 0's channels, then compute every trial's rate with
+        plain numpy SVD nullspaces and slogdet."""
         spec = _spec(trials=200, snr_grid_db=(12.0,), seed=99)
-        curve = run_experiment(spec)
+        got = _perfect_rates(spec, 12.0)[0].sum(axis=1)
 
         gen = RngStream(99).child(0).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(200, 2))
         p = 10.0 ** 1.2
         c = p / 4.0
-        total = 0.0
+        want = np.zeros(200)
         for t in range(200):
-            rates = 0.0
             vs = []
             for k in range(2):
                 other = h[t, 1 - k]
@@ -487,44 +512,67 @@ class TestPerfectModeOracle:
                     full += c * g @ g.conj().T
                     if j != k:
                         intf += c * g @ g.conj().T
-                rates += (
+                want[t] += (
                     np.linalg.slogdet(full)[1] - np.linalg.slogdet(intf)[1]
                 ) / np.log(2)
-            total += rates
-        assert curve.points[0].sum_rate == pytest.approx(total / 200, abs=1e-9)
-        assert curve.points[0].per_user_rate == pytest.approx(
-            total / 400, abs=1e-9
-        )
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_ci_shrinks_with_sqrt_trials(self):
-        lo = run_experiment(_spec(trials=2000, seed=5)).points[0].ci99
-        hi = run_experiment(_spec(trials=8000, seed=5)).points[0].ci99
+        pol = FeedbackPolicy(mode="quantized_emulated", bits=10)
+        lo = run_experiment(_spec(policy=pol, trials=2000, seed=5)).points[0].ci99
+        hi = run_experiment(_spec(policy=pol, trials=8000, seed=5)).points[0].ci99
         assert hi / lo == pytest.approx(0.5, rel=0.15)
 
     def test_single_trial_has_infinite_ci(self):
-        curve = run_experiment(_spec(trials=1))
+        pol = FeedbackPolicy(mode="quantized_emulated", bits=10)
+        curve = run_experiment(_spec(policy=pol, trials=1))
         assert math.isinf(curve.points[0].ci99)
 
     @pytest.mark.parametrize("precoder,m,n", [("bd", 6, 2), ("zf", 8, 1)])
     def test_finite_at_extreme_snr(self, precoder, m, n):
         """Interference-free streams keep PD interference matrices at any
         power; each +30 dB then adds about M log2(10^3) bps/Hz."""
-        curve = run_experiment(
-            _spec(m=m, n=n, precoder=precoder, snr_grid_db=(170.0, 200.0), trials=64)
-        )
-        rates = curve.sum_rate
+        spec = _spec(m=m, n=n, precoder=precoder)
+        rates = [_perfect_rates(spec, p_db)[0].sum(axis=1).mean() for p_db in (170.0, 200.0)]
         assert np.all(np.isfinite(rates))
         assert rates[1] - rates[0] == pytest.approx(m * 3 * math.log2(10), abs=3.0)
 
     @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("zf", 8, 1)])
     def test_rate_tracks_power_far_past_rounding(self, precoder, m, n):
-        """Perfect knowledge has no leakage at all, so the sum rate keeps
-        rising by M log2(10)/10 bps/Hz per dB where a rounding-level
-        leakage times P/M would have pinned it."""
-        curve = run_experiment(
-            _spec(m=m, n=n, precoder=precoder, snr_grid_db=(400.0, 2000.0), trials=64))
+        """Perfect knowledge has no leakage at all, so the interference-free
+        rate Y of every trial, and the perfect curve, keep rising by
+        M log2(10)/10 bps/Hz per dB where a rounding-level leakage times
+        P/M would have pinned R."""
+        spec = _spec(m=m, n=n, precoder=precoder, snr_grid_db=(400.0, 2000.0))
+        want = m * math.log2(10) / 10
+        free = [_perfect_rates(spec, p_db)[1].sum(axis=1) for p_db in spec.snr_grid_db]
+        np.testing.assert_allclose((free[1] - free[0]) / 1600.0, want, rtol=1e-9)
+        curve = run_experiment(spec)
         slope = (curve.sum_rate[1] - curve.sum_rate[0]) / 1600.0
-        assert slope == pytest.approx(m * math.log2(10) / 10, rel=1e-9)
+        assert slope == pytest.approx(want, rel=1e-9)
+
+    def test_perfect_point_is_the_closed_form(self, monkeypatch):
+        """sum_rate is perfect_csi_sum_rate with ci99 = 0 whatever the seed,
+        trial count or thread count, and nothing is drawn or run."""
+        calls = []
+        monkeypatch.setattr(simulator, "_chunk_sum_rates", lambda *a: calls.append(a))
+        for module in (simulator, precoding):
+            monkeypatch.setattr(module, "gaussian_matrix", lambda *a, **kw: calls.append(a))
+        grid = (-10.0, 0.0, 15.0, 30.0)
+        for precoder, m, n in (("bd", 4, 2), ("bd", 6, 3), ("zf", 8, 1)):
+            curves = [run_experiment(_spec(m=m, n=n, precoder=precoder, snr_grid_db=grid,
+                                           seed=seed, trials=trials), threads=threads)
+                      for seed, trials, threads in ((1, 1, 1), (2, 2000, 1), (1, 2000, 4))]
+            assert curves[1:] == curves[:1] * 2
+            for pt in curves[0].points:
+                mu = perfect_csi_sum_rate(SystemConfig(m, n, 10.0 ** (pt.p_db / 10.0)), precoder)
+                assert pt.sum_rate == pytest.approx(mu, rel=1e-14, abs=0)
+                assert pt.per_user_rate == pt.sum_rate / (m // n)
+                assert (pt.ci99, pt.mode, pt.bits_used) == (0.0, "perfect", None)
+        assert calls == []
+        monkeypatch.setenv("GRASSFEED_THREADS", "abc")
+        with pytest.raises(ParameterError):
+            run_experiment(_spec())
 
 
 class TestChunkSharing:
@@ -605,8 +653,8 @@ class TestChunkSharing:
 
 class TestCommonRandomNumbers:
     def test_quantization_only_hurts(self):
-        """Same seed means same channels, so the perfect curve dominates
-        the quantized one at every point, not just on average."""
+        """The perfect curve, the closed form that the quantized points
+        regress toward, lies above the quantized one at every point."""
         grid = (0.0, 10.0, 20.0)
         perfect = run_experiment(_spec(snr_grid_db=grid, trials=500))
         quant = run_experiment(
@@ -622,9 +670,8 @@ class TestCommonRandomNumbers:
     def test_generous_analog_feedback_tracks_perfect(self):
         """Same channels, trial by trial: generous analog feedback loses a
         little of the perfect-CSI rate on average."""
-        perfect = _spec(trials=400)
         analog = _spec(trials=400, policy=FeedbackPolicy(mode="analog", beta=200.0))
-        want = _one_point(perfect, 0, _point(perfect))[:, 0]
+        want = _perfect_rates(analog)[0].sum(axis=1)
         got = _one_point(analog, 0, _point(analog))[:, 0]
         diff = float(np.mean(want - got))
         assert 0.0 < diff < 0.2
@@ -730,12 +777,6 @@ class TestRegressionEstimator:
             mu = perfect_csi_sum_rate(SystemConfig(m, n, 10.0 ** (pt.p_db / 10.0)), precoder)
             assert pt.sum_rate == pytest.approx(mu, rel=1e-14)
 
-    def test_perfect_mode_keeps_the_plain_mean(self):
-        spec = _spec(trials=300)
-        pt = run_experiment(spec).points[0]
-        assert (pt.sum_rate, pt.ci99) == self._plain(
-            _one_point(spec, 0, _point(spec)))
-
 
 class TestLeakageControl:
     """Where its mean is exact, non-perfect points also regress on the
@@ -792,7 +833,6 @@ class TestLeakageControl:
         (FeedbackPolicy(mode="quantized_exhaustive", bits=4), 4),
         # emulated below the default guard: the d^2 tail past 1 is clamped
         (FeedbackPolicy(mode="quantized_emulated", bits=4, guard_product=1.0), 4),
-        (FeedbackPolicy(mode="perfect"), None),
     ])
     def test_without_exact_mean_regress_on_y_alone(self, policy, bits):
         spec = _spec(policy=policy, trials=300)
@@ -801,7 +841,7 @@ class TestLeakageControl:
         assert (planned.bits, planned.mode) == (bits, pt.mode)
         assert planned.mean_leak is None
         rates = _one_point(spec, 0, planned)
-        mu = None if pt.mode == "perfect" else perfect_csi_sum_rate(SystemConfig(4, 2, 10.0))
+        mu = perfect_csi_sum_rate(SystemConfig(4, 2, 10.0))
         assert (pt.sum_rate, pt.ci99) == simulator._estimate(rates[:, :2], mu)
 
     def test_two_controls_match_least_squares(self):
