@@ -23,7 +23,6 @@ __all__ = [
     "gaussian_matrix",
     "isotropic_frame",
     "isotropic_frame_in_nullspace",
-    "matrix_beta",
 ]
 
 
@@ -118,23 +117,3 @@ def isotropic_frame_in_nullspace(rng, a, n):
         raise DimensionError(f"the left nullspace of a {a.shape} matrix cannot hold an n={n} frame")
     basis = left_nullspace_basis_batch(a)
     return basis @ isotropic_frame(rng, basis.shape[-1], n, batch=a.shape[:-2])
-
-
-def matrix_beta(rng, n, a, b):
-    """Draw from the matrix-variate Beta(a, b) ensemble, n x n.
-
-    Construction: W an isotropic a-frame and H an independent isotropic
-    n-frame, both in dimension a + b; return H^H (I - W W^H) H. The trace
-    has mean n * b / (a + b); for n = a = N, b = M - N this is the law of
-    the squared chordal distance Gram between a random channel direction
-    and one random codebook frame.
-    """
-    _check_count("n", n, 1)
-    _check_count("a", a, n)
-    _check_count("b", b, n)
-    gen = as_generator(rng)
-    amb = a + b
-    w = isotropic_frame(gen, amb, a)
-    h = isotropic_frame(gen, amb, n)
-    proj = h - w @ (w.conj().T @ h)
-    return h.conj().T @ proj

@@ -25,18 +25,9 @@ does every trial whose two best scores nearly tie; both rebuild the
 complex entries from the planes, which is exact. A one-entry codebook is
 its own winner: the scan draws it as one complex Gaussian and
 orthonormalizes it, with no planes and nothing to score.
-
-The codebook file format is flat binary, little endian:
-
-    bytes 0:4    magic b"GFCB"
-    bytes 4:8    uint32 format version (1)
-    bytes 8:20   uint32 M, N, B
-    bytes 20:    2^B entries, each an M x N complex128 matrix in C order
-
 """
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,9 +57,6 @@ __all__ = [
     "distortion_bound",
     "distortion_main_term",
     "distortion_samples",
-    "empirical_distortion",
-    "save_codebook",
-    "load_codebook",
 ]
 
 # complex elements (2^B entries times M w, w the frame width) a codebook may
@@ -91,8 +79,6 @@ _SCAN_BLOCK_ELEMS = 2 ** 17
 _PIVOT_MARGIN = 1e-8
 _TRACE_RANGE = (1e-300, 1e250)
 _TIE_GAP = 1e-6
-_MAGIC = b"GFCB"
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -554,51 +540,3 @@ def distortion_samples(rng, m, n, bits, trials):
     for lo, hi, block_d2, _ in _scan_blocks(as_generator(rng), m, n, bits, trials):
         d2[lo:hi] = block_d2
     return d2
-
-
-def empirical_distortion(rng, m, n, bits, trials):
-    """Monte Carlo E[min d^2], the mean of :func:`distortion_samples`."""
-    return float(np.mean(distortion_samples(rng, m, n, bits, trials)))
-
-
-def save_codebook(codebook, path):
-    """Write a codebook in the flat binary format documented above."""
-    header = np.array(
-        [_FORMAT_VERSION, codebook.m, codebook.n, codebook.bits], dtype="<u4"
-    )
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(codebook.entries, dtype="<c16").tobytes())
-
-
-def load_codebook(path):
-    """Read a codebook written by :func:`save_codebook`.
-
-    Raises ParameterError if the header is foreign, truncated or names an
-    invalid shape or an over-cap codebook, or if the payload is not exactly
-    2^B M N complex doubles.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        raw = fh.read(16)
-        if len(raw) != 16:
-            raise ParameterError(f"{path}: header truncated at {4 + len(raw)} bytes")
-        version, m, n, bits = (int(x) for x in np.frombuffer(raw, dtype="<u4"))
-        if version != _FORMAT_VERSION:
-            raise ParameterError(f"unsupported format version {version}")
-        try:
-            GrassmannConstants(m, n)
-            count = _codebook_size(bits, m, n)
-        except (ParameterError, MemoryGuard) as exc:
-            raise ParameterError(f"{path}: {exc}") from exc
-        expected = count * m * n * 16
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload != expected:
-            raise ParameterError(
-                f"{path}: payload is {payload} bytes, (M, N, B) = ({m}, {n}, {bits}) needs {expected}"
-            )
-        entries = np.frombuffer(fh.read(expected), dtype="<c16").reshape(count, m, n)
-    return Codebook(m, n, bits, entries.astype(np.complex128))

@@ -143,8 +143,10 @@ class FeedbackPolicy:
             if self.schedule == "fixed" and not _is_count(self.bits):
                 raise IncompatiblePolicy(f"fixed schedule needs integer bits >= 0, got {self.bits!r}")
             if self.schedule == "custom":
-                if not self.bits_table:
-                    raise IncompatiblePolicy("custom schedule needs a bits_table")
+                if not isinstance(self.bits_table, dict) or not self.bits_table:
+                    raise IncompatiblePolicy(f"custom schedule needs a bits_table dict, got {self.bits_table!r}")
+                for p_db in self.bits_table:
+                    _check_real("bits_table power (dB)", p_db, error=IncompatiblePolicy)
                 if not all(_is_count(b) for b in self.bits_table.values()):
                     raise IncompatiblePolicy("bits_table budgets must be integers >= 0")
             if self.beta is not None:
@@ -478,14 +480,18 @@ def estimate_snr_gap(ref, test):
     Raises
     ------
     ParameterError
-        If the reference rates are not strictly increasing with power.
+        If the reference has no point, its rates are not strictly
+        increasing with power, or a power or reference rate is not finite.
     NoOverlap
         If no test point falls inside the reference rate range.
     """
     ref_p, ref_r = ref.p_db, ref.sum_rate
     test_p, test_r = test.p_db, test.sum_rate
-    if np.any(np.diff(ref_r) <= 0):
-        raise ParameterError("reference curve rates must increase strictly with power")
+    finite = np.isfinite(np.concatenate([ref_p, ref_r, test_p])).all()
+    if ref_r.size == 0 or not finite or np.any(np.diff(ref_r) <= 0):
+        raise ParameterError(
+            "powers and reference rates must be finite, and reference rates increase strictly with power"
+        )
     lo, hi = ref_r[0], ref_r[-1]
     gaps = []
     for p, r in zip(test_p, test_r):

@@ -328,6 +328,17 @@ class TestGapCommand:
         assert main(["gap", "--ref", str(bad), "--test", str(bad)]) == 2
         assert "bad.csv, line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        [], ["0,1,0.5,0.1,perfect,", "10,nan,nan,0.1,perfect,", "20,2,1,0.1,perfect,"],
+    ], ids=["header_only", "nan_rate"])
+    def test_bad_reference_exits_2(self, tmp_path, capsys, rows):
+        header = "p_db,sum_rate,per_user_rate,ci99,mode,bits_used\n"
+        ref, test = tmp_path / "ref.csv", tmp_path / "test.csv"
+        ref.write_text(header + "".join(r + "\n" for r in rows))
+        test.write_text(header + "5,1.5,0.75,0.1,perfect,\n")
+        assert main(["gap", "--ref", str(ref), "--test", str(test)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSelftestCommand:
     def test_single_config_passes(self, capsys):

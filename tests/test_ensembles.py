@@ -8,10 +8,9 @@ from grassfeed.ensembles import (
     gaussian_matrix,
     isotropic_frame,
     isotropic_frame_in_nullspace,
-    matrix_beta,
 )
 from grassfeed.errors import DimensionError, ParameterError, RankDeficient
-from grassfeed.grassmann import GrassmannConstants, chordal_distance_sq
+from grassfeed.grassmann import GrassmannConstants
 
 
 def restricted_ks(samples, cdf, lo=0.0, hi=1.0, grid=4001):
@@ -149,52 +148,3 @@ class TestNullspaceFrame:
             warnings.simplefilter("error")
             with pytest.raises(RankDeficient, match="non-finite"):
                 isotropic_frame_in_nullspace(RngStream(4).child(6), anchor, 2)
-
-
-class TestMatrixBeta:
-    def test_trace_moment(self):
-        """E[trace] = n b / (a + b): (2,2,2) gives 1.0."""
-        gen = RngStream(6).child(0).generator()
-        tr = np.array([
-            np.trace(matrix_beta(gen, 2, 2, 2)).real for _ in range(20000)
-        ])
-        assert abs(tr.mean() - 1.0) <= 0.01
-
-    def test_eigenvalues_in_unit_interval(self):
-        gen = RngStream(6).child(1).generator()
-        for _ in range(200):
-            b = matrix_beta(gen, 2, 2, 4)
-            w = np.linalg.eigvalsh(b)
-            assert w.min() >= -1e-12 and w.max() <= 1 + 1e-12
-
-    def test_scalar_beta_mean(self):
-        # (n,a,b) = (1,1,1), i.e. M=2: scalar Beta(1,1) has mean 1/2
-        gen = RngStream(6).child(2).generator()
-        vals = np.array([
-            matrix_beta(gen, 1, 1, 1)[0, 0].real for _ in range(20000)
-        ])
-        assert abs(vals.mean() - 0.5) <= 0.01
-
-    def test_trace_matches_single_entry_quantization_error(self):
-        """Trace of Beta(N, M-N) has the law of d^2 to one random frame.
-
-        The unquantized subspace error is matrix-variate beta distributed;
-        its eigenvalue sum must match the chordal d^2 of an isotropic pair,
-        compared here by two-sample KS at the 0.02-statistic level.
-        """
-        gen = RngStream(6).child(3).generator()
-        reps = 20000
-        tr = np.empty(reps)
-        for i in range(reps):
-            tr[i] = np.trace(matrix_beta(gen, 2, 2, 2)).real
-        a = isotropic_frame(gen, 4, 2, batch=(reps,))
-        b = isotropic_frame(gen, 4, 2, batch=(reps,))
-        d2 = np.array([chordal_distance_sq(a[i], b[i]) for i in range(reps)])
-        gc = GrassmannConstants(4, 2)
-        cdf = lambda x: gc.c * x ** gc.t
-        assert restricted_ks(tr, cdf) < 0.02
-        assert restricted_ks(d2, cdf) < 0.02
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            matrix_beta(RngStream(6).child(4), 3, 2, 4)  # a < n

@@ -20,12 +20,9 @@ from grassfeed.grassmann import (
     distortion_bound,
     distortion_main_term,
     distortion_samples,
-    empirical_distortion,
-    load_codebook,
     principal_angles,
     quantize,
     random_codebook,
-    save_codebook,
     scan_fresh_codebooks,
 )
 from grassfeed.linalg import orthonormalize, thin_qr_batch
@@ -231,55 +228,14 @@ class TestQuantize:
             quantize(np.ones((4, 2), dtype=complex), cb)
 
 
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        cb = random_codebook(RngStream(7).child(0), 4, 2, 3)
-        path = tmp_path / "cb.gfcb"
-        save_codebook(cb, path)
-        back = load_codebook(path)
-        assert back.m == 4 and back.n == 2 and back.bits == 3
-        assert np.array_equal(back.entries, cb.entries)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.gfcb"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ParameterError):
-            load_codebook(path)
-
-    @pytest.mark.parametrize(
-        "edit", ["truncated", "trailing", "short_header", "m_zero", "huge_bits", "over_cap_bits"]
-    )
-    def test_rejects_malformed_file(self, tmp_path, edit):
-        """A (4, 2, B=3) file with its payload cut or padded, its header cut,
-        M set to 0, B set to 2^32 - 1, which must fail before 2^B is formed,
-        or B set to 22, whose 2^22 (4, 2) entries exceed the element cap."""
-        path = tmp_path / "cb.gfcb"
-        save_codebook(random_codebook(RngStream(7).child(0), 4, 2, 3), path)
-        raw = path.read_bytes()
-        header = np.frombuffer(raw[4:20], dtype="<u4").copy()  # version, M, N, B
-        if edit == "m_zero":
-            header[1] = 0
-        elif edit == "huge_bits":
-            header[3] = 2 ** 32 - 1
-        elif edit == "over_cap_bits":
-            header[3] = 22
-        raw = raw[:4] + header.tobytes() + raw[20:]
-        cuts = {"truncated": raw[:-16], "trailing": raw + b"\x00" * 16, "short_header": raw[:12]}
-        path.write_bytes(cuts.get(edit, raw))
-        with pytest.raises(ParameterError):
-            load_codebook(path)
-
-
 class TestSingleSampleCdf:
     def test_closed_form_cdf(self):
-        """P(d^2 <= x) = C_MN x^T on [0,1] for (4,2) and (6,2)."""
+        """P(d^2 <= x) = C_MN x^T on [0,1] for (4,2) and (6,2), read off the
+        scan's one-entry path: with B = 0 the minimum d^2 is the distance to
+        a single random frame."""
         for m, n in ((4, 2), (6, 2)):
             gc = GrassmannConstants(m, n)
-            gen = RngStream(9).child(m).generator()
-            h = isotropic_frame(gen, m, n, batch=(100000,))
-            w = isotropic_frame(gen, m, n, batch=(100000,))
-            g = np.einsum("tmn,tmp->tnp", h.conj(), w)
-            d2 = n - np.sum(np.abs(g) ** 2, axis=(1, 2))
+            d2 = distortion_samples(RngStream(9).child(m), m, n, 0, 100000)
             assert restricted_ks(d2, lambda x: gc.c * x ** gc.t) < 0.02
 
 
@@ -390,12 +346,12 @@ class TestMeanMinD2:
 class TestEmpiricalDistortion:
     def test_unquantized_scalar_beta_mean(self):
         # B=0, M=2, N=1: single random entry, d^2 ~ Beta(1,1), mean 1/2
-        val = empirical_distortion(RngStream(11).child(0), 2, 1, 0, 100000)
+        val = np.mean(distortion_samples(RngStream(11).child(0), 2, 1, 0, 100000))
         assert val == pytest.approx(0.5, abs=0.01)
 
     def test_unquantized_matrix_beta_mean(self):
         # B=0, M=4, N=2: E[tr Beta(2,2)] = 2*2/4 = 1
-        val = empirical_distortion(RngStream(11).child(1), 4, 2, 0, 100000)
+        val = np.mean(distortion_samples(RngStream(11).child(1), 4, 2, 0, 100000))
         assert val == pytest.approx(1.0, abs=0.01)
 
     def test_below_bound(self):
@@ -415,8 +371,6 @@ class TestEmpiricalDistortion:
         args = {"m": 4, "n": 2, "bits": 2, "trials": 8} | kwargs
         with pytest.raises(ParameterError):
             distortion_samples(RngStream(11), **args)
-        with pytest.raises(ParameterError):
-            empirical_distortion(RngStream(11), **args)
 
     def test_samples_deterministic(self):
         a = distortion_samples(RngStream(11).child(3), 4, 2, 6, 500)

@@ -344,6 +344,9 @@ class TestInputValidation:
             dict(mode="quantized_exhaustive", schedule="custom", bits_table={10.0: -1}),
             dict(mode="quantized_exhaustive", schedule="custom", bits_table={10.0: 2.5}),
             dict(mode="quantized_exhaustive", bits=2.5),
+            dict(mode="quantized_exhaustive", schedule="custom", bits_table={"a": 3}),
+            dict(mode="quantized_exhaustive", schedule="custom", bits_table={None: 3}),
+            dict(mode="quantized_exhaustive", schedule="custom", bits_table=[1, 2]),
         ],
     )
     def test_policy_rejects(self, kw):
@@ -927,6 +930,14 @@ class TestGapEstimate:
         test = self._curve([0], [5.0])
         with pytest.raises(ParameterError):
             estimate_snr_gap(ref, test)
+
+    @pytest.mark.parametrize("p_db,rates,test_p_db", [
+        ([], [], 0), ([0, 10, 20], [4.0, math.nan, 8.0], 0),
+        ([0, math.nan, 20], [4.0, 6.0, 8.0], 0), ([0, 10, 20], [4.0, 6.0, 8.0], math.nan),
+    ], ids=["empty", "nan_rate", "nan_power", "nan_test_power"])
+    def test_unusable_curve(self, p_db, rates, test_p_db):
+        with pytest.raises(ParameterError):
+            estimate_snr_gap(self._curve(p_db, rates), self._curve([test_p_db], [5.0]))
 
 
 class TestCsv:
