@@ -31,7 +31,6 @@ beta                  feedback channel uses per coefficient (analog mode)
 trials                Monte Carlo trials per point; perfect mode runs none
 seed                  RNG seed (--seed overrides); perfect mode draws none
 precoder              bd | zf (default bd)
-guard_product         emulation validity threshold (default 40)
 ====================  =====================================================
 """
 
@@ -57,7 +56,7 @@ from .simulator import (
 
 _CONFIG_KEYS = {
     "M", "N", "snr_start", "snr_stop", "snr_step", "mode", "schedule", "B",
-    "bits_table", "beta", "trials", "seed", "precoder", "guard_product",
+    "bits_table", "beta", "trials", "seed", "precoder",
 }
 
 
@@ -103,8 +102,8 @@ def _parse_bits_table(text):
 
 def _grid(start, stop, step):
     """Inclusive SNR grid start, start + step, ..., stop."""
-    if not (math.isfinite(start) and math.isfinite(stop)) or not step > 0 or stop < start:
-        raise ConfigError("SNR range must be finite and run forward with a positive step")
+    if not (math.isfinite(start) and step > 0 and start <= stop and math.isfinite((stop - start) / step)):
+        raise ConfigError("SNR range must be finite and run forward in finitely many positive steps")
     count = int((stop - start) / step + 1e-9) + 1
     return tuple(start + i * step for i in range(count))
 
@@ -127,9 +126,6 @@ def build_spec(cfg, seed_override=None):
             policy_kwargs["bits_table"] = _get(cfg, "bits_table", _parse_bits_table, required=True)
     elif mode == "analog":
         policy_kwargs["beta"] = _get(cfg, "beta", float, required=True)
-    guard = _get(cfg, "guard_product", float)
-    if guard is not None:
-        policy_kwargs["guard_product"] = guard
     seed = seed_override if seed_override is not None else _get(cfg, "seed", int)
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set seed in the config")

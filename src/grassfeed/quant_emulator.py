@@ -150,7 +150,8 @@ class CondEigSampler:
 def emulation_valid(gc, bits, guard_product):
     """The emulation guard 2^bits * C_MN >= guard_product, in the log domain.
 
-    The engine's mode choice and :func:`sample_min_d2` both decide by it.
+    :func:`sample_min_d2` decides by it; the engine asks it once per point,
+    at DEFAULT_GUARD_PRODUCT, for both the mode and the leakage mean.
     Raises ParameterError unless bits is an integer >= 0 and guard_product
     is finite and positive.
     """
@@ -170,13 +171,14 @@ def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None)
     The closed form covers d^2 <= 1 only. The guard requires
     2^B * C_MN >= guard_product, which keeps P(min > 1) below
     exp(-guard_product); the residual unrepresentable tail is collapsed to
-    d^2 = 1.
+    d^2 = 1. ``size`` is None for one draw, else an integer >= 0.
 
     Raises
     ------
     FallbackRequired
         If the guard fails; callers should run the exhaustive scan instead.
     """
+    _check_count("size", 0 if size is None else size)
     if not emulation_valid(gc, bits, guard_product):
         raise FallbackRequired(
             f"2^{bits} * C_MN < {guard_product:g}: closed-form min-d^2 CDF not valid, "
@@ -234,7 +236,7 @@ def beta_trace_pdf(m, z):
     return float(out) if out.ndim == 0 else out
 
 
-def emulate_quantization(rng, h_tilde, bits, guard_product=DEFAULT_GUARD_PRODUCT):
+def emulate_quantization(rng, h_tilde, bits):
     """Sample the quantized frame a fresh random codebook would return.
 
     Draws (H_hat, d^2) equal in distribution to quantizing h_tilde against
@@ -249,27 +251,26 @@ def emulate_quantization(rng, h_tilde, bits, guard_product=DEFAULT_GUARD_PRODUCT
     rng : RngStream or Generator. Draw order is fixed: min d^2, then X,
         then the M x N complement Gaussian.
     h_tilde : (M, N) orthonormal frame, M >= 2N.
-    bits : codebook size exponent B, an integer >= 0.
-    guard_product : see :func:`sample_min_d2`.
+    bits : codebook size exponent B, an integer passing the default guard.
 
     Returns
     -------
     (h_hat, d2) : the emulated quantized frame and its squared distance.
     """
     h_tilde = _check_frames(h_tilde=h_tilde)[0]
-    h_hat, d2 = emulate_batch(rng, h_tilde[np.newaxis], bits, guard_product=guard_product)
+    h_hat, d2 = emulate_batch(rng, h_tilde[np.newaxis], bits)
     return h_hat[0], float(d2[0])
 
 
-def emulate_batch(rng, hq, bits, guard_product=DEFAULT_GUARD_PRODUCT):
+def emulate_batch(rng, hq, bits):
     """Emulated quantization of every frame of a (T, M, N) orthonormal stack.
 
     The implementation behind :func:`emulate_quantization` (see it for the
     parameters): one generator drives the stack with its draw order
     (z, X, G) applied arraywise. With P = G - hq (hq^H G) and W = P^H P,
     the error term is sqrt(s) P and Y = chol(I - s W), s = z / trace(W).
-    Returns (T, M, N) frames and (T,) d^2. Any bit budget works: a d^2
-    that underflows to 0 gives Z = 0 and Y = I.
+    Returns (T, M, N) frames and (T,) d^2. Any bit budget that passes the
+    default guard works: a d^2 that underflows to 0 gives Z = 0 and Y = I.
 
     The N x N products run as vector operations over the whole stack, not
     as stacked matmuls, which pay a per-item cost at these sizes: hq^H G
@@ -284,7 +285,7 @@ def emulate_batch(rng, hq, bits, guard_product=DEFAULT_GUARD_PRODUCT):
     if m < 2 * n:
         raise DimensionError(f"need M >= 2N, got ({m}, {n})")
     gen = as_generator(rng)
-    z = sample_min_d2(gen, GrassmannConstants(m, n), bits, guard_product=guard_product, size=t)
+    z = sample_min_d2(gen, GrassmannConstants(m, n), bits, size=t)
     x = isotropic_frame(gen, n, n, batch=(t,))
     p = gaussian_matrix(gen, m, n, batch=(t,))
     col = np.empty((t, m), dtype=np.complex128)

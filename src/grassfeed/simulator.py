@@ -20,8 +20,8 @@ user's channel:
 A perfect point is mu_Y, with ci99 = 0. Any other point's sum rate is the
 regression estimate mean(R) - b_Y (mean(Y) - mu_Y) - b_L (mean(L) - mu_L),
 with (b_Y, b_L) the least-squares fit of R on (Y, L), and its ci99 the
-half-width of the residual R - b_Y Y - b_L L. Where mu_L is not exact (a
-quantized unit of width 2 or more whose budget fails the default emulation
+half-width of the residual R - b_Y Y - b_L L. Where mu_L is not exact (an
+exhaustive unit of width 2 or more whose budget fails the emulation
 guard), R is regressed on Y alone. The fading and the leakage that move R
 drop out, so the half-width is several times narrower than the plain
 mean's at the same trial count; the estimate stays unbiased.
@@ -131,7 +131,6 @@ class FeedbackPolicy:
     bits: int = None
     bits_table: dict = None
     beta: float = None
-    guard_product: float = DEFAULT_GUARD_PRODUCT
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -158,7 +157,6 @@ class FeedbackPolicy:
         else:
             if self.bits is not None or self.bits_table is not None or self.beta is not None:
                 raise IncompatiblePolicy("perfect mode takes no feedback parameters")
-        _check_real("guard_product", self.guard_product, low=0, error=IncompatiblePolicy)
 
     def resolve_bits(self, p_db, m, n):
         """Integer bit budget at one SNR point, or None for modes without bits."""
@@ -188,15 +186,19 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _check_shape(self.m, self.n, loaded=True)
-        grid = tuple(float(p) for p in self.snr_grid_db)
+        try:
+            grid = tuple(self.snr_grid_db)
+        except TypeError as exc:
+            raise ParameterError(f"snr_grid_db must be a sequence, got {self.snr_grid_db!r}") from exc
+        for p_db in grid:
+            _check_real("snr_grid_db point", p_db)
+        grid = tuple(map(float, grid))
         if len(grid) == 0:
             raise ParameterError("snr_grid_db grid is empty")
         try:
             top = 10.0 ** (max(grid) / 10.0)
-        except OverflowError:
-            top = math.inf
-        if not (all(map(math.isfinite, grid)) and math.isfinite(top)):
-            raise ParameterError(f"snr_grid_db points must be finite, as must 10^(P/10): {grid}")
+        except OverflowError as exc:
+            raise ParameterError(f"snr_grid_db points must keep 10^(P/10) finite: {grid}") from exc
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("snr_grid_db grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -257,9 +259,10 @@ class _Point:
 
 
 def _plan(spec):
-    """Every point's :class:`_Point`. The policy's guard is checked on the
-    smallest unit budget and the codebook cap on the largest; the cap
-    compares the budget as an exponent first, so a huge B never forms 2^B.
+    """Every point's :class:`_Point`. The default emulation guard, checked
+    once on the smallest unit budget, decides both the mode and whether
+    mean_leak is exact, so an emulated point's always is. The codebook cap
+    is checked on the largest budget as an exponent: 2^B is never formed.
 
     The part of a quantized unit's channel H_i (width w, budget b) that is
     orthogonal to its fed-back frame has mean squared norm M E[min d^2]
@@ -286,16 +289,16 @@ def _plan(spec):
         elif bits is not None:
             base, rem = divmod(bits, n // width)
             budgets = tuple(base + 1 if i < rem else base for i in range(n // width))
-            emulated = mode == "quantized_emulated"
-            if not (emulated and emulation_valid(gc, min(budgets), policy.guard_product)):
+            valid = emulation_valid(gc, min(budgets), DEFAULT_GUARD_PRODUCT)
+            if not (mode == "quantized_emulated" and valid):
                 try:
                     _codebook_size(max(budgets), m, width)
                 except MemoryGuard as exc:
-                    if emulated:
+                    if mode == "quantized_emulated":
                         raise FallbackRequired(f"guard fails at B={bits} and {exc}") from exc
                     raise
                 mode = "quantized_exhaustive"
-            if width == 1 or emulation_valid(gc, min(budgets), DEFAULT_GUARD_PRODUCT):
+            if width == 1 or valid:
                 mean_leak = k * m * (m - n) / (m - width) * sum(_mean_min_d2(gc, b) for b in budgets)
         substream = (_MODES.index(mode), 0 if bits is None else bits + 1)
         plan.append(_Point(p_db, p, bits, mode, budgets, (mode, bits, snr), substream,
@@ -312,9 +315,8 @@ def _precoders(spec, pt, stream, h, frames, noise):
     else:
         gen = stream.child(*pt.substream).generator()
         # an emulated budget has already passed the guard
-        units = [emulate_batch(gen, f, b, guard_product=spec.policy.guard_product)[0]
-                 if pt.mode == "quantized_emulated" else scan_fresh_codebooks(gen, f, b)[1]
-                 for f, b in zip(frames, pt.budgets)]
+        units = [emulate_batch(gen, f, b)[0] if pt.mode == "quantized_emulated"
+                 else scan_fresh_codebooks(gen, f, b)[1] for f, b in zip(frames, pt.budgets)]
         # one unit's result is the knowledge itself; only several are joined
         know = units[0] if len(units) == 1 else np.concatenate(units, axis=-1)
         knowledge = know.reshape(h.shape)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(_write_config(tmp_path, "M 4\n"))
 
+    def test_readme_table_lists_every_key(self):
+        """The README's config table names exactly the keys the parser takes."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Config files are flat", 1)[1].split("\n\n")[1]
+        first_cells = [row.split("|")[1] for row in table.splitlines()[2:]]
+        keys = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+        assert sorted(keys) == sorted(cli._CONFIG_KEYS)
+
 
 class TestBuildSpec:
     def test_perfect(self, tmp_path):
@@ -113,13 +122,6 @@ class TestBuildSpec:
         text = BASIC.replace("mode = perfect", "mode = analog\nbeta = 2")
         spec = build_spec(parse_config(_write_config(tmp_path, text)))
         assert spec.policy.beta == 2.0
-
-    def test_guard_product_passthrough(self, tmp_path):
-        text = BASIC.replace(
-            "mode = perfect", "mode = quantized_emulated\nB = 8\nguard_product = 15"
-        )
-        spec = build_spec(parse_config(_write_config(tmp_path, text)))
-        assert spec.policy.guard_product == 15.0
 
     def test_bad_number(self, tmp_path):
         text = BASIC.replace("trials = 64", "trials = many")
@@ -198,14 +200,14 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "old,new",
         [
-            ("mode = perfect", "mode = quantized_emulated\nB = 8\nguard_product = 0"),
-            ("mode = perfect", "mode = quantized_emulated\nB = 8\nguard_product = nan"),
+            ("mode = perfect", "mode = quantized_emulated\nB = 8\nguard_product = 15"),
             ("mode = perfect", "mode = analog\nbeta = inf"),
             ("mode = perfect", "mode = quantized_exhaustive\nB = 1000000000000000000"),
             ("mode = perfect", "mode = quantized_exhaustive\nschedule = custom\n"
                                "bits_table = 0:2, 5:-1, 10:3"),
             ("snr_stop = 10", "snr_stop = inf"),
             ("snr_start = 0", "snr_start = nan"),
+            ("snr_step = 5", "snr_step = 1e-308"),
             ("snr_start = 0\nsnr_stop = 10", "snr_start = 3083\nsnr_stop = 3083"),
             (GRID_AND_MODE, "snr_start = 3081\nsnr_stop = 3081\n" + OVERFLOWING),
             (GRID_AND_MODE, "snr_start = 3082.5\nsnr_stop = 3082.5\n" + OVERFLOWING),
@@ -223,6 +225,8 @@ class TestSimulateCommand:
         assert "error:" in err
         if OVERFLOWING in new:
             assert "overflow" in err
+        if "guard_product" in new:
+            assert "unknown key" in err
 
     @pytest.mark.parametrize("p_db,precoder", [("3081", "bd"), ("3082.5", "bd"), ("3082", "zf")])
     def test_perfect_at_the_spec_limit(self, tmp_path, p_db, precoder):
@@ -299,6 +303,11 @@ class TestScalingCommand:
         assert main(["scaling", "--M", "4", "--N", "2", "--snr", "0:10"]) == 2
         capsys.readouterr()
 
+    def test_endless_grid_exits_2(self, capsys):
+        """A step so small that the point count overflows is a bad range."""
+        assert main(["scaling", "--M", "4", "--N", "2", "--snr", "0:1e308:1e-308"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestGapCommand:
     def test_between_two_curves(self, tmp_path, capsys):
@@ -352,6 +361,10 @@ class TestSelftestCommand:
     def test_partial_flags_exit_2(self, capsys):
         assert main(["emu-selftest", "--m", "4", "--samples", "100"]) == 2
         assert "together" in capsys.readouterr().err
+
+    def test_negative_samples_exit_2(self, capsys):
+        assert main(["emu-selftest", "--samples", "-1"]) == 2
+        assert "size must be an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n1,n2,ties", [(7, 5, False), (300, 1000, False), (2000, 2000, True)])
     def test_ks_matches_scipy(self, n1, n2, ties):

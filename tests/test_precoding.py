@@ -10,7 +10,7 @@ from grassfeed.ensembles import (
     isotropic_frame_in_nullspace,
 )
 from grassfeed.errors import DimensionError, ParameterError, RankDeficient
-from grassfeed.linalg import left_nullspace_basis, logdet_hermitian_batch
+from grassfeed.linalg import logdet_hermitian_batch
 from grassfeed.precoding import (
     AnalogObservation,
     PrecoderSet,
@@ -33,24 +33,26 @@ from grassfeed.quant_emulator import emulate_batch
 
 
 def _bd_reference(h):
-    """Per-trial BD: a complete-QR nullspace of each user's complement."""
+    """Per-trial BD: each user's precoder spans the left singular vectors
+    of its complement beyond the complement's rank."""
     t, k, m, n = h.shape
     out = np.empty_like(h)
     for i in range(t):
         for kk in range(k):
             others = np.concatenate([h[i, j] for j in range(k) if j != kk], axis=1)
-            out[i, kk] = left_nullspace_basis(others)
+            out[i, kk] = np.linalg.svd(others)[0][:, others.shape[1]:]
     return out
 
 
 def _zf_reference(h):
-    """Per-trial ZF: each beam from the nullspace of the other M - 1 columns."""
+    """Per-trial ZF: each beam is the last left singular vector of the
+    other M - 1 columns, their nullspace."""
     t, k, m, n = h.shape
     out = np.empty_like(h)
     for i in range(t):
         cols = np.concatenate(list(h[i]), axis=1)
         for j in range(m):
-            out[i, j // n, :, j % n] = left_nullspace_basis(np.delete(cols, j, axis=1))[:, 0]
+            out[i, j // n, :, j % n] = np.linalg.svd(np.delete(cols, j, axis=1))[0][:, -1]
     return out
 
 

@@ -14,7 +14,7 @@ from grassfeed.errors import (
 from grassfeed import precoding, simulator
 from grassfeed.grassmann import GrassmannConstants
 from grassfeed.precoding import SystemConfig, perfect_csi_sum_rate
-from grassfeed.quant_emulator import sample_min_d2
+from grassfeed.quant_emulator import DEFAULT_GUARD_PRODUCT, sample_min_d2
 from grassfeed.simulator import (
     CHUNK_TRIALS,
     ExperimentSpec,
@@ -196,24 +196,27 @@ class TestEffectiveMode:
         assert _point(spec).mode == "quantized_exhaustive"
 
     def test_no_route(self):
-        pol = FeedbackPolicy(
-            mode="quantized_emulated", bits=60, guard_product=2.0 ** 70
-        )
+        """(10, 5) at B = 20 fails the guard, and its 2^20-entry codebook
+        the cap; B = 35 passes the guard."""
+        def plan(bits):
+            pol = FeedbackPolicy(mode="quantized_emulated", bits=bits)
+            return simulator._plan(_spec(m=10, n=5, policy=pol))
+
         with pytest.raises(FallbackRequired):
-            simulator._plan(_spec(policy=pol))
+            plan(20)
+        assert plan(35)[0].mode == "quantized_emulated"
 
     @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("bd", 8, 2), ("zf", 6, 2)])
-    @pytest.mark.parametrize("guard", [0.5, 1.0, 15.0, 40.0])
-    def test_one_guard_predicate(self, precoder, m, n, guard):
+    def test_one_guard_predicate(self, precoder, m, n):
         """The engine emulates exactly when sample_min_d2 accepts the
         smallest budget it will be asked to emulate."""
         gc = GrassmannConstants(m, 1 if precoder == "zf" else n)
         for bits in range(0, 17):
-            pol = FeedbackPolicy(mode="quantized_emulated", bits=bits, guard_product=guard)
+            pol = FeedbackPolicy(mode="quantized_emulated", bits=bits)
             mode = _point(_spec(m=m, n=n, precoder=precoder, policy=pol)).mode
             low = bits // n if precoder == "zf" else bits
             try:
-                sample_min_d2(RngStream(1), gc, low, guard_product=guard)
+                sample_min_d2(RngStream(1), gc, low)
                 accepted = True
             except FallbackRequired:
                 accepted = False
@@ -249,23 +252,22 @@ class TestSweepPlan:
     sweep whose last point cannot run draws nothing."""
 
     @pytest.mark.parametrize(
-        "precoder,policy,error",
+        "kw,policy,error",
         [
-            ("bd", FeedbackPolicy(mode="quantized_emulated", schedule="custom",
-                                  bits_table={0.0: 12, 10.0: 12}), IncompatiblePolicy),
-            ("bd", FeedbackPolicy(mode="quantized_exhaustive", schedule="scaled_3db"), MemoryGuard),
-            ("zf", FeedbackPolicy(mode="quantized_exhaustive", schedule="custom",
-                                  bits_table={0.0: 2, 10.0: 4, 20.0: 60}), MemoryGuard),
-            ("bd", FeedbackPolicy(mode="quantized_emulated", schedule="custom",
-                                  bits_table={0.0: 80, 10.0: 80, 20.0: 60},
-                                  guard_product=2.0 ** 70), FallbackRequired),
+            ({}, FeedbackPolicy(mode="quantized_emulated", schedule="custom",
+                                bits_table={0.0: 12, 10.0: 12}), IncompatiblePolicy),
+            ({}, FeedbackPolicy(mode="quantized_exhaustive", schedule="scaled_3db"), MemoryGuard),
+            (dict(precoder="zf"), FeedbackPolicy(mode="quantized_exhaustive", schedule="custom",
+                                                 bits_table={0.0: 2, 10.0: 4, 20.0: 60}), MemoryGuard),
+            (dict(m=10, n=5), FeedbackPolicy(mode="quantized_emulated", schedule="custom",
+                                             bits_table={0.0: 35, 10.0: 35, 20.0: 20}), FallbackRequired),
         ],
         ids=["missing_entry", "over_cap", "zf_over_cap", "no_route"],
     )
-    def test_last_point_fails_before_any_chunk(self, monkeypatch, precoder, policy, error):
+    def test_last_point_fails_before_any_chunk(self, monkeypatch, kw, policy, error):
         calls = []
         monkeypatch.setattr(simulator, "_chunk_sum_rates", lambda *a: calls.append(a))
-        spec = _spec(precoder=precoder, policy=policy, snr_grid_db=(0.0, 10.0, 20.0))
+        spec = _spec(policy=policy, snr_grid_db=(0.0, 10.0, 20.0), **kw)
         with pytest.raises(error):
             run_experiment(spec)
         assert calls == []
@@ -309,6 +311,28 @@ class TestSweepPlan:
         assert seen[0] == seen[1]
         assert sorted(seen[0]) == ["_free_sum_rate_mean", "_mean_min_d2", "emulation_valid"]
 
+    @pytest.mark.parametrize("precoder,mode", [
+        ("bd", "quantized_emulated"), ("zf", "quantized_emulated"), ("bd", "quantized_exhaustive"),
+    ])
+    def test_one_guard_decision_per_point(self, monkeypatch, precoder, mode):
+        """Each quantized point asks the default guard once, about its
+        smallest unit budget; that answer sets both its mode and whether
+        its leakage mean is exact, so every emulated point has one."""
+        calls = []
+
+        def spy(gc, bits, guard, _real=simulator.emulation_valid):
+            calls.append((bits, guard, _real(gc, bits, guard)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(simulator, "emulation_valid", spy)
+        pol = FeedbackPolicy(mode=mode, schedule="custom", bits_table={0.0: 0, 10.0: 5, 20.0: 12})
+        plan = simulator._plan(_spec(precoder=precoder, policy=pol, snr_grid_db=(0.0, 10.0, 20.0)))
+        assert [c[:2] for c in calls] == [(min(pt.budgets), DEFAULT_GUARD_PRODUCT) for pt in plan]
+        for pt, (_, _, valid) in zip(plan, calls):
+            assert (pt.mode == "quantized_emulated") == (valid and mode == "quantized_emulated")
+            assert (pt.mean_leak is not None) == (valid or precoder == "zf")
+        assert plan[-1].mode == mode
+
     @pytest.mark.parametrize("precoder,policy", [
         ("bd", FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
         ("zf", FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
@@ -336,10 +360,6 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(mode="quantized_emulated", bits=10, guard_product=0.0),
-            dict(mode="quantized_emulated", bits=10, guard_product=-1.0),
-            dict(mode="quantized_emulated", bits=10, guard_product=math.nan),
-            dict(mode="quantized_emulated", bits=10, guard_product=math.inf),
             dict(mode="analog", beta=math.inf),
             dict(mode="quantized_exhaustive", schedule="custom", bits_table={10.0: -1}),
             dict(mode="quantized_exhaustive", schedule="custom", bits_table={10.0: 2.5}),
@@ -363,6 +383,10 @@ class TestInputValidation:
             dict(trials=True),
             dict(m=4.0),
             dict(snr_grid_db=(0.0, 3083.0)),
+            dict(snr_grid_db=("x",)),
+            dict(snr_grid_db=(None,)),
+            dict(snr_grid_db=(1 + 2j,)),
+            dict(snr_grid_db=None),
         ],
     )
     def test_spec_rejects(self, kw):
@@ -419,18 +443,6 @@ class TestAnyBitBudget:
             got = _one_point(spec, 0, _point(spec, p_db))[:, 0]
             want = _perfect_rates(spec, p_db)[0].sum(axis=1)
             np.testing.assert_allclose(got, want, rtol=1e-9)
-
-    def test_zf_zero_bit_antenna_emulates(self, monkeypatch):
-        """Under guard_product <= 1 a 0-bit antenna passes the guard, so it
-        is emulated like the others, as the mode column says."""
-        def no_scan(*args, **kwargs):
-            raise AssertionError("exhaustive scan ran on an emulated point")
-
-        monkeypatch.setattr(simulator, "scan_fresh_codebooks", no_scan)
-        pol = FeedbackPolicy(mode="quantized_emulated", bits=1, guard_product=0.5)
-        curve = run_experiment(_spec(precoder="zf", policy=pol, trials=32))
-        assert curve.points[0].mode == "quantized_emulated"
-        assert np.isfinite(curve.points[0].sum_rate)
 
 
 class TestDeterminism:
@@ -684,8 +696,7 @@ class TestCommonRandomNumbers:
         acceptance suite repeats this at the spec's full trial count."""
         kw = dict(snr_grid_db=(10.0,), trials=6000, m=4, n=2)
         emu = run_experiment(
-            _spec(policy=FeedbackPolicy(mode="quantized_emulated", bits=8,
-                                        guard_product=15.0), seed=1, **kw)
+            _spec(policy=FeedbackPolicy(mode="quantized_emulated", bits=8), seed=1, **kw)
         )
         exh = run_experiment(
             _spec(policy=FeedbackPolicy(mode="quantized_exhaustive", bits=8),
@@ -832,16 +843,13 @@ class TestLeakageControl:
         assert abs(self._leak_z(spec, pt)) <= 3.5
         assert abs(self._leak_z(spec, pt, (m - 1) / (m - n))) > 10
 
-    @pytest.mark.parametrize("policy,bits", [
-        (FeedbackPolicy(mode="quantized_exhaustive", bits=4), 4),
-        # emulated below the default guard: the d^2 tail past 1 is clamped
-        (FeedbackPolicy(mode="quantized_emulated", bits=4, guard_product=1.0), 4),
-    ])
-    def test_without_exact_mean_regress_on_y_alone(self, policy, bits):
-        spec = _spec(policy=policy, trials=300)
+    def test_without_exact_mean_regress_on_y_alone(self):
+        """(4, 2) at B = 4 fails the guard, so the scan runs and E[min d^2]
+        has no exact closed form."""
+        spec = _spec(policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4), trials=300)
         pt = run_experiment(spec).points[0]
         planned = _point(spec)
-        assert (planned.bits, planned.mode) == (bits, pt.mode)
+        assert (planned.bits, planned.mode) == (4, pt.mode)
         assert planned.mean_leak is None
         rates = _one_point(spec, 0, planned)
         mu = perfect_csi_sum_rate(SystemConfig(4, 2, 10.0))
