@@ -367,6 +367,10 @@ class TestInputValidation:
             dict(mode="quantized_exhaustive", schedule="custom", bits_table={"a": 3}),
             dict(mode="quantized_exhaustive", schedule="custom", bits_table={None: 3}),
             dict(mode="quantized_exhaustive", schedule="custom", bits_table=[1, 2]),
+            dict(mode="digital"),
+            dict(mode="analog", beta=0.5),
+            dict(mode="quantized_exhaustive", bits=4, beta=2.0),
+            dict(mode="perfect", bits=4),
         ],
     )
     def test_policy_rejects(self, kw):
