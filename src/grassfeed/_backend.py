@@ -10,7 +10,7 @@ away when the benchmark stops binding them (ROADMAP item 2).
 
 import numpy as np
 
-from .grassmann import quantize_planes
+from .grassmann import _scan_np
 from .linalg import orthonormalize
 
 __all__ = ["BACKEND", "orthonormalize", "quantize_gaussians"]
@@ -20,12 +20,6 @@ BACKEND = "python"
 
 
 def quantize_gaussians(hq, gauss):
-    """:func:`~grassfeed.grassmann.quantize_planes` of complex (T, C, m, n)
-    codebooks, copied into planes first."""
-    hq = np.ascontiguousarray(hq, dtype=np.complex128)
-    gauss = np.asarray(gauss, dtype=np.complex128)
-    t, c, m, n = gauss.shape
-    planes = np.empty((t, 2, m, n, c))
-    planes[:, 0] = gauss.real.transpose(0, 2, 3, 1)
-    planes[:, 1] = gauss.imag.transpose(0, 2, 3, 1)
-    return quantize_planes(hq, planes, np.empty(planes[:, 0].size))
+    """(idx, d2, winners) of complex (T, C, m, n) Gaussian codebooks, every
+    entry orthonormalized and scanned against its frame hq[t]."""
+    return _scan_np(np.ascontiguousarray(hq, dtype=np.complex128), orthonormalize(gauss))

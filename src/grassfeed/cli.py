@@ -54,6 +54,9 @@ from .simulator import (
     write_curve_csv,
 )
 
+# points an SNR range may hold: 0 to 100 dB in 0.01 dB steps
+_MAX_GRID_POINTS = 10001
+
 _CONFIG_KEYS = {
     "M", "N", "snr_start", "snr_stop", "snr_step", "mode", "schedule", "B",
     "bits_table", "beta", "trials", "seed", "precoder",
@@ -101,10 +104,13 @@ def _parse_bits_table(text):
 
 
 def _grid(start, stop, step):
-    """Inclusive SNR grid start, start + step, ..., stop."""
+    """Inclusive SNR grid start, start + step, ..., stop, of at most
+    _MAX_GRID_POINTS points; the count is checked before any is built."""
     if not (math.isfinite(start) and step > 0 and start <= stop and math.isfinite((stop - start) / step)):
         raise ConfigError("SNR range must be finite and run forward in finitely many positive steps")
     count = int((stop - start) / step + 1e-9) + 1
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"SNR range has {count} points, more than the {_MAX_GRID_POINTS} allowed")
     return tuple(start + i * step for i in range(count))
 
 
@@ -226,6 +232,8 @@ def _ks_2samp(a, b):
 def cmd_selftest(args):
     if (args.m is None) != (args.n is None) or (args.m is None) != (args.bits is None):
         raise ConfigError("--m, --n and --bits must be given together")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be an integer >= 1, got {args.samples}")
     configs = _SELFTEST_DEFAULTS if args.m is None else ((args.m, args.n, args.bits),)
     all_ok = True
     for m, n, bits in configs:

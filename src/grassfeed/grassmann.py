@@ -6,25 +6,17 @@ N - ||A^H B||_F^2 (the principal-angle route is kept only as a test
 oracle). Random codebooks hold 2^B independent isotropic frames; a channel
 is quantized to the entry of minimum d^2, lowest index on ties.
 
-A scan of fresh codebooks, one per trial, draws and scores them in
-fixed-size blocks of trials. Each block's codebooks are drawn as one
-Gaussian draw would draw them, into planes: a (T, 2, M, N, C) float64
-array holding the real and then the imaginary parts of every entry, with
-the entry index innermost. One workspace holds the planes and the draw
-buffer for every block of a scan.
-
-The scan (:func:`quantize_planes`) runs no QR per codebook entry. It
-scores every entry from its Gram matrix A = G^H G and B = hq^H G, takes
-the best score per trial and orthonormalizes only the T winners, whose
-d^2 and frame are then bit-identical to orthonormalizing every entry. B of
-a trial's C entries is one real matrix product, and A and the LDL^H
-factorization run on real and imaginary (T, C) arrays, so every step reads
-contiguous vectors over the entries. A block with an entry near the rank
-floor, where the Gram is too coarse, takes the exact path instead, and so
-does every trial whose two best scores nearly tie; both rebuild the
-complex entries from the planes, which is exact. A one-entry codebook is
-its own winner: the scan draws it as one complex Gaussian and
-orthonormalizes it, with no planes and nothing to score.
+A scan of fresh codebooks, one per trial, never draws an entry as a
+matrix. Only an entry's principal angles to the channel frame hq matter,
+and they follow from two independent complex Wishart matrices: split an
+entry G = hq B + hq_perp G_2; then d^2 = tr(A^-1 W) with A = S + W,
+S = B^H B ~ CW_N(N, I) and W = G_2^H G_2 ~ CW_N(M - N, I). Each entry is
+drawn as the Bartlett factors of S and W, 2N gammas and 2N(N-1) normals
+against 2MN normals for G, and scored by one LDL^H pass over A on (E,)
+vectors over the block's entries. Only each trial's winner becomes a
+frame, drawn from its exact conditional law given its statistics. A
+one-entry codebook is its own winner: the scan draws it as one complex
+Gaussian and orthonormalizes it, with nothing to score.
 """
 
 import math
@@ -39,6 +31,7 @@ from .errors import (
     DomainError,
     MemoryGuard,
     ParameterError,
+    RankDeficient,
     _check_count,
     _check_real,
     _check_shape,
@@ -60,25 +53,18 @@ __all__ = [
 ]
 
 # complex elements (2^B entries times M w, w the frame width) a codebook may
-# hold: 256 MiB of entries, and about 400 MB of scan workspace (three float64
-# words per element) when one trial's codebook fills a scan block
+# hold: 256 MiB of entries. A scan of one such codebook per trial holds
+# half as many bytes of statistics (2 w^2 <= M w reals per entry) and peaks
+# at about 320 MiB with its scoring temporaries (traced at M=4, N=2, B=21)
 _CAP_BITS = 24
 CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
-# complex codebook elements per scored block: a scan's workspace is the
-# block's real and imaginary planes (2 MiB) and its draw buffer (1 MiB),
-# which the scorer reuses for B = hq^H G. Each block draws all its real
-# parts, then all its imaginary parts, so this size fixes how a
-# multi-block scan consumes the random stream, as CHUNK_TRIALS does for
-# the engine: changing it changes the results.
+# complex codebook elements per scored block: a scan block holds the
+# statistics of that many elements' worth of entries, at most 1 MiB of
+# reals, and its scoring temporaries. Each block draws all its
+# statistics before the next, so this size fixes how a multi-block scan
+# consumes the random stream, as CHUNK_TRIALS does for the engine:
+# changing it changes the results.
 _SCAN_BLOCK_ELEMS = 2 ** 17
-# The Gram squares the condition number, so it ranks entries only well away
-# from the rank floor: a pivot r_jj^2 at or below _PIVOT_MARGIN ||G||_F^2
-# (score error about 5e-9 there), or ||G||_F^2 outside _TRACE_RANGE, sends
-# the block down the exact path, which checks the floor itself. Trials whose
-# two best scores are within _TIE_GAP are rescanned exactly.
-_PIVOT_MARGIN = 1e-8
-_TRACE_RANGE = (1e-300, 1e250)
-_TIE_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -337,206 +323,169 @@ def scan_frames(hq, frames):
     return int(idx[0]), float(d2[0])
 
 
-def _entries(planes):
-    """The (T, C, m, n) complex entries held by (T, 2, m, n, C) planes."""
-    t, _, m, n, c = planes.shape
-    z = np.empty((t, c, m, n), dtype=np.complex128)
-    z.real = planes[:, 0].transpose(0, 3, 1, 2)
-    z.imag = planes[:, 1].transpose(0, 3, 1, 2)
-    return z
-
-
-def _dot(x, y):
-    """Sum over the rows of x * y, per trial and entry, for (T, k, C) x and y."""
-    return np.einsum("tkc,tkc->tc", x, y)
-
-
-def _plane_scores(hq, planes, scratch):
-    """||hq^H Q||_F^2 of every entry, Q = orth(G), without a QR.
-
-    With A = G^H G = R^H R and B = hq^H G the score is ||B R^-1||_F^2.
-    scratch is a float64 array of at least T 2n n C elements, overwritten
-    with B. None when some entry's trace or pivot r_jj^2 leaves the range
-    where the Gram is accurate enough to rank entries.
-    """
-    t, _, m, n, c = planes.shape
-    re, im = planes[:, 0], planes[:, 1]
-    # column j of every entry, real parts over imaginary parts: (T, 2m, C)
-    cols = [planes[:, :, :, j].reshape(t, 2 * m, c) for j in range(n)]
-    with np.errstate(over="ignore"):
-        diag = [_dot(col, col) for col in cols]
-        trace = np.sum(diag, axis=0)
-    # min and max propagate NaN, which fails both comparisons
-    if not (_TRACE_RANGE[0] <= trace.min() and trace.max() <= _TRACE_RANGE[1]):
-        return None
-    floor = _PIVOT_MARGIN * trace
-    # [Re B; Im B] of a trial's entries is one product of [Re hq^T, Im hq^T;
-    # -Im hq^T, Re hq^T] with its planes, read as (2m, n C)
-    hqt = hq.transpose(0, 2, 1)
-    kern = np.empty((t, 2 * n, 2 * m))
-    kern[:, :n, :m] = kern[:, n:, m:] = hqt.real
-    kern[:, :n, m:] = hqt.imag
-    np.negative(hqt.imag, out=kern[:, n:, :m])
-    b = scratch[: t * 2 * n * n * c].reshape(t, 2 * n, n * c)
-    np.matmul(kern, planes.reshape(t, 2 * m, n * c), out=b)
-    b = b.reshape(t, 2, n, n, c)
-    # square-root-free Cholesky A = U^H D U (unit upper U, D the pivots
-    # r_jj^2) and Y = B U^-1, column by column: ||B R^-1||^2 = sum ||y_j||^2 / d_j.
-    # Each y_j is (T, 2, n, C), real parts over imaginary parts.
-    ur, ui = {}, {}
-    d, y = [], []
-    for j in range(n):
-        pivot, yj = diag[j], b[:, :, :, j]
-        for i in range(j):
-            sr = _dot(cols[i], cols[j])
-            si = _dot(re[:, :, i], im[:, :, j]) - _dot(im[:, :, i], re[:, :, j])
-            for k in range(i):
-                # conj(u_ki) d_k u_kj
-                sr -= d[k] * (ur[k, i] * ur[k, j] + ui[k, i] * ui[k, j])
-                si -= d[k] * (ur[k, i] * ui[k, j] - ui[k, i] * ur[k, j])
-            sr /= d[i]
-            si /= d[i]
-            ur[i, j], ui[i, j] = sr, si
-            pivot = pivot - d[i] * (ur[i, j] ** 2 + ui[i, j] ** 2)
-            vr, vi = ur[i, j][:, np.newaxis], ui[i, j][:, np.newaxis]
-            yr, yi = y[i][:, 0], y[i][:, 1]
-            prev, yj = yj, np.empty((t, 2, n, c))
-            np.subtract(prev[:, 0], yr * vr - yi * vi, out=yj[:, 0])
-            np.subtract(prev[:, 1], yr * vi + yi * vr, out=yj[:, 1])
-        if not np.all(pivot > floor):
-            return None
-        d.append(pivot)
-        y.append(yj)
-        yj = yj.reshape(t, 2 * n, c)
-        part = _dot(yj, yj)
-        part /= pivot
-        if j:
-            score += part
-        else:
-            score = part
-    return score
-
-
-def quantize_planes(hq, planes, scratch):
-    """Fused codebook orthonormalization and nearest-frame scan.
-
-    hq: (T, m, n) orthonormal channel stack. planes: (T, 2, m, n, C) real
-    and imaginary parts of one fresh C-entry codebook per trial, entry
-    index innermost. scratch: a float64 array of at least T 2n n C
-    elements, which the scan overwrites. Returns (idx, d2, qwin). Raises
-    RankDeficient if any entry is under the rank floor.
-
-    Entries are scored by Gram matrix and only the winners are
-    orthonormalized; near the rank floor every entry gets a QR instead.
-    """
-    score = _plane_scores(hq, planes, scratch)
-    if score is None:
-        return _scan_np(hq, thin_qr_batch(_entries(planes))[0])
-    rows = np.arange(score.shape[0])
-    idx = np.argmax(score, axis=1)
-    best = score[rows, idx]
-    score[rows, idx] = -np.inf
-    # near-ties resolve as the exact scan resolves them, lowest index first
-    near = ~(best - np.max(score, axis=1) > _TIE_GAP)
-    if np.any(near):
-        idx[near] = _scan_np(hq[near], thin_qr_batch(_entries(planes[near]))[0])[0]
-    # each trial's winner, as a one-entry codebook
-    win = _entries(planes[rows, :, :, :, idx][..., np.newaxis])
-    _, d2, qwin = _scan_np(hq, thin_qr_batch(win)[0])
-    return idx.astype(np.int64), d2, qwin
-
-
 def _scan_block(size, m, n):
     """Trials per scan block: _SCAN_BLOCK_ELEMS complex codebook elements'
     worth of 2^B-entry (M, N) codebooks, at least one."""
     return max(1, _SCAN_BLOCK_ELEMS // (size * m * n))
 
 
-def _draw_planes(gen, draw, planes):
-    """Fill (T, 2, M, N, C) planes with the real and imaginary parts of T
-    fresh C-entry codebooks, through a (T, C, M, N) draw buffer.
+def _draw_stats(gen, m, n, work):
+    """Draw the Bartlett factors T_s and T_w of len(work) / (2 n^2) entries
+    into the float64 buffer ``work``, in stream order: the squared diagonals
+    of T_s (standard_gamma(n - i), i = 0..n-1), those of T_w
+    (standard_gamma(m - n - i)), then one standard_normal draw of the
+    strictly upper entries, T_s's then T_w's, column by column, each as all
+    its real parts, then all its imaginary parts, scaled by sqrt(1/2).
 
-    The normals are consumed as ``gaussian_matrix(gen, M, N, batch=(T, C))``
-    consumes them and scaled by the same sqrt(1/2), so the planes hold the
-    bytes of that draw, with the entry index innermost.
+    Returns views of ``work``: gam, the (2, n, E) squared diagonals, and
+    off, the (2, n(n-1)/2, 2, E) upper entries as real and imaginary rows.
     """
-    for half in range(2):
-        gen.standard_normal(out=draw)
-        # scaled in place, where it is contiguous: faster than scaling on
-        # the way into the planes through the transposed view
-        draw *= np.sqrt(0.5)
-        planes[:, half] = draw.transpose(0, 2, 3, 1)
+    e = work.size // (2 * n * n)
+    gam = work[: 2 * n * e].reshape(2, n, e)
+    for f, dof in enumerate((n, m - n)):
+        for i in range(n):
+            gen.standard_gamma(dof - i, out=gam[f, i])
+    off = work[2 * n * e:]
+    gen.standard_normal(out=off)
+    off *= np.sqrt(0.5)
+    return gam, off.reshape(2, n * (n - 1) // 2, 2, e)
 
 
-def _scan_blocks(gen, m, n, bits, count, hq=None):
-    """Yield (lo, hi, d2, winners) for each block of count trials, each
-    trial scanned against its own fresh 2^bits-entry codebook. With hq
-    None, each block's channels are drawn and orthonormalized just before
-    its codebooks."""
+def _abs2(z):
+    """|z|^2 of a complex array held as (2, E) real and imaginary rows."""
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _mul(x, y, conj=False):
+    """x y, or conj(x) y, of complex arrays held as (2, E) rows."""
+    s = -1.0 if conj else 1.0
+    return np.stack((x[0] * y[0] - s * x[1] * y[1], x[0] * y[1] + s * x[1] * y[0]))
+
+
+def _stat_d2(gam, off):
+    """d^2 = tr(A^-1 W) = ||T_w R^-1||_F^2 of every entry, from its Bartlett
+    factors (see :func:`_draw_stats`), with A = S + W = R^H R.
+
+    A runs through the square-root-free Cholesky A = U^H D U (unit upper U,
+    D the pivots) and Y = T_w U^-1 column by column, so d^2 is
+    sum_j ||y_j||^2 / d_j, a sum of positive terms. Complex values are
+    (2, E) real and imaginary rows, so every step is a real vector
+    operation over the entries. Raises RankDeficient if a pivot is zero or
+    not finite.
+    """
+    n = gam.shape[1]
+    t = np.sqrt(gam[:, : n - 1])
+
+    def upper(f, k, j):
+        return off[f, j * (j - 1) // 2 + k]
+
+    d, u, y = [], {}, []
+    for j in range(n):
+        pivot = gam[0, j] + gam[1, j]
+        # rows 0..j-1 of y_j; row j is t_w[j], whose square is gam[1, j]
+        yj = [upper(1, k, j).copy() for k in range(j)]
+        for i in range(j):
+            a = upper(0, i, j) * t[0, i] + upper(1, i, j) * t[1, i]
+            for k in range(i):
+                a += _mul(upper(0, k, i), upper(0, k, j), True) + _mul(upper(1, k, i), upper(1, k, j), True)
+                a -= _mul(u[k, i], u[k, j], True) * d[k]
+            a /= d[i]
+            u[i, j] = a
+            pivot = pivot + _abs2(upper(0, i, j)) + _abs2(upper(1, i, j)) - d[i] * _abs2(a)
+            yj[i] -= a * t[1, i]
+            for r in range(i):
+                yj[r] -= _mul(y[i][r], a)
+        # min and max propagate NaN, which fails both comparisons
+        if not (pivot.min() > 0 and pivot.max() < np.inf):
+            raise RankDeficient("a codebook entry's Gram matrix has a zero or non-finite pivot")
+        d.append(pivot)
+        y.append(yj)
+        part = gam[1, j] + sum(_abs2(v) for v in yj)
+        part /= pivot
+        score = part if j == 0 else score + part
+    return score
+
+
+def _scan_stats(gen, m, n, bits, count, winners=False):
+    """Scan count trials, each against its own fresh 2^bits-entry codebook,
+    from the entries' statistics alone, one :func:`_scan_block` block of
+    trials at a time. Returns the (count,) minimum d^2 and, with
+    ``winners``, the (2, count, n, n) Bartlett factors T_s and T_w of each
+    trial's winner (else None)."""
     size = _codebook_size(bits, m, n)
     block = _scan_block(size, m, n)
-    if size > 1:
-        # one workspace for every block, in one allocation: the planes, then
-        # the draw buffer that the scorer reuses for B once the planes are
-        # full. Freed as one piece, it raises glibc's mmap threshold past its
-        # own size, so later scans take it and their temporaries from the
-        # heap instead of faulting in fresh pages.
-        rows = min(block, count)
-        work = np.empty((3, rows * size * m * n))
-        planes = work[:2].reshape(rows, 2, m, n, size)
-        draw = work[2].reshape(rows, size, m, n)
+    work = np.empty(min(block, count) * size * 2 * n * n)
+    d2 = np.empty(count)
+    fac = np.zeros((2, count, n, n), dtype=np.complex128) if winners else None
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        if hq is None:
-            frames = orthonormalize(gaussian_matrix(gen, m, n, batch=(hi - lo,)))
-        else:
-            frames = hq[lo:hi]
-        if size == 1:
-            # a one-entry codebook is its own winner, drawn complex with
-            # nothing to score. d^2 is _scan_np's; conjugating the winners in
-            # place conjugates hq^H Q exactly, with no copy of the frames.
-            won = thin_qr_batch(gaussian_matrix(gen, m, n, batch=(hi - lo,)))[0]
-            np.conjugate(won, out=won)
-            d2 = n - np.sum(np.abs(np.einsum("tmn,tmp->tnp", frames, won)) ** 2, axis=(-2, -1))
-            np.conjugate(won, out=won)
-        else:
-            _draw_planes(gen, draw[: hi - lo], planes[: hi - lo])
-            _, d2, won = quantize_planes(frames, planes[: hi - lo], draw.reshape(-1))
-        yield lo, hi, d2, won
+        gam, off = _draw_stats(gen, m, n, work[: (hi - lo) * size * 2 * n * n])
+        scores = _stat_d2(gam, off).reshape(hi - lo, size)
+        idx = np.argmin(scores, axis=1)
+        d2[lo:hi] = scores[np.arange(hi - lo), idx]
+        if winners:
+            won = np.arange(hi - lo) * size + idx
+            for j in range(n):
+                fac[:, lo:hi, j, j] = np.sqrt(gam[:, j, won])
+                for k in range(j):
+                    z = off[:, j * (j - 1) // 2 + k][..., won]
+                    fac[:, lo:hi, k, j] = z[:, 0] + 1j * z[:, 1]
+    return d2, fac
+
+
+def _frames_from_stats(gen, hq, ts, tw):
+    """Frames Q whose statistics against hq are (ts, tw), drawn from their
+    exact law: Q = orth(hq U_s T_s + U_w T_w), U_s = orth(N x N Gaussian)
+    and U_w = orth((I - hq hq^H) Z) for an M x N Gaussian Z, drawn in that
+    order."""
+    t, m, n = hq.shape
+    us = orthonormalize(gaussian_matrix(gen, n, n, batch=(t,)))
+    z = gaussian_matrix(gen, m, n, batch=(t,))
+    z -= hq @ (hq.conj().swapaxes(-2, -1) @ z)
+    return orthonormalize(hq @ (us @ ts) + orthonormalize(z) @ tw)
 
 
 def scan_fresh_codebooks(gen, hq, bits):
     """Quantize each frame of a (T, M, N) orthonormal stack against its own
     fresh random 2^bits-entry codebook.
 
-    The trials run in blocks of :func:`_scan_block` trials. Each block's
-    codebooks are drawn from ``gen`` as one ``gaussian_matrix`` draw of
-    shape (trials, 2^bits, M, N) would be, into real and imaginary planes
-    that one workspace holds for every block, and scored at once by the
-    fused Gram scan. So the scan holds one block and its scoring
-    temporaries whatever T is. One-entry codebooks have nothing to score
-    and are drawn by ``gaussian_matrix`` itself. Returns the (T,) minimum
-    d^2 and (T, M, N) winners.
+    Each entry is drawn as the Bartlett factors of its two Wishart
+    statistics (see the module docstring) and scored from them
+    (:func:`_scan_stats`), in blocks of :func:`_scan_block` trials, so the
+    scan holds one block's statistics and scoring temporaries whatever T
+    is. After the last block the T winners alone are built from their
+    exact conditional law (:func:`_frames_from_stats`), drawn from ``gen``.
+    A one-entry codebook is its own winner: each block draws it as one
+    ``gaussian_matrix`` and orthonormalizes it, with nothing to score.
+    Returns the (T,) minimum d^2 and (T, M, N) winners.
     """
     t, m, n = hq.shape
+    if _codebook_size(bits, m, n) > 1:
+        d2, fac = _scan_stats(gen, m, n, bits, t, winners=True)
+        return d2, _frames_from_stats(gen, hq, fac[0], fac[1])
     d2 = np.empty(t)
     won = np.empty((t, m, n), dtype=np.complex128)
-    for lo, hi, block_d2, block_won in _scan_blocks(gen, m, n, bits, t, hq):
-        d2[lo:hi], won[lo:hi] = block_d2, block_won
+    block = _scan_block(1, m, n)
+    for lo in range(0, t, block):
+        hi = min(lo + block, t)
+        # d^2 is _scan_np's; conjugating the winners in place conjugates
+        # hq^H Q exactly, with no copy of the frames
+        q = thin_qr_batch(gaussian_matrix(gen, m, n, batch=(hi - lo,)))[0]
+        np.conjugate(q, out=q)
+        d2[lo:hi] = n - np.sum(np.abs(np.einsum("tmn,tmp->tnp", hq[lo:hi], q)) ** 2, axis=(-2, -1))
+        np.conjugate(q, out=won[lo:hi])
     return d2, won
 
 
 def distortion_samples(rng, m, n, bits, trials):
     """Per-trial min d^2 values with a fresh random codebook every trial.
 
-    Channels are unit-variance complex Gaussian, orthonormalized before the
-    scan. Each scan block's channels are drawn just before its codebooks,
-    so memory stays that of one block; results come in trial order and are
-    deterministic for a fixed (rng, trials) pair.
+    The law of d^2 does not depend on the channel, so no channel is drawn:
+    each trial's minimum comes from its entries' statistics alone, as
+    :func:`scan_fresh_codebooks` scores them (one-entry codebooks too).
+    Memory stays that of one scan block; results come in trial order and
+    are deterministic for a fixed (rng, trials) pair.
     """
     _check_shape(m, n)
     _check_count("trials", trials, 1)
-    d2 = np.empty(trials)
-    for lo, hi, block_d2, _ in _scan_blocks(as_generator(rng), m, n, bits, trials):
-        d2[lo:hi] = block_d2
-    return d2
+    return _scan_stats(as_generator(rng), m, n, bits, trials)[0]

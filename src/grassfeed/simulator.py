@@ -49,7 +49,10 @@ quantized_emulated
     emulation guard fall back to the exhaustive scan automatically when the
     codebook fits in memory; the CSV mode column records what actually ran.
 quantized_exhaustive
-    Fresh 2^B-entry random codebook per user per trial, full scan.
+    Fresh 2^B-entry random codebook per user per trial, full scan. Each
+    entry is drawn and scored as the Wishart statistics of its principal
+    angles to the channel, and only each trial's winner is built as a
+    frame (:func:`~grassfeed.grassmann.scan_fresh_codebooks`).
 analog
     Unquantized MMSE channel estimates from beta M feedback channel uses.
 

@@ -2,9 +2,10 @@
 
 Thin QR with a positive real diagonal is unique for full-rank input, so
 the kernels are compared with per-matrix references at rounding-level
-tolerance, not just statistically. The Gram scan is checked bit for bit
-against the scan that orthonormalizes every codebook entry. One case
-checks the benchmark's complex-codebook alias in ``_backend``.
+tolerance, not just statistically. The statistics scorer of the codebook
+scan is checked on explicit entries against the scan that orthonormalizes
+every entry, which is also the benchmark's complex-codebook alias in
+``_backend``.
 """
 
 import math
@@ -131,7 +132,7 @@ def test_scan_frames_tie_breaks_low_index():
 
 
 def test_quantize_gaussians_composes():
-    """The complex-codebook alias copies into planes and scans them."""
+    """The complex-codebook alias orthonormalizes every entry and scans them."""
     rng = np.random.default_rng(25)
     hq = orthonormalize(_gauss(rng, 8, 4, 2))
     gauss = _gauss(rng, 8, 32, 4, 2)
@@ -149,15 +150,20 @@ def _exact_scan(hq, gauss):
     return grassmann._scan_np(hq, thin_qr_batch(gauss)[0])
 
 
-def _planes(gauss):
-    """(T, 2, m, n, C) planes of complex (T, C, m, n) codebooks."""
-    return np.ascontiguousarray(np.stack([gauss.real, gauss.imag], axis=1).transpose(0, 1, 3, 4, 2))
-
-
-def _quantize(hq, gauss):
-    """grassmann.quantize_planes of complex (T, C, m, n) codebooks."""
-    planes = _planes(gauss)
-    return grassmann.quantize_planes(hq, planes, np.empty(planes[:, 0].size))
+def _stats(hq, gauss):
+    """(gam, off) in the layout grassmann._draw_stats fills, holding the
+    Bartlett factors of explicit (T, C, m, n) entries G against their
+    channels: T_s and T_w are the upper Cholesky factors of S = B^H B and
+    W = G^H G - S, B = hq^H G."""
+    t, c, m, n = gauss.shape
+    b = np.einsum("tmi,tcmj->tcij", hq.conj(), gauss)
+    rest = gauss - np.einsum("tmi,tcij->tcmj", hq, b)
+    fac = [np.conj(np.swapaxes(np.linalg.cholesky(x.conj().swapaxes(-2, -1) @ x), -2, -1))
+           for x in (b, rest)]
+    gam = np.stack([[np.abs(f[..., i, i]).reshape(-1) ** 2 for i in range(n)] for f in fac])
+    off = np.stack([[[f[..., k, j].real.reshape(-1), f[..., k, j].imag.reshape(-1)]
+                     for j in range(n) for k in range(j)] for f in fac]).reshape(2, -1, 2, t * c)
+    return gam, off
 
 
 def _assert_same_scan(got, want):
@@ -167,39 +173,49 @@ def _assert_same_scan(got, want):
 
 
 class TestGramScan:
-    """The scan ranks entries by Gram matrix and orthonormalizes only
-    the winners; its output is bit-identical to a QR of every entry."""
+    """Fresh codebooks are scored from each entry's Gram statistics,
+    A = G^H G split as S + W, and only the winners are orthonormalized. On
+    explicit entries the scores equal the QR-per-entry scan's d^2 and pick
+    its winners. The benchmark's complex-codebook alias is that QR-per-entry
+    scan."""
 
     @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32), (6, 2, 1)])
     def test_matches_exact_scan(self, m, n, c):
         rng = np.random.default_rng(40 + m + n)
         hq = thin_qr_batch(_gauss(rng, 64, m, n))[0]
         gauss = _gauss(rng, 64, c, m, n)
-        _assert_same_scan(_quantize(hq, gauss), _exact_scan(hq, gauss))
+        idx, d2, _ = _exact_scan(hq, gauss)
+        scores = grassmann._stat_d2(*_stats(hq, gauss)).reshape(64, c)
+        assert np.array_equal(np.argmin(scores, axis=1), idx)
+        assert np.abs(scores[np.arange(64), idx] - d2).max() <= 1e-12
+        _assert_same_scan(_backend.quantize_gaussians(hq, gauss), (idx, d2, _exact_scan(hq, gauss)[2]))
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     def test_ill_conditioned_entries(self, eps):
-        """Near-parallel columns: at 1e-3 the pivots stay above the Gram
-        margin, at 1e-5 they fall below it and the chunk takes the exact
-        path. Both agree bit for bit with the exact scan."""
+        """Near-parallel columns: the alias agrees bit for bit with the
+        exact scan, whose QR handles them."""
         rng = np.random.default_rng(41)
         hq = thin_qr_batch(_gauss(rng, 32, 4, 2))[0]
         gauss = _gauss(rng, 32, 64, 4, 2)
         gauss[:, ::2, :, 1] = gauss[:, ::2, :, 0] + eps * gauss[:, ::2, :, 1]
-        _assert_same_scan(_quantize(hq, gauss), _exact_scan(hq, gauss))
+        _assert_same_scan(_backend.quantize_gaussians(hq, gauss), _exact_scan(hq, gauss))
 
     @pytest.mark.parametrize("scale", [1e-160, 1e150])
     def test_extreme_scales(self, scale):
-        """Gram entries that would underflow or overflow take the exact path."""
+        """Entries whose squares would underflow or overflow scan exactly."""
         rng = np.random.default_rng(45)
         hq = thin_qr_batch(_gauss(rng, 16, 4, 2))[0]
-        gauss = scale * _gauss(rng, 16, 32, 4, 2)
-        _assert_same_scan(_quantize(hq, gauss), _exact_scan(hq, gauss))
+        gauss = _gauss(rng, 16, 32, 4, 2)
+        want = _exact_scan(hq, gauss)
+        got = _backend.quantize_gaussians(hq, scale * gauss)
+        assert np.array_equal(got[0], want[0])
+        assert np.abs(got[1] - want[1]).max() <= 1e-12
 
     @pytest.mark.parametrize("defect", ["parallel", "zero", "nan"])
     def test_rank_deficient_loser_raises(self, defect):
         """Entry 0 of trial 3 equals the channel (d^2 = 0, a sure winner);
-        the defective entry 5 can never win, yet it is still rank-checked."""
+        the defective entry 5 can never win, yet the alias's QR still
+        rank-checks it."""
         rng = np.random.default_rng(42)
         hq = thin_qr_batch(_gauss(rng, 8, 4, 2))[0]
         gauss = _gauss(rng, 8, 16, 4, 2)
@@ -212,15 +228,14 @@ class TestGramScan:
         else:
             bad[1, 1] = np.nan
         with pytest.raises(RankDeficient):
-            _quantize(hq, gauss)
+            _backend.quantize_gaussians(hq, gauss)
 
     @pytest.mark.parametrize("copy", ["exact", "rotated"])
     def test_tie_resolves_as_exact_scan(self, copy):
         """A copy of each trial's winning Gaussian is inserted at index 1.
         An exact copy ties and resolves to the lower index. A copy rotated
         by a unitary spans the same plane, so its d^2 differs from the
-        original's by rounding alone, in an order the Gram cannot see; the
-        result must still be the exact scan's."""
+        original's by rounding alone; the alias is still the exact scan."""
         rng = np.random.default_rng(43)
         hq = thin_qr_batch(_gauss(rng, 64, 4, 2))[0]
         gauss = _gauss(rng, 64, 32, 4, 2)
@@ -229,49 +244,45 @@ class TestGramScan:
         if copy == "rotated":
             win = win @ thin_qr_batch(_gauss(rng, 64, 2, 2))[0]
         dup = np.concatenate([gauss[:, :1], win[:, np.newaxis], gauss[:, 1:]], axis=1)
-        got = _quantize(hq, dup)
+        got = _backend.quantize_gaussians(hq, dup)
         _assert_same_scan(got, _exact_scan(hq, dup))
         if copy == "exact":
             assert np.array_equal(got[0], np.where(first == 0, 0, 1))
+            scores = grassmann._stat_d2(*_stats(hq, dup)).reshape(64, 33)
+            assert np.array_equal(np.argmin(scores, axis=1), got[0])
 
     @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32)])
     def test_scores_match_projection(self, m, n, c):
-        """Gram scores of the planes equal ||hq^H Q||_F^2 = n - d^2 from a
-        QR per entry."""
+        """Statistics scores of explicit entries equal n - ||hq^H Q||_F^2
+        from a QR per entry."""
         rng = np.random.default_rng(46 + m + n)
         hq = thin_qr_batch(_gauss(rng, 16, m, n))[0]
         gauss = _gauss(rng, 16, c, m, n)
         q = thin_qr_batch(gauss)[0]
-        want = np.sum(np.abs(np.einsum("tmn,tcmp->tcnp", hq.conj(), q)) ** 2, axis=(-2, -1))
-        planes = _planes(gauss)
-        got = grassmann._plane_scores(hq, planes, np.empty(planes[:, 0].size))
+        want = n - np.sum(np.abs(np.einsum("tmn,tcmp->tcnp", hq.conj(), q)) ** 2, axis=(-2, -1))
+        got = grassmann._stat_d2(*_stats(hq, gauss)).reshape(16, c)
         assert np.abs(got - want).max() <= 1e-12
 
-    def test_orthonormalizes_winners_only(self, monkeypatch):
+    @staticmethod
+    def _orthonormalized(monkeypatch, m, n, bits):
+        """Stack sizes scan_fresh_codebooks orthonormalizes for 32 trials."""
         seen = []
 
         def spy(a):
-            seen.append(math.prod(a.shape[:-2]))
-            return thin_qr_batch(a)
+            seen.append(math.prod(np.shape(a)[:-2]))
+            return orthonormalize(a)
 
-        monkeypatch.setattr(grassmann, "thin_qr_batch", spy)
-        rng = np.random.default_rng(44)
-        hq = thin_qr_batch(_gauss(rng, 32, 4, 2))[0]
-        _quantize(hq, _gauss(rng, 32, 64, 4, 2))
-        assert seen == [32]
+        monkeypatch.setattr(grassmann, "orthonormalize", spy)
+        hq = thin_qr_batch(_gauss(np.random.default_rng(47), 32, m, n))[0]
+        grassmann.scan_fresh_codebooks(np.random.default_rng(44), hq, bits)
+        return seen
+
+    def test_orthonormalizes_winners_only(self, monkeypatch):
+        """U_s, U_w and the winning frame: three stacks of one item per trial."""
+        assert self._orthonormalized(monkeypatch, 4, 2, 6) == [32, 32, 32]
 
     @pytest.mark.parametrize("m,n,c", [(2, 1, 64), (8, 1, 64), (6, 3, 32), (9, 3, 16)])
     def test_gram_path_for_every_n(self, monkeypatch, m, n, c):
-        """Gaussian entries at every N are ranked by Gram: only the T
-        winners are orthonormalized."""
-        seen = []
-
-        def spy(a):
-            seen.append(math.prod(a.shape[:-2]))
-            return thin_qr_batch(a)
-
-        monkeypatch.setattr(grassmann, "thin_qr_batch", spy)
-        rng = np.random.default_rng(47)
-        hq = thin_qr_batch(_gauss(rng, 32, m, n))[0]
-        _quantize(hq, _gauss(rng, 32, c, m, n))
-        assert seen == [32]
+        """Entries at every N are ranked from their statistics: only the T
+        winners are built and orthonormalized."""
+        assert self._orthonormalized(monkeypatch, m, n, c.bit_length() - 1) == [32, 32, 32]

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,20 @@ class TestSnrGrid:
             _snr_grid({"snr_start": "10", "snr_stop": "0"})
         with pytest.raises(ConfigError):
             _snr_grid({"snr_start": "0", "snr_stop": "10", "snr_step": "0"})
+
+    def test_point_cap(self):
+        """A range of more than _MAX_GRID_POINTS points is refused from its
+        count, before any point is built; the cap itself is allowed."""
+        assert len(_snr_grid({"snr_start": "0", "snr_stop": "100", "snr_step": "0.01"})) == cli._MAX_GRID_POINTS
+        tracemalloc.start()
+        try:
+            for step in ("1e-9", "0.0099"):
+                with pytest.raises(ConfigError, match="points"):
+                    _snr_grid({"snr_start": "0", "snr_stop": "100", "snr_step": step})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     def test_bits_table_parse_errors(self):
         with pytest.raises(ValueError):
@@ -303,6 +318,13 @@ class TestScalingCommand:
         assert main(["scaling", "--M", "4", "--N", "2", "--snr", "0:10"]) == 2
         capsys.readouterr()
 
+    def test_oversized_grid_exits_2(self, tmp_path, capsys):
+        assert main(["scaling", "--M", "4", "--N", "2", "--snr", "0:10:1e-9"]) == 2
+        assert "more than the 10001 allowed" in capsys.readouterr().err
+        cfg = _write_config(tmp_path, BASIC.replace("snr_step = 5", "snr_step = 1e-9"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "curve.csv")]) == 2
+        assert "more than the 10001 allowed" in capsys.readouterr().err
+
     def test_endless_grid_exits_2(self, capsys):
         """A step so small that the point count overflows is a bad range."""
         assert main(["scaling", "--M", "4", "--N", "2", "--snr", "0:1e308:1e-308"]) == 2
@@ -364,7 +386,17 @@ class TestSelftestCommand:
 
     def test_negative_samples_exit_2(self, capsys):
         assert main(["emu-selftest", "--samples", "-1"]) == 2
-        assert "size must be an integer >= 0" in capsys.readouterr().err
+        assert "--samples must be an integer >= 1" in capsys.readouterr().err
+
+    def test_zero_samples_exit_2_before_sampling(self, monkeypatch, capsys):
+        """The flag is checked before anything is drawn, and named."""
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(cli, "sample_min_d2", fail)
+        monkeypatch.setattr(cli, "distortion_samples", fail)
+        assert main(["emu-selftest", "--samples", "0"]) == 2
+        assert "--samples must be an integer >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n1,n2,ties", [(7, 5, False), (300, 1000, False), (2000, 2000, True)])
     def test_ks_matches_scipy(self, n1, n2, ties):

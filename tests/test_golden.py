@@ -31,7 +31,7 @@ GOLDEN = {
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
-        "23b338702ce70f79a47f831117ff45a8e9078c3cf1497453403bb82476ca4a07",
+        "21191ea03ce1eabbb7380145686d0da63d5f0b23bf0b3193f7cc73fed550602d",
     ),
     "analog": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="analog", beta=2.0)),

@@ -27,6 +27,7 @@ from grassfeed.grassmann import (
 )
 from grassfeed.linalg import orthonormalize, thin_qr_batch
 from grassfeed import grassmann
+from grassfeed.cli import _ks_2samp
 from tests.test_ensembles import restricted_ks
 
 
@@ -380,34 +381,12 @@ class TestEmpiricalDistortion:
         assert a.min() >= 0.0 and a.max() <= 2.0
 
 
-class TestScanFreshCodebooks:
-    def test_matches_per_trial_oracle(self):
-        """One block: the trials' codebooks are one draw, and each winner is
-        the chordal-nearest of its entries, lowest index first."""
-        m, n, bits, trials = 4, 2, 3, 6
-        hq = isotropic_frame(RngStream(12).child(0), m, n, batch=(trials,))
-        d2, won = scan_fresh_codebooks(RngStream(12).child(1).generator(), hq, bits)
-        gen = RngStream(12).child(1).generator()
-        books = orthonormalize(gaussian_matrix(gen, m, n, batch=(trials, 2 ** bits)))
-        for t, book in enumerate(books):
-            dists = [chordal_distance_sq(hq[t], e) for e in book]
-            best = int(np.argmin(dists))
-            assert d2[t] == pytest.approx(dists[best], abs=1e-12)
-            assert np.abs(won[t] - book[best]).max() <= 1e-12
-
-    def test_guards(self):
-        gen = RngStream(12).child(2).generator()
-        hq = isotropic_frame(RngStream(12).child(3), 4, 2, batch=(1,))
-        with pytest.raises(ParameterError):
-            scan_fresh_codebooks(gen, hq, -1)
-        with pytest.raises(MemoryGuard):
-            scan_fresh_codebooks(gen, hq, 25)
-
-
 def _per_block_scan(gen, m, n, bits, count, hq=None):
     """The scan as one gaussian_matrix draw per block of trials, with every
     entry orthonormalized and scanned. With hq None, each block's channels
-    are drawn just before its codebooks, as distortion_samples draws them."""
+    are drawn just before its codebooks. Its one-entry blocks are the
+    scan's; at more entries it is the explicit-codebook law the statistics
+    scan must match."""
     size = 2 ** bits
     block = max(1, grassmann._SCAN_BLOCK_ELEMS // (size * m * n))
     d2 = np.empty(count)
@@ -423,40 +402,136 @@ def _per_block_scan(gen, m, n, bits, count, hq=None):
     return d2, won
 
 
+def _stats_scan(gen, m, n, bits, count):
+    """(d2, idx, ts, tw) of the statistics scan, entry by entry with numpy:
+    each block draws its entries' Bartlett factors in the documented order
+    (T_s's squared diagonals, T_w's, then their upper entries), and each
+    entry's d^2 is tr(A^-1 W) from a linear solve."""
+    size = 2 ** bits
+    block = grassmann._scan_block(size, m, n)
+    d2, idx = np.empty(count), np.empty(count, dtype=np.int64)
+    ts, tw = (np.zeros((count, n, n), dtype=np.complex128) for _ in range(2))
+    upper = [(k, j) for j in range(n) for k in range(j)]
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        e = (hi - lo) * size
+        fac = np.zeros((2, e, n, n), dtype=np.complex128)
+        for f, dof in enumerate((n, m - n)):
+            for i in range(n):
+                fac[f, :, i, i] = np.sqrt(gen.standard_gamma(dof - i, size=e))
+        normals = gen.standard_normal(size=(2, len(upper), 2, e)) * np.sqrt(0.5)
+        for p, (k, j) in enumerate(upper):
+            fac[:, :, k, j] = normals[:, p, 0] + 1j * normals[:, p, 1]
+        s, w = (np.conj(np.swapaxes(x, -2, -1)) @ x for x in fac)
+        d = np.trace(np.linalg.solve(s + w, w), axis1=-2, axis2=-1).real.reshape(hi - lo, size)
+        idx[lo:hi] = np.argmin(d, axis=1)
+        d2[lo:hi] = d[np.arange(hi - lo), idx[lo:hi]]
+        won = np.arange(hi - lo) * size + idx[lo:hi]
+        ts[lo:hi], tw[lo:hi] = fac[0, won], fac[1, won]
+    return d2, idx, ts, tw
+
+
+class TestScanFreshCodebooks:
+    def test_matches_per_trial_oracle(self):
+        """Each trial's d^2 is the minimum over its entries' statistics,
+        drawn in the documented order and solved entry by entry, and its
+        winner is built from the winning entry's factors by the draws that
+        follow them."""
+        m, n, bits, trials = 4, 2, 3, 6
+        hq = isotropic_frame(RngStream(12).child(0), m, n, batch=(trials,))
+        gen, ref = RngStream(12).child(1).generator(), RngStream(12).child(1).generator()
+        d2, won = scan_fresh_codebooks(gen, hq, bits)
+        d2_ref, _, ts, tw = _stats_scan(ref, m, n, bits, trials)
+        assert np.abs(d2 - d2_ref).max() <= 1e-12
+        us = orthonormalize(gaussian_matrix(ref, n, n, batch=(trials,)))
+        z = gaussian_matrix(ref, m, n, batch=(trials,))
+        for t in range(trials):
+            uw = orthonormalize(z[t] - hq[t] @ (hq[t].conj().T @ z[t]))
+            want = orthonormalize(hq[t] @ us[t] @ ts[t] + uw @ tw[t])
+            assert np.abs(won[t] - want).max() <= 1e-12
+        assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
+
+    def test_guards(self):
+        gen = RngStream(12).child(2).generator()
+        hq = isotropic_frame(RngStream(12).child(3), 4, 2, batch=(1,))
+        with pytest.raises(ParameterError):
+            scan_fresh_codebooks(gen, hq, -1)
+        with pytest.raises(MemoryGuard):
+            scan_fresh_codebooks(gen, hq, 25)
+
+    @pytest.mark.parametrize("m,n,bits", [(4, 2, 0), (4, 2, 2), (4, 2, 8), (6, 2, 8), (6, 3, 4), (8, 1, 6)])
+    def test_law_matches_explicit_codebooks(self, m, n, bits):
+        """Two-sample KS p >= 0.01 for the scan's and distortion_samples'
+        d^2 against the scan of explicit Gaussian codebooks."""
+        count = 2048
+        seed = RngStream(21).child(m, n, bits)
+        ref = _per_block_scan(seed.child(0).generator(), m, n, bits, count)[0]
+        hq = isotropic_frame(seed.child(1), m, n, batch=(count,))
+        d2 = scan_fresh_codebooks(seed.child(2).generator(), hq, bits)[0]
+        samples = distortion_samples(seed.child(3), m, n, bits, count)
+        assert _ks_2samp(d2, ref)[1] >= 0.01
+        assert _ks_2samp(samples, ref)[1] >= 0.01
+
+    @pytest.mark.parametrize("bits", [0, 3, 7])
+    def test_width_one_mean_is_exact(self, bits):
+        """For G(M, 1) the metric-ball law holds on all of [0, 1], so
+        _mean_min_d2 is the exact mean at every B: the scan's sample mean
+        is within 4 standard errors of it."""
+        m, count = 6, 20000
+        gen = RngStream(22).child(bits).generator()
+        hq = isotropic_frame(RngStream(22).child(99), m, 1, batch=(count,))
+        want = grassmann._mean_min_d2(GrassmannConstants(m, 1), bits)
+        for d2 in (scan_fresh_codebooks(gen, hq, bits)[0], distortion_samples(gen, m, 1, bits, count)):
+            se = d2.std(ddof=1) / math.sqrt(count)
+            assert abs(d2.mean() - want) <= 4 * se
+
+    @pytest.mark.parametrize("m,n,bits", [(4, 2, 0), (4, 2, 8), (6, 3, 4), (8, 1, 6)])
+    def test_winners_reproduce_d2(self, m, n, bits):
+        """Each winner is an orthonormal frame whose chordal distance to
+        its channel is the returned d^2."""
+        count = 300
+        hq = isotropic_frame(RngStream(23).child(m, n), m, n, batch=(count,))
+        d2, won = scan_fresh_codebooks(RngStream(23).child(bits).generator(), hq, bits)
+        gram = np.einsum("tmi,tmj->tij", won.conj(), won)
+        assert np.abs(gram - np.eye(n)).max() <= 1e-12
+        for t in range(count):
+            assert abs(chordal_distance_sq(hq[t], won[t]) - d2[t]) <= 1e-12
+
+    @pytest.mark.parametrize("bits", [0, 6])
+    def test_same_state_same_bytes(self, bits):
+        """Equal generator states give equal bytes and leave both streams
+        at the same position."""
+        m, n, count = 6, 2, 700
+        hq = isotropic_frame(RngStream(24), m, n, batch=(count,))
+        gens = [RngStream(25).generator() for _ in range(2)]
+        (d2a, wa), (d2b, wb) = (scan_fresh_codebooks(g, hq, bits) for g in gens)
+        assert np.array_equal(d2a, d2b)
+        assert np.array_equal(wa.view(np.float64), wb.view(np.float64))
+        assert np.array_equal(gens[0].standard_normal(8), gens[1].standard_normal(8))
+        gens = [RngStream(25).generator() for _ in range(2)]
+        assert np.array_equal(*(distortion_samples(g, m, n, bits, count) for g in gens))
+        assert np.array_equal(gens[0].standard_normal(8), gens[1].standard_normal(8))
+
+
 class _EditedGenerator(np.random.Generator):
-    """Philox generator whose standard_normal(out=...) calls pass each
-    filled buffer, flattened, with its offset in the stream of normals, to
-    edit(flat, offset)."""
+    """Philox generator whose standard_gamma(out=...) calls pass each filled
+    buffer and the call's ordinal to edit(out, call)."""
 
     def __init__(self, seed, edit):
         super().__init__(np.random.Philox(seed))
         self.edit = edit
-        self.offset = 0
+        self.calls = 0
 
-    def standard_normal(self, size=None, dtype=np.float64, out=None):
-        res = super().standard_normal(size, dtype, out)
-        flat = np.asarray(res).reshape(-1)
-        self.edit(flat, self.offset)
-        self.offset += flat.size
+    def standard_gamma(self, shape, size=None, dtype=np.float64, out=None):
+        res = super().standard_gamma(shape, size, dtype, out)
+        self.edit(res, self.calls)
+        self.calls += 1
         return res
 
 
-def _entry_positions(count, size, m, n, trial, entry, col):
-    """Stream offsets of the real and imaginary parts of column col of one
-    codebook entry, for a scan with fixed frames: each block's draw holds
-    its real parts, then its imaginary parts."""
-    block = grassmann._SCAN_BLOCK_ELEMS // (size * m * n)
-    lo = trial - trial % block
-    shape = (min(block, count - lo), size, m, n)
-    re = [2 * lo * size * m * n + np.ravel_multi_index((trial - lo, entry, i, col), shape)
-          for i in range(m)]
-    return re, [p + math.prod(shape) for p in re]
-
-
 class TestStreamedScan:
-    """scan_fresh_codebooks draws and scores one block of trials at a time.
-    Its output and stream position equal one gaussian_matrix draw per block
-    with every entry orthonormalized and scanned."""
+    """scan_fresh_codebooks draws and scores one block of trials at a time,
+    from each entry's statistics, then builds the winners."""
 
     @pytest.mark.parametrize("m,n,bits,count", [
         (4, 2, 8, 250),
@@ -467,86 +542,61 @@ class TestStreamedScan:
         (4, 2, 0, 41000),
     ])
     def test_matches_per_block_draw(self, m, n, bits, count):
-        block = grassmann._SCAN_BLOCK_ELEMS // (2 ** bits * m * n)
-        # several blocks, the last one partial
+        """Over several blocks, the last one partial, d^2 and the stream
+        position equal the entry-by-entry statistics scan. One-entry
+        codebooks are scanned as one gaussian_matrix draw per block, bit for
+        bit."""
+        block = grassmann._scan_block(2 ** bits, m, n)
         assert 1 < block < count and count % block
         seed = RngStream(13).child(m, n, bits)
         hq = isotropic_frame(seed.child(0), m, n, batch=(count,))
         gen, ref = seed.generator(), seed.generator()
         d2, won = scan_fresh_codebooks(gen, hq, bits)
-        d2_ref, won_ref = _per_block_scan(ref, m, n, bits, count, hq)
-        assert np.array_equal(d2, d2_ref)
-        assert np.array_equal(won.view(np.float64), won_ref.view(np.float64))
+        if bits == 0:
+            d2_ref, won_ref = _per_block_scan(ref, m, n, bits, count, hq)
+            assert np.array_equal(d2, d2_ref)
+            assert np.array_equal(won.view(np.float64), won_ref.view(np.float64))
+        else:
+            assert np.abs(d2 - _stats_scan(ref, m, n, bits, count)[0]).max() <= 1e-12
+            gaussian_matrix(ref, n, n, batch=(count,))
+            gaussian_matrix(ref, m, n, batch=(count,))
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
-        # distortion_samples draws each block's channels before its codebooks
+        # distortion_samples draws the statistics alone, one-entry codebooks too
         gen, ref = seed.generator(), seed.generator()
         d2 = distortion_samples(gen, m, n, bits, count)
-        assert np.array_equal(d2, _per_block_scan(ref, m, n, bits, count)[0])
-        assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
-
-    @pytest.mark.parametrize("m,n,bits,count", [(4, 2, 8, 64), (6, 3, 2, 5), (8, 1, 4, 3)])
-    def test_planes_hold_gaussian_matrix_bytes(self, m, n, bits, count):
-        """The planes hold the real and imaginary parts of the
-        gaussian_matrix draw of the same shape, entry index innermost, and
-        the stream continues where that draw leaves it."""
-        size = 2 ** bits
-        gen, ref = RngStream(20).child(m, n).generator(), RngStream(20).child(m, n).generator()
-        planes = np.empty((count, 2, m, n, size))
-        grassmann._draw_planes(gen, np.empty((count, size, m, n)), planes)
-        want = gaussian_matrix(ref, m, n, batch=(count, size)).transpose(0, 2, 3, 1)
-        assert np.array_equal(planes[:, 0], want.real)
-        assert np.array_equal(planes[:, 1], want.imag)
+        assert np.abs(d2 - _stats_scan(ref, m, n, bits, count)[0]).max() <= 1e-12
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
 
     def test_rank_deficient_in_later_block_raises(self):
-        """A zero column in an entry of the third block raises, as it does
-        from the per-entry scan."""
+        """Zero squared diagonals in the first column of one entry's T_s and
+        T_w, in the third block, give a zero pivot: the scan raises
+        RankDeficient and builds no winner."""
         m, n, bits = 4, 2, 4
-        block = grassmann._SCAN_BLOCK_ELEMS // (2 ** bits * m * n)
+        block = grassmann._scan_block(2 ** bits, m, n)
         count = 3 * block + 5
-        zeros = set().union(*_entry_positions(count, 2 ** bits, m, n, 2 * block + 3, 7, 1))
+        target = {2 * 2 * n, 2 * 2 * n + n}  # i = 0 of T_s and T_w in block 2
 
-        def edit(flat, offset):
-            for p in zeros:
-                if offset <= p < offset + flat.size:
-                    flat[p - offset] = 0.0
+        def edit(out, call):
+            if call in target:
+                out[7] = 0.0
 
         hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
         with pytest.raises(RankDeficient):
             scan_fresh_codebooks(_EditedGenerator(15, edit), hq, bits)
         with pytest.raises(RankDeficient):
-            _per_block_scan(_EditedGenerator(15, edit), m, n, bits, count, hq)
+            distortion_samples(_EditedGenerator(15, edit), m, n, bits, count)
 
-    def test_one_block_takes_exact_path(self, monkeypatch):
-        """Near-parallel columns in one entry of the second block put its
-        pivot under _PIVOT_MARGIN: that block alone is orthonormalized entry
-        by entry, and the output is still the per-entry scan's."""
-        m, n, bits = 4, 2, 4
-        size = 2 ** bits
-        block = grassmann._SCAN_BLOCK_ELEMS // (size * m * n)
-        count = 3 * block + 5
-        cols = [_entry_positions(count, size, m, n, block + 1, 3, j) for j in range(n)]
-        pairs = [(c0, c1) for part in range(2) for c0, c1 in zip(cols[0][part], cols[1][part])]
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_statistic_raises(self, value):
+        """A non-finite squared diagonal gives a non-finite pivot."""
+        m, n, bits = 6, 3, 2
 
-        def edit(flat, offset):
-            for c0, c1 in pairs:
-                if offset <= c0 and c1 < offset + flat.size:
-                    flat[c1 - offset] = flat[c0 - offset] + 1e-5 * flat[c1 - offset]
+        def edit(out, call):
+            if call == 2 * n - 1:
+                out[3] = value
 
-        seen = []
-
-        def spy(a):
-            seen.append(math.prod(a.shape[:-2]))
-            return thin_qr_batch(a)
-
-        hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
-        monkeypatch.setattr(grassmann, "thin_qr_batch", spy)
-        d2, won = scan_fresh_codebooks(_EditedGenerator(15, edit), hq, bits)
-        # winners of blocks 0, 2 and 3; every entry of block 1
-        assert seen == [block, block * size, block, count - 3 * block]
-        d2_ref, won_ref = _per_block_scan(_EditedGenerator(15, edit), m, n, bits, count, hq)
-        assert np.array_equal(d2, d2_ref)
-        assert np.array_equal(won.view(np.float64), won_ref.view(np.float64))
+        with pytest.raises(RankDeficient):
+            distortion_samples(_EditedGenerator(16, edit), m, n, bits, 40)
 
 
 def _traced_peak(fn):
