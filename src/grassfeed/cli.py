@@ -48,6 +48,7 @@ from .scaling import bd_3db_bits, bits_for_rate_loss, zf_3db_bits
 from .simulator import (
     ExperimentSpec,
     FeedbackPolicy,
+    _policy_fields,
     estimate_snr_gap,
     read_curve_csv,
     run_experiment,
@@ -123,15 +124,15 @@ def _snr_grid(cfg):
 def build_spec(cfg, seed_override=None):
     """Turn a parsed config dict into an :class:`ExperimentSpec`."""
     mode = _get(cfg, "mode", str, required=True)
-    policy_kwargs = {"mode": mode}
-    if mode.startswith("quantized"):
-        policy_kwargs["schedule"] = _get(cfg, "schedule", str, default="fixed")
-        if policy_kwargs["schedule"] == "fixed":
-            policy_kwargs["bits"] = _get(cfg, "B", int, required=True)
-        elif policy_kwargs["schedule"] == "custom":
-            policy_kwargs["bits_table"] = _get(cfg, "bits_table", _parse_bits_table, required=True)
-    elif mode == "analog":
-        policy_kwargs["beta"] = _get(cfg, "beta", float, required=True)
+    schedule = _get(cfg, "schedule", str, default="fixed")
+    # every key present goes to its field: FeedbackPolicy rejects the unread
+    reads = _policy_fields(mode, schedule)
+    policy = FeedbackPolicy(
+        mode, schedule,
+        bits=_get(cfg, "B", int, required=reads["bits"]),
+        bits_table=_get(cfg, "bits_table", _parse_bits_table, required=reads["bits_table"]),
+        beta=_get(cfg, "beta", float, required=reads["beta"]),
+    )
     seed = seed_override if seed_override is not None else _get(cfg, "seed", int)
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set seed in the config")
@@ -139,7 +140,7 @@ def build_spec(cfg, seed_override=None):
         m=_get(cfg, "M", int, required=True),
         n=_get(cfg, "N", int, required=True),
         snr_grid_db=_snr_grid(cfg),
-        policy=FeedbackPolicy(**policy_kwargs),
+        policy=policy,
         trials=_get(cfg, "trials", int, required=True),
         seed=seed,
         precoder=_get(cfg, "precoder", str, default="bd"),
@@ -200,6 +201,9 @@ def cmd_gap(args):
 
 
 _SELFTEST_DEFAULTS = ((4, 2, 8), (6, 2, 8), (4, 1, 10))
+# emulation guard of the selftest, below the engine's 40 so the default
+# trio (whose (6, 2, B=8) product is 2^8/14) can run emulated
+_SELFTEST_GUARD_PRODUCT = 15.0
 
 
 def _ks_2samp(a, b):
@@ -240,8 +244,7 @@ def cmd_selftest(args):
         gc = GrassmannConstants(m, n)
         emu_rng = RngStream(args.seed).child(0)
         exh_rng = RngStream(args.seed).child(1)
-        emu = sample_min_d2(emu_rng, gc, bits, guard_product=args.guard_product,
-                            size=args.samples)
+        emu = sample_min_d2(emu_rng, gc, bits, guard_product=_SELFTEST_GUARD_PRODUCT, size=args.samples)
         exh = distortion_samples(exh_rng, m, n, bits, args.samples)
         _, ks_p = _ks_2samp(emu, exh)
         mean_exh = float(np.mean(exh))
@@ -296,11 +299,6 @@ def build_parser():
     p_st.add_argument("--bits", type=int, default=None)
     p_st.add_argument("--samples", type=int, default=10000)
     p_st.add_argument("--seed", type=int, default=2026)
-    p_st.add_argument(
-        "--guard-product", type=float, default=15.0,
-        help="emulation validity threshold; relaxed below the library "
-             "default so the standard comparison set can run",
-    )
     p_st.set_defaults(func=cmd_selftest)
     return parser
 

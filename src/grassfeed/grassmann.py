@@ -15,8 +15,8 @@ drawn as the Bartlett factors of S and W, 2N gammas and 2N(N-1) normals
 against 2MN normals for G, and scored by one LDL^H pass over A on (E,)
 vectors over the block's entries. Only each trial's winner becomes a
 frame, drawn from its exact conditional law given its statistics. A
-one-entry codebook is its own winner: the scan draws it as one complex
-Gaussian and orthonormalizes it, with nothing to score.
+one-entry codebook is its own winner: the scan draws it as one
+:func:`~grassfeed.ensembles.isotropic_frame` stack, with nothing to score.
 """
 
 import math
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensembles import as_generator, gaussian_matrix
+from .ensembles import as_generator, gaussian_matrix, isotropic_frame
 from .errors import (
     DimensionError,
     DomainError,
@@ -36,7 +36,7 @@ from .errors import (
     _check_real,
     _check_shape,
 )
-from .linalg import ORTHO_TOL, orthonormalize, thin_qr_batch
+from .linalg import ORTHO_TOL, orthonormalize, sumsq
 
 __all__ = [
     "CODEBOOK_ENTRY_CAP",
@@ -132,9 +132,14 @@ def chordal_distance_sq(a, b):
     epsilon negative, which is clamped to 0.
     """
     a, b = _check_frames(a=a, b=b)
-    n = a.shape[1]
-    d2 = n - np.sum(np.abs(a.conj().T @ b) ** 2)
-    return float(max(d2, 0.0))
+    return float(max(_d2(a, b), 0.0))
+
+
+def _d2(a, b):
+    """N - ||a^H b||_F^2 of (..., m, n) frame stacks broadcast against
+    each other, unclamped."""
+    g = np.einsum("...mn,...mp->...np", a.conj(), b)
+    return a.shape[-1] - sumsq(g.reshape(g.shape[:-2] + (-1,)))
 
 
 def principal_angles(a, b):
@@ -200,9 +205,7 @@ def random_codebook(rng, m, n, bits):
     """Fresh random quantization codebook of 2^bits isotropic frames."""
     gc = GrassmannConstants(m, n)
     size = _codebook_size(bits, gc.m, gc.n)
-    gen = as_generator(rng)
-    g = gaussian_matrix(gen, gc.m, gc.n, batch=(size,))
-    return Codebook(gc.m, gc.n, bits, orthonormalize(g))
+    return Codebook(gc.m, gc.n, bits, isotropic_frame(rng, gc.m, gc.n, batch=(size,)))
 
 
 def quantize(h, codebook):
@@ -306,13 +309,10 @@ def distortion_bound(gc, bits, a=0.5):
 
 def _scan_np(hq, w):
     """(idx, d2, winner) of each (C, m, n) codebook w[t] against its frame hq[t]."""
-    n = hq.shape[-1]
-    g = np.einsum("tmn,tcmp->tcnp", hq.conj(), w)
-    d2 = n - np.sum(np.abs(g) ** 2, axis=(-2, -1))
+    d2 = _d2(hq[:, np.newaxis], w)
     idx = np.argmin(d2, axis=1)
-    d2min = np.take_along_axis(d2, idx[:, np.newaxis], axis=1)[:, 0]
-    qwin = np.take_along_axis(w, idx[:, np.newaxis, np.newaxis, np.newaxis], axis=1)[:, 0]
-    return idx.astype(np.int64), d2min, qwin
+    rows = np.arange(len(w))
+    return idx.astype(np.int64), d2[rows, idx], w[rows, idx]
 
 
 def scan_frames(hq, frames):
@@ -435,11 +435,11 @@ def _scan_stats(gen, m, n, bits, count, winners=False):
 
 def _frames_from_stats(gen, hq, ts, tw):
     """Frames Q whose statistics against hq are (ts, tw), drawn from their
-    exact law: Q = orth(hq U_s T_s + U_w T_w), U_s = orth(N x N Gaussian)
+    exact law: Q = orth(hq U_s T_s + U_w T_w), U_s an N x N Haar unitary
     and U_w = orth((I - hq hq^H) Z) for an M x N Gaussian Z, drawn in that
     order."""
     t, m, n = hq.shape
-    us = orthonormalize(gaussian_matrix(gen, n, n, batch=(t,)))
+    us = isotropic_frame(gen, n, n, batch=(t,))
     z = gaussian_matrix(gen, m, n, batch=(t,))
     z -= hq @ (hq.conj().swapaxes(-2, -1) @ z)
     return orthonormalize(hq @ (us @ ts) + orthonormalize(z) @ tw)
@@ -455,26 +455,17 @@ def scan_fresh_codebooks(gen, hq, bits):
     scan holds one block's statistics and scoring temporaries whatever T
     is. After the last block the T winners alone are built from their
     exact conditional law (:func:`_frames_from_stats`), drawn from ``gen``.
-    A one-entry codebook is its own winner: each block draws it as one
-    ``gaussian_matrix`` and orthonormalizes it, with nothing to score.
-    Returns the (T,) minimum d^2 and (T, M, N) winners.
+    A one-entry codebook is its own winner: the scan draws all T as one
+    ``isotropic_frame`` stack, with nothing to score.
+    Returns the (T, M, N) winners and their (T,) d^2, the order of
+    :func:`~grassfeed.quant_emulator.emulate_batch`.
     """
     t, m, n = hq.shape
     if _codebook_size(bits, m, n) > 1:
         d2, fac = _scan_stats(gen, m, n, bits, t, winners=True)
-        return d2, _frames_from_stats(gen, hq, fac[0], fac[1])
-    d2 = np.empty(t)
-    won = np.empty((t, m, n), dtype=np.complex128)
-    block = _scan_block(1, m, n)
-    for lo in range(0, t, block):
-        hi = min(lo + block, t)
-        # d^2 is _scan_np's; conjugating the winners in place conjugates
-        # hq^H Q exactly, with no copy of the frames
-        q = thin_qr_batch(gaussian_matrix(gen, m, n, batch=(hi - lo,)))[0]
-        np.conjugate(q, out=q)
-        d2[lo:hi] = n - np.sum(np.abs(np.einsum("tmn,tmp->tnp", hq[lo:hi], q)) ** 2, axis=(-2, -1))
-        np.conjugate(q, out=won[lo:hi])
-    return d2, won
+        return _frames_from_stats(gen, hq, fac[0], fac[1]), d2
+    won = isotropic_frame(gen, m, n, batch=(t,))
+    return won, _d2(hq, won)
 
 
 def distortion_samples(rng, m, n, bits, trials):

@@ -21,10 +21,10 @@ A perfect point is mu_Y, with ci99 = 0. Any other point's sum rate is the
 regression estimate mean(R) - b_Y (mean(Y) - mu_Y) - b_L (mean(L) - mu_L),
 with (b_Y, b_L) the least-squares fit of R on (Y, L), and its ci99 the
 half-width of the residual R - b_Y Y - b_L L. Where mu_L is not exact (an
-exhaustive unit of width 2 or more whose budget fails the emulation
-guard), R is regressed on Y alone. The fading and the leakage that move R
-drop out, so the half-width is several times narrower than the plain
-mean's at the same trial count; the estimate stays unbiased.
+exhaustive unit of width 2 or more whose nonzero budget fails the
+emulation guard), R is regressed on Y alone. The fading and the leakage that move R drop out, so the
+half-width is several times narrower than the plain mean's at the same
+trial count; the estimate stays unbiased.
 
 Determinism contract: trials run in fixed-size chunks. A chunk's channels
 are the only draw of its stream (seed, chunk index) and serve every SNR
@@ -118,6 +118,13 @@ _MODES = ("perfect", "quantized_emulated", "quantized_exhaustive", "analog")
 _SCHEDULES = ("fixed", "scaled_3db", "custom")
 
 
+def _policy_fields(mode, schedule):
+    """Which of the fields bits, bits_table and beta a policy reads."""
+    quantized = mode.startswith("quantized")
+    return {"bits": quantized and schedule == "fixed", "bits_table": quantized and schedule == "custom",
+            "beta": mode == "analog"}
+
+
 @dataclass(frozen=True)
 class FeedbackPolicy:
     """What the transmitter learns about each user's channel.
@@ -126,7 +133,8 @@ class FeedbackPolicy:
     schedule: "fixed" uses ``bits`` everywhere, "scaled_3db" uses
     ceil(bd_3db_bits) floored at zero, "custom" looks points up in
     ``bits_table`` (exact dB match required). ``beta`` applies to analog
-    mode only and counts feedback channel uses per coefficient.
+    mode only and counts feedback channel uses per coefficient. A field
+    its mode and schedule do not read (:func:`_policy_fields`) is an error.
     """
 
     mode: str
@@ -138,28 +146,25 @@ class FeedbackPolicy:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise IncompatiblePolicy(f"mode must be one of {_MODES}, got {self.mode!r}")
-        quantized = self.mode.startswith("quantized")
-        if quantized:
-            if self.schedule not in _SCHEDULES:
-                raise IncompatiblePolicy(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
-            if self.schedule == "fixed" and not _is_count(self.bits):
-                raise IncompatiblePolicy(f"fixed schedule needs integer bits >= 0, got {self.bits!r}")
-            if self.schedule == "custom":
-                if not isinstance(self.bits_table, dict) or not self.bits_table:
-                    raise IncompatiblePolicy(f"custom schedule needs a bits_table dict, got {self.bits_table!r}")
-                for p_db in self.bits_table:
-                    _check_real("bits_table power (dB)", p_db, error=IncompatiblePolicy)
-                if not all(_is_count(b) for b in self.bits_table.values()):
-                    raise IncompatiblePolicy("bits_table budgets must be integers >= 0")
-            if self.beta is not None:
-                raise IncompatiblePolicy("beta only applies to analog mode")
-        elif self.mode == "analog":
+        if self.schedule not in _SCHEDULES:
+            raise IncompatiblePolicy(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
+        if not self.mode.startswith("quantized") and self.schedule != "fixed":
+            raise IncompatiblePolicy(f"{self.mode} mode has no bit schedule, got {self.schedule!r}")
+        reads = _policy_fields(self.mode, self.schedule)
+        unread = [f for f, read in reads.items() if not read and getattr(self, f) is not None]
+        if unread:
+            raise IncompatiblePolicy(f"{self.mode} mode, {self.schedule} schedule takes no {', '.join(unread)}")
+        if reads["beta"]:
             _check_real("analog mode's beta", self.beta, low=1, closed=True, error=IncompatiblePolicy)
-            if self.bits is not None or self.bits_table is not None:
-                raise IncompatiblePolicy("bit budgets only apply to quantized modes")
-        else:
-            if self.bits is not None or self.bits_table is not None or self.beta is not None:
-                raise IncompatiblePolicy("perfect mode takes no feedback parameters")
+        if reads["bits"] and not _is_count(self.bits):
+            raise IncompatiblePolicy(f"fixed schedule needs integer bits >= 0, got {self.bits!r}")
+        if reads["bits_table"]:
+            if not isinstance(self.bits_table, dict) or not self.bits_table:
+                raise IncompatiblePolicy(f"custom schedule needs a bits_table dict, got {self.bits_table!r}")
+            for p_db in self.bits_table:
+                _check_real("bits_table power (dB)", p_db, error=IncompatiblePolicy)
+            if not all(_is_count(b) for b in self.bits_table.values()):
+                raise IncompatiblePolicy("bits_table budgets must be integers >= 0")
 
     def resolve_bits(self, p_db, m, n):
         """Integer bit budget at one SNR point, or None for modes without bits."""
@@ -274,7 +279,8 @@ def _plan(spec):
     mean M (M - N)/(M - w) sum_i E[min d^2(M, w, b_i)], which is Jindal's
     interference lemma for ZF; E[min d^2] is :func:`_mean_min_d2`, exact
     for w = 1 and, where the default emulation guard holds, for wider
-    units. Under analog feedback the streams are orthogonal to the MMSE
+    units; a 0-bit unit's one isotropic entry has E[d^2] = w (M - w)/M at
+    any width. Under analog feedback the streams are orthogonal to the MMSE
     estimate and independent of its error, whose entries have variance
     1/(1 + beta P): K N (M - N)/(1 + beta P).
     """
@@ -303,6 +309,8 @@ def _plan(spec):
                 mode = "quantized_exhaustive"
             if width == 1 or valid:
                 mean_leak = k * m * (m - n) / (m - width) * sum(_mean_min_d2(gc, b) for b in budgets)
+            elif bits == 0:
+                mean_leak = k * n * (m - n)  # one BD unit, E[d^2] = N (M - N)/M
         substream = (_MODES.index(mode), 0 if bits is None else bits + 1)
         plan.append(_Point(p_db, p, bits, mode, budgets, (mode, bits, snr), substream,
                            _free_sum_rate_mean(m, n, p, spec.precoder), mean_leak))
@@ -318,8 +326,8 @@ def _precoders(spec, pt, stream, h, frames, noise):
     else:
         gen = stream.child(*pt.substream).generator()
         # an emulated budget has already passed the guard
-        units = [emulate_batch(gen, f, b)[0] if pt.mode == "quantized_emulated"
-                 else scan_fresh_codebooks(gen, f, b)[1] for f, b in zip(frames, pt.budgets)]
+        quantizer = emulate_batch if pt.mode == "quantized_emulated" else scan_fresh_codebooks
+        units = [quantizer(gen, f, b)[0] for f, b in zip(frames, pt.budgets)]
         # one unit's result is the knowledge itself; only several are joined
         know = units[0] if len(units) == 1 else np.concatenate(units, axis=-1)
         knowledge = know.reshape(h.shape)

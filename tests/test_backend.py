@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from grassfeed import _backend, grassmann
+from grassfeed import _backend, ensembles, grassmann
 from grassfeed.errors import RankDeficient
 from grassfeed.grassmann import chordal_distance_sq, scan_frames
 from grassfeed.linalg import RANK_FLOOR, orthonormalize, thin_qr_batch
@@ -265,7 +265,8 @@ class TestGramScan:
 
     @staticmethod
     def _orthonormalized(monkeypatch, m, n, bits):
-        """Stack sizes scan_fresh_codebooks orthonormalizes for 32 trials."""
+        """Stack sizes scan_fresh_codebooks orthonormalizes for 32 trials,
+        itself or through isotropic_frame."""
         seen = []
 
         def spy(a):
@@ -273,6 +274,7 @@ class TestGramScan:
             return orthonormalize(a)
 
         monkeypatch.setattr(grassmann, "orthonormalize", spy)
+        monkeypatch.setattr(ensembles, "orthonormalize", spy)
         hq = thin_qr_batch(_gauss(np.random.default_rng(47), 32, m, n))[0]
         grassmann.scan_fresh_codebooks(np.random.default_rng(44), hq, bits)
         return seen

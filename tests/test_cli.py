@@ -110,6 +110,15 @@ class TestBuildSpec:
         with pytest.raises(ConfigError, match="'B'"):
             build_spec(parse_config(_write_config(tmp_path, text)))
 
+    @pytest.mark.parametrize("mode,key", [
+        ("quantized_exhaustive\nschedule = custom", "'bits_table'"),
+        ("analog", "'beta'"),
+    ])
+    def test_missing_key_is_named(self, tmp_path, mode, key):
+        text = BASIC.replace("mode = perfect", f"mode = {mode}")
+        with pytest.raises(ConfigError, match=key):
+            build_spec(parse_config(_write_config(tmp_path, text)))
+
     def test_custom_schedule(self, tmp_path):
         text = BASIC.replace(
             "mode = perfect",
@@ -230,6 +239,12 @@ class TestSimulateCommand:
              + "\nprecoder = zf"),
             ("snr_start = 0\nsnr_stop = 10\nsnr_step = 5\nmode = perfect",
              "snr_start = 3080\nsnr_stop = 3080\nsnr_step = 5\nmode = analog\nbeta = 2"),
+            ("mode = perfect", "mode = perfect\nB = 8\nbeta = 3"),
+            ("mode = perfect", "mode = quantized_emulated\nschedule = scaled_3db\nB = 30\n"
+                               "bits_table = 0:3"),
+            ("mode = perfect", "mode = quantized_exhaustive\nB = 4\nbits_table = 0:3"),
+            ("mode = perfect", "mode = analog\nbeta = 2\nschedule = scaled_3db"),
+            ("mode = perfect", "mode = perfect\nschedule = custom\nbits_table = 0:3"),
         ],
     )
     def test_rejected_input_exits_2(self, tmp_path, capsys, old, new):
@@ -383,6 +398,12 @@ class TestSelftestCommand:
     def test_partial_flags_exit_2(self, capsys):
         assert main(["emu-selftest", "--m", "4", "--samples", "100"]) == 2
         assert "together" in capsys.readouterr().err
+
+    def test_guard_product_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["emu-selftest", "--guard-product", "15"])
+        assert exc.value.code == 2
+        assert "--guard-product" in capsys.readouterr().err
 
     def test_negative_samples_exit_2(self, capsys):
         assert main(["emu-selftest", "--samples", "-1"]) == 2

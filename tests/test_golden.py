@@ -4,7 +4,8 @@ closed-form mean of the interference-free rate and draw nothing; the
 others are regression estimates on that rate and, where its mean is exact,
 on the multi-user leakage. The exhaustive spec's 4-bit G(4, 2) budget
 fails the emulation guard, so its points regress on the interference-free
-rate alone.
+rate alone. The emulated spec's 0 dB point has a 0-bit budget: its one
+isotropic entry has an exact leakage mean, so it regresses on both.
 
 These pin determinism across processes and machines, not just within one
 run. A change to any digest changes what users get for a fixed seed; it
@@ -27,7 +28,7 @@ GOLDEN = {
     "emulated": (
         dict(m=4, n=2, trials=1100,
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "346a26129eee6f3d88c5b9f3fb751afe9a7e5b476c2c21492921c3b4cb92afc5",
+        "ec6c4a10bb085a334811070173ea83ce6fd4c7dbd8745e10c3005567146c84e7",
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),

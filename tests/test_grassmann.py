@@ -384,9 +384,8 @@ class TestEmpiricalDistortion:
 def _per_block_scan(gen, m, n, bits, count, hq=None):
     """The scan as one gaussian_matrix draw per block of trials, with every
     entry orthonormalized and scanned. With hq None, each block's channels
-    are drawn just before its codebooks. Its one-entry blocks are the
-    scan's; at more entries it is the explicit-codebook law the statistics
-    scan must match."""
+    are drawn just before its codebooks. It is the explicit-codebook law
+    the scan must match."""
     size = 2 ** bits
     block = max(1, grassmann._SCAN_BLOCK_ELEMS // (size * m * n))
     d2 = np.empty(count)
@@ -440,7 +439,7 @@ class TestScanFreshCodebooks:
         m, n, bits, trials = 4, 2, 3, 6
         hq = isotropic_frame(RngStream(12).child(0), m, n, batch=(trials,))
         gen, ref = RngStream(12).child(1).generator(), RngStream(12).child(1).generator()
-        d2, won = scan_fresh_codebooks(gen, hq, bits)
+        won, d2 = scan_fresh_codebooks(gen, hq, bits)
         d2_ref, _, ts, tw = _stats_scan(ref, m, n, bits, trials)
         assert np.abs(d2 - d2_ref).max() <= 1e-12
         us = orthonormalize(gaussian_matrix(ref, n, n, batch=(trials,)))
@@ -467,7 +466,7 @@ class TestScanFreshCodebooks:
         seed = RngStream(21).child(m, n, bits)
         ref = _per_block_scan(seed.child(0).generator(), m, n, bits, count)[0]
         hq = isotropic_frame(seed.child(1), m, n, batch=(count,))
-        d2 = scan_fresh_codebooks(seed.child(2).generator(), hq, bits)[0]
+        d2 = scan_fresh_codebooks(seed.child(2).generator(), hq, bits)[1]
         samples = distortion_samples(seed.child(3), m, n, bits, count)
         assert _ks_2samp(d2, ref)[1] >= 0.01
         assert _ks_2samp(samples, ref)[1] >= 0.01
@@ -481,7 +480,7 @@ class TestScanFreshCodebooks:
         gen = RngStream(22).child(bits).generator()
         hq = isotropic_frame(RngStream(22).child(99), m, 1, batch=(count,))
         want = grassmann._mean_min_d2(GrassmannConstants(m, 1), bits)
-        for d2 in (scan_fresh_codebooks(gen, hq, bits)[0], distortion_samples(gen, m, 1, bits, count)):
+        for d2 in (scan_fresh_codebooks(gen, hq, bits)[1], distortion_samples(gen, m, 1, bits, count)):
             se = d2.std(ddof=1) / math.sqrt(count)
             assert abs(d2.mean() - want) <= 4 * se
 
@@ -491,7 +490,7 @@ class TestScanFreshCodebooks:
         its channel is the returned d^2."""
         count = 300
         hq = isotropic_frame(RngStream(23).child(m, n), m, n, batch=(count,))
-        d2, won = scan_fresh_codebooks(RngStream(23).child(bits).generator(), hq, bits)
+        won, d2 = scan_fresh_codebooks(RngStream(23).child(bits).generator(), hq, bits)
         gram = np.einsum("tmi,tmj->tij", won.conj(), won)
         assert np.abs(gram - np.eye(n)).max() <= 1e-12
         for t in range(count):
@@ -504,7 +503,7 @@ class TestScanFreshCodebooks:
         m, n, count = 6, 2, 700
         hq = isotropic_frame(RngStream(24), m, n, batch=(count,))
         gens = [RngStream(25).generator() for _ in range(2)]
-        (d2a, wa), (d2b, wb) = (scan_fresh_codebooks(g, hq, bits) for g in gens)
+        (wa, d2a), (wb, d2b) = (scan_fresh_codebooks(g, hq, bits) for g in gens)
         assert np.array_equal(d2a, d2b)
         assert np.array_equal(wa.view(np.float64), wb.view(np.float64))
         assert np.array_equal(gens[0].standard_normal(8), gens[1].standard_normal(8))
@@ -544,18 +543,20 @@ class TestStreamedScan:
     def test_matches_per_block_draw(self, m, n, bits, count):
         """Over several blocks, the last one partial, d^2 and the stream
         position equal the entry-by-entry statistics scan. One-entry
-        codebooks are scanned as one gaussian_matrix draw per block, bit for
-        bit."""
+        codebooks, over as many trials as several blocks would hold, are
+        one isotropic_frame draw, bit for bit, scored by the chordal
+        distance."""
         block = grassmann._scan_block(2 ** bits, m, n)
         assert 1 < block < count and count % block
         seed = RngStream(13).child(m, n, bits)
         hq = isotropic_frame(seed.child(0), m, n, batch=(count,))
         gen, ref = seed.generator(), seed.generator()
-        d2, won = scan_fresh_codebooks(gen, hq, bits)
+        won, d2 = scan_fresh_codebooks(gen, hq, bits)
         if bits == 0:
-            d2_ref, won_ref = _per_block_scan(ref, m, n, bits, count, hq)
-            assert np.array_equal(d2, d2_ref)
-            assert np.array_equal(won.view(np.float64), won_ref.view(np.float64))
+            want = isotropic_frame(ref, m, n, batch=(count,))
+            assert np.array_equal(won.view(np.float64), want.view(np.float64))
+            for i in range(count):
+                assert abs(d2[i] - chordal_distance_sq(hq[i], won[i])) <= 1e-15
         else:
             assert np.abs(d2 - _stats_scan(ref, m, n, bits, count)[0]).max() <= 1e-12
             gaussian_matrix(ref, n, n, batch=(count,))

@@ -380,7 +380,7 @@ class TestEmulatedMatchesExhaustive:
         base = RngStream(35).child(m, n, bits)
         gen = base.child(0).generator()
         h = isotropic_frame(gen, m, n, batch=(trials,))
-        exh = scan_fresh_codebooks(gen, h, bits)[1]
+        exh = scan_fresh_codebooks(gen, h, bits)[0]
         gen = base.child(1).generator()
         h_emu = isotropic_frame(gen, m, n, batch=(trials,))
         emu, _ = emulate_batch(gen, h_emu, bits)

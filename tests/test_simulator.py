@@ -317,7 +317,8 @@ class TestSweepPlan:
     def test_one_guard_decision_per_point(self, monkeypatch, precoder, mode):
         """Each quantized point asks the default guard once, about its
         smallest unit budget; that answer sets both its mode and whether
-        its leakage mean is exact, so every emulated point has one."""
+        its leakage mean is exact, so every emulated point has one. A 0-bit
+        unit's mean is exact whatever the guard says."""
         calls = []
 
         def spy(gc, bits, guard, _real=simulator.emulation_valid):
@@ -330,7 +331,7 @@ class TestSweepPlan:
         assert [c[:2] for c in calls] == [(min(pt.budgets), DEFAULT_GUARD_PRODUCT) for pt in plan]
         for pt, (_, _, valid) in zip(plan, calls):
             assert (pt.mode == "quantized_emulated") == (valid and mode == "quantized_emulated")
-            assert (pt.mean_leak is not None) == (valid or precoder == "zf")
+            assert (pt.mean_leak is not None) == (valid or precoder == "zf" or pt.bits == 0)
         assert plan[-1].mode == mode
 
     @pytest.mark.parametrize("precoder,policy", [
@@ -371,6 +372,15 @@ class TestInputValidation:
             dict(mode="analog", beta=0.5),
             dict(mode="quantized_exhaustive", bits=4, beta=2.0),
             dict(mode="perfect", bits=4),
+            dict(mode="quantized_emulated", schedule="scaled_3db", bits=30),
+            dict(mode="quantized_exhaustive", bits=4, bits_table={0.0: 3}),
+            dict(mode="quantized_emulated", schedule="custom", bits_table={0.0: 3}, bits=4),
+            dict(mode="quantized_emulated", schedule="scaled_3db", bits_table={0.0: 3}),
+            dict(mode="perfect", schedule="scaled_3db"),
+            dict(mode="perfect", beta=3.0),
+            dict(mode="analog", beta=2.0, schedule="custom", bits_table={0.0: 3}),
+            dict(mode="analog", beta=2.0, bits_table={0.0: 3}),
+            dict(mode="perfect", schedule="weekly"),
         ],
     )
     def test_policy_rejects(self, kw):
@@ -825,10 +835,11 @@ class TestLeakageControl:
     @pytest.mark.parametrize("precoder,m,n,bits", [
         ("zf", 8, 1, 0), ("zf", 8, 1, 1), ("zf", 8, 1, 2),
         ("zf", 6, 2, 0), ("zf", 6, 2, 1), ("zf", 6, 2, 2),
-        ("bd", 4, 2, 8),
+        ("bd", 4, 2, 8), ("bd", 4, 2, 0), ("bd", 6, 2, 0),
     ])
     def test_exhaustive_leakage_mean(self, precoder, m, n, bits):
-        """Width-1 units at every budget, wider ones once the guard holds."""
+        """Width-1 units at every budget, wider ones once the guard holds
+        or at 0 bits, where the one entry is isotropic."""
         spec = _spec(m=m, n=n, precoder=precoder, trials=CHUNK_TRIALS, seed=72,
                      policy=FeedbackPolicy(mode="quantized_exhaustive", bits=bits))
         pt = _point(spec)
