@@ -297,7 +297,7 @@ def build_parser():
     p_st.add_argument("--m", type=int, default=None)
     p_st.add_argument("--n", type=int, default=None)
     p_st.add_argument("--bits", type=int, default=None)
-    p_st.add_argument("--samples", type=int, default=10000)
+    p_st.add_argument("--samples", type=int, default=40000)
     p_st.add_argument("--seed", type=int, default=2026)
     p_st.set_defaults(func=cmd_selftest)
     return parser

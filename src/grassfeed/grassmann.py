@@ -11,11 +11,13 @@ matrix. Only an entry's principal angles to the channel frame hq matter,
 and they follow from two independent complex Wishart matrices: split an
 entry G = hq B + hq_perp G_2; then d^2 = tr(A^-1 W) with A = S + W,
 S = B^H B ~ CW_N(N, I) and W = G_2^H G_2 ~ CW_N(M - N, I). Each entry is
-drawn as the Bartlett factors of S and W, 2N gammas and 2N(N-1) normals
-against 2MN normals for G, and scored by one LDL^H pass over A on (E,)
-vectors over the block's entries. Only each trial's winner becomes a
-frame, drawn from its exact conditional law given its statistics. A
-one-entry codebook is its own winner: the scan draws it as one
+drawn as the Bartlett factors of S and W, with T_w's superdiagonal made
+real by a phase gauge: 2N gammas (sums of exponentials at shape <= 3),
+N - 1 exponentials and 2(N-1)^2 normals against 2MN normals for G, and
+scored by one LDL^H pass over A on (E,) vectors over the block's entries.
+Only each trial's winner becomes a frame, drawn from its exact
+conditional law given its statistics. A one-entry codebook is its own
+winner: the scan draws it as one
 :func:`~grassfeed.ensembles.isotropic_frame` stack, with nothing to score.
 """
 
@@ -55,7 +57,9 @@ __all__ = [
 # complex elements (2^B entries times M w, w the frame width) a codebook may
 # hold: 256 MiB of entries. A scan of one such codebook per trial holds
 # half as many bytes of statistics (2 w^2 <= M w reals per entry) and peaks
-# at about 320 MiB with its scoring temporaries (traced at M=4, N=2, B=21)
+# at about 336 MiB with its scoring workspace: 21 rows of 2^21 doubles at
+# M=4, N=2, B=21 (traced at B=14 and scaled); the draws' spare row is freed
+# before scoring
 _CAP_BITS = 24
 CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
 # complex codebook elements per scored block: a scan block holds the
@@ -332,34 +336,51 @@ def _scan_block(size, m, n):
 def _draw_stats(gen, m, n, work):
     """Draw the Bartlett factors T_s and T_w of len(work) / (2 n^2) entries
     into the float64 buffer ``work``, in stream order: the squared diagonals
-    of T_s (standard_gamma(n - i), i = 0..n-1), those of T_w
-    (standard_gamma(m - n - i)), then one standard_normal draw of the
-    strictly upper entries, T_s's then T_w's, column by column, each as all
-    its real parts, then all its imaginary parts, scaled by sqrt(1/2).
+    of T_s (Gamma(n - i), i = 0..n-1), then T_w's (Gamma(m - n - i)), each
+    Gamma(k <= 3) the sum of k standard_exponential fills (the later ones
+    through one spare row), else standard_gamma(k); T_w's superdiagonal
+    moduli, sqrt(standard_exponential); one standard_normal fill of T_s's
+    upper entries, real rows then imaginary rows; T_w's other upper entries
+    likewise, one fill per column from the third; normals times sqrt(1/2).
+    T_w's superdiagonal is real by a gauge: (D^H T_s D, D^H T_w D), D
+    diagonal unitary, has the same d^2 and, as U_s D^H and U_w D^H keep their
+    Haar laws, the same winner span. So D may take the phases of that
+    superdiagonal, which leaves every other upper entry CN(0, 1).
 
     Returns views of ``work``: gam, the (2, n, E) squared diagonals, and
     off, the (2, n(n-1)/2, 2, E) upper entries as real and imaginary rows.
     """
     e = work.size // (2 * n * n)
     gam = work[: 2 * n * e].reshape(2, n, e)
-    for f, dof in enumerate((n, m - n)):
-        for i in range(n):
-            gen.standard_gamma(dof - i, out=gam[f, i])
-    off = work[2 * n * e:]
-    gen.standard_normal(out=off)
-    off *= np.sqrt(0.5)
-    return gam, off.reshape(2, n * (n - 1) // 2, 2, e)
+    off = work[2 * n * e:].reshape(2, n * (n - 1) // 2, 2, e)
+    spare = np.empty(e)
+    for row, k in zip(gam.reshape(2 * n, e), [dof - i for dof in (n, m - n) for i in range(n)]):
+        if k > 3:
+            gen.standard_gamma(k, out=row)
+            continue
+        gen.standard_exponential(out=row)
+        for _ in range(k - 1):
+            row += gen.standard_exponential(out=spare)
+    for sup in (off[1, j * (j + 1) // 2 - 1] for j in range(1, n)):
+        np.sqrt(gen.standard_exponential(out=sup[0]), out=sup[0])
+        sup[1] = 0.0
+    for z in [off[0]] + [off[1, j * (j - 1) // 2: j * (j + 1) // 2 - 1] for j in range(2, n)]:
+        gen.standard_normal(out=z)
+        z *= np.sqrt(0.5)
+    return gam, off
 
 
-def _abs2(z):
-    """|z|^2 of a complex array held as (2, E) real and imaginary rows."""
-    return z[0] * z[0] + z[1] * z[1]
+def _abs2(z, out, tmp):
+    """|z|^2 of (2, E) real and imaginary rows into the row out; tmp is a scratch row."""
+    return np.add(np.multiply(z[0], z[0], out=out), np.multiply(z[1], z[1], out=tmp), out=out)
 
 
-def _mul(x, y, conj=False):
-    """x y, or conj(x) y, of complex arrays held as (2, E) rows."""
-    s = -1.0 if conj else 1.0
-    return np.stack((x[0] * y[0] - s * x[1] * y[1], x[0] * y[1] + s * x[1] * y[0]))
+def _mul(x, y, out, tmp, conj=False):
+    """x y, or conj(x) y, of (2, E) real and imaginary rows into out; tmp is a scratch row."""
+    re, im = (np.add, np.subtract) if conj else (np.subtract, np.add)
+    re(np.multiply(x[0], y[0], out=out[0]), np.multiply(x[1], y[1], out=tmp), out=out[0])
+    im(np.multiply(x[0], y[1], out=out[1]), np.multiply(x[1], y[0], out=tmp), out=out[1])
+    return out
 
 
 def _stat_d2(gam, off):
@@ -370,39 +391,51 @@ def _stat_d2(gam, off):
     D the pivots) and Y = T_w U^-1 column by column, so d^2 is
     sum_j ||y_j||^2 / d_j, a sum of positive terms. Complex values are
     (2, E) real and imaginary rows, so every step is a real vector
-    operation over the entries. Raises RankDeficient if a pivot is zero or
-    not finite.
+    operation over the entries, written into the rows of one workspace.
+    Raises RankDeficient if a pivot is zero or not finite.
     """
-    n = gam.shape[1]
+    n, e = gam.shape[1:]
     t = np.sqrt(gam[:, : n - 1])
+    # rows: the n pivots; past n = 1, a product pair, a scratch row and the
+    # pairs of U and Y; past n = 2, the pair acc
+    ws = np.empty((n + (n > 1) * (3 + 2 * n * (n - 1)) + 2 * (n > 2), e))
+    d, mul, tmp = ws[:n], ws[n: n + 2], ws[n + 2] if n > 1 else None
+    free, acc = iter(ws[n + 3:].reshape(-1, 2, e)), ws[-2:] if n > 2 else None
+    score = np.empty(e)
 
     def upper(f, k, j):
         return off[f, j * (j - 1) // 2 + k]
 
-    d, u, y = [], {}, []
+    u, y = {}, []
     for j in range(n):
-        pivot = gam[0, j] + gam[1, j]
-        # rows 0..j-1 of y_j; row j is t_w[j], whose square is gam[1, j]
-        yj = [upper(1, k, j).copy() for k in range(j)]
+        pivot = np.add(gam[0, j], gam[1, j], out=d[j])
+        # rows 0..j-1 of y_j, copied into free pairs; row j is t_w[j], whose square is gam[1, j]
+        yj = [np.positive(upper(1, k, j), out=next(free)) for k in range(j)]
         for i in range(j):
-            a = upper(0, i, j) * t[0, i] + upper(1, i, j) * t[1, i]
+            a = u[i, j] = np.multiply(upper(0, i, j), t[0, i], out=next(free))
+            a += np.multiply(upper(1, i, j), t[1, i], out=mul)
             for k in range(i):
-                a += _mul(upper(0, k, i), upper(0, k, j), True) + _mul(upper(1, k, i), upper(1, k, j), True)
-                a -= _mul(u[k, i], u[k, j], True) * d[k]
+                _mul(upper(0, k, i), upper(0, k, j), acc, tmp, True)
+                a += np.add(acc, _mul(upper(1, k, i), upper(1, k, j), mul, tmp, True), out=acc)
+                a -= np.multiply(_mul(u[k, i], u[k, j], mul, tmp, True), d[k], out=mul)
             a /= d[i]
-            u[i, j] = a
-            pivot = pivot + _abs2(upper(0, i, j)) + _abs2(upper(1, i, j)) - d[i] * _abs2(a)
-            yj[i] -= a * t[1, i]
+            pivot += _abs2(upper(0, i, j), mul[0], tmp)
+            pivot += _abs2(upper(1, i, j), mul[0], tmp)
+            pivot -= np.multiply(d[i], _abs2(a, mul[0], tmp), out=mul[0])
+            yj[i] -= np.multiply(a, t[1, i], out=mul)
             for r in range(i):
-                yj[r] -= _mul(y[i][r], a)
+                yj[r] -= _mul(y[i][r], a, mul, tmp)
         # min and max propagate NaN, which fails both comparisons
         if not (pivot.min() > 0 and pivot.max() < np.inf):
             raise RankDeficient("a codebook entry's Gram matrix has a zero or non-finite pivot")
-        d.append(pivot)
         y.append(yj)
-        part = gam[1, j] + sum(_abs2(v) for v in yj)
-        part /= pivot
-        score = part if j == 0 else score + part
+        if j == 0:
+            np.divide(gam[1, 0], pivot, out=score)
+            continue
+        _abs2(yj[0], mul[0], tmp)
+        for v in yj[1:]:
+            mul[0] += _abs2(v, mul[1], tmp)
+        score += np.divide(np.add(gam[1, j], mul[0], out=mul[1]), pivot, out=mul[1])
     return score
 
 

@@ -466,7 +466,7 @@ class TestSelftestCommand:
         code = (
             "import sys; sys.modules['scipy'] = None; from grassfeed.cli import main; "
             "sys.exit(main(['emu-selftest', '--m', '4', '--n', '1', '--bits', '4', "
-            "'--samples', '500']))"
+            "'--samples', '10000']))"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr

@@ -32,7 +32,7 @@ GOLDEN = {
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
-        "21191ea03ce1eabbb7380145686d0da63d5f0b23bf0b3193f7cc73fed550602d",
+        "913f87475ce76a3403a7b2426910e260a80ab6387d5271cff8857411cc08c4a6",
     ),
     "analog": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="analog", beta=2.0)),

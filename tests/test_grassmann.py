@@ -401,10 +401,17 @@ def _per_block_scan(gen, m, n, bits, count, hq=None):
     return d2, won
 
 
+def _gamma(gen, k, e):
+    """e Gamma(k) variates as _draw_stats draws them: a sum of k
+    exponentials for k <= 3, else standard_gamma(k)."""
+    return gen.standard_gamma(k, size=e) if k > 3 else sum(gen.standard_exponential(size=e) for _ in range(k))
+
+
 def _stats_scan(gen, m, n, bits, count):
     """(d2, idx, ts, tw) of the statistics scan, entry by entry with numpy:
     each block draws its entries' Bartlett factors in the documented order
-    (T_s's squared diagonals, T_w's, then their upper entries), and each
+    (T_s's squared diagonals, T_w's, T_w's real superdiagonal, T_s's upper
+    entries, then T_w's other upper entries column by column), and each
     entry's d^2 is tr(A^-1 W) from a linear solve."""
     size = 2 ** bits
     block = grassmann._scan_block(size, m, n)
@@ -417,10 +424,16 @@ def _stats_scan(gen, m, n, bits, count):
         fac = np.zeros((2, e, n, n), dtype=np.complex128)
         for f, dof in enumerate((n, m - n)):
             for i in range(n):
-                fac[f, :, i, i] = np.sqrt(gen.standard_gamma(dof - i, size=e))
-        normals = gen.standard_normal(size=(2, len(upper), 2, e)) * np.sqrt(0.5)
+                fac[f, :, i, i] = np.sqrt(_gamma(gen, dof - i, e))
+        for j in range(1, n):
+            fac[1, :, j - 1, j] = np.sqrt(gen.standard_exponential(size=e))
+        normals = gen.standard_normal(size=(len(upper), 2, e)) * np.sqrt(0.5)
         for p, (k, j) in enumerate(upper):
-            fac[:, :, k, j] = normals[:, p, 0] + 1j * normals[:, p, 1]
+            fac[0, :, k, j] = normals[p, 0] + 1j * normals[p, 1]
+        for j in range(2, n):
+            normals = gen.standard_normal(size=(j - 1, 2, e)) * np.sqrt(0.5)
+            for k in range(j - 1):
+                fac[1, :, k, j] = normals[k, 0] + 1j * normals[k, 1]
         s, w = (np.conj(np.swapaxes(x, -2, -1)) @ x for x in fac)
         d = np.trace(np.linalg.solve(s + w, w), axis1=-2, axis2=-1).real.reshape(hi - lo, size)
         idx[lo:hi] = np.argmin(d, axis=1)
@@ -471,6 +484,27 @@ class TestScanFreshCodebooks:
         assert _ks_2samp(d2, ref)[1] >= 0.01
         assert _ks_2samp(samples, ref)[1] >= 0.01
 
+    @pytest.mark.parametrize("m,n,bits", [(4, 2, 4), (6, 3, 2), (4, 2, 8)])
+    def test_winner_span_matches_explicit_codebooks(self, m, n, bits):
+        """T_w's real superdiagonal is a gauge that moves no winner span:
+        for the same channels, two-sample KS p >= 0.01 against the winners
+        of explicit Gaussian codebooks for ||hq[:, 0]^H Q||^2 and
+        ||x^H Q||^2, x a fixed unit vector projected off hq. Both see the
+        principal vectors, not only the angles."""
+        count = 3000
+        seed = RngStream(26).child(m, n, bits)
+        hq = isotropic_frame(seed.child(0), m, n, batch=(count,))
+        ref = _per_block_scan(seed.child(1).generator(), m, n, bits, count, hq)[1]
+        won = scan_fresh_codebooks(seed.child(2).generator(), hq, bits)[0]
+        x = np.arange(1.0, m + 1) - np.einsum("tmn,tpn,p->tm", hq, hq.conj(), np.arange(1.0, m + 1))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+
+        def laws(q):
+            return [(np.abs(np.einsum("tm,tmn->tn", v.conj(), q)) ** 2).sum(axis=1) for v in (hq[:, :, 0], x)]
+
+        for a, b in zip(laws(won), laws(ref)):
+            assert _ks_2samp(a, b)[1] >= 0.01
+
     @pytest.mark.parametrize("bits", [0, 3, 7])
     def test_width_one_mean_is_exact(self, bits):
         """For G(M, 1) the metric-ball law holds on all of [0, 1], so
@@ -513,16 +547,16 @@ class TestScanFreshCodebooks:
 
 
 class _EditedGenerator(np.random.Generator):
-    """Philox generator whose standard_gamma(out=...) calls pass each filled
-    buffer and the call's ordinal to edit(out, call)."""
+    """Philox generator whose standard_exponential(out=...) calls pass each
+    filled buffer and the call's ordinal to edit(out, call)."""
 
     def __init__(self, seed, edit):
         super().__init__(np.random.Philox(seed))
         self.edit = edit
         self.calls = 0
 
-    def standard_gamma(self, shape, size=None, dtype=np.float64, out=None):
-        res = super().standard_gamma(shape, size, dtype, out)
+    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+        res = super().standard_exponential(size, dtype, method, out)
         self.edit(res, self.calls)
         self.calls += 1
         return res
@@ -571,11 +605,14 @@ class TestStreamedScan:
     def test_rank_deficient_in_later_block_raises(self):
         """Zero squared diagonals in the first column of one entry's T_s and
         T_w, in the third block, give a zero pivot: the scan raises
-        RankDeficient and builds no winner."""
+        RankDeficient and builds no winner. At (4, 2) each block draws 7
+        exponentials: 2 + 1 for T_s's diagonal, 2 + 1 for T_w's, then 1 for
+        T_w's superdiagonal, and each Gamma(2) of the first column is zeroed
+        in both its draws."""
         m, n, bits = 4, 2, 4
         block = grassmann._scan_block(2 ** bits, m, n)
         count = 3 * block + 5
-        target = {2 * 2 * n, 2 * 2 * n + n}  # i = 0 of T_s and T_w in block 2
+        target = {14, 15, 17, 18}  # i = 0 of T_s and T_w in block 2
 
         def edit(out, call):
             if call in target:
@@ -589,11 +626,13 @@ class TestStreamedScan:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_statistic_raises(self, value):
-        """A non-finite squared diagonal gives a non-finite pivot."""
+        """A non-finite squared diagonal gives a non-finite pivot. At (6, 3)
+        T_s's diagonal takes exponential draws 0-5 and T_w's 6-11; draw 11
+        is the single exponential of T_w's last diagonal entry."""
         m, n, bits = 6, 3, 2
 
         def edit(out, call):
-            if call == 2 * n - 1:
+            if call == 11:
                 out[3] = value
 
         with pytest.raises(RankDeficient):

@@ -361,7 +361,7 @@ class TestEmulatedMatchesExhaustive:
 
     @pytest.mark.parametrize("m,n,bits", [(4, 2, 8), (4, 1, 10)])
     def test_ks_and_mean(self, m, n, bits):
-        trials = 4000
+        trials = 16000
         base = RngStream(31).child(m, n)
         exh = distortion_samples(base.child(0), m, n, bits, trials)
         gc = GrassmannConstants(m, n)
