@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, _check_count
-from .linalg import left_nullspace_basis_batch, orthonormalize
+from .errors import DimensionError, MemoryGuard, ParameterError, _check_count
+from .linalg import orthonormalize, project_off
 
 __all__ = [
     "RngStream",
@@ -71,15 +71,24 @@ def gaussian_matrix(rng, m, n, batch=()):
     Real and imaginary parts are independent N(0, 1/2), so E|h_ij|^2 = 1.
     With batch=(..) a stacked (..., m, n) array is drawn, every real part
     first and then every imaginary part, through one real buffer that each
-    half is drawn into and one complex buffer that is returned.
+    half is drawn into and one complex buffer that is returned. batch must
+    be a tuple of integers >= 0; buffers numpy cannot allocate raise
+    MemoryGuard.
     """
     _check_count("m", m)
     _check_count("n", n)
     if m < 1 or n < 1:
         raise DimensionError(f"matrix dimensions must be positive, got ({m}, {n})")
+    if not isinstance(batch, tuple):
+        raise ParameterError(f"batch must be a tuple of counts, got {batch!r}")
+    for size in batch:
+        _check_count("batch entry", size)
     gen = as_generator(rng)
-    z = np.empty(tuple(batch) + (m, n), dtype=np.complex128)
-    part = np.empty(z.shape)
+    try:
+        z = np.empty(batch + (m, n), dtype=np.complex128)
+        part = np.empty(z.shape)
+    except (MemoryError, ValueError) as exc:
+        raise MemoryGuard(f"cannot allocate a {batch + (m, n)} Gaussian stack: {exc}") from exc
     for out in (z.real, z.imag):
         gen.standard_normal(out=part)
         np.multiply(part, np.sqrt(0.5), out=out)
@@ -109,11 +118,19 @@ def isotropic_frame_in_nullspace(rng, a, n):
 
     Notes
     -----
-    Unitary invariance makes the result isotropic within the complement no
-    matter which complement basis is used.
+    The orthonormalized :func:`gaussian_off` of orthonormalize(a). It is
+    isotropic in the complement: the projection commutes with every
+    unitary that fixes the complement.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or n > a.shape[-2] - a.shape[-1]:
         raise DimensionError(f"the left nullspace of a {a.shape} matrix cannot hold an n={n} frame")
-    basis = left_nullspace_basis_batch(a)
-    return basis @ isotropic_frame(rng, basis.shape[-1], n, batch=a.shape[:-2])
+    return orthonormalize(gaussian_off(rng, orthonormalize(a), n))
+
+
+def gaussian_off(rng, q, n, col=None):
+    """G - q (q^H G) for one m x n Gaussian G per item of the orthonormal
+    (..., m, k) stack q: the library's one construction of a frame
+    complement. Internal; col is an optional (..., m) scratch buffer."""
+    p = gaussian_matrix(rng, q.shape[-2], n, batch=q.shape[:-2])
+    return project_off(p, q, np.empty(q.shape[:-1], dtype=np.complex128) if col is None else col)

@@ -39,7 +39,6 @@ from .errors import (
 __all__ = [
     "thin_qr",
     "cholesky_upper",
-    "left_nullspace_basis",
     "logdet_hermitian",
 ]
 
@@ -63,8 +62,8 @@ def _check_hermitian(a, nonfinite):
     """a as a complex square matrix, symmetrized, once it is finite (else
     ``nonfinite`` is raised) and Hermitian within tolerance."""
     a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"square matrix required, got {a.shape}")
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionError(f"nonempty square matrix required, got {a.shape}")
     # before the Hermitian test, where an infinite entry would give inf - inf
     if not np.isfinite(a).all():
         raise nonfinite("matrix has a non-finite entry")
@@ -137,15 +136,18 @@ def orthonormalize(a):
 def _square_safe(a):
     """(a, ||a||_F^2 per item, e) for a (..., m, n) stack, as complex128.
 
-    Non-finite input counts as rank deficient and is rejected before any
-    arithmetic. When some item's ||a||_F^2 leaves _SQUARE_RANGE, every item
-    is scaled by 2^-e, which brings its largest entry into [0.5, 1); e is
-    None when the stack is returned unscaled.
+    Empty items raise DimensionError; non-finite input counts as rank
+    deficient and is rejected before any arithmetic. When some item's
+    ||a||_F^2 leaves _SQUARE_RANGE, every item is scaled by 2^-e, which
+    brings its largest entry into [0.5, 1); e is None when the stack is
+    returned unscaled.
     """
     a = np.asarray(a, dtype=np.complex128)
+    m, n = a.shape[-2:]
+    if not (m and n):
+        raise DimensionError(f"items need at least one row and one column, got ({m}, {n})")
     if not np.isfinite(a).all():
         raise RankDeficient("non-finite entries have no column rank")
-    m, n = a.shape[-2:]
     with np.errstate(over="ignore"):
         total = sumsq(a.reshape(a.shape[:-2] + (m * n,)))
     if np.all((total >= _SQUARE_RANGE[0]) & (total <= _SQUARE_RANGE[1])):
@@ -177,6 +179,39 @@ def _gram_schmidt(a, total):
         r[..., j, j] = d
         np.divide(v, d[..., np.newaxis], out=q[..., j])  # no stack-sized temporary
     return q, r
+
+
+def project_off(p, q, col):
+    """p -= q (q^H p) in place, for (..., m, n) p and orthonormal
+    (..., m, k) q, through the (..., m) scratch buffer col. Internal.
+
+    q^H p is formed entry by entry, one einsum over m each, and q times it
+    added by :func:`add_product`; at these sizes both beat stacked matmuls.
+    """
+    coef = np.empty(q.shape[:-2] + (q.shape[-1], p.shape[-1]), dtype=np.complex128)
+    for i in range(q.shape[-1]):
+        np.conjugate(q[..., :, i], out=col)
+        for j in range(p.shape[-1]):
+            np.einsum("...m,...m->...", col, p[..., :, j], out=coef[..., i, j])
+    # p + q (-q^H p)
+    np.negative(coef, out=coef)
+    add_product(p, q, coef, col)
+    return p
+
+
+def add_product(out, a, b, col):
+    """out += a @ b for (..., r, k) and (..., k, n) stacks, in place. Internal.
+
+    One multiply-add of an r-column stack per entry of b, through the
+    reused (..., r) buffer ``col``. With k and n this small that beats a
+    stacked matmul, and also a broadcast over all n columns at once, whose
+    innermost loop would run over n alone.
+    """
+    for j in range(b.shape[-1]):
+        target = out[..., :, j]
+        for i in range(a.shape[-1]):
+            np.multiply(a[..., :, i], b[..., i, j, np.newaxis], out=col)
+            target += col
 
 
 def sumsq(x):
@@ -255,37 +290,14 @@ def cholesky_upper_batch(a):
     return r
 
 
-def left_nullspace_basis(a):
-    """Orthonormal basis of the orthogonal complement of the column space.
-
-    Parameters
-    ----------
-    a : (m, n) complex ndarray with m > n and full column rank.
-
-    Returns
-    -------
-    (m, m - n) ndarray Q with Q^H Q = I and Q^H a = 0.
-
-    Raises
-    ------
-    RankDeficient
-        If a loses column rank under the 1e-12 relative floor.
-    DimensionError
-        If m <= n.
-    """
-    a = _as_matrix(a)
-    if a.shape[0] <= a.shape[1]:
-        raise DimensionError(f"nullspace needs m > n, got {a.shape}")
-    return left_nullspace_basis_batch(a[np.newaxis])[0]
-
-
 def left_nullspace_basis_batch(a):
-    """:func:`left_nullspace_basis` of every item of a (..., m, n) stack.
+    """(..., m, m - n) orthonormal bases of the complements of a full-rank
+    (..., m, n) stack's column spaces, by complete QR. Internal.
 
-    Internal. Raises RankDeficient if any item falls under the rank floor;
-    non-finite input counts as rank deficient and is rejected before any
-    arithmetic. Items are scaled as in :func:`thin_qr_batch`, exactly, so
-    the floor neither overflows nor underflows.
+    The library builds complements with :func:`project_off`; this is kept
+    only because the benchmark's tracer in ``perfbench/`` binds it. Raises
+    RankDeficient under the rank floor, of the stack scaled exactly as in
+    :func:`thin_qr_batch`, and for non-finite input.
     """
     a, total, _ = _square_safe(a)
     n = a.shape[-1]

@@ -333,12 +333,16 @@ def bd_precoders_batch(knowledge):
 
 
 def zf_precoders_batch(knowledge):
-    """Batched ZF beams for a (T, K, M, N) knowledge stack. Internal."""
-    w = _inverse_blocks(knowledge)
-    # the beams are w's columns; summing them as C-ordered rows is faster,
-    # and the rows are freed before the beams are normalized
-    norms = np.sqrt(sumsq(np.ascontiguousarray(np.swapaxes(w, -2, -1))))
-    return w / norms[..., np.newaxis, :]
+    """Batched ZF beams for a (T, K, M, N) knowledge stack. Internal.
+
+    ZF is BD over M one-column users: the knowledge's M columns, in user
+    order, go through :func:`bd_precoders_batch`, so each beam is
+    normalized by the same scaled Gram-Schmidt at any knowledge scale.
+    """
+    t, k, m, n = knowledge.shape
+    units = np.swapaxes(knowledge, -2, -1).reshape(t, m, m)[..., np.newaxis]
+    beams = bd_precoders_batch(units)[..., 0].reshape(t, k, n, m)
+    return np.swapaxes(beams, -2, -1)
 
 
 def rates_batch(p, channels, precoders, scheme):

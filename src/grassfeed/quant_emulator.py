@@ -27,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensembles import as_generator, gaussian_matrix, isotropic_frame
+from .ensembles import RngStream, as_generator, gaussian_matrix, gaussian_off, isotropic_frame
+from .ensembles import isotropic_frame_in_nullspace
 from .errors import (
     DegenerateProjection,
     DimensionError,
@@ -38,7 +39,7 @@ from .errors import (
     _check_real,
 )
 from .grassmann import GrassmannConstants, _check_frames
-from .linalg import cholesky_upper_batch, gram_rows, left_nullspace_basis, thin_qr
+from .linalg import add_product, cholesky_upper_batch, gram_rows, project_off, sumsq, thin_qr
 
 __all__ = [
     "DEFAULT_GUARD_PRODUCT",
@@ -85,7 +86,10 @@ def decompose(h_tilde, h_hat):
     Returns
     -------
     QuantDecomposition with h_tilde = h_hat x y + s z, trace(z^H z) equal
-    to the squared chordal distance, and y^H y + z^H z = I.
+    to the squared chordal distance, and y^H y + z^H z = I: x y and s z
+    are the thin QRs of h_hat^H h_tilde and of h_tilde projected off h_hat.
+    Where the spans coincide, z = 0 and s is the fixed complement frame
+    ``isotropic_frame_in_nullspace(RngStream(0), h_hat, N)``.
 
     Raises
     ------
@@ -98,18 +102,15 @@ def decompose(h_tilde, h_hat):
     m, n = h_tilde.shape
     if m < 2 * n:
         raise DimensionError(f"need M >= 2N for the complement frame, got ({m}, {n})")
-    overlap = h_hat.conj().T @ h_tilde
-    p_col = h_hat @ overlap
-    p_null = h_tilde - p_col
-    d2 = float(np.sum(np.abs(p_null) ** 2))
     try:
-        q_col, y = thin_qr(p_col)
+        x, y = thin_qr(h_hat.conj().T @ h_tilde)
     except RankDeficient as exc:
         raise DegenerateProjection("column-space projection lost rank") from exc
-    x = h_hat.conj().T @ q_col
-    if d2 < 1e-18:
+    p_null = project_off(h_tilde.copy(), h_hat, np.empty(m, dtype=np.complex128))
+    if sumsq(p_null.ravel()) < 1e-18:
+        # identical spans: any orthonormal complement frame is correct
         z = np.zeros((n, n), dtype=np.complex128)
-        s = left_nullspace_basis(h_hat)[:, :n]
+        s = isotropic_frame_in_nullspace(RngStream(0), h_hat, n)
     else:
         try:
             s, z = thin_qr(p_null)
@@ -273,30 +274,24 @@ def emulate_batch(rng, hq, bits):
     default guard works: a d^2 that underflows to 0 gives Z = 0 and Y = I.
 
     The N x N products run as vector operations over the whole stack, not
-    as stacked matmuls, which pay a per-item cost at these sizes: hq^H G
-    entry by entry (one einsum over M each), W from its upper entries
+    as stacked matmuls, which pay a per-item cost at these sizes: P by
+    :func:`~grassfeed.ensembles.gaussian_off`, W from its upper entries
     (:func:`~grassfeed.linalg.gram_rows`), trace(W) as the sum of its real
-    diagonal, and the products hq (hq^H G), X Y and hq (X Y) as one column
-    multiply-add per entry of the right factor (:func:`_add_product`). G's
-    buffer becomes the returned frames.
+    diagonal, and X Y and hq (X Y) as one column multiply-add per entry of
+    the right factor (:func:`~grassfeed.linalg.add_product`). G's buffer
+    becomes the returned frames.
     """
     hq = np.asarray(hq, dtype=np.complex128)
+    if hq.ndim != 3:
+        raise DimensionError(f"hq must be a (T, M, N) frame stack, got shape {hq.shape}")
     t, m, n = hq.shape
     if m < 2 * n:
         raise DimensionError(f"need M >= 2N, got ({m}, {n})")
     gen = as_generator(rng)
     z = sample_min_d2(gen, GrassmannConstants(m, n), bits, size=t)
     x = isotropic_frame(gen, n, n, batch=(t,))
-    p = gaussian_matrix(gen, m, n, batch=(t,))
     col = np.empty((t, m), dtype=np.complex128)
-    coef = np.empty((t, n, n), dtype=np.complex128)
-    for i in range(n):
-        np.conjugate(hq[..., :, i], out=col)
-        for j in range(n):
-            np.einsum("...m,...m->...", col, p[..., :, j], out=coef[..., i, j])
-    # P = G + hq (-hq^H G)
-    np.negative(coef, out=coef)
-    _add_product(p, hq, coef, col)
+    p = gaussian_off(gen, hq, n, col)
     # W = P^H P is the transpose of the row Gram of P^T
     w = np.swapaxes(gram_rows(np.swapaxes(p, -2, -1)), -2, -1)
     s = z / np.diagonal(w, axis1=-2, axis2=-1).real.sum(axis=-1)
@@ -304,22 +299,7 @@ def emulate_batch(rng, hq, bits):
     w += np.eye(n)
     y = cholesky_upper_batch(w)
     xy = np.zeros_like(x)
-    _add_product(xy, x, y, np.empty((t, n), dtype=np.complex128))
+    add_product(xy, x, y, np.empty((t, n), dtype=np.complex128))
     p *= np.sqrt(s)[:, np.newaxis, np.newaxis]
-    _add_product(p, hq, xy, col)
+    add_product(p, hq, xy, col)
     return p, z
-
-
-def _add_product(out, a, b, col):
-    """out += a @ b for (T, r, k) and (T, k, n) stacks, in place.
-
-    One multiply-add of an r-column stack per entry of b, through the
-    reused (T, r) buffer ``col``. With k and n this small that beats a stacked
-    matmul, and also a broadcast over all n columns at once, whose
-    innermost loop would run over n alone.
-    """
-    for j in range(b.shape[-1]):
-        target = out[..., :, j]
-        for i in range(a.shape[-1]):
-            np.multiply(a[..., :, i], b[..., i, j, np.newaxis], out=col)
-            target += col

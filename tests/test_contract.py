@@ -123,9 +123,21 @@ _BAD_CALLS = [
     # ensembles
     ("RngStream", "seed_float", lambda: grassfeed.RngStream(1.5)),
     ("gaussian_matrix", "gaussian_float_m", lambda: grassfeed.gaussian_matrix(_RNG, 2.5, 2)),
+    ("gaussian_matrix", "gaussian_float_batch",
+     lambda: grassfeed.gaussian_matrix(_RNG, 4, 2, batch=(2.5,))),
+    ("gaussian_matrix", "gaussian_int_batch", lambda: grassfeed.gaussian_matrix(_RNG, 4, 2, batch=3)),
+    # numpy refuses the allocation before it asks for any memory
+    ("gaussian_matrix", "gaussian_huge_batch",
+     lambda: grassfeed.gaussian_matrix(_RNG, 4, 2, batch=(2 ** 62,))),
     ("isotropic_frame", "frame_float_n", lambda: grassfeed.isotropic_frame(_RNG, 4, 2.0)),
+    ("isotropic_frame", "frame_negative_batch",
+     lambda: grassfeed.isotropic_frame(_RNG, 4, 2, batch=(-1,))),
+    ("isotropic_frame", "frame_huge_batch",
+     lambda: grassfeed.isotropic_frame(_RNG, 4, 2, batch=(2 ** 62,))),
     ("isotropic_frame_in_nullspace", "nullspace_frame_nan",
      lambda: grassfeed.isotropic_frame_in_nullspace(_RNG, _NAN, 2)),
+    ("isotropic_frame_in_nullspace", "nullspace_frame_no_columns",
+     lambda: grassfeed.isotropic_frame_in_nullspace(_RNG, np.zeros((4, 0)), 2)),
     # grassmann
     ("GrassmannConstants", "constants_float_m", lambda: grassfeed.GrassmannConstants(4.5, 2)),
     ("Codebook", "codebook_wide_frames",
@@ -142,11 +154,13 @@ _BAD_CALLS = [
      lambda: grassfeed.distortion_samples(_RNG, 4, 2, 2, 2.5)),
     # linalg
     ("thin_qr", "qr_nan", lambda: grassfeed.thin_qr(_NAN)),
+    ("thin_qr", "qr_no_columns", lambda: grassfeed.thin_qr(np.zeros((3, 0)))),
     ("cholesky_upper", "cholesky_nan", lambda: grassfeed.cholesky_upper(np.full((2, 2), np.nan))),
     ("cholesky_upper", "cholesky_inf", lambda: grassfeed.cholesky_upper([[np.inf, 0], [0, 1]])),
-    ("left_nullspace_basis", "nullspace_nan", lambda: grassfeed.left_nullspace_basis(_NAN)),
+    ("cholesky_upper", "cholesky_empty", lambda: grassfeed.cholesky_upper(np.zeros((0, 0)))),
     ("logdet_hermitian", "logdet_nan", lambda: grassfeed.logdet_hermitian(np.full((2, 2), np.nan))),
     ("logdet_hermitian", "logdet_inf", lambda: grassfeed.logdet_hermitian([[np.inf, 0], [0, 1]])),
+    ("logdet_hermitian", "logdet_empty", lambda: grassfeed.logdet_hermitian(np.zeros((0, 0)))),
     # precoding
     ("SystemConfig", "config_inf_power", lambda: grassfeed.SystemConfig(4, 2, np.inf)),
     ("SystemConfig", "config_float_m", lambda: grassfeed.SystemConfig(4.0, 2, 10)),
@@ -167,8 +181,13 @@ _BAD_CALLS = [
      lambda: grassfeed.perfect_csi_sum_rate(_CFG, "mmse")),
     # quant_emulator
     ("decompose", "decompose_nan", lambda: grassfeed.decompose(_NAN, _FRAME)),
+    ("decompose", "decompose_no_columns",
+     lambda: grassfeed.decompose(np.zeros((4, 0)), np.zeros((4, 0)))),
     ("emulate_batch", "emulate_batch_float_bits",
      lambda: grassfeed.emulate_batch(_RNG, _FRAME[np.newaxis], 12.5)),
+    ("emulate_batch", "emulate_batch_flat", lambda: grassfeed.emulate_batch(_RNG, _FRAME, 12)),
+    ("emulate_batch", "emulate_batch_4d",
+     lambda: grassfeed.emulate_batch(_RNG, _FRAME[np.newaxis, np.newaxis], 12)),
     ("emulate_quantization", "emulate_nan", lambda: grassfeed.emulate_quantization(_RNG, _NAN, 12)),
     ("sample_min_d2", "min_d2_float_bits", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80.5)),
     ("sample_min_d2", "min_d2_negative_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=-1)),
@@ -205,11 +224,28 @@ _NOTHING_TO_CHECK = {
 }
 
 
-@pytest.mark.parametrize("call", [c for _, _, c in _BAD_CALLS], ids=[i for _, i, _ in _BAD_CALLS])
-def test_public_entry_points_reject_bad_input(call):
+# rows that must raise one particular GrassfeedError
+_ROW_ERRORS = {
+    "gaussian_float_batch": errors.ParameterError,
+    "gaussian_int_batch": errors.ParameterError,
+    "gaussian_huge_batch": errors.MemoryGuard,
+    "frame_negative_batch": errors.ParameterError,
+    "frame_huge_batch": errors.MemoryGuard,
+    "nullspace_frame_no_columns": errors.DimensionError,
+    "qr_no_columns": errors.DimensionError,
+    "cholesky_empty": errors.DimensionError,
+    "logdet_empty": errors.DimensionError,
+    "decompose_no_columns": errors.DimensionError,
+    "emulate_batch_flat": errors.DimensionError,
+    "emulate_batch_4d": errors.DimensionError,
+}
+
+
+@pytest.mark.parametrize("case, call", [(i, c) for _, i, c in _BAD_CALLS], ids=[i for _, i, _ in _BAD_CALLS])
+def test_public_entry_points_reject_bad_input(case, call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(GrassfeedError):
+        with pytest.raises(_ROW_ERRORS.get(case, GrassfeedError)):
             call()
 
 

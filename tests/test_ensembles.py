@@ -9,8 +9,11 @@ from grassfeed.ensembles import (
     isotropic_frame,
     isotropic_frame_in_nullspace,
 )
+from scipy.stats import ks_2samp
+
 from grassfeed.errors import DimensionError, ParameterError, RankDeficient
 from grassfeed.grassmann import GrassmannConstants
+from grassfeed.linalg import left_nullspace_basis_batch
 
 
 def restricted_ks(samples, cdf, lo=0.0, hi=1.0, grid=4001):
@@ -121,6 +124,25 @@ class TestNullspaceFrame:
         proj = s @ s.conj().T
         expect = np.eye(6) - anchor @ anchor.conj().T
         assert np.linalg.norm(proj - expect) <= 1e-9
+
+    @pytest.mark.parametrize("m,k,n", [(6, 2, 2), (8, 1, 3), (6, 2, 4)])
+    def test_stack_law_matches_nullspace_oracle(self, m, k, n):
+        """A stack of 4000 frames in the complement of one anchor against
+        the complete-QR oracle basis @ isotropic_frame: for a fixed unit x
+        in the complement, ||x^H s||^2 (1 at full width) and |x^H s_1|^2
+        pass a two-sample KS test at p > 0.001."""
+        count = 4000
+        anchor = np.repeat(gaussian_matrix(RngStream(4).child(7, m, n), m, k)[np.newaxis], count, axis=0)
+        basis = left_nullspace_basis_batch(anchor[0])
+        x = basis @ isotropic_frame(RngStream(4).child(8, m, n), m - k, 1)
+        got = x.conj().T @ isotropic_frame_in_nullspace(RngStream(4).child(9, m, n), anchor, n)
+        want = x.conj().T @ basis @ isotropic_frame(RngStream(4).child(10, m, n), m - k, n, batch=(count,))
+        for stat in (lambda g: np.sum(np.abs(g) ** 2, axis=(-2, -1)), lambda g: np.abs(g[:, 0, 0]) ** 2):
+            a, b = stat(got), stat(want)
+            if n == m - k and a.std() < 1e-12:
+                assert np.abs(a - 1).max() <= 1e-12 and np.abs(b - 1).max() <= 1e-12
+            else:
+                assert ks_2samp(a, b).pvalue > 1e-3
 
     def test_too_wide(self):
         anchor = np.eye(4, dtype=complex)[:, :2]

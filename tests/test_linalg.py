@@ -14,10 +14,10 @@ from grassfeed.linalg import (
     cholesky_upper,
     cholesky_upper_batch,
     gram_rows,
-    left_nullspace_basis,
     left_nullspace_basis_batch,
     logdet_hermitian,
     logdet_hermitian_batch,
+    project_off,
     thin_qr,
     thin_qr_batch,
 )
@@ -104,21 +104,23 @@ class TestCholeskyUpper:
 
 
 class TestLeftNullspaceBasis:
+    """The complete-QR nullspace basis, kept as a test oracle."""
+
     def test_identity_columns(self):
         a = np.eye(4, dtype=complex)[:, :2]
-        b = left_nullspace_basis(a)
+        b = left_nullspace_basis_batch(a)
         proj = b @ b.conj().T
         expect = np.diag([0.0, 0.0, 1.0, 1.0])
         np.testing.assert_allclose(proj, expect, atol=1e-12)
 
     def test_random_residual(self):
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            a = _complex_gaussian(rng, 6, 4)
-            b = left_nullspace_basis(a)
-            assert b.shape == (6, 2)
-            assert np.linalg.norm(b.conj().T @ a) <= 1e-10 * np.linalg.norm(a)
-            assert np.linalg.norm(b.conj().T @ b - np.eye(2)) <= 1e-10
+        a = np.stack([_complex_gaussian(rng, 6, 4) for _ in range(300)])
+        b = left_nullspace_basis_batch(a)
+        assert b.shape == (300, 6, 2)
+        for bi, ai in zip(b, a):
+            assert np.linalg.norm(bi.conj().T @ ai) <= 1e-10 * np.linalg.norm(ai)
+            assert np.linalg.norm(bi.conj().T @ bi - np.eye(2)) <= 1e-10
 
     def test_unitary_completion(self):
         """Q factor of A stacked beside the nullspace basis is unitary."""
@@ -126,14 +128,14 @@ class TestLeftNullspaceBasis:
         for _ in range(100):
             a = _complex_gaussian(rng, 6, 2)
             q, _ = thin_qr(a)
-            b = left_nullspace_basis(a)
+            b = left_nullspace_basis_batch(a)
             u = np.concatenate([q, b], axis=1)
             assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-10
 
     def test_rank_deficient(self):
         a = np.ones((4, 2), dtype=complex)
         with pytest.raises(RankDeficient):
-            left_nullspace_basis(a)
+            left_nullspace_basis_batch(a)
 
 
 class TestLogdetHermitian:
@@ -324,6 +326,18 @@ class TestBatchKernels:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
         np.testing.assert_array_equal(got, got.conj().swapaxes(-2, -1))
 
+    @pytest.mark.parametrize("k,n", [(1, 1), (2, 2), (3, 2)])
+    def test_project_off_matches_matmul(self, k, n):
+        """p - q (q^H p) in place, orthogonal to q's span."""
+        rng = np.random.default_rng(31 + k)
+        q = thin_qr_batch(rng.standard_normal((40, 7, k)) + 1j * rng.standard_normal((40, 7, k)))[0]
+        p = rng.standard_normal((40, 7, n)) + 1j * rng.standard_normal((40, 7, n))
+        want = p - q @ (q.conj().swapaxes(-2, -1) @ p)
+        got = project_off(p, q, np.empty((40, 7), dtype=complex))
+        assert got is p
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert np.abs(q.conj().swapaxes(-2, -1) @ got).max() <= 1e-13
+
     def test_nullspace_rank_deficient_item(self):
         rng = np.random.default_rng(21)
         a = np.stack([_complex_gaussian(rng, 4, 2), np.ones((4, 2), dtype=complex)])
@@ -345,8 +359,7 @@ class TestNullspaceExtremeScales:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = left_nullspace_basis_batch(a * scale)
-            one = left_nullspace_basis(a[1] * scale)
-        for b, r in ((got[0], ref[0]), (got[1], ref[1]), (one, ref[1])):
+        for b, r in zip(got, ref):
             assert np.abs(b @ b.conj().T - r @ r.conj().T).max() <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
@@ -359,7 +372,7 @@ class TestNullspaceExtremeScales:
             with pytest.raises(RankDeficient, match="floor"):
                 left_nullspace_basis_batch(a)
             with pytest.raises(RankDeficient, match="floor"):
-                left_nullspace_basis(a[1])
+                left_nullspace_basis_batch(a[1])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_inf_is_rank_deficient(self, bad):
@@ -371,4 +384,4 @@ class TestNullspaceExtremeScales:
             with pytest.raises(RankDeficient, match="non-finite"):
                 left_nullspace_basis_batch(a)
             with pytest.raises(RankDeficient, match="non-finite"):
-                left_nullspace_basis(a[1])
+                left_nullspace_basis_batch(a[1])

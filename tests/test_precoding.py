@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestZfPrecoders:
                 assert np.linalg.norm(beam) == pytest.approx(1.0, abs=1e-10)
                 others = np.delete(cols, j, axis=1)
                 assert np.abs(others.conj().T @ beam).max() <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_scale_invariant_beams(self, scale):
+        """Knowledge scaled by 1e+-160 gives the unit-scale beams: each beam
+        is normalized after an exact power-of-two scaling, so its squared
+        norm neither over- nor underflows. Warnings are errors."""
+        cfg = SystemConfig(6, 2, 10.0)
+        h = gaussian_matrix(RngStream(43).child(2), 6, 2, batch=(3,))
+        ref = zf_precoders(cfg, h).matrices
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = zf_precoders(cfg, h * scale).matrices
+        assert np.abs(got - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("m,n", [(8, 1), (6, 2)])
     def test_batch_leakage(self, m, n):

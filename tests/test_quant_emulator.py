@@ -56,6 +56,10 @@ class TestDecompose:
         np.testing.assert_allclose(dec.x @ dec.y, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(dec.z, 0, atol=1e-12)
         assert dec.d2 == pytest.approx(0.0, abs=1e-12)
+        # any complement frame is correct; this one is a fixed draw
+        np.testing.assert_allclose(dec.s.conj().T @ dec.s, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(a.conj().T @ dec.s, 0, atol=1e-12)
+        assert np.array_equal(decompose(a, a).s, dec.s)
 
     def test_orthogonal_subspaces_degenerate(self):
         a = np.eye(4, dtype=complex)[:, :2]
