@@ -15,18 +15,18 @@ transmitter degraded by quantized or analog feedback. It provides
 
 The package is pure Python over numpy. It exports the union of its
 modules' ``__all__`` lists, each the one list of that module's public
-names, and :data:`BACKEND`, always ``"python"``, which with
+names (:mod:`grassfeed.linalg` holds internal kernels and has none), and
+:data:`BACKEND`, always ``"python"``, which with
 :mod:`grassfeed._backend` is kept only for the benchmark. Every argument
 check raises a :class:`GrassfeedError` subclass from the shared validators
 in :mod:`grassfeed.errors`.
 """
 
-from . import ensembles, errors, grassmann, linalg, precoding, quant_emulator, scaling, simulator
+from . import ensembles, errors, grassmann, precoding, quant_emulator, scaling, simulator
 from ._backend import BACKEND
 from .ensembles import *
 from .errors import *
 from .grassmann import *
-from .linalg import *
 from .precoding import *
 from .quant_emulator import *
 from .scaling import *
@@ -40,7 +40,6 @@ __all__ = [
     *ensembles.__all__,
     *errors.__all__,
     *grassmann.__all__,
-    *linalg.__all__,
     *precoding.__all__,
     *quant_emulator.__all__,
     *scaling.__all__,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MemoryGuard, ParameterError, _check_count
+from .errors import DimensionError, MemoryGuard, ParameterError, _as_array, _check_count
 from .linalg import orthonormalize, project_off
 
 __all__ = [
@@ -122,7 +122,7 @@ def isotropic_frame_in_nullspace(rng, a, n):
     isotropic in the complement: the projection commutes with every
     unitary that fixes the complement.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = _as_array("a", a)
     if a.ndim < 2 or n > a.shape[-2] - a.shape[-1]:
         raise DimensionError(f"the left nullspace of a {a.shape} matrix cannot hold an n={n} frame")
     return orthonormalize(gaussian_off(rng, orthonormalize(a), n))

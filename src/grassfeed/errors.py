@@ -2,19 +2,20 @@
 
 Every guard in the library raises one of these so callers can tell a
 numerical-rank problem from a bad argument or an out-of-contract request.
-The checks at the end state the count, shape and real-parameter rules once.
+The checks at the end state the count, shape, real-parameter and
+numeric-array rules once.
 """
 
 import sys
 from numbers import Integral, Real
+
+import numpy as np
 
 __all__ = [
     "GrassfeedError",
     "DimensionError",
     "ParameterError",
     "RankDeficient",
-    "NotHermitian",
-    "NotPSD",
     "NotPD",
     "DegenerateProjection",
     "DomainError",
@@ -43,14 +44,6 @@ class RankDeficient(GrassfeedError):
     """Matrix numerically rank deficient under the library rank floor."""
 
 
-class NotHermitian(GrassfeedError):
-    """Matrix is not Hermitian within tolerance."""
-
-
-class NotPSD(GrassfeedError):
-    """Matrix has an eigenvalue below the PSD clamping window."""
-
-
 class NotPD(GrassfeedError):
     """Matrix is not positive definite."""
 
@@ -72,7 +65,7 @@ class FallbackRequired(GrassfeedError):
 
 
 class MemoryGuard(GrassfeedError):
-    """Requested allocation exceeds the codebook size cap."""
+    """Requested allocation exceeds the codebook size cap, or numpy refuses it."""
 
 
 class IncompatiblePolicy(GrassfeedError):
@@ -116,3 +109,12 @@ def _check_real(name, x, low=None, closed=False, high=None, error=ParameterError
         bound = "" if low is None else f" {'>=' if closed else '>'} {low}"
         bound += "" if high is None else f" and < {high}"
         raise error(f"{name} must be a finite real{bound}, got {x!r}")
+
+
+def _as_array(name, x, dtype=np.complex128):
+    """x as an array of ``dtype``; ParameterError where numpy cannot convert
+    it, as for strings or objects where numbers belong."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be a numeric array: {exc}") from exc

@@ -35,6 +35,7 @@ from .errors import (
     MemoryGuard,
     ParameterError,
     RankDeficient,
+    _as_array,
     _check_count,
     _check_real,
     _check_shape,
@@ -124,7 +125,7 @@ def _check_frames(**frames):
     (m, n) frame and all have the first one's shape."""
     out = []
     for name, a in frames.items():
-        a = np.asarray(a, dtype=np.complex128)
+        a = _as_array(name, a)
         if a.ndim != 2 or a.shape[0] < a.shape[1]:
             raise DimensionError(f"{name} must be a tall (m, n) frame, got {a.shape}")
         gram = a.conj().T @ a
@@ -184,7 +185,7 @@ class Codebook:
     def __post_init__(self):
         _check_shape(self.m, self.n)
         size = _codebook_size(self.bits, self.m, self.n)
-        e = np.asarray(self.entries, dtype=np.complex128)
+        e = _as_array("entries", self.entries)
         if e.shape != (size, self.m, self.n):
             raise DimensionError(
                 f"entries shape {e.shape} does not match (2^{self.bits}, {self.m}, {self.n})"
@@ -228,12 +229,11 @@ def quantize(h, codebook):
     its column space; any right-multiplied full-rank factor gives the same
     index. Ties break to the lowest index.
     """
-    h = np.asarray(h, dtype=np.complex128)
+    h = _as_array("channel", h)
     if h.shape != (codebook.m, codebook.n):
         raise DimensionError(f"channel shape {h.shape} does not match codebook ({codebook.m}, {codebook.n})")
-    hq = orthonormalize(h[np.newaxis])[0]
-    idx, d2 = scan_frames(hq, codebook.entries)
-    return QuantizationResult(int(idx), float(max(d2, 0.0)), codebook.entries[idx])
+    idx, d2, entry = _scan_np(orthonormalize(h[np.newaxis]), codebook.entries[np.newaxis])
+    return QuantizationResult(int(idx[0]), float(max(d2[0], 0.0)), entry[0])
 
 
 def distortion_main_term(gc, bits):
@@ -326,14 +326,6 @@ def _scan_np(hq, w):
     idx = np.argmin(d2, axis=1)
     rows = np.arange(len(w))
     return idx.astype(np.int64), d2[rows, idx], w[rows, idx]
-
-
-def scan_frames(hq, frames):
-    """(index, d^2) of the chordal-nearest frame in a (C, m, n) stack."""
-    hq = np.ascontiguousarray(hq, dtype=np.complex128)
-    frames = np.ascontiguousarray(frames, dtype=np.complex128)
-    idx, d2, _ = _scan_np(hq[np.newaxis], frames[np.newaxis])
-    return int(idx[0]), float(d2[0])
 
 
 def _scan_block(size, m, n):

@@ -1,13 +1,15 @@
-"""Dense complex linear algebra with pinned conventions.
+"""Dense complex linear algebra kernels with pinned conventions. Internal.
 
-Everything downstream (frame sampling, quantization, precoding) relies on
-two conventions fixed here once:
+The module has no public names: it holds the batch kernels the engine,
+:func:`~grassfeed.quant_emulator.decompose` and the benchmark's tracer in
+``perfbench/`` run. Everything downstream (frame sampling, quantization,
+precoding) relies on two conventions fixed here once:
 
 * QR factors carry a real, strictly positive R diagonal.  With that
   constraint the thin QR of a full-rank matrix is unique, so Gaussian
-  matrices pushed through :func:`thin_qr` give Haar-distributed frames and
-  any correct algorithm returns the same factors up to rounding.
-  :func:`thin_qr_batch` computes it by two-pass classical Gram-Schmidt,
+  matrices pushed through :func:`thin_qr_batch` give Haar-distributed
+  frames and any correct algorithm returns the same factors up to
+  rounding. It is computed by two-pass classical Gram-Schmidt,
   vectorized over the stack: each column is projected twice against the
   earlier Q columns ("twice is enough", Giraud, Langou & Rozloznik 2005)
   and R_jj is the real norm of what remains, so the diagonal is positive
@@ -15,106 +17,30 @@ two conventions fixed here once:
 * Log-determinants and Cholesky factors of Hermitian positive definite
   matrices come from one square-root-free LDL^H factorization, vectorized
   over the stack with a Python loop over the n columns: the sum of log2
-  pivots, and U = sqrt(D) L^H. Never LAPACK per tiny item and never a
-  determinant expansion.
+  pivots, and U = sqrt(D) L^H. A pivot outside (0, inf) raises NotPD.
+  Never LAPACK per tiny item and never a determinant expansion.
 
 Tolerances are module constants, not arguments: 1e-10 relative for
-orthonormality and reconstruction checks, 1e-12 relative as the rank floor,
-and an absolute 1e-10 window below which an eigenvalue of a nominally PSD
-matrix is an error; above it, negative eigenvalues are clamped to 0.
+orthonormality checks and 1e-12 relative as the rank floor.
 """
-
-import math
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    NotHermitian,
-    NotPD,
-    NotPSD,
-    RankDeficient,
-)
+from .errors import DimensionError, NotPD, RankDeficient
 
-__all__ = [
-    "thin_qr",
-    "cholesky_upper",
-    "logdet_hermitian",
-]
+__all__ = []
 
 ORTHO_TOL = 1e-10
 RANK_FLOOR = 1e-12
-NOT_PSD_TOL = 1e-10
 # Gram-Schmidt squares entries; items whose ||a||_F^2 leaves this range are
 # first scaled by a power of two, which is exact, so nothing under- or
 # overflows.
 _SQUARE_RANGE = (1e-250, 1e250)
 
 
-def _as_matrix(a, name="a"):
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-D array, got shape {a.shape}")
-    return a.astype(np.complex128, copy=False)
-
-
-def _check_hermitian(a, nonfinite):
-    """a as a complex square matrix, symmetrized, once it is finite (else
-    ``nonfinite`` is raised) and Hermitian within tolerance."""
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1] or not a.size:
-        raise DimensionError(f"nonempty square matrix required, got {a.shape}")
-    # before the Hermitian test, where an infinite entry would give inf - inf
-    if not np.isfinite(a).all():
-        raise nonfinite("matrix has a non-finite entry")
-    # the norms square entries: take them of a copy scaled by a power of
-    # two (exact) that brings the largest entry into [0.5, 1), with the
-    # absolute floor of 1 scaled alike (capped where it dwarfs any norm)
-    big = float(np.maximum(np.abs(a.real), np.abs(a.imag)).max(initial=0.0))
-    e = math.frexp(big)[1]
-    s = np.ldexp(a.view(np.float64), -e).view(np.complex128)
-    floor = math.ldexp(1.0, min(-e, 1000))
-    if np.linalg.norm(s - s.conj().T) > ORTHO_TOL * max(np.linalg.norm(s), floor):
-        raise NotHermitian(f"a is not Hermitian within {ORTHO_TOL:g} relative")
-    # symmetrize so eigh/cholesky see an exactly Hermitian matrix; halving
-    # first keeps a + a^H from overflowing
-    return 0.5 * a + 0.5 * a.conj().T
-
-
-def thin_qr(a):
-    """Thin QR factorization with a real, strictly positive R diagonal.
-
-    Parameters
-    ----------
-    a : (m, n) complex ndarray, m >= n
-        Matrix with full column rank.
-
-    Returns
-    -------
-    q : (m, n) ndarray with orthonormal columns.
-    r : (n, n) upper triangular ndarray, diagonal real and positive.
-
-    Raises
-    ------
-    RankDeficient
-        If any |R_jj| falls below 1e-12 times ||a||_F.
-    DimensionError
-        If m < n.
-
-    Notes
-    -----
-    The positive-diagonal constraint makes the factorization unique, which
-    is what makes QR of a complex Gaussian matrix Haar distributed.
-    """
-    a = _as_matrix(a)
-    if a.shape[0] < a.shape[1]:
-        raise DimensionError(f"thin_qr needs m >= n, got {a.shape}")
-    q, r = thin_qr_batch(a[np.newaxis])
-    return q[0], r[0]
-
-
 def thin_qr_batch(a):
-    """:func:`thin_qr` of every item of a tall (..., m, n) stack. Internal.
+    """Thin QR, R with a real positive diagonal, of every item of a tall
+    (..., m, n) stack. Internal.
 
     Two-pass classical Gram-Schmidt over the n columns, vectorized over the
     stack. Raises RankDeficient if any item falls under the rank floor;
@@ -239,55 +165,22 @@ def gram_rows(x):
     return out
 
 
-def cholesky_upper(a):
-    """Upper-triangular factor U with U^H U = a and a nonnegative diagonal.
-
-    For positive definite input this is the reversed-index Cholesky factor.
-    Nominally PSD input is accepted: roundoff-negative eigenvalues (down to
-    -1e-10) are clamped to zero and the factor is rebuilt through an
-    eigendecomposition, so a zero matrix yields U = 0.
-
-    Raises
-    ------
-    NotPSD
-        If an entry is not finite, or an eigenvalue is below -1e-10.
-    NotHermitian
-        If the input is not Hermitian within tolerance.
-    """
-    return cholesky_upper_batch(_check_hermitian(a, NotPSD)[np.newaxis])[0]
-
-
 def cholesky_upper_batch(a):
-    """:func:`cholesky_upper` of every item of a Hermitian (..., n, n) stack.
+    """Upper-triangular U with U^H U = a and a real positive diagonal, of
+    every item of a Hermitian positive definite (..., n, n) stack. Internal.
 
-    Internal. When every pivot of the stack's LDL^H factorization
-    (:func:`_ldl_batch`) lies in (0, inf), U = sqrt(D) L^H, formed entry
-    by entry over the stack. If any item is not PD, the whole stack is
-    factored through the clamped eigendecomposition instead.
+    U = sqrt(D) L^H from the pivots and columns of :func:`_ldl_batch`,
+    formed entry by entry over the stack; for each item it is the
+    reversed-index Cholesky factor. Raises NotPD as :func:`_ldl_batch` does.
     """
     d, ell = _ldl_batch(a)
-    if np.all((d > 0.0) & (d < np.inf)):
-        root = np.sqrt(d)
-        u = np.zeros(a.shape, dtype=np.complex128)
-        for j in range(a.shape[-1]):
-            u[..., j, j] = root[..., j]
-            if j < len(ell):
-                np.multiply(ell[j].conj(), root[..., j, np.newaxis], out=u[..., j, j + 1:])
-        return u
-    w, v = np.linalg.eigh(a)
-    if not np.all(w[..., 0] >= -NOT_PSD_TOL):
-        raise NotPSD(f"eigenvalue {np.min(w):g} below -{NOT_PSD_TOL:g}")
-    w = np.clip(w, 0.0, None)
-    b = np.sqrt(w)[..., :, np.newaxis] * np.conj(np.swapaxes(v, -2, -1))
-    _, r = np.linalg.qr(b)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    ad = np.abs(d)
-    nz = ad > 0
-    phase = np.where(nz, d / np.where(nz, ad, 1.0), 1.0)
-    r *= phase.conj()[..., :, np.newaxis]
-    idx = np.arange(a.shape[-1])
-    r[..., idx, idx] = ad
-    return r
+    root = np.sqrt(d)
+    u = np.zeros(a.shape, dtype=np.complex128)
+    for j in range(a.shape[-1]):
+        u[..., j, j] = root[..., j]
+        if j < len(ell):
+            np.multiply(ell[j].conj(), root[..., j, np.newaxis], out=u[..., j, j + 1:])
+    return u
 
 
 def left_nullspace_basis_batch(a):
@@ -309,35 +202,13 @@ def left_nullspace_basis_batch(a):
     return q[..., n:]
 
 
-def logdet_hermitian(a):
-    """log2 determinant of a Hermitian positive definite matrix.
-
-    Computed from the pivots d_j of a square-root-free LDL^H factorization
-    (a = L D L^H with L unit lower triangular), never by determinant
-    expansion: log2 det(a) = sum(log2 d_j).
-
-    Raises
-    ------
-    NotPD
-        If an entry is not finite, or a pivot is not positive and finite.
-    NotHermitian
-        If the input is not Hermitian within tolerance.
-    """
-    return float(logdet_hermitian_batch(_check_hermitian(a, NotPD)[np.newaxis])[0])
-
-
 def logdet_hermitian_batch(a):
-    """:func:`logdet_hermitian` of every item of a Hermitian (..., n, n) stack.
-
-    Internal. Raises NotPD, before any log, if any pivot of
-    :func:`_ldl_batch` is not positive and finite. A NaN or infinite entry,
-    or a Schur complement that overflows, reaches the diagonal and ends in
-    a NaN or infinite pivot.
+    """log2 det of every item of a Hermitian positive definite (..., n, n)
+    stack: the sum of the log2 pivots of :func:`_ldl_batch`, never a
+    determinant expansion. Internal. Raises NotPD, before any log, as
+    :func:`_ldl_batch` does.
     """
-    d, _ = _ldl_batch(a)
-    if not np.all((d > 0.0) & (d < np.inf)):
-        raise NotPD("matrix is not positive definite")
-    return np.sum(np.log2(d), axis=-1)
+    return np.sum(np.log2(_ldl_batch(a)[0]), axis=-1)
 
 
 def _ldl_batch(a):
@@ -350,8 +221,9 @@ def _ldl_batch(a):
     only the lower triangle and the real part of the diagonal are read.
     The column is divided by the real pivot part by part: numpy's complex
     division would multiply by 1/d_j, which is infinite for a subnormal
-    pivot. Pivots are not checked: a non-PD item gives a pivot outside
-    (0, inf).
+    pivot. Raises NotPD if any pivot of the stack lies outside (0, inf):
+    a NaN or infinite entry, or a Schur complement that overflows, reaches
+    the diagonal and ends in a NaN or infinite pivot.
     """
     n = a.shape[-1]
     d = np.empty(a.shape[:-1])
@@ -367,4 +239,6 @@ def _ldl_batch(a):
             np.divide(col.imag, pivot, out=ell[j].imag)
             s = s[..., 1:, 1:] - ell[j][..., :, np.newaxis] * col.conj()[..., np.newaxis, :]
         d[..., n - 1] = s[..., 0, 0].real
+    if not np.all((d > 0.0) & (d < np.inf)):
+        raise NotPD("matrix is not positive definite")
     return d, ell

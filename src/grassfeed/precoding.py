@@ -49,7 +49,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import gaussian_matrix
-from .errors import DimensionError, ParameterError, RankDeficient, _check_real, _check_shape, _is_count
+from .errors import (
+    DimensionError,
+    ParameterError,
+    RankDeficient,
+    _as_array,
+    _check_real,
+    _check_shape,
+    _is_count,
+)
 from .linalg import gram_rows, logdet_hermitian_batch, orthonormalize, sumsq
 
 __all__ = [
@@ -101,7 +109,7 @@ class PrecoderSet:
     scheme: str
 
     def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=np.complex128)
+        m = _as_array("matrices", self.matrices)
         if m.ndim != 3:
             raise DimensionError(f"matrices must be (K, M, N), got {m.shape}")
         if self.scheme not in ("bd", "zf"):
@@ -111,7 +119,7 @@ class PrecoderSet:
 
 def _shaped(x, shape, what):
     """x as a complex array, once its shape is ``shape``."""
-    x = np.asarray(x, dtype=np.complex128)
+    x = _as_array(what, x)
     if x.shape != shape:
         raise DimensionError(f"{what} must have shape {shape}, got {x.shape}")
     return x
@@ -183,11 +191,16 @@ class AnalogObservation:
 
 
 def analog_feedback(rng, cfg, h_k, beta):
-    """Observe a channel through beta M uses of an AWGN feedback link."""
+    """Observe a channel through beta M uses of an AWGN feedback link.
+
+    Raises ParameterError for a non-finite beta, beta P or channel entry.
+    """
     _check_real("beta", beta, low=0)
     snr = float(beta) * float(cfg.p)
     _check_real("beta P", snr, low=0)
     h_k = _shaped(h_k, (cfg.m, cfg.n), "channel")
+    if not np.isfinite(h_k).all():
+        raise ParameterError("channel has a non-finite entry")
     received, estimate = analog_feedback_batch(gaussian_matrix(rng, cfg.m, cfg.n), h_k, snr)
     residual = math.sqrt(1.0 + snr) * (h_k - estimate)
     return AnalogObservation(beta=float(beta), received=received, estimate=estimate, residual=residual)

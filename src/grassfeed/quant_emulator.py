@@ -35,11 +35,12 @@ from .errors import (
     DomainError,
     FallbackRequired,
     RankDeficient,
+    _as_array,
     _check_count,
     _check_real,
 )
 from .grassmann import GrassmannConstants, _check_frames
-from .linalg import add_product, cholesky_upper_batch, gram_rows, project_off, sumsq, thin_qr
+from .linalg import add_product, cholesky_upper_batch, gram_rows, project_off, sumsq, thin_qr_batch
 
 __all__ = [
     "DEFAULT_GUARD_PRODUCT",
@@ -102,21 +103,25 @@ def decompose(h_tilde, h_hat):
     m, n = h_tilde.shape
     if m < 2 * n:
         raise DimensionError(f"need M >= 2N for the complement frame, got ({m}, {n})")
-    try:
-        x, y = thin_qr(h_hat.conj().T @ h_tilde)
-    except RankDeficient as exc:
-        raise DegenerateProjection("column-space projection lost rank") from exc
+    x, y = _thin_qr(h_hat.conj().T @ h_tilde, "column-space")
     p_null = project_off(h_tilde.copy(), h_hat, np.empty(m, dtype=np.complex128))
     if sumsq(p_null.ravel()) < 1e-18:
         # identical spans: any orthonormal complement frame is correct
         z = np.zeros((n, n), dtype=np.complex128)
         s = isotropic_frame_in_nullspace(RngStream(0), h_hat, n)
     else:
-        try:
-            s, z = thin_qr(p_null)
-        except RankDeficient as exc:
-            raise DegenerateProjection("complement projection lost rank") from exc
+        s, z = _thin_qr(p_null, "complement")
     return QuantDecomposition(x=x, y=y, z=z, s=s)
+
+
+def _thin_qr(a, what):
+    """Q, R of one matrix by :func:`~grassfeed.linalg.thin_qr_batch`; its
+    RankDeficient becomes DegenerateProjection of the ``what`` projection."""
+    try:
+        q, r = thin_qr_batch(a[np.newaxis])
+    except RankDeficient as exc:
+        raise DegenerateProjection(f"{what} projection lost rank") from exc
+    return q[0], r[0]
 
 
 class CondEigSampler:
@@ -229,7 +234,7 @@ def beta_trace_pdf(m, z):
         invalid.
     """
     _check_count("M", m, 4)
-    z = np.asarray(z, dtype=float)
+    z = _as_array("z", z, float)
     if not np.all((z >= 0.0) & (z <= 1.0)):
         raise DomainError("beta_trace_pdf is only valid on [0, 1]")
     coeff = float(Fraction(math.factorial(m - 1) * math.factorial(m - 2), math.factorial(2 * m - 5)))
@@ -272,6 +277,11 @@ def emulate_batch(rng, hq, bits):
     the error term is sqrt(s) P and Y = chol(I - s W), s = z / trace(W).
     Returns (T, M, N) frames and (T,) d^2. Any bit budget that passes the
     default guard works: a d^2 that underflows to 0 gives Z = 0 and Y = I.
+    Y always exists: the uniforms are clipped to at most 1 - 1e-12, so
+    F <= 27.64 2^-B, which the guard 2^B C_MN >= 40 keeps below 0.691 C_MN.
+    So d^2 < 0.691^(1/T) < 1 and, as s W is PSD with trace d^2,
+    I - s W >= (1 - d^2) I. A non-finite stack reaches Y as NaN and raises
+    NotPD.
 
     The N x N products run as vector operations over the whole stack, not
     as stacked matmuls, which pay a per-item cost at these sizes: P by
@@ -281,7 +291,7 @@ def emulate_batch(rng, hq, bits):
     the right factor (:func:`~grassfeed.linalg.add_product`). G's buffer
     becomes the returned frames.
     """
-    hq = np.asarray(hq, dtype=np.complex128)
+    hq = _as_array("hq", hq)
     if hq.ndim != 3:
         raise DimensionError(f"hq must be a (T, M, N) frame stack, got shape {hq.shape}")
     t, m, n = hq.shape

@@ -449,7 +449,9 @@ def run_experiment(spec, threads=None):
     :func:`~grassfeed.precoding.perfect_csi_sum_rate` with ci99 = 0 and
     runs no trial; the others regress the per-trial sum rate on controls
     whose means :func:`_plan` fixes, which takes the fading and leakage
-    variance out of sum_rate and ci99 (see :func:`_estimate`).
+    variance out of sum_rate and ci99 (see :func:`_estimate`). A trial
+    count whose (points, trials, 3) rates buffer numpy refuses raises
+    MemoryGuard before anything is drawn.
     """
     threads = _worker_count(threads)
     plan = _plan(spec)
@@ -457,7 +459,10 @@ def run_experiment(spec, threads=None):
         estimates = [(pt.mean_free, 0.0) for pt in plan]
     else:
         n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-        rows = np.empty((len(plan), spec.trials, 3))
+        try:
+            rows = np.empty((len(plan), spec.trials, 3))
+        except (MemoryError, ValueError) as exc:
+            raise MemoryGuard(f"cannot allocate the rates of {spec.trials} trials: {exc}") from exc
 
         def run_chunk(c):
             _chunk_sum_rates(spec, plan, c, rows[:, c * CHUNK_TRIALS:(c + 1) * CHUNK_TRIALS])

@@ -16,7 +16,7 @@ import pytest
 
 from grassfeed import _backend, ensembles, grassmann
 from grassfeed.errors import RankDeficient
-from grassfeed.grassmann import chordal_distance_sq, scan_frames
+from grassfeed.grassmann import Codebook, chordal_distance_sq, quantize
 from grassfeed.linalg import RANK_FLOOR, orthonormalize, thin_qr_batch
 
 
@@ -110,24 +110,32 @@ def test_orthonormalize_rank_deficient():
 
 
 def test_scan_frames_brute_force_oracle():
-    """The scan agrees with an index-by-index chordal-distance scan."""
+    """quantize agrees with an index-by-index chordal-distance scan of its
+    codebook."""
     rng = np.random.default_rng(23)
     for _ in range(50):
         hq = orthonormalize(_gauss(rng, 4, 2))
         frames = orthonormalize(_gauss(rng, 16, 4, 2))
-        idx, d2 = scan_frames(hq, frames)
+        got = quantize(hq, Codebook(4, 2, 4, frames))
         dists = [chordal_distance_sq(hq, frames[c]) for c in range(16)]
-        assert idx == int(np.argmin(dists))
-        assert d2 == pytest.approx(min(dists), abs=1e-12)
+        assert got.index == int(np.argmin(dists))
+        assert got.d2 == pytest.approx(min(dists), abs=1e-12)
+        np.testing.assert_array_equal(got.entry, frames[got.index])
+
+
+def _scan_one(hq, frames):
+    """(index, d^2) of the chordal-nearest of a (C, m, n) frame stack."""
+    idx, d2, _ = grassmann._scan_np(hq[np.newaxis], frames[np.newaxis])
+    return int(idx[0]), float(d2[0])
 
 
 def test_scan_frames_tie_breaks_low_index():
     rng = np.random.default_rng(24)
     hq = orthonormalize(_gauss(rng, 4, 2))
     frames = orthonormalize(_gauss(rng, 8, 4, 2))
-    winner, _ = scan_frames(hq, frames)
+    winner, _ = _scan_one(hq, frames)
     dup = np.concatenate([frames[:2], frames[winner:winner + 1], frames], axis=0)
-    idx, _ = scan_frames(hq, dup)
+    idx, _ = _scan_one(hq, dup)
     assert idx == 2  # the first copy of the winning frame
 
 
@@ -139,7 +147,7 @@ def test_quantize_gaussians_composes():
     idx, d2, qwin = _backend.quantize_gaussians(hq, gauss)
     for t in range(8):
         frames = orthonormalize(gauss[t])
-        i_ref, d_ref = scan_frames(hq[t], frames)
+        i_ref, d_ref = _scan_one(hq[t], frames)
         assert idx[t] == i_ref
         assert d2[t] == pytest.approx(d_ref, abs=1e-12)
         assert np.linalg.norm(qwin[t] - frames[i_ref]) <= 1e-10

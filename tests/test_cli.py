@@ -258,6 +258,15 @@ class TestSimulateCommand:
         if "guard_product" in new:
             assert "unknown key" in err
 
+    @pytest.mark.parametrize("mode", ["mode = analog\nbeta = 2", "mode = quantized_exhaustive\nB = 4"],
+                             ids=["analog", "exhaustive"])
+    def test_oversized_trial_count_exits_2(self, tmp_path, capsys, mode):
+        """numpy refuses the rates buffer of 2^62 trials: a MemoryGuard, not a traceback."""
+        text = BASIC.replace("mode = perfect", mode).replace("trials = 64", f"trials = {2 ** 62}")
+        out = str(tmp_path / "curve.csv")
+        assert main(["simulate", "--config", _write_config(tmp_path, text), "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("p_db,precoder", [("3081", "bd"), ("3082.5", "bd"), ("3082", "zf")])
     def test_perfect_at_the_spec_limit(self, tmp_path, p_db, precoder):
         """Where quantized rates overflow, perfect points are their closed form."""

@@ -97,12 +97,16 @@ def test_package_exports_are_module_exports():
         for name in mod.__all__:
             assert getattr(grassfeed, name) is getattr(mod, name), name
     assert grassfeed.BACKEND is _backend.BACKEND
+    assert linalg.__all__ == []  # internal kernels only
     for mod, hidden in _INTERNAL.items():
         for name in hidden:
             assert hasattr(mod, name) and name not in grassfeed.__all__, name
 
 
 _NAN = np.full((4, 2), np.nan, dtype=complex)
+# arrays numpy cannot convert to complex: a ValueError and a TypeError
+_STRINGS = [["a", "b"]] * 4
+_OBJECTS = np.array([[object(), object()]] * 4)
 _FRAME = np.eye(4, 2, dtype=complex)
 _GC = grassfeed.GrassmannConstants(4, 2)
 _CFG = grassfeed.SystemConfig(4, 2, 10.0)
@@ -111,6 +115,10 @@ _RNG = grassfeed.RngStream(1)
 _PERFECT = grassfeed.FeedbackPolicy(mode="perfect")
 _OVER_CAP = grassfeed.ExperimentSpec(
     8, 4, (0.0,), grassfeed.FeedbackPolicy(mode="quantized_exhaustive", bits=24), 1, 1
+)
+# numpy refuses the (1, 2^62, 3) rates buffer before it asks for any memory
+_HUGE_TRIALS = grassfeed.ExperimentSpec(
+    4, 2, (0.0,), grassfeed.FeedbackPolicy(mode="analog", beta=2.0), 2 ** 62, 1
 )
 _FALLING = grassfeed.RateCurve((
     grassfeed.RatePoint(0.0, 2.0, 1.0, 0.1, "perfect"),
@@ -145,6 +153,7 @@ _BAD_CALLS = [
     ("random_codebook", "codebook_float_bits",
      lambda: grassfeed.random_codebook(grassfeed.RngStream(1), 4, 2, 2.5)),
     ("chordal_distance_sq", "chordal_nan", lambda: grassfeed.chordal_distance_sq(_NAN, _NAN)),
+    ("chordal_distance_sq", "chordal_strings", lambda: grassfeed.chordal_distance_sq(_STRINGS, _FRAME)),
     ("principal_angles", "angles_nan", lambda: grassfeed.principal_angles(_NAN, _FRAME)),
     ("quantize", "quantize_nan",
      lambda: grassfeed.quantize(_NAN, grassfeed.random_codebook(_RNG, 4, 2, 1))),
@@ -152,15 +161,6 @@ _BAD_CALLS = [
     ("distortion_main_term", "main_term_nan_bits", lambda: grassfeed.distortion_main_term(_GC, np.nan)),
     ("distortion_samples", "samples_float_trials",
      lambda: grassfeed.distortion_samples(_RNG, 4, 2, 2, 2.5)),
-    # linalg
-    ("thin_qr", "qr_nan", lambda: grassfeed.thin_qr(_NAN)),
-    ("thin_qr", "qr_no_columns", lambda: grassfeed.thin_qr(np.zeros((3, 0)))),
-    ("cholesky_upper", "cholesky_nan", lambda: grassfeed.cholesky_upper(np.full((2, 2), np.nan))),
-    ("cholesky_upper", "cholesky_inf", lambda: grassfeed.cholesky_upper([[np.inf, 0], [0, 1]])),
-    ("cholesky_upper", "cholesky_empty", lambda: grassfeed.cholesky_upper(np.zeros((0, 0)))),
-    ("logdet_hermitian", "logdet_nan", lambda: grassfeed.logdet_hermitian(np.full((2, 2), np.nan))),
-    ("logdet_hermitian", "logdet_inf", lambda: grassfeed.logdet_hermitian([[np.inf, 0], [0, 1]])),
-    ("logdet_hermitian", "logdet_empty", lambda: grassfeed.logdet_hermitian(np.zeros((0, 0)))),
     # precoding
     ("SystemConfig", "config_inf_power", lambda: grassfeed.SystemConfig(4, 2, np.inf)),
     ("SystemConfig", "config_float_m", lambda: grassfeed.SystemConfig(4.0, 2, 10)),
@@ -172,6 +172,8 @@ _BAD_CALLS = [
      lambda: grassfeed.instant_rate_per_user(_CFG, _FRAME, _BD, 0.5)),
     ("analog_feedback", "analog_inf_beta",
      lambda: grassfeed.analog_feedback(grassfeed.RngStream(1), _CFG, _FRAME, np.inf)),
+    ("analog_feedback", "analog_nan", lambda: grassfeed.analog_feedback(_RNG, _CFG, _NAN, 1.0)),
+    ("analog_feedback", "analog_objects", lambda: grassfeed.analog_feedback(_RNG, _CFG, _OBJECTS, 1.0)),
     ("rate_loss_bound", "loss_nan_distortion", lambda: grassfeed.rate_loss_bound(_CFG, np.nan)),
     ("analog_rate_loss_bound", "analog_loss_inf_beta",
      lambda: grassfeed.analog_rate_loss_bound(_CFG, np.inf)),
@@ -188,11 +190,13 @@ _BAD_CALLS = [
     ("emulate_batch", "emulate_batch_flat", lambda: grassfeed.emulate_batch(_RNG, _FRAME, 12)),
     ("emulate_batch", "emulate_batch_4d",
      lambda: grassfeed.emulate_batch(_RNG, _FRAME[np.newaxis, np.newaxis], 12)),
+    ("emulate_batch", "emulate_batch_nan", lambda: grassfeed.emulate_batch(_RNG, _NAN[np.newaxis], 12)),
     ("emulate_quantization", "emulate_nan", lambda: grassfeed.emulate_quantization(_RNG, _NAN, 12)),
     ("sample_min_d2", "min_d2_float_bits", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80.5)),
     ("sample_min_d2", "min_d2_negative_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=-1)),
     ("sample_min_d2", "min_d2_float_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=2.5)),
     ("beta_trace_pdf", "trace_pdf_float_m", lambda: grassfeed.beta_trace_pdf(4.5, 0.5)),
+    ("beta_trace_pdf", "trace_pdf_string", lambda: grassfeed.beta_trace_pdf(4, [0.1, "a"])),
     # scaling
     ("bits_for_rate_loss", "bits_nan_power", lambda: grassfeed.bits_for_rate_loss(4, 2, np.nan, 4)),
     ("bd_3db_bits", "bd_3db_nan_power", lambda: grassfeed.bd_3db_bits(4, 2, np.nan)),
@@ -210,6 +214,7 @@ _BAD_CALLS = [
      lambda: grassfeed.run_experiment(grassfeed.ExperimentSpec(4, 2, (0.0,), _PERFECT, 2, 1), threads=0)),
     # 2^24 entries of (8, 4) would take a 12 GiB scan workspace
     ("run_experiment", "run_over_cap_scan", lambda: grassfeed.run_experiment(_OVER_CAP)),
+    ("run_experiment", "run_huge_trials", lambda: grassfeed.run_experiment(_HUGE_TRIALS)),
     ("estimate_snr_gap", "gap_falling_reference", lambda: grassfeed.estimate_snr_gap(_FALLING, _FALLING)),
     ("read_curve_csv", "read_foreign_file", lambda: grassfeed.read_curve_csv(__file__)),
 ]
@@ -232,12 +237,15 @@ _ROW_ERRORS = {
     "frame_negative_batch": errors.ParameterError,
     "frame_huge_batch": errors.MemoryGuard,
     "nullspace_frame_no_columns": errors.DimensionError,
-    "qr_no_columns": errors.DimensionError,
-    "cholesky_empty": errors.DimensionError,
-    "logdet_empty": errors.DimensionError,
     "decompose_no_columns": errors.DimensionError,
     "emulate_batch_flat": errors.DimensionError,
     "emulate_batch_4d": errors.DimensionError,
+    "emulate_batch_nan": errors.NotPD,
+    "chordal_strings": errors.ParameterError,
+    "analog_objects": errors.ParameterError,
+    "analog_nan": errors.ParameterError,
+    "trace_pdf_string": errors.ParameterError,
+    "run_huge_trials": errors.MemoryGuard,
 }
 
 
@@ -249,17 +257,26 @@ def test_public_entry_points_reject_bad_input(case, call):
             call()
 
 
-def test_over_cap_scan_allocates_nothing():
-    """The element cap is checked when the sweep is planned, before any
-    codebook or channel is drawn."""
+def _refused_peak(spec):
+    """Peak traced bytes of a run_experiment(spec) that raises MemoryGuard."""
     tracemalloc.start()
     try:
         with pytest.raises(errors.MemoryGuard):
-            run_experiment(_OVER_CAP)
-        peak = tracemalloc.get_traced_memory()[1]
+            run_experiment(spec)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20
+
+
+def test_over_cap_scan_allocates_nothing():
+    """The element cap is checked when the sweep is planned, before any
+    codebook or channel is drawn."""
+    assert _refused_peak(_OVER_CAP) < 2 ** 20
+
+
+def test_huge_trial_count_allocates_nothing():
+    """The rates buffer of 2^62 trials is refused before any channel is drawn."""
+    assert _refused_peak(_HUGE_TRIALS) < 2 ** 20
 
 
 # large but valid arguments of the closed forms: a finite value or a

@@ -3,22 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from grassfeed.errors import (
-    DimensionError,
-    NotHermitian,
-    NotPD,
-    NotPSD,
-    RankDeficient,
-)
+from grassfeed.errors import DimensionError, NotPD, RankDeficient
 from grassfeed.linalg import (
-    cholesky_upper,
     cholesky_upper_batch,
     gram_rows,
     left_nullspace_basis_batch,
-    logdet_hermitian,
     logdet_hermitian_batch,
     project_off,
-    thin_qr,
     thin_qr_batch,
 )
 
@@ -27,15 +18,21 @@ def _complex_gaussian(rng, m, n):
     return (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) * np.sqrt(0.5)
 
 
+def _one(kernel, a):
+    """A batch kernel's result for one matrix, run as a one-item stack."""
+    out = kernel(np.asarray(a, dtype=complex)[np.newaxis])
+    return tuple(x[0] for x in out) if isinstance(out, tuple) else out[0]
+
+
 class TestThinQr:
     def test_identity(self):
-        q, r = thin_qr(np.eye(2, dtype=complex))
+        q, r = _one(thin_qr_batch, np.eye(2, dtype=complex))
         np.testing.assert_allclose(q, np.eye(2), atol=1e-14)
         np.testing.assert_allclose(r, np.eye(2), atol=1e-14)
 
     def test_column_scaling(self):
         a = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 3.0]], dtype=complex)
-        q, r = thin_qr(a)
+        q, r = _one(thin_qr_batch, a)
         np.testing.assert_allclose(q, [[1, 0], [0, 0], [0, 1]], atol=1e-14)
         np.testing.assert_allclose(r, np.diag([2.0, 3.0]), atol=1e-14)
 
@@ -46,7 +43,7 @@ class TestThinQr:
         for m, n in ((4, 2), (6, 2), (8, 2), (6, 3)):
             for _ in range(250):
                 a = _complex_gaussian(rng, m, n)
-                q, r = thin_qr(a)
+                q, r = _one(thin_qr_batch, a)
                 scale = np.linalg.norm(a)
                 assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-10
                 assert np.linalg.norm(q @ r - a) <= 1e-10 * scale
@@ -58,49 +55,53 @@ class TestThinQr:
     def test_rank_deficient(self):
         a = np.ones((4, 2), dtype=complex)  # duplicated columns
         with pytest.raises(RankDeficient):
-            thin_qr(a)
+            _one(thin_qr_batch, a)
 
     def test_wide_rejected(self):
+        """A wide item has no full column rank."""
+        with pytest.raises(RankDeficient):
+            _one(thin_qr_batch, _complex_gaussian(np.random.default_rng(8), 2, 4))
+
+    def test_no_columns_rejected(self):
         with pytest.raises(DimensionError):
-            thin_qr(np.ones((2, 4), dtype=complex))
+            _one(thin_qr_batch, np.zeros((3, 0)))
 
 
 class TestCholeskyUpper:
     def test_identity(self):
-        np.testing.assert_allclose(cholesky_upper(np.eye(2, dtype=complex)), np.eye(2), atol=1e-14)
+        u = _one(cholesky_upper_batch, np.eye(2, dtype=complex))
+        np.testing.assert_allclose(u, np.eye(2), atol=1e-14)
 
     def test_diagonal(self):
-        u = cholesky_upper(np.diag([4.0, 9.0]).astype(complex))
+        u = _one(cholesky_upper_batch, np.diag([4.0, 9.0]).astype(complex))
         np.testing.assert_allclose(u, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_zero_matrix(self):
-        u = cholesky_upper(np.zeros((3, 3), dtype=complex))
-        np.testing.assert_allclose(u, 0.0, atol=1e-14)
+        """Nothing clamps a PSD input to a factor: the zero matrix is not PD."""
+        with pytest.raises(NotPD):
+            _one(cholesky_upper_batch, np.zeros((3, 3), dtype=complex))
 
     def test_random_psd_roundtrip(self):
+        """Gram matrices of square Gaussians, PD with probability one."""
         rng = np.random.default_rng(3)
         for _ in range(200):
             b = _complex_gaussian(rng, 3, 3)
             a = b.conj().T @ b
-            u = cholesky_upper(a)
+            u = _one(cholesky_upper_batch, a)
             assert np.linalg.norm(u.conj().T @ u - a) <= 1e-10 * np.linalg.norm(a)
             assert np.allclose(u, np.triu(u))
             d = np.diagonal(u)
-            assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
-
-    def test_roundoff_negative_clamped(self):
-        # I - Z^H Z can round to a tiny negative eigenvalue at large B
-        a = np.diag([1.0, -1e-13]).astype(complex)
-        u = cholesky_upper(a)
-        assert np.linalg.norm(u.conj().T @ u - np.diag([1.0, 0.0])) <= 1e-10
+            assert np.all(d.imag == 0.0) and np.all(d.real > 0.0)
 
     def test_not_psd(self):
-        with pytest.raises(NotPSD):
-            cholesky_upper(np.diag([1.0, -1e-6]).astype(complex))
+        with pytest.raises(NotPD):
+            _one(cholesky_upper_batch, np.diag([1.0, -1e-6]).astype(complex))
 
     def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
-            cholesky_upper(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+        """Nothing checks symmetry: only the lower triangle and the real
+        diagonal are read, so [[1, 1], [0, 1]] factors as the identity."""
+        u = _one(cholesky_upper_batch, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+        np.testing.assert_array_equal(u, np.eye(2))
 
 
 class TestLeftNullspaceBasis:
@@ -127,7 +128,7 @@ class TestLeftNullspaceBasis:
         rng = np.random.default_rng(9)
         for _ in range(100):
             a = _complex_gaussian(rng, 6, 2)
-            q, _ = thin_qr(a)
+            q, _ = _one(thin_qr_batch, a)
             b = left_nullspace_basis_batch(a)
             u = np.concatenate([q, b], axis=1)
             assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-10
@@ -140,16 +141,17 @@ class TestLeftNullspaceBasis:
 
 class TestLogdetHermitian:
     def test_identity(self):
-        assert logdet_hermitian(np.eye(3, dtype=complex)) == pytest.approx(0.0, abs=1e-12)
+        assert _one(logdet_hermitian_batch, np.eye(3, dtype=complex)) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal(self):
-        assert logdet_hermitian(np.diag([2.0, 4.0]).astype(complex)) == pytest.approx(3.0, abs=1e-12)
+        a = np.diag([2.0, 4.0]).astype(complex)
+        assert _one(logdet_hermitian_batch, a) == pytest.approx(3.0, abs=1e-12)
 
     def test_rank_one_update(self):
         # det(I + v v^H) = 1 + |v|^2 = 4, so log2 = 2
         v = np.ones(3, dtype=complex)
         a = np.eye(3, dtype=complex) + np.outer(v, v.conj())
-        assert logdet_hermitian(a) == pytest.approx(2.0, abs=1e-10)
+        assert _one(logdet_hermitian_batch, a) == pytest.approx(2.0, abs=1e-10)
 
     def test_scalar_scaling(self):
         rng = np.random.default_rng(13)
@@ -157,27 +159,24 @@ class TestLogdetHermitian:
             b = _complex_gaussian(rng, 3, 3)
             a = b.conj().T @ b + np.eye(3)
             c = float(rng.uniform(0.5, 4.0))
-            lhs = logdet_hermitian(c * a)
-            rhs = logdet_hermitian(a) + 3 * np.log2(c)
+            lhs = _one(logdet_hermitian_batch, c * a)
+            rhs = _one(logdet_hermitian_batch, a) + 3 * np.log2(c)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_not_pd(self):
         with pytest.raises(NotPD):
-            logdet_hermitian(np.diag([1.0, 0.0]).astype(complex))
+            _one(logdet_hermitian_batch, np.diag([1.0, 0.0]).astype(complex))
 
     @pytest.mark.parametrize("big", [1e200, 1e307])
     def test_large_entries_without_overflow(self, big):
-        """The Hermitian check takes its norms of a power-of-two rescaled
-        copy, so entries far past 1e154 neither warn nor lose the check."""
+        """The LDL^H pivots take no squares of entries, so entries far past
+        1e154 neither warn nor overflow."""
         a = np.diag([big, 1.0]).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert logdet_hermitian(a) == pytest.approx(np.log2(big), rel=1e-15)
-            np.testing.assert_allclose(cholesky_upper(a), np.diag([np.sqrt(big), 1.0]), rtol=1e-15)
-            skew = a.copy()
-            skew[0, 1] = 1e-9 * big
-            with pytest.raises(NotHermitian):
-                logdet_hermitian(skew)
+            assert _one(logdet_hermitian_batch, a) == pytest.approx(np.log2(big), rel=1e-15)
+            u = _one(cholesky_upper_batch, a)
+            np.testing.assert_allclose(u, np.diag([np.sqrt(big), 1.0]), rtol=1e-15)
 
     def test_subnormal_pivots(self):
         """A subnormal pivot divides the column part by part; complex
@@ -185,11 +184,12 @@ class TestLogdetHermitian:
         tiny = 1e-310
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert logdet_hermitian(np.diag([tiny, tiny]).astype(complex)) == pytest.approx(
+            assert _one(logdet_hermitian_batch, np.diag([tiny, tiny]).astype(complex)) == pytest.approx(
                 2 * np.log2(tiny), rel=1e-15)
             a = np.array([[tiny, 0.1j * tiny], [-0.1j * tiny, tiny]])
-            assert logdet_hermitian(a) == pytest.approx(2 * np.log2(tiny) + np.log2(0.99), rel=1e-12)
-            np.testing.assert_allclose(cholesky_upper(np.diag([tiny, tiny]).astype(complex)),
+            want = 2 * np.log2(tiny) + np.log2(0.99)
+            assert _one(logdet_hermitian_batch, a) == pytest.approx(want, rel=1e-12)
+            np.testing.assert_allclose(_one(cholesky_upper_batch, np.diag([tiny, tiny]).astype(complex)),
                                        np.diag([np.sqrt(tiny)] * 2), rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -209,11 +209,12 @@ class TestBatchKernels:
     """The *_batch kernels the engine runs, on stacks with bad items."""
 
     def test_thin_qr_batch_matches_scalar(self):
+        """Each item of a stack factors as it would alone."""
         rng = np.random.default_rng(17)
         a = np.stack([_complex_gaussian(rng, 6, 2) for _ in range(20)])
         q, r = thin_qr_batch(a)
         for i in range(20):
-            qi, ri = thin_qr(a[i])
+            qi, ri = _one(thin_qr_batch, a[i])
             np.testing.assert_array_equal(q[i], qi)
             np.testing.assert_array_equal(r[i], ri)
 
@@ -252,27 +253,21 @@ class TestBatchKernels:
         assert np.abs(r[1] / scale - r_ref[1]).max() <= 1e-13 * np.abs(r_ref[1]).max()
 
     def test_cholesky_psd_items(self):
-        """One PSD item sends the stack through the clamped path: a zero
-        matrix factors to 0, the identity to I, and a PD item still
-        round-trips."""
+        """One singular PSD item, exactly or within rounding, fails the whole
+        stack with NotPD and no warning: nothing clamps it."""
         rng = np.random.default_rng(19)
         b = _complex_gaussian(rng, 2, 2)
-        a = np.stack([np.zeros((2, 2)), np.eye(2), b.conj().T @ b, np.diag([1.0, -1e-13])]).astype(complex)
-        clamped = a.copy()
-        clamped[3, 1, 1] = 0.0
-        u = cholesky_upper_batch(a)
-        np.testing.assert_array_equal(u[0], 0.0)
-        np.testing.assert_allclose(u[1], np.eye(2), atol=1e-15)
-        for i in range(4):
-            assert np.linalg.norm(u[i].conj().T @ u[i] - clamped[i]) <= 1e-10 * max(np.linalg.norm(a[i]), 1)
-            assert np.allclose(u[i], np.triu(u[i]))
-            d = np.diagonal(u[i])
-            assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
+        for psd in (np.zeros((2, 2)), np.diag([1.0, -1e-13])):
+            a = np.stack([np.eye(2), b.conj().T @ b, psd]).astype(complex)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotPD):
+                    cholesky_upper_batch(a)
 
     def test_cholesky_pd_stack_takes_plain_cholesky(self):
-        """A PD stack takes the plain Cholesky path, not the clamped one:
-        U = sqrt(D) L^H from its LDL^H pivots, within 1e-14 relative of
-        LAPACK's factor, with U^H U within 1e-14 relative of the input."""
+        """U = sqrt(D) L^H from a PD stack's LDL^H pivots, within 1e-14
+        relative of LAPACK's factor, with U^H U within 1e-14 relative of
+        the input."""
         rng = np.random.default_rng(20)
         for n in (1, 2, 3):
             b = np.stack([_complex_gaussian(rng, n + 1, n) for _ in range(10)])
@@ -286,7 +281,7 @@ class TestBatchKernels:
 
     def test_cholesky_not_psd_item(self):
         a = np.stack([np.eye(2), np.diag([1.0, -1e-6])]).astype(complex)
-        with pytest.raises(NotPSD):
+        with pytest.raises(NotPD):
             cholesky_upper_batch(a)
 
     def test_logdet_not_pd_item(self):

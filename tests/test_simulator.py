@@ -511,6 +511,33 @@ class TestDeterminism:
         assert curve.points[1].bits_used == 24
 
 
+class TestNoLapack:
+    """The engine runs no LAPACK factorization: a sweep of each mode family
+    writes the same CSV bytes with numpy's eigh, qr, cholesky, svd and
+    solve patched to raise. The inverse behind the precoders
+    (precoding._inverse_blocks) is the one LAPACK call left."""
+
+    @pytest.mark.parametrize("kw", [
+        # 0 dB has a 0-bit budget, which runs as a one-entry scan
+        dict(policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
+        dict(policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
+        dict(policy=FeedbackPolicy(mode="analog", beta=2.0)),
+        dict(m=6, n=2, precoder="zf",
+             policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
+    ], ids=["emulated_bd", "exhaustive_bd", "analog", "emulated_zf"])
+    def test_sweep_bytes_without_factorizations(self, monkeypatch, tmp_path, kw):
+        spec = _spec(**{"snr_grid_db": (0.0, 10.0, 20.0), "trials": 200, **kw})
+        write_curve_csv(run_experiment(spec), str(tmp_path / "a.csv"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine called a LAPACK factorization")
+
+        for name in ("eigh", "qr", "cholesky", "svd", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        write_curve_csv(run_experiment(spec), str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 class TestPerfectModeOracle:
     """A perfect point is the closed-form mean of Y and runs nothing; the
     per-trial rates of precoders built on the true channels come from
