@@ -118,3 +118,11 @@ def _as_array(name, x, dtype=np.complex128):
         return np.asarray(x, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{name} must be a numeric array: {exc}") from exc
+
+
+def _check_type(name, x, cls):
+    """Raise ParameterError unless x is a ``cls``: the check on each library
+    object (SystemConfig, Codebook, ...) a function takes, whose constructor
+    has checked its fields."""
+    if not isinstance(x, cls):
+        raise ParameterError(f"{name} must be {cls.__name__}, got {type(x).__name__}")

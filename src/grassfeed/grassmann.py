@@ -39,6 +39,7 @@ from .errors import (
     _check_count,
     _check_real,
     _check_shape,
+    _check_type,
 )
 from .linalg import ORTHO_TOL, orthonormalize, sumsq
 
@@ -229,6 +230,7 @@ def quantize(h, codebook):
     its column space; any right-multiplied full-rank factor gives the same
     index. Ties break to the lowest index.
     """
+    _check_type("codebook", codebook, Codebook)
     h = _as_array("channel", h)
     if h.shape != (codebook.m, codebook.n):
         raise DimensionError(f"channel shape {h.shape} does not match codebook ({codebook.m}, {codebook.n})")
@@ -248,6 +250,7 @@ def distortion_main_term(gc, bits):
     Gamma(2^B + 1 + 1/T) / (2^(B/T) Gamma(2^B + 1)) >= 1 (Gautschi's
     inequality); the factor tends to 1 as B grows.
     """
+    _check_type("gc", gc, GrassmannConstants)
     _check_real("bits", bits, low=0, closed=True)
     t = gc.t
     return (math.gamma(1.0 / t) / t) * 2.0 ** (-gc.log2_c / t) * 2.0 ** (-bits / t)

@@ -56,6 +56,7 @@ from .errors import (
     _as_array,
     _check_real,
     _check_shape,
+    _check_type,
     _is_count,
 )
 from .linalg import gram_rows, logdet_hermitian_batch, orthonormalize, sumsq
@@ -137,6 +138,7 @@ def bd_precoders(cfg, knowledge):
 
     Raises RankDeficient if the stacked knowledge is singular.
     """
+    _check_type("cfg", cfg, SystemConfig)
     know = _shaped(knowledge, (cfg.k, cfg.m, cfg.n), "knowledge")
     return PrecoderSet(matrices=bd_precoders_batch(know[np.newaxis])[0], scheme="bd")
 
@@ -153,6 +155,7 @@ def zf_precoders(cfg, knowledge):
 
     Raises RankDeficient if the stacked knowledge is singular.
     """
+    _check_type("cfg", cfg, SystemConfig)
     know = _shaped(knowledge, (cfg.k, cfg.m, cfg.n), "knowledge")
     return PrecoderSet(matrices=zf_precoders_batch(know[np.newaxis])[0], scheme="zf")
 
@@ -164,6 +167,8 @@ def instant_rate_per_user(cfg, h_k, precoders, k):
     validates its arguments and evaluates :func:`rates_batch` with h_k in
     every user's slot, reading off user k.
     """
+    _check_type("cfg", cfg, SystemConfig)
+    _check_type("precoders", precoders, PrecoderSet)
     h_k = _shaped(h_k, (cfg.m, cfg.n), "channel")
     mats = precoders.matrices
     if mats.shape[:2] != (cfg.k, cfg.m):
@@ -195,6 +200,7 @@ def analog_feedback(rng, cfg, h_k, beta):
 
     Raises ParameterError for a non-finite beta, beta P or channel entry.
     """
+    _check_type("cfg", cfg, SystemConfig)
     _check_real("beta", beta, low=0)
     snr = float(beta) * float(cfg.p)
     _check_real("beta P", snr, low=0)
@@ -219,6 +225,7 @@ def rate_loss_bound(cfg, distortion):
     N log2(1 + (P/N) D) with D the expected quantization distortion
     E[min d^2].
     """
+    _check_type("cfg", cfg, SystemConfig)
     _check_real("distortion", distortion, low=0, closed=True)
     return cfg.n * math.log2(1.0 + cfg.p / cfg.n * distortion)
 
@@ -228,6 +235,7 @@ def analog_rate_loss_bound(cfg, beta):
 
     N log2(1 + ((M-N)/M) P / (1 + beta P)).
     """
+    _check_type("cfg", cfg, SystemConfig)
     _check_real("beta", beta, low=0)
     frac = (cfg.m - cfg.n) / cfg.m
     return cfg.n * math.log2(1.0 + frac * cfg.p / (1.0 + beta * cfg.p))
@@ -249,6 +257,7 @@ def perfect_csi_sum_rate(cfg, scheme="bd"):
     interference-free sum rate at any feedback, so the rate loss of a
     simulated curve is this minus its sum rate.
     """
+    _check_type("cfg", cfg, SystemConfig)
     if scheme not in ("bd", "zf"):
         raise ParameterError(f"scheme must be 'bd' or 'zf', got {scheme!r}")
     return _free_sum_rate_mean(cfg.m, cfg.n, cfg.p, scheme)

@@ -38,6 +38,7 @@ from .errors import (
     _as_array,
     _check_count,
     _check_real,
+    _check_type,
 )
 from .grassmann import GrassmannConstants, _check_frames
 from .linalg import add_product, cholesky_upper_batch, gram_rows, project_off, sumsq, thin_qr_batch
@@ -46,7 +47,6 @@ __all__ = [
     "DEFAULT_GUARD_PRODUCT",
     "QuantDecomposition",
     "decompose",
-    "emulate_batch",
     "sample_min_d2",
     "emulate_quantization",
     "beta_trace_pdf",
@@ -184,6 +184,7 @@ def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None)
     FallbackRequired
         If the guard fails; callers should run the exhaustive scan instead.
     """
+    _check_type("gc", gc, GrassmannConstants)
     _check_count("size", 0 if size is None else size)
     if not emulation_valid(gc, bits, guard_product):
         raise FallbackRequired(
@@ -271,8 +272,9 @@ def emulate_quantization(rng, h_tilde, bits):
 def emulate_batch(rng, hq, bits):
     """Emulated quantization of every frame of a (T, M, N) orthonormal stack.
 
-    The implementation behind :func:`emulate_quantization` (see it for the
-    parameters): one generator drives the stack with its draw order
+    Internal: the engine's kernel behind :func:`emulate_quantization`, which
+    checks the frames (see it for the parameters); this checks only the
+    stack's shape. One generator drives the stack with its draw order
     (z, X, G) applied arraywise. With P = G - hq (hq^H G) and W = P^H P,
     the error term is sqrt(s) P and Y = chol(I - s W), s = z / trace(W).
     Returns (T, M, N) frames and (T,) d^2. Any bit budget that passes the

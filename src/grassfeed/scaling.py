@@ -18,7 +18,7 @@ FeedbackPolicy.resolve_bits take the integer ceiling.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, Infeasible, _check_real, _check_shape
+from .errors import DomainError, Infeasible, _check_real, _check_shape, _check_type
 from .grassmann import GrassmannConstants
 from .precoding import SystemConfig, analog_rate_loss_bound
 
@@ -61,6 +61,7 @@ def c_prime(gc):
     Raises DomainError where it exceeds the largest double; its log2 is
     always finite (see :func:`bd_3db_bits`).
     """
+    _check_type("gc", gc, GrassmannConstants)
     try:
         return float(gc.n ** gc.t * gc.c_exact)
     except OverflowError as exc:
@@ -70,6 +71,7 @@ def c_prime(gc):
 def c_double_prime(gc):
     """Analog-comparison constant Gamma(1/T) / (N^2 (M-N)) * C_MN^(1/T),
     with C_MN^(1/T) formed from log2 C_MN, finite where C_MN underflows."""
+    _check_type("gc", gc, GrassmannConstants)
     t = gc.t
     return math.gamma(1.0 / t) / (gc.n * t) * 2.0 ** (gc.log2_c / t)
 

@@ -82,6 +82,7 @@ from .errors import (
     _check_count,
     _check_real,
     _check_shape,
+    _check_type,
     _is_count,
 )
 from .grassmann import GrassmannConstants, _codebook_size, _mean_min_d2, scan_fresh_codebooks
@@ -194,6 +195,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _check_shape(self.m, self.n, loaded=True)
+        _check_type("policy", self.policy, FeedbackPolicy)
         try:
             grid = tuple(self.snr_grid_db)
         except TypeError as exc:
@@ -453,6 +455,7 @@ def run_experiment(spec, threads=None):
     count whose (points, trials, 3) rates buffer numpy refuses raises
     MemoryGuard before anything is drawn.
     """
+    _check_type("spec", spec, ExperimentSpec)
     threads = _worker_count(threads)
     plan = _plan(spec)
     if spec.policy.mode == "perfect":
@@ -503,6 +506,8 @@ def estimate_snr_gap(ref, test):
     NoOverlap
         If no test point falls inside the reference rate range.
     """
+    _check_type("ref", ref, RateCurve)
+    _check_type("test", test, RateCurve)
     ref_p, ref_r = ref.p_db, ref.sum_rate
     test_p, test_r = test.p_db, test.sum_rate
     finite = np.isfinite(np.concatenate([ref_p, ref_r, test_p])).all()
@@ -528,6 +533,7 @@ def write_curve_csv(curve, path):
     Floats carry 6 significant digits; bits_used is blank for modes
     without a bit budget.
     """
+    _check_type("curve", curve, RateCurve)
     lines = ["p_db,sum_rate,per_user_rate,ci99,mode,bits_used"]
     for pt in curve.points:
         bits = "" if pt.bits_used is None else str(int(pt.bits_used))

@@ -80,7 +80,7 @@ def test_finite_rates_or_library_error(case):
 _INTERNAL = {
     grassmann: ["scan_fresh_codebooks"],
     linalg: ["ORTHO_TOL", "RANK_FLOOR"],
-    quant_emulator: ["CondEigSampler", "emulation_valid"],
+    quant_emulator: ["CondEigSampler", "emulate_batch", "emulation_valid"],
     simulator: ["CHUNK_TRIALS"],
 }
 
@@ -157,8 +157,11 @@ _BAD_CALLS = [
     ("principal_angles", "angles_nan", lambda: grassfeed.principal_angles(_NAN, _FRAME)),
     ("quantize", "quantize_nan",
      lambda: grassfeed.quantize(_NAN, grassfeed.random_codebook(_RNG, 4, 2, 1))),
+    ("quantize", "quantize_str_codebook", lambda: grassfeed.quantize(_FRAME, "abc")),
     ("distortion_bound", "bound_nan_bits", lambda: grassfeed.distortion_bound(_GC, np.nan)),
+    ("distortion_bound", "bound_str_constants", lambda: grassfeed.distortion_bound("x", 4)),
     ("distortion_main_term", "main_term_nan_bits", lambda: grassfeed.distortion_main_term(_GC, np.nan)),
+    ("distortion_main_term", "main_term_str_constants", lambda: grassfeed.distortion_main_term("x", 4)),
     ("distortion_samples", "samples_float_trials",
      lambda: grassfeed.distortion_samples(_RNG, 4, 2, 2, 2.5)),
     # precoding
@@ -167,34 +170,40 @@ _BAD_CALLS = [
     ("PrecoderSet", "precoders_flat",
      lambda: grassfeed.PrecoderSet(np.zeros((4, 2), dtype=complex), "bd")),
     ("bd_precoders", "bd_nan", lambda: grassfeed.bd_precoders(_CFG, np.stack([_NAN, _NAN]))),
+    ("bd_precoders", "bd_str_config", lambda: grassfeed.bd_precoders("cfg", np.stack([_FRAME, _FRAME]))),
     ("zf_precoders", "zf_nan", lambda: grassfeed.zf_precoders(_CFG, np.stack([_NAN, _NAN]))),
+    ("zf_precoders", "zf_str_config", lambda: grassfeed.zf_precoders("cfg", np.stack([_FRAME, _FRAME]))),
     ("instant_rate_per_user", "rate_float_user",
      lambda: grassfeed.instant_rate_per_user(_CFG, _FRAME, _BD, 0.5)),
+    ("instant_rate_per_user", "rate_str_config",
+     lambda: grassfeed.instant_rate_per_user("cfg", _FRAME, _BD, 0)),
+    ("instant_rate_per_user", "rate_str_precoders",
+     lambda: grassfeed.instant_rate_per_user(_CFG, _FRAME, "bd", 0)),
     ("analog_feedback", "analog_inf_beta",
      lambda: grassfeed.analog_feedback(grassfeed.RngStream(1), _CFG, _FRAME, np.inf)),
     ("analog_feedback", "analog_nan", lambda: grassfeed.analog_feedback(_RNG, _CFG, _NAN, 1.0)),
     ("analog_feedback", "analog_objects", lambda: grassfeed.analog_feedback(_RNG, _CFG, _OBJECTS, 1.0)),
+    ("analog_feedback", "analog_str_config", lambda: grassfeed.analog_feedback(_RNG, "cfg", _FRAME, 1.0)),
     ("rate_loss_bound", "loss_nan_distortion", lambda: grassfeed.rate_loss_bound(_CFG, np.nan)),
+    ("rate_loss_bound", "loss_str_config", lambda: grassfeed.rate_loss_bound("cfg", 0.1)),
     ("analog_rate_loss_bound", "analog_loss_inf_beta",
      lambda: grassfeed.analog_rate_loss_bound(_CFG, np.inf)),
+    ("analog_rate_loss_bound", "analog_loss_str_config",
+     lambda: grassfeed.analog_rate_loss_bound("cfg", 2.0)),
     ("analog_rate_loss_limit", "analog_limit_nan_beta",
      lambda: grassfeed.analog_rate_loss_limit(4, 2, np.nan)),
     ("perfect_csi_sum_rate", "perfect_rate_unknown_scheme",
      lambda: grassfeed.perfect_csi_sum_rate(_CFG, "mmse")),
+    ("perfect_csi_sum_rate", "perfect_rate_str_config", lambda: grassfeed.perfect_csi_sum_rate("cfg")),
     # quant_emulator
     ("decompose", "decompose_nan", lambda: grassfeed.decompose(_NAN, _FRAME)),
     ("decompose", "decompose_no_columns",
      lambda: grassfeed.decompose(np.zeros((4, 0)), np.zeros((4, 0)))),
-    ("emulate_batch", "emulate_batch_float_bits",
-     lambda: grassfeed.emulate_batch(_RNG, _FRAME[np.newaxis], 12.5)),
-    ("emulate_batch", "emulate_batch_flat", lambda: grassfeed.emulate_batch(_RNG, _FRAME, 12)),
-    ("emulate_batch", "emulate_batch_4d",
-     lambda: grassfeed.emulate_batch(_RNG, _FRAME[np.newaxis, np.newaxis], 12)),
-    ("emulate_batch", "emulate_batch_nan", lambda: grassfeed.emulate_batch(_RNG, _NAN[np.newaxis], 12)),
     ("emulate_quantization", "emulate_nan", lambda: grassfeed.emulate_quantization(_RNG, _NAN, 12)),
     ("sample_min_d2", "min_d2_float_bits", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80.5)),
     ("sample_min_d2", "min_d2_negative_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=-1)),
     ("sample_min_d2", "min_d2_float_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=2.5)),
+    ("sample_min_d2", "min_d2_str_constants", lambda: grassfeed.sample_min_d2(_RNG, "gc", 80)),
     ("beta_trace_pdf", "trace_pdf_float_m", lambda: grassfeed.beta_trace_pdf(4.5, 0.5)),
     ("beta_trace_pdf", "trace_pdf_string", lambda: grassfeed.beta_trace_pdf(4, [0.1, "a"])),
     # scaling
@@ -206,26 +215,42 @@ _BAD_CALLS = [
     ("bd_zf_rate_gap", "gap_float_m", lambda: grassfeed.bd_zf_rate_gap(4.0, 2)),
     ("analog_vs_quantized_bounds", "versus_nan_beta",
      lambda: grassfeed.analog_vs_quantized_bounds(4, 2, np.nan, 10.0)),
+    ("c_prime", "c_prime_str_constants", lambda: grassfeed.c_prime("gc")),
+    ("c_double_prime", "c_double_prime_str_constants", lambda: grassfeed.c_double_prime("gc")),
     # simulator
     ("FeedbackPolicy", "policy_nan_beta", lambda: grassfeed.FeedbackPolicy(mode="analog", beta=np.nan)),
     ("ExperimentSpec", "spec_float_m",
      lambda: grassfeed.ExperimentSpec(4.0, 2, (0.0,), _PERFECT, 2, 1)),
+    ("ExperimentSpec", "spec_str_policy", lambda: grassfeed.ExperimentSpec(4, 2, (0.0,), "perfect", 2, 1)),
     ("run_experiment", "run_zero_threads",
      lambda: grassfeed.run_experiment(grassfeed.ExperimentSpec(4, 2, (0.0,), _PERFECT, 2, 1), threads=0)),
     # 2^24 entries of (8, 4) would take a 12 GiB scan workspace
     ("run_experiment", "run_over_cap_scan", lambda: grassfeed.run_experiment(_OVER_CAP)),
     ("run_experiment", "run_huge_trials", lambda: grassfeed.run_experiment(_HUGE_TRIALS)),
+    ("run_experiment", "run_str_spec", lambda: grassfeed.run_experiment("spec")),
     ("estimate_snr_gap", "gap_falling_reference", lambda: grassfeed.estimate_snr_gap(_FALLING, _FALLING)),
+    ("estimate_snr_gap", "gap_str_curves", lambda: grassfeed.estimate_snr_gap("a", "b")),
+    ("write_curve_csv", "write_str_curve", lambda: grassfeed.write_curve_csv("c", "unwritten.csv")),
     ("read_curve_csv", "read_foreign_file", lambda: grassfeed.read_curve_csv(__file__)),
 ]
 
-# Public callables with no argument of their own to check: result records
-# the library returns, and functions whose every argument is a library object
-# that its constructor has checked (a save path fails as the OS says).
+# the same for internal kernels the engine runs, reached through their
+# modules
+_INTERNAL_BAD_CALLS = [
+    ("emulate_batch", "emulate_batch_float_bits",
+     lambda: quant_emulator.emulate_batch(_RNG, _FRAME[np.newaxis], 12.5)),
+    ("emulate_batch", "emulate_batch_flat", lambda: quant_emulator.emulate_batch(_RNG, _FRAME, 12)),
+    ("emulate_batch", "emulate_batch_4d",
+     lambda: quant_emulator.emulate_batch(_RNG, _FRAME[np.newaxis, np.newaxis], 12)),
+    ("emulate_batch", "emulate_batch_nan",
+     lambda: quant_emulator.emulate_batch(_RNG, _NAN[np.newaxis], 12)),
+]
+
+# Public callables with no argument of their own to check: the result
+# records the library returns.
 _NOTHING_TO_CHECK = {
     "QuantizationResult", "AnalogObservation", "QuantDecomposition", "BitsResult",
     "RatePoint", "RateCurve", "GapEstimate",
-    "c_prime", "c_double_prime", "write_curve_csv",
 }
 
 
@@ -246,10 +271,30 @@ _ROW_ERRORS = {
     "analog_nan": errors.ParameterError,
     "trace_pdf_string": errors.ParameterError,
     "run_huge_trials": errors.MemoryGuard,
+    # a wrong-type library object
+    "quantize_str_codebook": errors.ParameterError,
+    "bound_str_constants": errors.ParameterError,
+    "main_term_str_constants": errors.ParameterError,
+    "bd_str_config": errors.ParameterError,
+    "zf_str_config": errors.ParameterError,
+    "rate_str_config": errors.ParameterError,
+    "rate_str_precoders": errors.ParameterError,
+    "analog_str_config": errors.ParameterError,
+    "loss_str_config": errors.ParameterError,
+    "analog_loss_str_config": errors.ParameterError,
+    "perfect_rate_str_config": errors.ParameterError,
+    "min_d2_str_constants": errors.ParameterError,
+    "c_prime_str_constants": errors.ParameterError,
+    "c_double_prime_str_constants": errors.ParameterError,
+    "spec_str_policy": errors.ParameterError,
+    "run_str_spec": errors.ParameterError,
+    "gap_str_curves": errors.ParameterError,
+    "write_str_curve": errors.ParameterError,
 }
 
 
-@pytest.mark.parametrize("case, call", [(i, c) for _, i, c in _BAD_CALLS], ids=[i for _, i, _ in _BAD_CALLS])
+@pytest.mark.parametrize("case, call", [(i, c) for _, i, c in _BAD_CALLS + _INTERNAL_BAD_CALLS],
+                         ids=[i for _, i, _ in _BAD_CALLS + _INTERNAL_BAD_CALLS])
 def test_public_entry_points_reject_bad_input(case, call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -326,6 +371,8 @@ def test_every_public_callable_has_a_bad_input_case():
     covered = {name for name, _, _ in _BAD_CALLS}
     assert covered <= callables
     assert callables - _NOTHING_TO_CHECK == covered
+    internal = {name for names in _INTERNAL.values() for name in names}
+    assert {name for name, _, _ in _INTERNAL_BAD_CALLS} <= internal
 
 
 def test_benchmark_bindings_exist(monkeypatch):

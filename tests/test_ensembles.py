@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from grassfeed import ensembles
 from grassfeed.ensembles import (
     RngStream,
     gaussian_matrix,
@@ -44,6 +45,21 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError):
             RngStream(-1)
+
+    def test_stream_pin(self):
+        """The engine's bit generator and its first words on one path.
+        A change of generator or of seeding moves every golden digest; it
+        fails here first, and CHANGES.md must record it as a change in how
+        random numbers are consumed."""
+        assert ensembles._BIT_GENERATOR is np.random.SFC64
+        gen = RngStream(2026).child(0).generator()
+        assert type(gen.bit_generator) is np.random.SFC64
+        assert gen.bit_generator.random_raw(4).tolist() == [
+            0x4A6837FEC1332A30, 0x17BC8B118E223A73, 0x5412557ECDE9997E, 0x25649A6BB7179A42,
+        ]
+        words = [RngStream(2026).child(i).generator().bit_generator.random_raw(4).tolist()
+                 for i in range(3)] + [RngStream(2026).generator().bit_generator.random_raw(4).tolist()]
+        assert len({tuple(w) for w in words}) == len(words)
 
 
 class TestGaussianMatrix:

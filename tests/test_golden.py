@@ -28,20 +28,20 @@ GOLDEN = {
     "emulated": (
         dict(m=4, n=2, trials=1100,
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "ec6c4a10bb085a334811070173ea83ce6fd4c7dbd8745e10c3005567146c84e7",
+        "d549e55f3b491bd6ee330e5dff73003201609f2dbb3914254e49788837b27826",
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
-        "913f87475ce76a3403a7b2426910e260a80ab6387d5271cff8857411cc08c4a6",
+        "d04fed94a3fae7e8ab7354bbf313d0b08baf1e233bcbf9c475cb52b29e389ee3",
     ),
     "analog": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="analog", beta=2.0)),
-        "c398e2903f81e66e907312c8a38b62f93ba1544f06b7a4e9df0c09c46a05b759",
+        "a567253523030f292ddc5a355109ae66a8f85e3df3191d013b77c5a98e680426",
     ),
     "zf_emulated": (
         dict(m=6, n=2, precoder="zf",
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "1dbf98809404d7ac1078a5e130e7452135e3e236020d85f551ca43001faf3468",
+        "53b4c903f10936fff60437eab1025e050ef385fd4879a6b7a648258851be724d",
     ),
 }
 

@@ -26,7 +26,7 @@ from grassfeed.grassmann import (
     scan_fresh_codebooks,
 )
 from grassfeed.linalg import orthonormalize, thin_qr_batch
-from grassfeed import grassmann
+from grassfeed import ensembles, grassmann
 from grassfeed.cli import _ks_2samp
 from tests.test_ensembles import restricted_ks
 
@@ -547,11 +547,12 @@ class TestScanFreshCodebooks:
 
 
 class _EditedGenerator(np.random.Generator):
-    """Philox generator whose standard_exponential(out=...) calls pass each
-    filled buffer and the call's ordinal to edit(out, call)."""
+    """Generator on the engine's bit generator whose
+    standard_exponential(out=...) calls pass each filled buffer and the
+    call's ordinal to edit(out, call)."""
 
     def __init__(self, seed, edit):
-        super().__init__(np.random.Philox(seed))
+        super().__init__(ensembles._BIT_GENERATOR(seed))
         self.edit = edit
         self.calls = 0
 

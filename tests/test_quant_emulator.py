@@ -13,6 +13,7 @@ from grassfeed.errors import (
 )
 from grassfeed.grassmann import (
     GrassmannConstants,
+    _mean_min_d2,
     chordal_distance_sq,
     distortion_bound,
     distortion_samples,
@@ -169,10 +170,20 @@ class TestSampleMinD2:
         np.testing.assert_allclose(_min_d2_from_uniform(gc, bits, u), expect, rtol=1e-12)
         assert np.all((expect > 0) & (expect < 1))
 
-    def test_mean_below_bound(self):
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8, 12, 20, 40, 80])
+    def test_exact_mean_below_bound(self, bits):
+        """The bound's claim: the exact E[min d^2] never exceeds it. (At
+        B = 20 the gap is 5e-9, far inside a sample mean's error.)"""
+        gc = GrassmannConstants(4, 2)
+        assert _mean_min_d2(gc, bits) <= distortion_bound(gc, bits)
+
+    def test_sample_mean_matches_exact_mean(self):
+        """The sample mean of 1e5 draws lies within 4 standard errors of
+        the exact mean, on either side."""
         gc = GrassmannConstants(4, 2)
         v = sample_min_d2(RngStream(23).child(2), gc, 20, size=100000)
-        assert float(v.mean()) <= distortion_bound(gc, 20)
+        se = v.std(ddof=1) / math.sqrt(v.size)
+        assert abs(float(v.mean()) - _mean_min_d2(gc, 20)) <= 4.0 * se
 
     def test_matches_min_cdf(self):
         gc = GrassmannConstants(6, 2)
@@ -365,7 +376,7 @@ class TestEmulatedMatchesExhaustive:
 
     @pytest.mark.parametrize("m,n,bits", [(4, 2, 8), (4, 1, 10)])
     def test_ks_and_mean(self, m, n, bits):
-        trials = 16000
+        trials = 32000
         base = RngStream(31).child(m, n)
         exh = distortion_samples(base.child(0), m, n, bits, trials)
         gc = GrassmannConstants(m, n)
