@@ -8,16 +8,18 @@ is quantized to the entry of minimum d^2, lowest index on ties.
 
 A scan of fresh codebooks, one per trial, never draws an entry as a
 matrix. Only an entry's principal angles to the channel frame hq matter,
-and they follow from two independent complex Wishart matrices: split an
-entry G = hq B + hq_perp G_2; then d^2 = tr(A^-1 W) with A = S + W,
-S = B^H B ~ CW_N(N, I) and W = G_2^H G_2 ~ CW_N(M - N, I). Each entry is
-drawn as the Bartlett factors of S and W, with T_w's superdiagonal made
-real by a phase gauge: 2N gammas (sums of exponentials at shape <= 3),
-N - 1 exponentials and 2(N-1)^2 normals against 2MN normals for G, and
-scored by one LDL^H pass over A on (E,) vectors over the block's entries.
-Only each trial's winner becomes a frame, drawn from its exact
-conditional law given its statistics. A one-entry codebook is its own
-winner: the scan draws it as one
+and for beta = 2 the Jacobi matrix model of Edelman & Sutton ("The
+beta-Jacobi matrix model, the CS decomposition, and generalized singular
+value problems", Found. Comput. Math. 2008), with a = 0 and b = M - 2N,
+gives them exactly from 2N - 1 independent Beta variates:
+c_i^2 ~ Beta(i, M - 2N + i) for i = 1..N and
+c'_i^2 ~ Beta(i, M - 2N + 1 + i) for i = 1..N-1, each drawn as
+G_p / (G_p + G_q) from two Gamma variates (sums of exponentials at shape
+<= 3). An entry's d^2 is ||B21||_F^2 of the model's bidiagonal blocks,
+s_N^2 + sum_{i<N} (s_i^2 s'_i^2 + c_{i+1}^2 c'_i^2), a sum of positive
+terms over (E,) rows of the block's entries. Only each trial's winner
+becomes a frame, orth(hq U_s B11 + U_w B21), U_s and U_w drawn after the
+scan. A one-entry codebook is its own winner: the scan draws it as one
 :func:`~grassfeed.ensembles.isotropic_frame` stack, with nothing to score.
 """
 
@@ -59,18 +61,19 @@ __all__ = [
 
 # complex elements (2^B entries times M w, w the frame width) a codebook may
 # hold: 256 MiB of entries. A scan of one such codebook per trial holds
-# half as many bytes of statistics (2 w^2 <= M w reals per entry) and peaks
-# at about 336 MiB with its scoring workspace: 21 rows of 2^21 doubles at
-# M=4, N=2, B=21 (traced at B=14 and scaled); the draws' spare row is freed
-# before scoring
+# 2(2w - 1) Gamma rows of 2^B doubles, the first law's sum, a spare row
+# and, past w = 1, two scoring rows and the previous block's scores: it
+# peaks at 4 rows of 2^23 doubles, 256 MiB, at M=2, N=1, B=23 and at 11
+# rows of 2^21, 176 MiB, at M=4, N=2, B=21 (traced at B=14 and 16 and
+# scaled)
 _CAP_BITS = 24
 CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
 # complex codebook elements per scored block: a scan block holds the
-# statistics of that many elements' worth of entries, at most 1 MiB of
-# reals, and its scoring temporaries. Each block draws all its
-# statistics before the next, so this size fixes how a multi-block scan
-# consumes the random stream, as CHUNK_TRIALS does for the engine:
-# changing it changes the results.
+# Gamma rows of that many elements' worth of entries, at most 1 MiB of
+# reals, and its scoring temporaries. Each block draws all its rows
+# before the next, so this size fixes how a multi-block scan consumes the
+# random stream, as CHUNK_TRIALS does for the engine: changing it changes
+# the results.
 _SCAN_BLOCK_ELEMS = 2 ** 17
 
 
@@ -337,168 +340,136 @@ def _scan_block(size, m, n):
     return max(1, _SCAN_BLOCK_ELEMS // (size * m * n))
 
 
-def _draw_stats(gen, m, n, work):
-    """Draw the Bartlett factors T_s and T_w of len(work) / (2 n^2) entries
-    into the float64 buffer ``work``, in stream order: the squared diagonals
-    of T_s (Gamma(n - i), i = 0..n-1), then T_w's (Gamma(m - n - i)), each
-    Gamma(k <= 3) the sum of k standard_exponential fills (the later ones
-    through one spare row), else standard_gamma(k); T_w's superdiagonal
-    moduli, sqrt(standard_exponential); one standard_normal fill of T_s's
-    upper entries, real rows then imaginary rows; T_w's other upper entries
-    likewise, one fill per column from the third; normals times sqrt(1/2).
-    T_w's superdiagonal is real by a gauge: (D^H T_s D, D^H T_w D), D
-    diagonal unitary, has the same d^2 and, as U_s D^H and U_w D^H keep their
-    Haar laws, the same winner span. So D may take the phases of that
-    superdiagonal, which leaves every other upper entry CN(0, 1).
-
-    Returns views of ``work``: gam, the (2, n, E) squared diagonals, and
-    off, the (2, n(n-1)/2, 2, E) upper entries as real and imaginary rows.
-    """
-    e = work.size // (2 * n * n)
-    gam = work[: 2 * n * e].reshape(2, n, e)
-    off = work[2 * n * e:].reshape(2, n * (n - 1) // 2, 2, e)
-    spare = np.empty(e)
-    for row, k in zip(gam.reshape(2 * n, e), [dof - i for dof in (n, m - n) for i in range(n)]):
-        if k > 3:
-            gen.standard_gamma(k, out=row)
-            continue
-        gen.standard_exponential(out=row)
-        for _ in range(k - 1):
-            row += gen.standard_exponential(out=spare)
-    for sup in (off[1, j * (j + 1) // 2 - 1] for j in range(1, n)):
-        np.sqrt(gen.standard_exponential(out=sup[0]), out=sup[0])
-        sup[1] = 0.0
-    for z in [off[0]] + [off[1, j * (j - 1) // 2: j * (j + 1) // 2 - 1] for j in range(2, n)]:
-        gen.standard_normal(out=z)
-        z *= np.sqrt(0.5)
-    return gam, off
+def _beta_shapes(m, n):
+    """(p, q) of the 2n - 1 Beta laws of the beta = 2 Jacobi model with
+    a = 0, b = m - 2n, in draw order: c_i^2 ~ Beta(i, m - 2n + i) for
+    i = 1..n, then c'_i^2 ~ Beta(i, m - 2n + 1 + i) for i = 1..n-1."""
+    b = m - 2 * n
+    return [(i, b + i) for i in range(1, n + 1)] + [(i, b + 1 + i) for i in range(1, n)]
 
 
-def _abs2(z, out, tmp):
-    """|z|^2 of (2, E) real and imaginary rows into the row out; tmp is a scratch row."""
-    return np.add(np.multiply(z[0], z[0], out=out), np.multiply(z[1], z[1], out=tmp), out=out)
-
-
-def _mul(x, y, out, tmp, conj=False):
-    """x y, or conj(x) y, of (2, E) real and imaginary rows into out; tmp is a scratch row."""
-    re, im = (np.add, np.subtract) if conj else (np.subtract, np.add)
-    re(np.multiply(x[0], y[0], out=out[0]), np.multiply(x[1], y[1], out=tmp), out=out[0])
-    im(np.multiply(x[0], y[1], out=out[1]), np.multiply(x[1], y[0], out=tmp), out=out[1])
+def _gamma(gen, k, out, spare):
+    """Gamma(k) variates into ``out``: the sum of k standard_exponential
+    fills (the later ones through the row ``spare``) for k <= 3, else
+    standard_gamma(k)."""
+    if k > 3:
+        return gen.standard_gamma(k, out=out)
+    gen.standard_exponential(out=out)
+    for _ in range(k - 1):
+        out += gen.standard_exponential(out=spare)
     return out
 
 
-def _stat_d2(gam, off):
-    """d^2 = tr(A^-1 W) = ||T_w R^-1||_F^2 of every entry, from its Bartlett
-    factors (see :func:`_draw_stats`), with A = S + W = R^H R.
+def _angle_d2(rows):
+    """d^2 = ||B21||_F^2 = s_N^2 + sum_{i<N} (s_i^2 s'_i^2 + c_{i+1}^2 c'_i^2)
+    of (2, 2N - 1, ...) (cos^2, sin^2) rows in :func:`_beta_shapes` order,
+    a sum of positive terms. It reads every row but c_1^2; at N = 1 it is
+    the row s_1^2 itself."""
+    c2, s2 = rows
+    n = (len(s2) + 1) // 2
+    if n == 1:
+        return s2[0]
+    d2, tmp = s2[n - 1].copy(), np.empty_like(s2[0])
+    for i in range(n - 1):
+        d2 += np.multiply(s2[i], s2[n + i], out=tmp)
+        d2 += np.multiply(c2[i + 1], c2[n + i], out=tmp)
+    return d2
 
-    A runs through the square-root-free Cholesky A = U^H D U (unit upper U,
-    D the pivots) and Y = T_w U^-1 column by column, so d^2 is
-    sum_j ||y_j||^2 / d_j, a sum of positive terms. Complex values are
-    (2, E) real and imaginary rows, so every step is a real vector
-    operation over the entries, written into the rows of one workspace.
-    Raises RankDeficient if a pivot is zero or not finite.
-    """
-    n, e = gam.shape[1:]
-    t = np.sqrt(gam[:, : n - 1])
-    # rows: the n pivots; past n = 1, a product pair, a scratch row and the
-    # pairs of U and Y; past n = 2, the pair acc
-    ws = np.empty((n + (n > 1) * (3 + 2 * n * (n - 1)) + 2 * (n > 2), e))
-    d, mul, tmp = ws[:n], ws[n: n + 2], ws[n + 2] if n > 1 else None
-    free, acc = iter(ws[n + 3:].reshape(-1, 2, e)), ws[-2:] if n > 2 else None
-    score = np.empty(e)
 
-    def upper(f, k, j):
-        return off[f, j * (j - 1) // 2 + k]
-
-    u, y = {}, []
-    for j in range(n):
-        pivot = np.add(gam[0, j], gam[1, j], out=d[j])
-        # rows 0..j-1 of y_j, copied into free pairs; row j is t_w[j], whose square is gam[1, j]
-        yj = [np.positive(upper(1, k, j), out=next(free)) for k in range(j)]
-        for i in range(j):
-            a = u[i, j] = np.multiply(upper(0, i, j), t[0, i], out=next(free))
-            a += np.multiply(upper(1, i, j), t[1, i], out=mul)
-            for k in range(i):
-                _mul(upper(0, k, i), upper(0, k, j), acc, tmp, True)
-                a += np.add(acc, _mul(upper(1, k, i), upper(1, k, j), mul, tmp, True), out=acc)
-                a -= np.multiply(_mul(u[k, i], u[k, j], mul, tmp, True), d[k], out=mul)
-            a /= d[i]
-            pivot += _abs2(upper(0, i, j), mul[0], tmp)
-            pivot += _abs2(upper(1, i, j), mul[0], tmp)
-            pivot -= np.multiply(d[i], _abs2(a, mul[0], tmp), out=mul[0])
-            yj[i] -= np.multiply(a, t[1, i], out=mul)
-            for r in range(i):
-                yj[r] -= _mul(y[i][r], a, mul, tmp)
-        # min and max propagate NaN, which fails both comparisons
-        if not (pivot.min() > 0 and pivot.max() < np.inf):
-            raise RankDeficient("a codebook entry's Gram matrix has a zero or non-finite pivot")
-        y.append(yj)
-        if j == 0:
-            np.divide(gam[1, 0], pivot, out=score)
-            continue
-        _abs2(yj[0], mul[0], tmp)
-        for v in yj[1:]:
-            mul[0] += _abs2(v, mul[1], tmp)
-        score += np.divide(np.add(gam[1, j], mul[0], out=mul[1]), pivot, out=mul[1])
-    return score
+def _jacobi_blocks(rows):
+    """The (2, T, N, N) real upper bidiagonal blocks B11 and B21 of the
+    beta = 2 Jacobi model from (2, 2N - 1, T) (cos^2, sin^2) rows in
+    :func:`_beta_shapes` order. B11 has diagonal (c_N, c_{N-1} s'_{N-1},
+    ..., c_1 s'_1) and superdiagonal (-s_N c'_{N-1}, ..., -s_2 c'_1); B21
+    has diagonal (s_N, s_{N-1} s'_{N-1}, ..., s_1 s'_1) and superdiagonal
+    (c_N c'_{N-1}, ..., c_2 c'_1). The columns of [B11; B21] are
+    orthonormal, and the singular values of B11 are the cosines of the
+    principal angles (Edelman & Sutton 2008)."""
+    n = (rows.shape[1] + 1) // 2
+    # c_N..c_1, s_N..s_1, then c'_{N-1}..c'_1, s'_{N-1}..s'_1
+    (c, s), (cp, sp) = np.sqrt(rows[:, n - 1::-1]), np.sqrt(rows[:, :n - 1:-1])
+    diag = np.concatenate([np.ones((1, rows.shape[-1])), sp])
+    blocks = np.zeros((2, rows.shape[-1], n, n))
+    i = np.arange(n)
+    blocks[:, :, i, i] = np.moveaxis(np.stack([c, s]) * diag, 1, -1)
+    blocks[:, :, i[:-1], i[1:]] = np.moveaxis(np.stack([-s[:-1], c[:-1]]) * cp, 1, -1)
+    return blocks
 
 
 def _scan_stats(gen, m, n, bits, count, winners=False):
     """Scan count trials, each against its own fresh 2^bits-entry codebook,
-    from the entries' statistics alone, one :func:`_scan_block` block of
-    trials at a time. Returns the (count,) minimum d^2 and, with
-    ``winners``, the (2, count, n, n) Bartlett factors T_s and T_w of each
+    from the entries' principal angles alone, one :func:`_scan_block` block
+    of trials at a time. For each Beta law in :func:`_beta_shapes` order a
+    block draws a Gamma(p) row G_p and then a Gamma(q) row G_q over its
+    entries (:func:`_gamma`) and forms sin^2 = G_q / (G_p + G_q) and, past
+    the first law, cos^2 = G_p / (G_p + G_q), so no 1 - cos^2 cancels; each
+    entry is scored by :func:`_angle_d2`. Raises RankDeficient where a
+    G_p + G_q is zero or not finite. Returns the (count,) minimum d^2 and,
+    with ``winners``, the (2, 2n - 1, count) (cos^2, sin^2) rows of each
     trial's winner (else None)."""
     size = _codebook_size(bits, m, n)
     block = _scan_block(size, m, n)
-    work = np.empty(min(block, count) * size * 2 * n * n)
+    shapes = _beta_shapes(m, n)
+    e = min(block, count) * size
+    work, first, spare = np.empty((2, len(shapes), e)), np.empty(e), np.empty(e)
     d2 = np.empty(count)
-    fac = np.zeros((2, count, n, n), dtype=np.complex128) if winners else None
+    rows = np.empty((2, len(shapes), count)) if winners else None
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        gam, off = _draw_stats(gen, m, n, work[: (hi - lo) * size * 2 * n * n])
-        scores = _stat_d2(gam, off).reshape(hi - lo, size)
+        g, sp = work[..., : (hi - lo) * size], spare[: (hi - lo) * size]
+        for j, (p, q) in enumerate(shapes):
+            _gamma(gen, p, g[0, j], sp)
+            _gamma(gen, q, g[1, j], sp)
+            # the first law's sum is kept for the winners' c_1^2
+            tot = np.add(g[0, j], g[1, j], out=sp if j else first[: sp.size])
+            # min and max propagate NaN, which fails both comparisons
+            if not (tot.min() > 0 and tot.max() < np.inf):
+                raise RankDeficient("a codebook entry's Beta draw has a zero or non-finite Gamma sum")
+            g[1, j] /= tot
+            if j:
+                g[0, j] /= tot
+        scores = _angle_d2(g).reshape(hi - lo, size)
         idx = np.argmin(scores, axis=1)
         d2[lo:hi] = scores[np.arange(hi - lo), idx]
         if winners:
             won = np.arange(hi - lo) * size + idx
-            for j in range(n):
-                fac[:, lo:hi, j, j] = np.sqrt(gam[:, j, won])
-                for k in range(j):
-                    z = off[:, j * (j - 1) // 2 + k][..., won]
-                    fac[:, lo:hi, k, j] = z[:, 0] + 1j * z[:, 1]
-    return d2, fac
+            rows[:, :, lo:hi] = g[:, :, won]
+            rows[0, 0, lo:hi] /= first[won]
+    return d2, rows
 
 
-def _frames_from_stats(gen, hq, ts, tw):
-    """Frames Q whose statistics against hq are (ts, tw), drawn from their
-    exact law: Q = orth(hq U_s T_s + U_w T_w), U_s an N x N Haar unitary
+def _frames_from_stats(gen, hq, rows):
+    """Frames Q whose principal angles to hq are those of the (cos^2, sin^2)
+    ``rows``, drawn from their exact law: Q = orth(hq U_s B11 + U_w B21)
+    with B11, B21 from :func:`_jacobi_blocks`, U_s an N x N Haar unitary
     and U_w = orth((I - hq hq^H) Z) for an M x N Gaussian Z
     (:func:`~grassfeed.ensembles.gaussian_off`), drawn in that order."""
     t, _, n = hq.shape
     us = isotropic_frame(gen, n, n, batch=(t,))
-    return orthonormalize(hq @ (us @ ts) + orthonormalize(gaussian_off(gen, hq, n)) @ tw)
+    b11, b21 = _jacobi_blocks(rows)
+    return orthonormalize(hq @ (us @ b11) + orthonormalize(gaussian_off(gen, hq, n)) @ b21)
 
 
 def scan_fresh_codebooks(gen, hq, bits):
     """Quantize each frame of a (T, M, N) orthonormal stack against its own
     fresh random 2^bits-entry codebook.
 
-    Each entry is drawn as the Bartlett factors of its two Wishart
-    statistics (see the module docstring) and scored from them
-    (:func:`_scan_stats`), in blocks of :func:`_scan_block` trials, so the
-    scan holds one block's statistics and scoring temporaries whatever T
-    is. After the last block the T winners alone are built from their
-    exact conditional law (:func:`_frames_from_stats`), drawn from ``gen``.
-    A one-entry codebook is its own winner: the scan draws all T as one
-    ``isotropic_frame`` stack, with nothing to score.
+    Each entry is drawn as the 2N - 1 Beta variates of the beta = 2 Jacobi
+    model of its principal angles to the channel (see the module
+    docstring) and scored from them (:func:`_scan_stats`), in blocks of
+    :func:`_scan_block` trials, so the scan holds one block's Gamma rows and
+    scoring temporaries whatever T is. After the last block the T winners
+    alone are built from their (cos^2, sin^2) rows
+    (:func:`_frames_from_stats`), drawn from ``gen``. A one-entry codebook
+    is its own winner: the scan draws all T as one ``isotropic_frame``
+    stack, with nothing to score.
     Returns the (T, M, N) winners and their (T,) d^2, the order of
     :func:`~grassfeed.quant_emulator.emulate_batch`.
     """
     t, m, n = hq.shape
     if _codebook_size(bits, m, n) > 1:
-        d2, fac = _scan_stats(gen, m, n, bits, t, winners=True)
-        return _frames_from_stats(gen, hq, fac[0], fac[1]), d2
+        d2, rows = _scan_stats(gen, m, n, bits, t, winners=True)
+        return _frames_from_stats(gen, hq, rows), d2
     won = isotropic_frame(gen, m, n, batch=(t,))
     return won, _d2(hq, won)
 
@@ -507,8 +478,8 @@ def distortion_samples(rng, m, n, bits, trials):
     """Per-trial min d^2 values with a fresh random codebook every trial.
 
     The law of d^2 does not depend on the channel, so no channel is drawn:
-    each trial's minimum comes from its entries' statistics alone, as
-    :func:`scan_fresh_codebooks` scores them (one-entry codebooks too).
+    each trial's minimum comes from its entries' Jacobi-model angles alone,
+    as :func:`scan_fresh_codebooks` scores them (one-entry codebooks too).
     Memory stays that of one scan block; results come in trial order and
     are deterministic for a fixed (rng, trials) pair.
     """

@@ -50,9 +50,10 @@ quantized_emulated
     codebook fits in memory; the CSV mode column records what actually ran.
 quantized_exhaustive
     Fresh 2^B-entry random codebook per user per trial, full scan. Each
-    entry is drawn and scored as the Wishart statistics of its principal
-    angles to the channel, and only each trial's winner is built as a
-    frame (:func:`~grassfeed.grassmann.scan_fresh_codebooks`).
+    entry is drawn as its principal angles to the channel, 2N - 1 Beta
+    variates of the beta = 2 Jacobi model (Edelman & Sutton 2008), and
+    scored by a sum of squares of them; only each trial's winner is built
+    as a frame (:func:`~grassfeed.grassmann.scan_fresh_codebooks`).
 analog
     Unquantized MMSE channel estimates from beta M feedback channel uses.
 
@@ -236,6 +237,15 @@ class RatePoint:
 @dataclass(frozen=True)
 class RateCurve:
     points: tuple
+
+    def __post_init__(self):
+        try:
+            points = tuple(self.points)
+        except TypeError as exc:
+            raise ParameterError(f"points must be a sequence of RatePoint, got {self.points!r}") from exc
+        for pt in points:
+            _check_type("points entry", pt, RatePoint)
+        object.__setattr__(self, "points", points)
 
     @property
     def p_db(self):

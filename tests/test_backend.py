@@ -2,10 +2,10 @@
 
 Thin QR with a positive real diagonal is unique for full-rank input, so
 the kernels are compared with per-matrix references at rounding-level
-tolerance, not just statistically. The statistics scorer of the codebook
-scan is checked on explicit entries against the scan that orthonormalizes
-every entry, which is also the benchmark's complex-codebook alias in
-``_backend``.
+tolerance, not just statistically. The scan that orthonormalizes every
+explicit entry is the benchmark's complex-codebook alias in ``_backend``;
+the engine's fresh-codebook scan is checked against explicit codebooks in
+``test_grassmann``.
 """
 
 import math
@@ -158,22 +158,6 @@ def _exact_scan(hq, gauss):
     return grassmann._scan_np(hq, thin_qr_batch(gauss)[0])
 
 
-def _stats(hq, gauss):
-    """(gam, off) in the layout grassmann._draw_stats fills, holding the
-    Bartlett factors of explicit (T, C, m, n) entries G against their
-    channels: T_s and T_w are the upper Cholesky factors of S = B^H B and
-    W = G^H G - S, B = hq^H G."""
-    t, c, m, n = gauss.shape
-    b = np.einsum("tmi,tcmj->tcij", hq.conj(), gauss)
-    rest = gauss - np.einsum("tmi,tcij->tcmj", hq, b)
-    fac = [np.conj(np.swapaxes(np.linalg.cholesky(x.conj().swapaxes(-2, -1) @ x), -2, -1))
-           for x in (b, rest)]
-    gam = np.stack([[np.abs(f[..., i, i]).reshape(-1) ** 2 for i in range(n)] for f in fac])
-    off = np.stack([[[f[..., k, j].real.reshape(-1), f[..., k, j].imag.reshape(-1)]
-                     for j in range(n) for k in range(j)] for f in fac]).reshape(2, -1, 2, t * c)
-    return gam, off
-
-
 def _assert_same_scan(got, want):
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -181,22 +165,16 @@ def _assert_same_scan(got, want):
 
 
 class TestGramScan:
-    """Fresh codebooks are scored from each entry's Gram statistics,
-    A = G^H G split as S + W, and only the winners are orthonormalized. On
-    explicit entries the scores equal the QR-per-entry scan's d^2 and pick
-    its winners. The benchmark's complex-codebook alias is that QR-per-entry
-    scan."""
+    """The benchmark's complex-codebook alias is the QR-per-entry scan of
+    explicit entries; the engine's fresh-codebook scan orthonormalizes its
+    winners only."""
 
     @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32), (6, 2, 1)])
     def test_matches_exact_scan(self, m, n, c):
         rng = np.random.default_rng(40 + m + n)
         hq = thin_qr_batch(_gauss(rng, 64, m, n))[0]
         gauss = _gauss(rng, 64, c, m, n)
-        idx, d2, _ = _exact_scan(hq, gauss)
-        scores = grassmann._stat_d2(*_stats(hq, gauss)).reshape(64, c)
-        assert np.array_equal(np.argmin(scores, axis=1), idx)
-        assert np.abs(scores[np.arange(64), idx] - d2).max() <= 1e-12
-        _assert_same_scan(_backend.quantize_gaussians(hq, gauss), (idx, d2, _exact_scan(hq, gauss)[2]))
+        _assert_same_scan(_backend.quantize_gaussians(hq, gauss), _exact_scan(hq, gauss))
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5])
     def test_ill_conditioned_entries(self, eps):
@@ -256,20 +234,6 @@ class TestGramScan:
         _assert_same_scan(got, _exact_scan(hq, dup))
         if copy == "exact":
             assert np.array_equal(got[0], np.where(first == 0, 0, 1))
-            scores = grassmann._stat_d2(*_stats(hq, dup)).reshape(64, 33)
-            assert np.array_equal(np.argmin(scores, axis=1), got[0])
-
-    @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32)])
-    def test_scores_match_projection(self, m, n, c):
-        """Statistics scores of explicit entries equal n - ||hq^H Q||_F^2
-        from a QR per entry."""
-        rng = np.random.default_rng(46 + m + n)
-        hq = thin_qr_batch(_gauss(rng, 16, m, n))[0]
-        gauss = _gauss(rng, 16, c, m, n)
-        q = thin_qr_batch(gauss)[0]
-        want = n - np.sum(np.abs(np.einsum("tmn,tcmp->tcnp", hq.conj(), q)) ** 2, axis=(-2, -1))
-        got = grassmann._stat_d2(*_stats(hq, gauss)).reshape(16, c)
-        assert np.abs(got - want).max() <= 1e-12
 
     @staticmethod
     def _orthonormalized(monkeypatch, m, n, bits):
@@ -293,6 +257,6 @@ class TestGramScan:
 
     @pytest.mark.parametrize("m,n,c", [(2, 1, 64), (8, 1, 64), (6, 3, 32), (9, 3, 16)])
     def test_gram_path_for_every_n(self, monkeypatch, m, n, c):
-        """Entries at every N are ranked from their statistics: only the T
+        """Entries at every N are ranked from their model angles: only the T
         winners are built and orthonormalized."""
         assert self._orthonormalized(monkeypatch, m, n, c.bit_length() - 1) == [32, 32, 32]

@@ -224,10 +224,12 @@ _BAD_CALLS = [
     ("ExperimentSpec", "spec_str_policy", lambda: grassfeed.ExperimentSpec(4, 2, (0.0,), "perfect", 2, 1)),
     ("run_experiment", "run_zero_threads",
      lambda: grassfeed.run_experiment(grassfeed.ExperimentSpec(4, 2, (0.0,), _PERFECT, 2, 1), threads=0)),
-    # 2^24 entries of (8, 4) would take a 12 GiB scan workspace
+    # 2^24 entries of (8, 4) would take a 2.4 GiB scan workspace
     ("run_experiment", "run_over_cap_scan", lambda: grassfeed.run_experiment(_OVER_CAP)),
     ("run_experiment", "run_huge_trials", lambda: grassfeed.run_experiment(_HUGE_TRIALS)),
     ("run_experiment", "run_str_spec", lambda: grassfeed.run_experiment("spec")),
+    ("RateCurve", "curve_str_points", lambda: grassfeed.RateCurve(("a",))),
+    ("RateCurve", "curve_int_points", lambda: grassfeed.RateCurve(5)),
     ("estimate_snr_gap", "gap_falling_reference", lambda: grassfeed.estimate_snr_gap(_FALLING, _FALLING)),
     ("estimate_snr_gap", "gap_str_curves", lambda: grassfeed.estimate_snr_gap("a", "b")),
     ("write_curve_csv", "write_str_curve", lambda: grassfeed.write_curve_csv("c", "unwritten.csv")),
@@ -250,7 +252,7 @@ _INTERNAL_BAD_CALLS = [
 # records the library returns.
 _NOTHING_TO_CHECK = {
     "QuantizationResult", "AnalogObservation", "QuantDecomposition", "BitsResult",
-    "RatePoint", "RateCurve", "GapEstimate",
+    "RatePoint", "GapEstimate",
 }
 
 
@@ -290,6 +292,8 @@ _ROW_ERRORS = {
     "run_str_spec": errors.ParameterError,
     "gap_str_curves": errors.ParameterError,
     "write_str_curve": errors.ParameterError,
+    "curve_str_points": errors.ParameterError,
+    "curve_int_points": errors.ParameterError,
 }
 
 

@@ -32,7 +32,7 @@ GOLDEN = {
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
-        "d04fed94a3fae7e8ab7354bbf313d0b08baf1e233bcbf9c475cb52b29e389ee3",
+        "2d1f12bee310ba51eab3d03f91cd75baacb6bbf1d90c2a592a6079147e2acdab",
     ),
     "analog": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="analog", beta=2.0)),

@@ -402,64 +402,65 @@ def _per_block_scan(gen, m, n, bits, count, hq=None):
 
 
 def _gamma(gen, k, e):
-    """e Gamma(k) variates as _draw_stats draws them: a sum of k
+    """e Gamma(k) variates as the scan draws them: a sum of k
     exponentials for k <= 3, else standard_gamma(k)."""
     return gen.standard_gamma(k, size=e) if k > 3 else sum(gen.standard_exponential(size=e) for _ in range(k))
 
 
-def _stats_scan(gen, m, n, bits, count):
-    """(d2, idx, ts, tw) of the statistics scan, entry by entry with numpy:
-    each block draws its entries' Bartlett factors in the documented order
-    (T_s's squared diagonals, T_w's, T_w's real superdiagonal, T_s's upper
-    entries, then T_w's other upper entries column by column), and each
-    entry's d^2 is tr(A^-1 W) from a linear solve."""
+def _angle_scan(gen, m, n, bits, count):
+    """(d2, idx, b11, b21) of the angle scan, entry by entry with numpy:
+    each block draws, for c_i^2 ~ Beta(i, m - 2n + i), i = 1..n, and then
+    c'_i^2 ~ Beta(i, m - 2n + 1 + i), i = 1..n-1, a Gamma(p) and then a
+    Gamma(q) row over its entries; it builds each entry's bidiagonal blocks
+    B11 and B21 of the beta = 2 Jacobi model element by element and scores
+    it as n - ||B11||_F^2."""
     size = 2 ** bits
     block = grassmann._scan_block(size, m, n)
     d2, idx = np.empty(count), np.empty(count, dtype=np.int64)
-    ts, tw = (np.zeros((count, n, n), dtype=np.complex128) for _ in range(2))
-    upper = [(k, j) for j in range(n) for k in range(j)]
+    b11, b21 = (np.zeros((count, n, n)) for _ in range(2))
+    laws = [(i, m - 2 * n + i) for i in range(1, n + 1)] + [(i, m - 2 * n + 1 + i) for i in range(1, n)]
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         e = (hi - lo) * size
-        fac = np.zeros((2, e, n, n), dtype=np.complex128)
-        for f, dof in enumerate((n, m - n)):
-            for i in range(n):
-                fac[f, :, i, i] = np.sqrt(_gamma(gen, dof - i, e))
-        for j in range(1, n):
-            fac[1, :, j - 1, j] = np.sqrt(gen.standard_exponential(size=e))
-        normals = gen.standard_normal(size=(len(upper), 2, e)) * np.sqrt(0.5)
-        for p, (k, j) in enumerate(upper):
-            fac[0, :, k, j] = normals[p, 0] + 1j * normals[p, 1]
-        for j in range(2, n):
-            normals = gen.standard_normal(size=(j - 1, 2, e)) * np.sqrt(0.5)
-            for k in range(j - 1):
-                fac[1, :, k, j] = normals[k, 0] + 1j * normals[k, 1]
-        s, w = (np.conj(np.swapaxes(x, -2, -1)) @ x for x in fac)
-        d = np.trace(np.linalg.solve(s + w, w), axis1=-2, axis2=-1).real.reshape(hi - lo, size)
+        cos2, sin2 = [], []
+        for p, q in laws:
+            gp, gq = _gamma(gen, p, e), _gamma(gen, q, e)
+            cos2.append(gp / (gp + gq))
+            sin2.append(gq / (gp + gq))
+        # c[i - 1] = c_i and cp[i - 1] = c'_i, 1-based as in the model
+        c, s, cp, sp = (np.sqrt(x) for x in (cos2[:n], sin2[:n], cos2[n:], sin2[n:]))
+        e11, e21 = np.zeros((e, n, n)), np.zeros((e, n, n))
+        for r in range(n):
+            i = n - r
+            scale = sp[i - 1] if i < n else 1.0
+            e11[:, r, r], e21[:, r, r] = c[i - 1] * scale, s[i - 1] * scale
+            if r + 1 < n:
+                e11[:, r, r + 1], e21[:, r, r + 1] = -s[i - 1] * cp[i - 2], c[i - 1] * cp[i - 2]
+        d = (n - np.sum(e11 ** 2, axis=(1, 2))).reshape(hi - lo, size)
         idx[lo:hi] = np.argmin(d, axis=1)
         d2[lo:hi] = d[np.arange(hi - lo), idx[lo:hi]]
         won = np.arange(hi - lo) * size + idx[lo:hi]
-        ts[lo:hi], tw[lo:hi] = fac[0, won], fac[1, won]
-    return d2, idx, ts, tw
+        b11[lo:hi], b21[lo:hi] = e11[won], e21[won]
+    return d2, idx, b11, b21
 
 
 class TestScanFreshCodebooks:
     def test_matches_per_trial_oracle(self):
-        """Each trial's d^2 is the minimum over its entries' statistics,
-        drawn in the documented order and solved entry by entry, and its
-        winner is built from the winning entry's factors by the draws that
-        follow them."""
+        """Each trial's d^2 is the minimum over its entries' Jacobi-model
+        angles, drawn in the documented order and scored entry by entry, and
+        its winner is built from the winning entry's blocks by the draws
+        that follow them."""
         m, n, bits, trials = 4, 2, 3, 6
         hq = isotropic_frame(RngStream(12).child(0), m, n, batch=(trials,))
         gen, ref = RngStream(12).child(1).generator(), RngStream(12).child(1).generator()
         won, d2 = scan_fresh_codebooks(gen, hq, bits)
-        d2_ref, _, ts, tw = _stats_scan(ref, m, n, bits, trials)
+        d2_ref, _, b11, b21 = _angle_scan(ref, m, n, bits, trials)
         assert np.abs(d2 - d2_ref).max() <= 1e-12
         us = orthonormalize(gaussian_matrix(ref, n, n, batch=(trials,)))
         z = gaussian_matrix(ref, m, n, batch=(trials,))
         for t in range(trials):
             uw = orthonormalize(z[t] - hq[t] @ (hq[t].conj().T @ z[t]))
-            want = orthonormalize(hq[t] @ us[t] @ ts[t] + uw @ tw[t])
+            want = orthonormalize(hq[t] @ us[t] @ b11[t] + uw @ b21[t])
             assert np.abs(won[t] - want).max() <= 1e-12
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
 
@@ -486,11 +487,11 @@ class TestScanFreshCodebooks:
 
     @pytest.mark.parametrize("m,n,bits", [(4, 2, 4), (6, 3, 2), (4, 2, 8)])
     def test_winner_span_matches_explicit_codebooks(self, m, n, bits):
-        """T_w's real superdiagonal is a gauge that moves no winner span:
-        for the same channels, two-sample KS p >= 0.01 against the winners
-        of explicit Gaussian codebooks for ||hq[:, 0]^H Q||^2 and
-        ||x^H Q||^2, x a fixed unit vector projected off hq. Both see the
-        principal vectors, not only the angles."""
+        """Winners built from their Jacobi-model blocks have the span law
+        of explicit winners: for the same channels, two-sample KS p >= 0.01
+        against the winners of explicit Gaussian codebooks for
+        ||hq[:, 0]^H Q||^2 and ||x^H Q||^2, x a fixed unit vector projected
+        off hq. Both see the principal vectors, not only the angles."""
         count = 3000
         seed = RngStream(26).child(m, n, bits)
         hq = isotropic_frame(seed.child(0), m, n, batch=(count,))
@@ -546,6 +547,44 @@ class TestScanFreshCodebooks:
         assert np.array_equal(gens[0].standard_normal(8), gens[1].standard_normal(8))
 
 
+class TestJacobiModel:
+    """The beta = 2 Jacobi model the scan draws its entries from."""
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 2)])
+    def test_angle_law_matches_explicit_frames(self, m, n):
+        """The eigenvalues of B11^T B11 are an entry's cos^2 of principal
+        angles: for model rows drawn by a one-entry scan, the min and max
+        eigenvalue match, by two-sample KS p >= 0.01, the least and largest
+        squared singular value of hq^H Q for explicit isotropic frames.
+        (4, 2) and (6, 3) have b = m - 2n = 0, (8, 2) has b = 4."""
+        count = 5000
+        seed = RngStream(27).child(m, n)
+        rows = grassmann._scan_stats(seed.generator(), m, n, 0, count, winners=True)[1]
+        b11 = grassmann._jacobi_blocks(rows)[0]
+        model = np.linalg.eigvalsh(np.swapaxes(b11, 1, 2) @ b11)
+        hq, q = (isotropic_frame(seed.child(k), m, n, batch=(count,)) for k in (1, 2))
+        explicit = np.sort(np.linalg.svd(np.swapaxes(hq.conj(), 1, 2) @ q, compute_uv=False) ** 2, axis=1)
+        for k in (0, -1):
+            assert _ks_2samp(model[:, k], explicit[:, k])[1] >= 0.01
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_score_is_b21_norm(self, n):
+        """_angle_d2 of any non-negative rows is ||B21||_F^2 of the blocks
+        the winner builder makes from them. For rows with cos^2 + sin^2 = 1
+        the columns of [B11; B21] are orthonormal, so it is also
+        n - ||B11||_F^2."""
+        rng = np.random.default_rng(28 + n)
+        rows = rng.uniform(0.0, 2.0, size=(2, 2 * n - 1, 200))
+        assert np.abs(grassmann._angle_d2(rows)
+                      - np.sum(grassmann._jacobi_blocks(rows)[1] ** 2, axis=(1, 2))).max() <= 1e-13
+        cos2 = rng.uniform(size=(2 * n - 1, 200))
+        rows = np.stack([cos2, 1.0 - cos2])
+        b11, b21 = grassmann._jacobi_blocks(rows)
+        stacked = np.concatenate([b11, b21], axis=1)
+        assert np.abs(np.swapaxes(stacked, 1, 2) @ stacked - np.eye(n)).max() <= 1e-14
+        assert np.abs(grassmann._angle_d2(rows) - (n - np.sum(b11 ** 2, axis=(1, 2)))).max() <= 1e-14
+
+
 class _EditedGenerator(np.random.Generator):
     """Generator on the engine's bit generator whose
     standard_exponential(out=...) calls pass each filled buffer and the
@@ -565,7 +604,7 @@ class _EditedGenerator(np.random.Generator):
 
 class TestStreamedScan:
     """scan_fresh_codebooks draws and scores one block of trials at a time,
-    from each entry's statistics, then builds the winners."""
+    from each entry's Jacobi-model angles, then builds the winners."""
 
     @pytest.mark.parametrize("m,n,bits,count", [
         (4, 2, 8, 250),
@@ -577,7 +616,7 @@ class TestStreamedScan:
     ])
     def test_matches_per_block_draw(self, m, n, bits, count):
         """Over several blocks, the last one partial, d^2 and the stream
-        position equal the entry-by-entry statistics scan. One-entry
+        position equal the entry-by-entry angle scan. One-entry
         codebooks, over as many trials as several blocks would hold, are
         one isotropic_frame draw, bit for bit, scored by the chordal
         distance."""
@@ -593,27 +632,28 @@ class TestStreamedScan:
             for i in range(count):
                 assert abs(d2[i] - chordal_distance_sq(hq[i], won[i])) <= 1e-15
         else:
-            assert np.abs(d2 - _stats_scan(ref, m, n, bits, count)[0]).max() <= 1e-12
+            assert np.abs(d2 - _angle_scan(ref, m, n, bits, count)[0]).max() <= 1e-12
             gaussian_matrix(ref, n, n, batch=(count,))
             gaussian_matrix(ref, m, n, batch=(count,))
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
-        # distortion_samples draws the statistics alone, one-entry codebooks too
+        # distortion_samples draws the angles alone, one-entry codebooks too
         gen, ref = seed.generator(), seed.generator()
         d2 = distortion_samples(gen, m, n, bits, count)
-        assert np.abs(d2 - _stats_scan(ref, m, n, bits, count)[0]).max() <= 1e-12
+        assert np.abs(d2 - _angle_scan(ref, m, n, bits, count)[0]).max() <= 1e-12
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
 
     def test_rank_deficient_in_later_block_raises(self):
-        """Zero squared diagonals in the first column of one entry's T_s and
-        T_w, in the third block, give a zero pivot: the scan raises
-        RankDeficient and builds no winner. At (4, 2) each block draws 7
-        exponentials: 2 + 1 for T_s's diagonal, 2 + 1 for T_w's, then 1 for
-        T_w's superdiagonal, and each Gamma(2) of the first column is zeroed
-        in both its draws."""
+        """A zero Gamma sum for one entry, in the third block, raises
+        RankDeficient and builds no winner. At (4, 2), b = m - 2n = 0, so
+        the laws are c_1^2 ~ Beta(1, 1), c_2^2 ~ Beta(2, 2) and
+        c'_1^2 ~ Beta(1, 2), and each block draws 1 + 1, 2 + 2 and 1 + 2
+        exponential fills for their G_p and G_q: 9 fills. Fills 18 and 19,
+        the first two of block 2, are c_1^2's G_p and G_q; both are zeroed
+        at entry 7."""
         m, n, bits = 4, 2, 4
         block = grassmann._scan_block(2 ** bits, m, n)
         count = 3 * block + 5
-        target = {14, 15, 17, 18}  # i = 0 of T_s and T_w in block 2
+        target = {18, 19}  # c_1^2's G_p and G_q in block 2
 
         def edit(out, call):
             if call in target:
@@ -627,9 +667,11 @@ class TestStreamedScan:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_statistic_raises(self, value):
-        """A non-finite squared diagonal gives a non-finite pivot. At (6, 3)
-        T_s's diagonal takes exponential draws 0-5 and T_w's 6-11; draw 11
-        is the single exponential of T_w's last diagonal entry."""
+        """A non-finite Gamma variate gives a non-finite Gamma sum. At
+        (6, 3), b = 0, so c_1^2 ~ Beta(1, 1) takes exponential fills 0-1,
+        c_2^2 ~ Beta(2, 2) fills 2-5 and c_3^2 ~ Beta(3, 3) fills 6-8 for its
+        G_p and 9-11 for its G_q: fill 11 is the last one added into c_3^2's
+        G_q."""
         m, n, bits = 6, 3, 2
 
         def edit(out, call):
