@@ -13,12 +13,17 @@ beta-Jacobi matrix model, the CS decomposition, and generalized singular
 value problems", Found. Comput. Math. 2008), with a = 0 and b = M - 2N,
 gives them exactly from 2N - 1 independent Beta variates:
 c_i^2 ~ Beta(i, M - 2N + i) for i = 1..N and
-c'_i^2 ~ Beta(i, M - 2N + 1 + i) for i = 1..N-1, each drawn as
-G_p / (G_p + G_q) from two Gamma variates (sums of exponentials at shape
-<= 3). An entry's d^2 is ||B21||_F^2 of the model's bidiagonal blocks,
-s_N^2 + sum_{i<N} (s_i^2 s'_i^2 + c_{i+1}^2 c'_i^2), a sum of positive
-terms over (E,) rows of the block's entries. Only each trial's winner
-becomes a frame, orth(hq U_s B11 + U_w B21), U_s and U_w drawn after the
+c'_i^2 ~ Beta(i, M - 2N + 1 + i) for i = 1..N-1. The two laws with p = 1
+(the only one at N = 1) take one uniform V on (0, 1] each, with
+s^2 = V^(1/q) and c^2 = -expm1(log(V) / q); the others are
+G_p / (G_p + G_q) from two Gamma variates, each -log of a product of
+that many uniforms at shape <= 3 (Devroye, Non-Uniform Random Variate
+Generation, 1986). An entry's d^2 is ||B21||_F^2 of the model's
+bidiagonal blocks, s_N^2 + sum_{i<N} (s_i^2 s'_i^2 + c_{i+1}^2 c'_i^2), a
+sum of positive terms over (E,) rows of the block's entries. At M=4, N=2
+an entry costs 6 uniforms, 4 logs and 3 exponentials; at N = 1 its d^2
+is s_1^2, one uniform, a log and an exp. Only each trial's winner becomes
+a frame, orth(hq U_s B11 + U_w B21), U_s and U_w drawn after the
 scan. A one-entry codebook is its own winner: the scan draws it as one
 :func:`~grassfeed.ensembles.isotropic_frame` stack, with nothing to score.
 """
@@ -61,15 +66,15 @@ __all__ = [
 
 # complex elements (2^B entries times M w, w the frame width) a codebook may
 # hold: 256 MiB of entries. A scan of one such codebook per trial holds
-# 2(2w - 1) Gamma rows of 2^B doubles, the first law's sum, a spare row
-# and, past w = 1, two scoring rows and the previous block's scores: it
-# peaks at 4 rows of 2^23 doubles, 256 MiB, at M=2, N=1, B=23 and at 11
-# rows of 2^21, 176 MiB, at M=4, N=2, B=21 (traced at B=14 and 16 and
-# scaled)
+# two rows of 2^B doubles per Beta law, 2(2w - 1), and past w = 1 a spare
+# row and a score row, whatever its number of blocks: it peaks at 2 rows
+# of 2^23 doubles, 128 MiB, at M=2, N=1, B=23 and at 8 rows of 2^21,
+# 128 MiB, at M=4, N=2, B=21 (traced with tracemalloc at B=16 and 14, one
+# and two blocks, and scaled)
 _CAP_BITS = 24
 CODEBOOK_ENTRY_CAP = 2 ** _CAP_BITS
 # complex codebook elements per scored block: a scan block holds the
-# Gamma rows of that many elements' worth of entries, at most 1 MiB of
+# Beta-law rows of that many elements' worth of entries, at most 1 MiB of
 # reals, and its scoring temporaries. Each block draws all its rows
 # before the next, so this size fixes how a multi-block scan consumes the
 # random stream, as CHUNK_TRIALS does for the engine: changing it changes
@@ -348,32 +353,49 @@ def _beta_shapes(m, n):
     return [(i, b + i) for i in range(1, n + 1)] + [(i, b + 1 + i) for i in range(1, n)]
 
 
+def _uniform(gen, out):
+    """V = 1 - U into ``out`` from one uniform fill U on [0, 1): on (0, 1],
+    exactly, for numpy's 53-bit doubles."""
+    gen.random(out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _check_unit(v):
+    """``v``, once each entry lies in (0, 1]; else RankDeficient."""
+    # min and max propagate NaN, which fails both comparisons
+    if not (v.min() > 0 and v.max() <= 1):
+        raise RankDeficient("a codebook entry's Beta draw has a product of uniforms outside (0, 1]")
+    return v
+
+
 def _gamma(gen, k, out, spare):
-    """Gamma(k) variates into ``out``: the sum of k standard_exponential
-    fills (the later ones through the row ``spare``) for k <= 3, else
-    standard_gamma(k)."""
+    """Gamma(k) variates into ``out``: -log of the product of k uniforms
+    V on (0, 1] (:func:`_uniform`, the later ones through the row
+    ``spare``) for k <= 3, else standard_gamma(k). Raises RankDeficient
+    where the product is not in (0, 1], as a NaN or inf fill makes it."""
     if k > 3:
         return gen.standard_gamma(k, out=out)
-    gen.standard_exponential(out=out)
+    _uniform(gen, out)
     for _ in range(k - 1):
-        out += gen.standard_exponential(out=spare)
-    return out
+        out *= _uniform(gen, spare)
+    return np.negative(np.log(_check_unit(out), out=out), out=out)
 
 
-def _angle_d2(rows):
+def _angle_d2(rows, out, tmp):
     """d^2 = ||B21||_F^2 = s_N^2 + sum_{i<N} (s_i^2 s'_i^2 + c_{i+1}^2 c'_i^2)
-    of (2, 2N - 1, ...) (cos^2, sin^2) rows in :func:`_beta_shapes` order,
-    a sum of positive terms. It reads every row but c_1^2; at N = 1 it is
-    the row s_1^2 itself."""
+    of (2, 2N - 1, E) (cos^2, sin^2) rows in :func:`_beta_shapes` order,
+    a sum of positive terms, into the (E,) row ``out`` with ``tmp`` as
+    scratch. It reads every row but c_1^2; at N = 1 it is the row s_1^2
+    itself, and neither ``out`` nor ``tmp`` is written."""
     c2, s2 = rows
     n = (len(s2) + 1) // 2
     if n == 1:
         return s2[0]
-    d2, tmp = s2[n - 1].copy(), np.empty_like(s2[0])
+    np.copyto(out, s2[n - 1])
     for i in range(n - 1):
-        d2 += np.multiply(s2[i], s2[n + i], out=tmp)
-        d2 += np.multiply(c2[i + 1], c2[n + i], out=tmp)
-    return d2
+        out += np.multiply(s2[i], s2[n + i], out=tmp)
+        out += np.multiply(c2[i + 1], c2[n + i], out=tmp)
+    return out
 
 
 def _jacobi_blocks(rows):
@@ -400,41 +422,58 @@ def _scan_stats(gen, m, n, bits, count, winners=False):
     """Scan count trials, each against its own fresh 2^bits-entry codebook,
     from the entries' principal angles alone, one :func:`_scan_block` block
     of trials at a time. For each Beta law in :func:`_beta_shapes` order a
-    block draws a Gamma(p) row G_p and then a Gamma(q) row G_q over its
-    entries (:func:`_gamma`) and forms sin^2 = G_q / (G_p + G_q) and, past
-    the first law, cos^2 = G_p / (G_p + G_q), so no 1 - cos^2 cancels; each
-    entry is scored by :func:`_angle_d2`. Raises RankDeficient where a
-    G_p + G_q is zero or not finite. Returns the (count,) minimum d^2 and,
-    with ``winners``, the (2, 2n - 1, count) (cos^2, sin^2) rows of each
-    trial's winner (else None)."""
+    block draws over its entries:
+    - at p = 1, one uniform row V (:func:`_uniform`) and sets
+      l = log(V) / q, sin^2 = exp(l), whose law is Beta(q, 1), and
+      cos^2 = -expm1(l), so no 1 - sin^2 cancels. The first law keeps l
+      in place of cos^2, which the score does not read, and only its
+      winners get cos^2 = -expm1(l);
+    - else a Gamma(p) row G_p and then a Gamma(q) row G_q (:func:`_gamma`)
+      and sets sin^2 = G_q / (G_p + G_q) and cos^2 = G_p / (G_p + G_q).
+    Each entry is scored by :func:`_angle_d2`. Raises RankDeficient where
+    a uniform lies outside (0, 1] or a G_p + G_q is zero or not finite.
+    Returns the (count,) minimum d^2 and, with ``winners``, the
+    (2, 2n - 1, count) (cos^2, sin^2) rows of each trial's winner (else
+    None)."""
     size = _codebook_size(bits, m, n)
     block = _scan_block(size, m, n)
     shapes = _beta_shapes(m, n)
     e = min(block, count) * size
-    work, first, spare = np.empty((2, len(shapes), e)), np.empty(e), np.empty(e)
+    work = np.empty((2, len(shapes), e))
+    # past N = 1, Gamma rows take a spare row and the score its own row;
+    # at N = 1 the score is the sin^2 row and both are empty
+    spare, score = np.empty((2, e if n > 1 else 0))
     d2 = np.empty(count)
     rows = np.empty((2, len(shapes), count)) if winners else None
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        g, sp = work[..., : (hi - lo) * size], spare[: (hi - lo) * size]
+        eb = (hi - lo) * size
+        g = work[..., :eb]
         for j, (p, q) in enumerate(shapes):
-            _gamma(gen, p, g[0, j], sp)
-            _gamma(gen, q, g[1, j], sp)
-            # the first law's sum is kept for the winners' c_1^2
-            tot = np.add(g[0, j], g[1, j], out=sp if j else first[: sp.size])
+            c2, s2 = g[:, j]
+            if p == 1:
+                ell = np.log(_check_unit(_uniform(gen, c2)), out=c2)
+                ell /= q
+                np.exp(ell, out=s2)
+                if j:
+                    np.negative(np.expm1(ell, out=c2), out=c2)
+                continue
+            _gamma(gen, p, c2, spare[:eb])
+            _gamma(gen, q, s2, spare[:eb])
+            tot = np.add(c2, s2, out=spare[:eb])
             # min and max propagate NaN, which fails both comparisons
             if not (tot.min() > 0 and tot.max() < np.inf):
                 raise RankDeficient("a codebook entry's Beta draw has a zero or non-finite Gamma sum")
-            g[1, j] /= tot
-            if j:
-                g[0, j] /= tot
-        scores = _angle_d2(g).reshape(hi - lo, size)
+            s2 /= tot
+            c2 /= tot
+        scores = _angle_d2(g, score[:eb], spare[:eb]).reshape(hi - lo, size)
         idx = np.argmin(scores, axis=1)
         d2[lo:hi] = scores[np.arange(hi - lo), idx]
         if winners:
             won = np.arange(hi - lo) * size + idx
             rows[:, :, lo:hi] = g[:, :, won]
-            rows[0, 0, lo:hi] /= first[won]
+            c1 = rows[0, 0, lo:hi]
+            np.negative(np.expm1(c1, out=c1), out=c1)
     return d2, rows
 
 
@@ -457,7 +496,7 @@ def scan_fresh_codebooks(gen, hq, bits):
     Each entry is drawn as the 2N - 1 Beta variates of the beta = 2 Jacobi
     model of its principal angles to the channel (see the module
     docstring) and scored from them (:func:`_scan_stats`), in blocks of
-    :func:`_scan_block` trials, so the scan holds one block's Gamma rows and
+    :func:`_scan_block` trials, so the scan holds one block's law rows and
     scoring temporaries whatever T is. After the last block the T winners
     alone are built from their (cos^2, sin^2) rows
     (:func:`_frames_from_stats`), drawn from ``gen``. A one-entry codebook

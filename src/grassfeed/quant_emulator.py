@@ -44,7 +44,6 @@ from .grassmann import GrassmannConstants, _check_frames
 from .linalg import add_product, cholesky_upper_batch, gram_rows, project_off, sumsq, thin_qr_batch
 
 __all__ = [
-    "DEFAULT_GUARD_PRODUCT",
     "QuantDecomposition",
     "decompose",
     "sample_min_d2",

@@ -80,7 +80,7 @@ def test_finite_rates_or_library_error(case):
 _INTERNAL = {
     grassmann: ["scan_fresh_codebooks"],
     linalg: ["ORTHO_TOL", "RANK_FLOOR"],
-    quant_emulator: ["CondEigSampler", "emulate_batch", "emulation_valid"],
+    quant_emulator: ["CondEigSampler", "DEFAULT_GUARD_PRODUCT", "emulate_batch", "emulation_valid"],
     simulator: ["CHUNK_TRIALS"],
 }
 

@@ -32,7 +32,7 @@ GOLDEN = {
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
-        "2d1f12bee310ba51eab3d03f91cd75baacb6bbf1d90c2a592a6079147e2acdab",
+        "17190c6031462c98b6108fa9bdfe78c95101b6027f49ebbbe7bd43a956777ed2",
     ),
     "analog": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="analog", beta=2.0)),

@@ -402,18 +402,21 @@ def _per_block_scan(gen, m, n, bits, count, hq=None):
 
 
 def _gamma(gen, k, e):
-    """e Gamma(k) variates as the scan draws them: a sum of k
-    exponentials for k <= 3, else standard_gamma(k)."""
-    return gen.standard_gamma(k, size=e) if k > 3 else sum(gen.standard_exponential(size=e) for _ in range(k))
+    """e Gamma(k) variates as the scan draws them: -log of the product of k
+    uniform rows 1 - U on (0, 1] for k <= 3, else standard_gamma(k)."""
+    if k > 3:
+        return gen.standard_gamma(k, size=e)
+    return -np.log(np.prod([1.0 - gen.random(e) for _ in range(k)], axis=0))
 
 
 def _angle_scan(gen, m, n, bits, count):
     """(d2, idx, b11, b21) of the angle scan, entry by entry with numpy:
     each block draws, for c_i^2 ~ Beta(i, m - 2n + i), i = 1..n, and then
-    c'_i^2 ~ Beta(i, m - 2n + 1 + i), i = 1..n-1, a Gamma(p) and then a
-    Gamma(q) row over its entries; it builds each entry's bidiagonal blocks
-    B11 and B21 of the beta = 2 Jacobi model element by element and scores
-    it as n - ||B11||_F^2."""
+    c'_i^2 ~ Beta(i, m - 2n + 1 + i), i = 1..n-1, over its entries either
+    one uniform row U at p = 1, with sin^2 = (1 - U)^(1/q) and
+    cos^2 = 1 - sin^2, or a Gamma(p) and then a Gamma(q) row; it builds each
+    entry's bidiagonal blocks B11 and B21 of the beta = 2 Jacobi model
+    element by element and scores it as n - ||B11||_F^2."""
     size = 2 ** bits
     block = grassmann._scan_block(size, m, n)
     d2, idx = np.empty(count), np.empty(count, dtype=np.int64)
@@ -424,9 +427,13 @@ def _angle_scan(gen, m, n, bits, count):
         e = (hi - lo) * size
         cos2, sin2 = [], []
         for p, q in laws:
-            gp, gq = _gamma(gen, p, e), _gamma(gen, q, e)
-            cos2.append(gp / (gp + gq))
-            sin2.append(gq / (gp + gq))
+            if p == 1:
+                sin2.append((1.0 - gen.random(e)) ** (1.0 / q))
+                cos2.append(1.0 - sin2[-1])
+            else:
+                gp, gq = _gamma(gen, p, e), _gamma(gen, q, e)
+                cos2.append(gp / (gp + gq))
+                sin2.append(gq / (gp + gq))
         # c[i - 1] = c_i and cp[i - 1] = c'_i, 1-based as in the model
         c, s, cp, sp = (np.sqrt(x) for x in (cos2[:n], sin2[:n], cos2[n:], sin2[n:]))
         e11, e21 = np.zeros((e, n, n)), np.zeros((e, n, n))
@@ -574,29 +581,32 @@ class TestJacobiModel:
         the columns of [B11; B21] are orthonormal, so it is also
         n - ||B11||_F^2."""
         rng = np.random.default_rng(28 + n)
+
+        def score(rows):
+            return grassmann._angle_d2(rows, np.empty(200), np.empty(200))
+
         rows = rng.uniform(0.0, 2.0, size=(2, 2 * n - 1, 200))
-        assert np.abs(grassmann._angle_d2(rows)
+        assert np.abs(score(rows)
                       - np.sum(grassmann._jacobi_blocks(rows)[1] ** 2, axis=(1, 2))).max() <= 1e-13
         cos2 = rng.uniform(size=(2 * n - 1, 200))
         rows = np.stack([cos2, 1.0 - cos2])
         b11, b21 = grassmann._jacobi_blocks(rows)
         stacked = np.concatenate([b11, b21], axis=1)
         assert np.abs(np.swapaxes(stacked, 1, 2) @ stacked - np.eye(n)).max() <= 1e-14
-        assert np.abs(grassmann._angle_d2(rows) - (n - np.sum(b11 ** 2, axis=(1, 2)))).max() <= 1e-14
+        assert np.abs(score(rows) - (n - np.sum(b11 ** 2, axis=(1, 2)))).max() <= 1e-14
 
 
 class _EditedGenerator(np.random.Generator):
-    """Generator on the engine's bit generator whose
-    standard_exponential(out=...) calls pass each filled buffer and the
-    call's ordinal to edit(out, call)."""
+    """Generator on the engine's bit generator whose random(out=...) calls
+    pass each filled buffer and the call's ordinal to edit(out, call)."""
 
     def __init__(self, seed, edit):
         super().__init__(ensembles._BIT_GENERATOR(seed))
         self.edit = edit
         self.calls = 0
 
-    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
-        res = super().standard_exponential(size, dtype, method, out)
+    def random(self, size=None, dtype=np.float64, out=None):
+        res = super().random(size, dtype, out)
         self.edit(res, self.calls)
         self.calls += 1
         return res
@@ -612,6 +622,7 @@ class TestStreamedScan:
         (2, 1, 8, 1100),
         (6, 3, 4, 1300),
         (6, 3, 7, 130),
+        (8, 2, 6, 300),
         (4, 2, 0, 41000),
     ])
     def test_matches_per_block_draw(self, m, n, bits, count):
@@ -646,14 +657,14 @@ class TestStreamedScan:
         """A zero Gamma sum for one entry, in the third block, raises
         RankDeficient and builds no winner. At (4, 2), b = m - 2n = 0, so
         the laws are c_1^2 ~ Beta(1, 1), c_2^2 ~ Beta(2, 2) and
-        c'_1^2 ~ Beta(1, 2), and each block draws 1 + 1, 2 + 2 and 1 + 2
-        exponential fills for their G_p and G_q: 9 fills. Fills 18 and 19,
-        the first two of block 2, are c_1^2's G_p and G_q; both are zeroed
-        at entry 7."""
+        c'_1^2 ~ Beta(1, 2), and each block draws 1, 2 + 2 and 1 uniform
+        fills for them: 6 fills. Fills 13-16, the second to fifth of block
+        2, are c_2^2's G_p and G_q; a zero uniform in all four makes both
+        -log(1) = 0 at entry 7."""
         m, n, bits = 4, 2, 4
         block = grassmann._scan_block(2 ** bits, m, n)
         count = 3 * block + 5
-        target = {18, 19}  # c_1^2's G_p and G_q in block 2
+        target = {13, 14, 15, 16}  # c_2^2's G_p and G_q in block 2
 
         def edit(out, call):
             if call in target:
@@ -667,19 +678,54 @@ class TestStreamedScan:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_statistic_raises(self, value):
-        """A non-finite Gamma variate gives a non-finite Gamma sum. At
-        (6, 3), b = 0, so c_1^2 ~ Beta(1, 1) takes exponential fills 0-1,
-        c_2^2 ~ Beta(2, 2) fills 2-5 and c_3^2 ~ Beta(3, 3) fills 6-8 for its
-        G_p and 9-11 for its G_q: fill 11 is the last one added into c_3^2's
-        G_q."""
+        """A non-finite uniform in a Gamma row makes its product leave
+        (0, 1]. At (6, 3), b = 0, so c_1^2 ~ Beta(1, 1) takes uniform fill
+        0, c_2^2 ~ Beta(2, 2) fills 1-4, c_3^2 ~ Beta(3, 3) fills 5-7 for
+        its G_p and 8-10 for its G_q, and c'_1^2 ~ Beta(1, 2) fill 11: fill
+        10 is the last one multiplied into c_3^2's G_q."""
         m, n, bits = 6, 3, 2
 
         def edit(out, call):
-            if call == 11:
+            if call == 10:
                 out[3] = value
 
         with pytest.raises(RankDeficient):
             distortion_samples(_EditedGenerator(16, edit), m, n, bits, 40)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("target", [0, 11])
+    def test_non_finite_p1_uniform_raises(self, target, value):
+        """A non-finite fill in the one uniform row of a p = 1 law raises
+        RankDeficient: at (6, 3), fill 0 is c_1^2's and fill 11 c'_1^2's
+        (see test_non_finite_statistic_raises)."""
+        m, n, bits = 6, 3, 2
+
+        def edit(out, call):
+            if call == target:
+                out[3] = value
+
+        with pytest.raises(RankDeficient):
+            distortion_samples(_EditedGenerator(16, edit), m, n, bits, 40)
+
+    @pytest.mark.parametrize("q", [1, 2, 6])
+    def test_p1_cos2_keeps_relative_accuracy(self, q):
+        """A p = 1 law's cos^2 = -expm1(log(V) / q) keeps its relative
+        accuracy where sin^2 = V^(1/q) is within 2^-30 of 1, where
+        1 - sin^2 would lose about 30 bits. At N = 1 the law is
+        Beta(1, M - 1), so M = q + 1; each one-entry trial's uniform
+        u = 1 - V is set by hand, and the winner's cos^2 must match the
+        series u/q + (q - 1) u^2 / (2 q^2) to 1e-15 relative (the next term
+        is below u^2 / 3 of it, under 1e-17)."""
+        u = np.unique(np.round(np.geomspace(1.0, q * 2.0 ** 22, 200))) * 2.0 ** -53
+
+        def edit(out, call):
+            out[:] = u
+
+        rows = grassmann._scan_stats(_EditedGenerator(17, edit), q + 1, 1, 0, u.size, winners=True)[1]
+        c2, s2 = rows[:, 0]
+        assert np.all(1.0 - s2 <= 2.0 ** -30)
+        want = u / q + (q - 1) * u * u / (2 * q * q)
+        assert np.abs(c2 / want - 1.0).max() <= 1e-15
 
 
 def _traced_peak(fn):
@@ -720,3 +766,14 @@ class TestScanMemory:
             _traced_peak(lambda: _per_block_scan(RngStream(19).generator(), m, n, 0, count, hq)),
         ]
         assert peaks[0] <= peaks[1] + 4096
+
+    def test_two_block_peak_no_higher(self):
+        """A scan of two full blocks holds one block's rows at a time: the
+        second block reuses the first one's draw, spare and score rows, so
+        it peaks no higher than a one-block scan. The 4 KB of slack is for
+        Python objects and the longer d^2 result alone."""
+        m, n, bits = 4, 2, 8
+        block = grassmann._scan_block(2 ** bits, m, n)
+        distortion_samples(RngStream(20), m, n, bits, 2 * block)
+        one, two = (_traced_peak(lambda: distortion_samples(RngStream(20), m, n, bits, k * block)) for k in (1, 2))
+        assert two <= one + 4096
