@@ -41,8 +41,8 @@ class RngStream:
     seed : int
         Root seed, any nonnegative integer.
     stream : tuple of int
-        Spawn path distinguishing this stream from siblings. The empty
-        tuple is the root stream.
+        Spawn path distinguishing this stream from siblings, each entry a
+        nonnegative integer. The empty tuple is the root stream.
     """
 
     seed: int
@@ -50,6 +50,10 @@ class RngStream:
 
     def __post_init__(self):
         _check_count("seed", self.seed)
+        if not isinstance(self.stream, tuple):
+            raise ParameterError(f"stream must be a tuple of counts, got {self.stream!r}")
+        for key in self.stream:
+            _check_count("stream entry", key)
         object.__setattr__(self, "stream", tuple(int(s) for s in self.stream))
 
     def generator(self):

@@ -431,20 +431,24 @@ def _scan_stats(gen, m, n, bits, count, winners=False):
     - else a Gamma(p) row G_p and then a Gamma(q) row G_q (:func:`_gamma`)
       and sets sin^2 = G_q / (G_p + G_q) and cos^2 = G_p / (G_p + G_q).
     Each entry is scored by :func:`_angle_d2`. Raises RankDeficient where
-    a uniform lies outside (0, 1] or a G_p + G_q is zero or not finite.
+    a uniform lies outside (0, 1] or a G_p + G_q is zero or not finite,
+    and MemoryGuard where numpy refuses the count-long results.
     Returns the (count,) minimum d^2 and, with ``winners``, the
     (2, 2n - 1, count) (cos^2, sin^2) rows of each trial's winner (else
     None)."""
     size = _codebook_size(bits, m, n)
     block = _scan_block(size, m, n)
     shapes = _beta_shapes(m, n)
+    try:
+        d2 = np.empty(count)
+        rows = np.empty((2, len(shapes), count)) if winners else None
+    except (MemoryError, ValueError) as exc:
+        raise MemoryGuard(f"cannot allocate the results of {count} scans: {exc}") from exc
     e = min(block, count) * size
     work = np.empty((2, len(shapes), e))
     # past N = 1, Gamma rows take a spare row and the score its own row;
     # at N = 1 the score is the sin^2 row and both are empty
     spare, score = np.empty((2, e if n > 1 else 0))
-    d2 = np.empty(count)
-    rows = np.empty((2, len(shapes), count)) if winners else None
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         eb = (hi - lo) * size
@@ -520,7 +524,8 @@ def distortion_samples(rng, m, n, bits, trials):
     each trial's minimum comes from its entries' Jacobi-model angles alone,
     as :func:`scan_fresh_codebooks` scores them (one-entry codebooks too).
     Memory stays that of one scan block; results come in trial order and
-    are deterministic for a fixed (rng, trials) pair.
+    are deterministic for a fixed (rng, trials) pair. A trial count whose
+    results numpy refuses raises MemoryGuard.
     """
     _check_shape(m, n)
     _check_count("trials", trials, 1)

@@ -184,15 +184,12 @@ class AnalogObservation:
     """Unquantized feedback of one user's channel.
 
     received = sqrt(beta P) H + W with unit-variance complex Gaussian W;
-    estimate is the MMSE reconstruction sqrt(beta P)/(1 + beta P) received;
-    residual F = sqrt(1 + beta P) (H - estimate) has unit-variance entries,
-    exposed for the moment tests.
+    estimate is the MMSE reconstruction sqrt(beta P)/(1 + beta P) received.
     """
 
     beta: float
     received: np.ndarray
     estimate: np.ndarray
-    residual: np.ndarray
 
 
 def analog_feedback(rng, cfg, h_k, beta):
@@ -208,8 +205,7 @@ def analog_feedback(rng, cfg, h_k, beta):
     if not np.isfinite(h_k).all():
         raise ParameterError("channel has a non-finite entry")
     received, estimate = analog_feedback_batch(gaussian_matrix(rng, cfg.m, cfg.n), h_k, snr)
-    residual = math.sqrt(1.0 + snr) * (h_k - estimate)
-    return AnalogObservation(beta=float(beta), received=received, estimate=estimate, residual=residual)
+    return AnalogObservation(beta=float(beta), received=received, estimate=estimate)
 
 
 def analog_feedback_batch(noise, h, snr):

@@ -34,6 +34,8 @@ from .errors import (
     DimensionError,
     DomainError,
     FallbackRequired,
+    MemoryGuard,
+    ParameterError,
     RankDeficient,
     _as_array,
     _check_count,
@@ -157,11 +159,17 @@ def emulation_valid(gc, bits, guard_product):
 
     :func:`sample_min_d2` decides by it; the engine asks it once per point,
     at DEFAULT_GUARD_PRODUCT, for both the mode and the leakage mean.
-    Raises ParameterError unless bits is an integer >= 0 and guard_product
-    is finite and positive.
+    Raises ParameterError unless bits is an integer >= 0 that a float can
+    hold (below about 2^1024) and guard_product is finite and positive.
     """
     _check_count("bits", bits)
     _check_real("guard_product", guard_product, low=0)
+    try:
+        bits = float(bits)
+    except OverflowError as exc:
+        raise ParameterError(
+            f"bits must fit in a float, below about 2^1024, got 2^{bits.bit_length() - 1} or more"
+        ) from exc
     return bits + gc.log2_c >= math.log2(guard_product)
 
 
@@ -182,6 +190,8 @@ def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None)
     ------
     FallbackRequired
         If the guard fails; callers should run the exhaustive scan instead.
+    MemoryGuard
+        If numpy refuses ``size`` draws.
     """
     _check_type("gc", gc, GrassmannConstants)
     _check_count("size", 0 if size is None else size)
@@ -191,7 +201,10 @@ def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None)
             "use the exhaustive codebook path"
         )
     gen = as_generator(rng)
-    uni = gen.random(size)
+    try:
+        uni = gen.random(size)
+    except (MemoryError, ValueError) as exc:
+        raise MemoryGuard(f"cannot allocate {size} min-d^2 draws: {exc}") from exc
     uni = np.clip(uni, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
     x = _min_d2_from_uniform(gc, bits, uni)
     return float(x) if size is None else x

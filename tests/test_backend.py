@@ -9,7 +9,6 @@ the engine's fresh-codebook scan is checked against explicit codebooks in
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -84,16 +83,6 @@ def test_thin_qr_rank_floor_edge(factor, ok):
             thin_qr_batch(a[np.newaxis])
 
 
-def test_orthonormalize_inf_is_rank_deficient():
-    rng = np.random.default_rng(29)
-    a = _gauss(rng, 8, 6, 2)
-    a[5, 2, 1] = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(RankDeficient):
-            orthonormalize(a)
-
-
 def test_orthonormalize_high_rank_batch_shape():
     rng = np.random.default_rng(22)
     a = _gauss(rng, 3, 5, 4, 2)
@@ -101,12 +90,6 @@ def test_orthonormalize_high_rank_batch_shape():
     assert q.shape == a.shape
     gram = np.einsum("...mi,...mj->...ij", q.conj(), q)
     assert np.abs(gram - np.eye(2)).max() <= 1e-10
-
-
-def test_orthonormalize_rank_deficient():
-    a = np.ones((4, 4, 2), dtype=complex)
-    with pytest.raises(RankDeficient):
-        orthonormalize(a)
 
 
 def test_scan_frames_brute_force_oracle():

@@ -245,6 +245,12 @@ class TestSimulateCommand:
             ("mode = perfect", "mode = quantized_exhaustive\nB = 4\nbits_table = 0:3"),
             ("mode = perfect", "mode = analog\nbeta = 2\nschedule = scaled_3db"),
             ("mode = perfect", "mode = perfect\nschedule = custom\nbits_table = 0:3"),
+            # B = 10^400 has no float for the emulation guard to compare
+            pytest.param("mode = perfect", f"mode = quantized_emulated\nB = 1{'0' * 400}",
+                         id="emulated-budget-past-float-range"),
+            pytest.param("mode = perfect",
+                         f"mode = quantized_exhaustive\nB = 1{'0' * 400}\nprecoder = zf",
+                         id="exhaustive-zf-budget-past-float-range"),
         ],
     )
     def test_rejected_input_exits_2(self, tmp_path, capsys, old, new):
@@ -417,6 +423,11 @@ class TestSelftestCommand:
     def test_negative_samples_exit_2(self, capsys):
         assert main(["emu-selftest", "--samples", "-1"]) == 2
         assert "--samples must be an integer >= 1" in capsys.readouterr().err
+
+    def test_unallocatable_samples_exit_2(self, capsys):
+        """numpy refuses 2^62 draws before it asks for any memory."""
+        assert main(["emu-selftest", "--samples", str(2 ** 62)]) == 2
+        assert "cannot allocate" in capsys.readouterr().err
 
     def test_zero_samples_exit_2_before_sampling(self, monkeypatch, capsys):
         """The flag is checked before anything is drawn, and named."""

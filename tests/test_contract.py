@@ -42,7 +42,7 @@ def _cases(draw):
     # budgets that either scan small codebooks, emulate, or hit a guard;
     # scans of 2^7..2^24 entries per trial would only cost time
     small = st.integers(0, 6)
-    large = st.integers(73, 10 ** 5) | st.sampled_from([1100, 10 ** 5, 10 ** 18])
+    large = st.integers(73, 10 ** 5) | st.sampled_from([1100, 10 ** 5, 10 ** 18, 10 ** 400])
     bits = draw(small | large)
     policy = {"mode": mode}
     if mode.startswith("quantized"):
@@ -120,6 +120,10 @@ _OVER_CAP = grassfeed.ExperimentSpec(
 _HUGE_TRIALS = grassfeed.ExperimentSpec(
     4, 2, (0.0,), grassfeed.FeedbackPolicy(mode="analog", beta=2.0), 2 ** 62, 1
 )
+# 10^400 bits have no float log2, so the emulation guard cannot be asked
+_HUGE_BITS = grassfeed.ExperimentSpec(
+    4, 2, (0.0,), grassfeed.FeedbackPolicy(mode="quantized_emulated", bits=10 ** 400), 1, 1
+)
 _FALLING = grassfeed.RateCurve((
     grassfeed.RatePoint(0.0, 2.0, 1.0, 0.1, "perfect"),
     grassfeed.RatePoint(5.0, 1.0, 0.5, 0.1, "perfect"),
@@ -130,6 +134,11 @@ _FALLING = grassfeed.RateCurve((
 _BAD_CALLS = [
     # ensembles
     ("RngStream", "seed_float", lambda: grassfeed.RngStream(1.5)),
+    ("RngStream", "stream_str_entry", lambda: grassfeed.RngStream(1, ("a",))),
+    ("RngStream", "stream_int", lambda: grassfeed.RngStream(1, 5)),
+    ("RngStream", "stream_negative_entry", lambda: grassfeed.RngStream(1, (-1,))),
+    ("RngStream", "child_negative", lambda: grassfeed.RngStream(1).child(-1)),
+    ("RngStream", "child_float", lambda: grassfeed.RngStream(1).child(1.5)),
     ("gaussian_matrix", "gaussian_float_m", lambda: grassfeed.gaussian_matrix(_RNG, 2.5, 2)),
     ("gaussian_matrix", "gaussian_float_batch",
      lambda: grassfeed.gaussian_matrix(_RNG, 4, 2, batch=(2.5,))),
@@ -164,6 +173,8 @@ _BAD_CALLS = [
     ("distortion_main_term", "main_term_str_constants", lambda: grassfeed.distortion_main_term("x", 4)),
     ("distortion_samples", "samples_float_trials",
      lambda: grassfeed.distortion_samples(_RNG, 4, 2, 2, 2.5)),
+    ("distortion_samples", "samples_huge_trials",
+     lambda: grassfeed.distortion_samples(_RNG, 4, 2, 2, 2 ** 62)),
     # precoding
     ("SystemConfig", "config_inf_power", lambda: grassfeed.SystemConfig(4, 2, np.inf)),
     ("SystemConfig", "config_float_m", lambda: grassfeed.SystemConfig(4.0, 2, 10)),
@@ -200,10 +211,14 @@ _BAD_CALLS = [
     ("decompose", "decompose_no_columns",
      lambda: grassfeed.decompose(np.zeros((4, 0)), np.zeros((4, 0)))),
     ("emulate_quantization", "emulate_nan", lambda: grassfeed.emulate_quantization(_RNG, _NAN, 12)),
+    ("emulate_quantization", "emulate_huge_bits",
+     lambda: grassfeed.emulate_quantization(_RNG, _FRAME, 10 ** 400)),
     ("sample_min_d2", "min_d2_float_bits", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80.5)),
     ("sample_min_d2", "min_d2_negative_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=-1)),
     ("sample_min_d2", "min_d2_float_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=2.5)),
     ("sample_min_d2", "min_d2_str_constants", lambda: grassfeed.sample_min_d2(_RNG, "gc", 80)),
+    ("sample_min_d2", "min_d2_huge_bits", lambda: grassfeed.sample_min_d2(_RNG, _GC, 10 ** 400)),
+    ("sample_min_d2", "min_d2_huge_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=2 ** 62)),
     ("beta_trace_pdf", "trace_pdf_float_m", lambda: grassfeed.beta_trace_pdf(4.5, 0.5)),
     ("beta_trace_pdf", "trace_pdf_string", lambda: grassfeed.beta_trace_pdf(4, [0.1, "a"])),
     # scaling
@@ -227,6 +242,10 @@ _BAD_CALLS = [
     # 2^24 entries of (8, 4) would take a 2.4 GiB scan workspace
     ("run_experiment", "run_over_cap_scan", lambda: grassfeed.run_experiment(_OVER_CAP)),
     ("run_experiment", "run_huge_trials", lambda: grassfeed.run_experiment(_HUGE_TRIALS)),
+    ("run_experiment", "run_huge_bits_emulated_bd", lambda: grassfeed.run_experiment(_HUGE_BITS)),
+    ("run_experiment", "run_huge_bits_exhaustive_zf", lambda: grassfeed.run_experiment(
+        dataclasses.replace(_HUGE_BITS, policy=grassfeed.FeedbackPolicy(
+            mode="quantized_exhaustive", bits=10 ** 400), precoder="zf"))),
     ("run_experiment", "run_str_spec", lambda: grassfeed.run_experiment("spec")),
     ("RateCurve", "curve_str_points", lambda: grassfeed.RateCurve(("a",))),
     ("RateCurve", "curve_int_points", lambda: grassfeed.RateCurve(5)),
@@ -273,6 +292,17 @@ _ROW_ERRORS = {
     "analog_nan": errors.ParameterError,
     "trace_pdf_string": errors.ParameterError,
     "run_huge_trials": errors.MemoryGuard,
+    "run_huge_bits_emulated_bd": errors.ParameterError,
+    "run_huge_bits_exhaustive_zf": errors.ParameterError,
+    "stream_str_entry": errors.ParameterError,
+    "stream_int": errors.ParameterError,
+    "stream_negative_entry": errors.ParameterError,
+    "child_negative": errors.ParameterError,
+    "child_float": errors.ParameterError,
+    "samples_huge_trials": errors.MemoryGuard,
+    "emulate_huge_bits": errors.ParameterError,
+    "min_d2_huge_bits": errors.ParameterError,
+    "min_d2_huge_size": errors.MemoryGuard,
     # a wrong-type library object
     "quantize_str_codebook": errors.ParameterError,
     "bound_str_constants": errors.ParameterError,

@@ -111,15 +111,15 @@ class TestChordalDistance:
         assert chordal_distance_sq(a, b) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_principal_angle_form(self):
-        """Production trace form equals sum of sin^2 of principal angles
-        (the reference definition) to 1e-9 over 1e4 random pairs."""
+        """The trace form the engine runs equals the sum of sin^2 of the
+        principal angles (the reference definition, arccos of the singular
+        values of A^H B) to 1e-9 over 1e4 random pairs."""
         gen = RngStream(1).child(0).generator()
         a = isotropic_frame(gen, 4, 2, batch=(10000,))
         b = isotropic_frame(gen, 4, 2, batch=(10000,))
-        for i in range(10000):
-            d2 = chordal_distance_sq(a[i], b[i])
-            th = principal_angles(a[i], b[i])
-            assert abs(d2 - float(np.sum(np.sin(th) ** 2))) <= 1e-9
+        s = np.linalg.svd(a.conj().swapaxes(-2, -1) @ b, compute_uv=False)
+        th = np.arccos(np.clip(s, 0.0, 1.0))
+        assert np.abs(grassmann._d2(a, b) - np.sum(np.sin(th) ** 2, axis=-1)).max() <= 1e-9
 
     def test_symmetry_and_range(self):
         gen = RngStream(1).child(1).generator()

@@ -9,6 +9,7 @@ from grassfeed.linalg import (
     gram_rows,
     left_nullspace_basis_batch,
     logdet_hermitian_batch,
+    orthonormalize,
     project_off,
     thin_qr_batch,
 )
@@ -36,26 +37,13 @@ class TestThinQr:
         np.testing.assert_allclose(q, [[1, 0], [0, 0], [0, 1]], atol=1e-14)
         np.testing.assert_allclose(r, np.diag([2.0, 3.0]), atol=1e-14)
 
-    def test_random_reconstruction(self):
-        """1000 Gaussian draws per shape: orthonormal Q, positive real
-        diagonal of R, and Q R = A to 1e-10 relative."""
-        rng = np.random.default_rng(7)
-        for m, n in ((4, 2), (6, 2), (8, 2), (6, 3)):
-            for _ in range(250):
-                a = _complex_gaussian(rng, m, n)
-                q, r = _one(thin_qr_batch, a)
-                scale = np.linalg.norm(a)
-                assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-10
-                assert np.linalg.norm(q @ r - a) <= 1e-10 * scale
-                d = np.diagonal(r)
-                assert np.all(d.imag == 0.0)
-                assert np.all(d.real > 0.0)
-                assert np.allclose(r, np.triu(r))
-
     def test_rank_deficient(self):
-        a = np.ones((4, 2), dtype=complex)  # duplicated columns
+        """Duplicated columns, in one item or in every item of a stack."""
+        a = np.ones((4, 2), dtype=complex)
         with pytest.raises(RankDeficient):
             _one(thin_qr_batch, a)
+        with pytest.raises(RankDeficient):
+            orthonormalize(np.stack([a] * 4))
 
     def test_wide_rejected(self):
         """A wide item has no full column rank."""
@@ -233,8 +221,9 @@ class TestBatchKernels:
         a[2, 3, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RankDeficient, match="non-finite"):
-                thin_qr_batch(a)
+            for kernel in (thin_qr_batch, orthonormalize):
+                with pytest.raises(RankDeficient, match="non-finite"):
+                    kernel(a)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
     def test_thin_qr_batch_extreme_scales(self, scale):

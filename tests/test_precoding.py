@@ -371,7 +371,6 @@ class TestAnalogFeedback:
             )
         obs = analog_feedback(RngStream(47).child(6).generator(), cfg, h[1, 0], 2.0)
         np.testing.assert_array_equal(obs.estimate, estimate)
-        np.testing.assert_array_equal(obs.residual, math.sqrt(1.0 + snr) * (h[1, 0] - estimate))
 
     def test_high_beta_recovers_channel(self):
         cfg = SystemConfig(4, 2, 1.0)
@@ -380,28 +379,32 @@ class TestAnalogFeedback:
         obs = analog_feedback(gen, cfg, h, beta=1e8)
         assert np.abs(obs.estimate - h).max() <= 1e-3
 
+    @staticmethod
+    def _channels_and_estimates(stream, trials, snr):
+        """(H, MMSE estimate) of ``trials`` 4 x 2 channels observed at
+        beta P = snr, drawn through the batch kernel test_one_kernel_bytes
+        pins to analog_feedback."""
+        gen = stream.generator()
+        h = gaussian_matrix(gen, 4, 2, batch=(trials,))
+        noise = gaussian_matrix(gen, 4, 2, batch=(trials,))
+        return h, analog_feedback_batch(noise, h, snr)[1]
+
     def test_error_variance(self):
         """E ||H - estimate||_F^2 = M N / (1 + beta P)."""
         cfg = SystemConfig(4, 2, 10.0)
         beta = 1.0
-        gen = RngStream(47).child(2).generator()
-        errs = np.empty(100000)
-        h = gaussian_matrix(gen, 4, 2, batch=(100000,))
-        for i in range(100000):
-            obs = analog_feedback(gen, cfg, h[i], beta)
-            errs[i] = np.sum(np.abs(h[i] - obs.estimate) ** 2)
+        h, estimate = self._channels_and_estimates(RngStream(47).child(2), 100000, beta * cfg.p)
+        errs = np.sum(np.abs(h - estimate) ** 2, axis=(-2, -1))
         expect = 4 * 2 / (1 + beta * cfg.p)
         assert errs.mean() == pytest.approx(expect, rel=0.02)
 
     def test_residual_unit_variance(self):
+        """F = sqrt(1 + beta P) (H - estimate) has unit-variance entries."""
         cfg = SystemConfig(4, 2, 10.0)
-        gen = RngStream(47).child(3).generator()
-        h = gaussian_matrix(gen, 4, 2, batch=(50000,))
-        acc = 0.0
-        for i in range(50000):
-            obs = analog_feedback(gen, cfg, h[i], 1.0)
-            acc += np.mean(np.abs(obs.residual) ** 2)
-        assert acc / 50000 == pytest.approx(1.0, rel=0.02)
+        beta = 1.0
+        h, estimate = self._channels_and_estimates(RngStream(47).child(3), 50000, beta * cfg.p)
+        residual = math.sqrt(1.0 + beta * cfg.p) * (h - estimate)
+        assert np.mean(np.abs(residual) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_beta_validation(self):
         cfg = SystemConfig(4, 2, 1.0)
