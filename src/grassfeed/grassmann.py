@@ -439,16 +439,16 @@ def _scan_stats(gen, m, n, bits, count, winners=False):
     size = _codebook_size(bits, m, n)
     block = _scan_block(size, m, n)
     shapes = _beta_shapes(m, n)
-    try:
-        d2 = np.empty(count)
-        rows = np.empty((2, len(shapes), count)) if winners else None
-    except (MemoryError, ValueError) as exc:
-        raise MemoryGuard(f"cannot allocate the results of {count} scans: {exc}") from exc
     e = min(block, count) * size
     work = np.empty((2, len(shapes), e))
     # past N = 1, Gamma rows take a spare row and the score its own row;
     # at N = 1 the score is the sin^2 row and both are empty
     spare, score = np.empty((2, e if n > 1 else 0))
+    try:
+        d2 = np.empty(count)
+        rows = np.empty((2, len(shapes), count)) if winners else None
+    except (MemoryError, ValueError) as exc:
+        raise MemoryGuard(f"cannot allocate the results of {count} scans: {exc}") from exc
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         eb = (hi - lo) * size
