@@ -270,8 +270,8 @@ def build_parser():
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="RNG seed (overrides the config's seed key)")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default GRASSFEED_THREADS or 1)")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1); changes the schedule, never the bytes")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sca = sub.add_parser("scaling", help="print feedback bit budget tables")

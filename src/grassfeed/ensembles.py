@@ -111,6 +111,8 @@ def isotropic_frame(rng, m, n, batch=()):
     Thin QR of a complex Gaussian matrix under the positive-diagonal-R
     convention; for m = n this is a Haar unitary.
     """
+    _check_count("m", m)
+    _check_count("n", n)
     if m < n:
         raise DimensionError(f"frame needs m >= n, got ({m}, {n})")
     return orthonormalize(gaussian_matrix(rng, m, n, batch=batch))
@@ -133,6 +135,7 @@ def isotropic_frame_in_nullspace(rng, a, n):
     unitary that fixes the complement.
     """
     a = _as_array("a", a)
+    _check_count("n", n)
     if a.ndim < 2 or n > a.shape[-2] - a.shape[-1]:
         raise DimensionError(f"the left nullspace of a {a.shape} matrix cannot hold an n={n} frame")
     return orthonormalize(gaussian_off(rng, orthonormalize(a), n))

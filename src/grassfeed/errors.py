@@ -2,10 +2,11 @@
 
 Every guard in the library raises one of these so callers can tell a
 numerical-rank problem from a bad argument or an out-of-contract request.
-The checks at the end state the count, shape, real-parameter and
-numeric-array rules once.
+The checks at the end state the count, shape, real-parameter, choice,
+numeric-array, exact-shape and path rules once.
 """
 
+import os
 import sys
 from numbers import Integral, Real
 
@@ -92,9 +93,11 @@ def _check_count(name, x, low=0):
 
 
 def _check_shape(m, n, loaded=False):
-    """Raise ParameterError unless 1 <= N <= M/2 are integers and, when the
-    system is fully loaded with K = M/N users, N divides M."""
-    if not (_is_count(m) and _is_count(n)) or n < 1 or m < 2 * n or (loaded and m % n):
+    """Raise ParameterError unless 1 <= N <= M/2 are integers, M below the
+    largest double, and, when the system is fully loaded with K = M/N
+    users, N divides M."""
+    if (not (_is_count(m) and _is_count(n)) or n < 1 or m < 2 * n or m > sys.float_info.max
+            or (loaded and m % n)):
         rule = "K = M/N >= 2 users" if loaded else "1 <= N <= M/2"
         raise ParameterError(f"need integers M, N with {rule}, got M={m!r}, N={n!r}")
 
@@ -111,13 +114,36 @@ def _check_real(name, x, low=None, closed=False, high=None, error=ParameterError
         raise error(f"{name} must be a finite real{bound}, got {x!r}")
 
 
+def _check_choice(name, x, choices, error=ParameterError):
+    """Raise ``error`` unless x is a str in ``choices``."""
+    if not (isinstance(x, str) and x in choices):
+        raise error(f"{name} must be one of {choices}, got {x!r}")
+
+
 def _as_array(name, x, dtype=np.complex128):
     """x as an array of ``dtype``; ParameterError where numpy cannot convert
-    it, as for strings or objects where numbers belong."""
+    it, as for strings or objects where numbers belong, or integers past
+    the double range."""
     try:
         return np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} must be a numeric array: {exc}") from exc
+
+
+def _shaped(name, x, shape):
+    """x as a complex array, once its shape is ``shape``."""
+    x = _as_array(name, x)
+    if x.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {x.shape}")
+    return x
+
+
+def _as_path(name, x):
+    """x as a file-system path, once it is a str or os.PathLike; an
+    integer would make ``open`` take a standard stream's descriptor."""
+    if not isinstance(x, (str, os.PathLike)):
+        raise ParameterError(f"{name} must be a str or os.PathLike path, got {x!r}")
+    return os.fspath(x)
 
 
 def _check_type(name, x, cls):

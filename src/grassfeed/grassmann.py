@@ -47,6 +47,7 @@ from .errors import (
     _check_real,
     _check_shape,
     _check_type,
+    _shaped,
 )
 from .linalg import ORTHO_TOL, orthonormalize, sumsq
 
@@ -121,12 +122,25 @@ def _ball_coefficient(m, n):
     integers once per shape: the factorials take about 0.6 s at
     G(400, 200)."""
     num = 1
-    den = math.factorial(n * (m - n))
+    try:
+        den = math.factorial(n * (m - n))  # the largest of the factorials
+    except OverflowError as exc:
+        raise ParameterError(f"G({m}, {n}) is too large for exact factorials") from exc
     for i in range(1, n + 1):
         num *= math.factorial(m - i)
         den *= math.factorial(n - i)
     frac = Fraction(num, den)
     return frac, float(frac), math.log2(frac.numerator) - math.log2(frac.denominator)
+
+
+def _orthonormal(name, a):
+    """a, once each (m, n) frame of the stack a has orthonormal columns
+    within ORTHO_TOL n in the Frobenius norm."""
+    gram = np.swapaxes(a, -2, -1).conj() @ a
+    # a NaN norm fails the comparison, so non-finite frames are rejected too
+    if not np.all(np.linalg.norm(gram - np.eye(a.shape[-1]), axis=(-2, -1)) <= ORTHO_TOL * a.shape[-1]):
+        raise ParameterError(f"{name} columns are not orthonormal within {ORTHO_TOL:g}")
+    return a
 
 
 def _check_frames(**frames):
@@ -137,10 +151,7 @@ def _check_frames(**frames):
         a = _as_array(name, a)
         if a.ndim != 2 or a.shape[0] < a.shape[1]:
             raise DimensionError(f"{name} must be a tall (m, n) frame, got {a.shape}")
-        gram = a.conj().T @ a
-        # a NaN norm fails the comparison, so non-finite frames are rejected too
-        if not np.linalg.norm(gram - np.eye(a.shape[1])) <= ORTHO_TOL * a.shape[1]:
-            raise ParameterError(f"{name} columns are not orthonormal within {ORTHO_TOL:g}")
+        _orthonormal(name, a)
         if out and a.shape != out[0].shape:
             raise DimensionError(f"frame shapes disagree: {out[0].shape} vs {a.shape}")
         out.append(a)
@@ -184,6 +195,7 @@ class Codebook:
     The shape and bits are checked before 2^B is formed: a shape off the
     Grassmannian or bits other than an integer >= 0 raise ParameterError,
     and 2^B M N elements above :data:`CODEBOOK_ENTRY_CAP` raise MemoryGuard.
+    Entries that are not finite orthonormal frames raise ParameterError.
     """
 
     m: int
@@ -194,11 +206,7 @@ class Codebook:
     def __post_init__(self):
         _check_shape(self.m, self.n)
         size = _codebook_size(self.bits, self.m, self.n)
-        e = _as_array("entries", self.entries)
-        if e.shape != (size, self.m, self.n):
-            raise DimensionError(
-                f"entries shape {e.shape} does not match (2^{self.bits}, {self.m}, {self.n})"
-            )
+        e = _orthonormal("entries", _shaped("entries", self.entries, (size, self.m, self.n)))
         object.__setattr__(self, "entries", e)
 
     def __len__(self):
@@ -239,9 +247,7 @@ def quantize(h, codebook):
     index. Ties break to the lowest index.
     """
     _check_type("codebook", codebook, Codebook)
-    h = _as_array("channel", h)
-    if h.shape != (codebook.m, codebook.n):
-        raise DimensionError(f"channel shape {h.shape} does not match codebook ({codebook.m}, {codebook.n})")
+    h = _shaped("channel", h, (codebook.m, codebook.n))
     idx, d2, entry = _scan_np(orthonormalize(h[np.newaxis]), codebook.entries[np.newaxis])
     return QuantizationResult(int(idx[0]), float(max(d2[0], 0.0)), entry[0])
 

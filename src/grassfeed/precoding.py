@@ -54,10 +54,12 @@ from .errors import (
     ParameterError,
     RankDeficient,
     _as_array,
+    _check_choice,
     _check_real,
     _check_shape,
     _check_type,
     _is_count,
+    _shaped,
 )
 from .linalg import gram_rows, logdet_hermitian_batch, orthonormalize, sumsq
 
@@ -113,17 +115,8 @@ class PrecoderSet:
         m = _as_array("matrices", self.matrices)
         if m.ndim != 3:
             raise DimensionError(f"matrices must be (K, M, N), got {m.shape}")
-        if self.scheme not in ("bd", "zf"):
-            raise ParameterError(f"scheme must be 'bd' or 'zf', got {self.scheme!r}")
+        _check_choice("scheme", self.scheme, ("bd", "zf"))
         object.__setattr__(self, "matrices", m)
-
-
-def _shaped(x, shape, what):
-    """x as a complex array, once its shape is ``shape``."""
-    x = _as_array(what, x)
-    if x.shape != shape:
-        raise DimensionError(f"{what} must have shape {shape}, got {x.shape}")
-    return x
 
 
 def bd_precoders(cfg, knowledge):
@@ -139,7 +132,7 @@ def bd_precoders(cfg, knowledge):
     Raises RankDeficient if the stacked knowledge is singular.
     """
     _check_type("cfg", cfg, SystemConfig)
-    know = _shaped(knowledge, (cfg.k, cfg.m, cfg.n), "knowledge")
+    know = _shaped("knowledge", knowledge, (cfg.k, cfg.m, cfg.n))
     return PrecoderSet(matrices=bd_precoders_batch(know[np.newaxis])[0], scheme="bd")
 
 
@@ -156,7 +149,7 @@ def zf_precoders(cfg, knowledge):
     Raises RankDeficient if the stacked knowledge is singular.
     """
     _check_type("cfg", cfg, SystemConfig)
-    know = _shaped(knowledge, (cfg.k, cfg.m, cfg.n), "knowledge")
+    know = _shaped("knowledge", knowledge, (cfg.k, cfg.m, cfg.n))
     return PrecoderSet(matrices=zf_precoders_batch(know[np.newaxis])[0], scheme="zf")
 
 
@@ -169,7 +162,7 @@ def instant_rate_per_user(cfg, h_k, precoders, k):
     """
     _check_type("cfg", cfg, SystemConfig)
     _check_type("precoders", precoders, PrecoderSet)
-    h_k = _shaped(h_k, (cfg.m, cfg.n), "channel")
+    h_k = _shaped("channel", h_k, (cfg.m, cfg.n))
     mats = precoders.matrices
     if mats.shape[:2] != (cfg.k, cfg.m):
         raise DimensionError(f"precoder set must be {cfg.k} matrices with {cfg.m} rows, got {mats.shape}")
@@ -201,7 +194,7 @@ def analog_feedback(rng, cfg, h_k, beta):
     _check_real("beta", beta, low=0)
     snr = float(beta) * float(cfg.p)
     _check_real("beta P", snr, low=0)
-    h_k = _shaped(h_k, (cfg.m, cfg.n), "channel")
+    h_k = _shaped("channel", h_k, (cfg.m, cfg.n))
     if not np.isfinite(h_k).all():
         raise ParameterError("channel has a non-finite entry")
     received, estimate = analog_feedback_batch(gaussian_matrix(rng, cfg.m, cfg.n), h_k, snr)
@@ -223,7 +216,9 @@ def rate_loss_bound(cfg, distortion):
     """
     _check_type("cfg", cfg, SystemConfig)
     _check_real("distortion", distortion, low=0, closed=True)
-    return cfg.n * math.log2(1.0 + cfg.p / cfg.n * distortion)
+    x = cfg.p / cfg.n * distortion
+    # past the double range, log2(1 + x) is log2(P/N) + log2(D) to double precision
+    return cfg.n * (math.log2(1.0 + x) if x < math.inf else math.log2(cfg.p / cfg.n) + math.log2(distortion))
 
 
 def analog_rate_loss_bound(cfg, beta):
@@ -254,8 +249,7 @@ def perfect_csi_sum_rate(cfg, scheme="bd"):
     simulated curve is this minus its sum rate.
     """
     _check_type("cfg", cfg, SystemConfig)
-    if scheme not in ("bd", "zf"):
-        raise ParameterError(f"scheme must be 'bd' or 'zf', got {scheme!r}")
+    _check_choice("scheme", scheme, ("bd", "zf"))
     return _free_sum_rate_mean(cfg.m, cfg.n, cfg.p, scheme)
 
 

@@ -250,7 +250,10 @@ def beta_trace_pdf(m, z):
     z = _as_array("z", z, float)
     if not np.all((z >= 0.0) & (z <= 1.0)):
         raise DomainError("beta_trace_pdf is only valid on [0, 1]")
-    coeff = float(Fraction(math.factorial(m - 1) * math.factorial(m - 2), math.factorial(2 * m - 5)))
+    try:
+        coeff = float(Fraction(math.factorial(m - 1) * math.factorial(m - 2), math.factorial(2 * m - 5)))
+    except OverflowError as exc:
+        raise ParameterError(f"M={m} is too large for exact factorials") from exc
     out = coeff * z ** (2 * m - 5)
     return float(out) if out.ndim == 0 else out
 

@@ -67,7 +67,6 @@ loop decides nothing.
 """
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,6 +79,8 @@ from .errors import (
     MemoryGuard,
     NoOverlap,
     ParameterError,
+    _as_path,
+    _check_choice,
     _check_count,
     _check_real,
     _check_shape,
@@ -146,10 +147,8 @@ class FeedbackPolicy:
     beta: float = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise IncompatiblePolicy(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.schedule not in _SCHEDULES:
-            raise IncompatiblePolicy(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
+        _check_choice("mode", self.mode, _MODES, error=IncompatiblePolicy)
+        _check_choice("schedule", self.schedule, _SCHEDULES, error=IncompatiblePolicy)
         if not self.mode.startswith("quantized") and self.schedule != "fixed":
             raise IncompatiblePolicy(f"{self.mode} mode has no bit schedule, got {self.schedule!r}")
         reads = _policy_fields(self.mode, self.schedule)
@@ -214,8 +213,8 @@ class ExperimentSpec:
             raise ParameterError("snr_grid_db grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
         _check_count("trials", self.trials, 1)
-        if self.precoder not in ("bd", "zf"):
-            raise ParameterError(f"precoder must be 'bd' or 'zf', got {self.precoder!r}")
+        _check_count("seed", self.seed)
+        _check_choice("precoder", self.precoder, ("bd", "zf"))
         if self.policy.mode == "analog" and not math.isfinite(self.policy.beta * top):
             raise IncompatiblePolicy(f"analog beta * P overflows at {max(grid)} dB")
 
@@ -381,22 +380,6 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
     return out
 
 
-def _worker_count(threads):
-    """The validated thread count: ``threads``, else GRASSFEED_THREADS, else 1."""
-    name = "threads"
-    if threads is None:
-        env = os.environ.get("GRASSFEED_THREADS", "").strip()
-        if not env:
-            return 1
-        name = "GRASSFEED_THREADS"
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"GRASSFEED_THREADS must be an integer, got {env!r}") from exc
-    _check_count(name, threads, 1)
-    return threads
-
-
 def _estimate(rates, mean_free, mean_leak=None):
     """(sum rate, 99% half-width) of one point from its (T, 3) per-trial
     [R, Y, L] columns.
@@ -452,12 +435,12 @@ def _estimate(rates, mean_free, mean_leak=None):
     return est, ci
 
 
-def run_experiment(spec, threads=None):
+def run_experiment(spec, threads=1):
     """Run the sweep and return the averaged :class:`RateCurve`.
 
-    threads defaults to the GRASSFEED_THREADS environment variable (1 if
-    unset). Threads take whole chunks of every point; their count changes
-    the execution schedule only, never the result bytes. A perfect point is
+    threads, an integer >= 1, is the number of worker threads. Threads
+    take whole chunks of every point; their count changes the execution
+    schedule only, never the result bytes. A perfect point is
     :func:`~grassfeed.precoding.perfect_csi_sum_rate` with ci99 = 0 and
     runs no trial; the others regress the per-trial sum rate on controls
     whose means :func:`_plan` fixes, which takes the fading and leakage
@@ -466,7 +449,7 @@ def run_experiment(spec, threads=None):
     MemoryGuard before anything is drawn.
     """
     _check_type("spec", spec, ExperimentSpec)
-    threads = _worker_count(threads)
+    _check_count("threads", threads, 1)
     plan = _plan(spec)
     if spec.policy.mode == "perfect":
         estimates = [(pt.mean_free, 0.0) for pt in plan]
@@ -537,11 +520,22 @@ def estimate_snr_gap(ref, test):
     return GapEstimate(mean_db=float(mean), per_point=tuple(gaps))
 
 
+def _open(path, mode):
+    """open(path, mode) for a str or os.PathLike path; ParameterError for
+    any other path, and where the system refuses to open it."""
+    path = _as_path("path", path)
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ParameterError(f"cannot open {path}: {exc.strerror or exc}") from exc
+
+
 def write_curve_csv(curve, path):
     """Write a curve as CSV: p_db, sum_rate, per_user_rate, ci99, mode, bits_used.
 
     Floats carry 6 significant digits; bits_used is blank for modes
-    without a bit budget.
+    without a bit budget. path is a str or os.PathLike; ParameterError
+    otherwise, or where the file cannot be opened.
     """
     _check_type("curve", curve, RateCurve)
     lines = ["p_db,sum_rate,per_user_rate,ci99,mode,bits_used"]
@@ -551,7 +545,7 @@ def write_curve_csv(curve, path):
             f"{pt.p_db:.6g},{pt.sum_rate:.6g},{pt.per_user_rate:.6g},"
             f"{pt.ci99:.6g},{pt.mode},{bits}"
         )
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -559,9 +553,10 @@ def read_curve_csv(path):
     """Read a curve written by :func:`write_curve_csv`.
 
     Raises ParameterError, naming the file and line, on a foreign header, a
-    row without six fields or a field that does not parse.
+    row without six fields or a field that does not parse, and on a path
+    that is not a str or os.PathLike or that cannot be opened.
     """
-    with open(path) as fh:
+    with _open(path, "r") as fh:
         lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or lines[0][1] != "p_db,sum_rate,per_user_rate,ci99,mode,bits_used":
         raise ParameterError(f"{path} is not a rate-curve CSV")

@@ -1,7 +1,9 @@
 """Input contract of the engine: every spec it accepts gives finite rates,
 and everything else raises a GrassfeedError, never a raw numpy or Python
 error and never a silent NaN (RuntimeWarnings fail the suite). A table
-holds at least one malformed call for every public callable. Also the
+holds at least one malformed call for every public callable, and a sweep
+replaces each argument of one good call per public callable with each
+value of a fixed pool of bad values. Also the
 export contract: the package exports exactly its modules' ``__all__``
 lists, and every name the benchmark in ``perfbench/`` binds exists."""
 
@@ -147,6 +149,9 @@ _BAD_CALLS = [
     ("gaussian_matrix", "gaussian_huge_batch",
      lambda: grassfeed.gaussian_matrix(_RNG, 4, 2, batch=(2 ** 62,))),
     ("isotropic_frame", "frame_float_n", lambda: grassfeed.isotropic_frame(_RNG, 4, 2.0)),
+    ("isotropic_frame", "frame_str_m", lambda: grassfeed.isotropic_frame(_RNG, "abc", 2)),
+    ("isotropic_frame", "frame_none_n", lambda: grassfeed.isotropic_frame(_RNG, 4, None)),
+    ("isotropic_frame", "frame_array_m", lambda: grassfeed.isotropic_frame(_RNG, np.array([4, 5]), 2)),
     ("isotropic_frame", "frame_negative_batch",
      lambda: grassfeed.isotropic_frame(_RNG, 4, 2, batch=(-1,))),
     ("isotropic_frame", "frame_huge_batch",
@@ -155,14 +160,23 @@ _BAD_CALLS = [
      lambda: grassfeed.isotropic_frame_in_nullspace(_RNG, _NAN, 2)),
     ("isotropic_frame_in_nullspace", "nullspace_frame_no_columns",
      lambda: grassfeed.isotropic_frame_in_nullspace(_RNG, np.zeros((4, 0)), 2)),
+    ("isotropic_frame_in_nullspace", "nullspace_frame_str_n",
+     lambda: grassfeed.isotropic_frame_in_nullspace(_RNG, _FRAME, "abc")),
     # grassmann
     ("GrassmannConstants", "constants_float_m", lambda: grassfeed.GrassmannConstants(4.5, 2)),
+    # past 2^63 entries math.factorial refuses; 10^400 has no float
+    ("GrassmannConstants", "constants_huge_m", lambda: grassfeed.GrassmannConstants(10 ** 300, 2).c),
+    ("GrassmannConstants", "constants_float_overflow_m", lambda: grassfeed.GrassmannConstants(10 ** 400, 2)),
     ("Codebook", "codebook_wide_frames",
      lambda: grassfeed.Codebook(1, 2, 0, np.zeros((1, 1, 2), dtype=complex))),
+    ("Codebook", "codebook_not_frames",
+     lambda: grassfeed.Codebook(4, 2, 1, np.stack([3 * np.eye(4, 2), np.ones((4, 2))]))),
+    ("Codebook", "codebook_nan", lambda: grassfeed.Codebook(4, 2, 1, np.stack([_NAN, _NAN]))),
     ("random_codebook", "codebook_float_bits",
      lambda: grassfeed.random_codebook(grassfeed.RngStream(1), 4, 2, 2.5)),
     ("chordal_distance_sq", "chordal_nan", lambda: grassfeed.chordal_distance_sq(_NAN, _NAN)),
     ("chordal_distance_sq", "chordal_strings", lambda: grassfeed.chordal_distance_sq(_STRINGS, _FRAME)),
+    ("chordal_distance_sq", "chordal_huge_int", lambda: grassfeed.chordal_distance_sq(10 ** 400, _FRAME)),
     ("principal_angles", "angles_nan", lambda: grassfeed.principal_angles(_NAN, _FRAME)),
     ("quantize", "quantize_nan",
      lambda: grassfeed.quantize(_NAN, grassfeed.random_codebook(_RNG, 4, 2, 1))),
@@ -180,6 +194,8 @@ _BAD_CALLS = [
     ("SystemConfig", "config_float_m", lambda: grassfeed.SystemConfig(4.0, 2, 10)),
     ("PrecoderSet", "precoders_flat",
      lambda: grassfeed.PrecoderSet(np.zeros((4, 2), dtype=complex), "bd")),
+    ("PrecoderSet", "precoders_array_scheme",
+     lambda: grassfeed.PrecoderSet(np.zeros((2, 4, 2), dtype=complex), np.array(["bd", "zf"]))),
     ("bd_precoders", "bd_nan", lambda: grassfeed.bd_precoders(_CFG, np.stack([_NAN, _NAN]))),
     ("bd_precoders", "bd_str_config", lambda: grassfeed.bd_precoders("cfg", np.stack([_FRAME, _FRAME]))),
     ("zf_precoders", "zf_nan", lambda: grassfeed.zf_precoders(_CFG, np.stack([_NAN, _NAN]))),
@@ -206,6 +222,8 @@ _BAD_CALLS = [
     ("perfect_csi_sum_rate", "perfect_rate_unknown_scheme",
      lambda: grassfeed.perfect_csi_sum_rate(_CFG, "mmse")),
     ("perfect_csi_sum_rate", "perfect_rate_str_config", lambda: grassfeed.perfect_csi_sum_rate("cfg")),
+    ("perfect_csi_sum_rate", "perfect_rate_array_scheme",
+     lambda: grassfeed.perfect_csi_sum_rate(_CFG, np.array(["bd", "zf"]))),
     # quant_emulator
     ("decompose", "decompose_nan", lambda: grassfeed.decompose(_NAN, _FRAME)),
     ("decompose", "decompose_no_columns",
@@ -213,6 +231,8 @@ _BAD_CALLS = [
     ("emulate_quantization", "emulate_nan", lambda: grassfeed.emulate_quantization(_RNG, _NAN, 12)),
     ("emulate_quantization", "emulate_huge_bits",
      lambda: grassfeed.emulate_quantization(_RNG, _FRAME, 10 ** 400)),
+    ("emulate_quantization", "emulate_huge_int_frame",
+     lambda: grassfeed.emulate_quantization(_RNG, [[10 ** 400] * 2] * 4, 12)),
     ("sample_min_d2", "min_d2_float_bits", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80.5)),
     ("sample_min_d2", "min_d2_negative_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=-1)),
     ("sample_min_d2", "min_d2_float_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=2.5)),
@@ -221,9 +241,11 @@ _BAD_CALLS = [
     ("sample_min_d2", "min_d2_huge_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=2 ** 62)),
     ("beta_trace_pdf", "trace_pdf_float_m", lambda: grassfeed.beta_trace_pdf(4.5, 0.5)),
     ("beta_trace_pdf", "trace_pdf_string", lambda: grassfeed.beta_trace_pdf(4, [0.1, "a"])),
+    ("beta_trace_pdf", "trace_pdf_huge_m", lambda: grassfeed.beta_trace_pdf(10 ** 400, 0.5)),
     # scaling
     ("bits_for_rate_loss", "bits_nan_power", lambda: grassfeed.bits_for_rate_loss(4, 2, np.nan, 4)),
     ("bd_3db_bits", "bd_3db_nan_power", lambda: grassfeed.bd_3db_bits(4, 2, np.nan)),
+    ("bd_3db_bits", "bd_3db_huge_m", lambda: grassfeed.bd_3db_bits(10 ** 400, 2, 10)),
     ("zf_3db_bits", "zf_3db_nan_m", lambda: grassfeed.zf_3db_bits(np.nan, 10)),
     ("zf_bits_for_rate_loss", "zf_bits_float_m",
      lambda: grassfeed.zf_bits_for_rate_loss(4.5, 2, 10, 4)),
@@ -234,9 +256,13 @@ _BAD_CALLS = [
     ("c_double_prime", "c_double_prime_str_constants", lambda: grassfeed.c_double_prime("gc")),
     # simulator
     ("FeedbackPolicy", "policy_nan_beta", lambda: grassfeed.FeedbackPolicy(mode="analog", beta=np.nan)),
+    ("FeedbackPolicy", "policy_array_mode", lambda: grassfeed.FeedbackPolicy(mode=np.array(["a", "b"]))),
     ("ExperimentSpec", "spec_float_m",
      lambda: grassfeed.ExperimentSpec(4.0, 2, (0.0,), _PERFECT, 2, 1)),
     ("ExperimentSpec", "spec_str_policy", lambda: grassfeed.ExperimentSpec(4, 2, (0.0,), "perfect", 2, 1)),
+    ("ExperimentSpec", "spec_array_precoder",
+     lambda: grassfeed.ExperimentSpec(4, 2, (0.0,), _PERFECT, 4, 1, precoder=np.array(["zf"]))),
+    ("ExperimentSpec", "spec_nan_seed", lambda: grassfeed.ExperimentSpec(4, 2, (0.0,), _PERFECT, 2, np.nan)),
     ("run_experiment", "run_zero_threads",
      lambda: grassfeed.run_experiment(grassfeed.ExperimentSpec(4, 2, (0.0,), _PERFECT, 2, 1), threads=0)),
     # 2^24 entries of (8, 4) would take a 2.4 GiB scan workspace
@@ -252,7 +278,16 @@ _BAD_CALLS = [
     ("estimate_snr_gap", "gap_falling_reference", lambda: grassfeed.estimate_snr_gap(_FALLING, _FALLING)),
     ("estimate_snr_gap", "gap_str_curves", lambda: grassfeed.estimate_snr_gap("a", "b")),
     ("write_curve_csv", "write_str_curve", lambda: grassfeed.write_curve_csv("c", "unwritten.csv")),
+    # open() would take an integer as a file descriptor: 1 is stdout
+    ("write_curve_csv", "write_int_path", lambda: grassfeed.write_curve_csv(_FALLING, 1)),
+    ("write_curve_csv", "write_bool_path", lambda: grassfeed.write_curve_csv(_FALLING, True)),
+    ("write_curve_csv", "write_none_path", lambda: grassfeed.write_curve_csv(_FALLING, None)),
     ("read_curve_csv", "read_foreign_file", lambda: grassfeed.read_curve_csv(__file__)),
+    ("read_curve_csv", "read_none_path", lambda: grassfeed.read_curve_csv(None)),
+    ("read_curve_csv", "read_negative_path", lambda: grassfeed.read_curve_csv(-1)),
+    ("read_curve_csv", "read_stdin_path", lambda: grassfeed.read_curve_csv(0)),
+    ("read_curve_csv", "read_missing_file",
+     lambda: grassfeed.read_curve_csv(Path(__file__).with_name("no_such_curve.csv"))),
 ]
 
 # the same for internal kernels the engine runs, reached through their
@@ -324,6 +359,33 @@ _ROW_ERRORS = {
     "write_str_curve": errors.ParameterError,
     "curve_str_points": errors.ParameterError,
     "curve_int_points": errors.ParameterError,
+    # a count or choice checked before it is compared
+    "frame_str_m": errors.ParameterError,
+    "frame_none_n": errors.ParameterError,
+    "frame_array_m": errors.ParameterError,
+    "nullspace_frame_str_n": errors.ParameterError,
+    "precoders_array_scheme": errors.ParameterError,
+    "perfect_rate_array_scheme": errors.ParameterError,
+    "policy_array_mode": errors.IncompatiblePolicy,
+    "spec_array_precoder": errors.ParameterError,
+    "spec_nan_seed": errors.ParameterError,
+    # an integer past the double range or math.factorial's
+    "constants_huge_m": errors.ParameterError,
+    "constants_float_overflow_m": errors.ParameterError,
+    "chordal_huge_int": errors.ParameterError,
+    "emulate_huge_int_frame": errors.ParameterError,
+    "trace_pdf_huge_m": errors.ParameterError,
+    "bd_3db_huge_m": errors.ParameterError,
+    "codebook_not_frames": errors.ParameterError,
+    "codebook_nan": errors.ParameterError,
+    # a path that is not a str or os.PathLike, or names no file
+    "write_int_path": errors.ParameterError,
+    "write_bool_path": errors.ParameterError,
+    "write_none_path": errors.ParameterError,
+    "read_none_path": errors.ParameterError,
+    "read_negative_path": errors.ParameterError,
+    "read_stdin_path": errors.ParameterError,
+    "read_missing_file": errors.ParameterError,
 }
 
 
@@ -374,6 +436,7 @@ _LARGE_CALLS = [
     ("c_double_prime_large_shape", lambda: grassfeed.c_double_prime(_LARGE_GC)),
     ("min_d2_subnormal_c", lambda: grassfeed.sample_min_d2(
         _RNG, grassfeed.GrassmannConstants(40, 20), 2000, size=4)),
+    ("loss_huge_distortion", lambda: grassfeed.rate_loss_bound(_CFG, 1e308)),
     ("perfect_rate_huge_power", lambda: grassfeed.perfect_csi_sum_rate(
         grassfeed.SystemConfig(4, 2, 1e308))),
     ("perfect_rate_subnormal_power", lambda: grassfeed.perfect_csi_sum_rate(
@@ -405,8 +468,118 @@ def test_every_public_callable_has_a_bad_input_case():
     covered = {name for name, _, _ in _BAD_CALLS}
     assert covered <= callables
     assert callables - _NOTHING_TO_CHECK == covered
+    assert set(_GOOD_CALLS) == covered
     internal = {name for names in _INTERNAL.values() for name in names}
     assert {name for name, _, _ in _INTERNAL_BAD_CALLS} <= internal
+
+
+_FRAME_B = np.eye(4, 2, -2, dtype=complex)
+_CURVE = grassfeed.RateCurve((
+    grassfeed.RatePoint(0.0, 2.0, 1.0, 0.1, "perfect"),
+    grassfeed.RatePoint(5.0, 3.0, 1.5, 0.1, "perfect"),
+))
+_CSV = "curve.csv"  # relative to the sweep's working directory, a tmp_path
+
+# (positional arguments, keyword arguments) of one good call of each
+# exported callable; every argument with a default is passed by keyword
+_GOOD_CALLS = {
+    "RngStream": ((1,), {"stream": (2,)}),
+    "gaussian_matrix": ((_RNG, 4, 2), {"batch": (3,)}),
+    "isotropic_frame": ((_RNG, 4, 2), {"batch": (3,)}),
+    "isotropic_frame_in_nullspace": ((_RNG, _FRAME, 2), {}),
+    "GrassmannConstants": ((4, 2), {}),
+    "Codebook": ((4, 2, 1, np.stack([_FRAME, _FRAME_B])), {}),
+    "chordal_distance_sq": ((_FRAME, _FRAME_B), {}),
+    "principal_angles": ((_FRAME, _FRAME_B), {}),
+    "random_codebook": ((_RNG, 4, 2, 2), {}),
+    "quantize": ((_FRAME, grassfeed.random_codebook(_RNG, 4, 2, 2)), {}),
+    "distortion_bound": ((_GC, 8), {"a": 0.5}),
+    "distortion_main_term": ((_GC, 8), {}),
+    "distortion_samples": ((_RNG, 4, 2, 2, 16), {}),
+    "SystemConfig": ((4, 2, 10.0), {}),
+    "PrecoderSet": ((_BD.matrices, "bd"), {}),
+    "bd_precoders": ((_CFG, np.stack([_FRAME, _FRAME_B])), {}),
+    "zf_precoders": ((_CFG, np.stack([_FRAME, _FRAME_B])), {}),
+    "instant_rate_per_user": ((_CFG, _FRAME, _BD, 0), {}),
+    "analog_feedback": ((_RNG, _CFG, _FRAME, 2.0), {}),
+    "rate_loss_bound": ((_CFG, 0.1), {}),
+    "analog_rate_loss_bound": ((_CFG, 2.0), {}),
+    "analog_rate_loss_limit": ((4, 2, 2.0), {}),
+    "perfect_csi_sum_rate": ((_CFG,), {"scheme": "zf"}),
+    "decompose": ((_FRAME, (_FRAME + _FRAME_B) / np.sqrt(2.0)), {}),
+    "sample_min_d2": ((_RNG, _GC, 80), {"guard_product": 40.0, "size": 4}),
+    "emulate_quantization": ((_RNG, _FRAME, 12), {}),
+    "beta_trace_pdf": ((4, 0.5), {}),
+    "bits_for_rate_loss": ((4, 2, 10.0, 4.0), {}),
+    "bd_3db_bits": ((4, 2, 10.0), {}),
+    "zf_3db_bits": ((4, 10.0), {}),
+    "zf_bits_for_rate_loss": ((4, 2, 10.0, 4.0), {}),
+    "bd_zf_rate_gap": ((4, 2), {}),
+    "c_prime": ((_GC,), {}),
+    "c_double_prime": ((_GC,), {}),
+    "analog_vs_quantized_bounds": ((4, 2, 2.0, 10.0), {}),
+    "FeedbackPolicy": ((), {"mode": "quantized_emulated", "schedule": "custom", "bits_table": {0.0: 10}}),
+    "ExperimentSpec": ((4, 2, (0.0,), _PERFECT, 8, 1), {"precoder": "bd"}),
+    "RateCurve": ((_CURVE.points,), {}),
+    # one chunk, so no value given as threads starts a worker
+    "run_experiment": ((grassfeed.ExperimentSpec(
+        4, 2, (0.0,), grassfeed.FeedbackPolicy(mode="quantized_emulated", bits=10), 8, 1),),
+        {"threads": 1}),
+    "estimate_snr_gap": ((_CURVE, _CURVE), {}),
+    "write_curve_csv": ((_CURVE, _CSV), {}),
+    "read_curve_csv": ((_CSV,), {}),
+}
+
+# the values each argument of a good call is replaced by, one at a time
+_POOL = [
+    "abc", None, object(), True,
+    np.nan, np.inf, -np.inf, 1e308, -1, 2.5, 10 ** 400,
+    np.empty(0), np.zeros((3, 5)), np.array(["a", "b"]), [1.0, 2.0],
+]
+
+
+def _finite(x):
+    """True unless x holds a float or complex that is NaN or infinite,
+    looking inside records, sequences and dicts."""
+    if dataclasses.is_dataclass(x):
+        return all(_finite(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return all(map(_finite, x))
+    if isinstance(x, dict):
+        return _finite(list(x.items()))
+    if isinstance(x, (float, complex, np.ndarray, np.generic)):
+        return np.asarray(x).dtype.kind not in "fc" or bool(np.isfinite(x).all())
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(_GOOD_CALLS))
+def test_one_bad_argument_at_a_time(name, tmp_path, monkeypatch):
+    """Each argument of the good call, replaced by each pool value, gives a
+    finite result or a GrassfeedError, with every warning an error."""
+    monkeypatch.chdir(tmp_path)
+    grassfeed.write_curve_csv(_CURVE, _CSV)
+    func = getattr(grassfeed, name)
+    args, kwargs = _GOOD_CALLS[name]
+    assert _finite(func(*args, **kwargs))
+    raw, infinite = [], []
+    for pos in [*range(len(args)), *kwargs]:
+        for value in _POOL:
+            if isinstance(pos, int):
+                call = (args[:pos] + (value,) + args[pos + 1:], kwargs)
+            else:
+                call = (args, {**kwargs, pos: value})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = func(*call[0], **call[1])
+                except GrassfeedError:
+                    continue
+                except Exception as exc:  # any other error is a finding
+                    raw.append((pos, repr(value)[:20], type(exc).__name__, str(exc)[:60]))
+                    continue
+            if not _finite(result):
+                infinite.append((pos, repr(value)[:20]))
+    assert raw == [] and infinite == []
 
 
 def test_benchmark_bindings_exist(monkeypatch):

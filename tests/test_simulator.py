@@ -483,15 +483,8 @@ class TestDeterminism:
             for threads in (2, 4):
                 assert run_experiment(spec, threads=threads) == a
 
-    def test_threads_env_validation(self, monkeypatch):
+    def test_threads_validation(self):
         spec = _spec(trials=4)
-        monkeypatch.setenv("GRASSFEED_THREADS", "abc")
-        with pytest.raises(ParameterError):
-            run_experiment(spec)
-        monkeypatch.setenv("GRASSFEED_THREADS", "0")
-        with pytest.raises(ParameterError):
-            run_experiment(spec)
-        monkeypatch.delenv("GRASSFEED_THREADS")
         for threads in ("2", 0, -3, 2.5, True):
             with pytest.raises(ParameterError):
                 run_experiment(spec, threads=threads)
@@ -626,9 +619,6 @@ class TestPerfectModeOracle:
                 assert pt.per_user_rate == pt.sum_rate / (m // n)
                 assert (pt.ci99, pt.mode, pt.bits_used) == (0.0, "perfect", None)
         assert calls == []
-        monkeypatch.setenv("GRASSFEED_THREADS", "abc")
-        with pytest.raises(ParameterError):
-            run_experiment(_spec())
 
 
 class TestChunkSharing:
