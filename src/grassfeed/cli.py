@@ -49,6 +49,7 @@ from .simulator import (
     ExperimentSpec,
     FeedbackPolicy,
     _policy_fields,
+    _read_lines,
     estimate_snr_gap,
     read_curve_csv,
     run_experiment,
@@ -65,21 +66,20 @@ _CONFIG_KEYS = {
 
 
 def parse_config(path):
-    """Read a flat key=value config file into a string dict."""
+    """Read a flat key=value UTF-8 config file into a string dict."""
     cfg = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in cfg:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            cfg[key] = val
+    for lineno, raw in enumerate(_read_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in cfg:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        cfg[key] = val
     return cfg
 
 

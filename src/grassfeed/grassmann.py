@@ -2,9 +2,9 @@
 
 Distances between column spaces are measured by the squared chordal
 distance d^2 = sum_j sin^2(theta_j), computed in trace form as
-N - ||A^H B||_F^2 (the principal-angle route is kept only as a test
-oracle). Random codebooks hold 2^B independent isotropic frames; a channel
-is quantized to the entry of minimum d^2, lowest index on ties.
+N - ||A^H B||_F^2. Random codebooks hold 2^B independent isotropic
+frames; a channel is quantized to the entry of minimum d^2, lowest index
+on ties.
 
 A scan of fresh codebooks, one per trial, never draws an entry as a
 matrix. Only an entry's principal angles to the channel frame hq matter,
@@ -57,7 +57,6 @@ __all__ = [
     "Codebook",
     "QuantizationResult",
     "chordal_distance_sq",
-    "principal_angles",
     "random_codebook",
     "quantize",
     "distortion_bound",
@@ -119,13 +118,13 @@ class GrassmannConstants:
 @functools.cache
 def _ball_coefficient(m, n):
     """(C_MN as a Fraction, as a float, log2 C_MN) of G(m, n), from exact
-    integers once per shape: the factorials take about 0.6 s at
-    G(400, 200)."""
-    num = 1
-    try:
-        den = math.factorial(n * (m - n))  # the largest of the factorials
-    except OverflowError as exc:
-        raise ParameterError(f"G({m}, {n}) is too large for exact factorials") from exc
+    integers once per shape. Shapes with T = N (M - N) above 2^16 raise
+    ParameterError before any factorial: the factorials' cost grows without
+    bound in T, and they take about 0.6 s at G(400, 200), T = 40,000."""
+    t = n * (m - n)
+    if t > 2 ** 16:
+        raise ParameterError(f"G({m}, {n}) has T = N (M - N) = {t} > 2^16, too large for exact constants")
+    num, den = 1, math.factorial(t)
     for i in range(1, n + 1):
         num *= math.factorial(m - i)
         den *= math.factorial(n - i)
@@ -174,18 +173,6 @@ def _d2(a, b):
     each other, unclamped."""
     g = np.einsum("...mn,...mp->...np", a.conj(), b)
     return a.shape[-1] - sumsq(g.reshape(g.shape[:-2] + (-1,)))
-
-
-def principal_angles(a, b):
-    """Principal angles between two frame spans, ascending, in radians.
-
-    arccos of the singular values of A^H B, clipped into [0, 1] before the
-    arccos. This is the reference route; production code uses the trace
-    form in :func:`chordal_distance_sq`.
-    """
-    a, b = _check_frames(a=a, b=b)
-    s = np.linalg.svd(a.conj().T @ b, compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

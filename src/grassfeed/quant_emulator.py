@@ -23,7 +23,6 @@ scan's output, at O(1) cost per trial for any B and any N.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -237,8 +236,10 @@ def beta_trace_pdf(m, z):
     """Density of one random d^2 draw on [0, 1] for N = 2 frames.
 
     f(z) = z^(2M-5) Gamma(M)^2 / ((M-1) Gamma(2M-4)); integrates to C_MN
-    over [0, 1]. The coefficient, (M-1)! (M-2)! / (2M-5)!, is rounded once
-    from exact integers, so no Gamma value overflows for large M.
+    over [0, 1]. The coefficient, (M-1)! (M-2)! / (2M-5)!, is T C_M2 with
+    T = 2 (M - 2), rounded once from :class:`GrassmannConstants`' exact
+    C_M2, so no Gamma value overflows for large M; a shape past its size
+    limit raises ParameterError.
 
     Raises
     ------
@@ -246,15 +247,11 @@ def beta_trace_pdf(m, z):
         If any z is outside [0, 1] (NaN included), where this expression is
         invalid.
     """
-    _check_count("M", m, 4)
+    gc = GrassmannConstants(m, 2)
     z = _as_array("z", z, float)
     if not np.all((z >= 0.0) & (z <= 1.0)):
         raise DomainError("beta_trace_pdf is only valid on [0, 1]")
-    try:
-        coeff = float(Fraction(math.factorial(m - 1) * math.factorial(m - 2), math.factorial(2 * m - 5)))
-    except OverflowError as exc:
-        raise ParameterError(f"M={m} is too large for exact factorials") from exc
-    out = coeff * z ** (2 * m - 5)
+    out = float(gc.t * gc.c_exact) * z ** (2 * m - 5)
     return float(out) if out.ndim == 0 else out
 
 

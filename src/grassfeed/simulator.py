@@ -18,13 +18,17 @@ user's channel:
   independent of the estimate (:func:`_plan`).
 
 A perfect point is mu_Y, with ci99 = 0. Any other point's sum rate is the
-regression estimate mean(R) - b_Y (mean(Y) - mu_Y) - b_L (mean(L) - mu_L),
-with (b_Y, b_L) the least-squares fit of R on (Y, L), and its ci99 the
-half-width of the residual R - b_Y Y - b_L L. Where mu_L is not exact (an
-exhaustive unit of width 2 or more whose nonzero budget fails the
-emulation guard), R is regressed on Y alone. The fading and the leakage that move R drop out, so the
-half-width is several times narrower than the plain mean's at the same
-trial count; the estimate stays unbiased.
+multi-control estimate (Lavenberg & Welch 1981) of one rule
+(:func:`_estimate`): take Y, then L where mu_L is exact, each centred and
+stripped of its part along the controls already taken, while the trials
+leave a degree of freedom, the remainder is not collinear and the result
+stays finite. Each taken control moves mean(R) by its least-squares slope
+times its remainder's offset from the known mean, and ci99 is the
+half-width of the last residual. mu_L is not exact for an exhaustive unit
+of width 2 or more whose nonzero budget fails the emulation guard. The
+fading and the leakage that move R drop out, so the half-width is several
+times narrower than the plain mean's at the same trial count; the
+estimate stays unbiased.
 
 Determinism contract: trials run in fixed-size chunks. A chunk's channels
 are the only draw of its stream (seed, chunk index) and serve every SNR
@@ -113,9 +117,9 @@ __all__ = [
 
 CHUNK_TRIALS = 1024
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-# Below this 1 - corr(Y, L)^2 the two controls are taken as collinear and
-# R is regressed on Y alone; Cramer's rule still leaves b about seven
-# correct digits at the threshold.
+# A control whose remainder, after the controls already taken, keeps at
+# most this share of its variance (1 - corr(Y, L)^2 for L) is collinear
+# with them and is not taken.
 _COLLINEAR = 1e-9
 _MODES = ("perfect", "quantized_emulated", "quantized_exhaustive", "analog")
 _SCHEDULES = ("fixed", "scaled_3db", "custom")
@@ -385,53 +389,47 @@ def _estimate(rates, mean_free, mean_leak=None):
     [R, Y, L] columns.
 
     Y is the interference-free sum rate and L the leakage, with known means
-    mean_free and mean_leak. The estimate is
-    mean(R) - b_Y (mean(Y) - mean_free) - b_L (mean(L) - mean_leak), with
-    (b_Y, b_L) solving the 2 x 2 normal equations of R on (Y, L) in Python
-    floats, and the half-width comes from the residual R - b_Y Y - b_L L
-    with three degrees of freedom spent. Without mean_leak, with T <= 3,
-    with var(L) = 0, with 1 - corr(Y, L)^2 below _COLLINEAR or with a
-    non-finite result it regresses on Y alone: mean(R) - b (mean(Y) -
-    mean_free) with b = cov(R, Y) / var(Y) and two degrees of freedom
-    spent. With T <= 2, with var(Y) = 0 or with a non-finite result there
-    too it is the plain mean of R.
+    mean_free and mean_leak (None where no exact mean exists). One rule:
+    take the controls in order, Y then L, each centred and stripped of its
+    part along the controls already taken (Frisch-Waugh-Lovell, so the
+    slopes are the joint least-squares fit). A control is taken only while
+    T exceeds the taken count plus two, its remainder keeps more than
+    _COLLINEAR of its variance (1 - corr^2 for L), and the new estimate and
+    half-width are finite; the first control refused ends the loop. A
+    taken control's slope regresses the residual so far on its remainder;
+    it moves mean(R) by that slope times the remainder's offset from its
+    known mean, and the half-width is that of the last residual, with one
+    degree of freedom per taken control plus one. With no control taken
+    this is the plain mean of R; T = 1 gives (mean, inf).
     """
     r = np.ascontiguousarray(rates[:, 0])
     t = len(r)
     mean = float(np.mean(r))
     if t == 1:
         return mean, math.inf
-    plain = mean, Z99 * float(np.std(r, ddof=1)) / math.sqrt(t)
-    if t <= 2:
-        return plain
-    y = np.ascontiguousarray(rates[:, 1])
-    mean_y = float(np.mean(y))
-    dy = y - mean_y
-    var = float(dy @ dy)
-    if not var > 0.0:
-        return plain
-    dr = r - mean
+    res, est, taken = r - mean, mean, []
+    ci = Z99 * float(np.std(r, ddof=1)) / math.sqrt(t)
     with np.errstate(all="ignore"):
-        cov = float(dr @ dy)
-        if mean_leak is not None and t > 3:
-            leak = np.ascontiguousarray(rates[:, 2])
-            mean_l = float(np.mean(leak))
-            dl = leak - mean_l
-            var_l, cov_l, cross = float(dl @ dl), float(dr @ dl), float(dy @ dl)
-            det = var * var_l - cross * cross
-            # False for var(L) = 0, and for products that overflow to NaN
-            if det > _COLLINEAR * var * var_l:
-                b_y = (cov * var_l - cov_l * cross) / det
-                b_l = (cov_l * var - cov * cross) / det
-                est = mean - b_y * (mean_y - mean_free) - b_l * (mean_l - mean_leak)
-                ci = Z99 * float(np.std(r - b_y * y - b_l * leak, ddof=3)) / math.sqrt(t)
-                if math.isfinite(est) and math.isfinite(ci):
-                    return est, ci
-        b = cov / var
-        est = mean - b * (mean_y - mean_free)
-        ci = Z99 * float(np.std(r - b * y, ddof=2)) / math.sqrt(t)
-    if not (math.isfinite(est) and math.isfinite(ci)):
-        return plain
+        for col, mu in ((1, mean_free), (2, mean_leak)):
+            if mu is None or t <= len(taken) + 2:
+                break
+            x = np.ascontiguousarray(rates[:, col])
+            mean_x = float(np.mean(x))
+            e, off = x - mean_x, mean_x - mu
+            var = float(e @ e)
+            for q, qq, q_off in taken:
+                g = float(e @ q) / qq
+                e, off = e - g * q, off - g * q_off
+            ee = float(e @ e)
+            if not ee > _COLLINEAR * var:
+                break
+            b = float(res @ e) / ee
+            step = res - b * e
+            fit = est - b * off, Z99 * float(np.std(step, ddof=len(taken) + 2)) / math.sqrt(t)
+            if not all(map(math.isfinite, fit)):
+                break
+            (est, ci), res = fit, step
+            taken.append((e, ee, off))
     return est, ci
 
 
@@ -530,6 +528,18 @@ def _open(path, mode):
         raise ParameterError(f"cannot open {path}: {exc.strerror or exc}") from exc
 
 
+def _read_lines(path):
+    """The lines of the UTF-8 text file at path, the one reader of input
+    files; ParameterError for a path that is not a str or os.PathLike,
+    where the system refuses to read it, and for bytes that are not UTF-8."""
+    path = _as_path("path", path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def write_curve_csv(curve, path):
     """Write a curve as CSV: p_db, sum_rate, per_user_rate, ci99, mode, bits_used.
 
@@ -553,11 +563,10 @@ def read_curve_csv(path):
     """Read a curve written by :func:`write_curve_csv`.
 
     Raises ParameterError, naming the file and line, on a foreign header, a
-    row without six fields or a field that does not parse, and on a path
-    that is not a str or os.PathLike or that cannot be opened.
+    row without six fields or a field that does not parse, and on a file
+    :func:`_read_lines` cannot read.
     """
-    with _open(path, "r") as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    lines = [(i, ln.strip()) for i, ln in enumerate(_read_lines(path), 1) if ln.strip()]
     if not lines or lines[0][1] != "p_db,sum_rate,per_user_rate,ci99,mode,bits_used":
         raise ParameterError(f"{path} is not a rate-curve CSV")
     points = []

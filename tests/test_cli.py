@@ -401,6 +401,44 @@ class TestGapCommand:
         assert "error:" in capsys.readouterr().err
 
 
+_HEADER = "p_db,sum_rate,per_user_rate,ci99,mode,bits_used\n"
+# input files a user may pass by mistake, as bytes
+_BAD_FILES = {
+    "non_utf8": b"\xff\xfe" + _HEADER.encode(),
+    "empty": b"",
+    "header_only": _HEADER.encode(),
+    "nan_rates": (_HEADER + "0,nan,nan,0.1,perfect,\n10,nan,nan,0.1,perfect,\n").encode(),
+    "wrong_columns": (_HEADER + "0,1,0.5,0.1,perfect\n").encode(),
+    "duplicate_powers": (_HEADER + "0,1,0.5,0.1,perfect,\n0,2,1,0.1,perfect,\n10,3,1.5,0.1,perfect,\n").encode(),
+}
+
+
+class TestInputFiles:
+    """Every bad input file, passed where a curve or a config belongs,
+    gives finite output with status 0, or one error line with status 2;
+    an exception other than a GrassfeedError would escape main."""
+
+    @pytest.mark.parametrize("where", ["gap_ref", "gap_test", "simulate_config"])
+    @pytest.mark.parametrize("kind", sorted(_BAD_FILES))
+    def test_finite_output_or_exit_2(self, tmp_path, capsys, kind, where):
+        bad, good = tmp_path / "bad", tmp_path / "good.csv"
+        bad.write_bytes(_BAD_FILES[kind])
+        good.write_text(_HEADER + "0,1,0.5,0.1,perfect,\n5,1.5,0.75,0.1,perfect,\n10,2,1,0.1,perfect,\n")
+        argv = {
+            "gap_ref": ["gap", "--ref", str(bad), "--test", str(good)],
+            "gap_test": ["gap", "--ref", str(good), "--test", str(bad)],
+            "simulate_config": ["simulate", "--config", str(bad), "--out", str(tmp_path / "out.csv")],
+        }[where]
+        status = main(argv)
+        out, err = capsys.readouterr()
+        if status == 0:
+            values = [float(field.split("=")[1]) for field in out.split()]
+            assert values and all(map(math.isfinite, values))
+        else:
+            assert status == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSelftestCommand:
     def test_single_config_passes(self, capsys):
         code = main(["emu-selftest", "--m", "4", "--n", "2", "--bits", "8",

@@ -145,6 +145,7 @@ _BAD_CALLS = [
     ("gaussian_matrix", "gaussian_float_batch",
      lambda: grassfeed.gaussian_matrix(_RNG, 4, 2, batch=(2.5,))),
     ("gaussian_matrix", "gaussian_int_batch", lambda: grassfeed.gaussian_matrix(_RNG, 4, 2, batch=3)),
+    ("gaussian_matrix", "gaussian_zero_m", lambda: grassfeed.gaussian_matrix(_RNG, 0, 2)),
     # numpy refuses the allocation before it asks for any memory
     ("gaussian_matrix", "gaussian_huge_batch",
      lambda: grassfeed.gaussian_matrix(_RNG, 4, 2, batch=(2 ** 62,))),
@@ -164,7 +165,7 @@ _BAD_CALLS = [
      lambda: grassfeed.isotropic_frame_in_nullspace(_RNG, _FRAME, "abc")),
     # grassmann
     ("GrassmannConstants", "constants_float_m", lambda: grassfeed.GrassmannConstants(4.5, 2)),
-    # past 2^63 entries math.factorial refuses; 10^400 has no float
+    # past T = 2^16 no exact factorial is tried; 10^400 has no float
     ("GrassmannConstants", "constants_huge_m", lambda: grassfeed.GrassmannConstants(10 ** 300, 2).c),
     ("GrassmannConstants", "constants_float_overflow_m", lambda: grassfeed.GrassmannConstants(10 ** 400, 2)),
     ("Codebook", "codebook_wide_frames",
@@ -177,7 +178,8 @@ _BAD_CALLS = [
     ("chordal_distance_sq", "chordal_nan", lambda: grassfeed.chordal_distance_sq(_NAN, _NAN)),
     ("chordal_distance_sq", "chordal_strings", lambda: grassfeed.chordal_distance_sq(_STRINGS, _FRAME)),
     ("chordal_distance_sq", "chordal_huge_int", lambda: grassfeed.chordal_distance_sq(10 ** 400, _FRAME)),
-    ("principal_angles", "angles_nan", lambda: grassfeed.principal_angles(_NAN, _FRAME)),
+    ("chordal_distance_sq", "chordal_widths_differ",
+     lambda: grassfeed.chordal_distance_sq(_FRAME, _FRAME[:, :1])),
     ("quantize", "quantize_nan",
      lambda: grassfeed.quantize(_NAN, grassfeed.random_codebook(_RNG, 4, 2, 1))),
     ("quantize", "quantize_str_codebook", lambda: grassfeed.quantize(_FRAME, "abc")),
@@ -206,6 +208,9 @@ _BAD_CALLS = [
      lambda: grassfeed.instant_rate_per_user("cfg", _FRAME, _BD, 0)),
     ("instant_rate_per_user", "rate_str_precoders",
      lambda: grassfeed.instant_rate_per_user(_CFG, _FRAME, "bd", 0)),
+    ("instant_rate_per_user", "rate_precoders_shape",
+     lambda: grassfeed.instant_rate_per_user(
+         _CFG, _FRAME, grassfeed.PrecoderSet(np.zeros((2, 6, 2), dtype=complex), "bd"), 0)),
     ("analog_feedback", "analog_inf_beta",
      lambda: grassfeed.analog_feedback(grassfeed.RngStream(1), _CFG, _FRAME, np.inf)),
     ("analog_feedback", "analog_nan", lambda: grassfeed.analog_feedback(_RNG, _CFG, _NAN, 1.0)),
@@ -228,11 +233,15 @@ _BAD_CALLS = [
     ("decompose", "decompose_nan", lambda: grassfeed.decompose(_NAN, _FRAME)),
     ("decompose", "decompose_no_columns",
      lambda: grassfeed.decompose(np.zeros((4, 0)), np.zeros((4, 0)))),
+    ("decompose", "decompose_no_nullspace",
+     lambda: grassfeed.decompose(np.eye(3, 2, dtype=complex), np.eye(3, 2, dtype=complex))),
     ("emulate_quantization", "emulate_nan", lambda: grassfeed.emulate_quantization(_RNG, _NAN, 12)),
     ("emulate_quantization", "emulate_huge_bits",
      lambda: grassfeed.emulate_quantization(_RNG, _FRAME, 10 ** 400)),
     ("emulate_quantization", "emulate_huge_int_frame",
      lambda: grassfeed.emulate_quantization(_RNG, [[10 ** 400] * 2] * 4, 12)),
+    ("emulate_quantization", "emulate_short_frame",
+     lambda: grassfeed.emulate_quantization(_RNG, np.eye(3, 2, dtype=complex), 12)),
     ("sample_min_d2", "min_d2_float_bits", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80.5)),
     ("sample_min_d2", "min_d2_negative_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=-1)),
     ("sample_min_d2", "min_d2_float_size", lambda: grassfeed.sample_min_d2(_RNG, _GC, 80, size=2.5)),
@@ -319,6 +328,12 @@ _ROW_ERRORS = {
     "frame_huge_batch": errors.MemoryGuard,
     "nullspace_frame_no_columns": errors.DimensionError,
     "decompose_no_columns": errors.DimensionError,
+    # a shape the operation has no room for
+    "gaussian_zero_m": errors.DimensionError,
+    "chordal_widths_differ": errors.DimensionError,
+    "rate_precoders_shape": errors.DimensionError,
+    "decompose_no_nullspace": errors.DimensionError,
+    "emulate_short_frame": errors.DimensionError,
     "emulate_batch_flat": errors.DimensionError,
     "emulate_batch_4d": errors.DimensionError,
     "emulate_batch_nan": errors.NotPD,
@@ -369,7 +384,7 @@ _ROW_ERRORS = {
     "policy_array_mode": errors.IncompatiblePolicy,
     "spec_array_precoder": errors.ParameterError,
     "spec_nan_seed": errors.ParameterError,
-    # an integer past the double range or math.factorial's
+    # an integer past the double range or the exact constants' size limit
     "constants_huge_m": errors.ParameterError,
     "constants_float_overflow_m": errors.ParameterError,
     "chordal_huge_int": errors.ParameterError,
@@ -490,7 +505,6 @@ _GOOD_CALLS = {
     "GrassmannConstants": ((4, 2), {}),
     "Codebook": ((4, 2, 1, np.stack([_FRAME, _FRAME_B])), {}),
     "chordal_distance_sq": ((_FRAME, _FRAME_B), {}),
-    "principal_angles": ((_FRAME, _FRAME_B), {}),
     "random_codebook": ((_RNG, 4, 2, 2), {}),
     "quantize": ((_FRAME, grassfeed.random_codebook(_RNG, 4, 2, 2)), {}),
     "distortion_bound": ((_GC, 8), {"a": 0.5}),

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,12 +21,12 @@ from grassfeed.grassmann import (
     distortion_bound,
     distortion_main_term,
     distortion_samples,
-    principal_angles,
     quantize,
     random_codebook,
     scan_fresh_codebooks,
 )
 from grassfeed.linalg import orthonormalize, thin_qr_batch
+from grassfeed.quant_emulator import beta_trace_pdf
 from grassfeed import ensembles, grassmann
 from grassfeed.cli import _ks_2samp
 from tests.test_ensembles import restricted_ks
@@ -65,34 +66,26 @@ class TestGrassmannConstants:
         gc = GrassmannConstants(16, 4)
         assert gc.log2_c == pytest.approx(math.log2(float(_oracle_c(16, 4))), rel=1e-12)
 
+    def test_size_limit(self):
+        """Exact constants up to T = N (M - N) = 2^16; past it ParameterError
+        comes before any factorial, within 10 ms (best of three)."""
+        assert GrassmannConstants(2 ** 16 + 1, 1).c == 1.0
+        calls = [lambda: GrassmannConstants(2 ** 16 + 2, 1).c, lambda: GrassmannConstants(10 ** 6, 2).c,
+                 lambda: GrassmannConstants(100000, 2).c, lambda: beta_trace_pdf(100000, 0.5)]
+        for call in calls:
+            walls = []
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(ParameterError):
+                    call()
+                walls.append(time.perf_counter() - start)
+            assert min(walls) < 0.01
+
     def test_dimension_validation(self):
         with pytest.raises(ParameterError):
             GrassmannConstants(4, 3)  # N > M/2
         with pytest.raises(ParameterError):
             GrassmannConstants(4, 0)
-
-
-class TestPrincipalAngles:
-    def test_identical_frames(self):
-        a = np.eye(4, dtype=complex)[:, :2]
-        np.testing.assert_allclose(principal_angles(a, a), [0.0, 0.0], atol=1e-7)
-
-    def test_orthogonal_subspaces(self):
-        a = np.eye(4, dtype=complex)[:, :2]
-        b = np.eye(4, dtype=complex)[:, 2:]
-        np.testing.assert_allclose(principal_angles(a, b), [np.pi / 2] * 2, atol=1e-12)
-
-    def test_45_degrees(self):
-        a = np.array([[1.0], [0.0]], dtype=complex)
-        b = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2)
-        assert principal_angles(a, b)[0] == pytest.approx(np.pi / 4, abs=1e-12)
-
-    def test_ascending(self):
-        gen = RngStream(0).child(0).generator()
-        for _ in range(100):
-            th = principal_angles(isotropic_frame(gen, 6, 3), isotropic_frame(gen, 6, 3))
-            assert np.all(np.diff(th) >= 0)
-            assert th.min() >= 0 and th.max() <= np.pi / 2 + 1e-12
 
 
 class TestChordalDistance:
@@ -201,17 +194,16 @@ class TestQuantize:
 
     def test_brute_force_oracle(self):
         """100 random channels against an independent scan that
-        orthonormalizes with numpy and compares via the angle route."""
+        orthonormalizes with numpy and compares via the angle route: the
+        principal angles are arccos of the singular values of Q^H W."""
         gen = RngStream(5).child(2).generator()
         cb = random_codebook(gen, 4, 2, 4)
         for _ in range(100):
             h = gaussian_matrix(gen, 4, 2)
             res = quantize(h, cb)
             q, r = np.linalg.qr(h)
-            dists = np.array([
-                float(np.sum(np.sin(principal_angles(q, w)) ** 2))
-                for w in cb.entries
-            ])
+            s = np.linalg.svd(q.conj().T @ cb.entries, compute_uv=False)
+            dists = np.sum(np.sin(np.arccos(np.clip(s, 0.0, 1.0))) ** 2, axis=-1)
             assert res.index == int(np.argmin(dists))
             assert res.d2 == pytest.approx(dists.min(), abs=1e-9)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,6 +307,13 @@ class TestBetaTracePdf:
                 / ((m - 1) * math.gamma(2 * m - 4))
             )
             assert beta_trace_pdf(m, z) == pytest.approx(expect, rel=1e-12)
+
+    def test_coefficient_is_the_factorial_ratio(self):
+        """The coefficient read as T C_M2 is the rounded factorial ratio
+        (M-1)! (M-2)! / (2M-5)!, bit for bit."""
+        for m in range(4, 61):
+            ratio = Fraction(math.factorial(m - 1) * math.factorial(m - 2), math.factorial(2 * m - 5))
+            assert beta_trace_pdf(m, 0.5) == float(ratio) * 0.5 ** (2 * m - 5), m
 
     @pytest.mark.parametrize("m", [90, 200, 2000])
     def test_large_m(self, m):

@@ -888,15 +888,19 @@ class TestLeakageControl:
         assert (pt.sum_rate, pt.ci99) == simulator._estimate(rates[:, :2], mu)
 
     def test_two_controls_match_least_squares(self):
+        """The estimate is the fitted R at the known control means, and the
+        half-width that of the least-squares residual, for both controls
+        and for Y alone (no mean for L)."""
         rng = np.random.default_rng(5)
         y, leak = rng.standard_normal((2, 500))
         r = 2.0 + 0.7 * y - 1.3 * leak + 0.1 * rng.standard_normal(500)
-        x = np.column_stack([np.ones(500), y, leak])
-        coef = np.linalg.lstsq(x, r, rcond=None)[0]
-        est, ci = simulator._estimate(np.column_stack([r, y, leak]), 0.2, -0.1)
-        assert est == pytest.approx(coef[0] + 0.2 * coef[1] - 0.1 * coef[2], rel=1e-12)
-        resid = r - x @ coef
-        assert ci == pytest.approx(simulator.Z99 * resid.std(ddof=3) / math.sqrt(500), rel=1e-10)
+        for controls, mean_leak in ((2, -0.1), (1, None)):
+            x = np.column_stack([np.ones(500), y, leak])[:, :1 + controls]
+            coef = np.linalg.lstsq(x, r, rcond=None)[0]
+            est, ci = simulator._estimate(np.column_stack([r, y, leak]), 0.2, mean_leak)
+            assert est == pytest.approx(np.array([1.0, 0.2, -0.1])[:1 + controls] @ coef, rel=1e-12)
+            resid = r - x @ coef
+            assert ci == pytest.approx(simulator.Z99 * resid.std(ddof=1 + controls) / math.sqrt(500), rel=1e-10)
 
     def test_fallbacks_to_y_alone(self):
         """T <= 3, a constant leakage, a leakage collinear with Y, and a
