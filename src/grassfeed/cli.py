@@ -44,7 +44,7 @@ from .ensembles import RngStream
 from .errors import ConfigError, GrassfeedError
 from .grassmann import GrassmannConstants, distortion_samples
 from .quant_emulator import sample_min_d2
-from .scaling import bd_3db_bits, bits_for_rate_loss, zf_3db_bits
+from .scaling import _budget, bd_3db_bits, bits_for_rate_loss, zf_3db_bits
 from .simulator import (
     ExperimentSpec,
     FeedbackPolicy,
@@ -179,10 +179,10 @@ def cmd_scaling(args):
         row = [f"{p_db:.6g}"]
         if args.mode in ("bd3db", "all"):
             bd = bd_3db_bits(args.m, args.n, p_db)
-            row += [f"{bd:.6g}", str(max(0, int(np.ceil(bd))))]
+            row += [f"{bd:.6g}", str(_budget(bd))]
         if args.mode in ("zf3db", "all"):
             zf = zf_3db_bits(args.m, p_db)
-            row += [f"{zf:.6g}", str(max(0, int(np.ceil(zf))))]
+            row += [f"{zf:.6g}", str(_budget(zf))]
         if args.offset is not None:
             res = bits_for_rate_loss(args.m, args.n, p_db, args.offset)
             row += [f"{res.approx:.6g}", f"{res.exact:.6g}"]

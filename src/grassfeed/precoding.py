@@ -18,6 +18,12 @@ other M - 1 knowledge columns, so ZF normalizes it: up to phase it is the
 only unit vector in their one-dimensional complement (Spencer, Swindlehurst
 & Haardt, IEEE TSP 2004).
 
+So ZF is BD over the M receive antennas taken as width-1 users. Below
+the public functions the two schemes differ only in the feedback-unit
+width w, N under BD and 1 under ZF: every precoder set is one
+:func:`bd_precoders_batch` call on the (T, K N/w, M, w) units
+(:func:`_regroup`).
+
 Rates are evaluated as the difference of two log-dets,
 
     R_k = log2 det(I + c sum_j G_j G_j^H) - log2 det(I + c sum_{j!=k} ...)
@@ -30,13 +36,14 @@ knowledge the residual interference is what produces the rate loss
 studied here.
 
 Next to each rate, :func:`rates_batch` returns the user's
-interference-free rate Y_k: log2 det(I + c G_kk G_kk^H) under BD and
-sum_i log2(1 + c |g_ii|^2) under ZF. The precoders serving user k are
-built from the other users' knowledge only, so G_kk is an N x N matrix of
-i.i.d. CN(0, 1) entries under BD, and each g_ii a CN(0, 1) gain under ZF,
-whatever that knowledge is. The mean of Y_k is therefore known in closed
-form (:func:`perfect_csi_sum_rate`): it is the perfect-CSI rate, Telatar's
-integral T_N(c) over ln 2 (Telatar 1999). It also returns the user's
+interference-free rate Y_k, the sum of log2 det(I + c G_uu G_uu^H) over
+its width-w units u, where G_uu is the w x w diagonal block of G_kk:
+G_kk itself under BD and each |g_ii|^2 under ZF. The precoders serving
+user k are built from the other users' knowledge only, so G_uu has
+i.i.d. CN(0, 1) entries whatever that knowledge is. The mean of Y_k is
+therefore known in closed form (:func:`perfect_csi_sum_rate`): it is the
+perfect-CSI rate, N/w times Telatar's integral T_w(c) over ln 2
+(Telatar 1999). It also returns the user's
 multi-user leakage L_k = sum_{j!=k} ||H_k^H V_j||_F^2, the interference
 power before it is scaled by c, whose mean the simulator knows in closed
 form too. The simulator regresses the rate on Y and L to take the fading
@@ -61,7 +68,7 @@ from .errors import (
     _is_count,
     _shaped,
 )
-from .linalg import gram_rows, logdet_hermitian_batch, orthonormalize, sumsq
+from .linalg import gram_rows, logdet_hermitian_batch, orthonormalize
 
 __all__ = [
     "SystemConfig",
@@ -169,7 +176,8 @@ def instant_rate_per_user(cfg, h_k, precoders, k):
     if not (_is_count(k) and k < cfg.k):
         raise ParameterError(f"user index {k!r} is not an integer in 0..{cfg.k - 1}")
     channels = np.broadcast_to(h_k, (1, cfg.k, cfg.m, cfg.n))
-    return float(rates_batch(cfg.p, channels, mats[np.newaxis], precoders.scheme)[0][0, k])
+    w = _unit_width(precoders.scheme, cfg.n)
+    return float(rates_batch(cfg.p, channels, mats[np.newaxis], w)[0][0, k])
 
 
 @dataclass(frozen=True)
@@ -242,23 +250,26 @@ def analog_rate_loss_limit(m, n, beta):
 def perfect_csi_sum_rate(cfg, scheme="bd"):
     """Expected sum rate under perfect CSI, bps/Hz.
 
-    K T_N(P/M) / ln 2 for BD and M T_1(P/M) / ln 2 for ZF, where T_N(c) is
-    the mean of ln det(I + c G G^H) over N x N matrices G of i.i.d.
-    CN(0, 1) entries (:func:`_telatar`). It is also the mean of the
-    interference-free sum rate at any feedback, so the rate loss of a
-    simulated curve is this minus its sum rate.
+    (M/w) T_w(P/M) / ln 2 over the M/w feedback units of width w, N under
+    BD and 1 under ZF, where T_w(c) is the mean of ln det(I + c G G^H)
+    over w x w matrices G of i.i.d. CN(0, 1) entries (:func:`_telatar`).
+    It is also the mean of the interference-free sum rate at any feedback,
+    so the rate loss of a simulated curve is this minus its sum rate.
     """
     _check_type("cfg", cfg, SystemConfig)
     _check_choice("scheme", scheme, ("bd", "zf"))
-    return _free_sum_rate_mean(cfg.m, cfg.n, cfg.p, scheme)
+    return _free_sum_rate_mean(cfg.m, _unit_width(scheme, cfg.n), cfg.p)
 
 
-def _free_sum_rate_mean(m, n, p, scheme):
-    """:func:`perfect_csi_sum_rate` for a shape and power already checked."""
-    c = p / m
-    if scheme == "zf":
-        return m * _telatar(1, c) / math.log(2.0)
-    return m // n * _telatar(n, c) / math.log(2.0)
+def _unit_width(scheme, n):
+    """Feedback-unit width of a checked scheme: N under BD, 1 under ZF."""
+    return 1 if scheme == "zf" else n
+
+
+def _free_sum_rate_mean(m, w, p):
+    """:func:`perfect_csi_sum_rate` for a shape, unit width w and power
+    already checked."""
+    return m // w * _telatar(w, p / m) / math.log(2.0)
 
 
 def _telatar(n, c):
@@ -338,6 +349,14 @@ def _inverse_blocks(knowledge):
     return np.swapaxes(w.reshape(t, m, k, n), 1, 2)
 
 
+def _regroup(x, w):
+    """A (T, U, M, v) stack of column groups regrouped, in the same column
+    order, into (T, U v/w, M, w) groups of width w: users into their
+    width-w feedback units, or units back into users of width w. Internal."""
+    t, u, m, v = x.shape
+    return np.swapaxes(np.swapaxes(x, -2, -1).reshape(t, u * v // w, w, m), -2, -1)
+
+
 def bd_precoders_batch(knowledge):
     """Batched BD precoders for a (T, K, M, N) knowledge stack. Internal."""
     # copied out whole, the inverse is freed before the Gram-Schmidt runs
@@ -351,15 +370,13 @@ def zf_precoders_batch(knowledge):
     order, go through :func:`bd_precoders_batch`, so each beam is
     normalized by the same scaled Gram-Schmidt at any knowledge scale.
     """
-    t, k, m, n = knowledge.shape
-    units = np.swapaxes(knowledge, -2, -1).reshape(t, m, m)[..., np.newaxis]
-    beams = bd_precoders_batch(units)[..., 0].reshape(t, k, n, m)
-    return np.swapaxes(beams, -2, -1)
+    return _regroup(bd_precoders_batch(_regroup(knowledge, 1)), knowledge.shape[-1])
 
 
-def rates_batch(p, channels, precoders, scheme):
+def rates_batch(p, channels, precoders, w):
     """(rates, free, leak) per user for a (T, K, M, N) channel and
-    precoder stack, scheme "bd" or "zf". Internal.
+    precoder stack whose feedback units have width w (N under BD, 1 under
+    ZF). Internal.
 
     Every G_kj = H_k^H V_j comes from one (KN, M) x (M, KN) product per
     trial. The own blocks G_kk are copied out and then zeroed, so user k's
@@ -371,9 +388,10 @@ def rates_batch(p, channels, precoders, scheme):
     (:func:`~grassfeed.linalg.gram_rows`), and both log-dets from a
     vectorized LDL^H, so no per-user matmul or LAPACK call runs.
 
-    free is each user's interference-free rate, read off the same own
-    blocks: log2 det(I + c G_kk G_kk^H) under BD (one more LDL^H) and
-    sum_i log2(1 + c |g_ii|^2) under ZF, whose streams are separate users.
+    free is each user's interference-free rate, the sum over its N/w units
+    u of log2 det(I + c G_uu G_uu^H), with G_uu the w x w diagonal block
+    of G_kk: log2 det(I + c G_kk G_kk^H) under BD, whose unit is the user
+    and reuses the own Gram, and sum_i log2(1 + c |g_ii|^2) under ZF.
     leak is each user's leakage L_k = sum_{j!=k} ||G_kj||_F^2, the real
     trace of the interference Gram, taken before it is scaled by c.
     Raises ParameterError if P/M times a gain leaves the double range.
@@ -391,23 +409,22 @@ def rates_batch(p, channels, precoders, scheme):
     intf = gram_rows(g.reshape(t, k, n, k * n))
     leak = np.diagonal(intf, axis1=-2, axis2=-1).real.sum(axis=-1)
     total = gram_rows(own)
+    # the (T, K, N/w, w, w) unit Grams G_uu G_uu^H; a whole-user unit's is
+    # the own Gram, and narrower blocks are copied C-ordered so that the
+    # chunk sums users in the same order as the rates
+    diag = np.moveaxis(np.diagonal(own.reshape(t, k, n // w, w, n // w, w), axis1=2, axis2=4), -1, 2)
+    units = total[:, :, np.newaxis] if w == n else gram_rows(np.ascontiguousarray(diag))
     try:
         with np.errstate(over="raise"):
             intf *= c
             intf += np.eye(n)
+            alone = units * c
+            alone += np.eye(w)
             total *= c
-            alone = total + np.eye(n) if scheme == "bd" else None
             total += intf
     except FloatingPointError as exc:
         raise ParameterError(
             f"rates overflow the double range at P = {10 * math.log10(p):.6g} dB"
         ) from exc
-    if scheme == "bd":
-        free = logdet_hermitian_batch(alone)
-    else:
-        # c |g_ii|^2 is finite because its row's sum in total is; own has
-        # the layout of advanced indexing, and a C-ordered copy makes the
-        # chunk sum users in the same order as the rates
-        gain = sumsq(np.ascontiguousarray(np.diagonal(own, axis1=-2, axis2=-1))[..., np.newaxis])
-        free = np.log2(c * gain + 1.0).sum(axis=-1)
+    free = logdet_hermitian_batch(alone).sum(axis=-1)
     return logdet_hermitian_batch(total) - logdet_hermitian_batch(intf), free, leak

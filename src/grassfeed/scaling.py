@@ -12,7 +12,8 @@ treats the system as M single-antenna users and scales as (M-1)/3 P_dB per
 antenna.
 
 All functions take and return real-valued bit counts; the CLI and
-FeedbackPolicy.resolve_bits take the integer ceiling.
+FeedbackPolicy.resolve_bits take the integer budget by one rule, the
+law's ceiling floored at 0 (:func:`_budget`).
 """
 
 import math
@@ -48,6 +49,12 @@ def _finite_bits(bits):
     if not math.isfinite(bits):
         raise DomainError("the bit count exceeds the largest double")
     return bits
+
+
+def _budget(bits):
+    """The integer bit budget of a finite real bit count: its ceiling,
+    floored at 0."""
+    return max(0, math.ceil(bits))
 
 
 def _root_excess(b, n):

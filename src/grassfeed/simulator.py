@@ -61,12 +61,16 @@ quantized_exhaustive
 analog
     Unquantized MMSE channel estimates from beta M feedback channel uses.
 
-A quantized user feeds back one or more units: under BD its whole
-channel on G(M, N) with the user budget, under ZF each receive antenna's
-direction on G(M, 1) with the budget split evenly (remainder to the first
-antennas). :func:`run_experiment` plans every point before it draws
-anything: its budget, mode, unit budgets, precoder-sharing key and
-control means. So a point that cannot run raises at once, and the chunk
+A quantized user feeds back one or more units of width w: under BD its
+whole channel on G(M, N) with the user budget (w = N), under ZF each
+receive antenna's direction on G(M, 1) with the budget split evenly
+(w = 1, remainder to the first antennas). ZF is BD over width-1 units, so
+the width is all the engine reads of the precoder: the units' knowledge
+is taken as users by one BD construction, Y sums each unit's
+log2 det(I + c G_uu G_uu^H) and mu_Y is (M/w) T_w(P/M)/ln 2.
+:func:`run_experiment` plans every point before it draws anything: its
+width, budget, mode, unit budgets, precoder-sharing key and control
+means. So a point that cannot run raises at once, and the chunk
 loop decides nothing.
 """
 
@@ -95,13 +99,14 @@ from .grassmann import GrassmannConstants, _codebook_size, _mean_min_d2, scan_fr
 from .linalg import orthonormalize
 from .precoding import (
     _free_sum_rate_mean,
+    _regroup,
+    _unit_width,
     analog_feedback_batch,
     bd_precoders_batch,
     rates_batch,
-    zf_precoders_batch,
 )
 from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
-from .scaling import bd_3db_bits
+from .scaling import _budget, bd_3db_bits
 
 __all__ = [
     "FeedbackPolicy",
@@ -138,10 +143,11 @@ class FeedbackPolicy:
 
     For quantized modes the bit budget per SNR point comes from the
     schedule: "fixed" uses ``bits`` everywhere, "scaled_3db" uses
-    ceil(bd_3db_bits) floored at zero, "custom" looks points up in
-    ``bits_table`` (exact dB match required). ``beta`` applies to analog
-    mode only and counts feedback channel uses per coefficient. A field
-    its mode and schedule do not read (:func:`_policy_fields`) is an error.
+    ceil(bd_3db_bits) floored at zero (:func:`~grassfeed.scaling._budget`),
+    "custom" looks points up in ``bits_table`` (exact dB match required).
+    ``beta`` applies to analog mode only and counts feedback channel uses
+    per coefficient. A field its mode and schedule do not read
+    (:func:`_policy_fields`) is an error.
     """
 
     mode: str
@@ -178,7 +184,7 @@ class FeedbackPolicy:
         if self.schedule == "fixed":
             return int(self.bits)
         if self.schedule == "scaled_3db":
-            return max(0, math.ceil(bd_3db_bits(m, n, p_db)))
+            return _budget(bd_3db_bits(m, n, p_db))
         for key, val in self.bits_table.items():
             if abs(float(key) - p_db) < 1e-9:
                 return int(val)
@@ -263,17 +269,20 @@ class RateCurve:
 class _Point:
     """One SNR point as :func:`_plan` fixes it before anything is drawn.
 
-    mode is the mode that runs; bits is None and budgets is empty for modes
-    without bits. Points with equal ``key`` (mode, bits, beta P) share
-    precoders; ``substream`` keys the stream their knowledge is drawn
-    from. mean_free and mean_leak are the closed-form means of Y and L;
-    mean_leak is None where it is not exact, and for perfect points.
+    mode is the mode that runs; width is the feedback-unit width w, N under
+    BD and 1 under ZF, the only thing the engine reads of the precoder;
+    bits is None and budgets is empty for modes without bits. Points with
+    equal ``key`` (mode, bits, beta P) share precoders; ``substream`` keys
+    the stream their knowledge is drawn from. mean_free and mean_leak are
+    the closed-form means of Y and L; mean_leak is None where it is not
+    exact, and for perfect points.
     """
 
     p_db: float
     p: float
     bits: int
     mode: str
+    width: int
     budgets: tuple
     key: tuple
     substream: tuple
@@ -300,7 +309,7 @@ def _plan(spec):
     1/(1 + beta P): K N (M - N)/(1 + beta P).
     """
     m, n, k, policy = spec.m, spec.n, spec.k, spec.policy
-    width = 1 if spec.precoder == "zf" else n
+    width = _unit_width(spec.precoder, n)
     gc = GrassmannConstants(m, width)
     plan = []
     for p_db in spec.snr_grid_db:
@@ -327,26 +336,27 @@ def _plan(spec):
             elif bits == 0:
                 mean_leak = k * n * (m - n)  # one BD unit, E[d^2] = N (M - N)/M
         substream = (_MODES.index(mode), 0 if bits is None else bits + 1)
-        plan.append(_Point(p_db, p, bits, mode, budgets, (mode, bits, snr), substream,
-                           _free_sum_rate_mean(m, n, p, spec.precoder), mean_leak))
+        plan.append(_Point(p_db, p, bits, mode, width, budgets, (mode, bits, snr), substream,
+                           _free_sum_rate_mean(m, width, p), mean_leak))
     return plan
 
 
-def _precoders(spec, pt, stream, h, frames, noise):
+def _precoders(pt, stream, h, frames, noise):
     """Precoders built from point pt's knowledge of a chunk's (T, K, M, N)
     channels h, whose analog feedback noise is ``noise`` and whose
-    feedback units ``frames`` are orthonormal."""
+    feedback units ``frames`` are orthonormal: BD over the (T, K N/w, M, w)
+    knowledge units taken as users."""
+    t, _, m, n = h.shape
     if pt.mode == "analog":
-        knowledge = analog_feedback_batch(noise, h, pt.key[2])[1]  # key[2] is beta P
+        units = _regroup(analog_feedback_batch(noise, h, pt.key[2])[1], pt.width)  # key[2] is beta P
     else:
         gen = stream.child(*pt.substream).generator()
         # an emulated budget has already passed the guard
         quantizer = emulate_batch if pt.mode == "quantized_emulated" else scan_fresh_codebooks
-        units = [quantizer(gen, f, b)[0] for f, b in zip(frames, pt.budgets)]
-        # one unit's result is the knowledge itself; only several are joined
-        know = units[0] if len(units) == 1 else np.concatenate(units, axis=-1)
-        knowledge = know.reshape(h.shape)
-    return (zf_precoders_batch if spec.precoder == "zf" else bd_precoders_batch)(knowledge)
+        fed = [quantizer(gen, f, b)[0] for f, b in zip(frames, pt.budgets)]
+        # a user's one unit is its knowledge; only several are joined
+        units = (fed[0] if len(fed) == 1 else np.stack(fed, axis=1)).reshape(t, -1, m, pt.width)
+    return _regroup(bd_precoders_batch(units), n)
 
 
 def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
@@ -365,19 +375,19 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
         out = np.empty((len(plan), count, 3))
     stream = RngStream(spec.seed).child(chunk_idx)
     h = gaussian_matrix(stream.generator(), m, n, batch=(count, k))
+    w = plan[0].width
     frames = noise = key = None
     if spec.policy.mode == "analog":
         # every analog point's noise, the same at any beta P
         noise = gaussian_matrix(stream.child(*plan[0].substream).generator(), m, n, batch=(count, k))
     else:
-        # (units, T K, M, w): every user's feedback units, the same at any budget
-        units = len(plan[0].budgets)
-        frames = orthonormalize(h.reshape(count * k, m, units, n // units).transpose(2, 0, 1, 3))
+        # (N/w, T K, M, w): every user's feedback units, the same at any budget
+        frames = orthonormalize(_regroup(h, w).reshape(count * k, n // w, m, w).swapaxes(0, 1))
     for row, pt in zip(out, plan):
         if key != pt.key:
             key, v = pt.key, None  # the last precoders go before the next
-            v = _precoders(spec, pt, stream, h, frames, noise)
-        rates, free, leak = rates_batch(pt.p, h, v, spec.precoder)
+            v = _precoders(pt, stream, h, frames, noise)
+        rates, free, leak = rates_batch(pt.p, h, v, w)
         np.sum(rates, axis=1, out=row[:, 0])
         np.sum(free, axis=1, out=row[:, 1])
         np.sum(leak, axis=1, out=row[:, 2])

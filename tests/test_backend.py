@@ -8,12 +8,10 @@ the engine's fresh-codebook scan is checked against explicit codebooks in
 ``test_grassmann``.
 """
 
-import math
-
 import numpy as np
 import pytest
 
-from grassfeed import _backend, ensembles, grassmann
+from grassfeed import _backend, grassmann
 from grassfeed.errors import RankDeficient
 from grassfeed.grassmann import Codebook, chordal_distance_sq, quantize
 from grassfeed.linalg import RANK_FLOOR, orthonormalize, thin_qr_batch
@@ -149,8 +147,7 @@ def _assert_same_scan(got, want):
 
 class TestGramScan:
     """The benchmark's complex-codebook alias is the QR-per-entry scan of
-    explicit entries; the engine's fresh-codebook scan orthonormalizes its
-    winners only."""
+    explicit entries."""
 
     @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32), (6, 2, 1)])
     def test_matches_exact_scan(self, m, n, c):
@@ -217,29 +214,3 @@ class TestGramScan:
         _assert_same_scan(got, _exact_scan(hq, dup))
         if copy == "exact":
             assert np.array_equal(got[0], np.where(first == 0, 0, 1))
-
-    @staticmethod
-    def _orthonormalized(monkeypatch, m, n, bits):
-        """Stack sizes scan_fresh_codebooks orthonormalizes for 32 trials,
-        itself or through isotropic_frame."""
-        seen = []
-
-        def spy(a):
-            seen.append(math.prod(np.shape(a)[:-2]))
-            return orthonormalize(a)
-
-        monkeypatch.setattr(grassmann, "orthonormalize", spy)
-        monkeypatch.setattr(ensembles, "orthonormalize", spy)
-        hq = thin_qr_batch(_gauss(np.random.default_rng(47), 32, m, n))[0]
-        grassmann.scan_fresh_codebooks(np.random.default_rng(44), hq, bits)
-        return seen
-
-    def test_orthonormalizes_winners_only(self, monkeypatch):
-        """U_s, U_w and the winning frame: three stacks of one item per trial."""
-        assert self._orthonormalized(monkeypatch, 4, 2, 6) == [32, 32, 32]
-
-    @pytest.mark.parametrize("m,n,c", [(2, 1, 64), (8, 1, 64), (6, 3, 32), (9, 3, 16)])
-    def test_gram_path_for_every_n(self, monkeypatch, m, n, c):
-        """Entries at every N are ranked from their model angles: only the T
-        winners are built and orthonormalized."""
-        assert self._orthonormalized(monkeypatch, m, n, c.bit_length() - 1) == [32, 32, 32]

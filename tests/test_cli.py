@@ -19,7 +19,7 @@ from grassfeed.cli import (
 )
 from grassfeed.errors import ConfigError
 from grassfeed.scaling import bd_3db_bits
-from grassfeed.simulator import read_curve_csv
+from grassfeed.simulator import FeedbackPolicy, read_curve_csv
 
 
 def _write_config(tmp_path, text, name="sim.cfg"):
@@ -295,6 +295,18 @@ class TestScalingCommand:
         assert float(row15[0]) == 15.0
         assert float(row15[1]) == pytest.approx(35.807, abs=5e-4)
         assert row15[2] == "36"
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (6, 2), (8, 1)])
+    def test_bd_ceiling_is_the_scaled_budget(self, capsys, m, n):
+        """The printed bd_3db_ceil is the budget a scaled_3db policy runs:
+        both round the law by one rule."""
+        assert main(["scaling", "--mode", "bd3db", "--M", str(m), "--N", str(n),
+                     "--snr", "0:40:0.5"]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 81
+        policy = FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")
+        for p_db, _, ceil in rows:
+            assert int(ceil) == policy.resolve_bits(float(p_db), m, n)
 
     def test_zf3db_ceilings(self, capsys):
         assert main(["scaling", "--mode", "zf3db", "--M", "6", "--N", "2",

@@ -62,6 +62,17 @@ class TestGrassmannConstants:
         for m, n in ((4, 2), (6, 2), (8, 2), (6, 3), (9, 3), (12, 4)):
             assert GrassmannConstants(m, n).c_exact == _oracle_c(m, n)
 
+    def test_every_small_shape_matches_oracle(self):
+        """The hook-product route gives the factorial ratio's reduced
+        Fraction, and so the same float and log2, at all 1,190 shapes with
+        M <= 69."""
+        shapes = [(m, n) for m in range(2, 70) for n in range(1, m // 2 + 1)]
+        assert len(shapes) == 1190
+        for m, n in shapes:
+            want = _oracle_c(m, n)
+            log2 = math.log2(want.numerator) - math.log2(want.denominator)
+            assert grassmann._ball_coefficient(m, n) == (want, float(want), log2)
+
     def test_log2_c_handles_tiny_constants(self):
         gc = GrassmannConstants(16, 4)
         assert gc.log2_c == pytest.approx(math.log2(float(_oracle_c(16, 4))), rel=1e-12)
@@ -462,6 +473,25 @@ class TestScanFreshCodebooks:
             want = orthonormalize(hq[t] @ us[t] @ b11[t] + uw @ b21[t])
             assert np.abs(won[t] - want).max() <= 1e-12
         assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
+
+    @pytest.mark.parametrize("m,n,bits", [(4, 2, 6), (2, 1, 6), (8, 1, 6), (6, 3, 5), (9, 3, 4)])
+    def test_orthonormalizes_winners_only(self, monkeypatch, m, n, bits):
+        """Entries at every N are ranked from their model angles, so only
+        each trial's winner is built: the scan orthonormalizes U_s, U_w and
+        the winning frame, three stacks of one item per trial, itself or
+        through isotropic_frame."""
+        seen = []
+
+        def spy(a):
+            seen.append(math.prod(np.shape(a)[:-2]))
+            return orthonormalize(a)
+
+        monkeypatch.setattr(grassmann, "orthonormalize", spy)
+        monkeypatch.setattr(ensembles, "orthonormalize", spy)
+        rng = np.random.default_rng(47)
+        gauss = (rng.standard_normal((32, m, n)) + 1j * rng.standard_normal((32, m, n))) * np.sqrt(0.5)
+        scan_fresh_codebooks(np.random.default_rng(44), thin_qr_batch(gauss)[0], bits)
+        assert seen == [32, 32, 32]
 
     def test_guards(self):
         gen = RngStream(12).child(2).generator()

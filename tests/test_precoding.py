@@ -11,7 +11,7 @@ from grassfeed.ensembles import (
     isotropic_frame_in_nullspace,
 )
 from grassfeed.errors import DimensionError, ParameterError, RankDeficient
-from grassfeed.linalg import logdet_hermitian_batch
+from grassfeed.linalg import gram_rows, logdet_hermitian_batch, sumsq
 from grassfeed.precoding import (
     AnalogObservation,
     PrecoderSet,
@@ -22,6 +22,7 @@ from grassfeed.precoding import (
     analog_rate_loss_limit,
     bd_precoders,
     bd_precoders_batch,
+    _free_sum_rate_mean,
     _telatar,
     instant_rate_per_user,
     perfect_csi_sum_rate,
@@ -262,8 +263,8 @@ class TestZfPrecoders:
         cfg = SystemConfig(4, 2, 100.0)
         gen = RngStream(43).child(1).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(2000, 2))
-        bd = rates_batch(cfg.p, h, bd_precoders_batch(h), "bd")[0].sum(axis=1)
-        zf = rates_batch(cfg.p, h, zf_precoders_batch(h), "zf")[0].sum(axis=1)
+        bd = rates_batch(cfg.p, h, bd_precoders_batch(h), 2)[0].sum(axis=1)
+        zf = rates_batch(cfg.p, h, zf_precoders_batch(h), 1)[0].sum(axis=1)
         assert bd.mean() > zf.mean()
         # and not degenerately so
         assert zf.mean() > 0.5 * bd.mean()
@@ -537,7 +538,7 @@ class TestPerfectCsiMean:
         gen = RngStream(53).child(m, n).generator()
         h = gaussian_matrix(gen, m, n, batch=(4000, m // n))
         pre = bd_precoders_batch(h) if scheme == "bd" else zf_precoders_batch(h)
-        rates, free, leak = rates_batch(cfg.p, h, pre, scheme)
+        rates, free, leak = rates_batch(cfg.p, h, pre, n if scheme == "bd" else 1)
         np.testing.assert_allclose(rates, free, rtol=1e-9, atol=1e-12)
         assert np.all(leak < 1e-20)
         total = rates.sum(axis=1)
@@ -551,8 +552,8 @@ class TestPerfectCsiMean:
         gen = RngStream(53).child(0).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(8, 2))
         pre = zf_precoders_batch(h + 0.3 * gaussian_matrix(gen, 4, 2, batch=(8, 2)))
-        _, bd, leak_bd = rates_batch(10.0, h, pre, "bd")
-        _, zf, leak_zf = rates_batch(10.0, h, pre, "zf")
+        _, bd, leak_bd = rates_batch(10.0, h, pre, 2)
+        _, zf, leak_zf = rates_batch(10.0, h, pre, 1)
         np.testing.assert_array_equal(leak_bd, leak_zf)
         for t in range(8):
             for k in range(2):
@@ -567,6 +568,51 @@ class TestPerfectCsiMean:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ParameterError):
             perfect_csi_sum_rate(SystemConfig(4, 2, 10.0), "mmse")
+
+
+def _own_blocks(h, pre):
+    """(T, K, N, N) own blocks G_kk = H_k^H V_k, from the same single
+    (KN, M) x (M, KN) product per trial that rates_batch forms."""
+    t, k, m, n = h.shape
+    hh = np.ascontiguousarray(np.swapaxes(h, -2, -1).conj())
+    g = np.matmul(hh.reshape(t, k * n, m), np.swapaxes(pre, 1, 2).reshape(t, m, k * n))
+    users = np.arange(k)
+    return g.reshape(t, k, n, k, n).transpose(0, 1, 3, 2, 4)[:, users, users]
+
+
+class TestUnitRule:
+    """BD and ZF differ below the public API only in the feedback-unit
+    width w: N under BD, 1 under ZF. Y and its closed-form mean are one
+    rule over the units, bitwise equal to the two branches it replaced."""
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 1)])
+    def test_free_rate_per_width(self, m, n):
+        """free at w = 1 is sum_i log2(1 + c |g_ii|^2) and at w = N the
+        log-det of I + c G_kk G_kk^H, bit for bit, on precoders that leave
+        interference, from 0 to 200 dB."""
+        gen = RngStream(57).child(m, n).generator()
+        h = gaussian_matrix(gen, m, n, batch=(64, m // n))
+        pre = zf_precoders_batch(h + 0.3 * gaussian_matrix(gen, m, n, batch=(64, m // n)))
+        own = _own_blocks(h, pre)
+        diag = np.ascontiguousarray(np.diagonal(own, axis1=-2, axis2=-1))
+        for p in (1.0, 1e3, 1e10, 1e20):
+            c = p / m
+            per_antenna = np.log2(c * sumsq(diag[..., np.newaxis]) + 1.0).sum(axis=-1)
+            np.testing.assert_array_equal(rates_batch(p, h, pre, 1)[1], per_antenna)
+            joint = logdet_hermitian_batch(gram_rows(own) * c + np.eye(n))
+            np.testing.assert_array_equal(rates_batch(p, h, pre, n)[1], joint)
+
+    def test_free_mean_per_width(self):
+        """(M/w) T_w(P/M)/ln 2 equals the per-scheme expressions it
+        replaced, M T_1/ln 2 for ZF and K T_N/ln 2 for BD, bit for bit."""
+        for m in (4, 6, 8):
+            for p_db in np.arange(-60.0, 300.5, 7.5):
+                p = 10.0 ** (p_db / 10.0)
+                c = p / m
+                assert _free_sum_rate_mean(m, 1, p) == m * _telatar(1, c) / math.log(2.0)
+                for n in range(1, m // 2 + 1):
+                    if m % n == 0:
+                        assert _free_sum_rate_mean(m, n, p) == m // n * _telatar(n, c) / math.log(2.0)
 
 
 class TestBatchParity:
@@ -610,9 +656,10 @@ class TestBatchParity:
             got, ref = bd_precoders_batch(h), _bd_reference(h)
         else:
             got, ref = zf_precoders_batch(h), _zf_reference(h)
+        w = n if scheme == "bd" else 1
         for p in (1.0, 1e3):
             np.testing.assert_allclose(
-                rates_batch(p, h, got, scheme)[0], rates_batch(p, h, ref, scheme)[0], rtol=0, atol=1e-10
+                rates_batch(p, h, got, w)[0], rates_batch(p, h, ref, w)[0], rtol=0, atol=1e-10
             )
 
     @pytest.mark.parametrize(
@@ -628,7 +675,7 @@ class TestBatchParity:
         pre = bd_precoders_batch(know) if scheme == "bd" else zf_precoders_batch(know)
         for p in (1.0, 1e3, 1e10, 1e20):
             want = _rates_einsum(p, h, pre)
-            got = rates_batch(p, h, pre, scheme)[0]
+            got = rates_batch(p, h, pre, n if scheme == "bd" else 1)[0]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_rates_batch_matches_scalar(self):
@@ -638,7 +685,7 @@ class TestBatchParity:
         gen = RngStream(49).child(2).generator()
         h = gaussian_matrix(gen, 4, 2, batch=(20, 2))
         pre = bd_precoders_batch(h + 0.3 * gaussian_matrix(gen, 4, 2, batch=(20, 2)))
-        rates = rates_batch(cfg.p, h, pre, "bd")[0]
+        rates = rates_batch(cfg.p, h, pre, 2)[0]
         assert rates.shape == (20, 2)
         for t in range(20):
             pset = PrecoderSet(matrices=pre[t], scheme="bd")
@@ -658,7 +705,7 @@ class TestBatchParity:
         know = h + 0.3 * gaussian_matrix(gen, m, n, batch=(16, m // n))
         pre = bd_precoders_batch(know) if scheme == "bd" else zf_precoders_batch(know)
         for p in (1.0, 1e3, 1e10, 1e20):
-            rates = rates_batch(p, h, pre, scheme)[0]
+            rates = rates_batch(p, h, pre, n if scheme == "bd" else 1)[0]
             want = np.array([[_rate_reference(p, h[t, k], pre[t], k) for k in range(m // n)]
                              for t in range(16)])
             assert np.abs(rates - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,14 +7,20 @@ import pytest
 from grassfeed.ensembles import RngStream, gaussian_matrix
 from grassfeed.errors import (
     FallbackRequired,
+    GrassfeedError,
     IncompatiblePolicy,
     MemoryGuard,
     NoOverlap,
     ParameterError,
 )
 from grassfeed import precoding, simulator
-from grassfeed.grassmann import GrassmannConstants
-from grassfeed.precoding import SystemConfig, perfect_csi_sum_rate
+from grassfeed.grassmann import GrassmannConstants, distortion_bound
+from grassfeed.precoding import (
+    SystemConfig,
+    analog_rate_loss_bound,
+    perfect_csi_sum_rate,
+    rate_loss_bound,
+)
 from grassfeed.quant_emulator import DEFAULT_GUARD_PRODUCT, sample_min_d2
 from grassfeed.simulator import (
     CHUNK_TRIALS,
@@ -47,7 +54,8 @@ def _perfect_rates(spec, p_db=10.0):
     h = gaussian_matrix(RngStream(spec.seed).child(0).generator(), spec.m, spec.n,
                         batch=(count, spec.k))
     build = precoding.zf_precoders_batch if spec.precoder == "zf" else precoding.bd_precoders_batch
-    return precoding.rates_batch(10.0 ** (p_db / 10.0), h, build(h), spec.precoder)
+    width = 1 if spec.precoder == "zf" else spec.n
+    return precoding.rates_batch(10.0 ** (p_db / 10.0), h, build(h), width)
 
 
 def _spec(**kw):
@@ -502,6 +510,54 @@ class TestDeterminism:
         assert curve.points[0].bits_used == 0
         assert curve.points[1].mode == "quantized_emulated"
         assert curve.points[1].bits_used == 24
+
+
+class TestUnitRule:
+    """ZF is BD over width-1 feedback units, so at N = 1, where the unit
+    is the user, the two precoders are one computation."""
+
+    @pytest.mark.parametrize("policy", [
+        FeedbackPolicy(mode="perfect"),
+        # 0 dB has a 0-bit budget, which runs as a one-entry scan
+        FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db"),
+        FeedbackPolicy(mode="quantized_exhaustive", bits=6),
+        FeedbackPolicy(mode="analog", beta=1.0),
+    ], ids=["perfect", "emulated", "exhaustive", "analog"])
+    def test_bd_at_one_antenna_is_zf(self, tmp_path, policy):
+        digests = []
+        for precoder in ("bd", "zf"):
+            spec = _spec(m=6, n=1, snr_grid_db=(0.0, 10.0, 20.0), policy=policy, trials=1500,
+                         precoder=precoder)
+            path = tmp_path / f"{precoder}.csv"
+            write_curve_csv(run_experiment(spec), str(path))
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+def test_rates_keep_their_bounded_loss_at_high_power():
+    """ROADMAP item 4's check: from 300 dB up, each non-perfect point's sum
+    rate lies within its bounded loss of the perfect closed form (K times
+    the per-user bound, plus the point's ci99 and a 1e-9 relative rounding
+    allowance), or the run raises a GrassfeedError. Today the rates level
+    off near 421 bps/Hz at BD (4, 2) while the perfect rate keeps rising,
+    and no error is raised."""
+    gc, k = GrassmannConstants(4, 2), 2
+    bounds = {
+        "quantized_emulated": lambda cfg: rate_loss_bound(cfg, distortion_bound(gc, 10 ** 5)),
+        "analog": lambda cfg: analog_rate_loss_bound(cfg, 1.0),
+    }
+    policies = [FeedbackPolicy(mode="quantized_emulated", bits=10 ** 5), FeedbackPolicy(mode="analog", beta=1.0)]
+    for policy in policies:
+        try:
+            curve = run_experiment(_spec(snr_grid_db=(300.0, 400.0, 800.0), policy=policy, trials=64))
+        except GrassfeedError:
+            continue
+        for pt in curve.points:
+            cfg = SystemConfig(4, 2, 10.0 ** (pt.p_db / 10.0))
+            perfect = perfect_csi_sum_rate(cfg)
+            allowed = k * bounds[policy.mode](cfg) + pt.ci99 + 1e-9 * perfect
+            assert perfect - pt.sum_rate <= allowed, (policy.mode, pt.p_db, pt.sum_rate, perfect)
 
 
 class TestNoLapack:
