@@ -13,18 +13,26 @@ beta-Jacobi matrix model, the CS decomposition, and generalized singular
 value problems", Found. Comput. Math. 2008), with a = 0 and b = M - 2N,
 gives them exactly from 2N - 1 independent Beta variates:
 c_i^2 ~ Beta(i, M - 2N + i) for i = 1..N and
-c'_i^2 ~ Beta(i, M - 2N + 1 + i) for i = 1..N-1. The two laws with p = 1
-(the only one at N = 1) take one uniform V on (0, 1] each, with
-s^2 = V^(1/q) and c^2 = -expm1(log(V) / q); the others are
-G_p / (G_p + G_q) from two Gamma variates, each -log of a product of
-that many uniforms at shape <= 3 (Devroye, Non-Uniform Random Variate
-Generation, 1986). An entry's d^2 is ||B21||_F^2 of the model's
-bidiagonal blocks, s_N^2 + sum_{i<N} (s_i^2 s'_i^2 + c_{i+1}^2 c'_i^2), a
-sum of positive terms over (E,) rows of the block's entries. At M=4, N=2
-an entry costs 6 uniforms, 4 logs and 3 exponentials; at N = 1 its d^2
-is s_1^2, one uniform, a log and an exp. Only each trial's winner becomes
-a frame, orth(hq U_s B11 + U_w B21), U_s and U_w drawn after the
-scan. A one-entry codebook is its own winner: the scan draws it as one
+c'_i^2 ~ Beta(i, M - 2N + 1 + i) for i = 1..N-1. Three identities
+draw them, all exact in law (Devroye, Non-Uniform Random Variate
+Generation, 1986):
+- the k-th smallest of n uniforms is Beta(k, n - k + 1), so past the
+  first law Beta(1, 2) and Beta(2, 2), the laws with q = 2 (M = 2N), are
+  the minimum of two uniforms and the median of three, with
+  s^2 = 1 - c^2;
+- the first law at Beta(1, 1) (M = 2N, and M = 2 at N = 1) is one
+  uniform V on (0, 1] as s^2; any other law with p = 1 takes one V, with
+  s^2 = V^(1/q) and c^2 = -expm1(log(V) / q);
+- the rest are G_p / (G_p + G_q) from two Gamma variates, each -log of
+  a product of that many uniforms at shape <= 3.
+An entry's d^2 is ||B21||_F^2 of the model's bidiagonal blocks,
+s_N^2 + sum_{i<N} (s_i^2 s'_i^2 + c_{i+1}^2 c'_i^2), a sum of positive
+terms over (E,) rows of the block's entries. At M=4, N=2 an entry costs
+6 uniforms, 5 mins or maxes and no log or exponential; at M=2, N=1 its
+d^2 is s_1^2 = V, one uniform, and at other N = 1 shapes one uniform, a
+log and an exp. Only each trial's winner becomes a frame,
+orth(hq U_s B11 + U_w B21), U_s and U_w drawn after the scan. A
+one-entry codebook is its own winner: the scan draws it as one
 :func:`~grassfeed.ensembles.isotropic_frame` stack, with nothing to score.
 """
 
@@ -49,7 +57,7 @@ from .errors import (
     _check_type,
     _shaped,
 )
-from .linalg import ORTHO_TOL, orthonormalize, sumsq
+from .linalg import ORTHO_TOL, add_product, orthonormalize, sumsq
 
 __all__ = [
     "CODEBOOK_ENTRY_CAP",
@@ -413,16 +421,41 @@ def _jacobi_blocks(rows):
     return blocks
 
 
+def _order_statistic(gen, p, c2, s2, spare, score):
+    """cos^2 ~ Beta(p, 2) into the row ``c2``, as the p-th smallest of
+    p + 1 uniform rows V (:func:`_uniform`): the minimum of two at
+    Beta(1, 2), and at Beta(2, 2) the median of three,
+    max(min(a, b), min(max(a, b), c)) (the k-th smallest of n uniforms is
+    Beta(k, n - k + 1); Devroye 1986). The rows go in ``c2``, ``spare``
+    and ``score``, and the median takes ``s2`` as scratch. Each row is
+    checked by :func:`_check_unit` before any min or max: a -inf fill is
+    +inf in V and would lose every min unseen."""
+    a, b = _check_unit(_uniform(gen, c2)), _check_unit(_uniform(gen, spare))
+    if p == 1:
+        return np.minimum(a, b, out=c2)
+    c = _check_unit(_uniform(gen, score))
+    low, high = np.minimum(a, b, out=s2), np.maximum(a, b, out=spare)
+    return np.maximum(low, np.minimum(high, c, out=spare), out=c2)
+
+
 def _scan_stats(gen, m, n, bits, count, winners=False):
     """Scan count trials, each against its own fresh 2^bits-entry codebook,
     from the entries' principal angles alone, one :func:`_scan_block` block
     of trials at a time. For each Beta law in :func:`_beta_shapes` order a
     block draws over its entries:
-    - at p = 1, one uniform row V (:func:`_uniform`) and sets
-      l = log(V) / q, sin^2 = exp(l), whose law is Beta(q, 1), and
-      cos^2 = -expm1(l), so no 1 - sin^2 cancels. The first law keeps l
-      in place of cos^2, which the score does not read, and only its
-      winners get cos^2 = -expm1(l);
+    - past the first law, at Beta(1, 2) and Beta(2, 2) (M = 2N), cos^2
+      as the minimum of two uniform rows or the median of three
+      (:func:`_order_statistic`) and sin^2 = 1 - cos^2, exact on numpy's
+      2^-53 grid. Beta(1, 3), the minimum of three, stays on the next
+      route: its three fills cost more than one fill, a log, a divide and
+      two exponentials;
+    - for the first law at Beta(1, 1) (M = 2N), one uniform row V
+      (:func:`_uniform`) as sin^2. The score does not read its cos^2, and
+      only its winners get cos^2 = 1 - V;
+    - else at p = 1, one uniform row V and sets l = log(V) / q,
+      sin^2 = exp(l), whose law is Beta(q, 1), and cos^2 = -expm1(l), so
+      no 1 - sin^2 cancels. The first law keeps l in place of cos^2, and
+      only its winners get cos^2 = -expm1(l);
     - else a Gamma(p) row G_p and then a Gamma(q) row G_q (:func:`_gamma`)
       and sets sin^2 = G_q / (G_p + G_q) and cos^2 = G_p / (G_p + G_q).
     Each entry is scored by :func:`_angle_d2`. Raises RankDeficient where
@@ -436,8 +469,9 @@ def _scan_stats(gen, m, n, bits, count, winners=False):
     shapes = _beta_shapes(m, n)
     e = min(block, count) * size
     work = np.empty((2, len(shapes), e))
-    # past N = 1, Gamma rows take a spare row and the score its own row;
-    # at N = 1 the score is the sin^2 row and both are empty
+    # past N = 1, Gamma rows and order statistics take a spare row and the
+    # score its own row; at N = 1 the score is the sin^2 row and both are
+    # empty
     spare, score = np.empty((2, e if n > 1 else 0))
     try:
         d2 = np.empty(count)
@@ -450,21 +484,26 @@ def _scan_stats(gen, m, n, bits, count, winners=False):
         g = work[..., :eb]
         for j, (p, q) in enumerate(shapes):
             c2, s2 = g[:, j]
-            if p == 1:
+            if j and q == 2:
+                _order_statistic(gen, p, c2, s2, spare[:eb], score[:eb])
+                np.subtract(1.0, c2, out=s2)
+            elif p == q == 1:
+                _check_unit(_uniform(gen, s2))
+            elif p == 1:
                 ell = np.log(_check_unit(_uniform(gen, c2)), out=c2)
                 ell /= q
                 np.exp(ell, out=s2)
                 if j:
                     np.negative(np.expm1(ell, out=c2), out=c2)
-                continue
-            _gamma(gen, p, c2, spare[:eb])
-            _gamma(gen, q, s2, spare[:eb])
-            tot = np.add(c2, s2, out=spare[:eb])
-            # min and max propagate NaN, which fails both comparisons
-            if not (tot.min() > 0 and tot.max() < np.inf):
-                raise RankDeficient("a codebook entry's Beta draw has a zero or non-finite Gamma sum")
-            s2 /= tot
-            c2 /= tot
+            else:
+                _gamma(gen, p, c2, spare[:eb])
+                _gamma(gen, q, s2, spare[:eb])
+                tot = np.add(c2, s2, out=spare[:eb])
+                # min and max propagate NaN, which fails both comparisons
+                if not (tot.min() > 0 and tot.max() < np.inf):
+                    raise RankDeficient("a codebook entry's Beta draw has a zero or non-finite Gamma sum")
+                s2 /= tot
+                c2 /= tot
         scores = _angle_d2(g, score[:eb], spare[:eb]).reshape(hi - lo, size)
         idx = np.argmin(scores, axis=1)
         d2[lo:hi] = scores[np.arange(hi - lo), idx]
@@ -472,7 +511,10 @@ def _scan_stats(gen, m, n, bits, count, winners=False):
             won = np.arange(hi - lo) * size + idx
             rows[:, :, lo:hi] = g[:, :, won]
             c1 = rows[0, 0, lo:hi]
-            np.negative(np.expm1(c1, out=c1), out=c1)
+            if shapes[0][1] == 1:
+                np.subtract(1.0, rows[1, 0, lo:hi], out=c1)
+            else:
+                np.negative(np.expm1(c1, out=c1), out=c1)
     return d2, rows
 
 
@@ -481,11 +523,22 @@ def _frames_from_stats(gen, hq, rows):
     ``rows``, drawn from their exact law: Q = orth(hq U_s B11 + U_w B21)
     with B11, B21 from :func:`_jacobi_blocks`, U_s an N x N Haar unitary
     and U_w = orth((I - hq hq^H) Z) for an M x N Gaussian Z
-    (:func:`~grassfeed.ensembles.gaussian_off`), drawn in that order."""
-    t, _, n = hq.shape
+    (:func:`~grassfeed.ensembles.gaussian_off`), drawn in that order.
+    The products U_s B11, hq (U_s B11) and U_w B21 are each one column
+    multiply-add per entry of the right factor
+    (:func:`~grassfeed.linalg.add_product`), which at these sizes beats
+    stacked matmuls."""
+    t, m, n = hq.shape
     us = isotropic_frame(gen, n, n, batch=(t,))
     b11, b21 = _jacobi_blocks(rows)
-    return orthonormalize(hq @ (us @ b11) + orthonormalize(gaussian_off(gen, hq, n)) @ b21)
+    col = np.empty((t, m), dtype=np.complex128)
+    uw = orthonormalize(gaussian_off(gen, hq, n, col))
+    inner = np.zeros_like(us)
+    add_product(inner, us, b11, col[:, :n])
+    out = np.zeros_like(uw)
+    add_product(out, hq, inner, col)
+    add_product(out, uw, b21, col)
+    return orthonormalize(out)
 
 
 def scan_fresh_codebooks(gen, hq, bits):

@@ -85,9 +85,11 @@ def _square_safe(a):
 
 
 def _gram_schmidt(a, total):
-    """Q, R of a (..., m, n) stack with squared Frobenius norms total."""
+    """Q, R of a (..., m, n) stack with squared Frobenius norms total.
+    At n = 1 the column norm is the item's Frobenius norm, sqrt(total)."""
     n = a.shape[-1]
-    floor = RANK_FLOOR * np.sqrt(total)
+    norm = np.sqrt(total)
+    floor = RANK_FLOOR * norm
     q = np.empty_like(a)
     r = np.zeros(a.shape[:-2] + (n, n), dtype=np.complex128)
     for j in range(n):
@@ -99,7 +101,7 @@ def _gram_schmidt(a, total):
                 c = np.einsum("...mi,...m->...i", qjh, v)
                 v -= np.einsum("...mi,...i->...m", qj, c)
                 r[..., :j, j] += c
-        d = np.sqrt(sumsq(v))
+        d = norm if n == 1 else np.sqrt(sumsq(v))
         if not np.all(d > floor):
             raise RankDeficient(f"column rank below the {RANK_FLOOR:g} relative floor")
         r[..., j, j] = d

@@ -339,7 +339,10 @@ def _inverse_blocks(knowledge):
     """inv(A^H) of the stacked knowledge A, as (T, K, M, N) column blocks.
     RankDeficient if an A is singular or, as NaN knowledge is, not finite."""
     t, k, m, n = knowledge.shape
-    a_h = np.swapaxes(knowledge, -2, -1).conj().reshape(t, m, m)
+    # one conjugating copy into C order, so the reshape is a view
+    a_h = np.empty((t, k, n, m), dtype=np.complex128)
+    np.conjugate(np.swapaxes(knowledge, -2, -1), out=a_h)
+    a_h = a_h.reshape(t, m, m)
     try:
         w = np.linalg.inv(a_h)
     except np.linalg.LinAlgError as exc:

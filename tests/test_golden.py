@@ -32,7 +32,7 @@ GOLDEN = {
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
-        "17190c6031462c98b6108fa9bdfe78c95101b6027f49ebbbe7bd43a956777ed2",
+        "6821d208034c15e3f6e1fbe835b7f8f2e83ea9754ee379fe8dea7b27eeb4767c",
     ),
     "analog": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="analog", beta=2.0)),

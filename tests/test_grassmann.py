@@ -416,10 +416,14 @@ def _angle_scan(gen, m, n, bits, count):
     """(d2, idx, b11, b21) of the angle scan, entry by entry with numpy:
     each block draws, for c_i^2 ~ Beta(i, m - 2n + i), i = 1..n, and then
     c'_i^2 ~ Beta(i, m - 2n + 1 + i), i = 1..n-1, over its entries either
-    one uniform row U at p = 1, with sin^2 = (1 - U)^(1/q) and
-    cos^2 = 1 - sin^2, or a Gamma(p) and then a Gamma(q) row; it builds each
-    entry's bidiagonal blocks B11 and B21 of the beta = 2 Jacobi model
-    element by element and scores it as n - ||B11||_F^2."""
+    - past the first law, at Beta(1, 2) and Beta(2, 2), p + 1 uniform
+      rows 1 - U, sorted entry by entry, with cos^2 the p-th smallest and
+      sin^2 = 1 - cos^2;
+    - one uniform row U at p = 1, with sin^2 = (1 - U)^(1/q) and
+      cos^2 = 1 - sin^2;
+    - or a Gamma(p) and then a Gamma(q) row;
+    it builds each entry's bidiagonal blocks B11 and B21 of the beta = 2
+    Jacobi model element by element and scores it as n - ||B11||_F^2."""
     size = 2 ** bits
     block = grassmann._scan_block(size, m, n)
     d2, idx = np.empty(count), np.empty(count, dtype=np.int64)
@@ -429,8 +433,12 @@ def _angle_scan(gen, m, n, bits, count):
         hi = min(lo + block, count)
         e = (hi - lo) * size
         cos2, sin2 = [], []
-        for p, q in laws:
-            if p == 1:
+        for j, (p, q) in enumerate(laws):
+            if j and (p, q) in ((1, 2), (2, 2)):
+                ordered = np.sort([1.0 - gen.random(e) for _ in range(p + 1)], axis=0)
+                cos2.append(ordered[p - 1])
+                sin2.append(1.0 - cos2[-1])
+            elif p == 1:
                 sin2.append((1.0 - gen.random(e)) ** (1.0 / q))
                 cos2.append(1.0 - sin2[-1])
             else:
@@ -677,38 +685,40 @@ class TestStreamedScan:
 
     def test_rank_deficient_in_later_block_raises(self):
         """A zero Gamma sum for one entry, in the third block, raises
-        RankDeficient and builds no winner. At (4, 2), b = m - 2n = 0, so
-        the laws are c_1^2 ~ Beta(1, 1), c_2^2 ~ Beta(2, 2) and
-        c'_1^2 ~ Beta(1, 2), and each block draws 1, 2 + 2 and 1 uniform
-        fills for them: 6 fills. Fills 13-16, the second to fifth of block
-        2, are c_2^2's G_p and G_q; a zero uniform in all four makes both
-        -log(1) = 0 at entry 7."""
-        m, n, bits = 4, 2, 4
+        RankDeficient and builds no winner. At (6, 3), b = m - 2n = 0, so
+        the laws are c_1^2 ~ Beta(1, 1), c_2^2 ~ Beta(2, 2),
+        c_3^2 ~ Beta(3, 3), c'_1^2 ~ Beta(1, 2) and c'_2^2 ~ Beta(2, 3), and
+        each block draws 1, 3, 3 + 3, 2 and 2 + 3 uniform fills for them:
+        17 fills. Fills 38-43, the fifth to tenth of block 2, are c_3^2's
+        G_p and G_q; a zero uniform in all six makes both -log(1) = 0 at
+        entry 7."""
+        m, n, bits = 6, 3, 4
         block = grassmann._scan_block(2 ** bits, m, n)
         count = 3 * block + 5
-        target = {13, 14, 15, 16}  # c_2^2's G_p and G_q in block 2
+        target = set(range(38, 44))  # c_3^2's G_p and G_q in block 2
 
         def edit(out, call):
             if call in target:
                 out[7] = 0.0
 
         hq = isotropic_frame(RngStream(14), m, n, batch=(count,))
-        with pytest.raises(RankDeficient):
+        with pytest.raises(RankDeficient, match="Gamma sum"):
             scan_fresh_codebooks(_EditedGenerator(15, edit), hq, bits)
-        with pytest.raises(RankDeficient):
+        with pytest.raises(RankDeficient, match="Gamma sum"):
             distortion_samples(_EditedGenerator(15, edit), m, n, bits, count)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_statistic_raises(self, value):
         """A non-finite uniform in a Gamma row makes its product leave
         (0, 1]. At (6, 3), b = 0, so c_1^2 ~ Beta(1, 1) takes uniform fill
-        0, c_2^2 ~ Beta(2, 2) fills 1-4, c_3^2 ~ Beta(3, 3) fills 5-7 for
-        its G_p and 8-10 for its G_q, and c'_1^2 ~ Beta(1, 2) fill 11: fill
-        10 is the last one multiplied into c_3^2's G_q."""
+        0, c_2^2 ~ Beta(2, 2) fills 1-3 for its median, c_3^2 ~ Beta(3, 3)
+        fills 4-6 for its G_p and 7-9 for its G_q, c'_1^2 ~ Beta(1, 2)
+        fills 10-11 for its minimum and c'_2^2 ~ Beta(2, 3) fills 12-16:
+        fill 9 is the last one multiplied into c_3^2's G_q."""
         m, n, bits = 6, 3, 2
 
         def edit(out, call):
-            if call == 10:
+            if call == 9:
                 out[3] = value
 
         with pytest.raises(RankDeficient):
@@ -717,9 +727,10 @@ class TestStreamedScan:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("target", [0, 11])
     def test_non_finite_p1_uniform_raises(self, target, value):
-        """A non-finite fill in the one uniform row of a p = 1 law raises
-        RankDeficient: at (6, 3), fill 0 is c_1^2's and fill 11 c'_1^2's
-        (see test_non_finite_statistic_raises)."""
+        """A non-finite fill in a uniform row of a p = 1 law raises
+        RankDeficient: at (6, 3), fill 0 is c_1^2's one row and fill 11
+        the second of the two whose minimum is c'_1^2 (see
+        test_non_finite_statistic_raises)."""
         m, n, bits = 6, 3, 2
 
         def edit(out, call):
@@ -728,6 +739,46 @@ class TestStreamedScan:
 
         with pytest.raises(RankDeficient):
             distortion_samples(_EditedGenerator(16, edit), m, n, bits, 40)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m,n,target", [
+        (4, 2, 1), (4, 2, 2), (4, 2, 3), (4, 2, 4), (4, 2, 5),
+        (6, 3, 1), (6, 3, 10),
+    ])
+    def test_non_finite_order_statistic_row_raises(self, m, n, target, value):
+        """A non-finite fill in any row of an order statistic raises
+        RankDeficient, though a min or max would hide an infinite one: at
+        (4, 2), fill 0 is c_1^2 ~ Beta(1, 1), fills 1-3 the median for
+        c_2^2 ~ Beta(2, 2) and fills 4-5 the minimum for
+        c'_1^2 ~ Beta(1, 2); at (6, 3) fill 1 starts c_2^2's median and
+        fill 10 c'_1^2's minimum (see test_non_finite_statistic_raises).
+        Without the edit the same scan runs."""
+        bits, count = 2, 40
+
+        def edit(out, call):
+            if call == target:
+                out[3] = value
+
+        distortion_samples(_EditedGenerator(16, lambda out, call: None), m, n, bits, count)
+        with pytest.raises(RankDeficient, match=r"\(0, 1\]"):
+            distortion_samples(_EditedGenerator(16, edit), m, n, bits, count)
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (2, 1)])
+    def test_order_statistic_rows_have_their_beta_law(self, m, n):
+        """At bits = 0 every entry is a winner, so the winners' rows are
+        the scan's rows. Each law drawn as an order statistic, and the first
+        law at Beta(1, 1), matches scipy's Beta(p, q) by KS p >= 0.01, and
+        its cos^2 + sin^2 is 1 exactly."""
+        from scipy.stats import beta, kstest
+
+        count = 20000
+        rows = grassmann._scan_stats(RngStream(29).child(m, n).generator(), m, n, 0, count, winners=True)[1]
+        laws = {(4, 2): {0: (1, 1), 1: (2, 2), 2: (1, 2)}, (6, 3): {0: (1, 1), 1: (2, 2), 3: (1, 2)}, (2, 1): {0: (1, 1)}}
+        for j, shape in laws[m, n].items():
+            assert grassmann._beta_shapes(m, n)[j] == shape
+            c2, s2 = rows[:, j]
+            assert np.array_equal(c2 + s2, np.ones(count))
+            assert kstest(c2, beta(*shape).cdf).pvalue >= 0.01
 
     @pytest.mark.parametrize("q", [1, 2, 6])
     def test_p1_cos2_keeps_relative_accuracy(self, q):

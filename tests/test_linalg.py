@@ -206,6 +206,18 @@ class TestBatchKernels:
             np.testing.assert_array_equal(q[i], qi)
             np.testing.assert_array_equal(r[i], ri)
 
+    @pytest.mark.parametrize("shape", [(1024, 8, 8, 1), (8192, 1, 1), (1, 8192, 8, 1)])
+    def test_one_column_is_divided_by_its_norm(self, shape):
+        """At n = 1, Q is a / ||a|| bit for bit, with ||a|| the root of
+        the column's sum of squares, and R holds that norm."""
+        rng = np.random.default_rng(31)
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+        norm = np.sqrt(np.sum(a.real ** 2 + a.imag ** 2, axis=-2, keepdims=True))
+        q, r = thin_qr_batch(a)
+        np.testing.assert_allclose(r.real, norm, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(q, a / r)
+        np.testing.assert_array_equal(orthonormalize(a), q)
+
     def test_thin_qr_batch_nan_is_rank_deficient(self):
         a = np.zeros((3, 4, 2), dtype=complex)
         a[:] = np.eye(4)[:, :2]
