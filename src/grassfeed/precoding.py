@@ -363,7 +363,8 @@ def _regroup(x, w):
 def bd_precoders_batch(knowledge):
     """Batched BD precoders for a (T, K, M, N) knowledge stack. Internal."""
     # copied out whole, the inverse is freed before the Gram-Schmidt runs
-    return orthonormalize(np.ascontiguousarray(_inverse_blocks(knowledge)))
+    # over the copy in place
+    return orthonormalize(np.ascontiguousarray(_inverse_blocks(knowledge)), overwrite=True)
 
 
 def zf_precoders_batch(knowledge):

@@ -23,6 +23,7 @@ scan's output, at O(1) cost per trial for any B and any N.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,19 +195,28 @@ def sample_min_d2(rng, gc, bits, guard_product=DEFAULT_GUARD_PRODUCT, size=None)
     """
     _check_type("gc", gc, GrassmannConstants)
     _check_count("size", 0 if size is None else size)
+    _check_guard(gc, bits, guard_product)
+    x = _min_d2_from_uniform(gc, bits, _uniforms(as_generator(rng), size))
+    return float(x) if size is None else x
+
+
+def _check_guard(gc, bits, guard_product=DEFAULT_GUARD_PRODUCT):
+    """FallbackRequired unless :func:`emulation_valid` holds."""
     if not emulation_valid(gc, bits, guard_product):
         raise FallbackRequired(
             f"2^{bits} * C_MN < {guard_product:g}: closed-form min-d^2 CDF not valid, "
             "use the exhaustive codebook path"
         )
-    gen = as_generator(rng)
+
+
+def _uniforms(gen, size):
+    """The min-d^2 uniforms, clipped to [1e-12, 1 - 1e-12]; MemoryGuard
+    where numpy refuses ``size`` of them."""
     try:
         uni = gen.random(size)
     except (MemoryError, ValueError) as exc:
         raise MemoryGuard(f"cannot allocate {size} min-d^2 draws: {exc}") from exc
-    uni = np.clip(uni, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
-    x = _min_d2_from_uniform(gc, bits, uni)
-    return float(x) if size is None else x
+    return np.clip(uni, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
 
 
 def _min_d2_from_uniform(gc, bits, u):
@@ -286,16 +296,18 @@ def emulate_batch(rng, hq, bits):
 
     Internal: the engine's kernel behind :func:`emulate_quantization`, which
     checks the frames (see it for the parameters); this checks only the
-    stack's shape. One generator drives the stack with its draw order
-    (z, X, G) applied arraywise. With P = G - hq (hq^H G) and W = P^H P,
-    the error term is sqrt(s) P and Y = chol(I - s W), s = z / trace(W).
-    Returns (T, M, N) frames and (T,) d^2. Any bit budget that passes the
-    default guard works: a d^2 that underflows to 0 gives Z = 0 and Y = I.
-    Y always exists: the uniforms are clipped to at most 1 - 1e-12, so
-    F <= 27.64 2^-B, which the guard 2^B C_MN >= 40 keeps below 0.691 C_MN.
-    So d^2 < 0.691^(1/T) < 1 and, as s W is PSD with trace d^2,
-    I - s W >= (1 - d^2) I. A non-finite stack reaches Y as NaN and raises
-    NotPD.
+    stack's shape. It checks the guard, then makes the budget-free draw
+    (:func:`_budget_free_draw`) and maps it to the budget
+    (:func:`_map_to_budget`); the engine makes the draw once per chunk and
+    maps it at each emulated point, so both run this one kernel. With
+    P = G - hq (hq^H G) and W = P^H P, the error term is sqrt(s) P and
+    Y = chol(I - s W), s = z / trace(W). Returns (T, M, N) frames and (T,)
+    d^2. Any bit budget that passes the default guard works: a d^2 that
+    underflows to 0 gives Z = 0 and Y = I. Y always exists: the uniforms
+    are clipped to at most 1 - 1e-12, so F <= 27.64 2^-B, which the guard
+    2^B C_MN >= 40 keeps below 0.691 C_MN. So d^2 < 0.691^(1/T) < 1 and,
+    as s W is PSD with trace d^2, I - s W >= (1 - d^2) I. A non-finite
+    stack reaches Y as NaN and raises NotPD.
 
     The N x N products run as vector operations over the whole stack, not
     as stacked matmuls, which pay a per-item cost at these sizes: P by
@@ -311,19 +323,50 @@ def emulate_batch(rng, hq, bits):
     t, m, n = hq.shape
     if m < 2 * n:
         raise DimensionError(f"need M >= 2N, got ({m}, {n})")
-    gen = as_generator(rng)
-    z = sample_min_d2(gen, GrassmannConstants(m, n), bits, size=t)
+    _check_guard(GrassmannConstants(m, n), bits)
+    draw = _budget_free_draw(as_generator(rng), hq)
+    return _map_to_budget(draw, hq, bits, draw.p)
+
+
+class _Draw(NamedTuple):
+    """The budget-free randomness of one emulated quantization of a
+    (T, M, N) stack hq: the clipped min-d^2 uniforms u, the Haar X, the
+    complement Gaussian P = G - hq (hq^H G), its Gram W = P^H P and
+    trace(W). Only the map from u to z depends on the bit budget."""
+
+    u: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    trace_w: np.ndarray
+
+
+def _budget_free_draw(gen, hq):
+    """:class:`_Draw` of the stack hq from the generator gen, in the draw
+    order u, X, G. Internal: the caller has checked hq's shape."""
+    t, m, n = hq.shape
+    u = _uniforms(gen, t)
     x = isotropic_frame(gen, n, n, batch=(t,))
-    col = np.empty((t, m), dtype=np.complex128)
-    p = gaussian_off(gen, hq, n, col)
+    p = gaussian_off(gen, hq, n)
     # W = P^H P is the transpose of the row Gram of P^T
     w = np.swapaxes(gram_rows(np.swapaxes(p, -2, -1)), -2, -1)
-    s = z / np.diagonal(w, axis1=-2, axis2=-1).real.sum(axis=-1)
-    w *= -s[:, np.newaxis, np.newaxis]
-    w += np.eye(n)
-    y = cholesky_upper_batch(w)
-    xy = np.zeros_like(x)
-    add_product(xy, x, y, np.empty((t, n), dtype=np.complex128))
-    p *= np.sqrt(s)[:, np.newaxis, np.newaxis]
-    add_product(p, hq, xy, col)
-    return p, z
+    return _Draw(u, x, p, w, np.diagonal(w, axis1=-2, axis2=-1).real.sum(axis=-1))
+
+
+def _map_to_budget(draw, hq, bits, out):
+    """(frames, d^2) of the budget ``bits`` from the draw of the stack hq:
+    z = F_B^-1(u), s = z / trace(W), Y = chol(I - s W) and
+    hq X Y + sqrt(s) P, written into ``out``, a (T, M, N) buffer that may be
+    draw.p. The draw is not changed otherwise, so one draw serves any
+    number of budgets. Internal: the caller has checked the guard."""
+    t, m, n = hq.shape
+    z = _min_d2_from_uniform(GrassmannConstants(m, n), bits, draw.u)
+    s = z / draw.trace_w
+    a = draw.w * -s[:, np.newaxis, np.newaxis]
+    a += np.eye(n)
+    y = cholesky_upper_batch(a)
+    xy = np.zeros_like(draw.x)
+    add_product(xy, draw.x, y, np.empty((t, n), dtype=np.complex128))
+    np.multiply(draw.p, np.sqrt(s)[:, np.newaxis, np.newaxis], out=out)
+    add_product(out, hq, xy, np.empty((t, m), dtype=np.complex128))
+    return out, z

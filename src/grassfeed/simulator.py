@@ -33,10 +33,12 @@ estimate stays unbiased.
 Determinism contract: trials run in fixed-size chunks. A chunk's channels
 are the only draw of its stream (seed, chunk index) and serve every SNR
 point. A point's knowledge comes from a substream keyed by what it
-depends on besides P: the effective mode and bit budget of a quantized
-point, the mode of the analog noise; a perfect sweep draws nothing. So
-points with equal mode and budget quantize once per chunk, and a point's
-result does not depend on the rest of its grid. The reduction runs over
+depends on besides P: an exhaustive point's codebooks by its mode and bit
+budget. Emulated and analog points draw their budget- or power-free
+randomness once per chunk, keyed by the mode alone, and each maps it to
+its own budget or power; a perfect sweep draws nothing. So points with
+equal mode and budget quantize once per chunk, and a point's result
+still does not depend on the rest of its grid. The reduction runs over
 the per-trial array in trial order, so results are byte-identical across
 runs and worker thread counts, and experiments with the same seed see the
 same channels whatever their policies (paired comparisons come free).
@@ -49,7 +51,12 @@ perfect
     closed-form mean mu_Y with ci99 = 0, and no trial runs.
 quantized_emulated
     Each user's channel direction is replaced by an emulated codebook
-    quantization (O(1) per trial in B). Points whose bit budget fails the
+    quantization (O(1) per trial in B). Its budget-free draws (the min-d^2
+    uniforms, the Haar X, the complement Gaussian P and its Gram) are made
+    once per chunk and feedback-unit index and shared by every emulated
+    point, which maps them to its budget: common random numbers (Glasserman
+    & Yao 1992), so each point keeps its law and each trial's d^2 falls as
+    the budget grows. Points whose bit budget fails the
     emulation guard fall back to the exhaustive scan automatically when the
     codebook fits in memory; the CSV mode column records what actually ran.
 quantized_exhaustive
@@ -105,7 +112,7 @@ from .precoding import (
     bd_precoders_batch,
     rates_batch,
 )
-from .quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, emulation_valid
+from .quant_emulator import DEFAULT_GUARD_PRODUCT, _budget_free_draw, _map_to_budget, emulation_valid
 from .scaling import _budget, bd_3db_bits
 
 __all__ = [
@@ -273,7 +280,11 @@ class _Point:
     BD and 1 under ZF, the only thing the engine reads of the precoder;
     bits is None and budgets is empty for modes without bits. Points with
     equal ``key`` (mode, bits, beta P) share precoders; ``substream`` keys
-    the stream their knowledge is drawn from. mean_free and mean_leak are
+    the stream their knowledge is drawn from: (mode, bits + 1) for an
+    exhaustive point's codebooks, and (mode, 0) for emulated and analog
+    points, the key of the chunk's one budget- or power-free draw that
+    every such point shares, so a point still does not depend on its
+    grid. mean_free and mean_leak are
     the closed-form means of Y and L; mean_leak is None where it is not
     exact, and for perfect points.
     """
@@ -335,25 +346,30 @@ def _plan(spec):
                 mean_leak = k * m * (m - n) / (m - width) * sum(_mean_min_d2(gc, b) for b in budgets)
             elif bits == 0:
                 mean_leak = k * n * (m - n)  # one BD unit, E[d^2] = N (M - N)/M
-        substream = (_MODES.index(mode), 0 if bits is None else bits + 1)
+        # an emulated point maps the chunk's one emulation draw to its budget
+        substream = (_MODES.index(mode), 0 if bits is None or mode == "quantized_emulated" else bits + 1)
         plan.append(_Point(p_db, p, bits, mode, width, budgets, (mode, bits, snr), substream,
                            _free_sum_rate_mean(m, width, p), mean_leak))
     return plan
 
 
-def _precoders(pt, stream, h, frames, noise):
+def _precoders(pt, stream, h, frames, shared):
     """Precoders built from point pt's knowledge of a chunk's (T, K, M, N)
-    channels h, whose analog feedback noise is ``noise`` and whose
-    feedback units ``frames`` are orthonormal: BD over the (T, K N/w, M, w)
-    knowledge units taken as users."""
+    channels h, whose feedback units ``frames`` are orthonormal: BD over
+    the (T, K N/w, M, w) knowledge units taken as users. ``shared`` is the
+    chunk's analog feedback noise, or its emulation draws, one per unit
+    index."""
     t, _, m, n = h.shape
     if pt.mode == "analog":
-        units = _regroup(analog_feedback_batch(noise, h, pt.key[2])[1], pt.width)  # key[2] is beta P
+        units = _regroup(analog_feedback_batch(shared, h, pt.key[2])[1], pt.width)  # key[2] is beta P
     else:
-        gen = stream.child(*pt.substream).generator()
-        # an emulated budget has already passed the guard
-        quantizer = emulate_batch if pt.mode == "quantized_emulated" else scan_fresh_codebooks
-        fed = [quantizer(gen, f, b)[0] for f, b in zip(frames, pt.budgets)]
+        if pt.mode == "quantized_emulated":
+            # an emulated budget has already passed the guard
+            fed = [_map_to_budget(d, f, b, np.empty_like(d.p))[0]
+                   for d, f, b in zip(shared, frames, pt.budgets)]
+        else:
+            gen = stream.child(*pt.substream).generator()
+            fed = [scan_fresh_codebooks(gen, f, b)[0] for f, b in zip(frames, pt.budgets)]
         # a user's one unit is its knowledge; only several are joined
         units = (fed[0] if len(fed) == 1 else np.stack(fed, axis=1)).reshape(t, -1, m, pt.width)
     return _regroup(bd_precoders_batch(units), n)
@@ -365,9 +381,13 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
     written into ``out`` when it is given.
 
     The channels are the chunk stream's only draw; a point's knowledge
-    comes from its substream. Feedback units are orthonormalized and the
-    analog noise is drawn once per chunk, and a run of points with equal
-    keys shares its precoders.
+    comes from its substream. Feedback units are orthonormalized once per
+    chunk. Emulated and analog points draw their budget- or power-free
+    randomness once per chunk, keyed by the mode alone, so a point still
+    does not depend on its grid: the analog noise, and, only when the plan
+    has an emulated point, one emulation draw per feedback-unit index,
+    which each emulated point maps to its own budget. A run of points with
+    equal keys shares its precoders.
     """
     m, n, k = spec.m, spec.n, spec.k
     count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
@@ -376,17 +396,22 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
     stream = RngStream(spec.seed).child(chunk_idx)
     h = gaussian_matrix(stream.generator(), m, n, batch=(count, k))
     w = plan[0].width
-    frames = noise = key = None
+    frames = shared = key = None
     if spec.policy.mode == "analog":
         # every analog point's noise, the same at any beta P
-        noise = gaussian_matrix(stream.child(*plan[0].substream).generator(), m, n, batch=(count, k))
+        shared = gaussian_matrix(stream.child(*plan[0].substream).generator(), m, n, batch=(count, k))
     else:
         # (N/w, T K, M, w): every user's feedback units, the same at any budget
         frames = orthonormalize(_regroup(h, w).reshape(count * k, n // w, m, w).swapaxes(0, 1))
+        emulated = [pt for pt in plan if pt.mode == "quantized_emulated"]
+        if emulated:
+            # every emulated point's draws, the same at any budget
+            gen = stream.child(*emulated[0].substream).generator()
+            shared = [_budget_free_draw(gen, f) for f in frames]
     for row, pt in zip(out, plan):
         if key != pt.key:
             key, v = pt.key, None  # the last precoders go before the next
-            v = _precoders(pt, stream, h, frames, noise)
+            v = _precoders(pt, stream, h, frames, shared)
         rates, free, leak = rates_batch(pt.p, h, v, w)
         np.sum(rates, axis=1, out=row[:, 0])
         np.sum(free, axis=1, out=row[:, 1])

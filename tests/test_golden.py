@@ -28,7 +28,7 @@ GOLDEN = {
     "emulated": (
         dict(m=4, n=2, trials=1100,
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "d549e55f3b491bd6ee330e5dff73003201609f2dbb3914254e49788837b27826",
+        "a4d7cb8bbbc3d8a70574c060b18520776297fdd22423f6092c812628f50c177e",
     ),
     "exhaustive": (
         dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)),
@@ -41,7 +41,7 @@ GOLDEN = {
     "zf_emulated": (
         dict(m=6, n=2, precoder="zf",
              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
-        "53b4c903f10936fff60437eab1025e050ef385fd4879a6b7a648258851be724d",
+        "5128b4575e7ab95b0b03552be5e05d9de60921403947836c44b399a567927974",
     ),
 }
 

@@ -54,6 +54,21 @@ class TestThinQr:
         with pytest.raises(DimensionError):
             _one(thin_qr_batch, np.zeros((3, 0)))
 
+    @pytest.mark.parametrize("shape,scale", [((200, 6, 1), 1.0), ((200, 6, 2), 1.0),
+                                             ((50, 3, 8, 3), 1.0), ((40, 5, 2), 1e200)])
+    def test_overwrite_gives_the_same_bytes(self, shape, scale):
+        """Q written over its input, as the BD precoders do, has the bytes
+        of Q written into a new stack, and R keeps its bytes too."""
+        rng = np.random.default_rng(11)
+        a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        q, r = thin_qr_batch(a)
+        given = a.copy()
+        q_over, r_over = thin_qr_batch(given, overwrite=True)
+        assert q_over.tobytes() == q.tobytes() and r_over.tobytes() == r.tobytes()
+        if scale == 1.0:
+            assert np.shares_memory(q_over, given)
+        np.testing.assert_array_equal(orthonormalize(a.copy(), overwrite=True), q)
+
 
 class TestCholeskyUpper:
     def test_identity(self):

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from grassfeed.grassmann import (
 from grassfeed.linalg import cholesky_upper_batch
 from grassfeed.quant_emulator import (
     CondEigSampler,
+    _budget_free_draw,
+    _map_to_budget,
     beta_trace_pdf,
     decompose,
     emulate_batch,
@@ -376,6 +379,24 @@ class TestEmulateQuantization:
             got, z_got = emulate_batch(RngStream(29).child(7, m).generator(), h, bits)
             np.testing.assert_array_equal(z_got, z_want)
             assert np.abs(got - want).max() <= 1e-14
+
+
+    @pytest.mark.parametrize("m,n,bits", [(4, 2, 12), (6, 2, 20), (8, 1, 12), (8, 3, 40)])
+    def test_is_the_map_of_the_budget_free_draw(self, m, n, bits):
+        """emulate_batch is the per-budget map of the budget-free draw from a
+        copy of its generator, bitwise; a map into a fresh buffer leaves the
+        draw as it was, so one draw serves any number of budgets."""
+        h = isotropic_frame(RngStream(29).child(8, m).generator(), m, n, batch=(300,))
+        gen = RngStream(29).child(9, m).generator()
+        draw = _budget_free_draw(copy.deepcopy(gen), h)
+        kept = [a.copy() for a in draw]
+        want = emulate_batch(gen, h, bits)
+        for budget in (bits + 7, bits):
+            got = _map_to_budget(draw, h, budget, np.empty_like(draw.p))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(draw, kept):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestEmulatedMatchesExhaustive:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from grassfeed.ensembles import RngStream, gaussian_matrix
 from grassfeed.errors import (
@@ -21,7 +22,7 @@ from grassfeed.precoding import (
     perfect_csi_sum_rate,
     rate_loss_bound,
 )
-from grassfeed.quant_emulator import DEFAULT_GUARD_PRODUCT, sample_min_d2
+from grassfeed.quant_emulator import DEFAULT_GUARD_PRODUCT, emulate_batch, sample_min_d2
 from grassfeed.simulator import (
     CHUNK_TRIALS,
     ExperimentSpec,
@@ -678,10 +679,12 @@ class TestPerfectModeOracle:
 
 
 class TestChunkSharing:
-    """Each chunk draws its channels once for the whole sweep, and each
-    point's knowledge from a substream keyed by mode and bits, so a point
-    does not depend on the rest of its grid and points that know the same
-    share one quantization and one set of precoders."""
+    """Each chunk draws its channels once for the whole sweep. Emulated and
+    analog points draw their budget- or power-free randomness once per
+    chunk, keyed by the mode alone, and exhaustive points their codebooks
+    from a substream keyed by mode and bits. So a point does not depend on
+    the rest of its grid, and points that know the same share one
+    quantization and one set of precoders."""
 
     @pytest.mark.parametrize("kw", [
         dict(policy=FeedbackPolicy(mode="perfect")),
@@ -732,6 +735,114 @@ class TestChunkSharing:
         pol = FeedbackPolicy(mode="analog", beta=2.0)
         run_experiment(_spec(policy=pol, snr_grid_db=(0.0, 10.0, 20.0), trials=CHUNK_TRIALS + 5))
         assert calls == [(CHUNK_TRIALS, 2)] * 2 + [(5, 2)] * 2
+
+    @staticmethod
+    def _spy_draws(monkeypatch):
+        """The frame stacks each budget-free emulation draw is made for."""
+        real, stacks = simulator._budget_free_draw, []
+
+        def spy(gen, hq):
+            stacks.append(hq)
+            return real(gen, hq)
+
+        monkeypatch.setattr(simulator, "_budget_free_draw", spy)
+        return stacks
+
+    @pytest.mark.parametrize("kw,units,count", [
+        (dict(policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")), 1, 2),
+        (dict(m=6, n=2, precoder="zf", snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0),
+              policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")), 2, 3),
+        (dict(policy=FeedbackPolicy(mode="quantized_exhaustive", bits=4)), 0, 0),
+        (dict(policy=FeedbackPolicy(mode="quantized_emulated", schedule="custom",
+                                    bits_table={0.0: 2, 10.0: 4, 20.0: 4})), 0, 0),
+    ], ids=["bd", "zf", "exhaustive", "all_fall_back"])
+    def test_emulation_drawn_once_per_chunk(self, monkeypatch, kw, units, count):
+        """An emulated sweep makes one budget-free draw per chunk and
+        feedback-unit index, whatever its number of emulated points; a
+        sweep with none, also one whose every point falls back to the scan,
+        makes no such draw."""
+        stacks = self._spy_draws(monkeypatch)
+        spec = _spec(**{"snr_grid_db": (0.0, 10.0, 20.0), "trials": CHUNK_TRIALS + 5, **kw})
+        curve = run_experiment(spec)
+        assert [pt.mode for pt in curve.points].count("quantized_emulated") == count
+        assert [len(hq) for hq in stacks] == [CHUNK_TRIALS * spec.k] * units + [5 * spec.k] * units
+
+    @pytest.mark.parametrize("kw", [
+        dict(policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db")),
+        dict(m=6, n=2, precoder="zf", policy=FeedbackPolicy(
+            mode="quantized_emulated", schedule="custom", bits_table={0.0: 8, 10.0: 13, 20.0: 17})),
+    ], ids=["bd", "zf"])
+    def test_emulated_knowledge_is_emulate_batch(self, monkeypatch, kw):
+        """An emulated point's knowledge is emulate_batch on the chunk's one
+        emulation stream at that point's unit budgets, bitwise."""
+        stacks = self._spy_draws(monkeypatch)
+        real, knowledge = simulator.bd_precoders_batch, []
+
+        def spy(units):
+            knowledge.append(units.copy())
+            return real(units)
+
+        monkeypatch.setattr(simulator, "bd_precoders_batch", spy)
+        spec = _spec(**{"snr_grid_db": (0.0, 10.0, 20.0), "trials": 2 * CHUNK_TRIALS + 9, **kw})
+        plan = simulator._plan(spec)
+        emulation = (simulator._MODES.index("quantized_emulated"), 0)
+        for chunk in (0, 2):
+            stacks.clear()
+            knowledge.clear()
+            simulator._chunk_sum_rates(spec, plan, chunk)
+            for pt, units in zip(plan, knowledge):
+                if pt.mode != "quantized_emulated":
+                    continue
+                assert pt.substream == emulation
+                gen = RngStream(spec.seed).child(chunk, *emulation).generator()
+                fed = [emulate_batch(gen, hq, b)[0] for hq, b in zip(stacks, pt.budgets)]
+                want = np.stack(fed, axis=1).reshape(units.shape)
+                np.testing.assert_array_equal(units, want)
+
+    @staticmethod
+    def _spy_distortions(monkeypatch):
+        """(budget, d^2) of every per-budget emulation map."""
+        real, seen = simulator._map_to_budget, []
+
+        def spy(draw, hq, bits, out):
+            frames, z = real(draw, hq, bits, out)
+            seen.append((bits, z))
+            return frames, z
+
+        monkeypatch.setattr(simulator, "_map_to_budget", spy)
+        return seen
+
+    def test_emulated_distortion_falls_with_the_budget(self, monkeypatch):
+        """One chunk's emulated points share their uniforms, so each trial's
+        d^2 is non-increasing in the budget across the points."""
+        seen = self._spy_distortions(monkeypatch)
+        spec = _spec(m=6, n=2, snr_grid_db=tuple(range(0, 31, 5)), trials=CHUNK_TRIALS,
+                     policy=FeedbackPolicy(mode="quantized_emulated", schedule="scaled_3db"))
+        run_experiment(spec)
+        budgets = [b for b, _ in seen]
+        assert len(seen) >= 5 and budgets == sorted(set(budgets))
+        for (_, hi), (_, lo) in zip(seen, seen[1:]):
+            assert np.all(lo <= hi) and np.any(lo < hi)
+
+    @pytest.mark.parametrize("kw,budgets", [
+        (dict(m=4, n=2, policy=FeedbackPolicy(mode="quantized_emulated", schedule="custom",
+                                              bits_table={10.0: 7, 20.0: 12})), (7, 12)),
+        (dict(m=6, n=2, precoder="zf", policy=FeedbackPolicy(
+            mode="quantized_emulated", schedule="custom", bits_table={10.0: 12, 20.0: 20})), (6, 10)),
+    ], ids=["bd", "zf"])
+    def test_emulated_distortion_keeps_its_law(self, monkeypatch, kw, budgets):
+        """Sharing the draws leaves each point's marginal law alone: its d^2
+        sample fits the exact min CDF 1 - (1 - C_MN x^T)^(2^B) of its unit
+        width, here 2 under BD and 1 under ZF."""
+        seen = self._spy_distortions(monkeypatch)
+        spec = _spec(snr_grid_db=(10.0, 20.0), trials=CHUNK_TRIALS, **kw)
+        run_experiment(spec)
+        gc = GrassmannConstants(spec.m, simulator._plan(spec)[0].width)
+        assert sorted({b for b, _ in seen}) == list(budgets)
+        for bits in budgets:
+            z = np.concatenate([z for b, z in seen if b == bits])
+            cdf = lambda x: -np.expm1(2.0 ** bits * np.log1p(-gc.c * x ** gc.t))
+            assert kstest(z, cdf).pvalue >= 0.01
 
     @pytest.mark.parametrize("policy,shared", [
         (FeedbackPolicy(mode="quantized_emulated", schedule="custom",
