@@ -38,27 +38,28 @@ RANK_FLOOR = 1e-12
 _SQUARE_RANGE = (1e-250, 1e250)
 
 
-def thin_qr_batch(a, overwrite=False):
+def thin_qr_batch(a):
     """Thin QR, R with a real positive diagonal, of every item of a tall
     (..., m, n) stack. Internal.
 
     Two-pass classical Gram-Schmidt over the n columns, vectorized over the
     stack. Raises RankDeficient if any item falls under the rank floor;
     non-finite input counts as rank deficient and is rejected before any
-    arithmetic. With overwrite, Q is written over a complex128 ``a``, which
-    the caller gives up, instead of into a new stack; the bytes are the same.
+    arithmetic.
     """
     a, total, e = _square_safe(a)
-    q, r = _gram_schmidt(a, total, a if overwrite else np.empty_like(a))
+    q, r = _gram_schmidt(a, total, np.empty_like(a))
     if e is None:
         return q, r
     return q, np.ldexp(r.view(np.float64), e).view(np.complex128)
 
 
 def orthonormalize(a, overwrite=False):
-    """Positive-diagonal thin-QR Q factors of a (..., m, n) stack. Internal.
-    With overwrite, a C-ordered complex128 ``a`` is given up and holds Q."""
-    return thin_qr_batch(np.ascontiguousarray(a, dtype=np.complex128), overwrite)[0]
+    """Positive-diagonal thin-QR Q factors of a (..., m, n) stack, the Q of
+    :func:`thin_qr_batch`. Internal. With overwrite, a C-ordered complex128
+    ``a`` is given up and holds Q, with the same bytes."""
+    a, total, _ = _square_safe(np.ascontiguousarray(a, dtype=np.complex128))
+    return _gram_schmidt(a, total, a if overwrite else np.empty_like(a))[0]
 
 
 def _square_safe(a):
