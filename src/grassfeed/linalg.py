@@ -48,18 +48,15 @@ def thin_qr_batch(a):
     arithmetic.
     """
     a, total, e = _square_safe(a)
-    q, r = _gram_schmidt(a, total, np.empty_like(a))
+    q, r = _gram_schmidt(a, total)
     if e is None:
         return q, r
     return q, np.ldexp(r.view(np.float64), e).view(np.complex128)
 
 
-def orthonormalize(a, overwrite=False):
-    """Positive-diagonal thin-QR Q factors of a (..., m, n) stack, the Q of
-    :func:`thin_qr_batch`. Internal. With overwrite, a C-ordered complex128
-    ``a`` is given up and holds Q, with the same bytes."""
-    a, total, _ = _square_safe(np.ascontiguousarray(a, dtype=np.complex128))
-    return _gram_schmidt(a, total, a if overwrite else np.empty_like(a))[0]
+def orthonormalize(a):
+    """Positive-diagonal thin-QR Q factors of a (..., m, n) stack. Internal."""
+    return thin_qr_batch(np.ascontiguousarray(a, dtype=np.complex128))[0]
 
 
 def _square_safe(a):
@@ -87,14 +84,13 @@ def _square_safe(a):
     return a, sumsq(a.reshape(a.shape[:-2] + (m * n,))), e
 
 
-def _gram_schmidt(a, total, q):
-    """Q, R of a (..., m, n) stack with squared Frobenius norms total, Q
-    written into q, which may be a: column j of a is read, or copied, before
-    column j of Q is written. At n = 1 the column norm is the item's
-    Frobenius norm, sqrt(total)."""
+def _gram_schmidt(a, total):
+    """Q, R of a (..., m, n) stack with squared Frobenius norms total.
+    At n = 1 the column norm is the item's Frobenius norm, sqrt(total)."""
     n = a.shape[-1]
     norm = np.sqrt(total)
     floor = RANK_FLOOR * norm
+    q = np.empty_like(a)
     r = np.zeros(a.shape[:-2] + (n, n), dtype=np.complex128)
     for j in range(n):
         v = a[..., j]

@@ -363,8 +363,7 @@ def _regroup(x, w):
 def bd_precoders_batch(knowledge):
     """Batched BD precoders for a (T, K, M, N) knowledge stack. Internal."""
     # copied out whole, the inverse is freed before the Gram-Schmidt runs
-    # over the copy in place
-    return orthonormalize(np.ascontiguousarray(_inverse_blocks(knowledge)), overwrite=True)
+    return orthonormalize(np.ascontiguousarray(_inverse_blocks(knowledge)))
 
 
 def zf_precoders_batch(knowledge):

@@ -54,19 +54,6 @@ class TestThinQr:
         with pytest.raises(DimensionError):
             _one(thin_qr_batch, np.zeros((3, 0)))
 
-    @pytest.mark.parametrize("shape,scale", [((200, 6, 1), 1.0), ((200, 6, 2), 1.0),
-                                             ((50, 3, 8, 3), 1.0), ((40, 5, 2), 1e200)])
-    def test_overwrite_gives_the_same_bytes(self, shape, scale):
-        """orthonormalize writing Q over its input, as the BD precoders do,
-        gives the bytes of thin_qr_batch's Q and of a Q in a new stack."""
-        rng = np.random.default_rng(11)
-        a = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        q = thin_qr_batch(a)[0]
-        given = a.copy()
-        q_over = orthonormalize(given, overwrite=True)
-        assert q_over.tobytes() == q.tobytes() == orthonormalize(a).tobytes()
-        assert np.shares_memory(q_over, given) == (scale == 1.0)
-
 
 class TestCholeskyUpper:
     def test_identity(self):
