@@ -5,15 +5,16 @@ The module has no public names: it holds the batch kernels the engine,
 ``perfbench/`` run. Everything downstream (frame sampling, quantization,
 precoding) relies on two conventions fixed here once:
 
-* QR factors carry a real, strictly positive R diagonal.  With that
-  constraint the thin QR of a full-rank matrix is unique, so Gaussian
-  matrices pushed through :func:`thin_qr_batch` give Haar-distributed
-  frames and any correct algorithm returns the same factors up to
-  rounding. It is computed by two-pass classical Gram-Schmidt,
-  vectorized over the stack: each column is projected twice against the
-  earlier Q columns ("twice is enough", Giraud, Langou & Rozloznik 2005)
-  and R_jj is the real norm of what remains, so the diagonal is positive
-  by construction.
+* Orthonormal frames are the Q factors of thin QR with a real, strictly
+  positive R diagonal, from :func:`orthonormalize`, the library's one QR
+  kernel.  With that constraint the thin QR of a full-rank matrix is
+  unique, so Gaussian matrices pushed through it give Haar-distributed
+  frames and any correct algorithm returns the same Q up to rounding. It
+  is computed by two-pass classical Gram-Schmidt, vectorized over the
+  stack: each column is projected twice against the earlier Q columns
+  ("twice is enough", Giraud, Langou & Rozloznik 2005) and divided by the
+  real norm of what remains, so the diagonal of R = Q^H A is positive by
+  construction. R itself is never formed.
 * Log-determinants and Cholesky factors of Hermitian positive definite
   matrices come from one square-root-free LDL^H factorization, vectorized
   over the stack with a Python loop over the n columns: the sum of log2
@@ -38,8 +39,8 @@ RANK_FLOOR = 1e-12
 _SQUARE_RANGE = (1e-250, 1e250)
 
 
-def thin_qr_batch(a):
-    """Thin QR, R with a real positive diagonal, of every item of a tall
+def orthonormalize(a):
+    """Positive-diagonal thin-QR Q factors of every item of a tall
     (..., m, n) stack. Internal.
 
     Two-pass classical Gram-Schmidt over the n columns, vectorized over the
@@ -47,28 +48,20 @@ def thin_qr_batch(a):
     non-finite input counts as rank deficient and is rejected before any
     arithmetic.
     """
-    a, total, e = _square_safe(a)
-    q, r = _gram_schmidt(a, total)
-    if e is None:
-        return q, r
-    return q, np.ldexp(r.view(np.float64), e).view(np.complex128)
-
-
-def orthonormalize(a):
-    """Positive-diagonal thin-QR Q factors of a (..., m, n) stack. Internal."""
-    return thin_qr_batch(np.ascontiguousarray(a, dtype=np.complex128))[0]
+    return _gram_schmidt(*_square_safe(a))
 
 
 def _square_safe(a):
-    """(a, ||a||_F^2 per item, e) for a (..., m, n) stack, as complex128.
+    """(a, ||a||_F^2 per item) for a (..., m, n) stack, as contiguous
+    complex128.
 
     Empty items raise DimensionError; non-finite input counts as rank
     deficient and is rejected before any arithmetic. When some item's
-    ||a||_F^2 leaves _SQUARE_RANGE, every item is scaled by 2^-e, which
-    brings its largest entry into [0.5, 1); e is None when the stack is
-    returned unscaled.
+    ||a||_F^2 leaves _SQUARE_RANGE, each item is scaled by the power of two
+    that brings its largest entry into [0.5, 1), which is exact and leaves
+    every column space as it was.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
     m, n = a.shape[-2:]
     if not (m and n):
         raise DimensionError(f"items need at least one row and one column, got ({m}, {n})")
@@ -77,21 +70,20 @@ def _square_safe(a):
     with np.errstate(over="ignore"):
         total = sumsq(a.reshape(a.shape[:-2] + (m * n,)))
     if np.all((total >= _SQUARE_RANGE[0]) & (total <= _SQUARE_RANGE[1])):
-        return a, total, None
+        return a, total
     big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1))
     e = np.frexp(big)[1][..., np.newaxis, np.newaxis]
-    a = np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128)
-    return a, sumsq(a.reshape(a.shape[:-2] + (m * n,))), e
+    a = np.ldexp(a.view(np.float64), -e).view(np.complex128)
+    return a, sumsq(a.reshape(a.shape[:-2] + (m * n,)))
 
 
 def _gram_schmidt(a, total):
-    """Q, R of a (..., m, n) stack with squared Frobenius norms total.
+    """Q of a (..., m, n) stack with squared Frobenius norms total.
     At n = 1 the column norm is the item's Frobenius norm, sqrt(total)."""
     n = a.shape[-1]
     norm = np.sqrt(total)
     floor = RANK_FLOOR * norm
     q = np.empty_like(a)
-    r = np.zeros(a.shape[:-2] + (n, n), dtype=np.complex128)
     for j in range(n):
         v = a[..., j]
         if j:
@@ -100,13 +92,11 @@ def _gram_schmidt(a, total):
             for _ in range(2):
                 c = np.einsum("...mi,...m->...i", qjh, v)
                 v -= np.einsum("...mi,...i->...m", qj, c)
-                r[..., :j, j] += c
         d = norm if n == 1 else np.sqrt(sumsq(v))
         if not np.all(d > floor):
             raise RankDeficient(f"column rank below the {RANK_FLOOR:g} relative floor")
-        r[..., j, j] = d
         np.divide(v, d[..., np.newaxis], out=q[..., j])  # no stack-sized temporary
-    return q, r
+    return q
 
 
 def project_off(p, q, col):
@@ -192,9 +182,9 @@ def left_nullspace_basis_batch(a):
     The library builds complements with :func:`project_off`; this is kept
     only because the benchmark's tracer in ``perfbench/`` binds it. Raises
     RankDeficient under the rank floor, of the stack scaled exactly as in
-    :func:`thin_qr_batch`, and for non-finite input.
+    :func:`orthonormalize`, and for non-finite input.
     """
-    a, total, _ = _square_safe(a)
+    a, total = _square_safe(a)
     n = a.shape[-1]
     q, r = np.linalg.qr(a, mode="complete")
     d = np.diagonal(r[..., :n, :], axis1=-2, axis2=-1)

@@ -43,7 +43,7 @@ from .errors import (
     _check_type,
 )
 from .grassmann import GrassmannConstants, _check_frames
-from .linalg import add_product, cholesky_upper_batch, gram_rows, project_off, sumsq, thin_qr_batch
+from .linalg import add_product, cholesky_upper_batch, gram_rows, orthonormalize, project_off, sumsq
 
 __all__ = [
     "QuantDecomposition",
@@ -116,13 +116,17 @@ def decompose(h_tilde, h_hat):
 
 
 def _thin_qr(a, what):
-    """Q, R of one matrix by :func:`~grassfeed.linalg.thin_qr_batch`; its
-    RankDeficient becomes DegenerateProjection of the ``what`` projection."""
+    """Q, R of one matrix: Q from :func:`~grassfeed.linalg.orthonormalize`
+    and R = triu(Q^H a) with its diagonal, positive under that convention,
+    kept real. RankDeficient becomes DegenerateProjection of the ``what``
+    projection."""
     try:
-        q, r = thin_qr_batch(a[np.newaxis])
+        q = orthonormalize(a[np.newaxis])[0]
     except RankDeficient as exc:
         raise DegenerateProjection(f"{what} projection lost rank") from exc
-    return q[0], r[0]
+    r = np.triu(q.conj().T @ a)
+    np.fill_diagonal(r, np.diagonal(r).real)
+    return q, r
 
 
 class CondEigSampler:

@@ -375,10 +375,10 @@ def _precoders(pt, stream, h, frames, shared):
     return _regroup(bd_precoders_batch(units), n)
 
 
-def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
+def _chunk_sum_rates(spec, plan, chunk_idx, out):
     """(points, count, 3) per-trial [sum rate R, interference-free sum
     rate Y, leakage L] of every planned :class:`_Point` in one chunk,
-    written into ``out`` when it is given.
+    written into ``out``.
 
     The channels are the chunk stream's only draw; a point's knowledge
     comes from its substream. Feedback units are orthonormalized once per
@@ -391,8 +391,6 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
     """
     m, n, k = spec.m, spec.n, spec.k
     count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
-    if out is None:
-        out = np.empty((len(plan), count, 3))
     stream = RngStream(spec.seed).child(chunk_idx)
     h = gaussian_matrix(stream.generator(), m, n, batch=(count, k))
     w = plan[0].width
@@ -419,7 +417,7 @@ def _chunk_sum_rates(spec, plan, chunk_idx, out=None):
     return out
 
 
-def _estimate(rates, mean_free, mean_leak=None):
+def _estimate(rates, mean_free, mean_leak):
     """(sum rate, 99% half-width) of one point from its (T, 3) per-trial
     [R, Y, L] columns.
 

@@ -14,21 +14,12 @@ import pytest
 from grassfeed import _backend, grassmann
 from grassfeed.errors import RankDeficient
 from grassfeed.grassmann import Codebook, chordal_distance_sq, quantize
-from grassfeed.linalg import RANK_FLOOR, orthonormalize, thin_qr_batch
+from grassfeed.linalg import RANK_FLOOR, orthonormalize
+from tests.test_linalg import QR_SHAPES, _positive_qr_reference, assert_positive_qr
 
 
 def _gauss(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
-
-
-def _positive_qr_reference(a):
-    """Per-matrix numpy QR with each column's phase turned so R_jj > 0."""
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-QR_SHAPES = [(6, 2), (4, 2), (8, 1), (6, 3), (2, 2)]
 
 
 @pytest.mark.parametrize("m,n", QR_SHAPES)
@@ -37,7 +28,7 @@ def test_orthonormalize_matches_thin_qr(m, n):
     a = _gauss(rng, 64, m, n)
     q = orthonormalize(a)
     for i in range(a.shape[0]):
-        assert np.linalg.norm(q[i] - _positive_qr_reference(a[i])) <= 1e-10
+        assert np.linalg.norm(q[i] - _positive_qr_reference(a[i])[0]) <= 1e-10
 
 
 def _conditioned(rng, t, m, n, cond):
@@ -52,33 +43,30 @@ def _conditioned(rng, t, m, n, cond):
 @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
 @pytest.mark.parametrize("m,n", QR_SHAPES)
 def test_thin_qr_ill_conditioned(m, n, cond):
-    """Two passes of Gram-Schmidt keep Q orthonormal and QR = A at rounding
-    level however far the columns are from orthogonal, short of the floor."""
+    """Two passes of Gram-Schmidt keep Q orthonormal, Q^H A upper
+    triangular with a positive diagonal and Q Q^H A = A at rounding level
+    however far the columns are from orthogonal, short of the floor."""
     rng = np.random.default_rng(27 + 10 * m + n)
     a = _conditioned(rng, 64, m, n, cond)
-    q, r = thin_qr_batch(a)
+    q = orthonormalize(a)
     assert np.abs(q.conj().swapaxes(-2, -1) @ q - np.eye(n)).max() <= 1e-10
-    resid = np.linalg.norm(q @ r - a, axis=(-2, -1)) / np.linalg.norm(a, axis=(-2, -1))
-    assert resid.max() <= 1e-10
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    assert np.all(d.imag == 0.0) and np.all(d.real > 0.0)
-    np.testing.assert_array_equal(r, np.triu(r))
+    assert_positive_qr(q, a)
 
 
 @pytest.mark.parametrize("factor,ok", [(1.5, True), (0.6, False)])
 def test_thin_qr_rank_floor_edge(factor, ok):
-    """A second column whose residual R_22 sits just above (passes) or just
-    below (raises) RANK_FLOOR * ||a||_F."""
+    """A second column whose residual R_22 = (Q^H A)_22 sits just above
+    (passes) or just below (raises) RANK_FLOOR * ||a||_F."""
     rng = np.random.default_rng(28)
     u = np.linalg.qr(_gauss(rng, 6, 2))[0]
     delta = factor * RANK_FLOOR * np.sqrt(2.0)
     a = u @ np.array([[1.0, 1.0], [0.0, delta]])
     if ok:
-        r = thin_qr_batch(a[np.newaxis])[1][0]
-        assert abs(r[1, 1] - delta) <= 1e-3 * delta
+        q = orthonormalize(a[np.newaxis])[0]
+        assert abs((q.conj().T @ a)[1, 1] - delta) <= 1e-3 * delta
     else:
         with pytest.raises(RankDeficient):
-            thin_qr_batch(a[np.newaxis])
+            orthonormalize(a[np.newaxis])
 
 
 def test_orthonormalize_high_rank_batch_shape():
@@ -136,7 +124,7 @@ def test_quantize_gaussians_composes():
 
 def _exact_scan(hq, gauss):
     """The scan with one QR per codebook entry."""
-    return grassmann._scan_np(hq, thin_qr_batch(gauss)[0])
+    return grassmann._scan_np(hq, orthonormalize(gauss))
 
 
 def _assert_same_scan(got, want):
@@ -152,7 +140,7 @@ class TestGramScan:
     @pytest.mark.parametrize("m,n,c", [(4, 2, 256), (8, 1, 64), (6, 3, 32), (6, 2, 1)])
     def test_matches_exact_scan(self, m, n, c):
         rng = np.random.default_rng(40 + m + n)
-        hq = thin_qr_batch(_gauss(rng, 64, m, n))[0]
+        hq = orthonormalize(_gauss(rng, 64, m, n))
         gauss = _gauss(rng, 64, c, m, n)
         _assert_same_scan(_backend.quantize_gaussians(hq, gauss), _exact_scan(hq, gauss))
 
@@ -161,7 +149,7 @@ class TestGramScan:
         """Near-parallel columns: the alias agrees bit for bit with the
         exact scan, whose QR handles them."""
         rng = np.random.default_rng(41)
-        hq = thin_qr_batch(_gauss(rng, 32, 4, 2))[0]
+        hq = orthonormalize(_gauss(rng, 32, 4, 2))
         gauss = _gauss(rng, 32, 64, 4, 2)
         gauss[:, ::2, :, 1] = gauss[:, ::2, :, 0] + eps * gauss[:, ::2, :, 1]
         _assert_same_scan(_backend.quantize_gaussians(hq, gauss), _exact_scan(hq, gauss))
@@ -170,7 +158,7 @@ class TestGramScan:
     def test_extreme_scales(self, scale):
         """Entries whose squares would underflow or overflow scan exactly."""
         rng = np.random.default_rng(45)
-        hq = thin_qr_batch(_gauss(rng, 16, 4, 2))[0]
+        hq = orthonormalize(_gauss(rng, 16, 4, 2))
         gauss = _gauss(rng, 16, 32, 4, 2)
         want = _exact_scan(hq, gauss)
         got = _backend.quantize_gaussians(hq, scale * gauss)
@@ -183,7 +171,7 @@ class TestGramScan:
         the defective entry 5 can never win, yet the alias's QR still
         rank-checks it."""
         rng = np.random.default_rng(42)
-        hq = thin_qr_batch(_gauss(rng, 8, 4, 2))[0]
+        hq = orthonormalize(_gauss(rng, 8, 4, 2))
         gauss = _gauss(rng, 8, 16, 4, 2)
         gauss[3, 0] = hq[3]
         bad = gauss[3, 5]
@@ -203,12 +191,12 @@ class TestGramScan:
         by a unitary spans the same plane, so its d^2 differs from the
         original's by rounding alone; the alias is still the exact scan."""
         rng = np.random.default_rng(43)
-        hq = thin_qr_batch(_gauss(rng, 64, 4, 2))[0]
+        hq = orthonormalize(_gauss(rng, 64, 4, 2))
         gauss = _gauss(rng, 64, 32, 4, 2)
         first = _exact_scan(hq, gauss)[0]
         win = gauss[np.arange(64), first]
         if copy == "rotated":
-            win = win @ thin_qr_batch(_gauss(rng, 64, 2, 2))[0]
+            win = win @ orthonormalize(_gauss(rng, 64, 2, 2))
         dup = np.concatenate([gauss[:, :1], win[:, np.newaxis], gauss[:, 1:]], axis=1)
         got = _backend.quantize_gaussians(hq, dup)
         _assert_same_scan(got, _exact_scan(hq, dup))

@@ -25,7 +25,7 @@ from grassfeed.grassmann import (
     random_codebook,
     scan_fresh_codebooks,
 )
-from grassfeed.linalg import orthonormalize, thin_qr_batch
+from grassfeed.linalg import orthonormalize
 from grassfeed.quant_emulator import beta_trace_pdf
 from grassfeed import ensembles, grassmann
 from grassfeed.cli import _ks_2samp
@@ -396,11 +396,11 @@ def _per_block_scan(gen, m, n, bits, count, hq=None):
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         if hq is None:
-            frames = thin_qr_batch(gaussian_matrix(gen, m, n, batch=(hi - lo,)))[0]
+            frames = orthonormalize(gaussian_matrix(gen, m, n, batch=(hi - lo,)))
         else:
             frames = hq[lo:hi]
         g = gaussian_matrix(gen, m, n, batch=(hi - lo, size))
-        _, d2[lo:hi], won[lo:hi] = grassmann._scan_np(frames, thin_qr_batch(g)[0])
+        _, d2[lo:hi], won[lo:hi] = grassmann._scan_np(frames, orthonormalize(g))
     return d2, won
 
 
@@ -498,7 +498,7 @@ class TestScanFreshCodebooks:
         monkeypatch.setattr(ensembles, "orthonormalize", spy)
         rng = np.random.default_rng(47)
         gauss = (rng.standard_normal((32, m, n)) + 1j * rng.standard_normal((32, m, n))) * np.sqrt(0.5)
-        scan_fresh_codebooks(np.random.default_rng(44), thin_qr_batch(gauss)[0], bits)
+        scan_fresh_codebooks(np.random.default_rng(44), orthonormalize(gauss), bits)
         assert seen == [32, 32, 32]
 
     def test_guards(self):

@@ -11,7 +11,7 @@ from grassfeed.linalg import (
     logdet_hermitian_batch,
     orthonormalize,
     project_off,
-    thin_qr_batch,
+    sumsq,
 )
 
 
@@ -21,38 +21,61 @@ def _complex_gaussian(rng, m, n):
 
 def _one(kernel, a):
     """A batch kernel's result for one matrix, run as a one-item stack."""
-    out = kernel(np.asarray(a, dtype=complex)[np.newaxis])
-    return tuple(x[0] for x in out) if isinstance(out, tuple) else out[0]
+    return kernel(np.asarray(a, dtype=complex)[np.newaxis])[0]
+
+
+QR_SHAPES = [(6, 2), (4, 2), (8, 1), (6, 3), (2, 2)]
+
+
+def _positive_qr_reference(a):
+    """Per-matrix numpy (Q, R) with each column's phase turned so R_jj > 0."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r)
+    phase = d / np.abs(d)
+    return q * phase, r * phase.conj()[:, np.newaxis]
+
+
+def assert_positive_qr(q, a, tol=1e-10):
+    """Q of a (..., m, n) stack a is its positive-diagonal thin-QR factor:
+    R = Q^H A is upper triangular to rounding with a real positive
+    diagonal, and Q Q^H A = A. Tolerances are relative to each item's
+    largest entry, so no entry is squared."""
+    scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    r = q.conj().swapaxes(-2, -1) @ a
+    assert np.all(np.abs(np.tril(r, -1)) <= tol * scale)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.all(np.abs(d.imag) <= tol * scale[..., 0]) and np.all(d.real > 0.0)
+    assert np.all(np.abs(q @ r - a) <= tol * scale)
 
 
 class TestThinQr:
     def test_identity(self):
-        q, r = _one(thin_qr_batch, np.eye(2, dtype=complex))
+        q = _one(orthonormalize, np.eye(2, dtype=complex))
         np.testing.assert_allclose(q, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(r, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(q.conj().T @ np.eye(2), np.eye(2), atol=1e-14)
 
     def test_column_scaling(self):
         a = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 3.0]], dtype=complex)
-        q, r = _one(thin_qr_batch, a)
+        q = _one(orthonormalize, a)
         np.testing.assert_allclose(q, [[1, 0], [0, 0], [0, 1]], atol=1e-14)
-        np.testing.assert_allclose(r, np.diag([2.0, 3.0]), atol=1e-14)
+        np.testing.assert_allclose(q.conj().T @ a, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_rank_deficient(self):
         """Duplicated columns, in one item or in every item of a stack."""
         a = np.ones((4, 2), dtype=complex)
         with pytest.raises(RankDeficient):
-            _one(thin_qr_batch, a)
+            _one(orthonormalize, a)
         with pytest.raises(RankDeficient):
             orthonormalize(np.stack([a] * 4))
 
     def test_wide_rejected(self):
         """A wide item has no full column rank."""
         with pytest.raises(RankDeficient):
-            _one(thin_qr_batch, _complex_gaussian(np.random.default_rng(8), 2, 4))
+            _one(orthonormalize, _complex_gaussian(np.random.default_rng(8), 2, 4))
 
     def test_no_columns_rejected(self):
         with pytest.raises(DimensionError):
-            _one(thin_qr_batch, np.zeros((3, 0)))
+            _one(orthonormalize, np.zeros((3, 0)))
 
 
 class TestCholeskyUpper:
@@ -116,7 +139,7 @@ class TestLeftNullspaceBasis:
         rng = np.random.default_rng(9)
         for _ in range(100):
             a = _complex_gaussian(rng, 6, 2)
-            q, _ = _one(thin_qr_batch, a)
+            q = _one(orthonormalize, a)
             b = left_nullspace_basis_batch(a)
             u = np.concatenate([q, b], axis=1)
             assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= 1e-10
@@ -197,33 +220,32 @@ class TestBatchKernels:
     """The *_batch kernels the engine runs, on stacks with bad items."""
 
     def test_thin_qr_batch_matches_scalar(self):
-        """Each item of a stack factors as it would alone."""
+        """orthonormalize factors each item of a stack as it would alone,
+        and each is its positive-diagonal Q."""
         rng = np.random.default_rng(17)
         a = np.stack([_complex_gaussian(rng, 6, 2) for _ in range(20)])
-        q, r = thin_qr_batch(a)
+        q = orthonormalize(a)
         for i in range(20):
-            qi, ri = _one(thin_qr_batch, a[i])
-            np.testing.assert_array_equal(q[i], qi)
-            np.testing.assert_array_equal(r[i], ri)
+            np.testing.assert_array_equal(q[i], _one(orthonormalize, a[i]))
+        assert_positive_qr(q, a)
 
     @pytest.mark.parametrize("shape", [(1024, 8, 8, 1), (8192, 1, 1), (1, 8192, 8, 1)])
     def test_one_column_is_divided_by_its_norm(self, shape):
         """At n = 1, Q is a / ||a|| bit for bit, with ||a|| the root of
-        the column's sum of squares, and R holds that norm."""
+        the column's sum of squares."""
         rng = np.random.default_rng(31)
         a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
-        norm = np.sqrt(np.sum(a.real ** 2 + a.imag ** 2, axis=-2, keepdims=True))
-        q, r = thin_qr_batch(a)
-        np.testing.assert_allclose(r.real, norm, rtol=1e-15, atol=0)
-        np.testing.assert_array_equal(q, a / r)
-        np.testing.assert_array_equal(orthonormalize(a), q)
+        norm = np.sqrt(sumsq(a[..., 0]))[..., np.newaxis, np.newaxis]
+        want = np.sqrt(np.sum(a.real ** 2 + a.imag ** 2, axis=-2, keepdims=True))
+        np.testing.assert_allclose(norm, want, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(orthonormalize(a), a / norm)
 
     def test_thin_qr_batch_nan_is_rank_deficient(self):
         a = np.zeros((3, 4, 2), dtype=complex)
         a[:] = np.eye(4)[:, :2]
         a[1, 0, 0] = np.nan
         with pytest.raises(RankDeficient):
-            thin_qr_batch(a)
+            orthonormalize(a)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, 1j * np.inf])
     def test_thin_qr_batch_inf_is_rank_deficient(self, bad):
@@ -233,25 +255,24 @@ class TestBatchKernels:
         a[2, 3, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for kernel in (thin_qr_batch, orthonormalize):
-                with pytest.raises(RankDeficient, match="non-finite"):
-                    kernel(a)
+            with pytest.raises(RankDeficient, match="non-finite"):
+                orthonormalize(a)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
     def test_thin_qr_batch_extreme_scales(self, scale):
         """Items whose squares would under- or overflow are rescaled by a
-        power of two first: Q matches the unit-scale item's Q and R scales
-        back. A unit-scale item in the same stack is untouched."""
+        power of two first: Q matches the unit-scale item's Q, and Q^H A of
+        the scaled item keeps the positive-diagonal form. A unit-scale item
+        in the same stack is untouched."""
         rng = np.random.default_rng(23)
         base = np.stack([_complex_gaussian(rng, 6, 2) for _ in range(2)])
         a = base.copy()
         a[1] *= scale
-        q, r = thin_qr_batch(a)
-        q_ref, r_ref = thin_qr_batch(base)
+        q = orthonormalize(a)
+        q_ref = orthonormalize(base)
         np.testing.assert_array_equal(q[0], q_ref[0])
-        np.testing.assert_array_equal(r[0], r_ref[0])
         assert np.abs(q[1] - q_ref[1]).max() <= 1e-13
-        assert np.abs(r[1] / scale - r_ref[1]).max() <= 1e-13 * np.abs(r_ref[1]).max()
+        assert_positive_qr(q, a)
 
     def test_cholesky_psd_items(self):
         """One singular PSD item, exactly or within rounding, fails the whole
@@ -326,7 +347,7 @@ class TestBatchKernels:
     def test_project_off_matches_matmul(self, k, n):
         """p - q (q^H p) in place, orthogonal to q's span."""
         rng = np.random.default_rng(31 + k)
-        q = thin_qr_batch(rng.standard_normal((40, 7, k)) + 1j * rng.standard_normal((40, 7, k)))[0]
+        q = orthonormalize(rng.standard_normal((40, 7, k)) + 1j * rng.standard_normal((40, 7, k)))
         p = rng.standard_normal((40, 7, n)) + 1j * rng.standard_normal((40, 7, n))
         want = p - q @ (q.conj().swapaxes(-2, -1) @ p)
         got = project_off(p, q, np.empty((40, 7), dtype=complex))

@@ -34,6 +34,7 @@ from grassfeed.quant_emulator import (
     _min_d2_from_uniform,
 )
 from tests.test_ensembles import restricted_ks
+from tests.test_linalg import QR_SHAPES, _positive_qr_reference
 
 
 def _orth(gen, m, n):
@@ -90,16 +91,30 @@ class TestDecompose:
                 assert np.abs(ref.conj().T @ dec.s).max() <= 1e-10
 
     def test_triangular_factors(self):
+        """y and z are exactly upper triangular with real nonnegative
+        diagonals; x is unitary."""
         gen = RngStream(21).child(1).generator()
         dec = decompose(_orth(gen, 6, 2), _orth(gen, 6, 2))
         for f in (dec.y, dec.z):
-            assert np.abs(np.tril(f, -1)).max() <= 1e-12
-            assert np.all(np.diag(f).real >= -1e-12)
-            assert np.abs(np.diag(f).imag).max() <= 1e-12
-        # x is unitary
+            np.testing.assert_array_equal(f, np.triu(f))
+            assert np.all(np.diag(f).imag == 0.0) and np.all(np.diag(f).real >= 0.0)
         np.testing.assert_allclose(
             dec.x.conj().T @ dec.x, np.eye(2), atol=1e-10
         )
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m, n in QR_SHAPES if m >= 2 * n])
+    def test_factors_match_positive_qr_reference(self, m, n):
+        """x y and s z are the positive-diagonal thin QRs of h_hat^H h_tilde
+        and of h_tilde projected off h_hat, against numpy's QR with the
+        phases fixed."""
+        gen = RngStream(21).child(2, m, n).generator()
+        for _ in range(20):
+            ref, tgt = _orth(gen, m, n), _orth(gen, m, n)
+            dec = decompose(tgt, ref)
+            coef = ref.conj().T @ tgt
+            want = _positive_qr_reference(coef) + _positive_qr_reference(tgt - ref @ coef)
+            for got, w in zip((dec.x, dec.y, dec.s, dec.z), want):
+                assert np.abs(got - w).max() <= 1e-10
 
 
 class TestSampleMinD2:

@@ -43,9 +43,15 @@ def _point(spec, p_db=10.0):
     return pt
 
 
+def _chunk(spec, plan, chunk_idx):
+    """(points, count, 3) per-trial [R, Y, L] of one chunk of plan."""
+    count = min(CHUNK_TRIALS, spec.trials - chunk_idx * CHUNK_TRIALS)
+    return simulator._chunk_sum_rates(spec, plan, chunk_idx, np.empty((len(plan), count, 3)))
+
+
 def _one_point(spec, chunk_idx, pt):
     """(count, 3) per-trial [R, Y, L] of one chunk of a one-point plan."""
-    return simulator._chunk_sum_rates(spec, [pt], chunk_idx)[0]
+    return _chunk(spec, [pt], chunk_idx)[0]
 
 
 def _perfect_rates(spec, p_db=10.0):
@@ -286,7 +292,7 @@ class TestSweepPlan:
         planned budgets and modes and its own trial count."""
         real, calls = simulator._chunk_sum_rates, []
 
-        def spy(spec, plan, chunk_idx, out=None):
+        def spy(spec, plan, chunk_idx, out):
             rates = real(spec, plan, chunk_idx, out)
             calls.append((chunk_idx, [(pt.p_db, pt.bits, pt.mode) for pt in plan], rates.shape[:2]))
             return rates
@@ -353,7 +359,7 @@ class TestSweepPlan:
         the chunk loop ran."""
         real, plans = simulator._chunk_sum_rates, []
 
-        def spy(spec, plan, chunk_idx, out=None):
+        def spy(spec, plan, chunk_idx, out):
             plans.append(plan)
             return real(spec, plan, chunk_idx, out)
 
@@ -789,7 +795,7 @@ class TestChunkSharing:
         for chunk in (0, 2):
             stacks.clear()
             knowledge.clear()
-            simulator._chunk_sum_rates(spec, plan, chunk)
+            _chunk(spec, plan, chunk)
             for pt, units in zip(plan, knowledge):
                 if pt.mode != "quantized_emulated":
                     continue
@@ -975,7 +981,7 @@ class TestRegressionEstimator:
         r = np.array([1e150, -1e150, 1e150, -1e150])
         y = np.array([1e-160, -1e-160, 1e-160, -1e-160])
         rates = np.column_stack([r, y])
-        assert simulator._estimate(rates, 0.0) == self._plain(rates)
+        assert simulator._estimate(rates, 0.0, None) == self._plain(rates)
 
     @pytest.mark.parametrize("precoder,m,n", [("bd", 4, 2), ("bd", 6, 2), ("zf", 8, 1)])
     def test_exact_feedback_has_zero_ci(self, precoder, m, n):
@@ -1052,7 +1058,7 @@ class TestLeakageControl:
         assert planned.mean_leak is None
         rates = _one_point(spec, 0, planned)
         mu = perfect_csi_sum_rate(SystemConfig(4, 2, 10.0))
-        assert (pt.sum_rate, pt.ci99) == simulator._estimate(rates[:, :2], mu)
+        assert (pt.sum_rate, pt.ci99) == simulator._estimate(rates[:, :2], mu, None)
 
     def test_two_controls_match_least_squares(self):
         """The estimate is the fitted R at the known control means, and the
@@ -1082,7 +1088,7 @@ class TestLeakageControl:
             (np.column_stack([r, y, leak]), 1e308),
         ]
         for rates, mean_leak in cases:
-            want = simulator._estimate(rates[:, :2], 0.0)
+            want = simulator._estimate(rates[:, :2], 0.0, None)
             assert all(map(math.isfinite, want))
             assert simulator._estimate(rates, 0.0, mean_leak) == want
 
@@ -1095,7 +1101,7 @@ class TestLeakageControl:
         rates = np.concatenate([
             _one_point(spec, c, _point(spec, 30.0)) for c in range(2)
         ])
-        _, ci_free = simulator._estimate(rates, perfect_csi_sum_rate(SystemConfig(8, 1, 1e3), "zf"))
+        _, ci_free = simulator._estimate(rates, perfect_csi_sum_rate(SystemConfig(8, 1, 1e3), "zf"), None)
         assert (ci_free / pt.ci99) ** 2 > 4.0
 
 
